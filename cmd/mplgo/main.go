@@ -12,7 +12,8 @@
 //	-procs N      scheduler workers (default 1)
 //	-mode M       entanglement mode: manage (default), detect, unsafe
 //	-stats        print runtime statistics (GC, entanglement) to stderr
-//	-dis          print the compiled bytecode to stderr before running
+//	-dis          print the lowered tree to stderr before running: every
+//	              function direct or heap, every access site fast or checked
 //	-dis-report   print per-site disentanglement verdicts to stderr
 //	-elide=false  disable static barrier elision (checked build)
 package main
@@ -31,7 +32,7 @@ func main() {
 	procs := flag.Int("procs", 1, "scheduler workers")
 	modeName := flag.String("mode", "manage", "entanglement mode: manage|detect|unsafe")
 	stats := flag.Bool("stats", false, "print runtime statistics")
-	dis := flag.Bool("dis", false, "print compiled bytecode")
+	dis := flag.Bool("dis", false, "print the lowered tree (functions direct/heap, sites fast/checked)")
 	disReport := flag.Bool("dis-report", false, "print per-site disentanglement verdicts")
 	elide := flag.Bool("elide", true, "compile with static barrier elision")
 	flag.Parse()
@@ -87,7 +88,7 @@ func main() {
 				an, _ = mlang.Analyze(ast)
 			}
 			if prog, err := mlang.CompileWith(ast, an); err == nil {
-				fmt.Fprint(os.Stderr, prog.Disassemble())
+				fmt.Fprint(os.Stderr, prog.Listing())
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 // Running Parallel-ML source programs on the runtime: the language layer
-// (lexer → parser → type inference → bytecode → VM) compiles `par`, refs,
-// and arrays onto the hierarchical heap; the VM's stacks are precise GC
-// roots and every effect goes through the entanglement barriers.
+// (lexer → parser → type inference → Go closures) compiles `par`, refs,
+// and arrays onto the hierarchical heap; every activation's frame is a
+// precise GC root and every effect goes through the entanglement barriers
+// unless the disentanglement analysis proved the site.
 //
 // This example runs three embedded programs — a parallel Fibonacci, an
 // imperative array program, and an entangled producer/consumer — and

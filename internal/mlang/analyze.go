@@ -27,7 +27,8 @@ type Analysis struct {
 	Fallback int        // sites kept on the managed barriers
 	Regions  int        // distinct proven static allocation regions
 
-	fast map[*Prim]bool
+	fast  map[*Prim]bool
+	types map[Expr]Type
 }
 
 // FastSite reports whether the analysis proved the site disentangled.
@@ -75,7 +76,7 @@ func Analyze(e Expr) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{Type: typ, fast: make(map[*Prim]bool, len(c.sites))}
+	a := &Analysis{Type: typ, fast: make(map[*Prim]bool, len(c.sites)), types: c.types}
 	verdicts := make(map[*site]*Verdict, len(c.sites))
 	rule := func(s *site, fast bool, reason string) {
 		line, col := s.e.Pos()

@@ -152,26 +152,14 @@ func TestAnalysisNeverFailsOnEffects(t *testing.T) {
 	}
 }
 
-// TestDisReportGolden pins the -dis-report output for every example
-// program. Regenerate with: go test -run TestDisReportGolden -update
-// (the flag is consumed via the UPDATE_GOLDEN env var to avoid a flag
-// dependency): UPDATE_GOLDEN=1 go test -run TestDisReportGolden
-func TestDisReportGolden(t *testing.T) {
-	dir := "../../examples/mlang/programs"
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".mpl" {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := analyze(t, string(src)).Report()
-		golden := filepath.Join("testdata", strings.TrimSuffix(e.Name(), ".mpl")+".disreport")
+// goldenExamples compares render(source) of every example program with
+// testdata/<program>.<ext>. Regenerate with UPDATE_GOLDEN=1 go test -run
+// Golden (an env var, to avoid a flag dependency).
+func goldenExamples(t *testing.T, ext string, render func(src string) string) {
+	names, srcs := examplePrograms(t)
+	for i, name := range names {
+		got := render(srcs[i])
+		golden := filepath.Join("testdata", strings.TrimSuffix(name, ".mpl")+"."+ext)
 		if os.Getenv("UPDATE_GOLDEN") != "" {
 			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 				t.Fatal(err)
@@ -183,8 +171,69 @@ func TestDisReportGolden(t *testing.T) {
 			t.Fatalf("%s (run with UPDATE_GOLDEN=1 to regenerate): %v", golden, err)
 		}
 		if got != string(want) {
-			t.Errorf("%s: report drifted from golden:\n--- got ---\n%s--- want ---\n%s", e.Name(), got, want)
+			t.Errorf("%s: drifted from golden:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 		}
+	}
+}
+
+// TestDisReportGolden pins the -dis-report output for every example
+// program.
+func TestDisReportGolden(t *testing.T) {
+	goldenExamples(t, "disreport", func(src string) string { return analyze(t, src).Report() })
+}
+
+// TestListingGolden pins the -dis output — the lowered tree — for every
+// example program: which functions and calls are direct, which access
+// sites are fast.
+func TestListingGolden(t *testing.T) {
+	goldenExamples(t, "lowered", func(src string) string { return listing(t, src, true) })
+}
+
+// listing lowers src, with elision or checked, and returns the listing.
+func listing(t *testing.T, src string, elide bool) string {
+	t.Helper()
+	ast, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var an *Analysis
+	if elide {
+		if an, err = Analyze(ast); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := CompileWith(ast, an)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.Listing()
+}
+
+// TestListing: the markers mean what they say. The checked build lists the
+// same tree with every site checked; a function is heap exactly when a
+// use makes it escape.
+func TestListing(t *testing.T) {
+	src := `let val a = array (4, 0) in
+let fun fill i = if i >= 4 then () else (update (a, i, i); fill (i + 1)) in
+let fun get i = sub (a, i) in
+let val g = if 1 < 2 then get else get in
+(fill 0; g 3)
+end end end end`
+	elided, checked := listing(t, src, true), listing(t, src, false)
+	for _, want := range []string{
+		"1:13 array fast", "2:42 update fast", "3:17 sub fast",
+		"fun fill/1 direct", "call fill direct tail", "call fill direct\n",
+		"fn get heap captures=[a]", "call closure",
+	} {
+		if !strings.Contains(elided, want) {
+			t.Errorf("elided listing lacks %q:\n%s", want, elided)
+		}
+	}
+	if strings.Contains(elided, "checked") || strings.Contains(checked, "fast") {
+		t.Errorf("site markers do not follow the build:\n%s---\n%s", elided, checked)
+	}
+	if strings.ReplaceAll(elided, "fast", "checked") != checked {
+		t.Errorf("checked build is not the same tree:\n%s---\n%s", elided, checked)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mlang
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // The differential suite: every program runs twice — checked (managed
-// barriers everywhere) and elided (unchecked opcodes at proven sites) —
+// barriers everywhere) and elided (unchecked accessors at proven sites) —
 // and the two runs must agree on rendered value and printed output. For
 // programs whose analysis proves every site, the elided run must also
 // report a completely cold entanglement slow path: zero SlowReads means
@@ -35,11 +36,7 @@ var diffCorpus = []struct {
 		(fill 0; sum 0)
 		end end end`, true},
 	{"parfib", parFibSrc, true},
-	{"gcpressure", `
-		let fun loop n =
-		  if n = 0 then 0
-		  else let val p = (n, n * 2, (n, n)) in #1 (#3 p) - n + loop (n - 1) end
-		in loop 3000 end`, true},
+	{"gcpressure", gcPressureSrc(3000), true},
 	{"tabreduce", `reduce (tabulate (5000, fn i => i * i), 0, fn a => fn b => a + b)`, true},
 	// A clean boxed region: refs allocated at the root scope, stored and
 	// read in the same scope — the region-local read rule, not the
@@ -72,6 +69,23 @@ var diffCorpus = []struct {
 	// Print interleaving with par is nondeterministic, so keep print
 	// programs sequential.
 	{"print", `(print 1; print 2; print (3 * 4); ())`, true},
+}
+
+// chaosSrc is what TestDifferentialUnderChaos runs in place of a corpus
+// program's src. Under chaos nearly every allocation collects, and each
+// collection copies gcpressure's one live tuple per open activation and
+// then audits the heap: the cost is quadratic in the depth (10 s a run at
+// 3000, whatever the engine), so the chaos run takes the same path 600
+// deep — 590 collections inside recursion.
+var chaosSrc = map[string]string{"gcpressure": gcPressureSrc(600)}
+
+// gcPressureSrc keeps one live tuple per activation, depth deep.
+func gcPressureSrc(depth int) string {
+	return fmt.Sprintf(`
+		let fun loop n =
+		  if n = 0 then 0
+		  else let val p = (n, n * 2, (n, n)) in #1 (#3 p) - n + loop (n - 1) end
+		in loop %d end`, depth)
 }
 
 func runBoth(t *testing.T, name, src string, cfg mpl.Config) (*Result, *Result) {
@@ -160,6 +174,9 @@ func TestDifferentialExamplePrograms(t *testing.T) {
 func TestDifferentialUnderChaos(t *testing.T) {
 	opts := chaos.Soak()
 	for _, c := range diffCorpus {
+		if src, ok := chaosSrc[c.name]; ok {
+			c.src = src
+		}
 		for _, seed := range []int64{3, 11} {
 			cfg := mpl.Config{Procs: 2, HeapBudgetWords: 1024, Seed: seed, Chaos: &opts}
 			runBoth(t, c.name, c.src, cfg)

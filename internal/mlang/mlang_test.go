@@ -3,7 +3,6 @@ package mlang
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mplgo/mpl"
@@ -56,10 +55,20 @@ func TestLexerErrors(t *testing.T) {
 
 func TestArithmetic(t *testing.T) {
 	cases := map[string]int64{
-		`1 + 2 * 3`:                           7,
-		`(1 + 2) * 3`:                         9,
-		`10 div 3`:                            3,
-		`10 mod 3`:                            1,
+		`1 + 2 * 3`:   7,
+		`(1 + 2) * 3`: 9,
+		`10 div 3`:    3,
+		`10 mod 3`:    1,
+		// div rounds toward negative infinity and mod takes the divisor's
+		// sign, as in ML (not Go's truncation).
+		`~7 div 2`:                            -4,
+		`7 div ~2`:                            -4,
+		`~7 div ~2`:                           3,
+		`~6 div 2`:                            -3,
+		`~7 mod 2`:                            1,
+		`7 mod ~2`:                            -1,
+		`~7 mod ~2`:                           -1,
+		`~6 mod 2`:                            0,
 		`~5 + 2`:                              -3,
 		`100 - 42`:                            58,
 		`if 1 < 2 then 7 else 8`:              7,
@@ -212,8 +221,8 @@ func TestEntangledProgram(t *testing.T) {
 }
 
 func TestGCPressure(t *testing.T) {
-	// Build and discard tuples in a loop under a small budget: the VM's
-	// frames must keep everything precise across collections.
+	// Build and discard tuples in a loop under a small budget: the
+	// activations' frames must keep everything precise across collections.
 	src := `
 	let fun loop n =
 	  if n = 0 then 0
@@ -317,6 +326,10 @@ func TestRuntimeErrors(t *testing.T) {
 		`sub (array (3, 0), ~1)`,
 		`update (array (3, 0), 3, 1)`,
 		`array (~1, 0)`,
+		// Raised in a strand, re-raised after the join, still typed.
+		`#1 (par (1 div 0, 2))`,
+		`tabulate (100, fn i => 1 div (i - 50))`,
+		`reduce (tabulate (600, fn i => i), 0, fn a => fn b => a div (b - 300))`,
 	} {
 		err := evalErr(t, src)
 		if _, ok := err.(*RuntimeError); !ok {
@@ -333,21 +346,6 @@ func TestTypeString(t *testing.T) {
 	want := "(int * (int -> int) * bool ref)"
 	if got := res.Type.String(); got != want {
 		t.Fatalf("type = %q, want %q", got, want)
-	}
-}
-
-func TestDisassemble(t *testing.T) {
-	ast, err := Parse(`let fun f x = x + 1 in f 1 end`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Compile(ast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dis := prog.Disassemble()
-	if !strings.Contains(dis, `fn 1 "f"`) {
-		t.Fatalf("disassembly missing function: %s", dis)
 	}
 }
 
@@ -382,8 +380,8 @@ func TestTabulate(t *testing.T) {
 }
 
 func TestTabulateParallelAndGC(t *testing.T) {
-	// Boxed elements under a tiny budget and multiple workers: the VM's
-	// frames and the array barriers must keep everything alive and exact.
+	// Boxed elements under a tiny budget and multiple workers: the frames
+	// and the array barriers must keep everything alive and exact.
 	src := `
 	let val a = tabulate (2000, fn i => (i, i + 1)) in
 	reduce (tabulate (2000, fn i => #2 (sub (a, i)) - #1 (sub (a, i))), 0,

@@ -1,6 +1,9 @@
 package mlang
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // parser is a recursive-descent parser with precedence climbing.
 //
@@ -64,9 +67,9 @@ func (p *parser) seqExpr() (Expr, error) {
 	return e, nil
 }
 
-// assignExpr := orExpr [':=' assignExpr]
+// assignExpr := binary [':=' assignExpr]
 func (p *parser) assignExpr() (Expr, error) {
-	e, err := p.orExpr()
+	e, err := p.binary(0)
 	if err != nil {
 		return nil, err
 	}
@@ -81,97 +84,29 @@ func (p *parser) assignExpr() (Expr, error) {
 	return e, nil
 }
 
-func (p *parser) orExpr() (Expr, error) {
-	e, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(ORELSE) {
-		t := p.take()
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		e = &Prim{pos: p.posOf(t), Op: "orelse", Args: []Expr{e, r}}
-	}
-	return e, nil
-}
+// binLevels lists the binary operators by precedence, loosest first.
+// Comparisons (level 2) do not chain; the other levels associate left.
+var binLevels = [][]kind{{ORELSE}, {ANDALSO}, {EQ, NEQ, LT, LE, GT, GE}, {PLUS, MINUS}, {STAR, DIV, MOD}}
 
-func (p *parser) andExpr() (Expr, error) {
-	e, err := p.cmpExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(ANDALSO) {
-		t := p.take()
-		r, err := p.cmpExpr()
-		if err != nil {
-			return nil, err
-		}
-		e = &Prim{pos: p.posOf(t), Op: "andalso", Args: []Expr{e, r}}
-	}
-	return e, nil
-}
+var binOps = map[kind]string{ORELSE: "orelse", ANDALSO: "andalso", EQ: "=", NEQ: "<>", LT: "<",
+	LE: "<=", GT: ">", GE: ">=", PLUS: "+", MINUS: "-", STAR: "*", DIV: "div", MOD: "mod"}
 
-var cmpOps = map[kind]string{EQ: "=", NEQ: "<>", LT: "<", LE: "<=", GT: ">", GE: ">="}
-
-func (p *parser) cmpExpr() (Expr, error) {
-	e, err := p.addExpr()
-	if err != nil {
-		return nil, err
+func (p *parser) binary(level int) (Expr, error) {
+	if level == len(binLevels) {
+		return p.unaryExpr()
 	}
-	if op, ok := cmpOps[p.peek().kind]; ok {
+	e, err := p.binary(level + 1)
+	for err == nil && slices.Contains(binLevels[level], p.peek().kind) {
 		t := p.take()
-		r, err := p.addExpr()
-		if err != nil {
-			return nil, err
+		var r Expr
+		if r, err = p.binary(level + 1); err == nil {
+			e = &Prim{pos: p.posOf(t), Op: binOps[t.kind], Args: []Expr{e, r}}
 		}
-		return &Prim{pos: p.posOf(t), Op: op, Args: []Expr{e, r}}, nil
-	}
-	return e, nil
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	e, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(PLUS) || p.at(MINUS) {
-		t := p.take()
-		op := "+"
-		if t.kind == MINUS {
-			op = "-"
+		if level == 2 {
+			break
 		}
-		r, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		e = &Prim{pos: p.posOf(t), Op: op, Args: []Expr{e, r}}
 	}
-	return e, nil
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	e, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(STAR) || p.at(DIV) || p.at(MOD) {
-		t := p.take()
-		op := "*"
-		switch t.kind {
-		case DIV:
-			op = "div"
-		case MOD:
-			op = "mod"
-		}
-		r, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		e = &Prim{pos: p.posOf(t), Op: op, Args: []Expr{e, r}}
-	}
-	return e, nil
+	return e, err
 }
 
 func (p *parser) unaryExpr() (Expr, error) {

@@ -83,10 +83,11 @@ type checker struct {
 	bodies []*bodyInfo
 	sites  []*site
 	at     scopeRef
+	types  map[Expr]Type // every node's type; the compiler roots by it
 }
 
 func newChecker() *checker {
-	c := &checker{}
+	c := &checker{types: map[Expr]Type{}}
 	c.at = c.newBody() // body 0 is the program's main body
 	return c
 }
@@ -213,6 +214,12 @@ func Check(e Expr) (Type, error) {
 }
 
 func (c *checker) infer(env *tenv, e Expr) (Type, error) {
+	t, err := c.inferNode(env, e)
+	c.types[e] = t
+	return t, err
+}
+
+func (c *checker) inferNode(env *tenv, e Expr) (Type, error) {
 	switch e := e.(type) {
 	case *IntLit:
 		return TInt, nil

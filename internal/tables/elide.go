@@ -11,7 +11,7 @@ import (
 
 // The elision ablation: each mlang benchmark is run twice on one
 // processor — checked (every access through the managed barriers) and
-// elided (unchecked opcodes wherever the disentanglement analysis proved
+// elided (unchecked accessors wherever the disentanglement analysis proved
 // safety) — and the table reports the wall-clock delta plus how much
 // access traffic the analysis moved off the managed path. The entangled
 // control (handoff) demonstrates the fallback boundary: its delta is ~1x
@@ -36,10 +36,8 @@ var elideBenchmarks = []struct {
 	name string
 	src  string
 }{
-	// refloop is the access-dominated case: nearly every instruction is a
-	// barriered deref/assign, so it bounds the elision win from above. The
-	// data-parallel benchmarks pay a closure call per element, which caps
-	// their barrier share (and therefore their delta) much lower.
+	// refloop is the access-dominated case: nearly every operation is a
+	// barriered deref/assign, so it bounds the elision win from above.
 	{"refloop", `
 let val c = ref 0 in
 let fun outer k =
