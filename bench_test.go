@@ -210,8 +210,8 @@ func BenchmarkAblateMergeCost(b *testing.B) {
 				b.StopTimer()
 				child := tr.Fork(root)
 				for j := 0; j < nchunks; j++ {
-					c := sp.NewChunk(child.ID, 0)
-					c.Alloc = mem.ChunkWords // fully occupied
+					c := sp.NewChunk(child.ID, mem.ChunkWords)
+					c.Alloc = c.Words() // fully occupied
 					child.Chunks = append(child.Chunks, c)
 				}
 				b.StartTimer()

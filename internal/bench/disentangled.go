@@ -291,16 +291,16 @@ const msortGrain = 256
 
 func msortInput(n int) []int64 { return workload.Ints(seedMsort, n, 1_000_000) }
 
-func msortRec[T RT[T, F], F FrameI](t T, arr mem.Ref, lo, hi int) mem.Ref {
+// msortRec sorts [lo, hi) of the input array rooted in slot 0 of in, a
+// frame msortRT owns. The input is read through the frame, never carried
+// as a bare reference: an allocation anywhere may move it on the global
+// runtime (one heap), and on the hierarchical one when it lives in this
+// task's own heap (shallow recursion).
+func msortRec[T RT[T, F], F FrameI](t T, in F, lo, hi int) mem.Ref {
 	n := hi - lo
 	if n <= msortGrain {
-		// The input array may live in this task's own heap (shallow
-		// recursion); keep it rooted across the output allocation.
-		f0 := t.NewFrame(1)
-		f0.Set(0, arr.Value())
 		out := t.AllocArray(n, mem.Int(0))
-		arr = f0.Ref(0)
-		f0.Pop()
+		arr := in.Ref(0)
 		for i := 0; i < n; i++ {
 			t.Write(out, i, t.Read(arr, lo+i))
 		}
@@ -318,8 +318,8 @@ func msortRec[T RT[T, F], F FrameI](t T, arr mem.Ref, lo, hi int) mem.Ref {
 	}
 	mid := lo + n/2
 	lv, rv := t.Par(
-		func(t T) mem.Value { return msortRec[T, F](t, arr, lo, mid).Value() },
-		func(t T) mem.Value { return msortRec[T, F](t, arr, mid, hi).Value() },
+		func(t T) mem.Value { return msortRec[T, F](t, in, lo, mid).Value() },
+		func(t T) mem.Value { return msortRec[T, F](t, in, mid, hi).Value() },
 	)
 	// The children's arrays must survive the output allocation.
 	f := t.NewFrame(2)
@@ -356,7 +356,10 @@ func msortChecksum64(i, v int64) int64 { return v * (i%7 + 1) }
 
 func msortRT[T RT[T, F], F FrameI](t T, n int) int64 {
 	arr := loadInts[T, F](t, msortInput(n))
-	sorted := msortRec[T, F](t, arr, 0, n)
+	in := t.NewFrame(1)
+	in.Set(0, arr.Value())
+	sorted := msortRec[T, F](t, in, 0, n)
+	in.Pop()
 	var sum int64
 	for i := 0; i < n; i++ {
 		sum += msortChecksum64(int64(i), t.Read(sorted, i).AsInt())

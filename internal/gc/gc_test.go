@@ -69,6 +69,13 @@ func TestCollectReclaimsGarbage(t *testing.T) {
 	if w.sp.LiveWords() >= before {
 		t.Fatal("collection did not reclaim space")
 	}
+	// To-space is sized to the survivors: one object costs one minimum
+	// chunk, and every from-space chunk went back to the space.
+	if len(leaf.Chunks) != 1 || leaf.Chunks[0].Words() != mem.MinChunkWords ||
+		w.sp.LiveWords() != mem.MinChunkWords {
+		t.Fatalf("after collecting down to one tuple: %d chunks, %d live words, want 1 chunk of %d",
+			len(leaf.Chunks), w.sp.LiveWords(), mem.MinChunkWords)
+	}
 	moved := rs.refs[0]
 	if moved == live {
 		t.Fatal("live object was not moved (root not updated?)")

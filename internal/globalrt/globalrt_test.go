@@ -167,3 +167,48 @@ func TestSharingPreservedAcrossGC(t *testing.T) {
 	}
 	f.Pop()
 }
+
+// LiveWords is the sum of the sizes of the owned chunks through the
+// baseline's grow → collect → release cycle, and a collection down to a
+// small survivor set leaves a small to-space, not a full-size chunk.
+func TestLiveWordsMatchesOwnedChunks(t *testing.T) {
+	r := New(1 << 11)
+	sp := r.Space()
+	check := func(when string) {
+		t.Helper()
+		var owned int64
+		sp.ForEachChunk(func(c *mem.Chunk) {
+			if c.HeapID() != 0 {
+				owned += int64(c.Words())
+			}
+		})
+		if live := sp.LiveWords(); live != owned {
+			t.Fatalf("%s: LiveWords %d, owned chunks hold %d", when, live, owned)
+		}
+	}
+	f := r.NewFrame(1)
+	for i := 0; i < 1200; i++ {
+		f.Set(0, r.AllocTuple(mem.Int(int64(i)), f.Get(0)).Value())
+		r.AllocArray(1+i%700, mem.Nil) // garbage of mixed sizes
+		if i%97 == 0 {
+			check("mid-growth")
+		}
+	}
+	r.AllocArray(3*mem.ChunkWords, mem.Nil) // oversize, exact
+	check("after an oversize object")
+	if r.Collections < 3 {
+		t.Fatalf("%d collections, want the cycle exercised", r.Collections)
+	}
+	f.Set(0, mem.Nil)
+	r.collect()
+	check("after collecting everything")
+	if live := sp.LiveWords(); live != 0 {
+		t.Fatalf("%d words live with nothing reachable", live)
+	}
+	f.Set(0, r.AllocRef(mem.Int(1)).Value())
+	r.collect()
+	if live := sp.LiveWords(); live != mem.MinChunkWords {
+		t.Fatalf("%d words live for one ref cell, want one minimum chunk (%d)", live, mem.MinChunkWords)
+	}
+	f.Pop()
+}

@@ -19,13 +19,13 @@ func TestDumpTree(t *testing.T) {
 	b := tr.Fork(root)
 	aa := tr.Fork(a)
 
-	// One chunk per heap, an extra one for a, and a pinned object in aa.
-	sp.NewChunk(root.ID, 0)
-	ca := sp.NewChunk(a.ID, 0)
+	// One chunk per heap, an extra one for a, and a pinned object in aa;
+	// each of another size class, so Words must sum sizes, not count chunks.
+	sp.NewChunk(root.ID, mem.ChunkWords)
 	sp.NewChunk(a.ID, 0)
-	sp.NewChunk(b.ID, 0)
-	caa := sp.NewChunk(aa.ID, 0)
-	_ = ca
+	sp.NewChunk(a.ID, 4*mem.MinChunkWords)
+	sp.NewChunk(b.ID, 3*mem.ChunkWords) // oversize: exact
+	caa := sp.NewChunk(aa.ID, 2*mem.MinChunkWords)
 	atomic.AddInt32(&caa.PinCount, 1)
 	a.CGCPark()
 
@@ -40,13 +40,13 @@ func TestDumpTree(t *testing.T) {
 	if h := byID[root.ID]; h.Chunks != 1 || h.Parent != 0 || h.Depth != 0 || h.LiveChildren != 2 {
 		t.Fatalf("root dump %+v", h)
 	}
-	if h := byID[a.ID]; h.Chunks != 2 || h.Parent != root.ID || h.CGCState != "parked" {
+	if h := byID[a.ID]; h.Chunks != 2 || h.Words != 5*mem.MinChunkWords || h.Parent != root.ID || h.CGCState != "parked" {
 		t.Fatalf("a dump %+v", h)
 	}
-	if h := byID[aa.ID]; h.Pinned != 1 || h.Words != mem.ChunkWords || h.Depth != 2 {
+	if h := byID[aa.ID]; h.Pinned != 1 || h.Words != 2*mem.MinChunkWords || h.Depth != 2 {
 		t.Fatalf("aa dump %+v", h)
 	}
-	if d.Pinned != 1 || d.TotalWords != 5*mem.ChunkWords {
+	if d.Pinned != 1 || d.TotalWords != 4*mem.ChunkWords+7*mem.MinChunkWords {
 		t.Fatalf("totals: pinned %d words %d", d.Pinned, d.TotalWords)
 	}
 

@@ -21,6 +21,13 @@ type Allocator struct {
 	// appended to Chunks — and new objects are carved out of their spans
 	// before fresh chunks are requested.
 	reuse []*Chunk
+	// grow is the least size (words) the next refill asks the space for:
+	// twice the last chunk obtained, capped at ChunkWords. Starting at zero
+	// makes the first chunk the smallest class that fits the first object,
+	// so the chunks an allocator holds total at most about twice what it
+	// allocated plus one minimum chunk, and once it holds about
+	// 2*ChunkWords it refills ChunkWords at a time.
+	grow int
 }
 
 // NewAllocator creates an allocator feeding the given heap.
@@ -31,9 +38,10 @@ func NewAllocator(s *Space, heap uint32) *Allocator {
 // Heap returns the id of the heap this allocator feeds.
 func (a *Allocator) Heap() uint32 { return a.heap }
 
-// Retarget redirects the allocator to a different heap (at forks/joins).
-// Previously obtained chunks stay with their original heap; the caller is
-// responsible for having adopted them.
+// Retarget redirects the allocator to a different heap (after a local
+// collection of its own). Previously obtained chunks stay with their
+// original heap; the caller is responsible for having adopted them. The
+// refill size is kept: the mutator that grew it keeps allocating.
 func (a *Allocator) Retarget(heap uint32) {
 	a.heap = heap
 	a.cur = nil
@@ -56,13 +64,14 @@ func (a *Allocator) Alloc(k Kind, payloadWords int) Ref {
 		if r, ok := a.allocFromFree(k, payloadWords, total); ok {
 			return r
 		}
-		c = a.space.NewChunk(a.heap, total)
+		c = a.space.NewChunk(a.heap, max(total, a.grow))
+		a.grow = min(2*len(c.Data), ChunkWords)
 		a.cur = c
 		a.Chunks = append(a.Chunks, c)
 	}
 	off := c.Alloc
 	c.Alloc += total
-	c.Data[off] = MakeHeader(k, payloadWords)
+	storeRelaxed(&c.Data[off], MakeHeader(k, payloadWords))
 	a.AllocWords += int64(total)
 	a.space.totalAlloc.Add(int64(total))
 	return MakeRef(c.ID, off)
@@ -173,7 +182,7 @@ func (a *Allocator) AllocTuple(vs ...Value) Ref {
 	c := a.space.chunk(r.Chunk())
 	base := r.Off() + 1
 	for i, v := range vs {
-		c.Data[base+i] = uint64(v)
+		storeRelaxed(&c.Data[base+i], uint64(v))
 	}
 	return r
 }
@@ -185,7 +194,7 @@ func (a *Allocator) AllocArray(n int, v Value) Ref {
 		c := a.space.chunk(r.Chunk())
 		base := r.Off() + 1
 		for i := 0; i < n; i++ {
-			c.Data[base+i] = uint64(v)
+			storeRelaxed(&c.Data[base+i], uint64(v))
 		}
 	}
 	return r
@@ -194,7 +203,7 @@ func (a *Allocator) AllocArray(n int, v Value) Ref {
 // AllocRef allocates a mutable ref cell holding v.
 func (a *Allocator) AllocRef(v Value) Ref {
 	r := a.Alloc(KRefCell, 1)
-	a.space.chunk(r.Chunk()).Data[r.Off()+1] = uint64(v)
+	storeRelaxed(&a.space.chunk(r.Chunk()).Data[r.Off()+1], uint64(v))
 	return r
 }
 
@@ -205,9 +214,13 @@ func (a *Allocator) AllocString(str string) Ref {
 	r := a.Alloc(KRaw, words)
 	c := a.space.chunk(r.Chunk())
 	base := r.Off() + 1
-	c.Data[base] = uint64(len(str))
-	for i := 0; i < len(str); i++ {
-		c.Data[base+1+i/8] |= uint64(str[i]) << (8 * (i % 8))
+	storeRelaxed(&c.Data[base], uint64(len(str)))
+	for w := 0; w < words-1; w++ {
+		var packed uint64
+		for i := 8 * w; i < len(str) && i < 8*w+8; i++ {
+			packed |= uint64(str[i]) << (8 * (i % 8))
+		}
+		storeRelaxed(&c.Data[base+1+w], packed)
 	}
 	return r
 }

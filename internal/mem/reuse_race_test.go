@@ -9,7 +9,7 @@ import (
 
 // TestChunkReuseRaceStress guards the chunk release/reacquire handoff the
 // concurrent sweep introduced: Space.Release pushes fully-dead chunks onto
-// the shared free list while other heaps' allocators pop and scrub them in
+// the shared free lists while other heaps' allocators pop and scrub them in
 // NewChunk, and the releasing heap's own allocator still holds the dead
 // chunks in its reuse list until it revalidates. The test drives the full
 // protocol from several heaps at once under -race (the CI race job covers
@@ -170,12 +170,17 @@ func TestChunkReuseRaceStress(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	// The free list must never hold an owned chunk: Release disowns before
-	// pushing, NewChunk owns after popping, both under the space mutex.
+	// A free list must never hold an owned chunk — Release disowns before
+	// pushing, NewChunk owns after popping — nor a chunk of another class.
 	sp.mu.Lock()
-	for _, c := range sp.free {
-		if c.HeapID() != 0 {
-			t.Errorf("chunk %d on the free list still owned by heap %d", c.ID, c.HeapID())
+	for class, free := range sp.free {
+		for _, c := range free {
+			if c.HeapID() != 0 {
+				t.Errorf("chunk %d on free list %d still owned by heap %d", c.ID, class, c.HeapID())
+			}
+			if c.Words() != MinChunkWords<<class {
+				t.Errorf("chunk %d of %d words on free list %d", c.ID, c.Words(), class)
+			}
 		}
 	}
 	sp.mu.Unlock()

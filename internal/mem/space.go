@@ -4,14 +4,37 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"mplgo/internal/chaos"
 )
 
-// ChunkWords is the default chunk payload size in words (64 KiB).
-const ChunkWords = 1 << 13
+// Chunks come in power-of-two size classes, MinChunkWords (2 KiB) up to
+// ChunkWords (64 KiB), so a heap's footprint follows what it allocates: an
+// Allocator starts with the smallest class that fits its first object and
+// doubles on every refill (see Allocator.Alloc). A request above ChunkWords
+// gets a chunk of exactly that size.
+const (
+	minChunkShift = 8
+	maxChunkShift = 13
+	MinChunkWords = 1 << minChunkShift
+	ChunkWords    = 1 << maxChunkShift
+	numClasses    = maxChunkShift - minChunkShift + 1
+)
+
+// classOf returns the index of the smallest size class holding words, or
+// -1 when words exceeds ChunkWords (an oversize, exact-size chunk).
+func classOf(words int) int {
+	if words <= MinChunkWords {
+		return 0
+	}
+	if words > ChunkWords {
+		return -1
+	}
+	return bits.Len(uint(words-1)) - minChunkShift
+}
 
 // Chunk table geometry: a growable directory of lazily-created segments,
 // so chunk lookup — on every Load/Store — is lock-free, while chunk
@@ -81,7 +104,8 @@ func (c *Chunk) Words() int { return len(c.Data) }
 
 type chunkSegment [segSize]*Chunk
 
-// Space is the global store of chunks: a two-level table plus a free list.
+// Space is the global store of chunks: a two-level table plus one free
+// list per size class.
 // It tracks the residency statistics the space experiments report.
 //
 // The chunk directory is a copy-install slice of segment pointers: grown
@@ -93,8 +117,8 @@ type chunkSegment [segSize]*Chunk
 // Load/Store/CAS still inline into the barriers (see chunk).
 type Space struct {
 	mu   sync.Mutex
-	next uint32   // next chunk id to assign; id 0 is reserved
-	free []*Chunk // released standard-size chunks available for reuse
+	next uint32               // next chunk id to assign; id 0 is reserved
+	free [numClasses][]*Chunk // released chunks available for reuse, by class
 	dir  atomic.Pointer[[]atomic.Pointer[chunkSegment]]
 
 	// Chaos is the optional fault injector (nil in release paths). The
@@ -144,36 +168,32 @@ func (s *Space) segSlot(bi int) *atomic.Pointer[chunkSegment] {
 	return &(*s.dir.Load())[bi]
 }
 
-// NewChunk allocates a chunk of at least minWords payload owned by heap.
-// Standard-size requests are served from the free list when possible.
+// NewChunk allocates a chunk of at least minWords payload owned by heap:
+// the smallest size class that holds minWords, recycled from that class's
+// free list when possible, or exactly minWords when that exceeds ChunkWords.
+//
+// Zeroing happens outside s.mu, so one worker's refill never waits for
+// another's memclr: a popped chunk has a single owner (stale readers only
+// issue atomic loads and re-validate), and a fresh chunk is unreachable
+// until its table slot is published, which happens under the lock.
 func (s *Space) NewChunk(heap uint32, minWords int) *Chunk {
-	words := ChunkWords
-	if minWords > words {
-		words = minWords
-	}
-	s.mu.Lock()
+	words, class := minWords, classOf(minWords)
 	var c *Chunk
-	if words == ChunkWords && len(s.free) > 0 {
-		c = s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		s.scrub(c)
-	} else {
-		if s.next >= maxChunks {
-			s.mu.Unlock()
-			panic(ErrChunkTableExhausted)
+	if class >= 0 {
+		words = MinChunkWords << class
+		s.mu.Lock()
+		if free := s.free[class]; len(free) > 0 {
+			c = free[len(free)-1]
+			s.free[class] = free[:len(free)-1]
 		}
-		id := s.next
-		s.next++
-		c = &Chunk{ID: id, Data: make([]uint64, words)}
-		slot := s.segSlot(int(id >> segShift))
-		seg := slot.Load()
-		if seg == nil {
-			seg = new(chunkSegment)
-			slot.Store(seg)
-		}
-		seg[id&(segSize-1)] = c
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
+	if c != nil {
+		scrub(c)
+	} else {
+		c = &Chunk{Data: make([]uint64, words)}
+		s.publish(c)
+	}
 	c.SetHeapID(heap)
 	live := s.liveWords.Add(int64(words))
 	for {
@@ -185,6 +205,24 @@ func (s *Space) NewChunk(heap uint32, minWords int) *Chunk {
 	return c
 }
 
+// publish assigns c the next chunk id and installs it in the table.
+func (s *Space) publish(c *Chunk) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.next >= maxChunks {
+		panic(ErrChunkTableExhausted)
+	}
+	c.ID = s.next
+	s.next++
+	slot := s.segSlot(int(c.ID >> segShift))
+	seg := slot.Load()
+	if seg == nil {
+		seg = new(chunkSegment)
+		slot.Store(seg)
+	}
+	seg[c.ID&(segSize-1)] = c
+}
+
 // scrub prepares a recycled chunk for reuse. The data words are cleared
 // with atomic stores, not clear(): a stale reader — an entanglement slow
 // path that resolved a reference just before the collector released the
@@ -194,8 +232,9 @@ func (s *Space) NewChunk(heap uint32, minWords int) *Chunk {
 // retries, so any value it sees is fine; the ordering is not). Words
 // beyond c.Alloc are already zero: fresh chunks are zeroed by make, the
 // bump allocator never writes past Alloc, and every scrub reestablishes
-// the invariant. Caller holds s.mu.
-func (s *Space) scrub(c *Chunk) {
+// the invariant. The caller owns c exclusively (it was popped from a free
+// list).
+func scrub(c *Chunk) {
 	for i := 0; i < c.Alloc; i++ {
 		atomic.StoreUint64(&c.Data[i], 0)
 	}
@@ -206,9 +245,11 @@ func (s *Space) scrub(c *Chunk) {
 	c.freeWords = 0
 }
 
-// Release returns a chunk to the space. Standard-size chunks are recycled;
-// oversize chunks are dropped (their backing arrays return to Go).
-// Releasing a chunk holding pinned objects is a bug in the collector.
+// Release returns a chunk to the space. Class-size chunks go to their
+// class's free list; oversize chunks are never reused, but the chunk table
+// keeps the Chunk — and with it the backing array — reachable for stale
+// readers, so their memory is not returned to Go either. Releasing a chunk
+// holding pinned objects is a bug in the collector.
 func (s *Space) Release(c *Chunk) {
 	if atomic.LoadInt32(&c.PinCount) != 0 {
 		panic(fmt.Sprintf("mem: releasing chunk %d with %d pinned objects", c.ID, c.PinCount))
@@ -218,11 +259,12 @@ func (s *Space) Release(c *Chunk) {
 	c.marks.Store(nil)
 	c.freeHead = 0
 	c.freeWords = 0
-	if len(c.Data) != ChunkWords {
+	class := classOf(len(c.Data))
+	if class < 0 {
 		return
 	}
 	s.mu.Lock()
-	s.free = append(s.free, c)
+	s.free[class] = append(s.free[class], c)
 	s.mu.Unlock()
 }
 

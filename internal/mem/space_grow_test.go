@@ -22,7 +22,7 @@ func TestChunkTableGrows(t *testing.T) {
 	jumpTo(s, initChunks-2) // straddle the initial directory capacity
 	var cs []*Chunk
 	for i := 0; i < 4; i++ {
-		c := s.NewChunk(1, ChunkWords)
+		c := s.NewChunk(1, MinChunkWords<<i) // ids are shared by every class
 		if c == nil {
 			t.Fatalf("NewChunk returned nil at iteration %d", i)
 		}

@@ -200,22 +200,126 @@ func TestCandidateAndMark(t *testing.T) {
 	}
 }
 
-func TestChunkReuse(t *testing.T) {
+// Release then NewChunk of the same class returns the recycled chunk
+// scrubbed — never a chunk of another class — and an oversize request is
+// exact and never enters a free list.
+func TestChunkClassRoundTrip(t *testing.T) {
 	s := NewSpace()
-	c1 := s.NewChunk(1, 0)
-	c1.Data[0] = 999
-	c1.Alloc = 50
-	id := c1.ID
-	s.Release(c1)
-	c2 := s.NewChunk(2, 0)
-	if c2.ID != id {
-		t.Fatalf("expected chunk reuse, got new chunk %d (want %d)", c2.ID, id)
+	if got := s.NewChunk(1, 0).Words(); got != MinChunkWords {
+		t.Fatalf("NewChunk(_, 0) has %d words, want the minimum class %d", got, MinChunkWords)
 	}
-	if c2.Data[0] != 0 || c2.Alloc != 0 {
-		t.Fatal("reused chunk not cleared")
+	for words := MinChunkWords; words <= ChunkWords; words *= 2 {
+		// Both ends of the class round up to the same size.
+		lo := s.NewChunk(1, words/2+1)
+		c1 := s.NewChunk(1, words)
+		if lo.Words() != words || c1.Words() != words {
+			t.Fatalf("requests %d and %d got %d and %d words, want class %d",
+				words/2+1, words, lo.Words(), c1.Words(), words)
+		}
+		r := MakeRef(c1.ID, 0)
+		c1.Data[0] = MakeHeader(KRefCell, 1)
+		c1.Data[1] = 999
+		c1.Alloc = 2
+		s.Pin(r, 0)
+		s.Unpin(r)
+		c1.InstallMarks()
+		c1.freeHead, c1.freeWords = 1, 2
+		s.Release(c1)
+		if c1.HeapID() != 0 {
+			t.Fatalf("released chunk still owned by heap %d", c1.HeapID())
+		}
+		// Other classes, and oversize requests, must not take it.
+		for other := MinChunkWords; other <= 2*ChunkWords; other *= 2 {
+			if other == words {
+				continue
+			}
+			if c := s.NewChunk(3, other); c == c1 {
+				t.Fatalf("class %d chunk recycled for a %d-word request", words, other)
+			}
+		}
+		c2 := s.NewChunk(2, words)
+		if c2 != c1 {
+			t.Fatalf("class %d: expected chunk %d recycled, got %d", words, c1.ID, c2.ID)
+		}
+		if c2.HeapID() != 2 || c2.Alloc != 0 || c2.PinnedCount() != 0 ||
+			c2.marks.Load() != nil || c2.freeHead != 0 || c2.freeWords != 0 {
+			t.Fatalf("class %d: recycled chunk not reset: %+v", words, c2)
+		}
+		for i, w := range c2.Data {
+			if w != 0 {
+				t.Fatalf("class %d: recycled chunk word %d = %#x, want 0", words, i, w)
+			}
+		}
 	}
-	if c2.HeapID() != 2 {
-		t.Fatal("reused chunk owner wrong")
+
+	big := s.NewChunk(1, ChunkWords+1)
+	if big.Words() != ChunkWords+1 {
+		t.Fatalf("oversize chunk has %d words, want exactly %d", big.Words(), ChunkWords+1)
+	}
+	live := s.LiveWords()
+	s.Release(big)
+	if s.LiveWords() != live-int64(big.Words()) {
+		t.Fatal("oversize release not accounted")
+	}
+	for class, free := range s.free {
+		for _, c := range free {
+			if c == big || c.Words() != MinChunkWords<<class {
+				t.Fatalf("free list %d holds chunk %d of %d words", class, c.ID, c.Words())
+			}
+		}
+	}
+	if c := s.NewChunk(1, ChunkWords+1); c == big {
+		t.Fatal("oversize chunk was recycled")
+	}
+}
+
+// An allocator's chunks start at the smallest class that fits the first
+// object and double per refill up to ChunkWords, so what it holds stays
+// within twice what it allocated plus one minimum chunk; Retarget keeps
+// the size reached, a new allocator starts small again.
+func TestAllocatorGrowth(t *testing.T) {
+	s := NewSpace()
+	a := NewAllocator(s, 1)
+	want := MinChunkWords
+	for a.AllocWords < 4*ChunkWords {
+		n := len(a.Chunks)
+		a.AllocTuple(Int(1), Int(2))
+		if len(a.Chunks) == n {
+			continue
+		}
+		if got := a.Chunks[n].Words(); got != want {
+			t.Fatalf("chunk %d has %d words, want %d", n, got, want)
+		}
+		// Checked at its worst, right after a refill. Each abandoned chunk
+		// may end in a tail shorter than one object (3 words here).
+		tails := int64(3 * n)
+		if held := s.LiveWords(); held > 2*(a.AllocWords+tails)+MinChunkWords {
+			t.Fatalf("holding %d words for %d allocated", held, a.AllocWords)
+		}
+		want = min(2*want, ChunkWords)
+	}
+	if want != ChunkWords {
+		t.Fatalf("growth stopped at %d", want)
+	}
+
+	a.Retarget(2)
+	a.AllocRef(Int(1))
+	if got := a.Chunks[0].Words(); got != ChunkWords {
+		t.Fatalf("first chunk after Retarget has %d words, want %d", got, ChunkWords)
+	}
+
+	// The first request picks the starting class; growth continues from it.
+	b := NewAllocator(s, 3)
+	b.AllocArray(600, Nil)
+	b.AllocArray(600, Nil)
+	if w0, w1 := b.Chunks[0].Words(), b.Chunks[1].Words(); w0 != 1024 || w1 != 2048 {
+		t.Fatalf("chunks of %d and %d words, want 1024 and 2048", w0, w1)
+	}
+	// An oversize object gets an exact chunk and refills resume at ChunkWords.
+	b.AllocArray(3*ChunkWords, Nil)
+	b.AllocRef(Int(1))
+	if w2, w3 := b.Chunks[2].Words(), b.Chunks[3].Words(); w2 != 3*ChunkWords+1 || w3 != ChunkWords {
+		t.Fatalf("chunks of %d and %d words, want %d and %d", w2, w3, 3*ChunkWords+1, ChunkWords)
 	}
 }
 
@@ -235,15 +339,15 @@ func TestReleasePinnedPanics(t *testing.T) {
 func TestResidencyAccounting(t *testing.T) {
 	s := NewSpace()
 	c1 := s.NewChunk(1, 0)
-	c2 := s.NewChunk(1, 0)
-	if s.LiveWords() != 2*ChunkWords {
+	c2 := s.NewChunk(1, ChunkWords)
+	if s.LiveWords() != MinChunkWords+ChunkWords {
 		t.Fatalf("LiveWords = %d", s.LiveWords())
 	}
 	s.Release(c1)
 	if s.LiveWords() != ChunkWords {
 		t.Fatalf("LiveWords after release = %d", s.LiveWords())
 	}
-	if s.MaxLiveWords() != 2*ChunkWords {
+	if s.MaxLiveWords() != MinChunkWords+ChunkWords {
 		t.Fatalf("MaxLiveWords = %d", s.MaxLiveWords())
 	}
 	s.ResetMaxLive()
@@ -251,6 +355,9 @@ func TestResidencyAccounting(t *testing.T) {
 		t.Fatal("ResetMaxLive failed")
 	}
 	s.Release(c2)
+	if s.LiveWords() != 0 {
+		t.Fatalf("LiveWords after releasing everything = %d", s.LiveWords())
+	}
 }
 
 func TestStringRoundTrip(t *testing.T) {
