@@ -281,7 +281,7 @@ func BenchmarkAblateUnpin(b *testing.B) {
 			sp.Release(c)
 		}
 		root.Chunks = root.Chunks[:0]
-		root.Pinned = root.Pinned[:0]
+		root.Pinned.Reset()
 		b.StartTimer()
 	}
 }

@@ -56,6 +56,13 @@ func TestUpPointerIsFree(t *testing.T) {
 	}
 }
 
+// items copies a list out for assertions.
+func items[T any](l *hierarchy.List[T]) []T {
+	var out []T
+	l.Each(func(v T) { out = append(out, v) })
+	return out
+}
+
 func TestDownPointerWrite(t *testing.T) {
 	r := newRig(Manage)
 	holder := r.rootAl.AllocArray(2, mem.Nil) // shallow mutable holder
@@ -70,8 +77,8 @@ func TestDownPointerWrite(t *testing.T) {
 		t.Fatal("down-pointer alone must not pin (pinning is lazy, at reads)")
 	}
 	r.left.DrainBuffers() // published lock-free; fold into the owner view
-	if len(r.left.Remset) != 1 || r.left.Remset[0].Holder != holder || r.left.Remset[0].Index != 1 {
-		t.Fatalf("remset = %+v", r.left.Remset)
+	if got := items(&r.left.Remset); len(got) != 1 || got[0].Holder != holder || got[0].Index != 1 {
+		t.Fatalf("remset = %+v", got)
 	}
 	s := r.m.Stats.Snapshot()
 	if s.DownPointers != 1 || s.Candidates != 1 {
@@ -134,8 +141,8 @@ func TestEntangledReadPins(t *testing.T) {
 		t.Fatal("acquired object must become candidate")
 	}
 	r.left.DrainBuffers() // published lock-free; fold into the owner view
-	if len(r.left.Pinned) != 1 || r.left.Pinned[0] != x {
-		t.Fatalf("pinned list = %v", r.left.Pinned)
+	if got := items(&r.left.Pinned); len(got) != 1 || got[0] != x {
+		t.Fatalf("pinned list = %v", got)
 	}
 	s := r.m.Stats.Snapshot()
 	if s.EntangledReads != 1 || s.Pins != 1 || s.PinnedPeak != 1 {

@@ -465,8 +465,10 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 		}
 		h.ReplaceChunks(kept)
 		// Entries whose holders this cycle just freed must not survive as
-		// roots; later-swept holders are caught by the KFree guards.
-		h.PruneRemset(func(e hierarchy.RememberedEntry) bool {
+		// roots, or a later collection would read a KFree span as a holder
+		// (owner parked, gate held: the owner-only list is ours);
+		// later-swept holders are caught by the KFree guards.
+		h.Remset.Filter(func(e hierarchy.RememberedEntry) bool {
 			c := g.Space.ChunkByID(e.Holder.Chunk())
 			if c == nil || c.HeapID() == 0 {
 				return false

@@ -1,13 +1,15 @@
 // Package gc implements the hierarchical local collector (LGC) of the
-// runtime: a Cheney-style copying collection of the exclusive suffix of a
-// task's heap path, extended — per the paper — to tolerate entanglement:
+// runtime: a Cheney-style copying collection of a task's own leaf heap —
+// the runtime never passes more (DESIGN.md deviation D2); the multi-heap
+// exclusive suffix Collect also accepts is exercised by tests only —
+// extended, per the paper, to tolerate entanglement:
 //
 //   - Pinned objects (entangled, per package entangle) are traced in place:
 //     they are never moved nor reclaimed; chunks holding pinned objects are
 //     retained whole. This is the space cost of entanglement, and it is
 //     bounded: joins unpin (package hierarchy), after which the memory is
 //     reclaimed by ordinary collections.
-//   - Down-pointers into the collected suffix, recorded by the write
+//   - Down-pointers into the collected heaps, recorded by the write
 //     barrier in per-heap remembered sets, act as roots; the fields they
 //     describe are updated to the targets' new locations *before* the heap
 //     gates reopen (hierarchy.Gate.EndCollect), which is what makes the
@@ -15,10 +17,15 @@
 //   - Remembered sets are rebuilt during the scan so entries never go
 //     stale: internal entries are re-derived from surviving objects,
 //     external ones are revalidated against the holder's current field.
+//   - The pass over the entries is linear and hashes nothing. The scope's
+//     old chunks carry a from-space mark (mem.Chunk.FromSpace) for the
+//     duration, forward moves only what lies in a marked chunk, and so a
+//     duplicate entry — the write barrier records every store — finds its
+//     field already redirected and is dropped.
 //
 // Collections happen at allocation points of the owning task, so the
-// mutator of the collected heaps is stopped; concurrent tasks can touch the
-// suffix only through entangled (pinned) objects or slow paths parked at
+// mutator of the collected heaps is stopped; concurrent tasks can touch
+// them only through entangled (pinned) objects or slow paths parked at
 // the collection gate. There is no mutex: each scope heap's Gate is closed
 // for the duration (BeginCollect waits out in-flight entanglement slow
 // paths), per-object claims go through the header state machine
@@ -66,35 +73,61 @@ func New(space *mem.Space, tree *hierarchy.Tree) *Collector {
 	return &Collector{Space: space, Tree: tree}
 }
 
-// run is the per-collection state.
+// run is the per-collection state. toAlloc and newRemsets are parallel to
+// order.
 type run struct {
 	c          *Collector
-	scope      map[uint32]*hierarchy.Heap
 	order      []*hierarchy.Heap // scope heaps, shallowest first (lock order)
-	toAlloc    map[uint32]*mem.Allocator
+	toAlloc    []*mem.Allocator
 	queue      []mem.Ref // gray objects: copied or pinned, payload unscanned
 	marked     []mem.Ref // pinned objects marked this cycle (marks cleared at end)
-	newRemsets map[uint32][]hierarchy.RememberedEntry
+	newRemsets []hierarchy.List[hierarchy.RememberedEntry]
 	res        Result
 }
 
-// Collect collects the given heaps, which must be an exclusive suffix as
-// produced by Tree.ExclusiveSuffix (leaf first). It returns statistics.
+// scopeOf returns the index in r.order of the scope heap with the given id,
+// or -1: one compare for the runtime's one-heap scope.
+func (r *run) scopeOf(id uint32) int {
+	for i, h := range r.order {
+		if h.ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// fromSpaceOf returns the index in r.order of the heap whose from-space
+// holds ref, or -1 when ref lies outside the scope or already in to-space.
+// The mark is read only once the chunk is known to be the scope's.
+func (r *run) fromSpaceOf(ref mem.Ref) int {
+	ch := r.c.Space.ChunkByID(ref.Chunk())
+	i := r.scopeOf(ch.HeapID())
+	if i >= 0 && !ch.FromSpace {
+		return -1
+	}
+	return i
+}
+
+// Collect collects the given heaps, leaf first: a chain the calling task
+// owns exclusively (Tree.ExclusiveSuffix, or a prefix of it). The runtime
+// only ever passes its leaf (DESIGN.md deviation D2); longer chains are
+// exercised by this package's tests alone. It returns statistics.
 func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	if len(scope) == 0 {
 		return Result{}
 	}
 	r := &run{
-		c:       c,
-		scope:   make(map[uint32]*hierarchy.Heap, len(scope)),
-		toAlloc: make(map[uint32]*mem.Allocator, len(scope)),
+		c:          c,
+		order:      make([]*hierarchy.Heap, 0, len(scope)),
+		toAlloc:    make([]*mem.Allocator, len(scope)),
+		newRemsets: make([]hierarchy.List[hierarchy.RememberedEntry], len(scope)),
 	}
 	// Close the gates shallowest-first (entanglement slow paths never hold
 	// one gate while entering another, so any order is deadlock-free; this
 	// one matches the old lock order for easy comparison), then fold the
 	// lock-free publication buffers into the owner-only views: with the
 	// gate closed, no reader can be mid-publication, so the drained Pinned
-	// and Remset slices are complete.
+	// and Remset lists are complete.
 	// WaitBeginCollect rather than BeginCollect since CGC: the concurrent
 	// collector's gate flushes briefly close every live heap's gate, and
 	// an LGC racing one must wait the flush out, not panic.
@@ -114,20 +147,20 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 		}
 	}()
 
-	var oldChunks []*mem.Chunk
+	// Everything the scope holds now is from-space; what forward allocates
+	// from here on carries the same heap ids but no mark, which is what
+	// keeps forward from moving an object twice.
 	var oldWords int64
-	for _, h := range scope {
-		r.scope[h.ID] = h
-		r.toAlloc[h.ID] = mem.NewAllocator(c.Space, h.ID)
-		oldChunks = append(oldChunks, h.Chunks...)
+	for i, h := range r.order {
+		r.toAlloc[i] = mem.NewAllocator(c.Space, h.ID)
 		for _, ch := range h.Chunks {
+			ch.FromSpace = true
 			oldWords += int64(ch.Words())
 		}
 	}
 	r.res.ScopeHeaps = len(scope)
 
 	// Phase 1: roots.
-	r.newRemsets = make(map[uint32][]hierarchy.RememberedEntry, len(scope))
 	r.scanShadowStacks()
 	r.processRemsets()
 	r.tracePinned()
@@ -135,12 +168,14 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	// Phase 2: transitive copy/trace.
 	r.drain()
 
-	// Phase 3: install rebuilt remsets, swap chunk lists, release from-space.
+	// Phase 3: install rebuilt remsets, swap chunk lists, release from-space
+	// (unmarked first: a released chunk may be another heap's at once).
 	var retainedOldWords int64
-	for _, h := range scope {
-		h.Remset = r.newRemsets[h.ID]
+	for i, h := range r.order {
+		h.Remset = r.newRemsets[i]
 		var kept []*mem.Chunk
 		for _, ch := range h.Chunks {
+			ch.FromSpace = false
 			if ch.PinCount > 0 {
 				kept = append(kept, ch)
 				retainedOldWords += int64(ch.Words())
@@ -149,7 +184,7 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 				c.Space.Release(ch)
 			}
 		}
-		kept = append(kept, r.toAlloc[h.ID].Chunks...)
+		kept = append(kept, r.toAlloc[i].Chunks...)
 		h.Chunks = kept
 		h.Collections++
 	}
@@ -178,54 +213,46 @@ func (r *run) scanShadowStacks() {
 }
 
 // processRemsets uses down-pointer entries as roots and begins the rebuilt
-// remembered sets with the still-valid external entries.
+// remembered sets with the still-valid external entries: one pass, at most
+// one entry out per entry in. A field stored to k times has k entries; the
+// first forwards the target and redirects the field into to-space, which
+// drops the rest. Duplicates whose target is pinned in place all survive:
+// harmless (an entry is a hint to look at the field) and never more than
+// came in.
 func (r *run) processRemsets() {
-	out := r.newRemsets
-	type key struct {
-		h mem.Ref
-		i int
-	}
-	seen := make(map[key]bool)
+	sp := r.c.Space
 	for _, h := range r.order {
-		for _, e := range h.Remset {
-			k := key{e.Holder, e.Index}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			holderHeap := r.c.Space.HeapOf(e.Holder)
-			if _, internal := r.scope[holderHeap]; internal {
+		h.Remset.Each(func(e hierarchy.RememberedEntry) {
+			if r.scopeOf(sp.HeapOf(e.Holder)) >= 0 {
 				// The holder is being collected too; if it survives, the
 				// scan re-derives this entry with the holder's new address.
-				continue
+				return
 			}
 			// The concurrent sweep reclaims internal-heap holders in place
 			// (KFree) and may later re-carve the span; an entry whose holder
 			// no longer parses, was freed, or no longer covers the recorded
 			// index is stale and must not be dereferenced.
-			hd := r.c.Space.Header(e.Holder)
+			hd := sp.Header(e.Holder)
 			if !hd.Valid() || hd.Kind() == mem.KFree {
-				continue
+				return
 			}
 			if hn := max(hd.Len(), 1); e.Index < 0 || e.Index >= hn {
-				continue
+				return
 			}
-			v := r.c.Space.Load(e.Holder, e.Index)
+			v := sp.Load(e.Holder, e.Index)
 			if !v.IsRef() {
-				continue // field was overwritten; entry is dead
+				return // field was overwritten; entry is dead
 			}
-			tgtHeap := r.c.Space.HeapOf(v.Ref())
-			if _, in := r.scope[tgtHeap]; !in {
-				continue // no longer points into the suffix
+			tgt := r.fromSpaceOf(v.Ref())
+			if tgt < 0 {
+				return // points outside the suffix, or was already redirected
 			}
-			nv := r.forward(v)
-			if nv != v {
-				r.c.Space.Store(e.Holder, e.Index, nv)
+			if nv := r.evacuate(v.Ref(), tgt); nv != v {
+				sp.Store(e.Holder, e.Index, nv)
 			}
 			// The entry survives, indexed by the target's (unchanged) heap.
-			curTgt := r.c.Space.HeapOf(nv.Ref())
-			out[curTgt] = append(out[curTgt], e)
-		}
+			r.newRemsets[tgt].Append(e)
+		})
 	}
 }
 
@@ -234,32 +261,38 @@ func (r *run) processRemsets() {
 // place.
 func (r *run) tracePinned() {
 	for _, h := range r.order {
-		for _, p := range h.Pinned {
+		h.Pinned.Each(func(p mem.Ref) {
 			hd := r.c.Space.Header(p)
 			if !hd.Pinned() || hd.Kind() == mem.KForward {
-				continue
+				return
 			}
 			if r.c.Space.SetMark(p) {
 				r.marked = append(r.marked, p)
 				r.queue = append(r.queue, p)
 				r.res.PinnedTraced++
 			}
-		}
+		})
 	}
 }
 
-// forward returns the value to use in place of v after collection: copies
-// unpinned scope objects to to-space (installing forwarding), leaves pinned
-// and out-of-scope objects alone.
+// forward returns the value to use in place of v after collection. It is
+// idempotent: it acts only on a reference into this collection's
+// from-space, so an already forwarded value comes back unchanged.
 func (r *run) forward(v mem.Value) mem.Value {
 	if !v.IsRef() {
 		return v
 	}
-	ref := v.Ref()
-	h, in := r.scope[r.c.Space.HeapOf(ref)]
-	if !in {
+	i := r.fromSpaceOf(v.Ref())
+	if i < 0 {
 		return v
 	}
+	return r.evacuate(v.Ref(), i)
+}
+
+// evacuate returns the current location of the from-space object ref of
+// scope heap i: it copies an unpinned object to to-space (installing
+// forwarding), follows a forwarding, and leaves a pinned object in place.
+func (r *run) evacuate(ref mem.Ref, i int) mem.Value {
 	// Claim the object through the header state machine. With the scope
 	// gates closed no pin can race us here, but the discipline is what
 	// makes the protocol auditable: a copy only ever starts from a
@@ -275,7 +308,7 @@ func (r *run) forward(v mem.Value) mem.Value {
 				r.queue = append(r.queue, ref)
 				r.res.PinnedTraced++
 			}
-			return v
+			return ref.Value()
 		default:
 			// BUSY is unreachable: this collector is the only copier of
 			// its scope and completes each claim before the next.
@@ -292,8 +325,7 @@ func (r *run) forward(v mem.Value) mem.Value {
 	// Copy to the object's own heap's to-space, preserving heap membership
 	// and header flags (candidate survives the move).
 	n := hd.Len()
-	al := r.toAlloc[h.ID]
-	nr := al.Alloc(hd.Kind(), n)
+	nr := r.toAlloc[i].Alloc(hd.Kind(), n)
 	// Copy header flags (kind and length were set by Alloc).
 	if hd.Candidate() {
 		r.c.Space.SetCandidate(nr)
@@ -325,20 +357,18 @@ func (r *run) drain() {
 		if !hd.Kind().Scanned() {
 			continue
 		}
-		qHeap := r.scope[sp.HeapOf(q)]
+		qi := r.scopeOf(sp.HeapOf(q))
 		for i := 0; i < hd.Len(); i++ {
 			v := sp.Load(q, i)
 			nv := r.forward(v)
 			if nv != v {
 				sp.Store(q, i, nv)
 			}
-			// Re-derive internal down-pointer entries: q (depth d1)
-			// points at a strictly deeper scope heap (depth d2 > d1).
-			if nv.IsRef() && qHeap != nil {
-				tgt, in := r.scope[sp.HeapOf(nv.Ref())]
-				if in && tgt != qHeap && tgt.Depth() > qHeap.Depth() {
-					r.newRemsets[tgt.ID] = append(r.newRemsets[tgt.ID],
-						hierarchy.RememberedEntry{Holder: q, Index: i})
+			// Re-derive internal down-pointer entries: q points at a
+			// strictly deeper scope heap, which r.order lists later.
+			if nv.IsRef() && qi >= 0 {
+				if ti := r.scopeOf(sp.HeapOf(nv.Ref())); ti > qi {
+					r.newRemsets[ti].Append(hierarchy.RememberedEntry{Holder: q, Index: i})
 				}
 			}
 		}

@@ -174,6 +174,13 @@ func TestSharedObjectCopiedOnce(t *testing.T) {
 	}
 }
 
+// items copies a list out for assertions.
+func items[T any](l *hierarchy.List[T]) []T {
+	var out []T
+	l.Each(func(v T) { out = append(out, v) })
+	return out
+}
+
 func TestRemsetRoot(t *testing.T) {
 	w := newWorld()
 	root := w.tr.Root()
@@ -202,8 +209,8 @@ func TestRemsetRoot(t *testing.T) {
 		t.Fatal("target corrupted")
 	}
 	// The external entry must survive the rebuild for future collections.
-	if len(leaf.Remset) != 1 {
-		t.Fatalf("rebuilt remset = %v", leaf.Remset)
+	if got := items(&leaf.Remset); len(got) != 1 || got[0] != (hierarchy.RememberedEntry{Holder: holder, Index: 0}) {
+		t.Fatalf("rebuilt remset = %v", got)
 	}
 	// And a second collection must work off the rebuilt entry.
 	res = w.c.Collect([]*hierarchy.Heap{leaf})
@@ -235,7 +242,7 @@ func TestDeadRemsetEntryDropped(t *testing.T) {
 	if res.CopiedObjects != 0 {
 		t.Fatal("dead target kept alive by stale remset entry")
 	}
-	if len(leaf.Remset) != 0 {
+	if leaf.Remset.Len() != 0 {
 		t.Fatal("stale entry not dropped")
 	}
 }
@@ -296,7 +303,7 @@ func TestPinnedChunkRetainedThenReclaimedAfterUnpin(t *testing.T) {
 	// Unpin (as a join would) and collect again: now the chunk frees and
 	// the unreferenced object dies.
 	w.sp.Unpin(pinned)
-	leaf.Pinned = nil
+	leaf.Pinned.Reset()
 	before := w.sp.LiveWords()
 	res = w.c.Collect(w.tr.ExclusiveSuffix(leaf))
 	if res.RetainedChunks != 0 {
@@ -345,8 +352,8 @@ func TestMultiHeapSuffix(t *testing.T) {
 	}
 	// The internal down-pointer was re-derived into leaf's remset with the
 	// holder's NEW address.
-	if len(leaf.Remset) != 1 || leaf.Remset[0].Holder != rs.refs[1] {
-		t.Fatalf("re-derived remset = %v (holder now %v)", leaf.Remset, rs.refs[1])
+	if got := items(&leaf.Remset); len(got) != 1 || got[0].Holder != rs.refs[1] {
+		t.Fatalf("re-derived remset = %v (holder now %v)", got, rs.refs[1])
 	}
 }
 

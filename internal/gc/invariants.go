@@ -22,8 +22,9 @@ import (
 //     of a computation (and callable from tests): everything above, plus
 //     gate quiescence (reader count zero, collecting bit clear), pin
 //     accounting (each chunk's PinCount equals the pinned headers it
-//     holds), no transient BUSY or mark bits outside a collection, and —
-//     via Validate — that no live path reaches a stale forwarding header.
+//     holds), no transient BUSY or mark bits and no from-space chunk mark
+//     outside a collection, and — via Validate — that no live path reaches
+//     a stale forwarding header.
 //
 // Sweeps are possible because chunks are bump-allocated densely: objects
 // occupy [off, off+1+max(1,len)) back to back from offset 0 to c.Alloc,
@@ -82,14 +83,20 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 			if c.CGCScoped() {
 				return fmt.Errorf("gc: heap %d chunk %d: mark bitmap left installed at a quiescent point", h.ID, c.ID)
 			}
+			if c.FromSpace {
+				return fmt.Errorf("gc: heap %d chunk %d: from-space mark left set outside a collection", h.ID, c.ID)
+			}
 		}
 	}
-	for k, e := range h.Remset {
-		if err := checkRemembered(sp, e); err != nil {
-			return fmt.Errorf("gc: heap %d remset[%d]: %w", h.ID, k, err)
+	var err error
+	k := 0
+	h.Remset.Each(func(e hierarchy.RememberedEntry) {
+		if cerr := checkRemembered(sp, e); cerr != nil && err == nil {
+			err = fmt.Errorf("gc: heap %d remset[%d]: %w", h.ID, k, cerr)
 		}
-	}
-	return nil
+		k++
+	})
+	return err
 }
 
 // checkRemembered verifies one remembered entry is well-formed: the holder

@@ -1,0 +1,179 @@
+package gc
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"mplgo/internal/hierarchy"
+	"mplgo/internal/mem"
+)
+
+// TestRemsetDuplicatesProperty drives one leaf under a root holder array
+// with random down-pointer writes — the same field written again and
+// again, nil-and-back, two fields to one target, targets pinned in place,
+// fields overwritten with immediates — and collects the leaf between
+// bursts. The expectation comes from a reference that de-duplicates the
+// entries by (holder, index) in a map before looking at any of them, which
+// is what the collector did before forward became idempotent:
+//
+//   - every live field points at its target's current location, and two
+//     fields that shared a target still do;
+//   - the rebuilt remset holds exactly one entry per live field whose
+//     target moved, at least one and no more than before per field whose
+//     target is pinned, and none for any other field;
+//   - CopiedWords is the reference's: no duplicate copies a target twice;
+//   - no from-space mark, header mark or BUSY bit is left (strict CheckHeap).
+func TestRemsetDuplicatesProperty(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { remsetProperty(t, seed) })
+	}
+}
+
+func remsetProperty(t *testing.T, seed int64) {
+	const fields = 12
+	type object struct {
+		id     mem.Value // payload word 0
+		ref    mem.Ref
+		words  int64 // header + payload
+		pinned bool
+	}
+	rng := rand.New(rand.NewSource(seed))
+	w := newWorld()
+	root := w.tr.Root()
+	leaf := w.tr.Fork(root)
+	rootHA := w.onHeap(root)
+	holder := rootHA.al.AllocArray(fields, mem.Nil)
+	w.sp.SetCandidate(holder)
+	rootHA.adopt()
+
+	var objs []*object
+	var field [fields]*object // nil: the field holds no reference
+
+	point := func(f int, o *object) {
+		w.sp.Store(holder, f, o.ref.Value())
+		field[f] = o
+		if rng.Intn(2) == 0 {
+			leaf.AddRemembered(holder, f) // as a foreign writer publishes
+		} else {
+			leaf.AddRememberedLocal(holder, f)
+		}
+	}
+
+	for round := 0; round < 8; round++ {
+		ha := w.onHeap(leaf)
+		for step := 0; step < 40; step++ {
+			f := rng.Intn(fields)
+			switch op := rng.Intn(8); {
+			case op < 2 || len(objs) == 0: // a fresh target
+				n := 1 + rng.Intn(5)
+				payload := make([]mem.Value, n)
+				payload[0] = mem.Int(int64(len(objs)))
+				o := &object{id: payload[0], ref: ha.al.AllocTuple(payload...), words: int64(n + 1)}
+				objs = append(objs, o)
+				point(f, o)
+			case op == 2: // the same store, k times over
+				if o := field[f]; o != nil {
+					for k := rng.Intn(6); k >= 0; k-- {
+						point(f, o)
+					}
+				}
+			case op == 3: // nil and back
+				if o := field[f]; o != nil {
+					w.sp.Store(holder, f, mem.Nil)
+					point(f, o)
+				}
+			case op == 4: // a second field to a target some field already has
+				if o := field[rng.Intn(fields)]; o != nil {
+					point(f, o)
+				}
+			case op == 5: // overwritten with an immediate: the entries go dead
+				w.sp.Store(holder, f, mem.Int(int64(step)))
+				field[f] = nil
+			case op == 6: // pinned through a cross-pointer, as in churn-pinned
+				if o := field[f]; o != nil && !o.pinned {
+					w.sp.Pin(o.ref, 0)
+					leaf.AddPinned(o.ref)
+					o.pinned = true
+				}
+			case op == 7: // unpinned as a join would: header and list entry together
+				if o := field[f]; o != nil && o.pinned {
+					w.sp.Unpin(o.ref)
+					leaf.DrainBuffers()
+					leaf.Pinned.Filter(func(r mem.Ref) bool { return r != o.ref })
+					o.pinned = false
+				}
+			}
+		}
+		ha.adopt()
+
+		// The reference: distinct entries first, then their targets once.
+		leaf.DrainBuffers()
+		before := map[int]int{}
+		leaf.Remset.Each(func(e hierarchy.RememberedEntry) {
+			if e.Holder != holder {
+				t.Fatalf("round %d: entry %+v names a holder nobody recorded", round, e)
+			}
+			before[e.Index]++
+		})
+		var wantCopied int64
+		moves := map[*object]bool{} // targets the reference copies, once each
+		for f := range before {
+			if o := field[f]; o != nil && !o.pinned && !moves[o] {
+				moves[o] = true
+				wantCopied += o.words
+			}
+		}
+
+		res := w.c.Collect([]*hierarchy.Heap{leaf})
+
+		if res.CopiedWords != wantCopied {
+			t.Fatalf("round %d: CopiedWords = %d, reference copies %d", round, res.CopiedWords, wantCopied)
+		}
+		after := map[int]int{}
+		leaf.Remset.Each(func(e hierarchy.RememberedEntry) { after[e.Index]++ })
+		for f := 0; f < fields; f++ {
+			o := field[f]
+			v := w.sp.Load(holder, f)
+			switch {
+			case o == nil:
+				if v.IsRef() || after[f] != 0 {
+					t.Fatalf("round %d field %d: dead field holds %v with %d entries", round, f, v, after[f])
+				}
+				continue
+			case !v.IsRef():
+				t.Fatalf("round %d field %d: reference lost (%v)", round, f, v)
+			case o.pinned:
+				if v.Ref() != o.ref {
+					t.Fatalf("round %d field %d: pinned target moved %v -> %v", round, f, o.ref, v.Ref())
+				}
+				if after[f] < 1 || after[f] > before[f] {
+					t.Fatalf("round %d field %d: pinned target has %d entries, had %d", round, f, after[f], before[f])
+				}
+			default:
+				if moves[o] { // the first field of o looked at: learn where it went
+					if v.Ref() == o.ref {
+						t.Fatalf("round %d field %d: live target %v not moved", round, f, o.ref)
+					}
+					o.ref = v.Ref()
+					delete(moves, o)
+				}
+				if v.Ref() != o.ref {
+					t.Fatalf("round %d field %d: points at %v, its target is now at %v", round, f, v.Ref(), o.ref)
+				}
+				if after[f] != 1 {
+					t.Fatalf("round %d field %d: %d entries for a moved target (%d before)", round, f, after[f], before[f])
+				}
+			}
+			if hd := w.sp.Header(v.Ref()); hd.Kind() != mem.KTuple || int64(hd.Len()+1) != o.words ||
+				w.sp.Load(v.Ref(), 0) != o.id {
+				t.Fatalf("round %d field %d: target corrupted (header %#x)", round, f, uint64(hd))
+			}
+		}
+		for _, h := range []*hierarchy.Heap{root, leaf} {
+			if err := CheckHeap(w.sp, h, true); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+}

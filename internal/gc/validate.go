@@ -68,12 +68,14 @@ func Validate(sp *mem.Space, heaps []*hierarchy.Heap) error {
 				return rootErr
 			}
 		}
-		for _, p := range h.Pinned {
-			if sp.Header(p).Pinned() {
-				if err := check(p, "pinned object"); err != nil {
-					return err
-				}
+		var pinErr error
+		h.Pinned.Each(func(p mem.Ref) {
+			if pinErr == nil && sp.Header(p).Pinned() {
+				pinErr = check(p, "pinned object")
 			}
+		})
+		if pinErr != nil {
+			return pinErr
 		}
 	}
 

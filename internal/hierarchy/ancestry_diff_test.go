@@ -63,13 +63,6 @@ func growTree(tr *Tree, rng *rand.Rand, heaps []*Heap, n int, shape string) []*H
 	return heaps
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestAncestryDifferentialRandomTrees cross-checks all three oracles over
 // randomized trees of every shape. The spine shape grows past 128 path bits
 // so the spilled fork-path representation is compared too, and a PathSpill

@@ -112,30 +112,12 @@ func (h *Heap) DrainReusable(visit func(*mem.Chunk)) {
 	})
 }
 
-// peek visits the entries of a publication stack without detaching it.
-// Caller must hold the gate closed (BeginCollect/TryBeginCollect): pushes
-// happen under the reader gate, so a closed gate means no slot is
-// mid-write and every claimed slot is visible.
-func (s *stack[T]) peek(visit func(T)) {
-	for sg := s.top.Load(); sg != nil; sg = sg.next {
-		n := int(sg.n.Load())
-		if n > segCap {
-			n = segCap
-		}
-		for i := 0; i < n; i++ {
-			visit(sg.vals[i])
-		}
-	}
-}
-
 // ForEachPinned visits every pinned object recorded against this heap —
 // the owner-only view plus the lock-free publication buffer — without
 // draining or mutating either. Collector root harvest; caller holds the
 // heap's gate.
 func (h *Heap) ForEachPinned(visit func(mem.Ref)) {
-	for _, r := range h.Pinned {
-		visit(r)
-	}
+	h.Pinned.Each(visit)
 	h.pinBuf.peek(visit)
 }
 
@@ -143,23 +125,8 @@ func (h *Heap) ForEachPinned(visit func(mem.Ref)) {
 // this heap — owner view plus publication buffer — without draining.
 // Collector root harvest; caller holds the heap's gate.
 func (h *Heap) ForEachRemembered(visit func(RememberedEntry)) {
-	for _, e := range h.Remset {
-		visit(e)
-	}
+	h.Remset.Each(visit)
 	h.remBuf.peek(visit)
-}
-
-// PruneRemset drops remembered entries rejected by keep. Called by the
-// sweep (owner parked, gate held) to drop entries whose holders it just
-// freed, so later collections never interpret a KFree span as a holder.
-func (h *Heap) PruneRemset(keep func(RememberedEntry) bool) {
-	kept := h.Remset[:0]
-	for _, e := range h.Remset {
-		if keep(e) {
-			kept = append(kept, e)
-		}
-	}
-	h.Remset = kept
 }
 
 // ReplaceChunks installs the post-sweep chunk list. Collector-only, under

@@ -120,7 +120,10 @@ func TestDumpTreeConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
+		// Bounded: every DumpTree walks all heaps ever forked, so an
+		// unbounded forker on a starved box (-race beside other packages)
+		// outruns the 200 dumps and exhausts memory.
+		for n := 0; n < 50_000; n++ {
 			select {
 			case <-stop:
 				return

@@ -75,62 +75,6 @@ type RememberedEntry struct {
 	Index  int
 }
 
-// seg/stack is a segmented Treiber stack: the lock-free publication buffer
-// foreign tasks push into. Slots within the top segment are claimed with a
-// fetch-add, so the common push is two atomic ops and no allocation; a new
-// segment (one small allocation per segCap pushes) is installed by CAS
-// when the top fills. Drain (owner-only) is a single swap.
-//
-// The slot stores themselves are plain: every push happens while holding
-// the owning heap's reader gate, and drain runs only after BeginCollect
-// has quiesced the gate, so the gate's atomics order claimed-and-written
-// slots before any drain that reads them.
-const segCap = 16
-
-type seg[T any] struct {
-	vals [segCap]T
-	n    atomic.Int32 // claimed slots; may transiently exceed segCap
-	next *seg[T]
-}
-
-type stack[T any] struct {
-	top atomic.Pointer[seg[T]]
-}
-
-func (s *stack[T]) push(v T) {
-	for {
-		sg := s.top.Load()
-		if sg != nil {
-			if i := int(sg.n.Add(1)) - 1; i < segCap {
-				sg.vals[i] = v
-				return
-			}
-			// Segment full (the overshoot is harmless; drain clamps).
-		}
-		nsg := &seg[T]{next: sg}
-		nsg.vals[0] = v
-		nsg.n.Store(1)
-		if s.top.CompareAndSwap(sg, nsg) {
-			return
-		}
-		// Lost the install race; retry against the new top.
-	}
-}
-
-// drain atomically detaches the stack and visits its entries in
-// unspecified order.
-func (s *stack[T]) drain(visit func(T)) {
-	for sg := s.top.Swap(nil); sg != nil; sg = sg.next {
-		n := int(sg.n.Load())
-		if n > segCap {
-			n = segCap
-		}
-		for i := 0; i < n; i++ {
-			visit(sg.vals[i])
-		}
-	}
-}
-
 // Heap is one node of the heap hierarchy.
 type Heap struct {
 	ID     uint32
@@ -167,13 +111,17 @@ type Heap struct {
 	Chunks []*mem.Chunk
 
 	// Remset holds down-pointer entries whose targets may live in this
-	// heap. Owner-only view; foreign writers publish into remBuf and the
-	// owner folds the buffer in with DrainBuffers at collection start.
-	Remset []RememberedEntry
+	// heap, duplicates included (the write barrier records every store).
+	// Owner-only view; foreign writers publish into remBuf and the owner
+	// adopts the buffer's segments with DrainBuffers at collection start. A
+	// join splices the list onto the parent's, a collection replaces it.
+	Remset List[RememberedEntry]
 
-	// Pinned lists pinned objects residing in this heap. Owner-only view;
-	// entangled readers publish into pinBuf under the reader gate.
-	Pinned []mem.Ref
+	// Pinned lists pinned objects residing in this heap; entries go stale
+	// when the object is unpinned or copied and are dropped at the next
+	// join. Owner-only view; entangled readers publish into pinBuf under
+	// the reader gate.
+	Pinned List[mem.Ref]
 
 	// pinBuf and remBuf are the lock-free publication buffers. Both are
 	// pushed only while holding the reader gate (the entanglement barriers
@@ -267,12 +215,13 @@ func (h *Heap) AddRemembered(holder mem.Ref, index int) {
 }
 
 // AddRememberedLocal records a down-pointer entry directly in the
-// owner-only view, with no gate and no atomics. Only the task currently
-// executing in h may call it: a heap is run by one strand at a time, and
-// that same strand (or a join that happens-after it) performs every drain,
-// collection and merge of h, so owner appends cannot race them.
+// owner-only view, with no gate and no atomics: one slot of the list's
+// tail segment, which is the last time the entry is written. Only the task
+// currently executing in h may call it: a heap is run by one strand at a
+// time, and that same strand (or a join that happens-after it) performs
+// every drain, collection and merge of h, so owner appends cannot race them.
 func (h *Heap) AddRememberedLocal(holder mem.Ref, index int) {
-	h.Remset = append(h.Remset, RememberedEntry{holder, index})
+	h.Remset.Append(RememberedEntry{holder, index})
 }
 
 // AddPinned records a pinned object residing in this heap. Lock-free; the
@@ -286,12 +235,12 @@ func (h *Heap) AddPinned(r mem.Ref) { h.pinBuf.push(r) }
 func (h *Heap) Dead() bool { return h.dead.Load() }
 
 // DrainBuffers folds the lock-free publication buffers into the owner-only
-// Pinned and Remset views. Called by the owning task, normally right after
-// Gate.BeginCollect (collection or merge start), when no reader can be
-// mid-publication.
+// Pinned and Remset views by adopting their segments. Called by the owning
+// task right after Gate.BeginCollect (collection or merge start), when no
+// reader can be mid-publication.
 func (h *Heap) DrainBuffers() {
-	h.pinBuf.drain(func(r mem.Ref) { h.Pinned = append(h.Pinned, r) })
-	h.remBuf.drain(func(e RememberedEntry) { h.Remset = append(h.Remset, e) })
+	h.Pinned.adopt(&h.pinBuf)
+	h.Remset.adopt(&h.remBuf)
 }
 
 // heapBlock is one leaf of the two-level id→heap table. Slots are atomic
@@ -676,8 +625,7 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 	parent.Chunks = append(parent.Chunks, child.Chunks...)
 	child.Chunks = nil
 
-	parent.Remset = append(parent.Remset, child.Remset...)
-	child.Remset = nil
+	parent.Remset.Splice(&child.Remset)
 
 	// Unpin objects whose unpin depth has been reached: the entangled
 	// tasks have joined, so these are ordinary objects of the merged heap.
@@ -687,29 +635,28 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 	// windows would undercount the loop's pointer chasing, which is most
 	// of its cost.
 	at = parent.AttrSink.Begin()
-	for _, r := range child.Pinned {
+	child.Pinned.Filter(func(r mem.Ref) bool {
 		for {
 			h := space.Header(r)
 			if h.Kind() == mem.KForward || !h.Pinned() {
-				break // stale entry; copied or already unpinned
+				return false // stale entry; copied or already unpinned
 			}
 			if h.UnpinDepth() < parent.depth {
 				// Still entangled above the join point (possibly re-pinned
-				// shallower by a racing reader): keep it, move the entry up.
-				parent.Pinned = append(parent.Pinned, r)
-				break
+				// shallower by a racing reader): the entry moves up.
+				return true
 			}
 			if space.TryUnpin(r, h) {
 				unpinned++
 				unpinnedWords += int64(h.Len()) + 1
 				ring.Emit(trace.EvUnpin, int32(parent.depth), uint64(r), 0)
-				break
+				return false
 			}
 			// Lost a race against a concurrent re-pin; re-examine.
 		}
-	}
+	})
 	parent.AttrSink.End(attr.UnpinAtJoin, at)
-	child.Pinned = nil
+	parent.Pinned.Splice(&child.Pinned)
 
 	parent.RootSets = append(parent.RootSets, child.RootSets...)
 	child.RootSets = nil

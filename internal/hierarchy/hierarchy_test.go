@@ -120,8 +120,11 @@ func TestMergeMovesChunksAndRemset(t *testing.T) {
 	if sp.HeapOf(r) != root.ID {
 		t.Fatal("merge did not reassign chunk ownership")
 	}
-	if len(root.Chunks) != 1 || len(root.Remset) != 1 {
-		t.Fatalf("merge did not move lists: chunks=%d remset=%d", len(root.Chunks), len(root.Remset))
+	if got := items(&root.Remset); len(root.Chunks) != 1 || len(got) != 1 || got[0] != (RememberedEntry{r, 0}) {
+		t.Fatalf("merge did not move lists: chunks=%d remset=%v", len(root.Chunks), got)
+	}
+	if child.Remset.Len() != 0 {
+		t.Fatalf("merged child keeps %d remembered entries", child.Remset.Len())
 	}
 	if !child.Dead() {
 		t.Fatal("merged child not marked dead")
@@ -163,8 +166,8 @@ func TestMergeUnpinsAtDepth(t *testing.T) {
 	if !sp.Header(shallowPin).Pinned() {
 		t.Fatal("shallowPin unpinned too early")
 	}
-	if len(mid.Pinned) != 1 || mid.Pinned[0] != shallowPin {
-		t.Fatal("pinned list not transferred")
+	if got := items(&mid.Pinned); len(got) != 1 || got[0] != shallowPin {
+		t.Fatalf("pinned list not transferred: %v", got)
 	}
 
 	// Final merge to root unpins the rest.
@@ -204,8 +207,8 @@ func TestMergeRepinAboveJoin(t *testing.T) {
 	if !sp.Header(r).Pinned() {
 		t.Fatal("merge revoked a pin re-pinned above the join point")
 	}
-	if len(mid.Pinned) != 1 || mid.Pinned[0] != r {
-		t.Fatalf("re-pinned entry not moved to parent: %v", mid.Pinned)
+	if got := items(&mid.Pinned); len(got) != 1 || got[0] != r {
+		t.Fatalf("re-pinned entry not moved to parent: %v", got)
 	}
 
 	// The root join reaches the lowered depth and finally unpins.
@@ -257,7 +260,7 @@ func TestMergeRepinRace(t *testing.T) {
 			t.Fatalf("iter %d: pin revoked unseen (status %v)", iter, st)
 		}
 		inParent := false
-		for _, p := range mid.Pinned {
+		for _, p := range items(&mid.Pinned) {
 			if p == r {
 				inParent = true
 			}

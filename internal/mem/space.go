@@ -69,6 +69,13 @@ type Chunk struct {
 	// PinCount counts currently pinned objects residing in this chunk.
 	// A chunk can only be released while it holds no pinned objects.
 	PinCount int32
+	// FromSpace marks the chunk as from-space of the local collection now
+	// running on its heap. That collection sets it on its scope's old
+	// chunks once the gates are closed and clears it before they reopen;
+	// only it reads the mark, and only on a chunk whose heap id it has
+	// already found in its scope — any other chunk may be mid-collection
+	// elsewhere.
+	FromSpace bool
 
 	heapID atomic.Uint32
 
