@@ -22,19 +22,29 @@
 //     duration, forward moves only what lies in a marked chunk, and so a
 //     duplicate entry — the write barrier records every store — finds its
 //     field already redirected and is dropped.
+//   - There is no grey set: a copied object is grey by lying in to-space
+//     past its heap's scan cursor, a (chunk index, offset) pair that walks
+//     the to-space chunks up to the bump pointer (drain). Only pinned
+//     objects, grey in place, wait on a list.
 //
 // Collections happen at allocation points of the owning task, so the
 // mutator of the collected heaps is stopped; concurrent tasks can touch
 // them only through entangled (pinned) objects or slow paths parked at
 // the collection gate. There is no mutex: each scope heap's Gate is closed
 // for the duration (BeginCollect waits out in-flight entanglement slow
-// paths), per-object claims go through the header state machine
-// (mem.BeginCopy / mem.Forward), and the publication buffers are drained
-// into the owner-only views at the start.
+// paths), and the publication buffers are drained into the owner-only views
+// at the start. A move is two atomic writes on the old header — the claim
+// (mem.Chunk.BeginCopy, a CAS that a racing pin loses to or wins against)
+// and the forwarding header that publishes it — and everything between them
+// is plain (mem.Allocator.CopyIn): the claim keeps pinners off the old
+// object, and to-space is out of every task's reach until the gates reopen.
+// Fields of pinned objects and of holders outside the scope, which other
+// tasks read meanwhile, are still loaded and stored atomically.
 package gc
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"mplgo/internal/chaos"
@@ -66,6 +76,8 @@ type Collector struct {
 	// because they hold pinned (entangled) objects: the paper's transient
 	// space cost of entanglement, surfaced through Runtime stats.
 	RetainedChunks atomic.Int64
+
+	runs sync.Pool // of *run
 }
 
 // New creates a collector.
@@ -73,39 +85,50 @@ func New(space *mem.Space, tree *hierarchy.Tree) *Collector {
 	return &Collector{Space: space, Tree: tree}
 }
 
-// run is the per-collection state. toAlloc and newRemsets are parallel to
-// order.
-type run struct {
-	c          *Collector
-	order      []*hierarchy.Heap // scope heaps, shallowest first (lock order)
-	toAlloc    []*mem.Allocator
-	queue      []mem.Ref // gray objects: copied or pinned, payload unscanned
-	marked     []mem.Ref // pinned objects marked this cycle (marks cleared at end)
-	newRemsets []hierarchy.List[hierarchy.RememberedEntry]
-	res        Result
+// scopeHeap is one heap of the scope with its to-space, the Cheney scan
+// cursor over it (an index into to.Chunks and a word offset: black before,
+// grey from there to the bump pointer) and its rebuilt remembered set.
+type scopeHeap struct {
+	h       *hierarchy.Heap
+	to      mem.Allocator
+	ci, off int
+	remset  hierarchy.List[hierarchy.RememberedEntry]
 }
 
-// scopeOf returns the index in r.order of the scope heap with the given id,
+// run is the per-collection state. The Collector recycles its runs, so a
+// one-heap collection allocates nothing from Go's heap but to-space.
+type run struct {
+	c         *Collector
+	heaps     []scopeHeap // the scope, shallowest first (lock order)
+	one       [1]scopeHeap
+	marked    []mem.Ref // pinned objects marked this cycle (marks cleared at end)
+	traced    int       // marked[:traced] have had their fields forwarded
+	visitRoot func(*mem.Value)
+	res       Result
+}
+
+// scopeOf returns the index in r.heaps of the scope heap with the given id,
 // or -1: one compare for the runtime's one-heap scope.
 func (r *run) scopeOf(id uint32) int {
-	for i, h := range r.order {
-		if h.ID == id {
+	for i := range r.heaps {
+		if r.heaps[i].h.ID == id {
 			return i
 		}
 	}
 	return -1
 }
 
-// fromSpaceOf returns the index in r.order of the heap whose from-space
+// fromSpace resolves ref's chunk, once for everything done to the object,
+// and returns it with the index in r.heaps of the heap whose from-space
 // holds ref, or -1 when ref lies outside the scope or already in to-space.
 // The mark is read only once the chunk is known to be the scope's.
-func (r *run) fromSpaceOf(ref mem.Ref) int {
+func (r *run) fromSpace(ref mem.Ref) (*mem.Chunk, int) {
 	ch := r.c.Space.ChunkByID(ref.Chunk())
 	i := r.scopeOf(ch.HeapID())
 	if i >= 0 && !ch.FromSpace {
-		return -1
+		i = -1
 	}
-	return i
+	return ch, i
 }
 
 // Collect collects the given heaps, leaf first: a chain the calling task
@@ -116,12 +139,16 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	if len(scope) == 0 {
 		return Result{}
 	}
-	r := &run{
-		c:          c,
-		order:      make([]*hierarchy.Heap, 0, len(scope)),
-		toAlloc:    make([]*mem.Allocator, len(scope)),
-		newRemsets: make([]hierarchy.List[hierarchy.RememberedEntry], len(scope)),
+	r, _ := c.runs.Get().(*run)
+	if r == nil {
+		r = &run{c: c}
+		r.visitRoot = func(p *mem.Value) { *p = r.forward(*p) }
 	}
+	r.heaps = r.one[:0]
+	if len(scope) > 1 {
+		r.heaps = make([]scopeHeap, 0, len(scope))
+	}
+	defer r.finish()
 	// Close the gates shallowest-first (entanglement slow paths never hold
 	// one gate while entering another, so any order is deadlock-free; this
 	// one matches the old lock order for easy comparison), then fold the
@@ -131,28 +158,19 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	// WaitBeginCollect rather than BeginCollect since CGC: the concurrent
 	// collector's gate flushes briefly close every live heap's gate, and
 	// an LGC racing one must wait the flush out, not panic.
+	var oldWords int64
 	for i := len(scope) - 1; i >= 0; i-- {
 		h := scope[i]
 		h.Gate.WaitBeginCollect()
+		r.heaps = append(r.heaps, scopeHeap{h: h, to: *mem.NewAllocator(c.Space, h.ID)})
 		h.DrainBuffers()
 		// Chunks the concurrent sweep queued for allocation reuse are
 		// about to be evacuated or released; they must not linger as
 		// carving targets.
 		h.DrainReusable(nil)
-		r.order = append(r.order, h)
-	}
-	defer func() {
-		for i := len(r.order) - 1; i >= 0; i-- {
-			r.order[i].Gate.EndCollect()
-		}
-	}()
-
-	// Everything the scope holds now is from-space; what forward allocates
-	// from here on carries the same heap ids but no mark, which is what
-	// keeps forward from moving an object twice.
-	var oldWords int64
-	for i, h := range r.order {
-		r.toAlloc[i] = mem.NewAllocator(c.Space, h.ID)
+		// Everything the scope holds now is from-space; what forward copies
+		// from here on carries the same heap ids but no mark, which is what
+		// keeps forward from moving an object twice.
 		for _, ch := range h.Chunks {
 			ch.FromSpace = true
 			oldWords += int64(ch.Words())
@@ -160,20 +178,28 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	}
 	r.res.ScopeHeaps = len(scope)
 
-	// Phase 1: roots.
-	r.scanShadowStacks()
+	// Phase 1: roots — the shadow stacks of every task attached to the
+	// scope, the down-pointers, the pins.
+	for i := range r.heaps {
+		for _, rs := range r.heaps[i].h.RootSets {
+			rs.Roots(r.visitRoot)
+		}
+	}
 	r.processRemsets()
 	r.tracePinned()
 
 	// Phase 2: transitive copy/trace.
 	r.drain()
 
-	// Phase 3: install rebuilt remsets, swap chunk lists, release from-space
-	// (unmarked first: a released chunk may be another heap's at once).
+	// Phase 3: install rebuilt remsets, rebuild the chunk lists in place,
+	// release from-space (unmarked first: a released chunk may be another
+	// heap's at once), settle to-space into the allocation totals.
 	var retainedOldWords int64
-	for i, h := range r.order {
-		h.Remset = r.newRemsets[i]
-		var kept []*mem.Chunk
+	for i := range r.heaps {
+		sh := &r.heaps[i]
+		h := sh.h
+		h.Remset = sh.remset
+		kept := h.Chunks[:0]
 		for _, ch := range h.Chunks {
 			ch.FromSpace = false
 			if ch.PinCount > 0 {
@@ -184,8 +210,8 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 				c.Space.Release(ch)
 			}
 		}
-		kept = append(kept, r.toAlloc[i].Chunks...)
-		h.Chunks = kept
+		h.Chunks = append(kept, sh.to.Chunks...)
+		sh.to.FlushCopied()
 		h.Collections++
 	}
 	// Clear transient marks on pinned objects.
@@ -201,15 +227,15 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	return r.res
 }
 
-// scanShadowStacks forwards every root of every task attached to the scope.
-func (r *run) scanShadowStacks() {
-	for _, h := range r.order {
-		for _, rs := range h.RootSets {
-			rs.Roots(func(p *mem.Value) {
-				*p = r.forward(*p)
-			})
-		}
+// finish reopens the gates Collect closed, deepest first, and hands the run
+// back empty. Deferred: a panic under Collect (the chunk table exhausted)
+// must not leave a gate closed on the readers waiting at it.
+func (r *run) finish() {
+	for i := len(r.heaps) - 1; i >= 0; i-- {
+		r.heaps[i].h.Gate.EndCollect()
 	}
+	*r = run{c: r.c, visitRoot: r.visitRoot, marked: r.marked[:0]}
+	r.c.runs.Put(r)
 }
 
 // processRemsets uses down-pointer entries as roots and begins the rebuilt
@@ -221,8 +247,8 @@ func (r *run) scanShadowStacks() {
 // came in.
 func (r *run) processRemsets() {
 	sp := r.c.Space
-	for _, h := range r.order {
-		h.Remset.Each(func(e hierarchy.RememberedEntry) {
+	for i := range r.heaps {
+		r.heaps[i].h.Remset.Each(func(e hierarchy.RememberedEntry) {
 			if r.scopeOf(sp.HeapOf(e.Holder)) >= 0 {
 				// The holder is being collected too; if it survives, the
 				// scan re-derives this entry with the holder's new address.
@@ -243,15 +269,15 @@ func (r *run) processRemsets() {
 			if !v.IsRef() {
 				return // field was overwritten; entry is dead
 			}
-			tgt := r.fromSpaceOf(v.Ref())
+			ch, tgt := r.fromSpace(v.Ref())
 			if tgt < 0 {
 				return // points outside the suffix, or was already redirected
 			}
-			if nv := r.evacuate(v.Ref(), tgt); nv != v {
+			if nv := r.evacuate(ch, v.Ref(), tgt); nv != v {
 				sp.Store(e.Holder, e.Index, nv)
 			}
 			// The entry survives, indexed by the target's (unchanged) heap.
-			r.newRemsets[tgt].Append(e)
+			r.heaps[tgt].remset.Append(e)
 		})
 	}
 }
@@ -260,18 +286,21 @@ func (r *run) processRemsets() {
 // unconditionally live (a concurrent task may hold them) and traced in
 // place.
 func (r *run) tracePinned() {
-	for _, h := range r.order {
-		h.Pinned.Each(func(p mem.Ref) {
-			hd := r.c.Space.Header(p)
-			if !hd.Pinned() || hd.Kind() == mem.KForward {
-				return
-			}
-			if r.c.Space.SetMark(p) {
-				r.marked = append(r.marked, p)
-				r.queue = append(r.queue, p)
-				r.res.PinnedTraced++
+	for i := range r.heaps {
+		r.heaps[i].h.Pinned.Each(func(p mem.Ref) {
+			if hd := r.c.Space.Header(p); hd.Pinned() && hd.Kind() != mem.KForward {
+				r.mark(p)
 			}
 		})
+	}
+}
+
+// mark greys the pinned object p: the first call of a collection, which
+// sets the header's mark bit, queues it in r.marked for drain to trace.
+func (r *run) mark(p mem.Ref) {
+	if r.c.Space.SetMark(p) {
+		r.marked = append(r.marked, p)
+		r.res.PinnedTraced++
 	}
 }
 
@@ -282,32 +311,32 @@ func (r *run) forward(v mem.Value) mem.Value {
 	if !v.IsRef() {
 		return v
 	}
-	i := r.fromSpaceOf(v.Ref())
+	ch, i := r.fromSpace(v.Ref())
 	if i < 0 {
 		return v
 	}
-	return r.evacuate(v.Ref(), i)
+	return r.evacuate(ch, v.Ref(), i)
 }
 
-// evacuate returns the current location of the from-space object ref of
-// scope heap i: it copies an unpinned object to to-space (installing
-// forwarding), follows a forwarding, and leaves a pinned object in place.
-func (r *run) evacuate(ref mem.Ref, i int) mem.Value {
+// evacuate returns the current location of the from-space object ref, which
+// lies in chunk ch of scope heap i: it copies an unpinned object to the end
+// of the heap's to-space — that is what greys it, the cursor being behind —
+// follows a forwarding, and leaves a pinned object in place. The claim and
+// the forwarding header are the only atomic writes; the header with its
+// candidate bit, the payload (one copy, raw or tagged) and the forwarding
+// pointer between them are plain, in mem.Allocator.CopyIn.
+func (r *run) evacuate(ch *mem.Chunk, ref mem.Ref, i int) mem.Value {
 	// Claim the object through the header state machine. With the scope
 	// gates closed no pin can race us here, but the discipline is what
 	// makes the protocol auditable: a copy only ever starts from a
 	// successful PLAIN→BUSY transition, and every refusal tells us why.
-	hd, ok := r.c.Space.BeginCopy(ref)
+	hd, ok := ch.BeginCopy(ref.Off())
 	if !ok {
 		switch {
 		case hd.Kind() == mem.KForward:
-			return r.c.Space.Load(ref, 0)
+			return mem.Value(ch.Data[ref.Off()+1]) // this collection's own store
 		case hd.Pinned():
-			if r.c.Space.SetMark(ref) {
-				r.marked = append(r.marked, ref)
-				r.queue = append(r.queue, ref)
-				r.res.PinnedTraced++
-			}
+			r.mark(ref)
 			return ref.Value()
 		default:
 			// BUSY is unreachable: this collector is the only copier of
@@ -322,55 +351,75 @@ func (r *run) evacuate(ref mem.Ref, i int) mem.Value {
 			runtime.Gosched()
 		}
 	}
-	// Copy to the object's own heap's to-space, preserving heap membership
-	// and header flags (candidate survives the move).
-	n := hd.Len()
-	nr := r.toAlloc[i].Alloc(hd.Kind(), n)
-	// Copy header flags (kind and length were set by Alloc).
-	if hd.Candidate() {
-		r.c.Space.SetCandidate(nr)
-	}
-	if hd.Kind() == mem.KRaw {
-		for i := 0; i < n; i++ {
-			r.c.Space.StoreRaw(nr, i, r.c.Space.LoadRaw(ref, i))
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			r.c.Space.Store(nr, i, r.c.Space.Load(ref, i))
-		}
-	}
-	r.c.Space.Forward(ref, nr)
 	r.res.CopiedObjects++
-	r.res.CopiedWords += int64(n + 1)
-	r.queue = append(r.queue, nr)
-	return nr.Value()
+	r.res.CopiedWords += int64(hd.Len() + 1)
+	return r.heaps[i].to.CopyIn(ch, ref.Off(), hd).Value()
 }
 
-// drain scans grey objects until none remain, forwarding their fields and
-// re-deriving internal down-pointer remembered entries.
+// drain scans grey objects until none remain. A heap's grey objects are its
+// to-space from the cursor to the bump pointer, parsed densely (a
+// zero-length object occupies two words); scanning one appends more,
+// perhaps in a new chunk, and the chunk left behind ends at its own Alloc.
+// Pinned objects are grey in place and wait in r.marked.
 func (r *run) drain() {
-	sp := r.c.Space
-	for len(r.queue) > 0 {
-		q := r.queue[len(r.queue)-1]
-		r.queue = r.queue[:len(r.queue)-1]
-		hd := sp.Header(q)
-		if !hd.Kind().Scanned() {
+	for again := true; again; {
+		again = false
+		for qi := range r.heaps {
+			sh := &r.heaps[qi]
+			for sh.ci < len(sh.to.Chunks) {
+				c := sh.to.Chunks[sh.ci]
+				for sh.off < c.Alloc {
+					hd := mem.Header(c.Data[sh.off])
+					if !hd.Valid() {
+						panic("gc: the scan cursor is not at a header")
+					}
+					r.scan(c, sh.off, hd, qi, false)
+					sh.off += max(hd.Len(), 1) + 1
+					again = true
+				}
+				if sh.ci == len(sh.to.Chunks)-1 {
+					break // the bump chunk: it may grow yet
+				}
+				sh.ci, sh.off = sh.ci+1, 0
+			}
+		}
+		for ; r.traced < len(r.marked); r.traced++ {
+			p := r.marked[r.traced]
+			c := r.c.Space.ChunkByID(p.Chunk())
+			r.scan(c, p.Off(), r.c.Space.Header(p), r.scopeOf(c.HeapID()), true)
+			again = true
+		}
+	}
+}
+
+// scan forwards the fields of the grey object at word off of c, in scope
+// heap qi, and re-derives its internal down-pointer entries: fields that
+// point at a strictly deeper scope heap, which r.heaps lists later — none
+// in a one-heap scope. A pinned object is shared with the tasks that pinned
+// it, so its fields are stored atomically; a copied one is private until
+// the gates reopen.
+func (r *run) scan(c *mem.Chunk, off int, hd mem.Header, qi int, shared bool) {
+	if !hd.Kind().Scanned() {
+		return
+	}
+	for k, end := off+1, off+1+hd.Len(); k < end; k++ {
+		v := mem.Value(atomic.LoadUint64(&c.Data[k]))
+		if !v.IsRef() {
 			continue
 		}
-		qi := r.scopeOf(sp.HeapOf(q))
-		for i := 0; i < hd.Len(); i++ {
-			v := sp.Load(q, i)
-			nv := r.forward(v)
-			if nv != v {
-				sp.Store(q, i, nv)
-			}
-			// Re-derive internal down-pointer entries: q points at a
-			// strictly deeper scope heap, which r.order lists later.
-			if nv.IsRef() && qi >= 0 {
-				if ti := r.scopeOf(sp.HeapOf(nv.Ref())); ti > qi {
-					r.newRemsets[ti].Append(hierarchy.RememberedEntry{Holder: q, Index: i})
-				}
-			}
+		tc, ti := r.fromSpace(v.Ref())
+		if ti < 0 {
+			continue
+		}
+		switch nv := r.evacuate(tc, v.Ref(), ti); {
+		case nv == v: // pinned in place
+		case shared:
+			atomic.StoreUint64(&c.Data[k], uint64(nv))
+		default:
+			c.StoreRelaxed(k, uint64(nv))
+		}
+		if ti > qi {
+			r.heaps[ti].remset.Append(hierarchy.RememberedEntry{Holder: mem.MakeRef(c.ID, off), Index: k - off - 1})
 		}
 	}
 }

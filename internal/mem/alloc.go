@@ -28,6 +28,9 @@ type Allocator struct {
 	// allocated plus one minimum chunk, and once it holds about
 	// 2*ChunkWords it refills ChunkWords at a time.
 	grow int
+	// copied counts words CopyIn placed that FlushCopied has yet to add to
+	// AllocWords and the space's total.
+	copied int64
 }
 
 // NewAllocator creates an allocator feeding the given heap.
@@ -75,6 +78,46 @@ func (a *Allocator) Alloc(k Kind, payloadWords int) Ref {
 	a.AllocWords += int64(total)
 	a.space.totalAlloc.Add(int64(total))
 	return MakeRef(c.ID, off)
+}
+
+// CopyIn is the local collector's copy kernel. It moves the object at word
+// off of src — claimed by the caller with Chunk.BeginCopy, which returned hd
+// — to the end of the allocator's space, installs the forwarding header and
+// returns the new location. src is resolved once and the payload moves with
+// one copy. Between the claim and the forwarding header, the one atomic
+// store that publishes the move, every store is relaxed: the claim keeps
+// pinners off the old object, and the new one lies in to-space, which no
+// task can reach before the collection reopens the heap's gate. The copy
+// keeps the candidate bit and drops every other state bit. An allocator
+// used for CopyIn is a to-space allocator: it never carves reusable spans,
+// and its words reach the allocation totals through FlushCopied.
+func (a *Allocator) CopyIn(src *Chunk, off int, hd Header) Ref {
+	n := hd.Len()
+	total := max(n, 1) + 1 // as Alloc: a zero-length object keeps a pad word
+	c := a.cur
+	if c == nil || c.Alloc+total > len(c.Data) {
+		c = a.space.NewChunk(a.heap, max(total, a.grow))
+		a.grow = min(2*len(c.Data), ChunkWords)
+		a.cur = c
+		a.Chunks = append(a.Chunks, c)
+	}
+	to := c.Alloc
+	c.Alloc += total
+	a.copied += int64(total)
+	storeRelaxed(&c.Data[to], MakeHeader(hd.Kind(), n)|uint64(hd)&hdrCandidate)
+	copyRelaxed(c.Data[to+1:to+1+n], src.Data[off+1:off+1+n])
+	nr := MakeRef(c.ID, to)
+	src.forward(off, n, nr)
+	return nr
+}
+
+// FlushCopied adds the words CopyIn placed since the last call to
+// AllocWords and to the space's cumulative total: once per collection, not
+// one locked add per object.
+func (a *Allocator) FlushCopied() {
+	a.AllocWords += a.copied
+	a.space.totalAlloc.Add(a.copied)
+	a.copied = 0
 }
 
 // AddReusable hands the allocator a chunk whose free list was threaded by

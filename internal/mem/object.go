@@ -330,9 +330,12 @@ func (s *Space) TryUnpin(r Ref, observed Header) bool {
 // skip it). While BUSY, the claiming collector is the only mutator of the
 // header: PinHeader backs off, and no other collector can reach the object
 // (collections are per-suffix and suffixes are disjoint).
-func (s *Space) BeginCopy(r Ref) (Header, bool) {
-	c := s.chunk(r.Chunk())
-	p := &c.Data[r.Off()]
+func (s *Space) BeginCopy(r Ref) (Header, bool) { return s.chunk(r.Chunk()).BeginCopy(r.Off()) }
+
+// BeginCopy is Space.BeginCopy for a caller that has already resolved the
+// chunk: off is the word offset of the object's header in c.
+func (c *Chunk) BeginCopy(off int) (Header, bool) {
+	p := &c.Data[off]
 	for {
 		old := atomic.LoadUint64(p)
 		h := Header(old)
@@ -416,6 +419,22 @@ func (s *Space) Forward(old, new Ref) {
 	atomic.StoreUint64(&c.Data[old.Off()+1], uint64(new.Value()))
 	atomic.StoreUint64(&c.Data[old.Off()], uint64(KForward)|hdrValid|uint64(n)<<hdrLenShift)
 }
+
+// forward is the BUSY → FORWARDED transition for a caller that holds the
+// chunk and the payload length n of the object at off (Allocator.CopyIn).
+// The pointer needs no ordering of its own: whoever reads it has first seen
+// the forwarding header, and that store, the linearization point, comes
+// after it.
+func (c *Chunk) forward(off, n int, to Ref) {
+	storeRelaxed(&c.Data[off+1], uint64(to))
+	atomic.StoreUint64(&c.Data[off], MakeHeader(KForward, n))
+}
+
+// StoreRelaxed writes word i of the chunk with no ordering: for the local
+// collector redirecting a field of an object it has just copied, which no
+// task can reach before the heap's gate reopens (see storeRelaxed for who
+// may still load the word).
+func (c *Chunk) StoreRelaxed(i int, w uint64) { storeRelaxed(&c.Data[i], w) }
 
 // Forwarded resolves a possibly-forwarded reference to its current location,
 // chasing at most one hop (the collectors never create forwarding chains).

@@ -18,3 +18,9 @@ package mem
 // atomic under the race detector (relaxed_race.go), which then still vets
 // every other access to these words.
 func storeRelaxed(p *uint64, v uint64) { *p = v }
+
+// copyRelaxed moves an object's payload into to-space for the local
+// collector (Allocator.CopyIn): storeRelaxed for a run of words, and for
+// the same reason one memmove here and an atomic loop under the race
+// detector. The source is a from-space object the collector has claimed.
+func copyRelaxed(dst, src []uint64) { copy(dst, src) }
