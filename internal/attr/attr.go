@@ -183,25 +183,28 @@ func (s *Sink) beginSlow() int64 {
 // End closes a timing window opened by Begin, attributing the elapsed
 // time to component c. A zero t0 (not sampled, or nil sink) is a no-op
 // and must be checked before touching the receiver.
-//
-//go:nosplit
 func (s *Sink) End(c Component, t0 int64) {
-	if t0 == 0 {
-		return
+	if t0 != 0 {
+		s.lap(c, t0)
 	}
-	s.record(c, time.Since(s.start).Nanoseconds()-t0)
 }
 
 // Lap attributes the segment since t0 to component c and returns a
 // fresh timestamp, letting consecutive Lap calls tile a slow path into
 // disjoint component windows with one clock read per boundary. Returns
 // 0 (propagating "not sampled") when t0 is 0.
-//
-//go:nosplit
 func (s *Sink) Lap(c Component, t0 int64) int64 {
 	if t0 == 0 {
 		return 0
 	}
+	return s.lap(c, t0)
+}
+
+// lap is the sampled half of Lap and End, kept out of them so the
+// unsampled test inlines into the barriers.
+//
+//go:nosplit
+func (s *Sink) lap(c Component, t0 int64) int64 {
 	now := time.Since(s.start).Nanoseconds()
 	s.record(c, now-t0)
 	if now == 0 {

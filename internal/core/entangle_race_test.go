@@ -90,7 +90,7 @@ func TestRacePinVsCollect(t *testing.T) {
 			if s.Pins != s.Unpins {
 				t.Fatalf("pins %d != unpins %d after all joins", s.Pins, s.Unpins)
 			}
-			if got := rt.ent.Stats.PinnedNow(); got != 0 {
+			if got := rt.EntStats().PinnedNow; got != 0 {
 				t.Fatalf("%d objects still pinned after all joins", got)
 			}
 			cols, _, _ := rt.GCStats()

@@ -363,7 +363,10 @@ func (r *Runtime) Space() *mem.Space { return r.space }
 // Tree exposes the heap hierarchy (for experiments).
 func (r *Runtime) Tree() *hierarchy.Tree { return r.tree }
 
-// EntStats returns the entanglement cost metrics.
+// EntStats returns the entanglement cost metrics: the pinned gauge and its
+// peaks live, the event totals as drained so far — exact once Run has
+// returned, lagging by the running tasks' own counts before (see
+// entangle.Stats).
 func (r *Runtime) EntStats() entangle.StatsSnapshot { return r.ent.Stats.Snapshot() }
 
 // SetStaticRegions records the number of statically-proven disentangled

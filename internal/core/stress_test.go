@@ -115,7 +115,7 @@ func TestStressPinsAlwaysReleased(t *testing.T) {
 			if s.Pins != s.Unpins {
 				t.Fatalf("seed %d %+v: pins %d != unpins %d", seed, cfg, s.Pins, s.Unpins)
 			}
-			if got := rt.ent.Stats.PinnedNow(); got != 0 {
+			if got := rt.EntStats().PinnedNow; got != 0 {
 				t.Fatalf("seed %d %+v: %d objects still pinned after all joins", seed, cfg, got)
 			}
 		}
@@ -209,7 +209,7 @@ func TestStressStealHeavyEntangled(t *testing.T) {
 		if s.Pins != s.Unpins {
 			t.Fatalf("%+v: pins %d != unpins %d", cfg, s.Pins, s.Unpins)
 		}
-		if got := rt.ent.Stats.PinnedNow(); got != 0 {
+		if got := rt.EntStats().PinnedNow; got != 0 {
 			t.Fatalf("%+v: %d objects still pinned after all joins", cfg, got)
 		}
 		t.Logf("%+v: steals=%d pins=%d", cfg, rt.Steals(), s.Pins)

@@ -108,6 +108,7 @@ func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node) *T
 func (t *Task) finish() {
 	t.flushWork()
 	t.flushElision()
+	t.rt.ent.Drain(t.heap)
 	t.syncChunks()
 	t.heap.RemoveRootSet(t)
 	if t.cgcOn {
@@ -232,6 +233,9 @@ func (t *Task) collectNow() bool {
 	ring.Emit(trace.EvLGCBegin, d, uint64(t.heap.ID), 0)
 	res := t.rt.col.Collect([]*hierarchy.Heap{t.heap})
 	ring.Emit(trace.EvLGCEnd, d, uint64(res.CopiedWords), uint64(res.ReclaimedWords))
+	// A long-lived task (a serve dispatcher) may never finish: its
+	// collections are where its entanglement tally reaches the totals.
+	t.rt.ent.Drain(t.heap)
 	if ring != nil && trace.Enabled() {
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrLiveWords), uint64(t.rt.space.LiveWords()))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrRetainedChunks), uint64(t.rt.col.RetainedChunks.Load()))

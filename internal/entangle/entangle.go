@@ -25,9 +25,20 @@
 // The barriers below are lock-free: a pin is a single CAS on the object
 // header (mem.PinHeader), ordered against concurrent copying by the header
 // state machine, and ordered against the bulk phases of a collection or
-// merge by the owning heap's reader gate (hierarchy.Gate) — one atomic add
-// to enter, one to leave. No mutex is acquired anywhere on the OnRead or
-// OnWrite path.
+// merge by the owning heap's reader gate (hierarchy.Gate). No mutex is
+// acquired anywhere on the OnRead or OnWrite path, and what the path writes
+// to shared memory is only what the protocol needs. In atomic
+// read-modify-writes: a re-read of an object already pinned deep enough,
+// and a slow read that proves disentangled, perform none — their counts go
+// to plain fields of the reader's own leaf (hierarchy.Tally), which only
+// the strand running that leaf touches and which Drain folds into Stats at
+// the end of the task, at its collections and at the join. A fresh pin
+// performs five — gate enter, header CAS (which also sets the candidate
+// bit), the chunk's pin count, the slot claim in the owner's pinned buffer,
+// gate exit — plus one add to the gauge of what is pinned now. The gate pair
+// stays an RMW pair: announce-then-validate needs a store–load fence, which
+// on amd64 costs what the RMW costs; and the publication stays, because the
+// owner's next collection must see the pin.
 package entangle
 
 import (
@@ -78,74 +89,87 @@ func (m Mode) String() string {
 // entangles.
 var ErrEntangled = errors.New("entanglement detected")
 
-// counter is an atomic counter padded out to its own cache line. The
-// stats are bumped from the barrier slow paths of every worker at once;
-// without padding, eight counters share one 64-byte line and every
-// increment invalidates the line for all other workers (false sharing).
-type counter struct {
-	atomic.Int64
-	_ [56]byte
-}
-
 // Stats holds the paper's entanglement cost metrics.
-type Stats struct {
-	DownPointers    counter // down-pointer writes remembered
-	Candidates      counter // objects newly marked candidate
-	EntangledReads  counter // reads that found a concurrent object
-	EntangledWrites counter // writes into concurrent objects
-	SlowReads       counter // reads that took the slow path at all
-	Pins            counter // objects newly pinned
-	Unpins          counter // objects unpinned at joins
-	PinnedPeak      counter // high-water mark of PinnedNow()
-	PinnedBytesNow  counter // bytes (header+payload) currently pinned (gauge)
-	PinnedBytesPeak counter // high-water mark of PinnedBytesNow
-}
-
-// PinnedNow returns the number of currently pinned objects. It is not a
-// counter of its own: every pin bumps Pins and every unpin bumps Unpins,
-// so the gauge is their difference — one less atomic on the pin path.
-func (s *Stats) PinnedNow() int64 { return s.Pins.Load() - s.Unpins.Load() }
-
-// pinnedBytes adjusts the pinned-bytes gauge (negative deltas at joins).
-func (s *Stats) pinnedBytes(delta int64) { s.PinnedBytesNow.Add(delta) }
-
-// pinned records one new pin of an object occupying the given bytes, and
-// folds both gauges into their high-water marks at the pin site itself.
 //
-// Peaks must be captured here, not deferred to the joins where the gauges
-// fall: joins run concurrently with pins, so a deferred capture can read
-// the gauge after a racing join's decrement and miss the true maximum
-// entirely (in the worst case every capture lands post-decrement and the
-// reported peak is zero while real pins were live). Capturing from the
-// atomic Add's return value can never over-report either — the value
-// pins - Unpins.Load() is at most the instantaneous gauge, because Unpins
-// only grows. peakMax is a CAS loop, so concurrent pin sites fold their
-// candidates in without losing updates.
-func (s *Stats) pinned(bytes int64) {
-	pins := s.Pins.Add(1)
-	peakMax(&s.PinnedPeak, pins-s.Unpins.Load())
-	peakMax(&s.PinnedBytesPeak, s.PinnedBytesNow.Add(bytes))
+// The event totals are not live: a barrier counts on its own leaf's
+// hierarchy.Tally and Manager.Drain folds that in when the task ends, at its
+// collections and at the join, so mid-run a total lags by the undrained
+// counts of the leaves still running (as core.ElisionStats does) and is
+// exact at quiescence. What is pinned *now* is live: one gauge word, added
+// to by every fresh pin and every unpinning join.
+type Stats struct {
+	DownPointers    atomic.Int64 // down-pointer writes remembered
+	Candidates      atomic.Int64 // objects newly marked candidate
+	EntangledReads  atomic.Int64 // reads that found a concurrent object
+	EntangledWrites atomic.Int64 // writes into concurrent objects
+	SlowReads       atomic.Int64 // reads that took the slow path at all
+	Pins            atomic.Int64 // objects newly pinned
+	Unpins          atomic.Int64 // objects unpinned at joins (added by the join itself)
+
+	// now is the gauge: pinned objects and the words they occupy, packed
+	// into one word (pinLoad) so a pin or a join moves both with one add.
+	// peak holds the component-wise high-water marks of now.
+	now  atomic.Uint64
+	peak atomic.Uint64
 }
 
-// capturePeaks folds the current gauge values into the high-water marks;
-// a Snapshot-time backstop (the pin sites already capture every maximum).
-func (s *Stats) capturePeaks() {
-	peakMax(&s.PinnedPeak, s.PinnedNow())
-	peakMax(&s.PinnedBytesPeak, s.PinnedBytesNow.Load())
+// pinLoad packs a count of pinned objects (high 28 bits) with the words,
+// header included, they occupy (low 36 bits: 512 GiB). Both fields of the
+// gauge only ever hold sums of what is really pinned, so neither a carry
+// nor a borrow crosses the boundary.
+type pinLoad uint64
+
+const pinWordBits = 36
+
+func packPinned(objects int, words int64) pinLoad {
+	return pinLoad(objects)<<pinWordBits | pinLoad(words)
 }
 
-func peakMax(peak *counter, n int64) {
+func (p pinLoad) objects() int64 { return int64(p >> pinWordBits) }
+func (p pinLoad) words() int64   { return int64(p & (1<<pinWordBits - 1)) }
+
+// max is the component-wise maximum: the two high-water marks are reached
+// at different moments.
+func (p pinLoad) max(q pinLoad) pinLoad {
+	return packPinned(int(max(p.objects(), q.objects())), max(p.words(), q.words()))
+}
+
+// pinned adds one fresh pin of an object occupying the given words.
+func (s *Stats) pinned(words int64) { s.now.Add(uint64(packPinned(1, words))) }
+
+// unpinned counts n objects, occupying the given words, that a join
+// unpinned: it takes them off the gauge and folds the value the gauge had
+// just before into the high-water marks.
+//
+// That is where the marks are exact. In the order the gauge's adds take
+// effect, the value only rises between two decrements, so each component's
+// maximum over all time is its value just before some decrement — which is
+// the decrementing add's own result plus what it took — or its value now,
+// which Snapshot folds in. A pin site has nothing to capture, and a mark
+// read after a decrement (the scheme that once lost every pin that lived
+// between two captures) is never used.
+func (s *Stats) unpinned(n int, words int64) {
+	s.Unpins.Add(int64(n))
+	d := packPinned(n, words)
+	before := pinLoad(s.now.Add(-uint64(d))) + d
 	for {
-		p := peak.Load()
-		if n <= p || peak.CompareAndSwap(p, n) {
+		p := pinLoad(s.peak.Load())
+		if q := p.max(before); q == p || s.peak.CompareAndSwap(uint64(p), uint64(q)) {
 			return
 		}
 	}
 }
 
-// Snapshot returns a plain-struct copy for reporting.
+// load reads the gauge and the high-water marks as of now.
+func (s *Stats) load() (now, peak pinLoad) {
+	now = pinLoad(s.now.Load())
+	return now, pinLoad(s.peak.Load()).max(now)
+}
+
+// Snapshot returns a plain-struct copy for reporting: loads only, so any
+// goroutine may call it at any rate.
 func (s *Stats) Snapshot() StatsSnapshot {
-	s.capturePeaks()
+	now, peak := s.load()
 	return StatsSnapshot{
 		DownPointers:    s.DownPointers.Load(),
 		Candidates:      s.Candidates.Load(),
@@ -154,12 +178,15 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		SlowReads:       s.SlowReads.Load(),
 		Pins:            s.Pins.Load(),
 		Unpins:          s.Unpins.Load(),
-		PinnedPeak:      s.PinnedPeak.Load(),
-		PinnedPeakBytes: s.PinnedBytesPeak.Load(),
+		PinnedNow:       now.objects(),
+		PinnedPeak:      peak.objects(),
+		PinnedPeakBytes: peak.words() * 8,
 	}
 }
 
-// StatsSnapshot is a point-in-time copy of Stats.
+// StatsSnapshot is a point-in-time copy of Stats. PinnedNow, PinnedPeak and
+// PinnedPeakBytes come from the live gauge; the other fields are drained
+// totals (see Stats), so mid-run Pins − Unpins is not the number pinned.
 type StatsSnapshot struct {
 	DownPointers    int64
 	Candidates      int64
@@ -168,6 +195,7 @@ type StatsSnapshot struct {
 	SlowReads       int64
 	Pins            int64
 	Unpins          int64
+	PinnedNow       int64
 	PinnedPeak      int64
 	PinnedPeakBytes int64
 }
@@ -238,7 +266,7 @@ func (m *Manager) ShadeOverwritten(leaf *hierarchy.Heap, o mem.Ref, i int) {
 // filtered the same-heap fast path and non-reference values.
 func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) error {
 	// Attribution tiling (internal/attr): the classification prefix —
-	// two heap lookups and up to two ancestry tests — is one
+	// two heap lookups and one ancestry query — is one
 	// AncestryQuery window; the down-pointer branch closes a
 	// RemsetPublish window over the publication, and the cross-pointer
 	// branch hands its window to pinEntangled, which tiles the gate and
@@ -250,12 +278,25 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		leaf.AttrSink.End(attr.AncestryQuery, at)
 		return nil
 	}
-	switch {
-	case m.Tree.IsAncestor(xh, oh):
+	// One LCA depth classifies the edge: the LCA of two distinct heaps is
+	// one of them exactly when that one is the other's ancestor. The writer
+	// nearly always owns one end, and then the number comes from its leaf's
+	// ancestry cache.
+	var lca int
+	switch leaf {
+	case oh:
+		lca = m.Tree.UnpinDepth(leaf, xh)
+	case xh:
+		lca = m.Tree.UnpinDepth(leaf, oh)
+	default:
+		lca = m.Tree.LCADepth(oh, xh)
+	}
+	switch lca {
+	case xh.Depth():
 		// Up-pointer: always disentangled, nothing to record.
 		leaf.AttrSink.End(attr.AncestryQuery, at)
 		return nil
-	case m.Tree.IsAncestor(oh, xh):
+	case oh.Depth():
 		at = leaf.AttrSink.Lap(attr.AncestryQuery, at)
 		// Down-pointer: remember it for collections of xh's suffix, and
 		// mark the holder so reads through it take the slow path. The
@@ -263,7 +304,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		// that sees the new pointer also sees the bit (both are
 		// sequentially consistent atomics).
 		if m.Space.SetCandidate(o) {
-			m.Stats.Candidates.Add(1)
+			leaf.Tally.Candidates++
 		}
 		if xh == leaf {
 			// The target lives in the writer's own heap — the common case
@@ -275,7 +316,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		} else {
 			m.publishRemembered(oh, xh, o, i, x)
 		}
-		m.Stats.DownPointers.Add(1)
+		leaf.Tally.DownPointers++
 		leaf.AttrSink.End(attr.RemsetPublish, at)
 		return nil
 	default:
@@ -288,12 +329,15 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		// contains an entangled pointer, making it a candidate by the
 		// paper's definition).
 		if m.Space.SetCandidate(o) {
-			m.Stats.Candidates.Add(1)
+			leaf.Tally.Candidates++
 		}
-		m.Stats.EntangledWrites.Add(1)
-		unpin := m.Tree.LCADepth(oh, xh)
-		if u := m.Tree.UnpinDepth(leaf, xh); u < unpin {
-			unpin = u
+		leaf.Tally.EntangledWrites++
+		// x unpins where it stops being concurrent with the holder and
+		// with the writer. When the writer owns an end, lca is already
+		// that minimum: its own heap is no shallower than any LCA.
+		unpin := lca
+		if leaf != oh && leaf != xh {
+			unpin = min(unpin, m.Tree.UnpinDepth(leaf, xh))
 		}
 		at = leaf.AttrSink.Lap(attr.AncestryQuery, at)
 		m.pinEntangled(leaf, x, unpin, at)
@@ -339,10 +383,17 @@ func (m *Manager) publishRemembered(oh, xh *hierarchy.Heap, o mem.Ref, i int, x 
 // load and our pin, re-reading the field yields the object's current
 // location. The path is lock-free: one header load for the already-pinned
 // fast path; otherwise a gate entry (atomic add), an ownership check, a
-// field validation and a single pin CAS.
+// field validation and a single pin CAS. Everything it counts, it counts on
+// leaf's own tally.
 func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (mem.Value, error) {
-	m.Stats.SlowReads.Add(1)
-	leaf.TraceRing.Emit(trace.EvSlowRead, int32(leaf.Depth()), uint64(o), 0)
+	leaf.Tally.SlowReads++
+	// Emit tests for a nil ring itself, but is too big to inline: on the
+	// two paths that are otherwise a dozen plain instructions, the test
+	// here saves the call.
+	ring := leaf.TraceRing
+	if ring != nil {
+		ring.Emit(trace.EvSlowRead, int32(leaf.Depth()), uint64(o), 0)
+	}
 	// Attribution tiling (internal/attr): when this occurrence is
 	// sampled, consecutive Lap calls split the whole slow path into
 	// disjoint component windows — resolve+ancestry (AncestryQuery),
@@ -372,16 +423,18 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			v = cur
 			continue
 		}
-		if m.Tree.IsAncestor(xh, leaf) {
+		// One question, from the leaf's one-entry cache when it was last
+		// asked about xh (ancestry is immutable, so repeated reads against
+		// the same heap skip the oracle): how deep is the LCA with the
+		// owner, and is that the owner itself?
+		unpin, onPath := m.Tree.Relate(leaf, xh)
+		if onPath {
 			// Disentangled: the target is on our root-to-leaf path.
 			leaf.AttrSink.End(attr.AncestryQuery, at)
 			return v, nil
 		}
 		// Entangled read. The unpin depth (the LCA with the owner) also
-		// bounds the already-pinned fast path below; UnpinDepth serves it
-		// from the leaf's one-entry cache — ancestry is immutable, so
-		// repeated reads against the same concurrent heap skip the oracle.
-		unpin := m.Tree.UnpinDepth(leaf, xh)
+		// bounds the already-pinned fast path below.
 		at = leaf.AttrSink.Lap(attr.AncestryQuery, at)
 		if h := m.Space.Header(x); h.Valid() && h.Kind() != mem.KForward &&
 			!h.Busy() && h.Pinned() && h.Candidate() &&
@@ -393,8 +446,10 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			// The object therefore cannot move or be reclaimed: no gate,
 			// no CAS, no publication needed. (Attribution: the header
 			// validation is the degenerate pin — it lands in PinCAS.)
-			m.Stats.EntangledReads.Add(1)
-			leaf.TraceRing.Emit(trace.EvEntangledRead, int32(leaf.Depth()), uint64(x), uint64(unpin))
+			leaf.Tally.EntangledReads++
+			if ring != nil {
+				ring.Emit(trace.EvEntangledRead, int32(leaf.Depth()), uint64(x), uint64(unpin))
+			}
 			leaf.AttrSink.End(attr.PinCAS, at)
 			if m.Mode == Detect {
 				return v, fmt.Errorf("read of concurrent object %v: %w", x, ErrEntangled)
@@ -439,19 +494,13 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			at = leaf.AttrSink.Lap(attr.PinRetry, at)
 			continue
 		}
-		if st == mem.PinNew {
-			m.Stats.pinned(int64(h.Len()+1) * 8)
-			xh.AddPinned(x)
-			leaf.TraceRing.Emit(trace.EvPin, int32(leaf.Depth()), uint64(x), uint64(unpin))
-		}
+		// The pin also marked the acquired object a candidate, so our
+		// reads *through* it take the slow path too; anything it leads to
+		// is concurrent with us.
+		m.notePin(leaf, xh, x, unpin, st, h)
 		at = leaf.AttrSink.Lap(attr.PinCAS, at)
-		m.Stats.EntangledReads.Add(1)
+		leaf.Tally.EntangledReads++
 		leaf.TraceRing.Emit(trace.EvEntangledRead, int32(leaf.Depth()), uint64(x), uint64(unpin))
-		// Mark the acquired object so our reads *through* it also take
-		// the slow path; anything it leads to is concurrent with us.
-		if m.Space.SetCandidate(x) {
-			m.Stats.Candidates.Add(1)
-		}
 		xh.Gate.ExitReader()
 		leaf.AttrSink.End(attr.GateExit, at)
 		if m.Mode == Detect {
@@ -463,8 +512,8 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 
 // pinEntangled pins x at the given unpin depth on the entangled-write
 // path, retrying across heap merges. Lock-free: gate entry, ownership
-// check, one CAS. leaf (the writer's own heap) is only for event
-// attribution — its ring belongs to the strand running this barrier.
+// check, one CAS. leaf (the writer's own heap) takes the counts and the
+// events — its tally and ring belong to the strand running this barrier.
 // at is OnWrite's open attribution window (0 when not sampling); the
 // gate/CAS/exit segments are tiled the same way as OnRead's.
 func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at int64) {
@@ -492,38 +541,77 @@ func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at in
 			at = leaf.AttrSink.Lap(attr.PinRetry, at)
 			continue
 		}
-		if st == mem.PinNew {
-			m.Stats.pinned(int64(h.Len()+1) * 8)
-			xh.AddPinned(x)
-			leaf.TraceRing.Emit(trace.EvPin, int32(leaf.Depth()), uint64(x), uint64(unpin))
-		}
+		m.notePin(leaf, xh, x, unpin, st, h)
 		at = leaf.AttrSink.Lap(attr.PinCAS, at)
-		if m.Space.SetCandidate(x) {
-			m.Stats.Candidates.Add(1)
-		}
 		xh.Gate.ExitReader()
 		leaf.AttrSink.End(attr.GateExit, at)
 		return
 	}
 }
 
-// OnJoin merges child into parent and records unpin statistics. (Peak
-// capture happens at the pin sites — see Stats.pinned — so nothing is
-// captured here.)
+// notePin does the bookkeeping of a PinHeader call that took (st is PinNew,
+// PinDepthLowered or PinAlready; was is the header it observed), still
+// inside xh's reader gate. A fresh pin goes on the gauge and into xh's
+// pinned buffer while the gate is held: the join that will unpin the object
+// must close that gate first, so it can neither miss the entry nor take the
+// object off the gauge before it is on.
+func (m *Manager) notePin(leaf, xh *hierarchy.Heap, x mem.Ref, unpin int, st mem.PinStatus, was mem.Header) {
+	if st == mem.PinAlready {
+		return
+	}
+	if !was.Candidate() {
+		leaf.Tally.Candidates++
+	}
+	if st == mem.PinNew {
+		leaf.Tally.Pins++
+		m.Stats.pinned(int64(was.Len()) + 1)
+		xh.AddPinned(x)
+		leaf.TraceRing.Emit(trace.EvPin, int32(leaf.Depth()), uint64(x), uint64(unpin))
+	}
+}
+
+// Drain folds h's tally into Stats (and the tree's query count) and clears
+// it. The caller is the strand that owns the tally: the one running h, or
+// the one joining it.
+func (m *Manager) Drain(h *hierarchy.Heap) {
+	t := h.Tally
+	if t == (hierarchy.Tally{}) {
+		return
+	}
+	h.Tally = hierarchy.Tally{}
+	fold(&m.Stats.SlowReads, t.SlowReads)
+	fold(&m.Stats.EntangledReads, t.EntangledReads)
+	fold(&m.Stats.EntangledWrites, t.EntangledWrites)
+	fold(&m.Stats.Candidates, t.Candidates)
+	fold(&m.Stats.DownPointers, t.DownPointers)
+	fold(&m.Stats.Pins, t.Pins)
+	if ts := m.Tree.Stats; ts != nil {
+		fold(&ts.AncestryQueries, t.AncestryQueries)
+	}
+}
+
+// fold adds n to a shared total, skipping the RMW for a count of zero.
+func fold(total *atomic.Int64, n int64) {
+	if n != 0 {
+		total.Add(n)
+	}
+}
+
+// OnJoin merges child into parent, takes what the merge unpinned off the
+// gauge (which is where the high-water marks are captured — see
+// Stats.unpinned) and drains the child's tally: its strand has finished, so
+// the joining strand owns it now.
 func (m *Manager) OnJoin(child, parent *hierarchy.Heap) {
 	n, words := m.Tree.Merge(child, parent, m.Space)
 	if n > 0 {
-		m.Stats.Unpins.Add(int64(n))
-		m.Stats.pinnedBytes(-words * 8)
+		m.Stats.unpinned(n, words)
 	}
+	m.Drain(child)
 	if r := parent.TraceRing; r != nil && trace.Enabled() {
-		now := m.Stats.PinnedBytesNow.Load()
-		if now < 0 {
-			now = 0 // racing decrements can transiently undershoot
-		}
+		now, peak := m.Stats.load()
 		d := int32(parent.Depth())
-		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedBytes), uint64(now))
-		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedPeakBytes), uint64(m.Stats.PinnedBytesPeak.Load()))
+		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedBytes), uint64(now.words()*8))
+		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedPeakBytes), uint64(peak.words()*8))
 		if s := m.Tree.Stats; s != nil {
 			r.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(s.AncestryQueries.Load()))
 			r.Emit(trace.EvCounter, d, uint64(trace.CtrSeqlockRetries), uint64(s.SeqlockRetries.Load()))

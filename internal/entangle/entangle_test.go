@@ -40,6 +40,14 @@ func (r *rig) adopt(h *hierarchy.Heap, a *mem.Allocator) {
 	a.Chunks = nil
 }
 
+// stats drains the rig's heaps, as their tasks' ends would, and snapshots.
+func (r *rig) stats() StatsSnapshot {
+	for _, h := range r.tr.Live() {
+		r.m.Drain(h)
+	}
+	return r.m.Stats.Snapshot()
+}
+
 func TestUpPointerIsFree(t *testing.T) {
 	r := newRig(Manage)
 	anc := r.rootAl.AllocRef(mem.Nil)      // ancestor object
@@ -50,7 +58,7 @@ func TestUpPointerIsFree(t *testing.T) {
 	if r.sp.Header(arr).Candidate() || r.sp.Header(anc).Candidate() {
 		t.Fatal("up-pointer must not create candidates")
 	}
-	s := r.m.Stats.Snapshot()
+	s := r.stats()
 	if s.DownPointers != 0 || s.Pins != 0 {
 		t.Fatalf("up-pointer produced bookkeeping: %+v", s)
 	}
@@ -80,7 +88,7 @@ func TestDownPointerWrite(t *testing.T) {
 	if got := items(&r.left.Remset); len(got) != 1 || got[0].Holder != holder || got[0].Index != 1 {
 		t.Fatalf("remset = %+v", got)
 	}
-	s := r.m.Stats.Snapshot()
+	s := r.stats()
 	if s.DownPointers != 1 || s.Candidates != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -88,7 +96,7 @@ func TestDownPointerWrite(t *testing.T) {
 	if err := r.m.OnWrite(r.left, holder, 0, x); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.m.Stats.Snapshot().Candidates; got != 1 {
+	if got := r.stats().Candidates; got != 1 {
 		t.Fatalf("Candidates after second write = %d", got)
 	}
 }
@@ -110,7 +118,7 @@ func TestDisentangledReadNoPin(t *testing.T) {
 	if r.sp.Header(x).Pinned() {
 		t.Fatal("read of own-path object must not pin")
 	}
-	if r.m.Stats.Snapshot().EntangledReads != 0 {
+	if r.stats().EntangledReads != 0 {
 		t.Fatal("disentangled read counted as entangled")
 	}
 }
@@ -144,7 +152,7 @@ func TestEntangledReadPins(t *testing.T) {
 	if got := items(&r.left.Pinned); len(got) != 1 || got[0] != x {
 		t.Fatalf("pinned list = %v", got)
 	}
-	s := r.m.Stats.Snapshot()
+	s := r.stats()
 	if s.EntangledReads != 1 || s.Pins != 1 || s.PinnedPeak != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -154,7 +162,7 @@ func TestEntangledReadPins(t *testing.T) {
 	if _, err := r.m.OnRead(r.right, holder, 0, x.Value()); err != nil {
 		t.Fatal(err)
 	}
-	s = r.m.Stats.Snapshot()
+	s = r.stats()
 	if s.EntangledReads != 2 || s.Pins != 1 {
 		t.Fatalf("stats after re-read = %+v", s)
 	}
@@ -220,7 +228,7 @@ func TestEntangledWritePins(t *testing.T) {
 	if h.UnpinDepth() != 0 {
 		t.Fatalf("unpin depth = %d, want 0", h.UnpinDepth())
 	}
-	s := r.m.Stats.Snapshot()
+	s := r.stats()
 	if s.EntangledWrites != 1 || s.Pins != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -256,11 +264,11 @@ func TestOnJoinUnpins(t *testing.T) {
 	if r.sp.Header(x).Pinned() {
 		t.Fatal("join to the LCA must unpin")
 	}
-	s := r.m.Stats.Snapshot()
+	s := r.stats()
 	if s.Unpins != 1 {
 		t.Fatalf("Unpins = %d", s.Unpins)
 	}
-	if r.m.Stats.PinnedNow() != 0 {
+	if r.stats().PinnedNow != 0 {
 		t.Fatal("pinned gauge not decremented")
 	}
 	if r.sp.HeapOf(x) != r.root.ID {

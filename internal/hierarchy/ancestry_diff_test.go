@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"mplgo/internal/chaos"
+	"mplgo/internal/mem"
 )
 
 // walkIsAncestor is the naive oracle: walk d's immutable parent chain.
@@ -205,11 +206,10 @@ func TestAncestryOrderListMode(t *testing.T) {
 }
 
 // TestUnpinDepthCache checks the one-entry cache returns oracle answers
-// across key changes and that a hit really skips the oracle (via the stats
-// counter, which only the oracle paths bump).
+// across key changes and that a hit really skips the oracle (via the leaf's
+// query tally, which only a miss bumps).
 func TestUnpinDepthCache(t *testing.T) {
 	tr := New()
-	tr.Stats = &TreeStats{}
 	root := tr.Root()
 	a := tr.Fork(root)
 	b := tr.Fork(root)
@@ -218,12 +218,14 @@ func TestUnpinDepthCache(t *testing.T) {
 	if got := tr.UnpinDepth(aa, b); got != 0 {
 		t.Fatalf("UnpinDepth(aa,b) = %d, want 0", got)
 	}
-	before := tr.Stats.AncestryQueries.Load()
+	if q := aa.Tally.AncestryQueries; q != 1 {
+		t.Fatalf("first lookup tallied %d queries, want 1", q)
+	}
 	if got := tr.UnpinDepth(aa, b); got != 0 {
 		t.Fatalf("cached UnpinDepth(aa,b) = %d, want 0", got)
 	}
-	if after := tr.Stats.AncestryQueries.Load(); after != before {
-		t.Fatalf("cache hit still consulted the oracle (%d -> %d queries)", before, after)
+	if q := aa.Tally.AncestryQueries; q != 1 {
+		t.Fatalf("cache hit still consulted the oracle (%d queries)", q)
 	}
 	// Key change: recompute, re-cache.
 	if got := tr.UnpinDepth(aa, a); got != 1 {
@@ -231,5 +233,73 @@ func TestUnpinDepthCache(t *testing.T) {
 	}
 	if got := tr.UnpinDepth(aa, b); got != 0 {
 		t.Fatalf("UnpinDepth(aa,b) after evict = %d, want 0", got)
+	}
+	if q := aa.Tally.AncestryQueries; q != 3 {
+		t.Fatalf("two evictions tallied %d queries in all, want 3", q)
+	}
+}
+
+// TestRelateMatchesWalkOracle checks both halves of the cached answer — the
+// LCA depth and the is-ancestor verdict — against the naive parent-walk
+// oracle, over every oracle mode, with keys repeated (hits), alternated
+// (evictions) and equal to the leaf; then again after every key heap that
+// can merge has merged away: an entry is keyed on the heap itself, whose
+// ancestry no merge changes, so the answers must not move and the entries
+// cached before the merges must still be served.
+func TestRelateMatchesWalkOracle(t *testing.T) {
+	for _, mode := range []AncestryMode{AncestryForkPath, AncestryOrderList, AncestryBoth} {
+		for _, walk := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(77))
+			tr := NewWithAncestry(mode)
+			tr.UseWalkAncestor = walk
+			heaps := growTree(tr, rng, []*Heap{tr.Root()}, 120, "uniform")
+			check := func(leaf, x *Heap) {
+				t.Helper()
+				d, anc := tr.Relate(leaf, x)
+				if wd, wa := walkLCA(leaf, x).depth, walkIsAncestor(x, leaf); d != wd || anc != wa {
+					t.Fatalf("mode %d walk %v: Relate(%d,%d) = (%d,%v), walk oracle says (%d,%v)",
+						mode, walk, leaf.ID, x.ID, d, anc, wd, wa)
+				}
+				if got := tr.UnpinDepth(leaf, x); got != d {
+					t.Fatalf("UnpinDepth(%d,%d) = %d after Relate said %d", leaf.ID, x.ID, got, d)
+				}
+			}
+			sweep := func() {
+				for q := 0; q < 3000; q++ {
+					leaf := heaps[rng.Intn(len(heaps))]
+					x := heaps[rng.Intn(len(heaps))]
+					check(leaf, x)
+					check(leaf, x) // hit
+					check(leaf, leaf)
+					check(leaf, x) // evicted by the leaf's own entry
+				}
+			}
+			sweep()
+
+			// Pin one entry per heap, then merge every childless heap into
+			// its parent, deepest first, until only the root is left.
+			keys := make(map[*Heap]*Heap)
+			for _, h := range heaps {
+				keys[h] = heaps[rng.Intn(len(heaps))]
+				tr.Relate(h, keys[h])
+			}
+			sp := mem.NewSpace()
+			for i := len(heaps) - 1; i > 0; i-- { // children are forked after parents
+				tr.Merge(heaps[i], heaps[i].parent, sp)
+			}
+			for h, x := range keys {
+				before := h.Tally.AncestryQueries
+				check(h, x)
+				if walk || mode != AncestryForkPath {
+					continue // the ablation oracles count on the tree
+				}
+				if h.Tally.AncestryQueries != before {
+					t.Fatalf("entry (%d,%d) cached before the merges was not served", h.ID, x.ID)
+				}
+			}
+			if mode == AncestryForkPath {
+				sweep() // the one oracle that still answers for a merged heap
+			}
+		}
 	}
 }

@@ -46,11 +46,14 @@ const (
 )
 
 // TreeStats counts ancestry-oracle traffic for trace attribution. The
-// pointer is nil in timing runs, so the hot path pays one nil test; the
-// runtime installs it alongside the tracer.
+// pointer is nil in timing runs; the runtime installs it alongside the
+// tracer.
 type TreeStats struct {
-	// AncestryQueries counts IsAncestor/LCA/LCADepth calls that reached
-	// an oracle (equal-heap shortcuts excluded).
+	// AncestryQueries counts the queries that reached an oracle: a barrier's
+	// Relate lookup that missed its leaf's cache (tallied on the leaf and
+	// drained at joins, so mid-run it lags by the running leaves' counts),
+	// and every direct IsAncestor/LCA/LCADepth call (equal-heap shortcuts
+	// excluded).
 	AncestryQueries atomic.Int64
 	_               [56]byte // keep the two counters off one cache line
 	// SeqlockRetries counts legacy order-list query attempts that
@@ -75,6 +78,23 @@ type RememberedEntry struct {
 	Index  int
 }
 
+// Tally is the entanglement bookkeeping of the strand running a leaf heap:
+// pure event counts that nothing reads while the strand runs. A heap has
+// exactly one running strand, so the barriers bump these as plain fields
+// (the single-writer discipline of lcaKey and TraceRing) and the shared
+// totals see them once, when the strand's owner drains the block — at the
+// end of the task, at its collections and at the join that retires the
+// heap (entangle.Manager.Drain).
+type Tally struct {
+	SlowReads       int64 // reads that took the slow path at all
+	EntangledReads  int64 // reads that found a concurrent object
+	EntangledWrites int64 // writes into (or publishing) concurrent objects
+	Candidates      int64 // objects newly marked candidate
+	DownPointers    int64 // down-pointer writes remembered
+	Pins            int64 // objects newly pinned
+	AncestryQueries int64 // Relate lookups that missed the cache
+}
+
 // Heap is one node of the heap hierarchy.
 type Heap struct {
 	ID     uint32
@@ -89,14 +109,20 @@ type Heap struct {
 	// guarded by Tree.mu.
 	forkSeq uint64
 
-	// lcaKey/lcaVal are a one-entry unpin-depth cache for the entanglement
-	// barriers: the depth of LCA(this leaf, lcaKey). Owner-only plain
-	// fields (the barriers run on the strand owning the leaf, the same
-	// single-writer discipline as TraceRing). No invalidation is needed:
-	// ancestry between two heap objects is immutable, so a cached depth
-	// stays correct even after the key heap merges away.
+	// lcaKey/lcaVal/lcaAnc are a one-entry ancestry cache for the
+	// entanglement barriers: the depth of LCA(this leaf, lcaKey) and whether
+	// lcaKey is an ancestor of this leaf (see Tree.Relate). Owner-only
+	// plain fields (the barriers run on the strand owning the leaf, the same
+	// single-writer discipline as TraceRing). The key is the heap itself,
+	// never its id — a merge re-points ids, while the ancestry of two heap
+	// objects is immutable — so no invalidation is needed: an entry stays
+	// correct even after the key heap merges away.
 	lcaKey *Heap
-	lcaVal int
+	lcaVal int32 // shares a word with lcaAnc: a Heap is allocated per fork
+	lcaAnc bool
+
+	// Tally is the running strand's entanglement bookkeeping; owner-only.
+	Tally Tally
 
 	pre, post *order.Elem // legacy Euler-tour interval; nil in fork-path mode, guarded by Tree.mu
 
@@ -503,18 +529,36 @@ func (t *Tree) LCADepth(a, b *Heap) int {
 	return d
 }
 
-// UnpinDepth returns LCADepth(leaf, x) through leaf's one-entry cache.
-// Only the strand owning leaf may call it (the entanglement barriers'
-// single-writer discipline); repeated entangled reads against the same
-// concurrent heap — the common case in producer/consumer workloads — skip
-// the oracle entirely. The cache never needs invalidation because the
-// ancestry of two heap objects is immutable, even across merges.
-func (t *Tree) UnpinDepth(leaf, x *Heap) int {
+// Relate answers both questions a barrier asks about a heap x it reached
+// from leaf — the depth of their least common ancestor (the unpin depth of
+// a pin taken through leaf) and whether x is an ancestor of leaf (then the
+// access is disentangled) — with one oracle query: x is an ancestor exactly
+// when the LCA is x itself, i.e. its depth equals x's. The answer goes
+// through leaf's one-entry cache, so repeated accesses against the same
+// heap — the common case in producer/consumer workloads — skip the oracle
+// entirely; a miss is tallied on the leaf. Only the strand owning leaf may
+// call it (the barriers' single-writer discipline).
+func (t *Tree) Relate(leaf, x *Heap) (lcaDepth int, isAncestor bool) {
 	if leaf.lcaKey == x {
-		return leaf.lcaVal
+		return int(leaf.lcaVal), leaf.lcaAnc
 	}
-	d := t.LCADepth(leaf, x)
-	leaf.lcaKey, leaf.lcaVal = x, d
+	d := x.depth
+	switch {
+	case leaf == x:
+	case t.order == nil && !t.UseWalkAncestor:
+		leaf.Tally.AncestryQueries++
+		d = forkpath.LCADepth(&leaf.path, &x.path)
+	default:
+		d = t.LCADepth(leaf, x) // the ablation oracles count their own traffic
+	}
+	anc := d == x.depth
+	leaf.lcaKey, leaf.lcaVal, leaf.lcaAnc = x, int32(d), anc
+	return d, anc
+}
+
+// UnpinDepth returns LCADepth(leaf, x) through leaf's cache (see Relate).
+func (t *Tree) UnpinDepth(leaf, x *Heap) int {
+	d, _ := t.Relate(leaf, x)
 	return d
 }
 
@@ -540,12 +584,16 @@ func (t *Tree) LCA(a, b *Heap) *Heap {
 		return x
 	}
 	if t.UseWalkAncestor {
-		for x := a; x != nil; x = x.parent {
-			if t.IsAncestor(x, b) {
-				return x
-			}
+		for a.depth > b.depth {
+			a = a.parent
 		}
-		return t.root
+		for b.depth > a.depth {
+			b = b.parent
+		}
+		for a != b {
+			a, b = a.parent, b.parent
+		}
+		return a
 	}
 	for {
 		v := t.ver.Load()

@@ -78,7 +78,8 @@ func (k Kind) Scanned() bool { return k == KTuple || k == KArray || k == KRefCel
 // slow path with the copying collector, with three stable states and one
 // transient one:
 //
-//	           PinHeader (CAS)                  TryUnpin (CAS, at joins)
+//	           PinHeader (CAS; sets       TryUnpin (CAS, at joins; the
+//	           candidate with pinned)     candidate bit stays)
 //	  ┌────────────────────────────► PINNED ────────────────────────────┐
 //	  │                                ▲                                │
 //	PLAIN ◄────────────────────────────┼────────────────────────────────┘
@@ -94,6 +95,10 @@ func (k Kind) Scanned() bool { return k == KTuple || k == KArray || k == KRefCel
 // of PinHeader / BeginCopy wins on a PLAIN header, and each loser observes
 // why it lost (PinBusy / PinForwarded, or a pinned header making BeginCopy
 // return false, telling the collector to trace the object in place).
+// PINNED implies candidate: a pinned object was acquired through
+// entanglement, so reads through it take the slow path, and the transition
+// that pins it says so — no reader ever sees a pinned header without the
+// bit.
 const (
 	hdrKindMask  = 0x7
 	hdrCandidate = 1 << 3
@@ -195,8 +200,8 @@ const (
 	// PinDepthLowered means the object was already pinned and this call
 	// lowered its unpin depth (extending the pin's lifetime).
 	PinDepthLowered
-	// PinAlready means the object was already pinned at least as deep as
-	// requested; the header was not modified.
+	// PinAlready means the object was already a pinned candidate at least
+	// as deep as requested; the header was not modified.
 	PinAlready
 	// PinBusy means a collector holds the object in the transient BUSY
 	// state mid-copy; the caller must back off and retry.
@@ -208,15 +213,17 @@ const (
 
 // PinHeader attempts the PLAIN/PINNED → PINNED transition on r with the
 // given unpin depth: a single CAS that fails cleanly against a concurrent
-// copy. If r is already pinned, the unpin depth is lowered to
+// copy, and that sets the candidate bit in the same word — whatever is
+// pinned was reached through entanglement, so reads through it must take
+// the slow path. If r is already pinned, the unpin depth is lowered to
 // min(existing, depth) so the object stays pinned long enough for every
 // entanglement involving it. The busy and forwarded states are reported to
 // the caller rather than retried here — resolving them needs information
 // (the holder field, the heap epoch) only the caller has.
 //
-// Besides the status, PinHeader returns the header it acted on (as
-// written, for the successful transitions; as observed, for the refused
-// ones), so callers costing the pin need no second header load.
+// Besides the status, PinHeader returns the header it observed, before the
+// transition if it made one: its length prices the pin and its candidate
+// bit says whether this call set it, with no second header load.
 func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
 	if unpinDepth < 0 {
 		unpinDepth = 0
@@ -255,7 +262,7 @@ func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
 		if wasPinned && h.UnpinDepth() < newDepth {
 			newDepth = h.UnpinDepth()
 		}
-		nw := old&^(uint64(0xFFFF)<<hdrUnpinSh) | hdrPinned | uint64(newDepth)<<hdrUnpinSh
+		nw := old&^(uint64(0xFFFF)<<hdrUnpinSh) | hdrPinned | hdrCandidate | uint64(newDepth)<<hdrUnpinSh
 		if nw == old {
 			if ps != nil {
 				ps.Already.Add(1)
@@ -268,12 +275,12 @@ func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
 				if ps != nil {
 					ps.New.Add(1)
 				}
-				return PinNew, Header(nw)
+				return PinNew, h
 			}
 			if ps != nil {
 				ps.DepthLowered.Add(1)
 			}
-			return PinDepthLowered, Header(nw)
+			return PinDepthLowered, h
 		}
 		if ps != nil {
 			ps.Retries.Add(1)

@@ -20,8 +20,8 @@ func TestPinHeaderTransitions(t *testing.T) {
 	if st, _ := sp.PinHeader(r, 3); st != PinNew {
 		t.Fatalf("first pin: %v, want PinNew", st)
 	}
-	if h := sp.Header(r); !h.Pinned() || h.UnpinDepth() != 3 {
-		t.Fatalf("header after pin: pinned=%v depth=%d", h.Pinned(), h.UnpinDepth())
+	if h := sp.Header(r); !h.Pinned() || !h.Candidate() || h.UnpinDepth() != 3 {
+		t.Fatalf("header after pin: pinned=%v candidate=%v depth=%d", h.Pinned(), h.Candidate(), h.UnpinDepth())
 	}
 	// Deeper request: no change.
 	if st, _ := sp.PinHeader(r, 5); st != PinAlready {
@@ -31,12 +31,94 @@ func TestPinHeaderTransitions(t *testing.T) {
 	if st, _ := sp.PinHeader(r, 1); st != PinDepthLowered {
 		t.Fatalf("shallower re-pin: %v, want PinDepthLowered", st)
 	}
-	if d := sp.Header(r).UnpinDepth(); d != 1 {
-		t.Fatalf("depth after lowering = %d, want 1", d)
+	if h := sp.Header(r); h.UnpinDepth() != 1 || !h.Candidate() {
+		t.Fatalf("after lowering: depth=%d candidate=%v, want 1 and the bit kept", h.UnpinDepth(), h.Candidate())
 	}
 	// PinCount tracked exactly once.
 	if pc := sp.ChunkByID(r.Chunk()).PinCount; pc != 1 {
 		t.Fatalf("PinCount = %d, want 1", pc)
+	}
+}
+
+// TestPinHeaderSetsCandidate walks PinHeader over every header state —
+// PLAIN, PINNED (deeper than, at, and shallower than the request), BUSY and
+// FORWARDED, each with and without the candidate bit — and checks the one
+// transition the table allows: a pin that takes leaves a pinned candidate at
+// the minimum depth in a single step, a refusal leaves the word alone, and
+// the returned header is the one observed before.
+func TestPinHeaderSetsCandidate(t *testing.T) {
+	const req = 3
+	type state struct {
+		name   string
+		bits   uint64 // ORed into a fresh tuple header
+		depth  int    // unpin depth field
+		want   PinStatus
+		pinned bool // pin count contribution before the call
+	}
+	states := []state{
+		{name: "plain", want: PinNew},
+		{name: "pinned-deeper", bits: hdrPinned, depth: 5, want: PinDepthLowered, pinned: true},
+		{name: "pinned-equal", bits: hdrPinned, depth: req, want: PinAlready, pinned: true},
+		{name: "pinned-shallower", bits: hdrPinned, depth: 1, want: PinAlready, pinned: true},
+		{name: "busy", bits: hdrBusy, want: PinBusy},
+		{name: "forwarded", want: PinForwarded},
+	}
+	for _, st := range states {
+		for _, cand := range []bool{false, true} {
+			sp, r := newTestObj(t, 2)
+			c := sp.ChunkByID(r.Chunk())
+			old := MakeHeader(KTuple, 2) | st.bits | uint64(st.depth)<<hdrUnpinSh
+			if st.want == PinForwarded {
+				old = MakeHeader(KForward, 2)
+			}
+			if cand {
+				old |= hdrCandidate
+			}
+			c.Data[r.Off()] = old
+			if st.pinned {
+				c.PinCount = 1
+			}
+
+			got, seen := sp.PinHeader(r, req)
+			want := st.want
+			if want == PinAlready && !cand {
+				// Pinned deep enough but not yet a candidate: the CAS that
+				// adds the bit is a header change, reported as one.
+				want = PinDepthLowered
+			}
+			name := st.name
+			if cand {
+				name += "+candidate"
+			}
+			if got != want {
+				t.Fatalf("%s: status %v, want %v", name, got, want)
+			}
+			if uint64(seen) != old {
+				t.Fatalf("%s: returned header %#x, want the observed %#x", name, uint64(seen), old)
+			}
+			h := sp.Header(r)
+			switch want {
+			case PinBusy, PinForwarded:
+				if uint64(h) != old {
+					t.Fatalf("%s: refused pin changed the header %#x -> %#x", name, old, uint64(h))
+				}
+			default:
+				depth := req
+				if st.pinned && st.depth < req {
+					depth = st.depth
+				}
+				if !h.Pinned() || !h.Candidate() || h.UnpinDepth() != depth {
+					t.Fatalf("%s: header after pin: pinned=%v candidate=%v depth=%d, want a pinned candidate at %d",
+						name, h.Pinned(), h.Candidate(), h.UnpinDepth(), depth)
+				}
+				if h.Kind() != KTuple || h.Len() != 2 || h.Busy() || h.Marked() {
+					t.Fatalf("%s: pin disturbed other header fields: %#x", name, uint64(h))
+				}
+				if c.PinCount != 1 {
+					t.Fatalf("%s: PinCount = %d, want 1", name, c.PinCount)
+				}
+			}
+		}
 	}
 }
 

@@ -199,10 +199,8 @@ func (s *Server) overWatermark() (string, bool) {
 	if m := s.cfg.MaxLiveWords; m > 0 && s.rt.Space().LiveWords() > m {
 		return "live-words watermark", true
 	}
-	if m := s.cfg.MaxPinned; m > 0 {
-		if es := s.rt.EntStats(); es.Pins-es.Unpins > m {
-			return "pinned watermark", true
-		}
+	if m := s.cfg.MaxPinned; m > 0 && s.rt.EntStats().PinnedNow > m {
+		return "pinned watermark", true
 	}
 	if m := s.cfg.MaxRetainedChunks; m > 0 && s.rt.RetainedChunks() > m {
 		return "retained-chunks watermark", true

@@ -70,7 +70,7 @@ func collect(rt *core.Runtime) []metric {
 		{"mplgo_ent_slow_reads_total", "Read-barrier slow paths taken", "counter", es.SlowReads},
 		{"mplgo_ent_pins_total", "Objects pinned", "counter", es.Pins},
 		{"mplgo_ent_unpins_total", "Objects unpinned", "counter", es.Unpins},
-		{"mplgo_ent_pinned_now", "Currently pinned objects", "gauge", es.Pins - es.Unpins},
+		{"mplgo_ent_pinned_now", "Currently pinned objects", "gauge", es.PinnedNow},
 		{"mplgo_ent_pinned_peak", "High-water mark of pinned objects", "gauge", es.PinnedPeak},
 		{"mplgo_ent_pinned_peak_bytes", "High-water mark of pinned bytes", "gauge", es.PinnedPeakBytes},
 	}
