@@ -109,16 +109,29 @@ func mcssLeaf[T RT[T, F], F FrameI](t T, arr mem.Ref, lo, hi int) (int64, int64,
 	return total, prefix, suffix, best
 }
 
-func mcssRec[T RT[T, F], F FrameI](t T, arr mem.Ref, lo, hi int) mem.Ref {
+// mcssRec solves [lo, hi) of the input array rooted in slot 0 of in, a
+// frame mcssRT owns: read through the frame, never carried as a bare
+// reference across the Par and the tuple allocations, which may move it
+// (see msortRec). The call over the whole input reads it last, so it
+// clears the slot before its own allocation: a collection there has no
+// input left to copy.
+func mcssRec[T RT[T, F], F FrameI](t T, in F, lo, hi int) mem.Ref {
+	whole := lo == 0 && hi == t.Length(in.Ref(0))
 	if hi-lo <= mcssGrain {
-		a, b, c, d := mcssLeaf[T, F](t, arr, lo, hi)
+		a, b, c, d := mcssLeaf[T, F](t, in.Ref(0), lo, hi)
+		if whole {
+			in.Set(0, mem.Nil)
+		}
 		return t.AllocTuple(mem.Int(a), mem.Int(b), mem.Int(c), mem.Int(d))
 	}
 	mid := lo + (hi-lo)/2
 	lv, rv := t.Par(
-		func(t T) mem.Value { return mcssRec[T, F](t, arr, lo, mid).Value() },
-		func(t T) mem.Value { return mcssRec[T, F](t, arr, mid, hi).Value() },
+		func(t T) mem.Value { return mcssRec[T, F](t, in, lo, mid).Value() },
+		func(t T) mem.Value { return mcssRec[T, F](t, in, mid, hi).Value() },
 	)
+	if whole {
+		in.Set(0, mem.Nil)
+	}
 	l, r := lv.Ref(), rv.Ref()
 	lt, lp, ls, lb := t.Read(l, 0).AsInt(), t.Read(l, 1).AsInt(), t.Read(l, 2).AsInt(), t.Read(l, 3).AsInt()
 	rt_, rp, rs, rb := t.Read(r, 0).AsInt(), t.Read(r, 1).AsInt(), t.Read(r, 2).AsInt(), t.Read(r, 3).AsInt()
@@ -128,7 +141,10 @@ func mcssRec[T RT[T, F], F FrameI](t T, arr mem.Ref, lo, hi int) mem.Ref {
 
 func mcssRT[T RT[T, F], F FrameI](t T, n int) int64 {
 	arr := loadInts[T, F](t, mcssInput(n))
-	res := mcssRec[T, F](t, arr, 0, n)
+	in := t.NewFrame(1)
+	in.Set(0, arr.Value())
+	res := mcssRec[T, F](t, in, 0, n)
+	in.Pop()
 	return t.Read(res, 3).AsInt()
 }
 

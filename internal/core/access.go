@@ -290,6 +290,57 @@ func (t *Task) DerefFast(cell mem.Ref) mem.Value { return t.ReadFast(cell, 0) }
 // AssignFast writes a ref cell with no write barrier.
 func (t *Task) AssignFast(cell mem.Ref, v mem.Value) { t.WriteFast(cell, 0, v) }
 
+// SubFast is ReadFast of element i of array o behind its bounds check, both
+// on one chunk resolution. ok is false, and nothing is read or counted,
+// when i is out of range.
+func (t *Task) SubFast(o mem.Ref, i int64) (v mem.Value, ok bool) {
+	w := t.rt.space.Payload(o)
+	if uint64(i) >= uint64(len(w)) {
+		return mem.Nil, false
+	}
+	t.workAcc += costAccess
+	t.elidedLoads++
+	return w.Load(int(i)), true
+}
+
+// UpdateFast is WriteFast of element i of array o behind its bounds check,
+// both on one chunk resolution; it reports false, storing nothing, when i
+// is out of range. While the concurrent collector is on it is WriteFast
+// behind Length, so the safepoint and the SATB shade still run.
+func (t *Task) UpdateFast(o mem.Ref, i int64, v mem.Value) bool {
+	if t.cgcOn {
+		if uint64(i) >= uint64(t.Length(o)) {
+			return false
+		}
+		t.WriteFast(o, int(i), v)
+		return true
+	}
+	w := t.rt.space.Payload(o)
+	if uint64(i) >= uint64(len(w)) {
+		return false
+	}
+	t.workAcc += costAccess
+	t.elidedStores++
+	w.Store(int(i), v)
+	return true
+}
+
+// ElementsFast resolves array o once for a range of unchecked accesses
+// that allocate nothing in between (a tabulate or reduce leaf at a proven
+// site), and charges them up front: loads ReadFasts and stores WriteFasts.
+// It returns nil, charging nothing, while the concurrent collector is on:
+// each store must then pass its safepoint, so the caller uses the
+// per-element accessors.
+func (t *Task) ElementsFast(o mem.Ref, loads, stores int) mem.Words {
+	if t.cgcOn {
+		return nil
+	}
+	t.workAcc += int64(loads+stores) * costAccess
+	t.elidedLoads += int64(loads)
+	t.elidedStores += int64(stores)
+	return t.rt.space.Payload(o)
+}
+
 // allocFastOK reports whether a proven allocation may skip the guarded
 // slow path entirely. Anything that wants a say at allocation time —
 // budget-triggered LGC, the residency limit, the concurrent collector's

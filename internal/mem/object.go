@@ -388,6 +388,27 @@ func (s *Space) LoadChecked(r Ref, i int) (Value, bool) {
 	return v, false
 }
 
+// Words is an object's payload, resolved once by Payload. Its accessors
+// are Load and Store (atomic, like Space.Load/Store) for word i of the
+// payload; a caller that must check an index compares it with len.
+type Words []uint64
+
+// Load reads payload word i.
+func (w Words) Load(i int) Value { return Value(atomic.LoadUint64(&w[i])) }
+
+// Store writes payload word i.
+func (w Words) Store(i int, v Value) { atomic.StoreUint64(&w[i], uint64(v)) }
+
+// Payload resolves the chunk of the object at r once and returns its
+// payload words, as many as the header says. The window is valid while the
+// object cannot move: the caller's contract is Load's.
+func (s *Space) Payload(r Ref) Words {
+	c := s.chunk(r.Chunk())
+	off := r.Off() + 1
+	n := Header(atomic.LoadUint64(&c.Data[off-1])).Len()
+	return Words(c.Data[off : off+n : off+n])
+}
+
 // Store writes payload word i of the object at r without any barrier.
 func (s *Space) Store(r Ref, i int, v Value) {
 	c := s.chunk(r.Chunk())

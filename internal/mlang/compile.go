@@ -4,46 +4,157 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"mplgo/internal/mem"
 	"mplgo/mpl"
 )
 
 // code is one lowered expression: a Go closure that evaluates it on task t
-// in activation e. The compiler builds one per AST node, once.
-type code func(t *mpl.Task, e env) mem.Value
+// in activation a. The compiler builds one per AST node, once.
+type code func(t *mpl.Task, a *act) mem.Value
 
-// env is one activation: a Task frame holding the function's parameters,
-// locals and parked temporaries, and the static link — the activation of
-// the lexically enclosing function, through which a direct function, a
-// par branch or a tabulate/reduce body reads the variables it closes over.
-type env struct {
-	mpl.Frame
-	up *env
+// act is one activation. Its storage is split by what a collection must
+// see: f holds the root slots — values of reference type that are live
+// across an allocation point, or read from another activation — and is a
+// Task frame only while the function has any; v holds everything else
+// (immediates, references dead at every allocation point), which no
+// collector scans. up is the static link: the activation of the lexically
+// enclosing function, through which a direct function, a par branch or a
+// tabulate/reduce body reads the variables it closes over.
+//
+// Activations are recycled, so a call allocates nothing: a strand (main, a
+// par branch, a loop leaf) takes its first activation from the program's
+// free list, and a call made in a runs in a.next, created on first use.
+// fork, tab and red are the records a par, tabulate or reduce started in a
+// reuses.
+type act struct {
+	v    []mem.Value
+	f    mpl.Frame
+	up   *act
+	next *act
+	home *stacks // the free list a's strand came from
+	fork *fork
+	tab  *tabulation
+	red  *reduction
 }
 
-// link returns the activation hops static links up from e. Zero hops is e
-// itself, copied to the Go heap so that callees and branches can hold it.
-func (e env) link(hops int) *env {
-	if hops == 0 {
-		here := e
-		return &here
+// loc is where a variable or a temporary lives in its activation: root
+// slot i of the frame, or plain slot i.
+type loc struct {
+	root bool
+	i    int
+}
+
+func (a *act) get(l loc) mem.Value {
+	if l.root {
+		return a.f.Get(l.i)
 	}
-	p := e.up
-	for ; hops > 1; hops-- {
-		p = p.up
+	return a.v[l.i]
+}
+
+func (a *act) set(l loc, v mem.Value) {
+	if l.root {
+		a.f.Set(l.i, v)
+	} else {
+		a.v[l.i] = v
 	}
-	return p
+}
+
+// link returns the activation hops static links up from a.
+func (a *act) link(hops int) *act {
+	for ; hops > 0; hops-- {
+		a = a.up
+	}
+	return a
+}
+
+// stacks is a program's free list of strand activations, each with the
+// chain of callee activations it grew: LIFO, so a strand takes back the
+// chain the last one left.
+type stacks struct {
+	mu   sync.Mutex
+	free []*act
+}
+
+func (s *stacks) get() *act {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return &act{home: s}
+	}
+	a := s.free[n-1]
+	s.free = s.free[:n-1]
+	return a
+}
+
+func (s *stacks) put(a *act) {
+	s.mu.Lock()
+	s.free = append(s.free, a)
+	s.mu.Unlock()
+}
+
+// enter prepares a for a run of fn linked to up: fn's plain slots, and a
+// frame of its root slots if it has any. Plain slot 0 is no variable's: it
+// stays zero (see arg).
+func (a *act) enter(t *mpl.Task, fn *function, up *act) {
+	if len(a.v) <= fn.nplain || len(fn.roots) > 0 {
+		a.storage(t, fn)
+	}
+	a.up = up
+}
+
+func (a *act) storage(t *mpl.Task, fn *function) {
+	if len(a.v) <= fn.nplain {
+		a.v = make([]mem.Value, 1+fn.nplain)
+	}
+	if len(fn.roots) > 0 {
+		a.f = t.NewFrame(len(fn.roots))
+	}
+}
+
+// callee returns the activation a call made in a runs fn in.
+func (a *act) callee(t *mpl.Task, fn *function, up *act) *act {
+	c := a.next
+	if c == nil {
+		c = &act{home: a.home}
+		a.next = c
+	}
+	c.enter(t, fn, up)
+	return c
+}
+
+// leave pops what enter pushed.
+func (fn *function) leave(a *act) {
+	if len(fn.roots) > 0 {
+		a.f.Pop()
+	}
+}
+
+// strand runs fn, linked to up, in an activation of its own from home: the
+// body of a par branch, or main. A fault unwinds past it and drops the
+// activation.
+func (fn *function) strand(t *mpl.Task, home *stacks, up *act) mem.Value {
+	a := home.get()
+	a.enter(t, fn, up)
+	v := fn.body(t, a)
+	fn.leave(a)
+	home.put(a)
+	return v
 }
 
 // function is one lowered function: main, a direct function (entered from
-// Go closures; frame = parameters, then locals), a par branch, or a heap
-// closure (frame = the closure, its argument, then captures and locals).
+// Go closures), a par branch, or a heap closure.
 type function struct {
-	name     string
-	nslots   int
-	body     code
-	capSlots []int // heap closures: the frame slot of tuple field 1+i
+	name      string
+	nplain    int      // plain slots, numbered from 1
+	roots     []string // the root slots, named for the listing
+	params    []loc    // direct: the merged curried parameters; heap: the argument
+	self      loc      // heap closures: the closure value
+	caps      []loc    // heap closures: where tuple field 1+i goes
+	allocates bool     // the body has an allocation point
+	body      code
 }
 
 // Program is a compiled mlang program.
@@ -52,10 +163,12 @@ type Program struct {
 	funcs   []*function // heap closures, indexed by their tuple's field 0
 	listing string
 	out     io.Writer // print's sink, set by NewMachine
+	acts    stacks
 }
 
 // Listing renders the lowered tree, one line per function, call and access
-// site: functions and calls say direct or heap, sites fast or checked.
+// site: functions and calls say direct or heap, sites fast or checked, and
+// each function how many plain slots it has and which root slots.
 func (p *Program) Listing() string { return p.listing }
 
 // fnMeta is what the compiler assumes about a let-bound or literal
@@ -70,36 +183,53 @@ type fnMeta struct {
 	arity int
 }
 
-// binding is a name in scope: a frame slot; or, with meta set, something
-// not materialised as one value — a direct function (fn; no slot) or an
-// unboxed pair (slot, slot+1).
-type binding struct {
+// rootKey names a binder across lowering passes: the node that binds it,
+// the name, and which part (0 a value or parameter, 1 a closure's self, 2
+// a capture, 3 and 4 the halves of an unboxed pair).
+type rootKey struct {
+	at   Expr
 	name string
-	slot int
-	fn   *function
-	meta *fnMeta
+	part int
+}
+
+// binding is a name in scope: storage (one loc, or two for an unboxed
+// pair), or with fn set a direct function, which has none.
+type binding struct {
+	name  string
+	locs  []loc
+	key   rootKey
+	epoch int // the binder's allocation points before this one was bound
+	fn    *function
+	meta  *fnMeta
 }
 
 // fnCtx is the function being lowered.
 type fnCtx struct {
 	fn     *function
 	parent *fnCtx
+	at     Expr       // heap closures: the body, which keys the captures
 	heap   bool       // a heap closure: outer variables arrive as captures
 	loops  bool       // a tail self call was lowered: the body returns again
+	epoch  int        // allocation points lowered on the path to here
 	vars   []*binding // captures, then parameters and locals, innermost last
 	caps   []string   // heap: captured names, in tuple order
+	capAt  []Expr     // heap: the read that made each capture
 	lines  []string   // listing of the body
 }
 
-func (ctx *fnCtx) temp() int {
-	ctx.fn.nslots++
-	return ctx.fn.nslots - 1
+// slot takes a fresh root or plain slot of ctx's function.
+func (ctx *fnCtx) slot(root bool, name string) loc {
+	if root {
+		ctx.fn.roots = append(ctx.fn.roots, name)
+		return loc{true, len(ctx.fn.roots) - 1}
+	}
+	ctx.fn.nplain++
+	return loc{false, ctx.fn.nplain}
 }
 
-func (ctx *fnCtx) bind(name string) int {
-	ctx.vars = append(ctx.vars, &binding{name: name, slot: ctx.temp()})
-	return ctx.fn.nslots - 1
-}
+// alloc notes an allocation point: a collection may run there, so a
+// reference read after it must have been in a root slot across it.
+func (ctx *fnCtx) alloc() { ctx.epoch++ }
 
 func (ctx *fnCtx) unbind() { ctx.vars = ctx.vars[:len(ctx.vars)-1] }
 
@@ -109,19 +239,20 @@ func (ctx *fnCtx) logf(format string, args ...any) {
 
 // nest appends sub's listing under a header naming its function.
 func (ctx *fnCtx) nest(sub *fnCtx, format string, args ...any) {
-	ctx.logf(format+" slots=%d", append(args, sub.fn.nslots)...)
+	ctx.logf(format+" plain=%d roots=[%s]", append(args, sub.fn.nplain, strings.Join(sub.fn.roots, " "))...)
 	for _, l := range sub.lines {
 		ctx.lines = append(ctx.lines, "  "+l)
 	}
 }
 
 type compiler struct {
-	an    *Analysis // nil lowers every access through the managed barriers
-	types map[Expr]Type
-	prog  *Program
-	metas map[Expr]*fnMeta
-	stale bool // a meta changed under code already lowered: lower again
-	err   error
+	an     *Analysis // nil lowers every access through the managed barriers
+	types  map[Expr]Type
+	prog   *Program
+	metas  map[Expr]*fnMeta
+	rooted map[rootKey]bool // binders a read has shown to need a root slot
+	stale  bool             // a meta or a rooting changed under code already lowered: lower again
+	err    error
 }
 
 // Compile lowers a type-checked expression with every access on the
@@ -134,7 +265,7 @@ func Compile(e Expr) (*Program, error) {
 // close proven sites over the unchecked accessors. Both builds are the
 // same tree; they differ only in which accessor each site calls.
 func CompileWith(e Expr, an *Analysis) (*Program, error) {
-	c := &compiler{an: an, metas: map[Expr]*fnMeta{}}
+	c := &compiler{an: an, metas: map[Expr]*fnMeta{}, rooted: map[rootKey]bool{}}
 	if an != nil {
 		c.types = an.types
 	} else {
@@ -203,12 +334,26 @@ func (c *compiler) uses(m *fnMeta, n int) {
 	}
 }
 
+// bind binds name in ctx to n fresh slots (two for an unboxed pair), each a
+// root slot if an earlier pass found a read that needs one.
+func (c *compiler) bind(ctx *fnCtx, key rootKey, name string, n int) *binding {
+	b := &binding{name: name, key: key, epoch: ctx.epoch}
+	for i := 0; i < n; i++ {
+		k := key
+		k.part += i
+		b.locs = append(b.locs, ctx.slot(c.rooted[k], name))
+	}
+	ctx.vars = append(ctx.vars, b)
+	return b
+}
+
 // lookup resolves name from ctx to its binding and the number of static
 // links between ctx's activation and the binding's. A heap closure has no
 // static link: what it names outside itself becomes a capture, copied
 // into its own frame on entry — and a direct function or unboxed pair
 // named from there must become a heap object, since its frame may be gone.
-func (c *compiler) lookup(ctx *fnCtx, name string) (*binding, int) {
+// at is the read, whose type a new capture takes.
+func (c *compiler) lookup(ctx *fnCtx, name string, at Expr) (*binding, int) {
 	for depth, cx := 0, ctx; cx != nil; depth, cx = depth+1, cx.parent {
 		for i := len(cx.vars) - 1; i >= 0; i-- {
 			if cx.vars[i].name == name {
@@ -216,7 +361,7 @@ func (c *compiler) lookup(ctx *fnCtx, name string) (*binding, int) {
 			}
 		}
 		if cx.heap {
-			outer, _ := c.lookup(cx.parent, name)
+			outer, _ := c.lookup(cx.parent, name, at)
 			if outer == nil {
 				return nil, 0
 			}
@@ -224,8 +369,10 @@ func (c *compiler) lookup(ctx *fnCtx, name string) (*binding, int) {
 				c.escape(outer.meta)
 				return outer, depth
 			}
-			b := &binding{name: name, slot: cx.temp()}
-			cx.caps, cx.fn.capSlots = append(cx.caps, name), append(cx.fn.capSlots, b.slot)
+			key := rootKey{cx.at, name, 2}
+			b := &binding{name: name, key: key, locs: []loc{cx.slot(c.rooted[key], name)}}
+			cx.caps, cx.capAt = append(cx.caps, name), append(cx.capAt, at)
+			cx.fn.caps = append(cx.fn.caps, b.locs[0])
 			cx.vars = append([]*binding{b}, cx.vars...)
 			return b, depth
 		}
@@ -233,28 +380,219 @@ func (c *compiler) lookup(ctx *fnCtx, name string) (*binding, int) {
 	return nil, 0
 }
 
-func (c *compiler) variable(ctx *fnCtx, name string, at Expr) code {
-	b, depth := c.lookup(ctx, name)
-	if b == nil {
-		return c.fail(at, "unbound variable %s", name)
+// read is the rooting rule, applied at every read of part of b from ctx,
+// depth static links below b's activation, by the node at (whose type is
+// the value's): a reference needs a root slot when it is read from another
+// activation — a callee, branch or leaf that may run after allocations —
+// or after an allocation point of its own activation. Immediates never do.
+// A rooting found here takes effect in the next lowering pass.
+func (c *compiler) read(ctx *fnCtx, b *binding, depth, part int, at Expr) loc {
+	l := b.locs[part]
+	if !l.root && !immediateType(c.types[at]) && (depth > 0 || ctx.epoch > b.epoch) {
+		k := b.key
+		k.part += part
+		c.rooted[k], c.stale = true, true
 	}
-	if b.meta != nil { // a direct function or an unboxed pair used as a value
-		c.escape(b.meta)
-		return nil
-	}
-	return slotCode(depth, b.slot)
+	return l
 }
 
-func slotCode(depth, slot int) code {
-	switch depth {
-	case 0:
-		return func(_ *mpl.Task, e env) mem.Value { return e.Get(slot) }
-	case 1:
-		return func(_ *mpl.Task, e env) mem.Value { return e.up.Get(slot) }
-	case 2:
-		return func(_ *mpl.Task, e env) mem.Value { return e.up.up.Get(slot) }
+// slotRef resolves x when it reads storage: a variable, or a half of an
+// unboxed pair. ok is false for anything else, and for a variable that is
+// a direct function or a pair used as a value (which then escapes).
+func (c *compiler) slotRef(ctx *fnCtx, x Expr) (l loc, depth int, ok bool) {
+	switch x := x.(type) {
+	case *Var:
+		return c.resolve(ctx, x.Name, x)
+	case *Proj:
+		if v, ok := x.Arg.(*Var); ok {
+			if b, depth := c.lookup(ctx, v.Name, v); b != nil && b.meta != nil && b.fn == nil {
+				return c.read(ctx, b, depth, x.Index-1, x), depth, true
+			}
+		}
 	}
-	return func(_ *mpl.Task, e env) mem.Value { return e.link(depth).Get(slot) }
+	return loc{}, 0, false
+}
+
+func slotCode(depth int, l loc) code {
+	i := l.i
+	switch {
+	case depth == 0 && !l.root:
+		return func(_ *mpl.Task, a *act) mem.Value { return a.v[i] }
+	case depth == 0:
+		return func(_ *mpl.Task, a *act) mem.Value { return a.f.Get(i) }
+	case depth == 1 && !l.root:
+		return func(_ *mpl.Task, a *act) mem.Value { return a.up.v[i] }
+	case depth == 1:
+		return func(_ *mpl.Task, a *act) mem.Value { return a.up.f.Get(i) }
+	case depth == 2 && !l.root:
+		return func(_ *mpl.Task, a *act) mem.Value { return a.up.up.v[i] }
+	case depth == 2:
+		return func(_ *mpl.Task, a *act) mem.Value { return a.up.up.f.Get(i) }
+	}
+	return func(_ *mpl.Task, a *act) mem.Value { return a.link(depth).get(l) }
+}
+
+// arg is an operand fused into the node that consumes it: plain slot i of
+// the activation at hand, a constant v (read as slot 0, which is always
+// zero, or'd with v), or any other code c. get is small enough to inline,
+// so a fused node reads constants and local slots with no call.
+type arg struct {
+	i int
+	v mem.Value
+	c code
+}
+
+func (x *arg) get(t *mpl.Task, a *act) mem.Value {
+	if x.c == nil {
+		return a.v[x.i] | x.v
+	}
+	return x.c(t, a)
+}
+
+// arg lowers x to a fused operand.
+func (c *compiler) arg(ctx *fnCtx, x Expr) arg {
+	switch k := x.(type) {
+	case *IntLit:
+		return arg{v: mem.Int(k.Val)}
+	case *BoolLit:
+		return arg{v: mem.Bool(k.Val)}
+	case *UnitLit:
+		return arg{v: unit}
+	}
+	if l, depth, ok := c.slotRef(ctx, x); ok {
+		return slotArg(depth, l)
+	}
+	return arg{c: c.expr(ctx, x)}
+}
+
+func slotArg(depth int, l loc) arg {
+	if depth == 0 && !l.root {
+		return arg{i: l.i}
+	}
+	return arg{c: slotCode(depth, l)}
+}
+
+// item is one operand to lower: x, or (x nil) a value already lowered to
+// pre, boxed or not.
+type item struct {
+	x     Expr
+	pre   code
+	boxed bool
+}
+
+func exprItems(xs []Expr) []item {
+	items := make([]item, len(xs))
+	for i, x := range xs {
+		items[i].x = x
+	}
+	return items
+}
+
+// operand is one of several values an operation needs at once: now (if
+// any) runs in operand order, late (if any) once all of them have run, and
+// the value is late's, else now's.
+type operand struct {
+	now, late       arg
+	hasNow, hasLate bool
+}
+
+// operands lowers items for left-to-right evaluation. A value may wait in a
+// Go local while later operands evaluate unless one of them is an
+// allocation point and the value is a reference. Then a read of storage (a
+// variable, a projection of one) is not made until the others are done —
+// it has no effect, and its slot is current — and any other operand is
+// parked in a root slot by now and re-read by late.
+func (c *compiler) operands(ctx *fnCtx, items []item) []operand {
+	ops, at := make([]operand, len(items)), make([]int, len(items))
+	deferred := func(x Expr) bool {
+		if p, ok := x.(*Proj); ok {
+			x = p.Arg
+		}
+		_, ok := x.(*Var)
+		return ok
+	}
+	for i, it := range items {
+		switch {
+		case it.x == nil:
+			ops[i].now, ops[i].hasNow = arg{c: it.pre}, true
+		case !deferred(it.x):
+			ops[i].now, ops[i].hasNow = c.arg(ctx, it.x), true
+		}
+		at[i] = ctx.epoch
+	}
+	for i, it := range items {
+		later := at[i] < ctx.epoch
+		switch {
+		case it.x != nil && deferred(it.x):
+			// Lowered here, after the others: the read is recorded where it runs.
+			if a := c.arg(ctx, it.x); later {
+				ops[i].late, ops[i].hasLate = a, true
+			} else {
+				ops[i].now, ops[i].hasNow = a, true
+			}
+		case later && ops[i].now.c != nil && (it.x == nil && it.boxed || it.x != nil && !immediateType(c.types[it.x])):
+			ev, l := ops[i].now, ctx.slot(true, "(operand)")
+			ops[i].now = arg{c: func(t *mpl.Task, a *act) mem.Value { a.f.Set(l.i, ev.get(t, a)); return mem.Nil }}
+			ops[i].late, ops[i].hasLate = slotArg(0, l), true
+		}
+	}
+	return ops
+}
+
+// simple reports whether every operand is read in order, none late.
+func simple(ops []operand) bool {
+	for i := range ops {
+		if ops[i].hasLate {
+			return false
+		}
+	}
+	return true
+}
+
+// values evaluates ops into vs.
+func values(t *mpl.Task, a *act, ops []operand, vs []mem.Value) {
+	for i := range ops {
+		if ops[i].hasNow {
+			vs[i] = ops[i].now.get(t, a)
+		}
+	}
+	for i := range ops {
+		if ops[i].hasLate {
+			vs[i] = ops[i].late.get(t, a)
+		}
+	}
+}
+
+// scratch returns n words for values, from buf when they fit.
+func scratch(buf []mem.Value, n int) []mem.Value {
+	if n > len(buf) {
+		return make([]mem.Value, n)
+	}
+	return buf[:n]
+}
+
+// resolve finds the storage of variable name, read by at. A direct
+// function or an unboxed pair has none: used as a value, it escapes.
+func (c *compiler) resolve(ctx *fnCtx, name string, at Expr) (l loc, depth int, ok bool) {
+	b, depth := c.lookup(ctx, name, at)
+	if b == nil {
+		c.fail(at, "unbound variable %s", name)
+		return loc{}, 0, false
+	}
+	if b.meta != nil {
+		c.escape(b.meta)
+		return loc{}, 0, false
+	}
+	return c.read(ctx, b, depth, 0, at), depth, true
+}
+
+// variable lowers a read of name, made by at.
+func (c *compiler) variable(ctx *fnCtx, name string, at Expr) code {
+	l, depth, ok := c.resolve(ctx, name, at)
+	if !ok {
+		return nil
+	}
+	return slotCode(depth, l)
 }
 
 // again is what a direct function's body returns after a tail self call
@@ -263,18 +601,22 @@ func slotCode(depth, slot int) code {
 const again mem.Value = 1 << 63
 
 // lower compiles a direct function: arity curried parameters, starting
-// with param, share one activation.
-func (c *compiler) lower(parent *fnCtx, fn *function, arity int, param string, body Expr) {
+// with param (bound by at), share one activation.
+func (c *compiler) lower(parent *fnCtx, fn *function, arity int, at Expr, param string, body Expr) {
 	sub := &fnCtx{fn: fn, parent: parent}
-	for sub.bind(param); fn.nslots < arity; sub.bind(param) {
+	for {
+		fn.params = append(fn.params, c.bind(sub, rootKey{at, param, 0}, param, 1).locs[0])
+		if len(fn.params) == arity {
+			break
+		}
 		inner := body.(*Fn)
-		param, body = inner.Param, inner.Body
+		at, param, body = inner, inner.Param, inner.Body
 	}
 	once := c.lowerIn(sub, body, true)
-	if fn.body = once; sub.loops {
-		fn.body = func(t *mpl.Task, e env) mem.Value {
+	if fn.body, fn.allocates = once, sub.epoch > 0; sub.loops {
+		fn.body = func(t *mpl.Task, a *act) mem.Value {
 			for {
-				if v := once(t, e); v != again {
+				if v := once(t, a); v != again {
 					return v
 				}
 			}
@@ -284,13 +626,20 @@ func (c *compiler) lower(parent *fnCtx, fn *function, arity int, param string, b
 }
 
 // let lowers `let val name = bind in rest end` for a bind already lowered.
-func (c *compiler) let(ctx *fnCtx, name string, bind code, rest Expr, tail bool) code {
-	slot := ctx.bind(name)
+func (c *compiler) let(ctx *fnCtx, key rootKey, bind code, rest Expr, tail bool) code {
+	l := c.bind(ctx, key, key.name, 1).locs[0]
 	body := c.lowerIn(ctx, rest, tail)
 	ctx.unbind()
-	return func(t *mpl.Task, e env) mem.Value {
-		e.Set(slot, bind(t, e))
-		return body(t, e)
+	i := l.i
+	if l.root {
+		return func(t *mpl.Task, a *act) mem.Value {
+			a.f.Set(i, bind(t, a))
+			return body(t, a)
+		}
+	}
+	return func(t *mpl.Task, a *act) mem.Value {
+		a.v[i] = bind(t, a)
+		return body(t, a)
 	}
 }
 
@@ -300,13 +649,13 @@ func (c *compiler) let(ctx *fnCtx, name string, bind code, rest Expr, tail bool)
 func (c *compiler) define(ctx *fnCtx, key Expr, name string, rec bool, param string, fbody, rest Expr, tail bool) code {
 	m := c.meta(key, false)
 	if m.heap {
-		return c.let(ctx, name, c.closure(ctx, name, param, fbody), rest, tail)
+		return c.let(ctx, rootKey{key, name, 0}, c.closure(ctx, name, param, fbody), rest, tail)
 	}
 	b := &binding{name: name, fn: &function{name: name}, meta: m}
 	if rec {
 		ctx.vars = append(ctx.vars, b)
 	}
-	c.lower(ctx, b.fn, m.arity, param, fbody)
+	c.lower(ctx, b.fn, m.arity, key, param, fbody)
 	if !rec {
 		ctx.vars = append(ctx.vars, b)
 	}
@@ -319,57 +668,50 @@ func (c *compiler) define(ctx *fnCtx, key Expr, name string, rec bool, param str
 // tuple [index, captures...]. self names the closure inside its own body
 // ("" for a literal, which no variable is called).
 func (c *compiler) closure(ctx *fnCtx, self, param string, body Expr) code {
-	sub := &fnCtx{fn: &function{name: self}, parent: ctx, heap: true}
-	sub.bind(self)
-	sub.bind(param)
+	sub := &fnCtx{fn: &function{name: self, allocates: true}, parent: ctx, heap: true, at: body}
+	sub.fn.self = c.bind(sub, rootKey{body, self, 1}, self, 1).locs[0]
+	sub.fn.params = c.bind(sub, rootKey{body, param, 0}, param, 1).locs
 	index := mem.Int(int64(len(c.prog.funcs)))
 	c.prog.funcs = append(c.prog.funcs, sub.fn)
 	sub.fn.body = c.expr(sub, body)
 	caps := make([]code, len(sub.caps))
 	for i, name := range sub.caps {
-		caps[i] = c.variable(ctx, name, body)
+		caps[i] = c.variable(ctx, name, sub.capAt[i])
 	}
+	ctx.alloc()
 	ctx.nest(sub, "fn %s heap captures=%v", self, sub.caps)
-	return func(t *mpl.Task, e env) mem.Value {
+	return func(t *mpl.Task, a *act) mem.Value {
 		var buf [4]mem.Value
 		vs := append(buf[:0], index)
 		for _, v := range caps {
-			vs = append(vs, v(t, e))
+			vs = append(vs, v(t, a))
 		}
 		return t.AllocTuple(vs...).Value()
 	}
 }
 
-// activate pushes the activation frame of closure clo and roots it there.
-func (p *Program) activate(t *mpl.Task, clo mem.Value) (*function, mpl.Frame) {
+// apply calls closure clo on arg in the activation after a's: the closure,
+// its argument and its captures are bound before anything can allocate.
+func (p *Program) apply(t *mpl.Task, a *act, clo, arg mem.Value) mem.Value {
 	fn := p.funcs[t.Read(clo.Ref(), 0).AsInt()]
-	f := t.NewFrame(fn.nslots)
-	f.Set(0, clo)
-	return fn, f
-}
-
-// enter runs a heap closure in f, which holds the closure and its argument.
-func (fn *function) enter(t *mpl.Task, f mpl.Frame) mem.Value {
-	for i, s := range fn.capSlots {
-		f.Set(s, t.Read(f.Ref(0), 1+i))
+	c := a.callee(t, fn, nil)
+	c.set(fn.self, clo)
+	c.set(fn.params[0], arg)
+	for i, l := range fn.caps {
+		c.set(l, t.Read(clo.Ref(), 1+i))
 	}
-	v := fn.body(t, env{Frame: f})
-	f.Pop()
+	v := fn.body(t, c)
+	fn.leave(c)
 	return v
 }
 
-func (p *Program) apply(t *mpl.Task, clo, arg mem.Value) mem.Value {
-	fn, f := p.activate(t, clo)
-	f.Set(1, arg)
-	return fn.enter(t, f)
-}
-
-// app lowers an application spine. A saturated call of a direct function
-// pushes the callee's frame first and evaluates the arguments straight
-// into it, so they are rooted from the moment they exist; so does a call
-// of a closure value, whose frame size is known once the callee is. A
-// self call in tail position parks the arguments, moves them into the
-// parameters and has the body run again: loops take no stack.
+// app lowers an application spine. The arguments of a saturated call of a
+// direct function are operands, evaluated in the caller; the callee's
+// activation is entered once they all exist, and they are stored straight
+// into its parameters. A call of a closure value is the same with the
+// callee as the first operand. A self call in tail position re-binds the
+// parameters, all at once after every argument is evaluated, and has the
+// body run again: loops take no stack.
 func (c *compiler) app(ctx *fnCtx, e *App, tail bool) code {
 	head, args := Expr(e), []Expr(nil)
 	for a, ok := head.(*App); ok; a, ok = head.(*App) {
@@ -377,96 +719,87 @@ func (c *compiler) app(ctx *fnCtx, e *App, tail bool) code {
 	}
 	var f code
 	if v, ok := head.(*Var); ok {
-		if b, hops := c.lookup(ctx, v.Name); b != nil && b.fn != nil {
+		if b, hops := c.lookup(ctx, v.Name, v); b != nil && b.fn != nil {
 			c.uses(b.meta, len(args))
-			fn, as := b.fn, make([]code, b.meta.arity)
-			for i := range as {
-				as[i] = c.expr(ctx, args[i])
-			}
-			if args = args[len(as):]; tail && fn == ctx.fn && len(args) == 0 {
+			fn := b.fn
+			ops := c.operands(ctx, exprItems(args[:b.meta.arity]))
+			if args = args[len(ops):]; tail && fn == ctx.fn && len(args) == 0 {
 				ctx.loops = true
 				ctx.logf("call %s direct tail", fn.name)
-				park := ctx.fn.nslots
-				ctx.fn.nslots += len(as)
-				return func(t *mpl.Task, e env) mem.Value {
-					for i, a := range as {
-						e.Set(park+i, a(t, e))
-					}
-					for i := range as {
-						e.Set(i, e.Get(park+i))
-					}
-					return again
-				}
+				return rebind(ops, fn.params)
 			}
+			ctx.alloc()
 			ctx.logf("call %s direct", fn.name)
-			f = func(t *mpl.Task, e env) mem.Value {
-				fr := t.NewFrame(fn.nslots)
-				for i, a := range as {
-					fr.Set(i, a(t, e))
-				}
-				v := fn.body(t, env{fr, e.link(hops)})
-				fr.Pop()
-				return v
-			}
+			f = call(fn, hops, ops)
 		}
 	}
-	if f == nil {
-		f = c.expr(ctx, head)
-	}
 	prog := c.prog
-	for _, x := range args {
-		callee, arg := f, c.expr(ctx, x)
+	for i, x := range args {
+		callee := item{pre: f, boxed: true}
+		if i == 0 && f == nil {
+			callee = item{x: head}
+		}
+		ops := c.operands(ctx, []item{callee, {x: x}})
+		ctx.alloc()
 		ctx.logf("call closure")
-		f = func(t *mpl.Task, e env) mem.Value {
-			fn, fr := prog.activate(t, callee(t, e))
-			fr.Set(1, arg(t, e))
-			return fn.enter(t, fr)
+		f = func(t *mpl.Task, a *act) mem.Value {
+			var vs [2]mem.Value
+			values(t, a, ops, vs[:])
+			return prog.apply(t, a, vs[0], vs[1])
 		}
 	}
 	return f
 }
 
-// operand is one of several values an operation needs at once: eval (if
-// any) runs in operand order, get (if any) once all of them have run,
-// and the value is get's, else eval's.
-type operand struct{ eval, get code }
-
-// operands lowers xs for left-to-right evaluation. A value may wait in a
-// Go local while later operands evaluate only if nothing can move it: it
-// is the last one, or its type says it is an immediate. A variable is
-// not evaluated early at all — reading one has no effect and its slot is
-// always current. Any other operand is parked in a frame slot by eval
-// and fetched — moved, possibly — by get.
-func (c *compiler) operands(ctx *fnCtx, xs ...Expr) []operand {
-	ops := make([]operand, len(xs))
-	for i, x := range xs {
-		ev := c.expr(ctx, x)
-		if _, ok := x.(*Var); ok {
-			ops[i].get = ev
-		} else if ops[i].eval = ev; i < len(xs)-1 && !immediateType(c.types[x]) {
-			slot := ctx.temp()
-			ops[i].eval = func(t *mpl.Task, e env) mem.Value { e.Set(slot, ev(t, e)); return mem.Nil }
-			ops[i].get = slotCode(0, slot)
+// call lowers a call of direct function fn, defined hops static links up.
+func call(fn *function, hops int, ops []operand) code {
+	if len(ops) == 1 && simple(ops) {
+		x := ops[0].now
+		return func(t *mpl.Task, a *act) mem.Value {
+			v := x.get(t, a)
+			c := a.callee(t, fn, a.link(hops))
+			c.set(fn.params[0], v)
+			r := fn.body(t, c)
+			fn.leave(c)
+			return r
 		}
 	}
-	return ops
-}
-
-// values evaluates ops into vs.
-func values(t *mpl.Task, e env, ops []operand, vs []mem.Value) {
-	for i, o := range ops {
-		if o.eval != nil {
-			vs[i] = o.eval(t, e)
+	return func(t *mpl.Task, a *act) mem.Value {
+		var buf [4]mem.Value
+		vs := scratch(buf[:], len(ops))
+		values(t, a, ops, vs)
+		c := a.callee(t, fn, a.link(hops))
+		for i, v := range vs {
+			c.set(fn.params[i], v)
 		}
-	}
-	for i, o := range ops {
-		if o.get != nil {
-			vs[i] = o.get(t, e)
-		}
+		r := fn.body(t, c)
+		fn.leave(c)
+		return r
 	}
 }
 
-func constant(v mem.Value) code { return func(*mpl.Task, env) mem.Value { return v } }
+// rebind lowers a tail self call: every argument is evaluated before any
+// parameter is overwritten, since the arguments may read them.
+func rebind(ops []operand, params []loc) code {
+	if len(ops) == 1 && simple(ops) {
+		x, p := ops[0].now, params[0]
+		return func(t *mpl.Task, a *act) mem.Value {
+			a.set(p, x.get(t, a))
+			return again
+		}
+	}
+	return func(t *mpl.Task, a *act) mem.Value {
+		var buf [4]mem.Value
+		vs := scratch(buf[:], len(ops))
+		values(t, a, ops, vs)
+		for i, v := range vs {
+			a.set(params[i], v)
+		}
+		return again
+	}
+}
+
+func constant(v mem.Value) code { return func(*mpl.Task, *act) mem.Value { return v } }
 
 var unit = mem.Int(0)
 
@@ -483,7 +816,8 @@ func (c *compiler) lowerIn(ctx *fnCtx, e Expr, tail bool) code {
 		return constant(unit)
 	case *StrLit:
 		s := e.Val
-		return func(t *mpl.Task, _ env) mem.Value { return t.AllocString(s).Value() }
+		ctx.alloc()
+		return func(t *mpl.Task, _ *act) mem.Value { return t.AllocString(s).Value() }
 	case *Var:
 		return c.variable(ctx, e.Name, e)
 	case *Fn:
@@ -496,48 +830,60 @@ func (c *compiler) lowerIn(ctx *fnCtx, e Expr, tail bool) code {
 			return c.define(ctx, f, e.Name, false, f.Param, f.Body, e.Body, tail)
 		}
 		if p, ok := e.Bind.(*Par); ok && !c.meta(p, false).heap {
-			fork, slot, _ := c.par(ctx, p), ctx.temp(), ctx.temp()
-			ctx.vars = append(ctx.vars, &binding{name: e.Name, slot: slot, meta: c.meta(p, false)})
+			fork := c.par(ctx, p)
+			ctx.alloc()
+			b := c.bind(ctx, rootKey{e, e.Name, 3}, e.Name, 2)
+			b.meta = c.meta(p, false)
 			body := c.lowerIn(ctx, e.Body, tail)
 			ctx.unbind()
-			return func(t *mpl.Task, e env) mem.Value {
-				lv, rv := fork(t, e)
-				e.Set(slot, lv)
-				e.Set(slot+1, rv)
-				return body(t, e)
+			l, r := b.locs[0], b.locs[1]
+			return func(t *mpl.Task, a *act) mem.Value {
+				lv, rv := fork(t, a)
+				a.set(l, lv)
+				a.set(r, rv)
+				return body(t, a)
 			}
 		}
-		return c.let(ctx, e.Name, c.expr(ctx, e.Bind), e.Body, tail)
+		return c.let(ctx, rootKey{e, e.Name, 0}, c.expr(ctx, e.Bind), e.Body, tail)
 	case *LetFun:
 		return c.define(ctx, e, e.Name, true, e.Param, e.FBody, e.Body, tail)
 	case *If:
-		cond, then, els := c.expr(ctx, e.Cond), c.lowerIn(ctx, e.Then, tail), c.lowerIn(ctx, e.Else, tail)
-		return func(t *mpl.Task, e env) mem.Value {
-			if cond(t, e).AsBool() {
-				return then(t, e)
+		if p, ok := e.Cond.(*Prim); ok && p.Op == "not" {
+			return c.lowerIn(ctx, &If{pos: e.pos, Cond: p.Args[0], Then: e.Else, Else: e.Then}, tail)
+		}
+		if p, ok := e.Cond.(*Prim); ok && compares[p.Op] {
+			l, r := c.arg(ctx, p.Args[0]), c.arg(ctx, p.Args[1])
+			then, els := c.branches(ctx, e, tail)
+			return branchOn(p.Op, l, r, then, els)
+		}
+		cond := c.expr(ctx, e.Cond)
+		then, els := c.branches(ctx, e, tail)
+		return func(t *mpl.Task, a *act) mem.Value {
+			if cond(t, a).AsBool() {
+				return then(t, a)
 			}
-			return els(t, e)
+			return els(t, a)
 		}
 	case *Tuple:
-		ops := c.operands(ctx, e.Elems...)
-		return func(t *mpl.Task, e env) mem.Value {
+		ops := c.operands(ctx, exprItems(e.Elems))
+		ctx.alloc()
+		return func(t *mpl.Task, a *act) mem.Value {
 			var buf [4]mem.Value
-			vs := append(buf[:0], make([]mem.Value, len(ops))...)
-			values(t, e, ops, vs)
+			vs := scratch(buf[:], len(ops))
+			values(t, a, ops, vs)
 			return t.AllocTuple(vs...).Value()
 		}
 	case *Proj:
-		if v, ok := e.Arg.(*Var); ok {
-			if b, depth := c.lookup(ctx, v.Name); b != nil && b.meta != nil && b.fn == nil {
-				return slotCode(depth, b.slot+e.Index-1)
-			}
+		if l, depth, ok := c.slotRef(ctx, e); ok {
+			return slotCode(depth, l)
 		}
-		tup, i := c.expr(ctx, e.Arg), e.Index-1
-		return func(t *mpl.Task, e env) mem.Value { return t.Read(tup(t, e).Ref(), i) }
+		tup, i := c.arg(ctx, e.Arg), e.Index-1
+		return func(t *mpl.Task, a *act) mem.Value { return t.Read(tup.get(t, a).Ref(), i) }
 	case *Par:
 		fork := c.par(ctx, e)
-		return func(t *mpl.Task, e env) mem.Value {
-			lv, rv := fork(t, e)
+		ctx.alloc()
+		return func(t *mpl.Task, a *act) mem.Value {
+			lv, rv := fork(t, a)
 			return t.AllocTuple(lv, rv).Value()
 		}
 	case *Prim:
@@ -546,11 +892,23 @@ func (c *compiler) lowerIn(ctx *fnCtx, e Expr, tail bool) code {
 	return c.fail(e, "internal: unknown expression %T", e)
 }
 
+// branches lowers the arms of if e. Each starts from the allocation points
+// before the if; after it, either arm's may have run.
+func (c *compiler) branches(ctx *fnCtx, e *If, tail bool) (then, els code) {
+	before := ctx.epoch
+	then = c.lowerIn(ctx, e.Then, tail)
+	after := ctx.epoch
+	ctx.epoch = before
+	els = c.lowerIn(ctx, e.Else, tail)
+	ctx.epoch = max(ctx.epoch, after)
+	return then, els
+}
+
 // par lowers a fork to a function of both results, which are safe to hold
 // until the next allocation. Each side is a direct function of no
-// parameters that the branch's own task activates, linked to the forking
-// activation.
-func (c *compiler) par(ctx *fnCtx, e *Par) func(*mpl.Task, env) (mem.Value, mem.Value) {
+// parameters that the branch's own task runs in an activation of its own,
+// linked to the forking one.
+func (c *compiler) par(ctx *fnCtx, e *Par) func(*mpl.Task, *act) (mem.Value, mem.Value) {
 	var fns [2]*function
 	for i, x := range []Expr{e.Left, e.Right} {
 		sub := &fnCtx{fn: &function{name: "par"}, parent: ctx}
@@ -558,23 +916,28 @@ func (c *compiler) par(ctx *fnCtx, e *Par) func(*mpl.Task, env) (mem.Value, mem.
 		ctx.nest(sub, "par branch direct")
 		fns[i] = sub.fn
 	}
-	return func(t *mpl.Task, e env) (mem.Value, mem.Value) {
-		var bad fault
-		up := e.link(0)
-		lv, rv := t.Par(fns[0].strand(up, &bad), fns[1].strand(up, &bad))
-		bad.rethrow()
+	return func(t *mpl.Task, a *act) (mem.Value, mem.Value) {
+		k := a.fork
+		if k == nil {
+			k = newFork()
+			a.fork = k
+		}
+		k.fns, k.up = fns, a
+		lv, rv := t.Par(k.left, k.right)
+		k.bad.rethrow()
 		return lv, rv
 	}
 }
 
 // loopFn lowers the function operand of tabulate (arity 1) and reduce
-// (arity 2) to a direct function the leaves activate in place. A known
-// function or a literal is entered as it stands, pre a no-op; any other
-// closure value is parked by pre in the caller's frame and applied there.
+// (arity 2) to a direct function the leaves run in activations of their
+// own. A known function or a literal is entered as it stands, pre a no-op;
+// any other closure value is parked by pre in a root slot of the caller
+// and applied there.
 func (c *compiler) loopFn(ctx *fnCtx, x Expr, arity int) (pre code, fn *function, hops int) {
 	switch x := x.(type) {
 	case *Var:
-		if b, hops := c.lookup(ctx, x.Name); b != nil && b.fn != nil {
+		if b, hops := c.lookup(ctx, x.Name, x); b != nil && b.fn != nil {
 			if c.uses(b.meta, arity); b.meta.arity == arity {
 				ctx.logf("call %s direct", b.fn.name)
 				return constant(unit), b.fn, hops
@@ -583,21 +946,26 @@ func (c *compiler) loopFn(ctx *fnCtx, x Expr, arity int) (pre code, fn *function
 	case *Fn:
 		if m := c.meta(x, false); !m.heap && m.arity >= arity {
 			m.arity, fn = arity, &function{name: "fn"}
-			c.lower(ctx, fn, arity, x.Param, x.Body)
+			c.lower(ctx, fn, arity, x, x.Param, x.Body)
 			return constant(unit), fn, 0
 		}
 	}
-	val, slot, prog := c.expr(ctx, x), ctx.temp(), c.prog
+	val, slot, prog := c.expr(ctx, x), ctx.slot(true, "(fn)").i, c.prog
 	ctx.logf("call closure")
-	fn = &function{name: "apply", nslots: arity}
-	fn.body = func(t *mpl.Task, e env) mem.Value {
-		v := prog.apply(t, e.up.Get(slot), e.Get(0))
+	// The first parameter is passed on at once; the second waits out the
+	// first application, so it is a root slot.
+	fn = &function{name: "apply", nplain: 1, params: []loc{{false, 1}, {true, 0}}[:arity], allocates: true}
+	if arity == 2 {
+		fn.roots = []string{"(element)"}
+	}
+	fn.body = func(t *mpl.Task, a *act) mem.Value {
+		v := prog.apply(t, a, a.up.f.Get(slot), a.v[1])
 		if arity == 2 {
-			v = prog.apply(t, v, e.Get(1))
+			v = prog.apply(t, a, v, a.f.Get(0))
 		}
 		return v
 	}
-	return func(t *mpl.Task, e env) mem.Value { e.Set(slot, val(t, e)); return unit }, fn, 0
+	return func(t *mpl.Task, a *act) mem.Value { a.f.Set(slot, val(t, a)); return unit }, fn, 0
 }
 
 // site reports whether the analysis proved access site e, and lists it.
@@ -611,92 +979,107 @@ func (c *compiler) site(ctx *fnCtx, e *Prim) bool {
 func (c *compiler) prim(ctx *fnCtx, e *Prim, tail bool) code {
 	switch e.Op {
 	case "+", "-", "*", "div", "mod", "<", "<=", ">", ">=", "=", "<>":
-		return arith(e.Op, c.expr(ctx, e.Args[0]), c.expr(ctx, e.Args[1]))
+		return arith(e.Op, c.arg(ctx, e.Args[0]), c.arg(ctx, e.Args[1]))
 	case "andalso", "orelse":
 		l, r, stop := c.expr(ctx, e.Args[0]), c.expr(ctx, e.Args[1]), e.Op == "orelse"
-		return func(t *mpl.Task, e env) mem.Value {
-			if v := l(t, e); v.AsBool() == stop {
+		return func(t *mpl.Task, a *act) mem.Value {
+			if v := l(t, a); v.AsBool() == stop {
 				return v
 			}
-			return r(t, e)
+			return r(t, a)
 		}
 	case "~":
-		x := c.expr(ctx, e.Args[0])
-		return func(t *mpl.Task, e env) mem.Value { return mem.Int(-x(t, e).AsInt()) }
+		x := c.arg(ctx, e.Args[0])
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Int(-x.get(t, a).AsInt()) }
 	case "not":
-		x := c.expr(ctx, e.Args[0])
-		return func(t *mpl.Task, e env) mem.Value { return mem.Bool(!x(t, e).AsBool()) }
+		x := c.arg(ctx, e.Args[0])
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Bool(!x.get(t, a).AsBool()) }
 	case ";":
 		first, then := c.expr(ctx, e.Args[0]), c.lowerIn(ctx, e.Args[1], tail)
-		return func(t *mpl.Task, e env) mem.Value {
-			first(t, e)
-			return then(t, e)
+		return func(t *mpl.Task, a *act) mem.Value {
+			first(t, a)
+			return then(t, a)
 		}
 	case "print":
-		x, prog := c.expr(ctx, e.Args[0]), c.prog
-		return func(t *mpl.Task, e env) mem.Value {
-			fmt.Fprintf(prog.out, "%d\n", x(t, e).AsInt())
+		x, prog := c.arg(ctx, e.Args[0]), c.prog
+		return func(t *mpl.Task, a *act) mem.Value {
+			fmt.Fprintf(prog.out, "%d\n", x.get(t, a).AsInt())
 			return unit
 		}
 	case "length":
-		x := c.expr(ctx, e.Args[0])
-		return func(t *mpl.Task, e env) mem.Value { return mem.Int(int64(t.Length(x(t, e).Ref()))) }
+		x := c.arg(ctx, e.Args[0])
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Int(int64(t.Length(x.get(t, a).Ref()))) }
 	case "ref":
-		x, alloc := c.expr(ctx, e.Args[0]), (*mpl.Task).AllocRef
+		x, alloc := c.arg(ctx, e.Args[0]), (*mpl.Task).AllocRef
 		if c.site(ctx, e) {
 			alloc = (*mpl.Task).AllocRefFast
 		}
-		return func(t *mpl.Task, e env) mem.Value { return alloc(t, x(t, e)).Value() }
+		ctx.alloc()
+		return func(t *mpl.Task, a *act) mem.Value { return alloc(t, x.get(t, a)).Value() }
 	case "array":
-		n, x, alloc := c.expr(ctx, e.Args[0]), c.expr(ctx, e.Args[1]), (*mpl.Task).AllocArray
+		n, x, alloc := c.arg(ctx, e.Args[0]), c.arg(ctx, e.Args[1]), (*mpl.Task).AllocArray
 		if c.site(ctx, e) {
 			alloc = (*mpl.Task).AllocArrayFast
 		}
-		return func(t *mpl.Task, e env) mem.Value {
-			n := n(t, e).AsInt()
+		ctx.alloc()
+		return func(t *mpl.Task, a *act) mem.Value {
+			n := n.get(t, a).AsInt()
 			if n < 0 {
 				throw("array size %d", n)
 			}
-			return alloc(t, int(n), x(t, e)).Value()
+			return alloc(t, int(n), x.get(t, a)).Value()
 		}
 	case "!":
-		x, fast := c.expr(ctx, e.Args[0]), c.site(ctx, e)
-		return func(t *mpl.Task, e env) mem.Value {
-			if fast {
-				return t.DerefFast(x(t, e).Ref())
-			}
-			return t.Deref(x(t, e).Ref())
+		x, fast := c.arg(ctx, e.Args[0]), c.site(ctx, e)
+		if fast {
+			return func(t *mpl.Task, a *act) mem.Value { return t.DerefFast(x.get(t, a).Ref()) }
 		}
+		return func(t *mpl.Task, a *act) mem.Value { return t.Deref(x.get(t, a).Ref()) }
 	case ":=":
-		ops, fast := c.operands(ctx, e.Args...), c.site(ctx, e)
-		return func(t *mpl.Task, e env) mem.Value {
+		// A store is a safepoint of the concurrent collector: an allocation
+		// point to the rooting rule.
+		ops, fast := c.operands(ctx, exprItems(e.Args)), c.site(ctx, e)
+		ctx.alloc()
+		assign := (*mpl.Task).Assign
+		if fast {
+			assign = (*mpl.Task).AssignFast
+		}
+		return func(t *mpl.Task, a *act) mem.Value {
 			var vs [2]mem.Value
-			if values(t, e, ops, vs[:]); fast {
-				t.AssignFast(vs[0].Ref(), vs[1])
-			} else {
-				t.Assign(vs[0].Ref(), vs[1])
-			}
+			values(t, a, ops, vs[:])
+			assign(t, vs[0].Ref(), vs[1])
 			return unit
 		}
-	case "sub", "update":
-		ops, fast, store := c.operands(ctx, e.Args...), c.site(ctx, e), e.Op == "update"
-		return func(t *mpl.Task, e env) mem.Value {
+	case "sub":
+		ops, fast := c.operands(ctx, exprItems(e.Args)), c.site(ctx, e)
+		if simple(ops) {
+			arr, ix := ops[0].now, ops[1].now
+			return func(t *mpl.Task, a *act) mem.Value {
+				r := arr.get(t, a).Ref()
+				return subAt(t, r, ix.get(t, a).AsInt(), fast)
+			}
+		}
+		return func(t *mpl.Task, a *act) mem.Value {
+			var vs [2]mem.Value
+			values(t, a, ops, vs[:])
+			return subAt(t, vs[0].Ref(), vs[1].AsInt(), fast)
+		}
+	case "update":
+		ops, fast := c.operands(ctx, exprItems(e.Args)), c.site(ctx, e)
+		ctx.alloc() // a store: see ":="
+		if simple(ops) {
+			arr, ix, x := ops[0].now, ops[1].now, ops[2].now
+			return func(t *mpl.Task, a *act) mem.Value {
+				r := arr.get(t, a).Ref()
+				i := ix.get(t, a).AsInt()
+				updateAt(t, r, i, x.get(t, a), fast)
+				return unit
+			}
+		}
+		return func(t *mpl.Task, a *act) mem.Value {
 			var vs [3]mem.Value
-			values(t, e, ops, vs[:len(ops)])
-			r, i := vs[0].Ref(), vs[1].AsInt()
-			if i < 0 || int(i) >= t.Length(r) {
-				throw("index %d out of bounds [0,%d)", i, t.Length(r))
-			}
-			switch {
-			case !store && fast:
-				return t.ReadFast(r, int(i))
-			case !store:
-				return t.Read(r, int(i))
-			case fast:
-				t.WriteFast(r, int(i), vs[2])
-			default:
-				t.Write(r, int(i), vs[2])
-			}
+			values(t, a, ops, vs[:])
+			updateAt(t, vs[0].Ref(), vs[1].AsInt(), vs[2], fast)
 			return unit
 		}
 	case "tabulate":
@@ -707,35 +1090,117 @@ func (c *compiler) prim(ctx *fnCtx, e *Prim, tail bool) code {
 	return c.fail(e, "internal: unknown primitive %q", e.Op)
 }
 
-// arith lowers an integer operator to its own closure. Both operands are
+// subAt reads a[i]: at a proven site one chunk resolution serves the bounds
+// check and the load; otherwise the length and the managed read.
+func subAt(t *mpl.Task, r mem.Ref, i int64, fast bool) mem.Value {
+	if fast {
+		if v, ok := t.SubFast(r, i); ok {
+			return v
+		}
+	} else if i >= 0 && i < int64(t.Length(r)) {
+		return t.Read(r, int(i))
+	}
+	panic(outOfBounds(t, r, i))
+}
+
+// updateAt writes a[i] := v, as subAt reads.
+func updateAt(t *mpl.Task, r mem.Ref, i int64, v mem.Value, fast bool) {
+	if fast {
+		if t.UpdateFast(r, i, v) {
+			return
+		}
+	} else if i >= 0 && i < int64(t.Length(r)) {
+		t.Write(r, int(i), v)
+		return
+	}
+	panic(outOfBounds(t, r, i))
+}
+
+func outOfBounds(t *mpl.Task, r mem.Ref, i int64) *RuntimeError {
+	return &RuntimeError{Msg: fmt.Sprintf("index %d out of bounds [0,%d)", i, t.Length(r))}
+}
+
+var compares = map[string]bool{"<": true, "<=": true, ">": true, ">=": true, "=": true, "<>": true}
+
+// arith lowers an integer operator, its operands fused in: both are
 // immediates, so neither needs a root while the other evaluates.
-func arith(op string, l, r code) code {
+func arith(op string, l, r arg) code {
 	switch op {
 	case "+":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Int(l(t, e).AsInt() + r(t, e).AsInt()) }
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Int(l.get(t, a).AsInt() + r.get(t, a).AsInt()) }
 	case "-":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Int(l(t, e).AsInt() - r(t, e).AsInt()) }
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Int(l.get(t, a).AsInt() - r.get(t, a).AsInt()) }
 	case "*":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Int(l(t, e).AsInt() * r(t, e).AsInt()) }
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Int(l.get(t, a).AsInt() * r.get(t, a).AsInt()) }
 	case "div":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Int(floorDiv(l(t, e).AsInt(), r(t, e).AsInt())) }
+		return func(t *mpl.Task, a *act) mem.Value {
+			return mem.Int(floorDiv(l.get(t, a).AsInt(), r.get(t, a).AsInt()))
+		}
 	case "mod":
-		return func(t *mpl.Task, e env) mem.Value {
-			a, b := l(t, e).AsInt(), r(t, e).AsInt()
-			return mem.Int(a - b*floorDiv(a, b))
+		return func(t *mpl.Task, a *act) mem.Value {
+			x, y := l.get(t, a).AsInt(), r.get(t, a).AsInt()
+			return mem.Int(x - y*floorDiv(x, y))
 		}
 	case "<":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Bool(l(t, e).AsInt() < r(t, e).AsInt()) }
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Bool(l.get(t, a).AsInt() < r.get(t, a).AsInt()) }
 	case "<=":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Bool(l(t, e).AsInt() <= r(t, e).AsInt()) }
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Bool(l.get(t, a).AsInt() <= r.get(t, a).AsInt()) }
 	case ">":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Bool(l(t, e).AsInt() > r(t, e).AsInt()) }
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Bool(l.get(t, a).AsInt() > r.get(t, a).AsInt()) }
 	case ">=":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Bool(l(t, e).AsInt() >= r(t, e).AsInt()) }
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Bool(l.get(t, a).AsInt() >= r.get(t, a).AsInt()) }
 	case "=":
-		return func(t *mpl.Task, e env) mem.Value { return mem.Bool(l(t, e).AsInt() == r(t, e).AsInt()) }
+		return func(t *mpl.Task, a *act) mem.Value { return mem.Bool(l.get(t, a).AsInt() == r.get(t, a).AsInt()) }
 	}
-	return func(t *mpl.Task, e env) mem.Value { return mem.Bool(l(t, e).AsInt() != r(t, e).AsInt()) }
+	return func(t *mpl.Task, a *act) mem.Value { return mem.Bool(l.get(t, a).AsInt() != r.get(t, a).AsInt()) }
+}
+
+// branchOn lowers `if l op r then ... else ...`: the comparison, its
+// operands and the branch are one closure.
+func branchOn(op string, l, r arg, then, els code) code {
+	switch op {
+	case "<":
+		return func(t *mpl.Task, a *act) mem.Value {
+			if l.get(t, a).AsInt() < r.get(t, a).AsInt() {
+				return then(t, a)
+			}
+			return els(t, a)
+		}
+	case "<=":
+		return func(t *mpl.Task, a *act) mem.Value {
+			if l.get(t, a).AsInt() <= r.get(t, a).AsInt() {
+				return then(t, a)
+			}
+			return els(t, a)
+		}
+	case ">":
+		return func(t *mpl.Task, a *act) mem.Value {
+			if l.get(t, a).AsInt() > r.get(t, a).AsInt() {
+				return then(t, a)
+			}
+			return els(t, a)
+		}
+	case ">=":
+		return func(t *mpl.Task, a *act) mem.Value {
+			if l.get(t, a).AsInt() >= r.get(t, a).AsInt() {
+				return then(t, a)
+			}
+			return els(t, a)
+		}
+	case "=":
+		return func(t *mpl.Task, a *act) mem.Value {
+			if l.get(t, a).AsInt() == r.get(t, a).AsInt() {
+				return then(t, a)
+			}
+			return els(t, a)
+		}
+	}
+	return func(t *mpl.Task, a *act) mem.Value {
+		if l.get(t, a).AsInt() != r.get(t, a).AsInt() {
+			return then(t, a)
+		}
+		return els(t, a)
+	}
 }
 
 // floorDiv is ML's div: the quotient rounded toward negative infinity

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -218,5 +219,68 @@ func TestLeavesAllocateNothing(t *testing.T) {
 	}
 	if got := res.Runtime.Tree().Count(); got != 253 {
 		t.Errorf("psum %d ran on %d heaps, want 253 (126 forks)", n, got)
+	}
+}
+
+// TestCallsAllocateNothing pins that an activation costs no Go allocation:
+// a call runs in the activation after its caller's, recycled, and a par,
+// tabulate or reduce reuses the record its activation keeps. A run then
+// allocates what the runtime's set-up does, however many calls it makes,
+// and a par what the runtime's Par does (two tasks and their heaps: 11).
+// Go's collector is off while counting, as in the benchmark: it would
+// empty the activation pool between runs.
+func TestCallsAllocateNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(src string, n int) float64 {
+		ast, err := Parse(fmt.Sprintf(src, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := Analyze(ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := CompileWith(ast, an)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMachine(prog, nil)
+		return testing.AllocsPerRun(10, func() {
+			mpl.New(mpl.Config{Procs: 1}).Run(func(t *mpl.Task) mpl.Value { v, _ := m.Run(t); return v })
+		})
+	}
+	for name, src := range map[string]string{
+		// A function defined in the calling activation, called 10 000 times
+		// from a loop and from a recursion 10 000 deep.
+		"loop": `let fun loop i = fn acc => if i = 0 then acc else
+		           let fun f x = x + i in loop (i - 1) (acc + f 1) end in loop %d 0 end`,
+		"recursion": `let fun down i = if i = 0 then 0 else
+		                let fun f x = x + i in f 1 + down (i - 1) end in down %d end`,
+		// A reduce whose leaf needs no fork, from a loop: its activation
+		// has a root slot (the array), and the runtime's frames cost a Go
+		// allocation each while none has been popped on the task yet.
+		"reduce": `let val a = array (4, 1) in
+		           let fun go i = fn acc => if i = 0 then acc else go (i - 1) (acc + reduce (a, 0, fn x => fn y => x + y))
+		           in go %d 0 end end`,
+	} {
+		if few, many := allocs(src, 10), allocs(src, 10000); many > few {
+			t.Errorf("%s: %v allocations for 10 000 calls, %v for 10", name, many, few)
+		}
+	}
+	const pars = `let fun go i = if i = 0 then 0 else let val p = par (i, 1) in #1 p + go (i - 1) end in go %d end`
+	perPar := (allocs(pars, 1000) - allocs(pars, 10)) / 990
+	raw := func(n int) float64 {
+		f := func(t *mpl.Task) mpl.Value { return mpl.Int(1) }
+		return testing.AllocsPerRun(10, func() {
+			mpl.New(mpl.Config{Procs: 1}).Run(func(t *mpl.Task) mpl.Value {
+				for i := 0; i < n; i++ {
+					t.Par(f, f)
+				}
+				return mpl.Nil
+			})
+		})
+	}
+	if rawPar := (raw(1000) - raw(10)) / 990; perPar > rawPar+0.01 || perPar > 11.01 {
+		t.Errorf("a par allocates %.2f times, the runtime's Par %.2f", perPar, rawPar)
 	}
 }

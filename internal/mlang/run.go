@@ -37,123 +37,191 @@ func (f *fault) catch() {
 	}
 }
 
-// rethrow re-raises a parked fault in the parent, after the join.
+// rethrow re-raises a parked fault in the parent, after the join, and
+// clears it for the record's next fork.
 func (f *fault) rethrow() {
-	if re := f.first.Load(); re != nil {
+	if re := f.first.Swap(nil); re != nil {
 		panic(re)
 	}
 }
 
-// strand wraps fn as a fork body: an activation on whichever task runs
-// it, linked to up.
-func (fn *function) strand(up *env, bad *fault) func(*mpl.Task) mem.Value {
-	return func(t *mpl.Task) mem.Value {
-		defer bad.catch()
-		f := t.NewFrame(fn.nslots)
-		v := fn.body(t, env{f, up})
-		f.Pop()
-		return v
-	}
+// fork is the record of the par started in an activation, reused by its
+// next one: the branch functions, the activation they link to, and the two
+// fork bodies, made once.
+type fork struct {
+	fns         [2]*function
+	up          *act
+	bad         fault
+	left, right func(*mpl.Task) mem.Value
 }
 
-// tabulate builds [| f 0, ..., f (n-1) |] with a parallel loop. The array
-// sits in a slot of the caller's frame, which leaves on child tasks may
-// read (the caller cannot collect while they live). Each leaf reuses one
-// activation of f for its whole range. When the element type is immediate
-// (fast) the leaves store unchecked: a scalar store publishes no pointer,
-// so there is nothing for the write barrier to remember.
+func newFork() *fork {
+	k := &fork{}
+	k.left = func(t *mpl.Task) mem.Value { return k.branch(t, 0) }
+	k.right = func(t *mpl.Task) mem.Value { return k.branch(t, 1) }
+	return k
+}
+
+func (k *fork) branch(t *mpl.Task, i int) mem.Value {
+	defer k.bad.catch()
+	return k.fns[i].strand(t, k.up.home, k.up)
+}
+
+// tabulation is a running tabulate, reused like fork: [| f 0, ..., f (n-1) |]
+// with a parallel loop. The array sits in a root slot of the caller's
+// activation, which leaves on child tasks may read (the caller cannot
+// collect while they live). Each leaf runs f in one activation for its
+// whole range. When the element type is immediate (fast) the leaves store
+// unchecked: a scalar store publishes no pointer, so there is nothing for
+// the write barrier to remember; when f has no allocation point either,
+// nothing can move the array during the range, so a leaf resolves it once.
+type tabulation struct {
+	fn   *function
+	up   *act // f's static link
+	at   *act // the caller
+	out  int  // the array's root slot in at
+	fast bool
+	bad  fault
+	leaf func(*mpl.Task, int, int)
+}
+
 func (c *compiler) tabulate(ctx *fnCtx, e *Prim) code {
-	size := c.expr(ctx, e.Args[0])
+	size := c.arg(ctx, e.Args[0])
 	pre, fn, hops := c.loopFn(ctx, e.Args[1], 1)
-	fast, out := c.site(ctx, e), ctx.temp()
-	return func(t *mpl.Task, e env) mem.Value {
-		n := int(size(t, e).AsInt())
+	fast, out := c.site(ctx, e), ctx.slot(true, "(array)").i
+	ctx.alloc()
+	return func(t *mpl.Task, a *act) mem.Value {
+		n := int(size.get(t, a).AsInt())
 		if n < 0 {
 			throw("tabulate size %d", n)
 		}
-		pre(t, e)
-		e.Set(out, t.AllocArray(n, mem.Nil).Value())
-		var bad fault
-		up := e.link(hops)
-		t.ParFor(0, n, n/64+1, func(t *mpl.Task, lo, hi int) {
-			defer bad.catch()
-			f := t.NewFrame(fn.nslots)
-			for i := lo; i < hi; i++ {
-				f.Set(0, mem.Int(int64(i)))
-				if v := fn.body(t, env{f, up}); fast {
-					t.WriteFast(e.Ref(out), i, v)
-				} else {
-					t.Write(e.Ref(out), i, v)
-				}
-			}
-			f.Pop()
-		})
-		bad.rethrow()
-		return e.Get(out)
+		pre(t, a)
+		a.f.Set(out, t.AllocArray(n, mem.Nil).Value())
+		r := a.tab
+		if r == nil {
+			r = &tabulation{}
+			r.leaf = r.run
+			a.tab = r
+		}
+		r.fn, r.up, r.at, r.out, r.fast = fn, a.link(hops), a, out, fast
+		t.ParFor(0, n, n/64+1, r.leaf)
+		r.bad.rethrow()
+		return a.f.Get(out)
 	}
 }
 
-// reduction is one running reduce: the combiner, and the caller's
-// activation, where the array and the identity are rooted.
+func (r *tabulation) run(t *mpl.Task, lo, hi int) {
+	defer r.bad.catch()
+	fn, p := r.fn, r.fn.params[0]
+	l := r.at.home.get()
+	l.enter(t, fn, r.up)
+	var w mem.Words
+	if r.fast && !fn.allocates {
+		w = t.ElementsFast(r.at.f.Ref(r.out), 0, hi-lo)
+	}
+	for i := lo; i < hi; i++ {
+		l.set(p, mem.Int(int64(i)))
+		v := fn.body(t, l)
+		switch {
+		case w != nil:
+			w.Store(i, v)
+		case r.fast:
+			t.WriteFast(r.at.f.Ref(r.out), i, v)
+		default:
+			t.Write(r.at.f.Ref(r.out), i, v)
+		}
+	}
+	fn.leave(l)
+	r.at.home.put(l)
+}
+
+// reduction is a running reduce, reused like fork: the combiner, and the
+// caller's activation, where the array and the identity are stored.
 type reduction struct {
 	fn      *function
-	up      *env
-	at      env
-	arr, id int
+	up      *act
+	at      *act
+	arr, id loc
 	fast    bool // immediate elements: unchecked reads
 }
 
 func (c *compiler) reduce(ctx *fnCtx, e *Prim) code {
-	arr, id := c.expr(ctx, e.Args[0]), c.expr(ctx, e.Args[1])
+	arr, as := c.expr(ctx, e.Args[0]), ctx.slot(true, "(array)")
+	id, is := c.expr(ctx, e.Args[1]), ctx.slot(!immediateType(c.types[e.Args[1]]), "(identity)")
 	pre, fn, hops := c.loopFn(ctx, e.Args[2], 2)
-	fast, as, is := c.site(ctx, e), ctx.temp(), ctx.temp()
-	return func(t *mpl.Task, e env) mem.Value {
-		e.Set(as, arr(t, e))
-		e.Set(is, id(t, e))
-		pre(t, e)
-		r := reduction{fn, e.link(hops), e, as, is, fast}
-		return r.fold(t, 0, t.Length(e.Ref(as)))
+	fast := c.site(ctx, e)
+	ctx.alloc()
+	return func(t *mpl.Task, a *act) mem.Value {
+		a.set(as, arr(t, a))
+		a.set(is, id(t, a))
+		pre(t, a)
+		r := a.red
+		if r == nil {
+			r = &reduction{}
+			a.red = r
+		}
+		*r = reduction{fn, a.link(hops), a, as, is, fast}
+		return r.fold(t, 0, t.Length(a.get(as).Ref()))
 	}
 }
 
 // fold reduces [lo, hi) by binary parallel splitting. A leaf folds
 // sequentially in one activation of the combiner, whose first parameter
-// is the accumulator; it allocates only if the combiner does.
+// is the accumulator; it allocates only if the combiner does, and if the
+// combiner does not, it resolves an immediate array once.
 func (r *reduction) fold(t *mpl.Task, lo, hi int) mem.Value {
-	f := t.NewFrame(r.fn.nslots)
+	fn, p, q := r.fn, r.fn.params[0], r.fn.params[1]
 	if hi-lo <= 256 {
-		f.Set(0, r.at.Get(r.id))
-		for i := lo; i < hi; i++ {
-			if r.fast {
-				f.Set(1, t.ReadFast(r.at.Ref(r.arr), i))
-			} else {
-				f.Set(1, t.Read(r.at.Ref(r.arr), i))
-			}
-			f.Set(0, r.fn.body(t, env{f, r.up}))
+		l := r.at.home.get()
+		l.enter(t, fn, r.up)
+		acc := r.at.get(r.id)
+		var w mem.Words
+		if r.fast && !fn.allocates {
+			w = t.ElementsFast(r.at.get(r.arr).Ref(), hi-lo, 0)
 		}
-	} else {
-		mid := lo + (hi-lo)/2
-		var bad fault
-		lv, rv := t.Par(
-			func(t *mpl.Task) mem.Value { defer bad.catch(); return r.fold(t, lo, mid) },
-			func(t *mpl.Task) mem.Value { defer bad.catch(); return r.fold(t, mid, hi) },
-		)
-		bad.rethrow()
-		f.Set(0, lv)
-		f.Set(1, rv)
-		f.Set(0, r.fn.body(t, env{f, r.up}))
+		for i := lo; i < hi; i++ {
+			l.set(p, acc)
+			switch {
+			case w != nil:
+				l.set(q, w.Load(i))
+			case r.fast:
+				l.set(q, t.ReadFast(r.at.get(r.arr).Ref(), i))
+			default:
+				l.set(q, t.Read(r.at.get(r.arr).Ref(), i))
+			}
+			acc = fn.body(t, l)
+		}
+		fn.leave(l)
+		r.at.home.put(l)
+		return acc
 	}
-	v := f.Get(0)
-	f.Pop()
+	mid := lo + (hi-lo)/2
+	var bad fault
+	lv, rv := t.Par(
+		func(t *mpl.Task) mem.Value { defer bad.catch(); return r.fold(t, lo, mid) },
+		func(t *mpl.Task) mem.Value { defer bad.catch(); return r.fold(t, mid, hi) },
+	)
+	bad.rethrow()
+	l := r.at.home.get()
+	l.enter(t, fn, r.up)
+	l.set(p, lv)
+	l.set(q, rv)
+	v := fn.body(t, l)
+	fn.leave(l)
+	r.at.home.put(l)
 	return v
 }
 
 // Machine executes compiled programs on the hierarchical runtime. Every
-// value a program manipulates is a runtime Value. Roots are precise: every
-// variable, and every boxed temporary that is live across a call, an
-// allocation or a par, sits in a slot of its activation's Task frame;
-// immediates wait in Go locals. All mutable-object access goes through
-// the entanglement barriers, except at sites the analysis proved.
+// value a program manipulates is a runtime Value. Roots are precise: a
+// variable or parked temporary of reference type that is live across an
+// allocation point (a call, a par, a tabulate/reduce, an allocating
+// primitive, a store), or read from another activation, sits in a root
+// slot of its activation's Task frame; every other value — immediates,
+// references dead at every allocation point — sits in plain storage the
+// collector does not scan, and an activation with no root slots pushes no
+// frame. All mutable-object access goes through the entanglement
+// barriers, except at sites the analysis proved.
 type Machine struct {
 	prog *Program
 }
@@ -172,7 +240,11 @@ func NewMachine(prog *Program, out io.Writer) *Machine {
 // popping frames; t's computation is over then, so nothing reads them.
 func (m *Machine) Run(t *mpl.Task) (mem.Value, error) {
 	var bad fault
-	v := m.prog.main.strand(nil, &bad)(t)
+	var v mem.Value
+	func() {
+		defer bad.catch()
+		v = m.prog.main.strand(t, &m.prog.acts, nil)
+	}()
 	if re := bad.first.Load(); re != nil {
 		return mem.Nil, re
 	}
