@@ -315,19 +315,3 @@ func BenchmarkAblateLazyPin(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblateHeapStrategy compares heap creation at every fork
-// (deterministic object-level semantics, the default) against MPL's
-// steal-time heaps (Config.LazyHeaps) on a fork-heavy benchmark: the cost
-// being amortized is hierarchy maintenance (heap structs, fork paths,
-// merges) per Par.
-func BenchmarkAblateHeapStrategy(b *testing.B) {
-	bm, _ := bench.ByName("fib")
-	n := sizeOf(bm)
-	b.Run("heaps-at-fork", func(b *testing.B) {
-		runMPL(b, bm, n, mpl.Config{Procs: 1})
-	})
-	b.Run("heaps-at-steal", func(b *testing.B) {
-		runMPL(b, bm, n, mpl.Config{Procs: 1, LazyHeaps: true})
-	})
-}

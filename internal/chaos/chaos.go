@@ -36,8 +36,8 @@ const (
 	GCTrigger Point = iota
 	// StealDecision fires at forks: a hit widens the steal window (the
 	// forking worker yields after publishing the right branch), forcing
-	// steals — and therefore heap materialization and entangled joins —
-	// that an unloaded run would almost never perform.
+	// steals — and therefore concurrently running siblings and entangled
+	// joins — that an unloaded run would almost never perform.
 	StealDecision
 	// GateAcquire fires in Gate.EnterReader: a hit makes the reader back
 	// off once as if a collection were underway (spurious contention),

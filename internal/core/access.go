@@ -269,7 +269,7 @@ func (t *Task) Assign(cell mem.Ref, v mem.Value) { t.Write(cell, 0, v) }
 // ReadFast loads payload word i of o with no read barrier.
 func (t *Task) ReadFast(o mem.Ref, i int) mem.Value {
 	t.workAcc += costAccess
-	t.elidedLoads++
+	t.heap.Tally.ElidedLoads++
 	return t.rt.space.Load(o, i)
 }
 
@@ -280,7 +280,7 @@ func (t *Task) WriteFast(o mem.Ref, i int, v mem.Value) {
 		t.cgcSafepoint()
 		t.rt.ent.ShadeOverwritten(t.heap, o, i)
 	}
-	t.elidedStores++
+	t.heap.Tally.ElidedStores++
 	t.rt.space.Store(o, i, v)
 }
 
@@ -299,7 +299,7 @@ func (t *Task) SubFast(o mem.Ref, i int64) (v mem.Value, ok bool) {
 		return mem.Nil, false
 	}
 	t.workAcc += costAccess
-	t.elidedLoads++
+	t.heap.Tally.ElidedLoads++
 	return w.Load(int(i)), true
 }
 
@@ -320,7 +320,7 @@ func (t *Task) UpdateFast(o mem.Ref, i int64, v mem.Value) bool {
 		return false
 	}
 	t.workAcc += costAccess
-	t.elidedStores++
+	t.heap.Tally.ElidedStores++
 	w.Store(int(i), v)
 	return true
 }
@@ -336,8 +336,8 @@ func (t *Task) ElementsFast(o mem.Ref, loads, stores int) mem.Words {
 		return nil
 	}
 	t.workAcc += int64(loads+stores) * costAccess
-	t.elidedLoads += int64(loads)
-	t.elidedStores += int64(stores)
+	t.heap.Tally.ElidedLoads += int64(loads)
+	t.heap.Tally.ElidedStores += int64(stores)
 	return t.rt.space.Payload(o)
 }
 
@@ -356,7 +356,7 @@ func (t *Task) AllocRefFast(v mem.Value) mem.Ref {
 		return t.AllocRef(v)
 	}
 	r := t.alloc.AllocRef(v)
-	t.staticAllocs++
+	t.heap.Tally.ElidedAllocs++
 	t.bumpAlloc(2)
 	return r
 }
@@ -368,7 +368,7 @@ func (t *Task) AllocArrayFast(n int, v mem.Value) mem.Ref {
 		return t.AllocArray(n, v)
 	}
 	r := t.alloc.AllocArray(n, v)
-	t.staticAllocs++
+	t.heap.Tally.ElidedAllocs++
 	t.bumpAlloc(int64(n) + 1)
 	return r
 }

@@ -16,11 +16,9 @@ package core
 // Handshake protocol. Each task carries (cgcPark, cgcEpoch):
 //
 //   - cgcPark is run/parked/claimed. A task parks around the ForkJoin of
-//     a non-lazy Par — the whole window in which it is suspended under
-//     live children and its frames are stable — and unparks on resume,
-//     waiting out a collector claim. Lazy-mode tasks never park: their
-//     branch may run inline on the same stack, so the collector cannot
-//     scan them and the cycle simply waits for their next safepoint.
+//     every Par — the whole window in which it is suspended under live
+//     children and its frames are stable, since both branches run as
+//     fresh tasks — and unparks on resume, waiting out a collector claim.
 //   - cgcEpoch is the last cycle epoch whose ragged safepoint this task
 //     has passed. Running tasks self-scan at safepoints (allocation,
 //     forks, the write barrier); parked tasks are claim-scanned by the
@@ -131,7 +129,7 @@ func (t *Task) cgcSafepoint() {
 }
 
 // cgcParkSelf marks the task claim-scannable and its heap claimable for
-// the duration of a non-lazy ForkJoin. The caller must not touch its
+// the duration of a Par's ForkJoin. The caller must not touch its
 // frames, allocator, or heap until cgcUnpark (and the heap's CGCResume)
 // returns.
 func (t *Task) cgcParkSelf() {

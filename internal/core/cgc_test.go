@@ -263,29 +263,24 @@ func TestChaosCGCSoak(t *testing.T) {
 			}
 			want = v.AsInt()
 		}
-		for _, cfg := range []Config{
-			{Procs: 4, HeapBudgetWords: 2048, Seed: seed, Chaos: &opts,
-				CGC: true, CGCThresholdWords: 1},
-			{Procs: 4, HeapBudgetWords: 2048, Seed: seed, Chaos: &opts,
-				CGC: true, CGCThresholdWords: 1, LazyHeaps: true},
-		} {
-			rt := New(cfg)
-			v, err := rt.Run(prog)
-			if err != nil {
-				dumpChaosFailure(t, rt, seed, cfg, err)
-				t.Fatalf("seed %d %+v: %v\n%s", seed, cfg, err, rt.ChaosReport())
-			}
-			if v.AsInt() != want {
-				dumpChaosFailure(t, rt, seed, cfg,
-					fmt.Errorf("result %d, want %d", v.AsInt(), want))
-				t.Fatalf("seed %d %+v: result %d, want %d\n%s",
-					seed, cfg, v.AsInt(), want, rt.ChaosReport())
-			}
-			if s := rt.EntStats(); s.Pins != s.Unpins {
-				dumpChaosFailure(t, rt, seed, cfg,
-					fmt.Errorf("pins %d != unpins %d", s.Pins, s.Unpins))
-				t.Fatalf("seed %d %+v: pins %d != unpins %d", seed, cfg, s.Pins, s.Unpins)
-			}
+		cfg := Config{Procs: 4, HeapBudgetWords: 2048, Seed: seed, Chaos: &opts,
+			CGC: true, CGCThresholdWords: 1}
+		rt := New(cfg)
+		v, err := rt.Run(prog)
+		if err != nil {
+			dumpChaosFailure(t, rt, seed, cfg, err)
+			t.Fatalf("seed %d %+v: %v\n%s", seed, cfg, err, rt.ChaosReport())
+		}
+		if v.AsInt() != want {
+			dumpChaosFailure(t, rt, seed, cfg,
+				fmt.Errorf("result %d, want %d", v.AsInt(), want))
+			t.Fatalf("seed %d %+v: result %d, want %d\n%s",
+				seed, cfg, v.AsInt(), want, rt.ChaosReport())
+		}
+		if s := rt.EntStats(); s.Pins != s.Unpins {
+			dumpChaosFailure(t, rt, seed, cfg,
+				fmt.Errorf("pins %d != unpins %d", s.Pins, s.Unpins))
+			t.Fatalf("seed %d %+v: pins %d != unpins %d", seed, cfg, s.Pins, s.Unpins)
 		}
 	}
 }

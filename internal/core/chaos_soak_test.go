@@ -84,41 +84,37 @@ func TestChaosSoakEntangled(t *testing.T) {
 			}
 			want = v.AsInt()
 		}
-		for _, cfg := range []Config{
-			{Procs: 4, HeapBudgetWords: 2048, Seed: seed, Chaos: &opts},
-			{Procs: 4, HeapBudgetWords: 2048, Seed: seed, Chaos: &opts, LazyHeaps: true},
-		} {
-			rt := New(cfg)
-			v, err := rt.Run(prog)
-			if err != nil {
-				dumpChaosFailure(t, rt, seed, cfg, err)
-				t.Fatalf("seed %d %+v: %v\n%s", seed, cfg, err, rt.ChaosReport())
-			}
-			if v.AsInt() != want {
-				dumpChaosFailure(t, rt, seed, cfg,
-					fmt.Errorf("result %d, want %d", v.AsInt(), want))
-				t.Fatalf("seed %d %+v: result %d, want %d\n%s",
-					seed, cfg, v.AsInt(), want, rt.ChaosReport())
-			}
-			if s := rt.EntStats(); s.Pins != s.Unpins {
-				dumpChaosFailure(t, rt, seed, cfg,
-					fmt.Errorf("pins %d != unpins %d", s.Pins, s.Unpins))
-				t.Fatalf("seed %d %+v: pins %d != unpins %d", seed, cfg, s.Pins, s.Unpins)
-			}
-			var injected uint64
-			for _, p := range chaos.Points() {
-				injected += rt.chaos.Injected(p)
-			}
-			if injected == 0 {
-				t.Fatalf("seed %d %+v: soak injected no faults — rates wired wrong?", seed, cfg)
-			}
+		cfg := Config{Procs: 4, HeapBudgetWords: 2048, Seed: seed, Chaos: &opts}
+		rt := New(cfg)
+		v, err := rt.Run(prog)
+		if err != nil {
+			dumpChaosFailure(t, rt, seed, cfg, err)
+			t.Fatalf("seed %d %+v: %v\n%s", seed, cfg, err, rt.ChaosReport())
+		}
+		if v.AsInt() != want {
+			dumpChaosFailure(t, rt, seed, cfg,
+				fmt.Errorf("result %d, want %d", v.AsInt(), want))
+			t.Fatalf("seed %d %+v: result %d, want %d\n%s",
+				seed, cfg, v.AsInt(), want, rt.ChaosReport())
+		}
+		if s := rt.EntStats(); s.Pins != s.Unpins {
+			dumpChaosFailure(t, rt, seed, cfg,
+				fmt.Errorf("pins %d != unpins %d", s.Pins, s.Unpins))
+			t.Fatalf("seed %d %+v: pins %d != unpins %d", seed, cfg, s.Pins, s.Unpins)
+		}
+		var injected uint64
+		for _, p := range chaos.Points() {
+			injected += rt.chaos.Injected(p)
+		}
+		if injected == 0 {
+			t.Fatalf("seed %d %+v: soak injected no faults — rates wired wrong?", seed, cfg)
 		}
 	}
 }
 
 // spineProgram builds a fork spine of the given depth: each level forks one
-// recursing branch and one leaf that churns allocations. In eager-heap mode
-// the heap tree grows a path of `depth` edges, pushing the fork-path words
+// recursing branch and one leaf that churns allocations. The heap tree
+// grows a path of `depth` edges, pushing the fork-path words
 // past their 128-bit inline width so the spilled representation carries the
 // ancestry queries of real collections and joins (not just unit tests).
 func spineProgram(depth int) func(t *Task) mem.Value {
@@ -141,9 +137,9 @@ func spineProgram(depth int) func(t *Task) mem.Value {
 
 // TestChaosDeepSpineSpill soaks the fork-path spill: a depth-160 spine
 // under the full injection preset (which includes PathSpill, forcing the
-// inline→vector promotion even at shallow depths) in both heap modes. The
-// eager run must have produced at least one naturally spilled path; the
-// PathSpill point must have fired somewhere across the matrix. (The legacy
+// inline→vector promotion even at shallow depths). Every run must have
+// produced at least one naturally spilled path; the PathSpill point must
+// have fired somewhere across the matrix. (The legacy
 // label-space rebalance needed no chaos point and is unreachable on the
 // default oracle — this is its replacement as the ancestry stress.)
 func TestChaosDeepSpineSpill(t *testing.T) {
@@ -152,38 +148,31 @@ func TestChaosDeepSpineSpill(t *testing.T) {
 	opts := chaos.Soak()
 	var pathSpills uint64
 	for _, seed := range chaosSeeds(t) {
-		for _, cfg := range []Config{
-			{Procs: 4, HeapBudgetWords: 1024, Seed: seed, Chaos: &opts},
-			{Procs: 4, HeapBudgetWords: 1024, Seed: seed, Chaos: &opts, LazyHeaps: true},
-		} {
-			rt := New(cfg)
-			v, err := rt.Run(spineProgram(depth))
-			if err != nil {
-				dumpChaosFailure(t, rt, seed, cfg, err)
-				t.Fatalf("seed %d %+v: %v\n%s", seed, cfg, err, rt.ChaosReport())
+		cfg := Config{Procs: 4, HeapBudgetWords: 1024, Seed: seed, Chaos: &opts}
+		rt := New(cfg)
+		v, err := rt.Run(spineProgram(depth))
+		if err != nil {
+			dumpChaosFailure(t, rt, seed, cfg, err)
+			t.Fatalf("seed %d %+v: %v\n%s", seed, cfg, err, rt.ChaosReport())
+		}
+		if v.AsInt() != want {
+			dumpChaosFailure(t, rt, seed, cfg,
+				fmt.Errorf("result %d, want %d", v.AsInt(), want))
+			t.Fatalf("seed %d %+v: result %d, want %d", seed, cfg, v.AsInt(), want)
+		}
+		pathSpills += rt.chaos.Injected(chaos.PathSpill)
+		// A heap per spine level: some path must have outgrown the inline
+		// words regardless of injection.
+		spilled := false
+		for id := uint32(1); !spilled; id++ {
+			h := rt.tree.Get(id)
+			if h == nil {
+				break
 			}
-			if v.AsInt() != want {
-				dumpChaosFailure(t, rt, seed, cfg,
-					fmt.Errorf("result %d, want %d", v.AsInt(), want))
-				t.Fatalf("seed %d %+v: result %d, want %d", seed, cfg, v.AsInt(), want)
-			}
-			pathSpills += rt.chaos.Injected(chaos.PathSpill)
-			if cfg.LazyHeaps {
-				continue
-			}
-			// Eager mode forked a heap per spine level: some path must have
-			// outgrown the inline words regardless of injection.
-			spilled := false
-			for id := uint32(1); !spilled; id++ {
-				h := rt.tree.Get(id)
-				if h == nil {
-					break
-				}
-				spilled = h.Path().Spilled()
-			}
-			if !spilled {
-				t.Fatalf("seed %d: depth-%d spine produced no spilled fork path", seed, depth)
-			}
+			spilled = h.Path().Spilled()
+		}
+		if !spilled {
+			t.Fatalf("seed %d: depth-%d spine produced no spilled fork path", seed, depth)
 		}
 	}
 	if pathSpills == 0 {

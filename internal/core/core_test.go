@@ -72,25 +72,12 @@ func TestParFib(t *testing.T) {
 	for _, cfg := range []Config{
 		{Procs: 1},
 		{Procs: 4},
-		{Procs: 1, LazyHeaps: true},
-		{Procs: 4, LazyHeaps: true},
 		{Procs: 2, Mode: entangle.Unsafe},
 	} {
 		v := run1(t, cfg, func(tk *Task) mem.Value { return mem.Int(fib(tk, 15)) })
 		if v.AsInt() != 610 {
 			t.Fatalf("cfg %+v: fib(15) = %d", cfg, v.AsInt())
 		}
-	}
-}
-
-func TestLazyHeapsSequentialCreatesNoHeaps(t *testing.T) {
-	rt := New(Config{Procs: 1, LazyHeaps: true})
-	_, err := rt.Run(func(tk *Task) mem.Value { return mem.Int(fib(tk, 10)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Tree().Count() != 1 {
-		t.Fatalf("lazy P=1 created %d heaps, want 1", rt.Tree().Count())
 	}
 }
 

@@ -63,29 +63,27 @@ func panickyProgram(seed uint64, depth int, panicRate int) func(t *Task) mem.Val
 // TestPanicInParReturnsError is the core contract: a panicking branch does
 // not hang the join or kill the process; Run returns a *PanicError.
 func TestPanicInParReturnsError(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		for _, procs := range []int{1, 4} {
-			t.Run(fmt.Sprintf("procs=%d,lazy=%v", procs, lazy), func(t *testing.T) {
-				rt := New(Config{Procs: procs, LazyHeaps: lazy})
-				_, err := rt.Run(func(tk *Task) mem.Value {
-					a, _ := tk.Par(
-						func(t *Task) mem.Value { return mem.Int(1) },
-						func(t *Task) mem.Value { panic("boom") },
-					)
-					return a
-				})
-				var pe *PanicError
-				if !errors.As(err, &pe) {
-					t.Fatalf("Run error = %v, want *PanicError", err)
-				}
-				if pe.Value != "boom" {
-					t.Fatalf("recovered value = %v, want \"boom\"", pe.Value)
-				}
-				if !rt.Cancelled() {
-					t.Fatal("runtime not cancelled after branch panic")
-				}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			rt := New(Config{Procs: procs})
+			_, err := rt.Run(func(tk *Task) mem.Value {
+				a, _ := tk.Par(
+					func(t *Task) mem.Value { return mem.Int(1) },
+					func(t *Task) mem.Value { panic("boom") },
+				)
+				return a
 			})
-		}
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Run error = %v, want *PanicError", err)
+			}
+			if pe.Value != "boom" {
+				t.Fatalf("recovered value = %v, want \"boom\"", pe.Value)
+			}
+			if !rt.Cancelled() {
+				t.Fatal("runtime not cancelled after branch panic")
+			}
+		})
 	}
 }
 
@@ -102,7 +100,6 @@ func TestPanicStressUnderRace(t *testing.T) {
 			{Procs: 1, HeapBudgetWords: 512},
 			{Procs: 4, HeapBudgetWords: 1024},
 			{Procs: 8, HeapBudgetWords: 512},
-			{Procs: 4, HeapBudgetWords: 1024, LazyHeaps: true},
 		} {
 			rt := New(cfg)
 			_, err := rt.Run(panickyProgram(seed, 7, 10))

@@ -74,10 +74,6 @@ type Config struct {
 	Procs int
 	// Mode selects entanglement handling (manage / detect / unsafe).
 	Mode entangle.Mode
-	// LazyHeaps materializes child heaps only at steals, as MPL does for
-	// performance; the default (false) creates heaps at every fork, which
-	// gives the paper's object-level semantics deterministically.
-	LazyHeaps bool
 	// HeapBudgetWords triggers a local collection when a task has
 	// allocated this many words since the last one. Default 1<<17.
 	HeapBudgetWords int64
@@ -119,11 +115,11 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Attr, when non-nil, installs the sampled cost-attribution profiler
 	// (package attr): each scheduler worker and each task heap gets the
-	// sink of the strand running it, the concurrent collector gets the
-	// profiler's extra sink, and the space counts pin-CAS outcomes.
-	// Installing a profiler does not start sampling — windows open only
-	// while attr.Enable is in effect — and timing runs leave Attr nil so
-	// every sampling site stays a nil test, exactly like Tracer.
+	// sink of the strand running it, and the concurrent collector gets the
+	// profiler's extra sink. Installing a profiler does not start sampling
+	// — windows open only while attr.Enable is in effect — and timing runs
+	// leave Attr nil so every sampling site stays a nil test, exactly like
+	// Tracer.
 	Attr *attr.Profiler
 }
 
@@ -167,12 +163,8 @@ type Runtime struct {
 	// and Run returns the first recorded error.
 	cancelled atomic.Bool
 
-	// Barrier-elision telemetry: totals of unchecked accesses executed
-	// (drained from task-local counters) plus the static-region count the
-	// language front end proved (SetStaticRegions).
-	elLoads   atomic.Int64
-	elStores  atomic.Int64
-	elAllocs  atomic.Int64
+	// elRegions is the static-region count the language front end proved
+	// (SetStaticRegions); the elided-access totals are entangle.Stats'.
 	elRegions atomic.Int64
 
 	errMu sync.Mutex
@@ -210,16 +202,11 @@ func New(cfg Config) *Runtime {
 		for i, w := range r.pool.Workers() {
 			w.Ring = cfg.Tracer.Ring(i)
 		}
-		// Count ancestry-oracle traffic only in traced runtimes: the query
-		// hot path pays a nil test when untraced, an uncontended-by-design
-		// atomic add when traced.
-		r.tree.Stats = &hierarchy.TreeStats{}
 	}
 	if cfg.Attr != nil {
 		for i, w := range r.pool.Workers() {
 			w.Attr = cfg.Attr.Sink(i)
 		}
-		r.space.PinStats = &mem.PinCASStats{}
 	}
 	if cfg.CGC {
 		// After the chaos block: the collector inherits the injector so
@@ -366,13 +353,15 @@ func (r *Runtime) EntStats() entangle.StatsSnapshot { return r.ent.Stats.Snapsho
 // analysis; zero when no elision is in play).
 func (r *Runtime) SetStaticRegions(n int64) { r.elRegions.Store(n) }
 
-// ElisionStats returns the barrier-elision totals.
+// ElisionStats returns the barrier-elision totals: drained like EntStats'
+// event totals, so exact once Run has returned.
 func (r *Runtime) ElisionStats() ElisionStats {
+	s := &r.ent.Stats
 	return ElisionStats{
 		StaticRegions: r.elRegions.Load(),
-		ElidedLoads:   r.elLoads.Load(),
-		ElidedStores:  r.elStores.Load(),
-		ElidedAllocs:  r.elAllocs.Load(),
+		ElidedLoads:   s.ElidedLoads.Load(),
+		ElidedStores:  s.ElidedStores.Load(),
+		ElidedAllocs:  s.ElidedAllocs.Load(),
 	}
 }
 
@@ -392,9 +381,8 @@ func (r *Runtime) Tracer() *trace.Tracer { return r.cfg.Tracer }
 // Config.Attr (nil when attribution is off).
 func (r *Runtime) AttrProfiler() *attr.Profiler { return r.cfg.Attr }
 
-// PinCASStats returns a snapshot of the pin-CAS outcome counters
-// (zero when no profiler is installed).
-func (r *Runtime) PinCASStats() mem.PinCASSnapshot { return r.space.PinStats.Snapshot() }
+// PinCASStats returns the pin CAS's outcome totals, drained like EntStats'.
+func (r *Runtime) PinCASStats() mem.PinCASSnapshot { return r.ent.Stats.PinCAS() }
 
 // Steals reports total scheduler steals.
 func (r *Runtime) Steals() int64 { return r.pool.TotalSteals() }

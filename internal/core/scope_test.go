@@ -81,50 +81,48 @@ func TestScopeDeadlineSiblingsComplete(t *testing.T) {
 		want[i] = v.AsInt()
 	}
 	opts := chaos.Soak()
-	for _, lazy := range []bool{false, true} {
-		cfg := Config{Procs: 4, HeapBudgetWords: 1024, Seed: 11, Chaos: &opts, LazyHeaps: lazy}
-		rt := New(cfg)
-		var (
-			doomedErr error
-			got       [siblings]int64
-			sibErr    [siblings]error
-		)
-		_, err := rt.Run(func(tk *Task) mem.Value {
-			tk.ParFor(0, siblings+1, 1, func(ct *Task, lo, _ int) {
-				if lo == siblings {
-					_, doomedErr = scopedRequest(ct, time.Millisecond, 0, spinUntilScopeDead)
-					return
-				}
-				// No deadline on the siblings: with chaos on, DeadlinePin
-				// may expire any deadline-bearing scope at a pin site, and
-				// these requests must provably survive.
-				v, err := scopedRequest(ct, 0, 0, siblingProgram(uint64(lo)+200, 5))
-				got[lo], sibErr[lo] = v.AsInt(), err
-			})
-			return mem.Nil
+	cfg := Config{Procs: 4, HeapBudgetWords: 1024, Seed: 11, Chaos: &opts}
+	rt := New(cfg)
+	var (
+		doomedErr error
+		got       [siblings]int64
+		sibErr    [siblings]error
+	)
+	_, err := rt.Run(func(tk *Task) mem.Value {
+		tk.ParFor(0, siblings+1, 1, func(ct *Task, lo, _ int) {
+			if lo == siblings {
+				_, doomedErr = scopedRequest(ct, time.Millisecond, 0, spinUntilScopeDead)
+				return
+			}
+			// No deadline on the siblings: with chaos on, DeadlinePin
+			// may expire any deadline-bearing scope at a pin site, and
+			// these requests must provably survive.
+			v, err := scopedRequest(ct, 0, 0, siblingProgram(uint64(lo)+200, 5))
+			got[lo], sibErr[lo] = v.AsInt(), err
 		})
-		if err != nil {
-			dumpChaosFailure(t, rt, cfg.Seed, cfg, err)
-			t.Fatalf("lazy=%v: runtime error: %v\n%s", lazy, err, rt.ChaosReport())
+		return mem.Nil
+	})
+	if err != nil {
+		dumpChaosFailure(t, rt, cfg.Seed, cfg, err)
+		t.Fatalf("runtime error: %v\n%s", err, rt.ChaosReport())
+	}
+	if !errors.Is(doomedErr, ErrDeadlineExceeded) {
+		t.Fatalf("doomed request error = %v, want ErrDeadlineExceeded", doomedErr)
+	}
+	for i := 0; i < siblings; i++ {
+		if sibErr[i] != nil {
+			t.Fatalf("sibling %d failed alongside the doomed request: %v", i, sibErr[i])
 		}
-		if !errors.Is(doomedErr, ErrDeadlineExceeded) {
-			t.Fatalf("lazy=%v: doomed request error = %v, want ErrDeadlineExceeded", lazy, doomedErr)
+		if got[i] != want[i] {
+			t.Fatalf("sibling %d result %d, want %d", i, got[i], want[i])
 		}
-		for i := 0; i < siblings; i++ {
-			if sibErr[i] != nil {
-				t.Fatalf("lazy=%v: sibling %d failed alongside the doomed request: %v", lazy, i, sibErr[i])
-			}
-			if got[i] != want[i] {
-				t.Fatalf("lazy=%v: sibling %d result %d, want %d", lazy, i, got[i], want[i])
-			}
-		}
-		if s := rt.EntStats(); s.Pins != s.Unpins {
-			dumpChaosFailure(t, rt, cfg.Seed, cfg, fmt.Errorf("pins %d != unpins %d", s.Pins, s.Unpins))
-			t.Fatalf("lazy=%v: pins %d != unpins %d after scoped unwind", lazy, s.Pins, s.Unpins)
-		}
-		if ierr := rt.CheckInvariants(); ierr != nil {
-			t.Fatalf("lazy=%v: invariants after scoped deadline: %v", lazy, ierr)
-		}
+	}
+	if s := rt.EntStats(); s.Pins != s.Unpins {
+		dumpChaosFailure(t, rt, cfg.Seed, cfg, fmt.Errorf("pins %d != unpins %d", s.Pins, s.Unpins))
+		t.Fatalf("pins %d != unpins %d after scoped unwind", s.Pins, s.Unpins)
+	}
+	if ierr := rt.CheckInvariants(); ierr != nil {
+		t.Fatalf("invariants after scoped deadline: %v", ierr)
 	}
 }
 

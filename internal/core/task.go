@@ -40,8 +40,7 @@ type Task struct {
 	// spare recycles popped slabs: recursion pushes same-sized frames over
 	// and over, and a popped slab is unreachable by other strands (its
 	// frame's forks have joined), so reuse is safe and keeps NewFrame off
-	// the Go allocator. Slabs discarded by runInline's panic cleanup are
-	// NOT recycled — a cancelled strand may still be draining.
+	// the Go allocator.
 	spare [][]mem.Value
 
 	// workAcc batches abstract work units task-locally. The access fast
@@ -61,14 +60,6 @@ type Task struct {
 	// allocation-path deadline clock read (see scope.go).
 	scope     *Scope
 	scopeTick int64
-
-	// Elision telemetry, bumped by the Fast accessors as plain task-local
-	// counters (the whole point of elision is to keep atomics off the access
-	// path) and drained into the runtime's atomic totals at finish and at
-	// collections (flushElision).
-	elidedLoads  int64
-	elidedStores int64
-	staticAllocs int64
 
 	// Concurrent-collector handshake state (see cgc.go). cgcOn caches
 	// rt.cgc != nil so every hook below is one branch when CGC is off;
@@ -107,7 +98,6 @@ func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node) *T
 // finish detaches the task from its heap at the end of its strand.
 func (t *Task) finish() {
 	t.flushWork()
-	t.flushElision()
 	t.rt.ent.Drain(t.heap)
 	t.syncChunks()
 	t.heap.RemoveRootSet(t)
@@ -147,23 +137,6 @@ func (t *Task) Work(n int64) { t.workAcc += n }
 func (t *Task) EmitCounter(c trace.Counter, v uint64) {
 	if r := t.w.Ring; r != nil && trace.Enabled() {
 		r.Emit(trace.EvCounter, int32(t.heap.Depth()), uint64(c), v)
-	}
-}
-
-// flushElision drains the task-local elision counters into the runtime
-// totals surfaced by Runtime.ElisionStats.
-func (t *Task) flushElision() {
-	if t.elidedLoads != 0 {
-		t.rt.elLoads.Add(t.elidedLoads)
-		t.elidedLoads = 0
-	}
-	if t.elidedStores != 0 {
-		t.rt.elStores.Add(t.elidedStores)
-		t.elidedStores = 0
-	}
-	if t.staticAllocs != 0 {
-		t.rt.elAllocs.Add(t.staticAllocs)
-		t.staticAllocs = 0
 	}
 }
 
@@ -211,10 +184,10 @@ func (t *Task) needGC() bool {
 // this heap, so their garbage is still reclaimed here.
 func (t *Task) collectNow() bool {
 	t.syncChunks()
-	if t.heap.LiveChildren() != 0 || t.heap.PendingForks.Load() != 0 {
-		// An outstanding fork runs (or may run) in this heap and holds
-		// unscannable references into it; retry after more allocation
-		// rather than on every call.
+	if t.heap.LiveChildren() != 0 {
+		// A live child's strand holds references into this heap that no
+		// collection of it can see; retry after more allocation rather
+		// than on every call.
 		t.sinceGC = t.rt.cfg.HeapBudgetWords / 2
 		return false
 	}
@@ -234,15 +207,12 @@ func (t *Task) collectNow() bool {
 	res := t.rt.col.Collect([]*hierarchy.Heap{t.heap})
 	ring.Emit(trace.EvLGCEnd, d, uint64(res.CopiedWords), uint64(res.ReclaimedWords))
 	// A long-lived task (a serve dispatcher) may never finish: its
-	// collections are where its entanglement tally reaches the totals.
+	// collections are where its tally reaches the totals.
 	t.rt.ent.Drain(t.heap)
 	if ring != nil && trace.Enabled() {
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrLiveWords), uint64(t.rt.space.LiveWords()))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrRetainedChunks), uint64(t.rt.col.RetainedChunks.Load()))
-		if s := t.rt.tree.Stats; s != nil {
-			ring.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(s.AncestryQueries.Load()))
-		}
-		t.flushElision()
+		ring.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(t.rt.tree.Stats.AncestryQueries.Load()))
 		es := t.rt.ElisionStats()
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrStaticRegions), uint64(es.StaticRegions))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrElidedLoads), uint64(es.ElidedLoads))
@@ -264,9 +234,9 @@ func (t *Task) collectNow() bool {
 	return true
 }
 
-// Par evaluates f and g in parallel and returns both results. Child heaps
-// are created under the task's heap (at every fork by default, at steals in
-// lazy mode) and merged back at the join.
+// Par evaluates f and g in parallel and returns both results. Each branch
+// runs as a fresh task in a child heap created under the task's heap at
+// every fork, whether or not it is stolen, and merged back at the join.
 //
 // Par is panic-safe: a panic in either branch is recovered, recorded as the
 // runtime's error (see PanicError) and raised as cooperative cancellation,
@@ -298,91 +268,50 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 		lnode, rnode, anode = t.node.Fork()
 	}
 	var lv, rv mem.Value
-	// Snapshot the fault domain for the branch tasks. Captured by value
-	// before the fork: in lazy mode the inline branch runs on this task and
-	// may itself enter/leave scopes (RunScoped mutates t.scope) while a
-	// stolen branch is being set up on another worker.
-	sc := t.scope
-	if t.rt.cfg.LazyHeaps {
-		var rheap *hierarchy.Heap
-		saved := t.node
-		t.heap.PendingForks.Add(1)
-		defer t.heap.PendingForks.Add(-1)
-		// Child heap ids are unknown at a lazy fork (heaps materialize at
-		// steals), so the fork event carries none.
-		t.w.Ring.Emit(trace.EvFork, int32(t.heap.Depth()), 0, 0)
-		t.w.ForkJoin(
-			func(w *sched.Worker) {
-				t.node = lnode
-				lv = t.runInline(f)
-				t.flushWork() // attribute f's work to lnode before the node changes
-			},
-			func(w *sched.Worker, stolen bool) {
-				if stolen {
-					rheap = t.rt.tree.Fork(t.heap)
-					gt := t.rt.newTask(w, rheap, rnode)
-					gt.scope = sc
-					defer gt.finish()
-					defer t.rt.guard()
-					rv = g(gt)
-				} else {
-					t.node = rnode
-					rv = t.runInline(g)
-					t.flushWork()
-				}
-			},
-		)
-		t.node = saved
-		t.syncChunks()
-		if rheap != nil {
-			t.rt.ent.OnJoin(rheap, t.heap)
-		}
-		t.w.Ring.Emit(trace.EvJoin, int32(t.heap.Depth()), uint64(t.heap.ID), 0)
-	} else {
-		lheap := t.rt.tree.Fork(t.heap)
-		rheap := t.rt.tree.Fork(t.heap)
-		t.w.Ring.Emit(trace.EvFork, int32(t.heap.Depth()), uint64(lheap.ID), uint64(rheap.ID))
-		// Park for the concurrent collector: from here to the unpark this
-		// task runs no code of its own (the branches run as fresh tasks,
-		// even on this worker), so its frames are stable and the collector
-		// may claim-scan them — and may claim this heap, now suspended
-		// under live children, for a concurrent cycle.
-		t.cgcParkSelf()
-		t.w.ForkJoin(
-			func(w *sched.Worker) {
-				lt := t.rt.newTask(w, lheap, lnode)
-				lt.scope = sc
-				defer lt.finish()
-				defer t.rt.guard()
-				lv = f(lt)
-			},
-			func(w *sched.Worker, stolen bool) {
-				gt := t.rt.newTask(w, rheap, rnode)
-				gt.scope = sc
-				defer gt.finish()
-				defer t.rt.guard()
-				rv = g(gt)
-			},
-		)
-		t.cgcUnpark()
-		if t.cgcOn {
-			// If a concurrent cycle claimed this heap while we were parked,
-			// wait for it to finish with the heap rather than revoking the
-			// claim — the cycle then always gets to sweep what it marked.
-			// Self-scan first: the cycle's mark fixpoint may be waiting for
-			// this task's safepoint, which blocking here would never reach.
-			// Then drop allocator references to chunks a sweep released:
-			// the bump chunk and reuse-list entries may no longer belong to
-			// this heap, and carving into them would mint references into
-			// free (or recycled) memory.
-			t.cgcSafepoint()
-			t.cgcResumeHeap()
-			t.alloc.Revalidate()
-		}
-		t.rt.ent.OnJoin(lheap, t.heap)
-		t.rt.ent.OnJoin(rheap, t.heap)
-		t.w.Ring.Emit(trace.EvJoin, int32(t.heap.Depth()), uint64(t.heap.ID), 0)
+	lheap := t.rt.tree.Fork(t.heap)
+	rheap := t.rt.tree.Fork(t.heap)
+	t.w.Ring.Emit(trace.EvFork, int32(t.heap.Depth()), uint64(lheap.ID), uint64(rheap.ID))
+	// Park for the concurrent collector: from here to the unpark this
+	// task runs no code of its own (the branches run as fresh tasks,
+	// even on this worker), so its frames — and its fault domain, which
+	// the branches inherit — are stable, and the collector may
+	// claim-scan them and claim this heap, now suspended under live
+	// children, for a concurrent cycle.
+	t.cgcParkSelf()
+	t.w.ForkJoin(
+		func(w *sched.Worker) {
+			lt := t.rt.newTask(w, lheap, lnode)
+			lt.scope = t.scope
+			defer lt.finish()
+			defer t.rt.guard()
+			lv = f(lt)
+		},
+		func(w *sched.Worker, _ bool) {
+			gt := t.rt.newTask(w, rheap, rnode)
+			gt.scope = t.scope
+			defer gt.finish()
+			defer t.rt.guard()
+			rv = g(gt)
+		},
+	)
+	t.cgcUnpark()
+	if t.cgcOn {
+		// If a concurrent cycle claimed this heap while we were parked,
+		// wait for it to finish with the heap rather than revoking the
+		// claim — the cycle then always gets to sweep what it marked.
+		// Self-scan first: the cycle's mark fixpoint may be waiting for
+		// this task's safepoint, which blocking here would never reach.
+		// Then drop allocator references to chunks a sweep released:
+		// the bump chunk and reuse-list entries may no longer belong to
+		// this heap, and carving into them would mint references into
+		// free (or recycled) memory.
+		t.cgcSafepoint()
+		t.cgcResumeHeap()
+		t.alloc.Revalidate()
 	}
+	t.rt.ent.OnJoin(lheap, t.heap)
+	t.rt.ent.OnJoin(rheap, t.heap)
+	t.w.Ring.Emit(trace.EvJoin, int32(t.heap.Depth()), uint64(t.heap.ID), 0)
 	if anode != nil {
 		t.node = anode
 	}
@@ -395,21 +324,6 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 		}
 	}
 	return lv, rv
-}
-
-// runInline runs a branch body on this task (lazy mode, branch not
-// stolen), recovering panics like any branch: the error is recorded, the
-// runtime cancelled, and any shadow-stack frames the body left unpopped
-// are discarded so the suspended ancestors' frames stay addressable.
-func (t *Task) runInline(f func(*Task) mem.Value) (v mem.Value) {
-	nframes := len(t.frames)
-	defer func() {
-		if len(t.frames) > nframes {
-			t.frames = t.frames[:nframes]
-		}
-	}()
-	defer t.rt.guard()
-	return f(t)
 }
 
 // ParFor runs body over [lo, hi) in parallel, splitting ranges in half

@@ -9,15 +9,12 @@ import (
 )
 
 // TestAncestryCountersReachTrace runs an entangled workload with tracing on
-// and checks the ancestry-oracle counters flow end to end: Tree.Stats is
-// installed alongside the tracer, join/LGC sites sample it into counter
-// events, and the Chrome export + summary surface them by name.
+// and checks the ancestry-oracle counters flow end to end: join/LGC sites
+// sample Tree.Stats into counter events, and the Chrome export + summary
+// surface them by name.
 func TestAncestryCountersReachTrace(t *testing.T) {
 	tracer := trace.NewTracer(4, 1<<14)
 	rt := New(Config{Procs: 4, HeapBudgetWords: 2048, Tracer: tracer})
-	if rt.tree.Stats == nil {
-		t.Fatal("tracer installed but Tree.Stats not wired")
-	}
 	trace.Enable()
 	_, err := rt.Run(randomProgram(11, 6, true))
 	trace.Disable()
@@ -43,7 +40,7 @@ func TestAncestryCountersReachTrace(t *testing.T) {
 
 // TestElisionCountersReachTrace drives the unchecked accessors under a
 // small budget with tracing on and checks the elision counters flow end
-// to end: task-local counts drain into the runtime totals, collection
+// to end: the leaves' tallies drain into the runtime totals, collection
 // sites sample them into counter events, and the summary surfaces them by
 // name alongside ancestry_queries.
 func TestElisionCountersReachTrace(t *testing.T) {
@@ -85,11 +82,10 @@ func TestElisionCountersReachTrace(t *testing.T) {
 	}
 }
 
-// TestEntangledSeedsAgreeAcrossHeapModes runs the entangled stress workload
-// for each seed on four workers with heaps made at every fork and with
-// heaps made at steals, and checks results and pin accounting agree with a
-// sequential baseline.
-func TestEntangledSeedsAgreeAcrossHeapModes(t *testing.T) {
+// TestEntangledSeedsAgreeAcrossProcs runs the entangled stress workload for
+// each seed on four workers and checks results and pin accounting agree with
+// a sequential baseline.
+func TestEntangledSeedsAgreeAcrossProcs(t *testing.T) {
 	for _, seed := range []uint64{5, 17} {
 		prog := randomProgram(seed, 6, true)
 		var want int64
@@ -101,18 +97,16 @@ func TestEntangledSeedsAgreeAcrossHeapModes(t *testing.T) {
 			}
 			want = v.AsInt()
 		}
-		for _, lazy := range []bool{false, true} {
-			rt := New(Config{Procs: 4, HeapBudgetWords: 2048, LazyHeaps: lazy})
-			v, err := rt.Run(prog)
-			if err != nil {
-				t.Fatalf("seed %d lazy %v: %v", seed, lazy, err)
-			}
-			if v.AsInt() != want {
-				t.Fatalf("seed %d lazy %v: result %d, want %d", seed, lazy, v.AsInt(), want)
-			}
-			if s := rt.EntStats(); s.Pins != s.Unpins {
-				t.Fatalf("seed %d lazy %v: pins %d != unpins %d", seed, lazy, s.Pins, s.Unpins)
-			}
+		rt := New(Config{Procs: 4, HeapBudgetWords: 2048})
+		v, err := rt.Run(prog)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if v.AsInt() != want {
+			t.Fatalf("seed %d: result %d, want %d", seed, v.AsInt(), want)
+		}
+		if s := rt.EntStats(); s.Pins != s.Unpins {
+			t.Fatalf("seed %d: pins %d != unpins %d", seed, s.Pins, s.Unpins)
 		}
 	}
 }

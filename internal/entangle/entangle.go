@@ -89,14 +89,16 @@ func (m Mode) String() string {
 // entangles.
 var ErrEntangled = errors.New("entanglement detected")
 
-// Stats holds the paper's entanglement cost metrics.
+// Stats holds the runtime's event totals — the paper's entanglement cost
+// metrics, the pin CAS's outcomes and the unchecked accesses — and the gauge
+// of what is pinned.
 //
-// The event totals are not live: a barrier counts on its own leaf's
-// hierarchy.Tally and Manager.Drain folds that in when the task ends, at its
-// collections and at the join, so mid-run a total lags by the undrained
-// counts of the leaves still running (as core.ElisionStats does) and is
-// exact at quiescence. What is pinned *now* is live: one gauge word, added
-// to by every fresh pin and every unpinning join.
+// The event totals are not live: every event is counted on the running
+// leaf's hierarchy.Tally and Manager.Drain folds that in when the task ends,
+// at its collections and at the join, so mid-run a total lags by the
+// undrained counts of the leaves still running and is exact at quiescence.
+// What is pinned *now* is live: one gauge word, added to by every fresh pin
+// and every unpinning join.
 type Stats struct {
 	DownPointers    atomic.Int64 // down-pointer writes remembered
 	Candidates      atomic.Int64 // objects newly marked candidate
@@ -105,6 +107,20 @@ type Stats struct {
 	SlowReads       atomic.Int64 // reads that took the slow path at all
 	Pins            atomic.Int64 // objects newly pinned
 	Unpins          atomic.Int64 // objects unpinned at joins (added by the join itself)
+
+	// PinHeader's outcomes besides PinNew (counted as Pins), and its lost
+	// CASes; see PinCAS.
+	PinDepthLowered atomic.Int64
+	PinAlready      atomic.Int64
+	PinBusy         atomic.Int64
+	PinForwarded    atomic.Int64
+	PinRetries      atomic.Int64
+
+	// Accesses and allocations that ran with no barrier (core's *Fast
+	// accessors, at statically proven sites).
+	ElidedLoads  atomic.Int64
+	ElidedStores atomic.Int64
+	ElidedAllocs atomic.Int64
 
 	// now is the gauge: pinned objects and the words they occupy, packed
 	// into one word (pinLoad) so a pin or a join moves both with one add.
@@ -184,9 +200,24 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-// StatsSnapshot is a point-in-time copy of Stats. PinnedNow, PinnedPeak and
-// PinnedPeakBytes come from the live gauge; the other fields are drained
-// totals (see Stats), so mid-run Pins − Unpins is not the number pinned.
+// PinCAS returns the pin CAS's outcome totals.
+func (s *Stats) PinCAS() mem.PinCASSnapshot {
+	p := mem.PinCASSnapshot{
+		Retries:      s.PinRetries.Load(),
+		Busy:         s.PinBusy.Load(),
+		Forwarded:    s.PinForwarded.Load(),
+		New:          s.Pins.Load(),
+		DepthLowered: s.PinDepthLowered.Load(),
+		Already:      s.PinAlready.Load(),
+	}
+	p.Attempts = p.Busy + p.Forwarded + p.New + p.DepthLowered + p.Already
+	return p
+}
+
+// StatsSnapshot is a point-in-time copy of Stats' entanglement metrics.
+// PinnedNow, PinnedPeak and PinnedPeakBytes come from the live gauge; the
+// other fields are drained totals (see Stats), so mid-run Pins − Unpins is
+// not the number pinned.
 type StatsSnapshot struct {
 	DownPointers    int64
 	Candidates      int64
@@ -289,6 +320,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 	case xh:
 		lca = m.Tree.UnpinDepth(leaf, oh)
 	default:
+		leaf.Tally.AncestryQueries++
 		lca = m.Tree.LCADepth(oh, xh)
 	}
 	switch lca {
@@ -480,7 +512,8 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			v = cur
 			continue
 		}
-		st, h := m.Space.PinHeader(x, unpin)
+		st, h, retries := m.Space.PinHeader(x, unpin)
+		countPin(&leaf.Tally, st, retries)
 		if st == mem.PinBusy || st == mem.PinForwarded {
 			// A stale copy in a retained from-space chunk (or a copy still
 			// in flight elsewhere): chase the forward pointer if it is
@@ -530,7 +563,8 @@ func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at in
 			at = leaf.AttrSink.Lap(attr.GateExit, at)
 			continue
 		}
-		st, h := m.Space.PinHeader(x, unpin)
+		st, h, retries := m.Space.PinHeader(x, unpin)
+		countPin(&leaf.Tally, st, retries)
 		if st == mem.PinBusy || st == mem.PinForwarded {
 			xh.Gate.ExitReader()
 			if nx, fwd := m.Space.Forwarded(x); fwd {
@@ -546,6 +580,22 @@ func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at in
 		xh.Gate.ExitReader()
 		leaf.AttrSink.End(attr.GateExit, at)
 		return
+	}
+}
+
+// countPin tallies one PinHeader call: its outcome (a fresh pin is counted
+// as Pins, by notePin) and the CASes it lost.
+func countPin(t *hierarchy.Tally, st mem.PinStatus, retries int) {
+	t.PinRetries += int64(retries)
+	switch st {
+	case mem.PinDepthLowered:
+		t.PinDepthLowered++
+	case mem.PinAlready:
+		t.PinAlready++
+	case mem.PinBusy:
+		t.PinBusy++
+	case mem.PinForwarded:
+		t.PinForwarded++
 	}
 }
 
@@ -571,23 +621,30 @@ func (m *Manager) notePin(leaf, xh *hierarchy.Heap, x mem.Ref, unpin int, st mem
 }
 
 // Drain folds h's tally into Stats (and the tree's query count) and clears
-// it. The caller is the strand that owns the tally: the one running h, or
-// the one joining it.
+// it: the one place an event total is written. The caller is the strand
+// that owns the tally: the one running h, or the one joining it.
 func (m *Manager) Drain(h *hierarchy.Heap) {
 	t := h.Tally
 	if t == (hierarchy.Tally{}) {
 		return
 	}
 	h.Tally = hierarchy.Tally{}
-	fold(&m.Stats.SlowReads, t.SlowReads)
-	fold(&m.Stats.EntangledReads, t.EntangledReads)
-	fold(&m.Stats.EntangledWrites, t.EntangledWrites)
-	fold(&m.Stats.Candidates, t.Candidates)
-	fold(&m.Stats.DownPointers, t.DownPointers)
-	fold(&m.Stats.Pins, t.Pins)
-	if ts := m.Tree.Stats; ts != nil {
-		fold(&ts.AncestryQueries, t.AncestryQueries)
-	}
+	s := &m.Stats
+	fold(&s.SlowReads, t.SlowReads)
+	fold(&s.EntangledReads, t.EntangledReads)
+	fold(&s.EntangledWrites, t.EntangledWrites)
+	fold(&s.Candidates, t.Candidates)
+	fold(&s.DownPointers, t.DownPointers)
+	fold(&s.Pins, t.Pins)
+	fold(&m.Tree.Stats.AncestryQueries, t.AncestryQueries)
+	fold(&s.PinDepthLowered, t.PinDepthLowered)
+	fold(&s.PinAlready, t.PinAlready)
+	fold(&s.PinBusy, t.PinBusy)
+	fold(&s.PinForwarded, t.PinForwarded)
+	fold(&s.PinRetries, t.PinRetries)
+	fold(&s.ElidedLoads, t.ElidedLoads)
+	fold(&s.ElidedStores, t.ElidedStores)
+	fold(&s.ElidedAllocs, t.ElidedAllocs)
 }
 
 // fold adds n to a shared total, skipping the RMW for a count of zero.
@@ -612,8 +669,6 @@ func (m *Manager) OnJoin(child, parent *hierarchy.Heap) {
 		d := int32(parent.Depth())
 		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedBytes), uint64(now.words()*8))
 		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedPeakBytes), uint64(peak.words()*8))
-		if s := m.Tree.Stats; s != nil {
-			r.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(s.AncestryQueries.Load()))
-		}
+		r.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(m.Tree.Stats.AncestryQueries.Load()))
 	}
 }

@@ -1,6 +1,7 @@
 package entangle
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,13 +11,16 @@ import (
 
 // sharedWords reads every word of the manager that more than one strand can
 // write: the drained totals, the gauge, its peaks and the tree's query count.
-func sharedWords(m *Manager) [10]uint64 {
+func sharedWords(m *Manager) [18]uint64 {
 	s := &m.Stats
-	return [10]uint64{
+	return [18]uint64{
 		uint64(s.DownPointers.Load()), uint64(s.Candidates.Load()), uint64(s.EntangledReads.Load()),
 		uint64(s.EntangledWrites.Load()), uint64(s.SlowReads.Load()), uint64(s.Pins.Load()),
 		uint64(s.Unpins.Load()), s.now.Load(), s.peak.Load(),
 		uint64(m.Tree.Stats.AncestryQueries.Load()),
+		uint64(s.PinDepthLowered.Load()), uint64(s.PinAlready.Load()), uint64(s.PinBusy.Load()),
+		uint64(s.PinForwarded.Load()), uint64(s.PinRetries.Load()),
+		uint64(s.ElidedLoads.Load()), uint64(s.ElidedStores.Load()), uint64(s.ElidedAllocs.Load()),
 	}
 }
 
@@ -27,7 +31,6 @@ func sharedWords(m *Manager) [10]uint64 {
 func TestSlowReadWritesNoSharedWord(t *testing.T) {
 	const n = 1000
 	r := newRig(Manage)
-	r.tr.Stats = &hierarchy.TreeStats{}
 	holder := r.rootAl.AllocArray(1, mem.Nil)
 	x := r.leftAl.AllocTuple(mem.Int(7), mem.Int(8))
 	r.adopt(r.left, r.leftAl)
@@ -85,6 +88,129 @@ func TestSlowReadWritesNoSharedWord(t *testing.T) {
 	if r.left.Tally != (hierarchy.Tally{}) || r.right.Tally != (hierarchy.Tally{}) {
 		t.Fatal("a join left a tally undrained")
 	}
+	if got, want := r.m.Stats.PinCAS(), (mem.PinCASSnapshot{Attempts: 1, New: 1}); got != want {
+		t.Fatalf("pin CAS after the joins = %+v, want %+v", got, want)
+	}
+}
+
+// TestThirdPartyWriteTalliesItsQuery: a writer that owns neither end of the
+// edge it stores asks the oracle directly, bypassing its leaf's cache, and
+// counts that query on its own tally like any other.
+func TestThirdPartyWriteTalliesItsQuery(t *testing.T) {
+	r := newRig(Manage)
+	ll := r.tr.Fork(r.left)
+	o := r.leftAl.AllocArray(1, mem.Nil)
+	y := r.alloc(ll).AllocTuple(mem.Int(1))
+	if err := r.m.OnWrite(r.right, o, 0, y); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.right.Tally, (hierarchy.Tally{Candidates: 1, DownPointers: 1, AncestryQueries: 1}); got != want {
+		t.Fatalf("writer's tally = %+v, want %+v", got, want)
+	}
+	r.m.Drain(r.right)
+	if q := r.tr.Stats.AncestryQueries.Load(); q != 1 {
+		t.Fatalf("tree counted %d queries, want 1", q)
+	}
+}
+
+// checkPinOutcomes is a hand-built world in which the barriers meet every
+// outcome of the pin CAS on purpose, so the drained totals are known.
+func checkPinOutcomes(t *testing.T) {
+	const n = 5
+	r := newRig(Manage)
+	ll, lr := r.tr.Fork(r.left), r.tr.Fork(r.left) // depth 2, meeting at left
+	holder := r.rootAl.AllocArray(n+2, mem.Nil)
+	lholder := r.leftAl.AllocArray(1, mem.Nil)
+	publish := func(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) {
+		t.Helper()
+		if err := r.m.OnWrite(leaf, o, i, x); err != nil {
+			t.Fatal(err)
+		}
+		r.sp.Store(o, i, x.Value())
+	}
+	read := func(leaf *hierarchy.Heap, o mem.Ref, i int) mem.Ref {
+		t.Helper()
+		v, err := r.m.OnRead(leaf, o, i, r.sp.Load(o, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Ref()
+	}
+	var want mem.PinCASSnapshot
+	check := func(what string) {
+		t.Helper()
+		for _, h := range r.tr.Live() {
+			r.m.Drain(h)
+		}
+		if got := r.m.Stats.PinCAS(); got != want {
+			t.Fatalf("after %s: pin CAS = %+v, want %+v", what, got, want)
+		}
+	}
+
+	// n fresh pins: right reads n objects left published under the root.
+	xs := make([]mem.Ref, n)
+	for i := range xs {
+		xs[i] = r.leftAl.AllocTuple(mem.Int(int64(i)))
+		publish(r.left, holder, i, xs[i])
+		read(r.right, holder, i)
+	}
+	want.Attempts, want.New = n, n
+	check("fresh pins")
+
+	// A re-pin from further away: lr pins ll's y to their meeting point
+	// (depth 1); right, which meets ll only at the root, lowers it to 0.
+	y := r.alloc(ll).AllocTuple(mem.Int(-1))
+	publish(ll, lholder, 0, y)
+	read(lr, lholder, 0)
+	publish(ll, holder, n, y)
+	read(r.right, holder, n)
+	if d := r.sp.Header(y).UnpinDepth(); d != 0 {
+		t.Fatalf("re-pin left the unpin depth at %d", d)
+	}
+	want.Attempts, want.New, want.DepthLowered = want.Attempts+2, want.New+1, 1
+	check("a re-pin from further away")
+
+	// A repeat at the same depth: right stores xs[0], pinned to the root
+	// already, into its own object — a cross-pointer, whose pin changes nothing.
+	publish(r.right, r.rightAl.AllocArray(1, mem.Nil), 0, xs[0])
+	want.Attempts, want.Already = want.Attempts+1, 1
+	check("a repeat at the same depth")
+
+	// A header held by a copy: right's read finds z BUSY and backs off. Once
+	// the reader is inside left's gate, the copier closes it as a collection
+	// would, redirects the field, forwards z and reopens; the retry pins the
+	// copy. How many times the reader retried before the gate closed is the
+	// schedule's business; each one is a Busy outcome and an attempt.
+	z := r.leftAl.AllocTuple(mem.Int(7))
+	z2 := r.leftAl.AllocTuple(mem.Int(7))
+	publish(r.left, holder, n+1, z)
+	if _, ok := r.sp.BeginCopy(z); !ok {
+		t.Fatal("BeginCopy refused a plain object")
+	}
+	copied := make(chan struct{})
+	go func() {
+		defer close(copied)
+		for r.left.Gate.Readers() == 0 {
+			runtime.Gosched()
+		}
+		r.left.Gate.WaitBeginCollect()
+		r.sp.Store(holder, n+1, z2.Value())
+		r.sp.Forward(z, z2)
+		r.left.Gate.EndCollect()
+	}()
+	if got := read(r.right, holder, n+1); got != z2 {
+		t.Fatalf("read through a copy in flight = %v, want the copy %v", got, z2)
+	}
+	<-copied
+	for _, h := range r.tr.Live() {
+		r.m.Drain(h)
+	}
+	busy := r.m.Stats.PinCAS().Busy
+	if busy < 1 {
+		t.Fatal("a read of a BUSY header counted no Busy outcome")
+	}
+	want.Attempts, want.New, want.Busy = want.Attempts+busy+1, want.New+1, busy
+	check("a copy in flight")
 }
 
 // TestTalliesExactAtQuiescence drives eight workers through a scripted mix —
@@ -94,13 +220,14 @@ func TestSlowReadWritesNoSharedWord(t *testing.T) {
 // requires the totals at the end to equal a tally the test keeps itself.
 // Which reader wins a pin is a race; how many objects end up pinned is not.
 func TestTalliesExactAtQuiescence(t *testing.T) {
+	checkPinOutcomes(t)
+
 	const (
 		workers = 8
 		k       = 24 // objects each heap publishes
 		rounds  = 6
 	)
 	sp, tr := mem.NewSpace(), hierarchy.New()
-	tr.Stats = &hierarchy.TreeStats{}
 	m := New(sp, tr, Manage)
 	root := tr.Root()
 	alloc := func(h *hierarchy.Heap, n int, mk func(*mem.Allocator) mem.Ref) []mem.Ref {
@@ -281,6 +408,12 @@ func TestTalliesExactAtQuiescence(t *testing.T) {
 	}
 	if want.entWrites != workers*(workers-1) || pins != int64(workers*k*2+workers*(workers-1)) {
 		t.Fatalf("the script did not run as written: %d cross-pointer writes, %d pins", want.entWrites, pins)
+	}
+	// Every pin here is to a fixed depth and nothing copies: besides the
+	// fresh pins, the only outcome is a reader that lost the race to pin.
+	if pc := m.Stats.PinCAS(); pc.New != pins || pc.DepthLowered != 0 || pc.Busy != 0 || pc.Forwarded != 0 ||
+		pc.Attempts != pc.New+pc.Already {
+		t.Fatalf("pin CAS at quiescence = %+v, want New = %d, only Already besides", pc, pins)
 	}
 	for _, h := range tr.Live() {
 		if h.Tally != (hierarchy.Tally{}) {

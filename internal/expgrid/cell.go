@@ -60,19 +60,12 @@ type CellResult struct {
 }
 
 // cellConfig maps a cell's knobs onto a runtime config.
-func cellConfig(c Cell) (mpl.Config, error) {
+func cellConfig(c Cell) mpl.Config {
 	cfg := mpl.Config{Procs: c.Procs, Seed: c.Seed}
-	switch c.Heap {
-	case HeapFork, "":
-	case HeapLazy:
-		cfg.LazyHeaps = true
-	default:
-		return cfg, fmt.Errorf("cell %s: bad heap mode %q", c.ID, c.Heap)
-	}
 	if c.Elide {
 		cfg.Mode = mpl.Unsafe
 	}
-	return cfg, nil
+	return cfg
 }
 
 // ExecuteCell runs one grid cell in this process: warmups and timed
@@ -95,11 +88,7 @@ func ExecuteCell(c Cell) (*CellResult, error) {
 	if c.Repeats <= 0 {
 		c.Repeats = 1
 	}
-	cfg, err := cellConfig(c)
-	if err != nil {
-		return nil, err
-	}
-
+	cfg := cellConfig(c)
 	res := &CellResult{Cell: c, ChecksumStable: true, Host: tables.CurrentFingerprint()}
 
 	// Both sides go through the one kernel, so the baseline is warmed

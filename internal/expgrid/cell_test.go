@@ -9,8 +9,8 @@ import (
 
 func smokeCell() Cell {
 	c := Cell{
-		ID: "msort/p=2/heap=fork/elide=off", Label: "msort",
-		Bench: "msort", N: 2000, Procs: 2, Heap: HeapFork,
+		ID: "msort/p=2/elide=off", Label: "msort",
+		Bench: "msort", N: 2000, Procs: 2,
 		Repeats: 2, Warmups: 1, Seed: 1, MeasureSeq: true,
 	}
 	return c
@@ -65,11 +65,6 @@ func TestExecuteCellRejectsBadCells(t *testing.T) {
 	c.Bench, c.Elide = "dedup", true
 	if _, err := ExecuteCell(c); err == nil || !strings.Contains(err.Error(), "unsound") {
 		t.Errorf("elide on entangled: %v", err)
-	}
-	c = smokeCell()
-	c.Heap = "eager"
-	if _, err := ExecuteCell(c); err == nil || !strings.Contains(err.Error(), "bad heap mode") {
-		t.Errorf("bad heap: %v", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package expgrid is the paper-runner's experiment-grid subsystem: a
 // checked-in JSON spec declares a grid of benchmark measurements
-// (benchmark × worker-count sweep × heap mode × barrier ablation, with
+// (benchmark × worker-count sweep × barrier ablation, with
 // per-experiment repeats and warmups), the runner executes each cell in a
 // fresh subprocess, and the results become the validated CSV tables and
 // the simulator cross-validation report under scripts/paper/out/.
@@ -28,12 +28,6 @@ import (
 	"sort"
 
 	"mplgo/internal/bench"
-)
-
-// Heap modes of the grid's heap dimension.
-const (
-	HeapFork = "fork" // child heaps materialized at every fork (default)
-	HeapLazy = "lazy" // child heaps materialized at steals (MPL-style)
 )
 
 // Spec is the experiment grid, loaded from scripts/paper/experiments.json.
@@ -75,8 +69,6 @@ type Experiment struct {
 	// for 1..cores. Every experiment's expansion must include P=1 — it is
 	// the calibration point for the bound and the speedup curves.
 	Procs ProcSpec `json:"procs,omitempty"`
-	// Heap is the heap-materialization mode: "fork" (default) or "lazy".
-	Heap string `json:"heap,omitempty"`
 	// Elide runs with the entanglement barriers off (mpl.Unsafe) — the
 	// whole-program analogue of the static-elision ablation, valid only
 	// for disentangled benchmarks (the spec loader rejects it elsewhere).
@@ -177,12 +169,11 @@ func (p ProcSpec) expand(cores int) []int {
 // every knob concrete. A cell is the unit of subprocess execution — its
 // JSON form is the wire format of mplgo-bench's grid-cell mode.
 type Cell struct {
-	ID      string `json:"id"` // e.g. "msort/p=2/heap=fork/elide=off"
+	ID      string `json:"id"` // e.g. "msort/p=2/elide=off"
 	Label   string `json:"label"`
 	Bench   string `json:"bench"`
 	N       int    `json:"n"`
 	Procs   int    `json:"procs"`
-	Heap    string `json:"heap"`
 	Elide   bool   `json:"elide"`
 	Repeats int    `json:"repeats"`
 	Warmups int    `json:"warmups"`
@@ -202,11 +193,11 @@ type Cell struct {
 // GroupKey identifies the cell's sweep group: all cells differing only in
 // P. Speedup curves and bound calibration are per group.
 func (c *Cell) GroupKey() string {
-	return groupKey(c.Label, c.Heap, c.Elide)
+	return groupKey(c.Label, c.Elide)
 }
 
-func groupKey(label, heap string, elide bool) string {
-	return fmt.Sprintf("%s/heap=%s/elide=%s", label, heap, onOff(elide))
+func groupKey(label string, elide bool) string {
+	return fmt.Sprintf("%s/elide=%s", label, onOff(elide))
 }
 
 // IDHash is the cell identity surfaced through trace rings (the value of
@@ -263,9 +254,6 @@ func (s *Spec) fill() {
 	if d.Warmups == 0 {
 		d.Warmups = 1 // explicit "no warmups" is spelled -1
 	}
-	if d.Heap == "" {
-		d.Heap = HeapFork
-	}
 	if d.Seed == 0 {
 		d.Seed = 1
 	}
@@ -277,9 +265,6 @@ func (s *Spec) resolve(e Experiment) Experiment {
 	d := s.Defaults
 	if e.Label == "" {
 		e.Label = e.Bench
-	}
-	if e.Heap == "" {
-		e.Heap = d.Heap
 	}
 	if e.Elide == nil {
 		e.Elide = d.Elide
@@ -307,9 +292,9 @@ func (s *Spec) resolve(e Experiment) Experiment {
 }
 
 // Validate checks the spec is executable: every experiment names a known
-// benchmark, modes are in range, elision is only requested for
+// benchmark, elision is only requested for
 // disentangled benchmarks, and every sweep includes P=1 (the calibration
-// point), with labels unique per (label, heap, elide) group.
+// point), with labels unique per (label, elide) group.
 func (s *Spec) Validate() error {
 	s.fill()
 	if len(s.Experiments) == 0 {
@@ -321,11 +306,6 @@ func (s *Spec) Validate() error {
 		b, ok := bench.ByName(e.Bench)
 		if !ok {
 			return fmt.Errorf("experiment %d: unknown benchmark %q", i, e.Bench)
-		}
-		switch e.Heap {
-		case HeapFork, HeapLazy:
-		default:
-			return fmt.Errorf("experiment %d (%s): bad heap mode %q", i, e.Label, e.Heap)
 		}
 		if *e.Elide && b.Entangled {
 			return fmt.Errorf("experiment %d (%s): elide=true is unsound for entangled benchmark %q",
@@ -343,7 +323,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("experiment %d (%s): bad procs %d", i, e.Label, p)
 			}
 		}
-		key := groupKey(e.Label, e.Heap, *e.Elide)
+		key := groupKey(e.Label, *e.Elide)
 		if seen[key] {
 			return fmt.Errorf("experiment %d: duplicate group %s (use label to distinguish)", i, key)
 		}
@@ -371,14 +351,13 @@ func (s *Spec) Expand(cores int) []Cell {
 				Bench:      e.Bench,
 				N:          n,
 				Procs:      p,
-				Heap:       e.Heap,
 				Elide:      *e.Elide,
 				Repeats:    e.Repeats,
 				Warmups:    e.Warmups,
 				Seed:       e.Seed,
 				MeasureSeq: p == 1,
 			}
-			c.ID = fmt.Sprintf("%s/p=%d/heap=%s/elide=%s", e.Label, p, e.Heap, onOff(c.Elide))
+			c.ID = fmt.Sprintf("%s/p=%d/elide=%s", e.Label, p, onOff(c.Elide))
 			cells = append(cells, c)
 		}
 	}

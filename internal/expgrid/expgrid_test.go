@@ -84,7 +84,6 @@ func TestSpecValidate(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{`{"experiments":[]}`, "no experiments"},
 		{`{"experiments":[{"bench":"nosuch","procs":[1]}]}`, "unknown benchmark"},
-		{`{"experiments":[{"bench":"msort","procs":[1],"heap":"eager"}]}`, "bad heap mode"},
 		{`{"experiments":[{"bench":"dedup","procs":[1],"elide":true}]}`, "unsound for entangled"},
 		{`{"experiments":[{"bench":"msort","procs":[2,4]}]}`, "must include 1"},
 		{`{"experiments":[{"bench":"msort","procs":[1]},{"bench":"msort","procs":[1,2]}]}`, "duplicate group"},
@@ -103,7 +102,7 @@ func TestSpecValidate(t *testing.T) {
 }
 
 func TestSpecDefaultsFill(t *testing.T) {
-	s, err := specOf(t, `{"defaults":{"repeats":7,"heap":"lazy"},"experiments":[{"bench":"msort","procs":[1]}]}`)
+	s, err := specOf(t, `{"defaults":{"repeats":7},"experiments":[{"bench":"msort","procs":[1]}]}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +114,7 @@ func TestSpecDefaultsFill(t *testing.T) {
 		t.Fatalf("cells: %v", cells)
 	}
 	c := cells[0]
-	if c.Repeats != 7 || c.Heap != HeapLazy ||
-		c.Warmups != 1 || c.Seed != 1 || c.Elide {
+	if c.Repeats != 7 || c.Warmups != 1 || c.Seed != 1 || c.Elide {
 		t.Errorf("resolved cell: %+v", c)
 	}
 	if c.N == 0 {
@@ -135,7 +133,7 @@ func TestSpecExpandCells(t *testing.T) {
 	if len(cells) != 4 { // msort {1,2,4} + dedup {1}
 		t.Fatalf("got %d cells: %+v", len(cells), cells)
 	}
-	if cells[0].ID != "msort/p=1/heap=fork/elide=off" {
+	if cells[0].ID != "msort/p=1/elide=off" {
 		t.Errorf("ID: %q", cells[0].ID)
 	}
 	if !cells[0].MeasureSeq || cells[1].MeasureSeq || cells[2].MeasureSeq || !cells[3].MeasureSeq {
@@ -155,16 +153,20 @@ func TestSpecExpandCells(t *testing.T) {
 	}
 }
 
-// A spec naming a knob the grid does not have is rejected, not run with
-// the knob silently ignored.
+// A spec naming a knob the grid does not have — including the ones it has
+// dropped — is rejected, not run with the knob silently ignored.
 func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.json")
-	src := `{"experiments":[{"bench":"msort","procs":[1],"ancestry":"orderlist"}]}`
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSpec(path); err == nil || !strings.Contains(err.Error(), "ancestry") {
-		t.Errorf("unknown key accepted: %v", err)
+	for key, src := range map[string]string{
+		"ancestry": `{"experiments":[{"bench":"msort","procs":[1],"ancestry":"orderlist"}]}`,
+		"heap":     `{"defaults":{"heap":"lazy"},"experiments":[{"bench":"msort","procs":[1]}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSpec(path); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("unknown key %q accepted: %v", key, err)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func ftoa(v float64, prec int) string {
 func cellCols(c Cell) []string {
 	return []string{
 		c.ID, c.Bench, fmt.Sprintf("%v", entangledOf(c.Bench)),
-		itoa(int64(c.Procs)), c.Heap, onOff(c.Elide), itoa(int64(c.N)),
+		itoa(int64(c.Procs)), onOff(c.Elide), itoa(int64(c.N)),
 	}
 }
 
@@ -49,8 +49,8 @@ func cellCols(c Cell) []string {
 func SamplesTable(rep *Report) *tables.Table {
 	t := &tables.Table{
 		Name: "samples",
-		Header: []string{"cell", "bench", "entangled", "procs", "heap",
-			"elide", "n", "kind", "repeat", "wall_ns"},
+		Header: []string{"cell", "bench", "entangled", "procs", "elide",
+			"n", "kind", "repeat", "wall_ns"},
 	}
 	for _, res := range rep.Results {
 		base := cellCols(res.Cell)
@@ -70,8 +70,8 @@ func SamplesTable(rep *Report) *tables.Table {
 func SummaryTable(rep *Report) *tables.Table {
 	t := &tables.Table{
 		Name: "summary_grouped",
-		Header: []string{"cell", "bench", "entangled", "procs", "heap",
-			"elide", "n", "kind", "samples", "min_ns", "mean_ns", "max_ns",
+		Header: []string{"cell", "bench", "entangled", "procs", "elide",
+			"n", "kind", "samples", "min_ns", "mean_ns", "max_ns",
 			"stddev_ns", "ci95_ns"},
 	}
 	row := func(c Cell, kind string, ns []int64) {
@@ -96,7 +96,7 @@ func SummaryTable(rep *Report) *tables.Table {
 func SpeedupTable(rep *Report) *tables.Table {
 	t := &tables.Table{
 		Name: "speedup_curves",
-		Header: []string{"curve", "bench", "entangled", "heap", "elide",
+		Header: []string{"curve", "bench", "entangled", "elide",
 			"n", "procs", "eff_procs", "min_ns", "speedup", "sim_speedup"},
 	}
 	t1 := map[string]int64{} // group → best measured T_1
@@ -116,7 +116,7 @@ func SpeedupTable(rep *Report) *tables.Table {
 			continue
 		}
 		t.Append(c.GroupKey(), c.Bench, fmt.Sprintf("%v", entangledOf(c.Bench)),
-			c.Heap, onOff(c.Elide), itoa(int64(c.N)),
+			onOff(c.Elide), itoa(int64(c.N)),
 			itoa(int64(c.Procs)), itoa(int64(res.Host.EffectiveProcs(c.Procs))),
 			itoa(min),
 			ftoa(float64(base)/float64(min), 3),
@@ -131,7 +131,7 @@ func SpeedupTable(rep *Report) *tables.Table {
 func OverheadTable(rep *Report) *tables.Table {
 	t := &tables.Table{
 		Name: "overhead",
-		Header: []string{"group", "bench", "entangled", "heap", "elide",
+		Header: []string{"group", "bench", "entangled", "elide",
 			"n", "tseq_min_ns", "t1_min_ns", "overhead", "tseq_ci95_ns", "t1_ci95_ns"},
 	}
 	for _, res := range rep.Results {
@@ -144,7 +144,7 @@ func OverheadTable(rep *Report) *tables.Table {
 			continue
 		}
 		t.Append(c.GroupKey(), c.Bench, fmt.Sprintf("%v", entangledOf(c.Bench)),
-			c.Heap, onOff(c.Elide), itoa(int64(c.N)),
+			onOff(c.Elide), itoa(int64(c.N)),
 			itoa(tseq), itoa(t1min), ftoa(float64(t1min)/float64(tseq), 3),
 			ftoa(tables.SummarizeNS(res.TseqNS).CI95, 0),
 			ftoa(tables.SummarizeNS(res.WallNS).CI95, 0))

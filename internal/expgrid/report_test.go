@@ -21,7 +21,6 @@ func cannedReport() *Report {
 	cell := func(benchName string, p int, measureSeq bool) Cell {
 		c := Cell{
 			Label: benchName, Bench: benchName, N: 1000, Procs: p,
-			Heap:    HeapFork,
 			Repeats: 3, Warmups: 1, Seed: 1, MeasureSeq: measureSeq,
 		}
 		c.ID = c.GroupKey() + "/p=" + itoa(int64(p))

@@ -41,10 +41,10 @@
 // snapshot that could alias later insertions.
 //
 // The per-parent sequence number (rather than DePa's single left/right
-// bit) is what makes the encoding safe under lazy heap materialization,
-// where one parent heap can hold several live children at once — one per
-// suspended fork frame whose branch was stolen — and can fork again after
-// a join without a path collision.
+// bit) is what keeps the encoding exact across re-forks: a parent heap
+// outlives its joins and forks again, and its new children must not share
+// a path with the merged ones, whose paths still answer for pins taken
+// through them.
 //
 // # Representation
 //

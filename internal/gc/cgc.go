@@ -241,7 +241,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 	g.shade.drain(nil)
 
 	// Phase 1: snapshot. A heap is a candidate while its owner is parked in
-	// a non-lazy join (hierarchy.CGCPark); the claim CAS succeeds only in
+	// a join (hierarchy.CGCPark); the claim CAS succeeds only in
 	// that state, so a claimed heap's chunks and allocator are untouched by
 	// their owner for the whole cycle. The gate orders bitmap installation
 	// against readers.

@@ -7,7 +7,7 @@ import (
 // Concurrent-collection coordination. A heap participating in a CGC cycle
 // (gc/cgc.go) carries a status word whose idle side doubles as the owner's
 // park flag: a heap is claimable exactly while its owner task is suspended
-// in a non-lazy join, and the owner cannot resume past an in-flight cycle.
+// in a join, and the owner cannot resume past an in-flight cycle.
 // The status word decides *who* may touch the heap; the existing collection
 // Gate still orders the bulk phases themselves — the collector holds it
 // across root harvest and sweep, merges wait it out via WaitBeginCollect,
@@ -39,7 +39,7 @@ const (
 	// cgcActive: the owner is (or may be) running in the heap. Never
 	// claimable. The zero value, so heaps are born active.
 	cgcActive uint32 = iota
-	// cgcParked: the owner is suspended in a non-lazy ForkJoin and will not
+	// cgcParked: the owner is suspended in a Par's ForkJoin and will not
 	// touch the heap, its chunks, or its allocator until CGCResume. The
 	// only claimable state.
 	cgcParked
@@ -52,7 +52,7 @@ const (
 )
 
 // CGCPark marks the heap's owner as suspended, opening the claim window.
-// Owner-only, immediately before the ForkJoin of a non-lazy Par; the owner
+// Owner-only, immediately before the ForkJoin of a Par; the owner
 // must not touch the heap again until CGCResume returns.
 func (h *Heap) CGCPark() { h.cgcStatus.Store(cgcParked) }
 

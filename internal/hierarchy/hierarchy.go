@@ -22,15 +22,14 @@ import (
 	"mplgo/internal/trace"
 )
 
-// TreeStats counts ancestry-oracle traffic for trace attribution. The
-// pointer is nil in timing runs; the runtime installs it alongside the
-// tracer.
+// TreeStats totals the tree's ancestry-oracle traffic. New allocates it,
+// so every tree counts.
 type TreeStats struct {
-	// AncestryQueries counts the queries that reached an oracle: a barrier's
-	// Relate lookup that missed its leaf's cache (tallied on the leaf and
-	// drained at joins, so mid-run it lags by the running leaves' counts),
-	// and every direct IsAncestor/LCA/LCADepth call (equal-heap shortcuts
-	// excluded).
+	// AncestryQueries counts the barriers' queries that reached the oracle:
+	// Relate lookups that missed the leaf's cache and a third-party writer's
+	// LCADepth, each tallied on the querying leaf (Tally.AncestryQueries)
+	// and drained by its owner, so mid-run it lags by the running leaves'
+	// counts.
 	AncestryQueries atomic.Int64
 }
 
@@ -50,21 +49,34 @@ type RememberedEntry struct {
 	Index  int
 }
 
-// Tally is the entanglement bookkeeping of the strand running a leaf heap:
-// pure event counts that nothing reads while the strand runs. A heap has
-// exactly one running strand, so the barriers bump these as plain fields
-// (the single-writer discipline of lcaKey and TraceRing) and the shared
-// totals see them once, when the strand's owner drains the block — at the
-// end of the task, at its collections and at the join that retires the
-// heap (entangle.Manager.Drain).
+// Tally is every runtime event count of the strand running a leaf heap:
+// pure counts that nothing reads while the strand runs. A heap has exactly
+// one running strand, so the barriers and accessors bump these as plain
+// fields (the single-writer discipline of lcaKey and TraceRing) and the
+// shared totals see them once, when the strand's owner drains the block —
+// at the end of the task, at its collections and at the join that retires
+// the heap (entangle.Manager.Drain). It is the runtime's only way to count
+// an event, whatever instruments are installed.
 type Tally struct {
 	SlowReads       int64 // reads that took the slow path at all
 	EntangledReads  int64 // reads that found a concurrent object
 	EntangledWrites int64 // writes into (or publishing) concurrent objects
 	Candidates      int64 // objects newly marked candidate
 	DownPointers    int64 // down-pointer writes remembered
-	Pins            int64 // objects newly pinned
-	AncestryQueries int64 // Relate lookups that missed the cache
+	Pins            int64 // objects newly pinned (PinHeader's PinNew)
+	AncestryQueries int64 // oracle queries: Relate misses, third-party LCADepth
+
+	// PinHeader's other outcomes, and the CASes it lost and retried.
+	PinDepthLowered int64
+	PinAlready      int64
+	PinBusy         int64
+	PinForwarded    int64
+	PinRetries      int64
+
+	// Unchecked accesses and allocations (core's *Fast accessors).
+	ElidedLoads  int64
+	ElidedStores int64
+	ElidedAllocs int64
 }
 
 // Heap is one node of the heap hierarchy.
@@ -93,7 +105,7 @@ type Heap struct {
 	lcaVal int32 // shares a word with lcaAnc: a Heap is allocated per fork
 	lcaAnc bool
 
-	// Tally is the running strand's entanglement bookkeeping; owner-only.
+	// Tally is the running strand's event counts; owner-only.
 	Tally Tally
 
 	// Gate orders this heap's bulk phases — local collection and the merge
@@ -135,12 +147,6 @@ type Heap struct {
 	// A chain of heaps with liveChildren <= 1 ending at the current leaf
 	// is exclusively owned and thus locally collectible.
 	liveChildren atomic.Int32
-
-	// PendingForks counts outstanding forks whose branches run in this
-	// heap itself (lazy-heap mode, branch not stolen). Their captured
-	// references are invisible to the collector, so the heap must not be
-	// collected while any are outstanding.
-	PendingForks atomic.Int32
 
 	// Dead marks heaps that merged into their parent. Atomic: set by the
 	// joining strand in Merge while entanglement slow paths of concurrent
@@ -251,8 +257,8 @@ type Tree struct {
 	mu   sync.Mutex // serializes Fork (id allocation and publication)
 	root *Heap
 
-	// Stats, when non-nil, counts oracle traffic for trace attribution.
-	// Install before the computation starts; nil in timing runs.
+	// Stats totals oracle traffic, folded in from the leaves' tallies;
+	// never nil.
 	Stats *TreeStats
 
 	// spine is the growable two-level id→heap table. Readers resolve ids
@@ -271,7 +277,7 @@ type Tree struct {
 
 // New creates a hierarchy containing only the root heap.
 func New() *Tree {
-	t := &Tree{}
+	t := &Tree{Stats: &TreeStats{}}
 	spine := make([]atomic.Pointer[heapBlock], 1)
 	spine[0].Store(new(heapBlock))
 	t.spine.Store(&spine)
@@ -385,9 +391,6 @@ func (t *Tree) IsAncestor(a, d *Heap) bool {
 	if a == d {
 		return true
 	}
-	if s := t.Stats; s != nil {
-		s.AncestryQueries.Add(1)
-	}
 	return forkpath.IsPrefix(&a.path, &d.path)
 }
 
@@ -398,9 +401,6 @@ func (t *Tree) IsAncestor(a, d *Heap) bool {
 func (t *Tree) LCADepth(a, b *Heap) int {
 	if a == b {
 		return a.depth
-	}
-	if s := t.Stats; s != nil {
-		s.AncestryQueries.Add(1)
 	}
 	return forkpath.LCADepth(&a.path, &b.path)
 }
@@ -439,9 +439,6 @@ func (t *Tree) UnpinDepth(leaf, x *Heap) int {
 func (t *Tree) LCA(a, b *Heap) *Heap {
 	if a == b {
 		return a
-	}
-	if s := t.Stats; s != nil {
-		s.AncestryQueries.Add(1)
 	}
 	d := forkpath.LCADepth(&a.path, &b.path)
 	x := a

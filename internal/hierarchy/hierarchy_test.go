@@ -193,7 +193,7 @@ func TestMergeRepinAboveJoin(t *testing.T) {
 	leaf.AddPinned(r)
 	// ...but a reader re-pinned it for an entanglement that only resolves at
 	// the root join, lowering the unpin depth to 0.
-	if st, _ := sp.PinHeader(r, 0); st != mem.PinDepthLowered {
+	if st, _, _ := sp.PinHeader(r, 0); st != mem.PinDepthLowered {
 		t.Fatalf("PinHeader = %v, want PinDepthLowered", st)
 	}
 
@@ -248,7 +248,7 @@ func TestMergeRepinRace(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			st, _ = sp.PinHeader(r, 0) // entangled reader re-pins mid-join
+			st, _, _ = sp.PinHeader(r, 0) // entangled reader re-pins mid-join
 		}()
 		tr.Merge(leaf, mid, sp)
 		<-done

@@ -211,6 +211,19 @@ const (
 	PinForwarded
 )
 
+// PinCASSnapshot totals PinHeader's outcomes over a run, as its callers
+// count them: Attempts is the sum of the five outcomes, and Retries counts
+// the CASes lost to a racing pin or unpin, which loop rather than return.
+type PinCASSnapshot struct {
+	Attempts     int64 `json:"attempts"`
+	Retries      int64 `json:"retries"`
+	Busy         int64 `json:"busy"`
+	Forwarded    int64 `json:"forwarded"`
+	New          int64 `json:"new"`
+	DepthLowered int64 `json:"depth_lowered"`
+	Already      int64 `json:"already"`
+}
+
 // PinHeader attempts the PLAIN/PINNED → PINNED transition on r with the
 // given unpin depth: a single CAS that fails cleanly against a concurrent
 // copy, and that sets the candidate bit in the same word — whatever is
@@ -223,8 +236,10 @@ const (
 //
 // Besides the status, PinHeader returns the header it observed, before the
 // transition if it made one: its length prices the pin and its candidate
-// bit says whether this call set it, with no second header load.
-func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
+// bit says whether this call set it, with no second header load. It counts
+// nothing itself; retries is the number of CASes it lost and looped on, for
+// the caller to count with the outcome.
+func (s *Space) PinHeader(r Ref, unpinDepth int) (st PinStatus, was Header, retries int) {
 	if unpinDepth < 0 {
 		unpinDepth = 0
 	}
@@ -235,27 +250,17 @@ func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
 	if s.Chaos != nil && s.Chaos.Should(chaos.HeaderCAS) {
 		// Refuse the pin as a racing copier's BUSY window would, forcing
 		// the caller through its back-off/re-resolve retry path.
-		return PinBusy, Header(atomic.LoadUint64(&c.Data[r.Off()]))
+		return PinBusy, Header(atomic.LoadUint64(&c.Data[r.Off()])), 0
 	}
 	p := &c.Data[r.Off()]
-	ps := s.PinStats // nil except in attributed runs
-	if ps != nil {
-		ps.Attempts.Add(1)
-	}
-	for {
+	for ; ; retries++ {
 		old := atomic.LoadUint64(p)
 		h := Header(old)
 		if h.Kind() == KForward {
-			if ps != nil {
-				ps.Forwarded.Add(1)
-			}
-			return PinForwarded, h
+			return PinForwarded, h, retries
 		}
 		if h.Busy() {
-			if ps != nil {
-				ps.Busy.Add(1)
-			}
-			return PinBusy, h
+			return PinBusy, h, retries
 		}
 		newDepth := unpinDepth
 		wasPinned := h.Pinned()
@@ -264,26 +269,14 @@ func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
 		}
 		nw := old&^(uint64(0xFFFF)<<hdrUnpinSh) | hdrPinned | hdrCandidate | uint64(newDepth)<<hdrUnpinSh
 		if nw == old {
-			if ps != nil {
-				ps.Already.Add(1)
-			}
-			return PinAlready, h
+			return PinAlready, h, retries
 		}
 		if atomic.CompareAndSwapUint64(p, old, nw) {
 			if !wasPinned {
 				atomic.AddInt32(&c.PinCount, 1)
-				if ps != nil {
-					ps.New.Add(1)
-				}
-				return PinNew, h
+				return PinNew, h, retries
 			}
-			if ps != nil {
-				ps.DepthLowered.Add(1)
-			}
-			return PinDepthLowered, h
-		}
-		if ps != nil {
-			ps.Retries.Add(1)
+			return PinDepthLowered, h, retries
 		}
 	}
 }
@@ -293,7 +286,7 @@ func (s *Space) PinHeader(r Ref, unpinDepth int) (PinStatus, Header) {
 // Single-owner convenience wrapper over PinHeader: callers racing a
 // collector must use PinHeader and handle PinBusy/PinForwarded themselves.
 func (s *Space) Pin(r Ref, unpinDepth int) bool {
-	st, _ := s.PinHeader(r, unpinDepth)
+	st, _, _ := s.PinHeader(r, unpinDepth)
 	return st == PinNew
 }
 

@@ -17,18 +17,18 @@ func newTestObj(t testing.TB, words int) (*Space, Ref) {
 func TestPinHeaderTransitions(t *testing.T) {
 	sp, r := newTestObj(t, 2)
 
-	if st, _ := sp.PinHeader(r, 3); st != PinNew {
+	if st, _, _ := sp.PinHeader(r, 3); st != PinNew {
 		t.Fatalf("first pin: %v, want PinNew", st)
 	}
 	if h := sp.Header(r); !h.Pinned() || !h.Candidate() || h.UnpinDepth() != 3 {
 		t.Fatalf("header after pin: pinned=%v candidate=%v depth=%d", h.Pinned(), h.Candidate(), h.UnpinDepth())
 	}
 	// Deeper request: no change.
-	if st, _ := sp.PinHeader(r, 5); st != PinAlready {
+	if st, _, _ := sp.PinHeader(r, 5); st != PinAlready {
 		t.Fatalf("deeper re-pin: %v, want PinAlready", st)
 	}
 	// Shallower request lowers the depth.
-	if st, _ := sp.PinHeader(r, 1); st != PinDepthLowered {
+	if st, _, _ := sp.PinHeader(r, 1); st != PinDepthLowered {
 		t.Fatalf("shallower re-pin: %v, want PinDepthLowered", st)
 	}
 	if h := sp.Header(r); h.UnpinDepth() != 1 || !h.Candidate() {
@@ -79,7 +79,7 @@ func TestPinHeaderSetsCandidate(t *testing.T) {
 				c.PinCount = 1
 			}
 
-			got, seen := sp.PinHeader(r, req)
+			got, seen, _ := sp.PinHeader(r, req)
 			want := st.want
 			if want == PinAlready && !cand {
 				// Pinned deep enough but not yet a candidate: the CAS that
@@ -133,7 +133,7 @@ func TestBeginCopyExcludesPin(t *testing.T) {
 		t.Fatal("busy bit not set")
 	}
 	// A pin attempt against a busy object must back off, not block or win.
-	if st, _ := sp.PinHeader(r, 0); st != PinBusy {
+	if st, _, _ := sp.PinHeader(r, 0); st != PinBusy {
 		t.Fatalf("pin of busy object: %v, want PinBusy", st)
 	}
 	// A second claim must fail too.
@@ -145,7 +145,7 @@ func TestBeginCopyExcludesPin(t *testing.T) {
 	al := NewAllocator(sp, 1)
 	nr := al.Alloc(KTuple, 1)
 	sp.Forward(r, nr)
-	if st, _ := sp.PinHeader(r, 0); st != PinForwarded {
+	if st, _, _ := sp.PinHeader(r, 0); st != PinForwarded {
 		t.Fatalf("pin of forwarded object: %v, want PinForwarded", st)
 	}
 	if got, fwd := sp.Forwarded(r); !fwd || got != nr {
@@ -167,7 +167,7 @@ func TestTryUnpinRespectsConcurrentRepin(t *testing.T) {
 	observed := sp.Header(r)
 
 	// A racing reader lowers the depth after the join examined the header.
-	if st, _ := sp.PinHeader(r, 1); st != PinDepthLowered {
+	if st, _, _ := sp.PinHeader(r, 1); st != PinDepthLowered {
 		t.Fatalf("repin: %v", st)
 	}
 	if sp.TryUnpin(r, observed) {
@@ -215,7 +215,7 @@ func TestPinVsBeginCopyRace(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			pinSt, _ = sp.PinHeader(r, 0)
+			pinSt, _, _ = sp.PinHeader(r, 0)
 		}()
 		go func() {
 			defer wg.Done()

@@ -132,11 +132,6 @@ type Space struct {
 	// HeaderCAS point lives in PinHeader.
 	Chaos *chaos.Injector
 
-	// PinStats, when non-nil, counts pin-CAS outcomes in PinHeader
-	// (attributed runs only; see PinCASStats). Install before any task
-	// runs; nil costs the pin path one pointer test.
-	PinStats *PinCASStats
-
 	liveWords    atomic.Int64 // words in live (allocated-to-heap) chunks
 	maxLiveWords atomic.Int64 // high-water mark of liveWords
 	totalAlloc   atomic.Int64 // cumulative words ever handed to allocators

@@ -4,8 +4,8 @@
 // was stolen steals other work while it waits).
 //
 // The scheduler reports to its caller whether the right branch of a fork
-// was stolen: in MPL's design, heaps are materialized at steals, so this is
-// the hook the runtime uses to decide where child heaps are created.
+// was stolen. MPL materializes heaps at steals on that hook; this runtime
+// creates them at every fork (DESIGN.md §14, D5) and does not consult it.
 package sched
 
 import (
@@ -78,8 +78,9 @@ type Pool struct {
 
 	// Chaos, when set, widens the steal window at forks
 	// (chaos.StealDecision): the forking worker yields after publishing
-	// the right branch, forcing steals — and hence heap materialization
-	// and entangled joins — that an unloaded run would rarely perform.
+	// the right branch, forcing steals — and hence concurrently running
+	// siblings and entangled joins — that an unloaded run would rarely
+	// perform.
 	Chaos *chaos.Injector
 
 	// Aux, when set, runs as a dedicated auxiliary goroutine alongside the

@@ -38,7 +38,7 @@ type Kind uint8
 
 const (
 	EvNone          Kind = iota
-	EvFork               // arg1 = left child heap id, arg2 = right child heap id (0 when lazy)
+	EvFork               // arg1 = left child heap id, arg2 = right child heap id
 	EvJoin               // arg1 = merged-into heap id
 	EvSteal              // arg1 = victim worker id
 	EvLGCBegin           // arg1 = heap id
