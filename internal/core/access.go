@@ -158,18 +158,19 @@ func (t *Task) Length(r mem.Ref) int { return t.rt.space.Header(r).Len() }
 
 // Read loads payload word i of o through the read barrier.
 //
-// Fast path: mem.LoadChecked fuses the value load and the candidate test
+// Fast path: mem.LoadCandidate fuses the value load and the candidate test
 // into one chunk resolution — for non-reference values the whole barrier
 // is a single atomic load and bit test. If the holder is an entanglement
 // candidate and the loaded value is a reference, the slow path classifies
-// the edge and pins the target when it proves entangled.
+// the edge and pins the target when it proves entangled; it is handed the
+// holder's chunk, which it reads the field through again.
 func (t *Task) Read(o mem.Ref, i int) mem.Value {
 	t.workAcc += costAccess
 	if !t.barriers {
 		return t.rt.space.Load(o, i)
 	}
-	v, slow := t.rt.space.LoadChecked(o, i)
-	if slow {
+	v, oc := t.rt.space.LoadCandidate(o, i)
+	if oc != nil {
 		if t.rt.cancelled.Load() {
 			// Cancellation point: the computation is unwinding and no
 			// further collections run (guardedGC is disabled), so objects
@@ -190,7 +191,7 @@ func (t *Task) Read(o mem.Ref, i int) mem.Value {
 				t.scopeCancelled()
 			}
 		}
-		nv, err := t.rt.ent.OnRead(t.heap, o, i, v)
+		nv, err := t.rt.ent.OnReadIn(t.heap, oc, o, i, v)
 		if err != nil {
 			t.rt.fail(err)
 		}

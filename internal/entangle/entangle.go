@@ -39,6 +39,40 @@
 // stays an RMW pair: announce-then-validate needs a store–load fence, which
 // on amd64 costs what the RMW costs; and the publication stays, because the
 // owner's next collection must see the pin.
+//
+// What a re-read loads. OnRead resolves the target's chunk once and reads
+// the owning heap off it (hierarchy.OwnerOf: the chunk records its
+// *hierarchy.Heap beside its id, so there is no id → heap table on any
+// barrier path), then asks the leaf's one-entry ancestry cache about that
+// heap. Only an entangled read goes on to load the target's header — a
+// disentangled one never needs that line — and, if the header is pinned no
+// deeper than the reader's LCA with the owner, re-reads the holder's field
+// through the holder's chunk, which core's read barrier resolved for its own
+// load and hands over (OnReadIn). The re-read is needed because the value
+// the caller loaded may be stale, its object moved and its chunk recycled
+// to hold another pinned object at the same address, and only a field still
+// holding the value ties it to the object pinned there. That is the whole
+// re-read: chunk, owner, cache, header, field, with no gate, no CAS and no
+// load of the owner's dead flag. The pin path reuses the target's chunk for
+// the ownership check under the gate and for the pin CAS.
+//
+// Why the re-read need not test dead. The owner read off the chunk can be
+// stale: a merge may retire it right after the load. Three facts make that
+// harmless.
+//
+//   - Tree.Merge re-points every chunk of the child to the parent before it
+//     sets the child's dead flag, so a strand that sees the flag set finds
+//     the live owner on the chunk with one more load.
+//   - A pin at depth ≤ LCA(leaf, owner) cannot be revoked while the reader
+//     runs, whichever heap the reader resolved. A child merges into its
+//     parent P only once P's whole fork has finished, so a reader racing
+//     that merge lies outside P's subtree, and its LCA with the child is its
+//     LCA with P; likewise neither is on its path.
+//   - The pin path still re-validates ownership under the gate: it tests
+//     dead before entering (and re-resolves instead), and inside compares
+//     the chunk's heap id with the owner's. A merge cannot run while the
+//     reader holds the owner's gate, so a match means the owner is live
+//     until the reader leaves.
 package entangle
 
 import (
@@ -246,18 +280,11 @@ type Manager struct {
 	SATB *gc.CGC
 }
 
-// New creates a manager.
+// New creates a manager, binding the tree to the space (Tree.Bind): the
+// barriers find a reference's heap on its chunk.
 func New(space *mem.Space, tree *hierarchy.Tree, mode Mode) *Manager {
+	tree.Bind(space)
 	return &Manager{Space: space, Tree: tree, Mode: mode}
-}
-
-// heapOf returns the heap currently owning r. The result can be stale the
-// moment it is returned (a merge can flip chunk ownership concurrently),
-// or nil/dead for a ref whose chunk was released or whose heap merged
-// away; callers re-validate ownership under the heap's reader gate before
-// acting on it.
-func (m *Manager) heapOf(r mem.Ref) *hierarchy.Heap {
-	return m.Tree.Get(m.Space.HeapOf(r))
 }
 
 // ShadeOverwritten is the snapshot-at-the-beginning deletion barrier of
@@ -303,8 +330,11 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 	// branch hands its window to pinEntangled, which tiles the gate and
 	// CAS the same way OnRead does.
 	at := leaf.AttrSink.Begin()
-	oh := m.heapOf(o)
-	xh := m.heapOf(x)
+	// Both owners come off the chunks and may be stale; a path that acts
+	// on one re-validates it under that heap's gate.
+	oh := hierarchy.OwnerOf(m.Space.ChunkOf(o))
+	xc := m.Space.ChunkOf(x)
+	xh := hierarchy.OwnerOf(xc)
 	if oh == xh {
 		leaf.AttrSink.End(attr.AncestryQuery, at)
 		return nil
@@ -346,7 +376,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 			// no atomics.
 			leaf.AddRememberedLocal(o, i)
 		} else {
-			m.publishRemembered(oh, xh, o, i, x)
+			m.publishRemembered(oh, xh, xc, o, i)
 		}
 		leaf.Tally.DownPointers++
 		leaf.AttrSink.End(attr.RemsetPublish, at)
@@ -380,24 +410,24 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 	}
 }
 
-// publishRemembered records the down-pointer (o, i) → x with x's owning
-// heap, entering the owner's reader gate so the entry cannot be lost to a
-// racing merge: a push made inside the gate is always seen by the next
-// DrainBuffers. If the target's heap merges underneath us, the entry is
-// republished against the live owner — or dropped once the target shares
-// the holder's heap (an intra-heap pointer needs no remembering).
-func (m *Manager) publishRemembered(oh, xh *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) {
+// publishRemembered records the down-pointer (o, i) → x with the heap
+// owning xc, x's chunk, entering the owner's reader gate so the entry cannot
+// be lost to a racing merge: a push made inside the gate is always seen by
+// the next DrainBuffers. If the target's heap merges underneath us, the
+// entry is republished against the live owner — or dropped once the target
+// shares the holder's heap (an intra-heap pointer needs no remembering).
+func (m *Manager) publishRemembered(oh, xh *hierarchy.Heap, xc *mem.Chunk, o mem.Ref, i int) {
 	for {
 		if xh == nil || xh.Dead() || xh == oh {
 			if xh == oh {
 				return
 			}
 			runtime.Gosched()
-			xh = m.heapOf(x)
+			xh = hierarchy.OwnerOf(xc)
 			continue
 		}
 		xh.Gate.EnterReader()
-		ok := m.Space.HeapOf(x) == xh.ID
+		ok := xc.HeapID() == xh.ID
 		if ok {
 			xh.AddRemembered(o, i)
 		}
@@ -405,7 +435,7 @@ func (m *Manager) publishRemembered(oh, xh *hierarchy.Heap, o mem.Ref, i int, x 
 		if ok {
 			return
 		}
-		xh = m.heapOf(x)
+		xh = hierarchy.OwnerOf(xc)
 	}
 }
 
@@ -413,11 +443,20 @@ func (m *Manager) publishRemembered(oh, xh *hierarchy.Heap, o mem.Ref, i int, x 
 // and the loaded value v is a reference. It returns the (possibly updated)
 // value to use: if a local collection moved the target between the caller's
 // load and our pin, re-reading the field yields the object's current
-// location. The path is lock-free: one header load for the already-pinned
-// fast path; otherwise a gate entry (atomic add), an ownership check, a
-// field validation and a single pin CAS. Everything it counts, it counts on
-// leaf's own tally.
+// location. The path is lock-free and resolves the target's chunk once per
+// attempt: the owner on the chunk, then — only for an entangled read — the
+// header and the holder's field for the already-pinned fast path; otherwise
+// a gate entry (atomic add), the chunk's heap id as the ownership check, a
+// field validation and a single pin CAS on the same chunk. Everything it
+// counts, it counts on leaf's own tally.
 func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (mem.Value, error) {
+	return m.OnReadIn(leaf, m.Space.ChunkOf(o), o, i, v)
+}
+
+// OnReadIn is OnRead for a caller that has already resolved the holder's
+// chunk oc (core's read barrier, through mem.Space.LoadCandidate): every
+// re-read of the field goes through it.
+func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int, v mem.Value) (mem.Value, error) {
 	leaf.Tally.SlowReads++
 	// Emit tests for a nil ring itself, but is too big to inline: on the
 	// two paths that are otherwise a dozen plain instructions, the test
@@ -438,13 +477,13 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 	at := leaf.AttrSink.Begin()
 	for {
 		x := v.Ref()
-		xh := m.heapOf(x)
-		if xh == nil || xh.Dead() {
-			// Stale ownership: the chunk was released, or its heap merged
-			// away, between the caller's load and our lookup. The
-			// collection that did it has already updated the field (and a
-			// merge re-resolves on the next pass), so reload and retry.
-			cur := m.Space.Load(o, i)
+		c := m.Space.ChunkOf(x)
+		xh := hierarchy.OwnerOf(c)
+		if xh == nil {
+			// The chunk was released between the caller's load and our
+			// lookup. The collection that did it has already updated the
+			// field, so reload and retry.
+			cur := oc.Load(o, i)
 			if !cur.IsRef() {
 				leaf.AttrSink.End(attr.AncestryQuery, at)
 				return cur, nil
@@ -466,18 +505,20 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			return v, nil
 		}
 		// Entangled read. The unpin depth (the LCA with the owner) also
-		// bounds the already-pinned fast path below.
+		// bounds the already-pinned fast path below. The header is loaded
+		// only now: a disentangled read never needs its line.
 		at = leaf.AttrSink.Lap(attr.AncestryQuery, at)
-		if h := m.Space.Header(x); h.Valid() && h.Kind() != mem.KForward &&
-			!h.Busy() && h.Pinned() && h.Candidate() &&
-			h.UnpinDepth() <= unpin {
+		if c.Header(x).PinnedWithin(unpin) && oc.Load(o, i) == v {
 			// Already-pinned fast path: a pin at (or above) our LCA depth
 			// cannot be revoked while our strand runs — unpinning at depth
 			// d requires a merge into a heap of depth ≤ d, and every such
 			// merge point is an ancestor of ours whose join waits for us.
 			// The object therefore cannot move or be reclaimed: no gate,
-			// no CAS, no publication needed. (Attribution: the header
-			// validation is the degenerate pin — it lands in PinCAS.)
+			// no CAS, no publication needed, and no test of xh's dead flag.
+			// The field is re-read after the header because v may be stale
+			// (see the package comment for both).
+			// (Attribution: the header validation is the degenerate pin — it
+			// lands in PinCAS.)
 			leaf.Tally.EntangledReads++
 			if ring != nil {
 				ring.Emit(trace.EvEntangledRead, int32(leaf.Depth()), uint64(x), uint64(unpin))
@@ -488,18 +529,28 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			}
 			return v, nil
 		}
+		if xh.Dead() {
+			// xh merged away after the lookup. Merge re-points every chunk
+			// before it sets dead, so the chunk names the live owner now; a
+			// chunk still naming xh is a merge that skipped it, and this
+			// loop would spin on it for ever.
+			if hierarchy.OwnerOf(c) == xh {
+				panic(fmt.Sprintf("entangle: chunk %d still owned by heap %d, which merged away", c.ID, xh.ID))
+			}
+			continue
+		}
 		// Pin-then-validate under the owner's reader gate, which excludes
 		// the bulk phases of its collections and of the merge that would
 		// retire it (so xh stays live and its objects stay put while we
 		// are inside).
 		xh.Gate.EnterReader()
 		at = leaf.AttrSink.Lap(attr.GateEnter, at)
-		if m.Space.HeapOf(x) != xh.ID {
+		if c.HeapID() != xh.ID {
 			xh.Gate.ExitReader()
 			at = leaf.AttrSink.Lap(attr.GateExit, at)
 			continue // ownership moved; re-resolve
 		}
-		cur := m.Space.Load(o, i)
+		cur := oc.Load(o, i)
 		if cur != v {
 			// A collection moved the target (and updated the field)
 			// before we entered the gate; use the current location.
@@ -512,7 +563,7 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 			v = cur
 			continue
 		}
-		st, h, retries := m.Space.PinHeader(x, unpin)
+		st, h, retries := m.Space.PinAt(c, x, unpin)
 		countPin(&leaf.Tally, st, retries)
 		if st == mem.PinBusy || st == mem.PinForwarded {
 			// A stale copy in a retained from-space chunk (or a copy still
@@ -551,19 +602,20 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 // gate/CAS/exit segments are tiled the same way as OnRead's.
 func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at int64) {
 	for {
-		xh := m.heapOf(x)
+		c := m.Space.ChunkOf(x)
+		xh := hierarchy.OwnerOf(c)
 		if xh == nil || xh.Dead() {
 			runtime.Gosched()
 			continue // merge in flight; ownership re-resolves to the live heap
 		}
 		xh.Gate.EnterReader()
 		at = leaf.AttrSink.Lap(attr.GateEnter, at)
-		if m.Space.HeapOf(x) != xh.ID {
+		if c.HeapID() != xh.ID {
 			xh.Gate.ExitReader()
 			at = leaf.AttrSink.Lap(attr.GateExit, at)
 			continue
 		}
-		st, h, retries := m.Space.PinHeader(x, unpin)
+		st, h, retries := m.Space.PinAt(c, x, unpin)
 		countPin(&leaf.Tally, st, retries)
 		if st == mem.PinBusy || st == mem.PinForwarded {
 			xh.Gate.ExitReader()

@@ -14,7 +14,8 @@ func (s *rootSlot) Roots(visit func(*mem.Value)) { visit(&s.v) }
 // runtime's one-heap scope Collect takes from Go's heap nothing but what
 // to-space needs — no run, no slices, no closures, no allocator. serve's
 // dispatcher heap collects a near-empty heap 900 times a run, with Go's own
-// collector off.
+// collector off. Under the race detector the pool drops Puts at random, so
+// there only the copies and the heap audit are checked, not the bound.
 func TestCollectAllocatesNothing(t *testing.T) {
 	for _, objects := range []int{0, 1000} {
 		w := newWorld()
@@ -37,9 +38,13 @@ func TestCollectAllocatesNothing(t *testing.T) {
 				t.Fatalf("%d objects: warm-up copied %d", objects, res.CopiedObjects)
 			}
 		}
-		allocs := testing.AllocsPerRun(20, func() { w.c.Collect(scope) })
+		allocs := testing.AllocsPerRun(20, func() {
+			if res := w.c.Collect(scope); res.CopiedObjects != int64(objects) {
+				t.Fatalf("%d objects: collection copied %d", objects, res.CopiedObjects)
+			}
+		})
 		// What remains is the to-space chunk list, grown by append.
-		if limit := float64(max(len(leaf.Chunks)-1, 0)); allocs > limit {
+		if limit := float64(max(len(leaf.Chunks)-1, 0)); !raceEnabled && allocs > limit {
 			t.Errorf("%d objects: %.0f allocations per collection, want at most %.0f (a list of %d chunks)",
 				objects, allocs, limit, len(leaf.Chunks))
 		}

@@ -80,8 +80,10 @@ type Collector struct {
 	runs sync.Pool // of *run
 }
 
-// New creates a collector.
+// New creates a collector, binding the tree to the space (Tree.Bind) so the
+// heaps it collects own their chunks by pointer as well as by id.
 func New(space *mem.Space, tree *hierarchy.Tree) *Collector {
+	tree.Bind(space)
 	return &Collector{Space: space, Tree: tree}
 }
 

@@ -1,7 +1,9 @@
 package gc
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mplgo/internal/hierarchy"
@@ -172,6 +174,42 @@ func TestSharedObjectCopiedOnce(t *testing.T) {
 	if w.sp.Load(np, 0) != w.sp.Load(np, 1) {
 		t.Fatal("sharing destroyed: the two fields diverged")
 	}
+}
+
+// TestCheckHeapCatchesStaleOwner: a merge that re-points a chunk's heap id
+// but not its owner leaves the barriers resolving the merged-away child
+// through that chunk. Both strengths of CheckHeap reject the parent then,
+// and a chunk with no owner at all, and accept it after a whole merge.
+func TestCheckHeapCatchesStaleOwner(t *testing.T) {
+	w := newWorld()
+	root := w.tr.Root()
+	child := w.tr.Fork(root)
+	ha := w.onHeap(child)
+	ha.al.AllocTuple(mem.Int(1))
+	ha.adopt()
+	c := child.Chunks[0]
+	if hierarchy.OwnerOf(c) != child {
+		t.Fatalf("chunk acquired for heap %d owned by %p", child.ID, hierarchy.OwnerOf(c))
+	}
+	stale := c.Owner()
+	w.tr.Merge(child, root, w.sp)
+	check := func(want string) {
+		t.Helper()
+		for _, strict := range []bool{false, true} {
+			err := CheckHeap(w.sp, root, strict)
+			if want == "" && err != nil {
+				t.Fatalf("strict=%v: %v", strict, err)
+			}
+			if want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+				t.Fatalf("strict=%v: got %v, want an error naming %q", strict, err, want)
+			}
+		}
+	}
+	check("")
+	c.SetOwner(root.ID, stale) // the id re-pointed, the owner left behind
+	check(fmt.Sprintf("owner heap %d", child.ID))
+	c.SetOwner(root.ID, nil)
+	check("owner none")
 }
 
 // items copies a list out for assertions.

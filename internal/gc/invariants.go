@@ -15,6 +15,9 @@ import (
 //     sweeps only structures the calling strand owns (the heap's chunk
 //     list, its owner-only remembered set) using atomic header loads, so
 //     it is race-free against concurrent entanglement pins. It verifies
+//     every chunk of the heap names it twice over — its id and the heap
+//     itself as owner (the barriers find a heap through the owner alone, so
+//     a merge that re-pointed one and not the other is caught here) —
 //     every allocated header parses (valid bit, known kind, length within
 //     chunk) and every remembered entry is well-formed.
 //
@@ -43,6 +46,9 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 		}
 	}
 	for _, c := range h.Chunks {
+		if c.HeapID() != h.ID || hierarchy.OwnerOf(c) != h {
+			return fmt.Errorf("gc: heap %d chunk %d: owned by heap id %d, owner %s", h.ID, c.ID, c.HeapID(), describe(hierarchy.OwnerOf(c)))
+		}
 		pinned := int32(0)
 		off := 0
 		for off < c.Alloc {
@@ -97,6 +103,14 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 		k++
 	})
 	return err
+}
+
+// describe names a chunk's owner for an error message.
+func describe(h *hierarchy.Heap) string {
+	if h == nil {
+		return "none"
+	}
+	return fmt.Sprintf("heap %d", h.ID)
 }
 
 // checkRemembered verifies one remembered entry is well-formed: the holder

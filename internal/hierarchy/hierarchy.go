@@ -3,7 +3,11 @@
 //
 // Each task owns a leaf heap; forks create child heaps and joins merge a
 // child back into its parent. Heap identity is carried by chunks (package
-// mem), so a merge reassigns chunk ownership without visiting objects.
+// mem): each chunk records its owner's id and the owning *Heap itself
+// (OwnerOf), so a merge reassigns ownership by re-pointing its child's
+// chunks without visiting objects, and a barrier goes from a reference to
+// its heap with one load once the chunk is resolved — the id → heap table
+// is consulted only when a chunk is acquired (Tree.Bind).
 // Ancestor queries — the core primitive of the entanglement barriers — are
 // answered in O(1) from DePa-style fork-path words (package forkpath):
 // immutable per-heap values assigned at Fork, making IsAncestor a prefix
@@ -14,6 +18,7 @@ package hierarchy
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"mplgo/internal/attr"
 	"mplgo/internal/chaos"
@@ -148,9 +153,13 @@ type Heap struct {
 	// is exclusively owned and thus locally collectible.
 	liveChildren atomic.Int32
 
-	// Dead marks heaps that merged into their parent. Atomic: set by the
-	// joining strand in Merge while entanglement slow paths of concurrent
-	// strands snapshot it (they tolerate staleness with a retry loop).
+	// dead marks heaps that merged into their parent. Merge sets it only
+	// after it has re-pointed every chunk to the parent, so a strand that
+	// sees it set finds the live owner on the chunk with one more load. The
+	// barriers test it only before entering a gate: the already-pinned
+	// re-read is safe whichever owner it resolved (package entangle says
+	// why), and a pin is taken only under the gate of a heap the chunk
+	// still names.
 	dead atomic.Bool
 
 	// cgcStatus is the concurrent-collection status word (see cgc.go):
@@ -236,6 +245,14 @@ func (h *Heap) AddPinned(r mem.Ref) { h.pinBuf.push(r) }
 // and callers revalidate (ownership checks, pin CAS) accordingly.
 func (h *Heap) Dead() bool { return h.dead.Load() }
 
+// owner is h as its chunks record it (mem.Chunk.SetOwner).
+func (h *Heap) owner() *mem.Owner { return (*mem.Owner)(unsafe.Pointer(h)) }
+
+// OwnerOf returns the heap owning chunk c: one atomic load. It is nil for a
+// released chunk, and stale the moment it returns if a merge re-points c;
+// see Heap.dead.
+func OwnerOf(c *mem.Chunk) *Heap { return (*Heap)(unsafe.Pointer(c.Owner())) }
+
 // DrainBuffers folds the lock-free publication buffers into the owner-only
 // Pinned and Remset views by adopting their segments. Called by the owning
 // task right after Gate.BeginCollect (collection or merge start), when no
@@ -262,10 +279,10 @@ type Tree struct {
 	Stats *TreeStats
 
 	// spine is the growable two-level id→heap table. Readers resolve ids
-	// with three atomic loads and no shared-line read-modify-write, which
-	// matters because every barrier slow path resolves at least one id.
-	// Writers (Fork) hold mu; growth installs a copied spine, so a stale
-	// spine keeps answering for the ids it covers.
+	// with three atomic loads: the space's owner resolver once per chunk
+	// acquired (Bind), and introspection — never a barrier, which finds a
+	// heap on its chunk. Writers (Fork) hold mu; growth installs a copied
+	// spine, so a stale spine keeps answering for the ids it covers.
 	spine  atomic.Pointer[[]atomic.Pointer[heapBlock]]
 	nextID uint32 // next heap id; guarded by mu
 
@@ -320,6 +337,19 @@ func (t *Tree) SetChaos(in *chaos.Injector) {
 			h.Gate.Chaos = in
 		}
 	}
+}
+
+// Bind makes t the owner resolver of space s (mem.Space.SetOwners): every
+// chunk s hands out for one of t's heaps — and every live chunk it already
+// has — records that heap, which Merge then re-points. entangle.New and
+// gc.New bind the space and tree they are given.
+func (t *Tree) Bind(s *mem.Space) {
+	s.SetOwners(func(id uint32) *mem.Owner {
+		if h := t.Get(id); h != nil {
+			return h.owner()
+		}
+		return nil
+	})
 }
 
 // Root returns the root heap.
@@ -498,8 +528,10 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 	ring := parent.TraceRing
 	ring.Emit(trace.EvHeapMerge, int32(parent.depth), uint64(child.ID), uint64(parent.ID))
 
+	// Re-point every chunk before child is marked dead below: a reader that
+	// sees dead set must find the parent on the chunk.
 	for _, c := range child.Chunks {
-		c.SetHeapID(parent.ID)
+		c.SetOwner(parent.ID, parent.owner())
 	}
 	parent.Chunks = append(parent.Chunks, child.Chunks...)
 	child.Chunks = nil

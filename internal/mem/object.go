@@ -146,14 +146,24 @@ func (h Header) Valid() bool { return h&hdrValid != 0 }
 // UnpinDepth returns the depth at which the object unpins.
 func (h Header) UnpinDepth() int { return int(uint64(h) >> hdrUnpinSh) }
 
+// PinnedWithin reports whether h is the header of an object pinned — and
+// so a candidate, not busy, not forwarded — with an unpin depth of at most
+// depth.
+func (h Header) PinnedWithin(depth int) bool {
+	const want = hdrValid | hdrPinned | hdrCandidate
+	return h&(want|hdrBusy) == want && h.Kind() != KForward && h.UnpinDepth() <= depth
+}
+
 // Space-level object accessors. These are the raw (barrier-free) operations;
 // the runtime's Task.Read/Task.Write wrap them with entanglement barriers.
+// The Chunk methods of the same names are the same accessors for a caller
+// that has already resolved r's chunk.
 
 // Header returns the decoded header of the object at r.
-func (s *Space) Header(r Ref) Header {
-	c := s.chunk(r.Chunk())
-	return Header(atomic.LoadUint64(&c.Data[r.Off()]))
-}
+func (s *Space) Header(r Ref) Header { return s.chunk(r.Chunk()).Header(r) }
+
+// Header returns the decoded header of the object at r, which lies in c.
+func (c *Chunk) Header(r Ref) Header { return Header(atomic.LoadUint64(&c.Data[r.Off()])) }
 
 // setHeaderBits atomically ORs bits into the header of r and reports whether
 // the bits were previously clear (i.e. this call changed the header).
@@ -240,17 +250,21 @@ type PinCASSnapshot struct {
 // nothing itself; retries is the number of CASes it lost and looped on, for
 // the caller to count with the outcome.
 func (s *Space) PinHeader(r Ref, unpinDepth int) (st PinStatus, was Header, retries int) {
+	return s.PinAt(s.chunk(r.Chunk()), r, unpinDepth)
+}
+
+// PinAt is PinHeader for a caller that has already resolved r's chunk c.
+func (s *Space) PinAt(c *Chunk, r Ref, unpinDepth int) (st PinStatus, was Header, retries int) {
 	if unpinDepth < 0 {
 		unpinDepth = 0
 	}
 	if unpinDepth > MaxUnpinDepth {
 		unpinDepth = MaxUnpinDepth
 	}
-	c := s.chunk(r.Chunk())
 	if s.Chaos != nil && s.Chaos.Should(chaos.HeaderCAS) {
 		// Refuse the pin as a racing copier's BUSY window would, forcing
 		// the caller through its back-off/re-resolve retry path.
-		return PinBusy, Header(atomic.LoadUint64(&c.Data[r.Off()])), 0
+		return PinBusy, c.Header(r), 0
 	}
 	p := &c.Data[r.Off()]
 	for ; ; retries++ {
@@ -355,10 +369,10 @@ func (s *Space) SetMark(r Ref) bool { return s.setHeaderBits(r, hdrMark) }
 func (s *Space) ClearMark(r Ref) { s.clearHeaderBits(r, hdrMark) }
 
 // Load reads payload word i of the object at r without any barrier.
-func (s *Space) Load(r Ref, i int) Value {
-	c := s.chunk(r.Chunk())
-	return Value(atomic.LoadUint64(&c.Data[r.Off()+1+i]))
-}
+func (s *Space) Load(r Ref, i int) Value { return s.chunk(r.Chunk()).Load(r, i) }
+
+// Load reads payload word i of the object at r, which lies in c.
+func (c *Chunk) Load(r Ref, i int) Value { return Value(atomic.LoadUint64(&c.Data[r.Off()+1+i])) }
 
 // LoadChecked loads payload word i of the object at r and reports whether
 // a barriered read must take the entanglement slow path: the loaded value
@@ -372,13 +386,22 @@ func (s *Space) Load(r Ref, i int) Value {
 // ordering guarantee (candidate bit set before the down-pointer store):
 // any reader that observes the new pointer also observes the bit.
 func (s *Space) LoadChecked(r Ref, i int) (Value, bool) {
+	v, c := s.LoadCandidate(r, i)
+	return v, c != nil
+}
+
+// LoadCandidate is LoadChecked for the read barrier itself: in place of the
+// verdict it returns the holder's chunk when the read must take the slow
+// path (nil when it need not), so the slow path reads the field again
+// without resolving the holder a second time.
+func (s *Space) LoadCandidate(r Ref, i int) (Value, *Chunk) {
 	c := s.chunk(r.Chunk())
 	off := r.Off()
 	v := Value(atomic.LoadUint64(&c.Data[off+1+i]))
 	if v.IsRef() && atomic.LoadUint64(&c.Data[off])&hdrCandidate != 0 {
-		return v, true
+		return v, c
 	}
-	return v, false
+	return v, nil
 }
 
 // Words is an object's payload, resolved once by Payload. Its accessors

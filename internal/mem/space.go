@@ -59,7 +59,10 @@ var ErrChunkTableExhausted = errors.New("mem: chunk table exhausted (2^32 chunk 
 // Chunk is a contiguous arena of words owned by exactly one heap of the
 // hierarchy at a time. Heap identity lives on the chunk — not on objects —
 // so merging a child heap into its parent at a join touches only the chunk
-// list, never individual objects (DESIGN.md decision 1).
+// list, never individual objects (DESIGN.md decision 1). The chunk carries
+// both the owner's id, which the allocator, SameHeap and the collectors
+// compare, and the owner itself, which the entanglement barriers need: one
+// load after the chunk is resolved.
 type Chunk struct {
 	ID   uint32
 	Data []uint64
@@ -78,6 +81,7 @@ type Chunk struct {
 	FromSpace bool
 
 	heapID atomic.Uint32
+	owner  atomic.Pointer[Owner]
 
 	// marks is the side mark bitmap installed by a concurrent collection
 	// cycle for its snapshot chunks and dropped when the cycle ends. The
@@ -100,11 +104,26 @@ type Chunk struct {
 	freeWords int
 }
 
+// Owner is the opaque type of a chunk's owner: the descriptor of the heap
+// owning it, which in a runtime is the *hierarchy.Heap. mem sits below the
+// hierarchy and never looks inside one; package hierarchy converts.
+type Owner struct{}
+
 // HeapID returns the id of the heap currently owning this chunk.
 func (c *Chunk) HeapID() uint32 { return c.heapID.Load() }
 
-// SetHeapID reassigns the chunk to another heap (used by joins/merges).
-func (c *Chunk) SetHeapID(id uint32) { c.heapID.Store(id) }
+// Owner returns the heap currently owning this chunk, or nil for a released
+// chunk and for every chunk of a space without an owner resolver (see
+// Space.SetOwners). Like HeapID it can be stale the moment it returns.
+func (c *Chunk) Owner() *Owner { return c.owner.Load() }
+
+// SetOwner hands the chunk to the heap with the given id and descriptor. It
+// is the one write of ownership, made where ownership changes: NewChunk,
+// the re-point of a merge, and Release (id 0, no owner).
+func (c *Chunk) SetOwner(id uint32, owner *Owner) {
+	c.heapID.Store(id)
+	c.owner.Store(owner)
+}
 
 // Words returns the chunk capacity in words.
 func (c *Chunk) Words() int { return len(c.Data) }
@@ -131,6 +150,10 @@ type Space struct {
 	// Chaos is the optional fault injector (nil in release paths). The
 	// HeaderCAS point lives in PinHeader.
 	Chaos *chaos.Injector
+
+	// owners resolves a heap id to its owner for NewChunk; nil until
+	// SetOwners, which runs before the space is shared.
+	owners func(heap uint32) *Owner
 
 	liveWords    atomic.Int64 // words in live (allocated-to-heap) chunks
 	maxLiveWords atomic.Int64 // high-water mark of liveWords
@@ -196,7 +219,11 @@ func (s *Space) NewChunk(heap uint32, minWords int) *Chunk {
 		c = &Chunk{Data: make([]uint64, words)}
 		s.publish(c)
 	}
-	c.SetHeapID(heap)
+	var owner *Owner
+	if s.owners != nil {
+		owner = s.ownerOf(heap)
+	}
+	c.SetOwner(heap, owner)
 	live := s.liveWords.Add(int64(words))
 	for {
 		max := s.maxLiveWords.Load()
@@ -205,6 +232,31 @@ func (s *Space) NewChunk(heap uint32, minWords int) *Chunk {
 		}
 	}
 	return c
+}
+
+// SetOwners installs the space's owner resolver: from here on NewChunk
+// records resolve(heap) as the owner of every chunk it hands out, and every
+// live chunk already handed out gets its owner now, so in a space with a
+// resolver no live chunk is without one. A heap id the resolver does not
+// know panics — a chunk of a live heap with no owner would send the
+// entanglement barriers round their stale-owner retry for ever. Call it
+// before the space is shared (hierarchy.Tree.Bind does).
+func (s *Space) SetOwners(resolve func(heap uint32) *Owner) {
+	s.owners = resolve
+	s.ForEachChunk(func(c *Chunk) {
+		if id := c.HeapID(); id != 0 {
+			c.SetOwner(id, s.ownerOf(id))
+		}
+	})
+}
+
+// ownerOf resolves a heap id through the installed resolver.
+func (s *Space) ownerOf(heap uint32) *Owner {
+	o := s.owners(heap)
+	if o == nil {
+		panic(fmt.Sprintf("mem: chunk for heap %d, which the space's owner resolver does not know", heap))
+	}
+	return o
 }
 
 // publish assigns c the next chunk id and installs it in the table.
@@ -257,7 +309,7 @@ func (s *Space) Release(c *Chunk) {
 		panic(fmt.Sprintf("mem: releasing chunk %d with %d pinned objects", c.ID, c.PinCount))
 	}
 	s.liveWords.Add(int64(-len(c.Data)))
-	c.SetHeapID(0)
+	c.SetOwner(0, nil)
 	c.marks.Store(nil)
 	c.freeHead = 0
 	c.freeWords = 0
@@ -278,6 +330,12 @@ func (s *Space) chunk(idx uint32) *Chunk {
 	dir := *s.dir.Load()
 	return dir[idx>>segShift].Load()[idx&(segSize-1)]
 }
+
+// ChunkOf returns the chunk holding the object at r: the lookup every
+// accessor makes, for a caller that does several things to one object (the
+// entanglement slow path reads the owner, the header and the id from one
+// resolution, and pins through it).
+func (s *Space) ChunkOf(r Ref) *Chunk { return s.chunk(r.Chunk()) }
 
 // ChunkByID exposes chunk lookup to the collectors and checkers. Unlike
 // the internal fast path it is bounds-safe: an id never published (e.g.
@@ -304,8 +362,9 @@ func (c *Chunk) PinnedCount() int { return int(atomic.LoadInt32(&c.PinCount)) }
 // order. Safe to call concurrently with the mutator: the id bound is
 // snapshotted under the table mutex (which also orders the segment-slot
 // writes that published those chunks), and the visit reads only through
-// the lock-free directory. Introspection only — the visit callback must
-// restrict itself to atomic chunk fields (HeapID, PinnedCount, Words):
+// the lock-free directory. Introspection (and SetOwners) only — the visit
+// callback must restrict itself to atomic chunk fields (HeapID, Owner,
+// SetOwner, PinnedCount, Words):
 // Alloc and the free-list words are owner-mutated without synchronization.
 func (s *Space) ForEachChunk(visit func(*Chunk)) {
 	s.mu.Lock()

@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocBasic(t *testing.T) {
@@ -46,10 +47,48 @@ func TestAllocOwnership(t *testing.T) {
 		t.Fatalf("HeapOf = %d, want 42", s.HeapOf(r))
 	}
 	// Reassigning the chunk's heap changes every resident object's heap.
-	s.ChunkByID(r.Chunk()).SetHeapID(7)
+	s.ChunkOf(r).SetOwner(7, nil)
 	if s.HeapOf(r) != 7 {
 		t.Fatal("chunk-level heap reassignment not visible through HeapOf")
 	}
+}
+
+// TestChunkOwners: once a resolver is installed, every live chunk — those
+// handed out before it included — names its owner beside its id, a release
+// clears both, and a heap id the resolver does not know is refused rather
+// than handed a chunk with no owner.
+func TestChunkOwners(t *testing.T) {
+	s := NewSpace()
+	early := NewAllocator(s, 1).AllocTuple(Int(1))
+	if s.ChunkOf(early).Owner() != nil {
+		t.Fatal("owner recorded with no resolver installed")
+	}
+	// Owners at distinct addresses: two zero-size allocations may share one.
+	owners := map[uint32]*Owner{
+		1: (*Owner)(unsafe.Pointer(new(int64))),
+		2: (*Owner)(unsafe.Pointer(new(int64))),
+	}
+	s.SetOwners(func(id uint32) *Owner { return owners[id] })
+	if got := s.ChunkOf(early).Owner(); got != owners[1] {
+		t.Fatalf("chunk handed out before the resolver: owner %p, want %p", got, owners[1])
+	}
+	c := s.NewChunk(2, 0)
+	if c.HeapID() != 2 || c.Owner() != owners[2] {
+		t.Fatalf("fresh chunk: heap %d owner %p, want 2 %p", c.HeapID(), c.Owner(), owners[2])
+	}
+	s.Release(c)
+	if c.HeapID() != 0 || c.Owner() != nil {
+		t.Fatalf("released chunk: heap %d owner %p", c.HeapID(), c.Owner())
+	}
+	if again := s.NewChunk(1, 0); again != c || again.Owner() != owners[1] {
+		t.Fatalf("recycled chunk: %p owner %p, want %p owner %p", again, again.Owner(), c, owners[1])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewChunk for an unknown heap did not panic")
+		}
+	}()
+	s.NewChunk(9, 0)
 }
 
 func TestAllocSpansChunks(t *testing.T) {
