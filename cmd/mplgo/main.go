@@ -109,7 +109,9 @@ func main() {
 		s := res.Runtime.EntStats()
 		c, copied, reclaimed := res.Runtime.GCStats()
 		es := res.Runtime.ElisionStats()
-		fmt.Fprintf(os.Stderr, "heaps: %d  steals: %d\n", res.Runtime.Tree().Count(), res.Runtime.Steals())
+		ts := res.Runtime.Tree().Stats
+		fmt.Fprintf(os.Stderr, "heaps: %d (%d dropped at joins, %d words)  steals: %d\n",
+			res.Runtime.Tree().Count(), ts.HeapsDropped.Load(), ts.DroppedWords.Load(), res.Runtime.Steals())
 		fmt.Fprintf(os.Stderr, "gc: %d collections, %d words copied, %d reclaimed\n", c, copied, reclaimed)
 		fmt.Fprintf(os.Stderr, "entanglement: %d reads, %d writes, %d pins, %d unpins, peak %d\n",
 			s.EntangledReads, s.EntangledWrites, s.Pins, s.Unpins, s.PinnedPeak)

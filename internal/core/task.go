@@ -212,7 +212,10 @@ func (t *Task) collectNow() bool {
 	if ring != nil && trace.Enabled() {
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrLiveWords), uint64(t.rt.space.LiveWords()))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrRetainedChunks), uint64(t.rt.col.RetainedChunks.Load()))
-		ring.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(t.rt.tree.Stats.AncestryQueries.Load()))
+		ts := t.rt.tree.Stats
+		ring.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(ts.AncestryQueries.Load()))
+		ring.Emit(trace.EvCounter, d, uint64(trace.CtrHeapsDropped), uint64(ts.HeapsDropped.Load()))
+		ring.Emit(trace.EvCounter, d, uint64(trace.CtrDroppedWords), uint64(ts.DroppedWords.Load()))
 		es := t.rt.ElisionStats()
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrStaticRegions), uint64(es.StaticRegions))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrElidedLoads), uint64(es.ElidedLoads))
@@ -236,7 +239,18 @@ func (t *Task) collectNow() bool {
 
 // Par evaluates f and g in parallel and returns both results. Each branch
 // runs as a fresh task in a child heap created under the task's heap at
-// every fork, whether or not it is stolen, and merged back at the join.
+// every fork, whether or not it is stolen, and retired at the join: merged
+// back when anything outside it can still reach it, and otherwise dropped,
+// its memory handed back whole (see join).
+//
+// That makes a contract explicit: after the join, a branch's objects are
+// reachable only through its result, through a down-pointer the write
+// barrier recorded (a reference the branch stored into an ancestor object),
+// or through a pin (a reference a concurrent strand acquired or was handed
+// through the barriers). A reference a branch passes out any other way — a
+// Go variable, a channel, a parent's Frame slot it sets — is dead after the
+// join. Results and stores into the heap are the way out; Go-side outputs
+// carry immediates.
 //
 // Par is panic-safe: a panic in either branch is recovered, recorded as the
 // runtime's error (see PanicError) and raised as cooperative cancellation,
@@ -309,8 +323,8 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 		t.cgcResumeHeap()
 		t.alloc.Revalidate()
 	}
-	t.rt.ent.OnJoin(lheap, t.heap)
-	t.rt.ent.OnJoin(rheap, t.heap)
+	t.join(lheap, lv)
+	t.join(rheap, rv)
 	t.w.Ring.Emit(trace.EvJoin, int32(t.heap.Depth()), uint64(t.heap.ID), 0)
 	if anode != nil {
 		t.node = anode
@@ -324,6 +338,20 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 		}
 	}
 	return lv, rv
+}
+
+// join retires a branch's heap into t's. The barriers record every way into
+// the heap but the branch's result, so the result is tested here — one load,
+// the owner of its chunk: a result pointing elsewhere (an ancestor, the
+// sibling, which pinned it) keeps nothing alive. The heap also merges
+// whenever the records may be incomplete: with the barriers off (Unsafe),
+// after a runtime-wide cancel (the unwind skips its pins, and reclaims
+// nothing), and with collections off (DisableGC: nothing is reclaimed, and
+// tests rely on that to pass raw references out of branches).
+func (t *Task) join(child *hierarchy.Heap, result mem.Value) {
+	keep := !t.barriers || t.rt.cfg.DisableGC || t.rt.cancelled.Load() ||
+		result.IsRef() && hierarchy.OwnerOf(t.rt.space.ChunkOf(result.Ref())) == child
+	t.rt.ent.Join(child, t.heap, keep)
 }
 
 // ParFor runs body over [lo, hi) in parallel, splitting ranges in half

@@ -689,6 +689,8 @@ func (m *Manager) Drain(h *hierarchy.Heap) {
 	fold(&s.DownPointers, t.DownPointers)
 	fold(&s.Pins, t.Pins)
 	fold(&m.Tree.Stats.AncestryQueries, t.AncestryQueries)
+	fold(&m.Tree.Stats.HeapsDropped, t.HeapsDropped)
+	fold(&m.Tree.Stats.DroppedWords, t.DroppedWords)
 	fold(&s.PinDepthLowered, t.PinDepthLowered)
 	fold(&s.PinAlready, t.PinAlready)
 	fold(&s.PinBusy, t.PinBusy)
@@ -706,12 +708,18 @@ func fold(total *atomic.Int64, n int64) {
 	}
 }
 
-// OnJoin merges child into parent, takes what the merge unpinned off the
-// gauge (which is where the high-water marks are captured — see
-// Stats.unpinned) and drains the child's tally: its strand has finished, so
-// the joining strand owns it now.
-func (m *Manager) OnJoin(child, parent *hierarchy.Heap) {
-	n, words := m.Tree.Merge(child, parent, m.Space)
+// OnJoin merges child into parent whatever child's records say: Join for a
+// caller holding references into child that the tree cannot see.
+func (m *Manager) OnJoin(child, parent *hierarchy.Heap) { m.Join(child, parent, true) }
+
+// Join retires child at its join with parent — dropping it when nothing
+// outside can reach it and keep is false, merging it otherwise (see
+// hierarchy.Tree.Join) — takes what a merge unpinned off the gauge (which is
+// where the high-water marks are captured — see Stats.unpinned) and drains
+// the child's tally: its strand has finished, so the joining strand owns it
+// now.
+func (m *Manager) Join(child, parent *hierarchy.Heap, keep bool) {
+	n, words := m.Tree.Join(child, parent, m.Space, keep)
 	if n > 0 {
 		m.Stats.unpinned(n, words)
 	}
@@ -719,8 +727,11 @@ func (m *Manager) OnJoin(child, parent *hierarchy.Heap) {
 	if r := parent.TraceRing; r != nil && trace.Enabled() {
 		now, peak := m.Stats.load()
 		d := int32(parent.Depth())
+		ts := m.Tree.Stats
 		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedBytes), uint64(now.words()*8))
 		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedPeakBytes), uint64(peak.words()*8))
-		r.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(m.Tree.Stats.AncestryQueries.Load()))
+		r.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(ts.AncestryQueries.Load()))
+		r.Emit(trace.EvCounter, d, uint64(trace.CtrHeapsDropped), uint64(ts.HeapsDropped.Load()))
+		r.Emit(trace.EvCounter, d, uint64(trace.CtrDroppedWords), uint64(ts.DroppedWords.Load()))
 	}
 }

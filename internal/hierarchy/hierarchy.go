@@ -2,12 +2,14 @@
 // task tree, the central structure of hierarchical heap memory management.
 //
 // Each task owns a leaf heap; forks create child heaps and joins merge a
-// child back into its parent. Heap identity is carried by chunks (package
-// mem): each chunk records its owner's id and the owning *Heap itself
-// (OwnerOf), so a merge reassigns ownership by re-pointing its child's
-// chunks without visiting objects, and a barrier goes from a reference to
-// its heap with one load once the chunk is resolved — the id → heap table
-// is consulted only when a chunk is acquired (Tree.Bind).
+// child back into its parent — or, when nothing outside the child can
+// reach it, drop it, handing its chunks back whole (Tree.Join). Heap
+// identity is carried by chunks (package mem): each chunk records its
+// owner's id and the owning *Heap itself (OwnerOf), so a merge reassigns
+// ownership by re-pointing its child's chunks without visiting objects,
+// and a barrier goes from a reference to its heap with one load once the
+// chunk is resolved — the id → heap table is consulted only when a chunk
+// is acquired (Tree.Bind).
 // Ancestor queries — the core primitive of the entanglement barriers — are
 // answered in O(1) from DePa-style fork-path words (package forkpath):
 // immutable per-heap values assigned at Fork, making IsAncestor a prefix
@@ -27,15 +29,20 @@ import (
 	"mplgo/internal/trace"
 )
 
-// TreeStats totals the tree's ancestry-oracle traffic. New allocates it,
-// so every tree counts.
+// TreeStats totals the tree's ancestry-oracle traffic and the heaps its
+// joins dropped. New allocates it, so every tree counts. Each total is
+// tallied on a leaf and drained by its owner (entangle.Manager.Drain), so
+// mid-run it lags by the running leaves' counts.
 type TreeStats struct {
 	// AncestryQueries counts the barriers' queries that reached the oracle:
 	// Relate lookups that missed the leaf's cache and a third-party writer's
-	// LCADepth, each tallied on the querying leaf (Tally.AncestryQueries)
-	// and drained by its owner, so mid-run it lags by the running leaves'
-	// counts.
+	// LCADepth (Tally.AncestryQueries).
 	AncestryQueries atomic.Int64
+
+	// HeapsDropped and DroppedWords count the children Join released whole
+	// instead of merging, and the chunk words they handed back.
+	HeapsDropped atomic.Int64
+	DroppedWords atomic.Int64
 }
 
 // RootSet enumerates mutable values that must be treated as GC roots.
@@ -70,6 +77,10 @@ type Tally struct {
 	DownPointers    int64 // down-pointer writes remembered
 	Pins            int64 // objects newly pinned (PinHeader's PinNew)
 	AncestryQueries int64 // oracle queries: Relate misses, third-party LCADepth
+
+	// Children this strand's joins dropped, and their chunk words.
+	HeapsDropped int64
+	DroppedWords int64
 
 	// PinHeader's other outcomes, and the CASes it lost and retried.
 	PinDepthLowered int64
@@ -153,9 +164,10 @@ type Heap struct {
 	// is exclusively owned and thus locally collectible.
 	liveChildren atomic.Int32
 
-	// dead marks heaps that merged into their parent. Merge sets it only
-	// after it has re-pointed every chunk to the parent, so a strand that
-	// sees it set finds the live owner on the chunk with one more load. The
+	// dead marks heaps that joined their parent. A merge sets it only after
+	// it has re-pointed every chunk to the parent, so a strand that sees it
+	// set finds the live owner on the chunk with one more load (a drop
+	// releases the chunks first, and a released chunk has no owner). The
 	// barriers test it only before entering a gate: the already-pinned
 	// re-read is safe whichever owner it resolved (package entangle says
 	// why), and a pin is taken only under the gate of a heap the chunk
@@ -478,51 +490,82 @@ func (t *Tree) LCA(a, b *Heap) *Heap {
 	return x
 }
 
-// Merge folds child into parent at a join: chunk ownership, remembered
-// sets, pinned objects, and root sets all move up; pinned objects whose
-// unpin depth has been reached are unpinned. The caller is the task owning
-// parent (joins are serialized per parent by fork–join structure).
-//
-// Only the child's gate is taken: every parent-side structure touched here
-// is either owner-only (Chunks, Remset, Pinned, RootSets) or lock-free
-// (the publication buffers foreign readers push into). Entangled readers
-// that raced past the gate and re-pinned a child object are honoured by
-// the TryUnpin snapshot-CAS: a pin whose depth was lowered after we
-// examined the header can never be revoked unseen.
-//
-// space is needed to flip chunk owners and unpin headers. Besides the
-// count, Merge returns the total size (header + payload words) of the
-// unpinned objects, for the pinned-bytes gauge.
+// Merge folds child into parent at a join, whatever child's records say:
+// Join for a caller holding references into child that the tree cannot
+// see (Go-side tests and kernels).
 func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpinnedWords int64) {
+	return t.Join(child, parent, space, true)
+}
+
+// Join retires child at its join with parent. The caller is the task
+// owning parent (joins are serialized per parent by fork–join structure).
+//
+// A child nothing outside it can reach is dropped: its chunks go back to
+// space whole, with no trace, no re-point, no splice and no unpin pass.
+// After a join a child's objects are reachable from outside its subtree in
+// three ways only, so it is dead when all three are closed:
+//
+//   - a down-pointer from an ancestor object, which the write barrier
+//     records in child's remembered set (a grandchild's entries were
+//     spliced in at its own join);
+//   - a reference some concurrent strand acquired or was handed, which the
+//     barriers pin and record in child's pinned list — tested here after
+//     DrainBuffers under the closed gate, and before the unpin pass, so a
+//     pin this very join would release still keeps child;
+//   - the branch's result, which only the caller knows: keep is true when
+//     it points into child, and whenever the caller cannot vouch for the
+//     other two records (barriers off, a runtime-wide cancel that skipped
+//     pins, collections off).
+//
+// Otherwise child merges: chunk ownership, remembered sets, pinned objects
+// and root sets all move up, and pinned objects whose unpin depth has been
+// reached are unpinned. Every parent-side structure touched is either
+// owner-only (Chunks, Remset, Pinned, RootSets) or lock-free (the
+// publication buffers foreign readers push into). Entangled readers that
+// raced past the gate and re-pinned a child object are honoured by the
+// TryUnpin snapshot-CAS: a pin whose depth was lowered after we examined
+// the header can never be revoked unseen.
+//
+// space takes back dropped chunks, and is needed to flip chunk owners and
+// unpin headers. Besides the count, Join returns the total size (header +
+// payload words) of the unpinned objects, for the pinned-bytes gauge. A
+// drop is counted on parent's tally (HeapsDropped, DroppedWords).
+func (t *Tree) Join(child, parent *Heap, space *mem.Space, keep bool) (unpinned int, unpinnedWords int64) {
 	if child.parent != parent {
 		panic("hierarchy: merge of non-child")
 	}
 	// No concurrent cycle can hold either heap here: CGC claims only
 	// parked heaps (cgc.go), the child's owner has finished (active), and
-	// the parent's owner is the caller, resumed past CGCResume. Merging
+	// the parent's owner is the caller, resumed past CGCResume. Joining
 	// therefore never races a sweep's chunk-list rebuild.
 	// Quiesce slow paths targeting the child: after the gate closes no
 	// reader can be between validating the child's ownership and
 	// publishing a pin. WaitBeginCollect rather than BeginCollect since
 	// CGC: the concurrent collector may briefly hold either gate (root
-	// harvest) and must be waited out, not panicked over. The parent's
-	// gate is now taken too: the chunk-ownership flips and owner-side
+	// harvest) and must be waited out, not panicked over. A merge takes
+	// the parent's gate too: the chunk-ownership flips and owner-side
 	// appends below must not interleave with a concurrent harvest or
-	// sweep of the parent. Gates are always acquired child-then-parent
-	// while CGC takes one gate at a time, so no cycle is possible.
-	// The reopens are deferred: if anything in the merge body panics
+	// sweep of the parent; a drop touches nothing of the parent's but its
+	// tally. Gates are always acquired child-then-parent while CGC takes
+	// one gate at a time, so no cycle is possible.
+	// The reopens are deferred: if anything in the join body panics
 	// (e.g. a corrupted header surfacing in the unpin loop), readers
 	// parked at the gates must still be released or the unwind would hang
 	// them forever.
-	// Attribution: the two gate-quiesce waits are one MergeWait window
-	// (the joining strand owns parent, hence parent's sink).
+	// Attribution: the gate-quiesce waits are one MergeWait window (the
+	// joining strand owns parent, hence parent's sink).
 	at := parent.AttrSink.Begin()
 	child.Gate.WaitBeginCollect()
 	defer child.Gate.EndCollect()
+	child.DrainBuffers()
+	if !keep && child.Remset.Len() == 0 && child.Pinned.Len() == 0 {
+		parent.AttrSink.End(attr.MergeWait, at)
+		drop(child, parent, space)
+		return 0, 0
+	}
 	parent.Gate.WaitBeginCollect()
 	defer parent.Gate.EndCollect()
 	parent.AttrSink.End(attr.MergeWait, at)
-	child.DrainBuffers()
 
 	// The joining strand owns parent, so its ring is safe to write here.
 	ring := parent.TraceRing
@@ -576,17 +619,37 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 	// parent's allocator may carve from them once it drains its buffer.
 	child.reuseBuf.drain(func(c *mem.Chunk) { parent.reuseBuf.push(c) })
 
-	child.dead.Store(true)
-	parent.Collections += child.Collections
-	parent.CopiedWords += child.CopiedWords
-
 	// Readers re-admitted by the deferred EndCollect will fail ownership
 	// validation against the dead child and retry against the parent. The
 	// join never takes the tree mutex: the child's fork path is immutable
 	// and still answers (historically exact) for any strand racing it.
-
-	parent.liveChildren.Add(-1)
+	retire(child, parent)
 	return unpinned, unpinnedWords
+}
+
+// drop releases the chunks of a child Join found dead. The swept chunks
+// queued for its allocator are among them, so the handoff buffer is simply
+// discarded. A stale reader re-admitted by the deferred EndCollect finds a
+// released chunk (no owner) and re-reads its field, as after a collection.
+func drop(child, parent *Heap, space *mem.Space) {
+	var words int64
+	for _, c := range child.Chunks {
+		words += int64(c.Words())
+		space.Release(c)
+	}
+	child.Chunks = nil
+	child.reuseBuf.take()
+	parent.Tally.HeapsDropped++
+	parent.Tally.DroppedWords += words
+	retire(child, parent)
+}
+
+// retire marks child joined: the common tail of a merge and a drop.
+func retire(child, parent *Heap) {
+	child.dead.Store(true)
+	parent.Collections += child.Collections
+	parent.CopiedWords += child.CopiedWords
+	parent.liveChildren.Add(-1)
 }
 
 // ExclusiveSuffix returns the chain of heaps from leaf upward that are

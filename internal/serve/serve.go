@@ -18,9 +18,11 @@
 //   - Dispatch. The dispatcher runs as a task inside Runtime.Run (Server.Run
 //     is the root body). It drains the queue into batches and runs each
 //     batch with ParFor at grain 1, so every request gets its own leaf heap,
-//     forked under the dispatcher's heap and merged back at the join —
-//     shared caches the dispatcher allocated in its (ancestor) heap are
-//     reached from request tasks through ordinary entangled reads.
+//     forked under the dispatcher's heap and retired at the join — merged
+//     back if the request stored into dispatcher state (or a concurrent
+//     request pinned its objects), dropped whole if nothing outside it
+//     reaches it. Shared caches the dispatcher allocated in its (ancestor)
+//     heap are reached from request tasks through ordinary entangled reads.
 //
 //   - Fault isolation. Each request body runs under a core.Scope whose
 //     deadline is measured from *arrival* (queueing counts against it) and
@@ -105,7 +107,10 @@ func (o *Overload) Error() string {
 
 func (o *Overload) Unwrap() error { return core.ErrShed }
 
-// Outcome resolves one submitted request.
+// Outcome resolves one submitted request. V is the request body's reply,
+// which must be an immediate: the request runs in a heap of its own, and a
+// reference into it is dead once the batch joins (core.Task.Par's
+// contract), which may be before the waiter reads it.
 type Outcome struct {
 	V   mem.Value
 	Err error
@@ -214,7 +219,9 @@ func (s *Server) overWatermark() (string, bool) {
 // service's network edge. A shed returns (*Overload, wrapping
 // core.ErrShed) without blocking; an admitted request's error is its
 // scope's cause (core.ErrDeadlineExceeded, core.ErrHeapLimit, …) or a
-// runtime-level error if the whole computation died.
+// runtime-level error if the whole computation died. fn's reply must be an
+// immediate (see Outcome); what a request publishes for later requests it
+// stores into state the dispatcher allocated, through the barriers.
 func (s *Server) Submit(fn func(*core.Task) mem.Value) (mem.Value, error) {
 	r := &request{fn: fn, done: make(chan Outcome, 1), enq: time.Now()}
 
@@ -314,7 +321,7 @@ func burstChurn(t *core.Task) mem.Value {
 	for i := 0; i < 64; i++ {
 		t.Write(f.Ref(0), i, mem.Int(int64(i)))
 	}
-	return f.Get(0)
+	return mem.Int(64)
 }
 
 // Run is the dispatcher: the root (or a dedicated) task's body. It drains

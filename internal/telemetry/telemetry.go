@@ -49,6 +49,7 @@ func collect(rt *core.Runtime) []metric {
 	collections, copied, reclaimed := rt.GCStats()
 	cycles, freed, swept, cgcRetained, lastLive := rt.CGCStats()
 	sp := rt.Space()
+	ts := rt.Tree().Stats
 	return []metric{
 		{"mplgo_steals_total", "Work-stealing deque steals", "counter", rt.Steals()},
 		{"mplgo_live_words", "Words in live chunks", "gauge", sp.LiveWords()},
@@ -58,6 +59,8 @@ func collect(rt *core.Runtime) []metric {
 		{"mplgo_gc_copied_words_total", "Words copied by local collections", "counter", copied},
 		{"mplgo_gc_reclaimed_words_total", "Words reclaimed by local collections", "counter", reclaimed},
 		{"mplgo_gc_retained_chunks_total", "Chunks retained for pinned objects by LGC", "counter", rt.RetainedChunks()},
+		{"mplgo_heaps_dropped_total", "Child heaps released whole at their joins", "counter", ts.HeapsDropped.Load()},
+		{"mplgo_dropped_words_total", "Chunk words released by dropped child heaps", "counter", ts.DroppedWords.Load()},
 		{"mplgo_cgc_cycles_total", "Concurrent collection cycles completed", "counter", cycles},
 		{"mplgo_cgc_freed_words_total", "Words reclaimed in place by CGC sweeps", "counter", freed},
 		{"mplgo_cgc_swept_chunks_total", "Chunks released whole by CGC sweeps", "counter", swept},

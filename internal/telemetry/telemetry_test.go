@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -75,6 +76,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	// fib's branches return immediates, so every one of its heaps drops.
+	if n := rt.Tree().Stats.HeapsDropped.Load(); n == 0 || !strings.Contains(body, fmt.Sprintf("mplgo_heaps_dropped_total %d\n", n)) {
+		t.Fatalf("metrics do not report the %d dropped heaps:\n%s", n, body)
 	}
 	// Every line must be a comment or "name value".
 	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {

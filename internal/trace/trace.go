@@ -115,6 +115,11 @@ const (
 	// query count (IsAncestor/LCA/LCADepth), for before/after attribution
 	// of the entangled hot path's ancestry traffic.
 	CtrAncestryQueries
+	// The tree's cumulative dropped heaps and the chunk words they handed
+	// back at their joins (hierarchy.TreeStats): where a run's disentangled
+	// garbage went without a collection.
+	CtrHeapsDropped
+	CtrDroppedWords
 	// Barrier-elision telemetry: the number of statically-proven
 	// disentangled regions (constant over a run) and the cumulative
 	// unchecked loads/stores executed through the Fast accessors.
@@ -182,6 +187,8 @@ var counterNames = [ctrCounters]string{
 	CtrLiveWords:        "live_words",
 	CtrRetainedChunks:   "retained_chunks",
 	CtrAncestryQueries:  "ancestry_queries",
+	CtrHeapsDropped:     "heaps_dropped",
+	CtrDroppedWords:     "dropped_words",
 	CtrStaticRegions:    "static_regions",
 	CtrElidedLoads:      "elided_loads",
 	CtrElidedStores:     "elided_stores",
