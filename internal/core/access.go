@@ -60,6 +60,18 @@ func (t *Task) guardedGC(vs []mem.Value) {
 	if !need {
 		return
 	}
+	collected := t.collectRooted(vs)
+	if over && collected && t.overHeapLimit() {
+		// Only a collection that actually ran proves the limit is real: a
+		// collection deferred behind a concurrent cycle retries instead of
+		// condemning the run.
+		t.rt.cancelWith(ErrHeapLimit)
+	}
+}
+
+// collectRooted runs collectNow with vs rooted in a transient frame, updating
+// them in place, and reports whether the collection ran.
+func (t *Task) collectRooted(vs []mem.Value) bool {
 	f := t.NewFrame(len(vs))
 	for i, v := range vs {
 		f.Set(i, v)
@@ -69,12 +81,7 @@ func (t *Task) guardedGC(vs []mem.Value) {
 		vs[i] = f.Get(i)
 	}
 	f.Pop()
-	if over && collected && t.overHeapLimit() {
-		// Only a collection that actually ran proves the limit is real: a
-		// collection deferred behind a concurrent cycle retries instead of
-		// condemning the run.
-		t.rt.cancelWith(ErrHeapLimit)
-	}
+	return collected
 }
 
 // overHeapLimit reports whether total residency exceeds the configured
@@ -385,8 +392,13 @@ func (t *Task) CAS(o mem.Ref, i int, old, new mem.Value) bool {
 		t.cgcSafepoint()
 		t.rt.ent.ShadeOverwritten(t.heap, o, i)
 	}
+	overwritten := t.heap.Overwritten
 	if t.barriers && new.IsRef() {
 		t.writeBarrier(o, i, new.Ref())
 	}
-	return t.rt.space.CAS(o, i, old, new)
+	if !t.rt.space.CAS(o, i, old, new) {
+		t.heap.Overwritten = overwritten // the barrier counted a store that did not happen
+		return false
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mplgo/internal/chaos"
@@ -19,12 +20,16 @@ import (
 // is parked under live children for the whole branch phase of every round,
 // the root heap is internal exactly then — the only collector that can
 // touch the accumulated garbage is the concurrent one. Returns a checksum
-// of the live array for integrity checking.
-func cgcChurn(t *Task, rounds, keep, garbage, branchWork int) mem.Value {
+// of the live array for integrity checking. A non-nil live receives the
+// residency at the start of each round.
+func cgcChurn(t *Task, rounds, keep, garbage, branchWork int, live []int64) mem.Value {
 	f := t.NewFrame(1)
 	defer f.Pop()
 	f.Set(0, t.AllocArray(keep, mem.Nil).Value())
 	for r := 0; r < rounds; r++ {
+		if live != nil {
+			live[r] = t.rt.space.LiveWords()
+		}
 		// Refresh one slot: the overwritten tuple dies in the root heap.
 		// During a marking cycle this store runs the SATB deletion barrier.
 		slot := r % keep
@@ -89,9 +94,14 @@ func cgcChurnWant(rounds, keep int) int64 {
 // rounds against shared root-heap state with local collections disabled.
 // Without CGC the footprint grows linearly in the number of rounds; with
 // CGC on, concurrent cycles reclaim the internal root heap's garbage while
-// the rounds run, and the high-water mark stays well below the
-// unreclaimed total. The checksum proves the live state survived the
-// concurrent sweeps intact.
+// the rounds run, and the residency stays well below the unreclaimed total.
+// The statistic is the median of the residency sampled as each round starts,
+// not the high-water mark: that records the single worst collector lag of a
+// run (see TestCGCSteadyStateFootprint), and on a loaded machine one stall
+// of the collector's goroutine drove it past half the CGC-off total in about
+// one run in seven. A collector that sweeps nothing leaves every sample where
+// the CGC-off run has it, so the median check still fails then. The checksum
+// proves the live state survived the concurrent sweeps intact.
 func TestCGCBoundedFootprint(t *testing.T) {
 	const (
 		rounds     = 120
@@ -101,15 +111,16 @@ func TestCGCBoundedFootprint(t *testing.T) {
 	)
 	want := cgcChurnWant(rounds, keep)
 
-	run := func(cgcOn bool) (max int64, rt *Runtime) {
+	run := func(cgcOn bool) (median int64, rt *Runtime) {
 		cfg := Config{Procs: 4, DisableGC: true, Seed: 11}
 		if cgcOn {
 			cfg.CGC = true
 			cfg.CGCThresholdWords = 1 // collect whenever there is anything at all
 		}
 		rt = New(cfg)
+		live := make([]int64, rounds)
 		v, err := rt.Run(func(tk *Task) mem.Value {
-			return cgcChurn(tk, rounds, keep, garbage, branchWork)
+			return cgcChurn(tk, rounds, keep, garbage, branchWork, live)
 		})
 		if err != nil {
 			t.Fatalf("cgc=%v: %v", cgcOn, err)
@@ -117,24 +128,25 @@ func TestCGCBoundedFootprint(t *testing.T) {
 		if got := v.AsInt(); got != want {
 			t.Fatalf("cgc=%v: checksum %d, want %d", cgcOn, got, want)
 		}
-		return rt.MaxLiveWords(), rt
+		slices.Sort(live)
+		return live[rounds/2], rt
 	}
 
-	offMax, _ := run(false)
-	onMax, rt := run(true)
+	offMedian, _ := run(false)
+	onMedian, rt := run(true)
 
 	cycles, freed, swept, retained, lastLive := rt.CGCStats()
-	t.Logf("footprint: off=%d on=%d words; cycles=%d freed=%d swept=%d retained=%d lastLive=%d",
-		offMax, onMax, cycles, freed, swept, retained, lastLive)
+	t.Logf("median residency: off=%d on=%d words; high-water on=%d; cycles=%d freed=%d swept=%d retained=%d lastLive=%d",
+		offMedian, onMedian, rt.MaxLiveWords(), cycles, freed, swept, retained, lastLive)
 	if cycles == 0 {
 		t.Fatal("no concurrent cycles ran over 120 internal windows")
 	}
 	if freed == 0 && swept == 0 {
 		t.Fatal("concurrent cycles reclaimed nothing (no freed words, no swept chunks)")
 	}
-	if onMax*2 > offMax {
-		t.Fatalf("footprint not bounded: %d words with CGC on vs %d off (want <= half)",
-			onMax, offMax)
+	if onMedian*2 > offMedian {
+		t.Fatalf("footprint not bounded: median residency %d words with CGC on vs %d off (want <= half)",
+			onMedian, offMedian)
 	}
 	if err := rt.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after concurrent collection: %v", err)
@@ -169,7 +181,7 @@ func TestCGCSteadyStateFootprint(t *testing.T) {
 		rt := New(cfg)
 		want := cgcChurnWant(rounds, keep)
 		v, err := rt.Run(func(tk *Task) mem.Value {
-			return cgcChurn(tk, rounds, keep, garbage, branchWork)
+			return cgcChurn(tk, rounds, keep, garbage, branchWork, nil)
 		})
 		if err != nil {
 			t.Fatalf("rounds=%d cgc=%v: %v", rounds, cgcOn, err)
@@ -207,7 +219,7 @@ func TestCGCOffIsFree(t *testing.T) {
 		t.Fatal("aux worker installed with CGC unset")
 	}
 	if _, err := rt.Run(func(tk *Task) mem.Value {
-		return cgcChurn(tk, 10, 8, 50, 50)
+		return cgcChurn(tk, 10, 8, 50, 50, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +242,7 @@ func TestCGCWithLocalGC(t *testing.T) {
 		Seed:              7,
 	})
 	v, err := rt.Run(func(tk *Task) mem.Value {
-		return cgcChurn(tk, rounds, keep, 200, 400)
+		return cgcChurn(tk, rounds, keep, 200, 400, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +311,7 @@ func TestChaosCGCChurn(t *testing.T) {
 		}
 		rt := New(cfg)
 		v, err := rt.Run(func(tk *Task) mem.Value {
-			return cgcChurn(tk, rounds, keep, 100, 200)
+			return cgcChurn(tk, rounds, keep, 100, 200, nil)
 		})
 		if err != nil {
 			dumpChaosFailure(t, rt, seed, cfg, err)

@@ -298,14 +298,14 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 			lt.scope = t.scope
 			defer lt.finish()
 			defer t.rt.guard()
-			lv = f(lt)
+			lv = lt.settle(f(lt))
 		},
 		func(w *sched.Worker, _ bool) {
 			gt := t.rt.newTask(w, rheap, rnode)
 			gt.scope = t.scope
 			defer gt.finish()
 			defer t.rt.guard()
-			rv = g(gt)
+			rv = gt.settle(g(gt))
 		},
 	)
 	t.cgcUnpark()
@@ -338,6 +338,24 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 		}
 	}
 	return lv, rv
+}
+
+// settle is a branch's last act: once the words it overwrote of what it had
+// published (Heap.Overwritten) pass half the allocation budget, it collects
+// its heap with the result rooted, so that garbage is reclaimed here instead
+// of merging into an ancestor that may not collect again. Each such
+// collection follows half a budget of overwritten words, as one the budget
+// triggers follows a budget of allocated words. Not under Unsafe (nothing is
+// counted), with collections off or after a runtime-wide cancel, and never for
+// a heap its join would drop: a counted overwrite means the heap's remembered
+// set holds the field.
+func (t *Task) settle(result mem.Value) mem.Value {
+	if t.heap.Overwritten <= t.rt.cfg.HeapBudgetWords/2 || t.rt.cfg.DisableGC || t.rt.cancelled.Load() {
+		return result
+	}
+	vs := [1]mem.Value{result}
+	t.collectRooted(vs[:])
+	return vs[0]
 }
 
 // join retires a branch's heap into t's. The barriers record every way into

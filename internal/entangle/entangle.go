@@ -134,7 +134,7 @@ var ErrEntangled = errors.New("entanglement detected")
 // What is pinned *now* is live: one gauge word, added to by every fresh pin
 // and every unpinning join.
 type Stats struct {
-	DownPointers    atomic.Int64 // down-pointer writes remembered
+	DownPointers    atomic.Int64 // down-pointer writes, recorded or already recorded
 	Candidates      atomic.Int64 // objects newly marked candidate
 	EntangledReads  atomic.Int64 // reads that found a concurrent object
 	EntangledWrites atomic.Int64 // writes into concurrent objects
@@ -332,7 +332,8 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 	at := leaf.AttrSink.Begin()
 	// Both owners come off the chunks and may be stale; a path that acts
 	// on one re-validates it under that heap's gate.
-	oh := hierarchy.OwnerOf(m.Space.ChunkOf(o))
+	oc := m.Space.ChunkOf(o)
+	oh := hierarchy.OwnerOf(oc)
 	xc := m.Space.ChunkOf(x)
 	xh := hierarchy.OwnerOf(xc)
 	if oh == xh {
@@ -373,8 +374,21 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 			// for publishing freshly allocated objects (producer/consumer
 			// pipelines). Only this strand drains, collects or merges leaf,
 			// so the entry goes straight into the owner-only view: no gate,
-			// no atomics.
-			leaf.AddRememberedLocal(o, i)
+			// no atomics. A field that already points into leaf is already
+			// in leaf's remembered set (gc.CheckDownPointers), and only this
+			// strand's next collection of leaf can take it out: the entry
+			// is not written twice, and what the store displaces is counted
+			// instead (Heap.Overwritten).
+			var words int64
+			if old := oc.Load(o, i); old.IsRef() {
+				if c := m.Space.ChunkOf(old.Ref()); hierarchy.OwnerOf(c) == leaf {
+					words = int64(c.Header(old.Ref()).Len()) + 1
+				}
+			}
+			if words == 0 {
+				leaf.AddRememberedLocal(o, i)
+			}
+			leaf.Overwritten += words
 		} else {
 			m.publishRemembered(oh, xh, xc, o, i)
 		}

@@ -20,7 +20,8 @@
 //   - The pass over the entries is linear and hashes nothing. The scope's
 //     old chunks carry a from-space mark (mem.Chunk.FromSpace) for the
 //     duration, forward moves only what lies in a marked chunk, and so a
-//     duplicate entry — the write barrier records every store — finds its
+//     duplicate entry — the write barrier records a field again unless the
+//     heap's own strand overwrites a reference into the heap — finds its
 //     field already redirected and is dropped.
 //   - There is no grey set: a copied object is grey by lying in to-space
 //     past its heap's scan cursor, a (chunk index, offset) pair that walks
@@ -201,6 +202,7 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 		sh := &r.heaps[i]
 		h := sh.h
 		h.Remset = sh.remset
+		h.Overwritten = 0
 		kept := h.Chunks[:0]
 		for _, ch := range h.Chunks {
 			ch.FromSpace = false
@@ -242,11 +244,11 @@ func (r *run) finish() {
 
 // processRemsets uses down-pointer entries as roots and begins the rebuilt
 // remembered sets with the still-valid external entries: one pass, at most
-// one entry out per entry in. A field stored to k times has k entries; the
-// first forwards the target and redirects the field into to-space, which
-// drops the rest. Duplicates whose target is pinned in place all survive:
-// harmless (an entry is a hint to look at the field) and never more than
-// came in.
+// one entry out per entry in. A field stored to k times may have up to k
+// entries; the first forwards the target and redirects the field into
+// to-space, which drops the rest. Duplicates whose target is pinned in
+// place all survive: harmless (an entry is a hint to look at the field) and
+// never more than came in.
 func (r *run) processRemsets() {
 	sp := r.c.Space
 	for i := range r.heaps {

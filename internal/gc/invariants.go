@@ -144,6 +144,34 @@ func checkRemembered(sp *mem.Space, e hierarchy.RememberedEntry) error {
 	return nil
 }
 
+// CheckDownPointers audits, at a quiescent point, the invariant that makes
+// remembered sets complete and lets the write barrier record a field once
+// (entangle.Manager.OnWrite): while a field of a heap A holds a reference into
+// a heap H strictly deeper on A's path, (holder, index) is in H's Remset or
+// publication buffer. The barrier records each such store before it happens,
+// except one by H's own strand over a reference into H; H's collections keep
+// an entry while its field points into H, and joins splice. Only reachable
+// holders are held to it: the walk is Validate's, whose checks come along.
+func CheckDownPointers(sp *mem.Space, tree *hierarchy.Tree) error {
+	remembered := map[*hierarchy.Heap]map[hierarchy.RememberedEntry]bool{}
+	return walk(sp, tree.Live(), func(holder mem.Ref, i int, x mem.Ref) error {
+		a, h := hierarchy.OwnerOf(sp.ChunkOf(holder)), hierarchy.OwnerOf(sp.ChunkOf(x))
+		if a == h || !tree.IsAncestor(a, h) {
+			return nil
+		}
+		set := remembered[h]
+		if set == nil {
+			set = map[hierarchy.RememberedEntry]bool{}
+			h.ForEachRemembered(func(e hierarchy.RememberedEntry) { set[e] = true })
+			remembered[h] = set
+		}
+		if !set[hierarchy.RememberedEntry{Holder: holder, Index: i}] {
+			return fmt.Errorf("gc: field %d of %v in heap %d points into heap %d, which does not remember it", i, holder, a.ID, h.ID)
+		}
+		return nil
+	})
+}
+
 // CheckInvariants audits every live heap of the tree. strict (quiescent
 // points only) adds gate, pin-accounting and transient-bit checks per heap
 // plus the reachability audit of Validate, which rejects any live path to

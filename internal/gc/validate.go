@@ -23,7 +23,11 @@ import (
 // Dead objects may legitimately hold stale references (their fields are
 // never updated once unreachable), so the walk is reachability-based
 // rather than a sweep of chunk contents.
-func Validate(sp *mem.Space, heaps []*hierarchy.Heap) error {
+func Validate(sp *mem.Space, heaps []*hierarchy.Heap) error { return walk(sp, heaps, nil) }
+
+// walk is Validate, calling edge, when non-nil, for every reference field
+// of a reachable object once the field's target has passed the checks.
+func walk(sp *mem.Space, heaps []*hierarchy.Heap, edge func(holder mem.Ref, i int, x mem.Ref) error) error {
 	seen := map[mem.Ref]bool{}
 	var stack []mem.Ref
 
@@ -88,8 +92,14 @@ func Validate(sp *mem.Space, heaps []*hierarchy.Heap) error {
 		}
 		for i := 0; i < hd.Len(); i++ {
 			v := sp.Load(r, i)
-			if v.IsRef() {
-				if err := check(v.Ref(), fmt.Sprintf("field %d of %v", i, r)); err != nil {
+			if !v.IsRef() {
+				continue
+			}
+			if err := check(v.Ref(), fmt.Sprintf("field %d of %v", i, r)); err != nil {
+				return err
+			}
+			if edge != nil {
+				if err := edge(r, i, v.Ref()); err != nil {
 					return err
 				}
 			}

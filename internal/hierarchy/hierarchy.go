@@ -74,7 +74,7 @@ type Tally struct {
 	EntangledReads  int64 // reads that found a concurrent object
 	EntangledWrites int64 // writes into (or publishing) concurrent objects
 	Candidates      int64 // objects newly marked candidate
-	DownPointers    int64 // down-pointer writes remembered
+	DownPointers    int64 // down-pointer writes, recorded or already recorded
 	Pins            int64 // objects newly pinned (PinHeader's PinNew)
 	AncestryQueries int64 // oracle queries: Relate misses, third-party LCADepth
 
@@ -135,11 +135,21 @@ type Heap struct {
 	Chunks []*mem.Chunk
 
 	// Remset holds down-pointer entries whose targets may live in this
-	// heap, duplicates included (the write barrier records every store).
-	// Owner-only view; foreign writers publish into remBuf and the owner
-	// adopts the buffer's segments with DrainBuffers at collection start. A
-	// join splices the list onto the parent's, a collection replaces it.
+	// heap, duplicates included: the write barrier records every store of a
+	// down-pointer but one by this heap's own strand that overwrites a
+	// reference into this heap, whose field is already here (see
+	// gc.CheckDownPointers for the invariant). Owner-only view; foreign
+	// writers publish into remBuf and the owner adopts the buffer's segments
+	// with DrainBuffers at collection start. A join splices the list onto
+	// the parent's, a collection replaces it.
 	Remset List[RememberedEntry]
+
+	// Overwritten estimates the words of this heap's published objects that
+	// its strand has since overwritten: the objects displaced by the stores
+	// whose entry the write barrier skipped. Owner-only. A merging join adds
+	// the child's, and every collection of the heap resets it. It is not a
+	// Tally field because Drain clears the tally.
+	Overwritten int64
 
 	// Pinned lists pinned objects residing in this heap; entries go stale
 	// when the object is unpinned or copied and are dropped at the next
@@ -580,6 +590,7 @@ func (t *Tree) Join(child, parent *Heap, space *mem.Space, keep bool) (unpinned 
 	child.Chunks = nil
 
 	parent.Remset.Splice(&child.Remset)
+	parent.Overwritten += child.Overwritten
 
 	// Unpin objects whose unpin depth has been reached: the entangled
 	// tasks have joined, so these are ordinary objects of the merged heap.
