@@ -1,11 +1,15 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -89,6 +93,38 @@ func TestMetricsEndpoint(t *testing.T) {
 		if parts := strings.Fields(line); len(parts) != 2 {
 			t.Fatalf("malformed exposition line %q", line)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestMetricsGolden pins the runtime's /metrics exposition — every metric's
+// name, # HELP and # TYPE line, in order — with each value masked, so a
+// renamed, reordered or dropped metric fails here. Regenerate with -update.
+func TestMetricsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteMetrics(&buf, runSmall(t)); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			line = name + " N\n"
+		}
+		got.WriteString(line)
+	}
+	golden := filepath.Join("testdata", "metrics_golden.txt")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("/metrics drifted from %s; rerun with -update and review the diff\n got:\n%s", golden, got.String())
 	}
 }
 

@@ -187,6 +187,28 @@ func TestMetaPacking(t *testing.T) {
 	}
 }
 
+// TestCounterNamesStable: every counter track name a trace has carried still
+// resolves, so a saved trace summarizes the same after the enum moves.
+func TestCounterNamesStable(t *testing.T) {
+	for _, name := range []string{
+		"pinned_bytes", "pinned_peak_bytes", "live_words", "retained_chunks",
+		"ancestry_queries", "heaps_dropped", "dropped_words",
+		"static_regions", "elided_loads", "elided_stores",
+		"requests_admitted", "requests_shed", "requests_deadline_exceeded", "tokens_in_use",
+		"grid_cell", "grid_seed",
+		"attr_pin_cas_ns", "attr_pin_cas_n", "attr_pin_retry_ns", "attr_pin_retry_n",
+		"attr_gate_enter_ns", "attr_gate_enter_n", "attr_gate_exit_ns", "attr_gate_exit_n",
+		"attr_remset_publish_ns", "attr_remset_publish_n", "attr_ancestry_query_ns", "attr_ancestry_query_n",
+		"attr_unpin_at_join_ns", "attr_unpin_at_join_n", "attr_shade_queue_ns", "attr_shade_queue_n",
+		"attr_budget_poll_ns", "attr_budget_poll_n", "attr_steal_loop_ns", "attr_steal_loop_n",
+		"attr_merge_wait_ns", "attr_merge_wait_n", "attr_period", "attr_run_wall_ns", "attr_seq_wall_ns",
+	} {
+		if c, ok := CounterFromName(name); !ok || c.String() != name {
+			t.Errorf("CounterFromName(%q) = %v, %v", name, c, ok)
+		}
+	}
+}
+
 func TestKindAndCounterNames(t *testing.T) {
 	for k := Kind(1); k < evKinds; k++ {
 		name := k.String()
