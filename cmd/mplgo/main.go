@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"mplgo/internal/mlang"
+	"mplgo/internal/trace"
 	"mplgo/mpl"
 )
 
@@ -106,16 +107,20 @@ func main() {
 	fmt.Printf("val it = %s : %s\n", res.Rendered, res.Type)
 
 	if *stats {
-		s := res.Runtime.EntStats()
-		c, copied, reclaimed := res.Runtime.GCStats()
-		es := res.Runtime.ElisionStats()
-		ts := res.Runtime.Tree().Stats
-		fmt.Fprintf(os.Stderr, "heaps: %d (%d dropped at joins, %d words)  steals: %d\n",
-			res.Runtime.Tree().Count(), ts.HeapsDropped.Load(), ts.DroppedWords.Load(), res.Runtime.Steals())
+		rt := res.Runtime
+		s := rt.EntStats()
+		c, copied, reclaimed := rt.GCStats()
+		fmt.Fprintf(os.Stderr, "heaps: %d  steals: %d\n", rt.Tree().Count(), rt.Steals())
 		fmt.Fprintf(os.Stderr, "gc: %d collections, %d words copied, %d reclaimed\n", c, copied, reclaimed)
-		fmt.Fprintf(os.Stderr, "entanglement: %d reads, %d writes, %d pins, %d unpins, peak %d\n",
-			s.EntangledReads, s.EntangledWrites, s.Pins, s.Unpins, s.PinnedPeak)
-		fmt.Fprintf(os.Stderr, "elision: %d static regions, %d loads, %d stores, %d allocs\n",
-			es.StaticRegions, es.ElidedLoads, es.ElidedStores, es.ElidedAllocs)
+		fmt.Fprintf(os.Stderr, "pinned: %d unpinned at joins, peak %d  static regions: %d",
+			s.Unpins, s.PinnedPeak, rt.ElisionStats().StaticRegions)
+		// Every event count, one line per layer.
+		for i, row := range trace.Counts {
+			if i == 0 || trace.Counts[i-1].Layer != row.Layer {
+				fmt.Fprintf(os.Stderr, "\n%s:", row.Layer)
+			}
+			fmt.Fprintf(os.Stderr, " %s %d", row.Name, rt.Tree().Stats.Load(trace.Count(i)))
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -30,9 +29,9 @@ func churn(t *Task, n int) {
 // dropsOf runs a Par on t and returns how many of its two branch heaps the
 // join dropped, with the branches' results.
 func dropsOf(t *Task, f, g func(*Task) mem.Value) (int64, mem.Value, mem.Value) {
-	before := t.heap.Tally.HeapsDropped
+	before := t.heap.Tally[trace.HeapsDropped]
 	lv, rv := t.Par(f, g)
-	return t.heap.Tally.HeapsDropped - before, lv, rv
+	return t.heap.Tally[trace.HeapsDropped] - before, lv, rv
 }
 
 // runDrops runs body as the root task of a runtime configured by cfg and
@@ -163,7 +162,7 @@ func TestParKeepsBranchesAfterCancel(t *testing.T) {
 	if before != 2 || outer != 0 {
 		t.Fatalf("dropped %d heaps before the cancel and %d after, want 2 and 0", before, outer)
 	}
-	if got := rt.tree.Stats.HeapsDropped.Load(); got != 2 {
+	if got := rt.tree.Stats.Load(trace.HeapsDropped); got != 2 {
 		t.Fatalf("tree counts %d dropped heaps, want 2", got)
 	}
 }
@@ -187,19 +186,17 @@ func TestParDropsNothingWithoutItsRecords(t *testing.T) {
 			}
 			return nil
 		})
-		if n := rt.tree.Stats.HeapsDropped.Load(); n != 0 {
+		if n := rt.tree.Stats.Load(trace.HeapsDropped); n != 0 {
 			t.Fatalf("%+v: %d heaps dropped", cfg, n)
 		}
 	}
 }
 
-// TestDropCountersReachTrace: the drop totals are drained into the tree's
-// stats and sampled into trace counters the summary reports by name, and a
-// drop is not a collection.
-func TestDropCountersReachTrace(t *testing.T) {
-	tracer := trace.NewTracer(2, 1<<14)
-	rt := New(Config{Procs: 2, Tracer: tracer})
-	trace.Enable()
+// TestDropCountsDrainToTotals: every drop of a fork tree reaches the
+// tree's totals, with the words it handed back, and a drop is not a
+// collection. (TestTracedCountsReachTrace follows the totals into the trace.)
+func TestDropCountsDrainToTotals(t *testing.T) {
+	rt := New(Config{Procs: 2})
 	_, err := rt.Run(func(tk *Task) mem.Value {
 		var rec func(t *Task, d int) mem.Value
 		rec = func(t *Task, d int) mem.Value {
@@ -215,29 +212,15 @@ func TestDropCountersReachTrace(t *testing.T) {
 		}
 		return rec(tk, 5)
 	})
-	trace.Disable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	heaps, words := rt.tree.Stats.HeapsDropped.Load(), rt.tree.Stats.DroppedWords.Load()
+	heaps, words := rt.tree.Stats.Load(trace.HeapsDropped), rt.tree.Stats.Load(trace.DroppedWords)
 	if heaps != 62 || words < 32*200 {
 		t.Fatalf("dropped %d heaps holding %d words, want all 62 and at least the leaves' 6 400 words", heaps, words)
 	}
 	if c, _, _ := rt.GCStats(); c != 0 {
 		t.Fatalf("%d collections: a drop is not a collection", c)
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, tracer); err != nil {
-		t.Fatal(err)
-	}
-	s, err := trace.Summarize(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, total := range map[trace.Counter]int64{trace.CtrHeapsDropped: heaps, trace.CtrDroppedWords: words} {
-		if max := s.CounterMax[c]; max == 0 || int64(max) > total {
-			t.Fatalf("%v: trace maximum %d, drained total %d", c, max, total)
-		}
 	}
 }
 
@@ -307,7 +290,7 @@ func TestDropRacesCousinPins(t *testing.T) {
 			if err := rt.CheckInvariants(); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if rt.tree.Stats.HeapsDropped.Load() == 0 {
+			if rt.tree.Stats.Load(trace.HeapsDropped) == 0 {
 				t.Fatalf("%s: no heap dropped", name)
 			}
 		}

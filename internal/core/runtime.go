@@ -164,7 +164,7 @@ type Runtime struct {
 	cancelled atomic.Bool
 
 	// elRegions is the static-region count the language front end proved
-	// (SetStaticRegions); the elided-access totals are entangle.Stats'.
+	// (SetStaticRegions); the elided-access totals are the tree's.
 	elRegions atomic.Int64
 
 	errMu sync.Mutex
@@ -356,12 +356,12 @@ func (r *Runtime) SetStaticRegions(n int64) { r.elRegions.Store(n) }
 // ElisionStats returns the barrier-elision totals: drained like EntStats'
 // event totals, so exact once Run has returned.
 func (r *Runtime) ElisionStats() ElisionStats {
-	s := &r.ent.Stats
+	t := r.tree.Stats
 	return ElisionStats{
 		StaticRegions: r.elRegions.Load(),
-		ElidedLoads:   s.ElidedLoads.Load(),
-		ElidedStores:  s.ElidedStores.Load(),
-		ElidedAllocs:  s.ElidedAllocs.Load(),
+		ElidedLoads:   t.Load(trace.ElidedLoads),
+		ElidedStores:  t.Load(trace.ElidedStores),
+		ElidedAllocs:  t.Load(trace.ElidedAllocs),
 	}
 }
 

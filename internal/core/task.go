@@ -212,14 +212,8 @@ func (t *Task) collectNow() bool {
 	if ring != nil && trace.Enabled() {
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrLiveWords), uint64(t.rt.space.LiveWords()))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrRetainedChunks), uint64(t.rt.col.RetainedChunks.Load()))
-		ts := t.rt.tree.Stats
-		ring.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(ts.AncestryQueries.Load()))
-		ring.Emit(trace.EvCounter, d, uint64(trace.CtrHeapsDropped), uint64(ts.HeapsDropped.Load()))
-		ring.Emit(trace.EvCounter, d, uint64(trace.CtrDroppedWords), uint64(ts.DroppedWords.Load()))
-		es := t.rt.ElisionStats()
-		ring.Emit(trace.EvCounter, d, uint64(trace.CtrStaticRegions), uint64(es.StaticRegions))
-		ring.Emit(trace.EvCounter, d, uint64(trace.CtrElidedLoads), uint64(es.ElidedLoads))
-		ring.Emit(trace.EvCounter, d, uint64(trace.CtrElidedStores), uint64(es.ElidedStores))
+		ring.Emit(trace.EvCounter, d, uint64(trace.CtrStaticRegions), uint64(t.rt.elRegions.Load()))
+		t.rt.tree.Stats.Emit(ring, d)
 		// Periodic attribution flush: this worker owns both the sink and
 		// the ring, and a collection is a natural boundary where the
 		// strand is already off its fast paths.

@@ -5,6 +5,7 @@ import (
 
 	"mplgo/internal/hierarchy"
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 // The join's drop decision, one test per record that keeps a child heap
@@ -16,9 +17,9 @@ import (
 // join runs the runtime's join of child into parent and reports whether it
 // dropped child.
 func (r *rig) join(child, parent *hierarchy.Heap) bool {
-	before := parent.Tally.HeapsDropped
+	before := parent.Tally[trace.HeapsDropped]
 	r.m.Join(child, parent, false)
-	return parent.Tally.HeapsDropped != before
+	return parent.Tally[trace.HeapsDropped] != before
 }
 
 // mergedInto fails the test unless x now lives in a chunk h owns and still
@@ -59,11 +60,11 @@ func TestJoinDropsDeadChild(t *testing.T) {
 	if !r.left.Dead() || r.root.LiveChildren() != 1 || len(r.left.Chunks) != 0 {
 		t.Fatal("the dropped child is not retired")
 	}
-	if got := r.root.Tally; got.HeapsDropped != 1 || got.DroppedWords != words {
+	if got := r.root.Tally; got[trace.HeapsDropped] != 1 || got[trace.DroppedWords] != words {
 		t.Fatalf("parent's tally = %+v, want 1 heap and %d words", got, words)
 	}
 	r.m.Drain(r.root)
-	if h, w := r.tr.Stats.HeapsDropped.Load(), r.tr.Stats.DroppedWords.Load(); h != 1 || w != words {
+	if h, w := r.tr.Stats.Load(trace.HeapsDropped), r.tr.Stats.Load(trace.DroppedWords); h != 1 || w != words {
 		t.Fatalf("tree totals %d heaps, %d words after the drain", h, w)
 	}
 }

@@ -30,9 +30,9 @@
 // to shared memory is only what the protocol needs. In atomic
 // read-modify-writes: a re-read of an object already pinned deep enough,
 // and a slow read that proves disentangled, perform none — their counts go
-// to plain fields of the reader's own leaf (hierarchy.Tally), which only
-// the strand running that leaf touches and which Drain folds into Stats at
-// the end of the task, at its collections and at the join. A fresh pin
+// to plain slots of the reader's own leaf (hierarchy.Tally), which only
+// the strand running that leaf touches and which Drain adds to the totals
+// at the end of the task, at its collections and at the join. A fresh pin
 // performs five — gate enter, header CAS (which also sets the candidate
 // bit), the chunk's pin count, the slot claim in the owner's pinned buffer,
 // gate exit — plus one add to the gauge of what is pinned now. The gate pair
@@ -123,38 +123,16 @@ func (m Mode) String() string {
 // entangles.
 var ErrEntangled = errors.New("entanglement detected")
 
-// Stats holds the runtime's event totals — the paper's entanglement cost
-// metrics, the pin CAS's outcomes and the unchecked accesses — and the gauge
-// of what is pinned.
-//
-// The event totals are not live: every event is counted on the running
-// leaf's hierarchy.Tally and Manager.Drain folds that in when the task ends,
-// at its collections and at the join, so mid-run a total lags by the
-// undrained counts of the leaves still running and is exact at quiescence.
-// What is pinned *now* is live: one gauge word, added to by every fresh pin
-// and every unpinning join.
+// Stats reads the runtime's event totals — the paper's entanglement cost
+// metrics and the pin CAS's outcomes — which are the tree's
+// (hierarchy.Totals): drained from the leaves' tallies, so mid-run they lag
+// by the counts of the leaves still running and are exact at quiescence.
+// It holds what is live: Unpins, added by the join itself, and one gauge
+// word, added to by every fresh pin and every unpinning join.
 type Stats struct {
-	DownPointers    atomic.Int64 // down-pointer writes, recorded or already recorded
-	Candidates      atomic.Int64 // objects newly marked candidate
-	EntangledReads  atomic.Int64 // reads that found a concurrent object
-	EntangledWrites atomic.Int64 // writes into concurrent objects
-	SlowReads       atomic.Int64 // reads that took the slow path at all
-	Pins            atomic.Int64 // objects newly pinned
-	Unpins          atomic.Int64 // objects unpinned at joins (added by the join itself)
+	totals *hierarchy.Totals
 
-	// PinHeader's outcomes besides PinNew (counted as Pins), and its lost
-	// CASes; see PinCAS.
-	PinDepthLowered atomic.Int64
-	PinAlready      atomic.Int64
-	PinBusy         atomic.Int64
-	PinForwarded    atomic.Int64
-	PinRetries      atomic.Int64
-
-	// Accesses and allocations that ran with no barrier (core's *Fast
-	// accessors, at statically proven sites).
-	ElidedLoads  atomic.Int64
-	ElidedStores atomic.Int64
-	ElidedAllocs atomic.Int64
+	Unpins atomic.Int64 // objects unpinned at joins
 
 	// now is the gauge: pinned objects and the words they occupy, packed
 	// into one word (pinLoad) so a pin or a join moves both with one add.
@@ -220,13 +198,14 @@ func (s *Stats) load() (now, peak pinLoad) {
 // goroutine may call it at any rate.
 func (s *Stats) Snapshot() StatsSnapshot {
 	now, peak := s.load()
+	t := s.totals
 	return StatsSnapshot{
-		DownPointers:    s.DownPointers.Load(),
-		Candidates:      s.Candidates.Load(),
-		EntangledReads:  s.EntangledReads.Load(),
-		EntangledWrites: s.EntangledWrites.Load(),
-		SlowReads:       s.SlowReads.Load(),
-		Pins:            s.Pins.Load(),
+		DownPointers:    t.Load(trace.DownPointers),
+		Candidates:      t.Load(trace.Candidates),
+		EntangledReads:  t.Load(trace.EntangledReads),
+		EntangledWrites: t.Load(trace.EntangledWrites),
+		SlowReads:       t.Load(trace.SlowReads),
+		Pins:            t.Load(trace.Pins),
 		Unpins:          s.Unpins.Load(),
 		PinnedNow:       now.objects(),
 		PinnedPeak:      peak.objects(),
@@ -236,13 +215,14 @@ func (s *Stats) Snapshot() StatsSnapshot {
 
 // PinCAS returns the pin CAS's outcome totals.
 func (s *Stats) PinCAS() mem.PinCASSnapshot {
+	t := s.totals
 	p := mem.PinCASSnapshot{
-		Retries:      s.PinRetries.Load(),
-		Busy:         s.PinBusy.Load(),
-		Forwarded:    s.PinForwarded.Load(),
-		New:          s.Pins.Load(),
-		DepthLowered: s.PinDepthLowered.Load(),
-		Already:      s.PinAlready.Load(),
+		Retries:      t.Load(trace.PinRetries),
+		Busy:         t.Load(trace.PinBusy),
+		Forwarded:    t.Load(trace.PinForwarded),
+		New:          t.Load(trace.Pins),
+		DepthLowered: t.Load(trace.PinDepthLowered),
+		Already:      t.Load(trace.PinAlready),
 	}
 	p.Attempts = p.Busy + p.Forwarded + p.New + p.DepthLowered + p.Already
 	return p
@@ -284,7 +264,7 @@ type Manager struct {
 // barriers find a reference's heap on its chunk.
 func New(space *mem.Space, tree *hierarchy.Tree, mode Mode) *Manager {
 	tree.Bind(space)
-	return &Manager{Space: space, Tree: tree, Mode: mode}
+	return &Manager{Space: space, Tree: tree, Mode: mode, Stats: Stats{totals: tree.Stats}}
 }
 
 // ShadeOverwritten is the snapshot-at-the-beginning deletion barrier of
@@ -351,7 +331,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 	case xh:
 		lca = m.Tree.UnpinDepth(leaf, oh)
 	default:
-		leaf.Tally.AncestryQueries++
+		leaf.Tally[trace.AncestryQueries]++
 		lca = m.Tree.LCADepth(oh, xh)
 	}
 	switch lca {
@@ -367,7 +347,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		// that sees the new pointer also sees the bit (both are
 		// sequentially consistent atomics).
 		if m.Space.SetCandidate(o) {
-			leaf.Tally.Candidates++
+			leaf.Tally[trace.Candidates]++
 		}
 		if xh == leaf {
 			// The target lives in the writer's own heap — the common case
@@ -392,7 +372,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		} else {
 			m.publishRemembered(oh, xh, xc, o, i)
 		}
-		leaf.Tally.DownPointers++
+		leaf.Tally[trace.DownPointers]++
 		leaf.AttrSink.End(attr.RemsetPublish, at)
 		return nil
 	default:
@@ -405,9 +385,9 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		// contains an entangled pointer, making it a candidate by the
 		// paper's definition).
 		if m.Space.SetCandidate(o) {
-			leaf.Tally.Candidates++
+			leaf.Tally[trace.Candidates]++
 		}
-		leaf.Tally.EntangledWrites++
+		leaf.Tally[trace.EntangledWrites]++
 		// x unpins where it stops being concurrent with the holder and
 		// with the writer. When the writer owns an end, lca is already
 		// that minimum: its own heap is no shallower than any LCA.
@@ -471,7 +451,7 @@ func (m *Manager) OnRead(leaf *hierarchy.Heap, o mem.Ref, i int, v mem.Value) (m
 // chunk oc (core's read barrier, through mem.Space.LoadCandidate): every
 // re-read of the field goes through it.
 func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int, v mem.Value) (mem.Value, error) {
-	leaf.Tally.SlowReads++
+	leaf.Tally[trace.SlowReads]++
 	// Emit tests for a nil ring itself, but is too big to inline: on the
 	// two paths that are otherwise a dozen plain instructions, the test
 	// here saves the call.
@@ -533,7 +513,7 @@ func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int
 			// (see the package comment for both).
 			// (Attribution: the header validation is the degenerate pin — it
 			// lands in PinCAS.)
-			leaf.Tally.EntangledReads++
+			leaf.Tally[trace.EntangledReads]++
 			if ring != nil {
 				ring.Emit(trace.EvEntangledRead, int32(leaf.Depth()), uint64(x), uint64(unpin))
 			}
@@ -597,7 +577,7 @@ func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int
 		// is concurrent with us.
 		m.notePin(leaf, xh, x, unpin, st, h)
 		at = leaf.AttrSink.Lap(attr.PinCAS, at)
-		leaf.Tally.EntangledReads++
+		leaf.Tally[trace.EntangledReads]++
 		leaf.TraceRing.Emit(trace.EvEntangledRead, int32(leaf.Depth()), uint64(x), uint64(unpin))
 		xh.Gate.ExitReader()
 		leaf.AttrSink.End(attr.GateExit, at)
@@ -649,20 +629,11 @@ func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at in
 	}
 }
 
-// countPin tallies one PinHeader call: its outcome (a fresh pin is counted
-// as Pins, by notePin) and the CASes it lost.
+// countPin tallies one PinHeader call: its outcome, a fresh pin as Pins,
+// and the CASes it lost.
 func countPin(t *hierarchy.Tally, st mem.PinStatus, retries int) {
-	t.PinRetries += int64(retries)
-	switch st {
-	case mem.PinDepthLowered:
-		t.PinDepthLowered++
-	case mem.PinAlready:
-		t.PinAlready++
-	case mem.PinBusy:
-		t.PinBusy++
-	case mem.PinForwarded:
-		t.PinForwarded++
-	}
+	t[trace.Pins+trace.Count(st)]++
+	t[trace.PinRetries] += int64(retries)
 }
 
 // notePin does the bookkeeping of a PinHeader call that took (st is PinNew,
@@ -676,51 +647,18 @@ func (m *Manager) notePin(leaf, xh *hierarchy.Heap, x mem.Ref, unpin int, st mem
 		return
 	}
 	if !was.Candidate() {
-		leaf.Tally.Candidates++
+		leaf.Tally[trace.Candidates]++
 	}
 	if st == mem.PinNew {
-		leaf.Tally.Pins++
 		m.Stats.pinned(int64(was.Len()) + 1)
 		xh.AddPinned(x)
 		leaf.TraceRing.Emit(trace.EvPin, int32(leaf.Depth()), uint64(x), uint64(unpin))
 	}
 }
 
-// Drain folds h's tally into Stats (and the tree's query count) and clears
-// it: the one place an event total is written. The caller is the strand
-// that owns the tally: the one running h, or the one joining it.
-func (m *Manager) Drain(h *hierarchy.Heap) {
-	t := h.Tally
-	if t == (hierarchy.Tally{}) {
-		return
-	}
-	h.Tally = hierarchy.Tally{}
-	s := &m.Stats
-	fold(&s.SlowReads, t.SlowReads)
-	fold(&s.EntangledReads, t.EntangledReads)
-	fold(&s.EntangledWrites, t.EntangledWrites)
-	fold(&s.Candidates, t.Candidates)
-	fold(&s.DownPointers, t.DownPointers)
-	fold(&s.Pins, t.Pins)
-	fold(&m.Tree.Stats.AncestryQueries, t.AncestryQueries)
-	fold(&m.Tree.Stats.HeapsDropped, t.HeapsDropped)
-	fold(&m.Tree.Stats.DroppedWords, t.DroppedWords)
-	fold(&s.PinDepthLowered, t.PinDepthLowered)
-	fold(&s.PinAlready, t.PinAlready)
-	fold(&s.PinBusy, t.PinBusy)
-	fold(&s.PinForwarded, t.PinForwarded)
-	fold(&s.PinRetries, t.PinRetries)
-	fold(&s.ElidedLoads, t.ElidedLoads)
-	fold(&s.ElidedStores, t.ElidedStores)
-	fold(&s.ElidedAllocs, t.ElidedAllocs)
-}
-
-// fold adds n to a shared total, skipping the RMW for a count of zero.
-func fold(total *atomic.Int64, n int64) {
-	if n != 0 {
-		total.Add(n)
-	}
-}
+// Drain adds h's tally to the tree's totals and clears it. The caller is
+// the strand that owns the tally: the one running h, or the one joining it.
+func (m *Manager) Drain(h *hierarchy.Heap) { m.Tree.Stats.Drain(&h.Tally) }
 
 // OnJoin merges child into parent whatever child's records say: Join for a
 // caller holding references into child that the tree cannot see.
@@ -741,11 +679,8 @@ func (m *Manager) Join(child, parent *hierarchy.Heap, keep bool) {
 	if r := parent.TraceRing; r != nil && trace.Enabled() {
 		now, peak := m.Stats.load()
 		d := int32(parent.Depth())
-		ts := m.Tree.Stats
 		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedBytes), uint64(now.words()*8))
 		r.Emit(trace.EvCounter, d, uint64(trace.CtrPinnedPeakBytes), uint64(peak.words()*8))
-		r.Emit(trace.EvCounter, d, uint64(trace.CtrAncestryQueries), uint64(ts.AncestryQueries.Load()))
-		r.Emit(trace.EvCounter, d, uint64(trace.CtrHeapsDropped), uint64(ts.HeapsDropped.Load()))
-		r.Emit(trace.EvCounter, d, uint64(trace.CtrDroppedWords), uint64(ts.DroppedWords.Load()))
+		m.Tree.Stats.Emit(r, d)
 	}
 }

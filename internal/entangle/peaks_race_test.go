@@ -3,6 +3,9 @@ package entangle
 import (
 	"sync"
 	"testing"
+
+	"mplgo/internal/hierarchy"
+	"mplgo/internal/mem"
 )
 
 // TestPinnedPeakConcurrent checks the high-water marks of the pinned gauge
@@ -19,7 +22,7 @@ func TestPinnedPeakConcurrent(t *testing.T) {
 		objWords   = 3
 		total      = goroutines * perG
 	)
-	var s Stats
+	s := &New(mem.NewSpace(), hierarchy.New(), Manage).Stats
 	each := func(f func()) {
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {

@@ -7,21 +7,18 @@ import (
 
 	"mplgo/internal/hierarchy"
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 // sharedWords reads every word of the manager that more than one strand can
-// write: the drained totals, the gauge, its peaks and the tree's query count.
-func sharedWords(m *Manager) [18]uint64 {
+// write: the tree's totals, the unpin count, the gauge and its peaks.
+func sharedWords(m *Manager) [trace.NumCounts + 3]uint64 {
 	s := &m.Stats
-	return [18]uint64{
-		uint64(s.DownPointers.Load()), uint64(s.Candidates.Load()), uint64(s.EntangledReads.Load()),
-		uint64(s.EntangledWrites.Load()), uint64(s.SlowReads.Load()), uint64(s.Pins.Load()),
-		uint64(s.Unpins.Load()), s.now.Load(), s.peak.Load(),
-		uint64(m.Tree.Stats.AncestryQueries.Load()),
-		uint64(s.PinDepthLowered.Load()), uint64(s.PinAlready.Load()), uint64(s.PinBusy.Load()),
-		uint64(s.PinForwarded.Load()), uint64(s.PinRetries.Load()),
-		uint64(s.ElidedLoads.Load()), uint64(s.ElidedStores.Load()), uint64(s.ElidedAllocs.Load()),
+	w := [trace.NumCounts + 3]uint64{trace.NumCounts: uint64(s.Unpins.Load()), s.now.Load(), s.peak.Load()}
+	for c := range trace.NumCounts {
+		w[c] = uint64(m.Tree.Stats.Load(c))
 	}
+	return w
 }
 
 // TestSlowReadWritesNoSharedWord is the change's claim as a test: re-reads of
@@ -66,10 +63,10 @@ func TestSlowReadWritesNoSharedWord(t *testing.T) {
 	if g := [2]uint64{r.left.Gate.Epoch(), uint64(r.left.Gate.Readers())}; g != gate {
 		t.Fatalf("re-reads moved the owner's gate %v -> %v", gate, g)
 	}
-	if got, want := r.right.Tally, (hierarchy.Tally{SlowReads: n + 1, EntangledReads: n + 1, Candidates: 1, Pins: 1, AncestryQueries: 1}); got != want {
+	if got, want := r.right.Tally, (hierarchy.Tally{trace.SlowReads: n + 1, trace.EntangledReads: n + 1, trace.Candidates: 1, trace.Pins: 1, trace.AncestryQueries: 1}); got != want {
 		t.Fatalf("right's tally = %+v, want %+v", got, want)
 	}
-	if got, want := r.left.Tally, (hierarchy.Tally{SlowReads: n + 1, Candidates: 1, DownPointers: 1, AncestryQueries: 1}); got != want {
+	if got, want := r.left.Tally, (hierarchy.Tally{trace.SlowReads: n + 1, trace.Candidates: 1, trace.DownPointers: 1, trace.AncestryQueries: 1}); got != want {
 		t.Fatalf("left's tally = %+v, want %+v", got, want)
 	}
 
@@ -104,12 +101,28 @@ func TestThirdPartyWriteTalliesItsQuery(t *testing.T) {
 	if err := r.m.OnWrite(r.right, o, 0, y); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.right.Tally, (hierarchy.Tally{Candidates: 1, DownPointers: 1, AncestryQueries: 1}); got != want {
+	if got, want := r.right.Tally, (hierarchy.Tally{trace.Candidates: 1, trace.DownPointers: 1, trace.AncestryQueries: 1}); got != want {
 		t.Fatalf("writer's tally = %+v, want %+v", got, want)
 	}
 	r.m.Drain(r.right)
 	if q := r.tr.Stats.AncestryQueries.Load(); q != 1 {
 		t.Fatalf("tree counted %d queries, want 1", q)
+	}
+}
+
+// TestPinOutcomeRows: the table's pin-outcome rows follow mem.PinStatus, so
+// countPin tallies each outcome on its own row, a fresh pin as Pins.
+func TestPinOutcomeRows(t *testing.T) {
+	for st, c := range map[mem.PinStatus]trace.Count{
+		mem.PinNew: trace.Pins, mem.PinDepthLowered: trace.PinDepthLowered, mem.PinAlready: trace.PinAlready,
+		mem.PinBusy: trace.PinBusy, mem.PinForwarded: trace.PinForwarded,
+	} {
+		var got, want hierarchy.Tally
+		countPin(&got, st, 2)
+		want[c], want[trace.PinRetries] = 1, 2
+		if got != want {
+			t.Errorf("outcome %d tallied %v, want %v", st, got, want)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"mplgo/internal/chaos"
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 // walkIsAncestor is the naive oracle: walk d's immutable parent chain.
@@ -222,13 +223,13 @@ func TestUnpinDepthCache(t *testing.T) {
 	if got := tr.UnpinDepth(aa, b); got != 0 {
 		t.Fatalf("UnpinDepth(aa,b) = %d, want 0", got)
 	}
-	if q := aa.Tally.AncestryQueries; q != 1 {
+	if q := aa.Tally[trace.AncestryQueries]; q != 1 {
 		t.Fatalf("first lookup tallied %d queries, want 1", q)
 	}
 	if got := tr.UnpinDepth(aa, b); got != 0 {
 		t.Fatalf("cached UnpinDepth(aa,b) = %d, want 0", got)
 	}
-	if q := aa.Tally.AncestryQueries; q != 1 {
+	if q := aa.Tally[trace.AncestryQueries]; q != 1 {
 		t.Fatalf("cache hit still consulted the oracle (%d queries)", q)
 	}
 	// Key change: recompute, re-cache.
@@ -238,7 +239,7 @@ func TestUnpinDepthCache(t *testing.T) {
 	if got := tr.UnpinDepth(aa, b); got != 0 {
 		t.Fatalf("UnpinDepth(aa,b) after evict = %d, want 0", got)
 	}
-	if q := aa.Tally.AncestryQueries; q != 3 {
+	if q := aa.Tally[trace.AncestryQueries]; q != 3 {
 		t.Fatalf("two evictions tallied %d queries in all, want 3", q)
 	}
 }
@@ -294,9 +295,9 @@ func TestRelateMatchesWalkOracle(t *testing.T) {
 		tr.Merge(heaps[i], heaps[i].parent, sp)
 	}
 	for h, x := range keys {
-		before := h.Tally.AncestryQueries
+		before := h.Tally[trace.AncestryQueries]
 		check(h, x)
-		if h.Tally.AncestryQueries != before {
+		if h.Tally[trace.AncestryQueries] != before {
 			t.Fatalf("entry (%d,%d) cached before the merges was not served", h.ID, x.ID)
 		}
 	}

@@ -29,20 +29,37 @@ import (
 	"mplgo/internal/trace"
 )
 
-// TreeStats totals the tree's ancestry-oracle traffic and the heaps its
-// joins dropped. New allocates it, so every tree counts. Each total is
-// tallied on a leaf and drained by its owner (entangle.Manager.Drain), so
-// mid-run it lags by the running leaves' counts.
-type TreeStats struct {
-	// AncestryQueries counts the barriers' queries that reached the oracle:
-	// Relate lookups that missed the leaf's cache and a third-party writer's
-	// LCADepth (Tally.AncestryQueries).
-	AncestryQueries atomic.Int64
+// Totals is the runtime's event totals, one shared word per trace.Count.
+// New allocates it, so every tree counts. Each total is tallied on a leaf
+// and drained by its owner (Drain), so mid-run it lags by the running
+// leaves' counts. AncestryQueries points at one total, for the benchmark,
+// which reads it by that name.
+type Totals struct {
+	n               [trace.NumCounts]atomic.Int64
+	AncestryQueries *atomic.Int64
+}
 
-	// HeapsDropped and DroppedWords count the children Join released whole
-	// instead of merging, and the chunk words they handed back.
-	HeapsDropped atomic.Int64
-	DroppedWords atomic.Int64
+// Load returns the total of c.
+func (s *Totals) Load(c trace.Count) int64 { return s.n[c].Load() }
+
+// Drain adds a tally to the totals and clears it: the one place a total is
+// written. The caller owns the tally: it runs the tally's heap, or joins it.
+func (s *Totals) Drain(t *Tally) {
+	for c, n := range t {
+		if n != 0 {
+			s.n[c].Add(n)
+		}
+	}
+	*t = Tally{}
+}
+
+// Emit samples every traced total onto r as a counter event.
+func (s *Totals) Emit(r *trace.Ring, depth int32) {
+	for c, row := range trace.Counts {
+		if row.Traced {
+			r.Emit(trace.EvCounter, depth, uint64(trace.Count(c).Counter()), uint64(s.n[c].Load()))
+		}
+	}
 }
 
 // RootSet enumerates mutable values that must be treated as GC roots.
@@ -63,37 +80,13 @@ type RememberedEntry struct {
 
 // Tally is every runtime event count of the strand running a leaf heap:
 // pure counts that nothing reads while the strand runs. A heap has exactly
-// one running strand, so the barriers and accessors bump these as plain
-// fields (the single-writer discipline of lcaKey and TraceRing) and the
-// shared totals see them once, when the strand's owner drains the block —
-// at the end of the task, at its collections and at the join that retires
-// the heap (entangle.Manager.Drain). It is the runtime's only way to count
-// an event, whatever instruments are installed.
-type Tally struct {
-	SlowReads       int64 // reads that took the slow path at all
-	EntangledReads  int64 // reads that found a concurrent object
-	EntangledWrites int64 // writes into (or publishing) concurrent objects
-	Candidates      int64 // objects newly marked candidate
-	DownPointers    int64 // down-pointer writes, recorded or already recorded
-	Pins            int64 // objects newly pinned (PinHeader's PinNew)
-	AncestryQueries int64 // oracle queries: Relate misses, third-party LCADepth
-
-	// Children this strand's joins dropped, and their chunk words.
-	HeapsDropped int64
-	DroppedWords int64
-
-	// PinHeader's other outcomes, and the CASes it lost and retried.
-	PinDepthLowered int64
-	PinAlready      int64
-	PinBusy         int64
-	PinForwarded    int64
-	PinRetries      int64
-
-	// Unchecked accesses and allocations (core's *Fast accessors).
-	ElidedLoads  int64
-	ElidedStores int64
-	ElidedAllocs int64
-}
+// one running strand, so the barriers and accessors bump its slots with
+// plain adds at constant indices (the single-writer discipline of lcaKey
+// and TraceRing), and the shared totals see them once, when the strand's
+// owner drains the block — at the end of the task, at its collections and
+// at the join that retires the heap (Totals.Drain). It is the runtime's
+// only way to count an event, whatever instruments are installed.
+type Tally [trace.NumCounts]int64
 
 // Heap is one node of the heap hierarchy.
 type Heap struct {
@@ -148,7 +141,7 @@ type Heap struct {
 	// its strand has since overwritten: the objects displaced by the stores
 	// whose entry the write barrier skipped. Owner-only. A merging join adds
 	// the child's, and every collection of the heap resets it. It is not a
-	// Tally field because Drain clears the tally.
+	// tally slot because Drain clears the tally.
 	Overwritten int64
 
 	// Pinned lists pinned objects residing in this heap; entries go stale
@@ -296,9 +289,9 @@ type Tree struct {
 	mu   sync.Mutex // serializes Fork (id allocation and publication)
 	root *Heap
 
-	// Stats totals oracle traffic, folded in from the leaves' tallies;
-	// never nil.
-	Stats *TreeStats
+	// Stats is the runtime's event totals, drained from the leaves'
+	// tallies; never nil.
+	Stats *Totals
 
 	// spine is the growable two-level id→heap table. Readers resolve ids
 	// with three atomic loads: the space's owner resolver once per chunk
@@ -316,7 +309,8 @@ type Tree struct {
 
 // New creates a hierarchy containing only the root heap.
 func New() *Tree {
-	t := &Tree{Stats: &TreeStats{}}
+	t := &Tree{Stats: &Totals{}}
+	t.Stats.AncestryQueries = &t.Stats.n[trace.AncestryQueries]
 	spine := make([]atomic.Pointer[heapBlock], 1)
 	spine[0].Store(new(heapBlock))
 	t.spine.Store(&spine)
@@ -472,7 +466,7 @@ func (t *Tree) Relate(leaf, x *Heap) (lcaDepth int, isAncestor bool) {
 	}
 	d := x.depth
 	if leaf != x {
-		leaf.Tally.AncestryQueries++
+		leaf.Tally[trace.AncestryQueries]++
 		d = forkpath.LCADepth(&leaf.path, &x.path)
 	}
 	anc := d == x.depth
@@ -539,7 +533,7 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 // space takes back dropped chunks, and is needed to flip chunk owners and
 // unpin headers. Besides the count, Join returns the total size (header +
 // payload words) of the unpinned objects, for the pinned-bytes gauge. A
-// drop is counted on parent's tally (HeapsDropped, DroppedWords).
+// drop is counted on parent's tally, with the chunk words it handed back.
 func (t *Tree) Join(child, parent *Heap, space *mem.Space, keep bool) (unpinned int, unpinnedWords int64) {
 	if child.parent != parent {
 		panic("hierarchy: merge of non-child")
@@ -650,8 +644,8 @@ func drop(child, parent *Heap, space *mem.Space) {
 	}
 	child.Chunks = nil
 	child.reuseBuf.take()
-	parent.Tally.HeapsDropped++
-	parent.Tally.DroppedWords += words
+	parent.Tally[trace.HeapsDropped]++
+	parent.Tally[trace.DroppedWords] += words
 	retire(child, parent)
 }
 

@@ -21,6 +21,7 @@ import (
 	"mplgo/internal/attr"
 	"mplgo/internal/core"
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 // Source is an application-side metrics provider: a host package (the
@@ -44,13 +45,23 @@ type metric struct {
 }
 
 // collect snapshots every exported metric from the runtime's accessors.
+// The event counts come from the table (trace.Counts): each row with help
+// text is the counter mplgo_<prefix><name>_total, the tree's beside the
+// collector's totals and the barriers' beside the pin gauge.
 func collect(rt *core.Runtime) []metric {
 	es := rt.EntStats()
 	collections, copied, reclaimed := rt.GCStats()
 	cycles, freed, swept, cgcRetained, lastLive := rt.CGCStats()
 	sp := rt.Space()
-	ts := rt.Tree().Stats
-	return []metric{
+	counts := func(ms []metric, layer, prefix string) []metric {
+		for c, row := range trace.Counts {
+			if row.Layer == layer && row.Help != "" {
+				ms = append(ms, metric{"mplgo_" + prefix + row.Name + "_total", row.Help, "counter", rt.Tree().Stats.Load(trace.Count(c))})
+			}
+		}
+		return ms
+	}
+	ms := []metric{
 		{"mplgo_steals_total", "Work-stealing deque steals", "counter", rt.Steals()},
 		{"mplgo_live_words", "Words in live chunks", "gauge", sp.LiveWords()},
 		{"mplgo_max_live_words", "High-water mark of live words", "gauge", sp.MaxLiveWords()},
@@ -59,24 +70,22 @@ func collect(rt *core.Runtime) []metric {
 		{"mplgo_gc_copied_words_total", "Words copied by local collections", "counter", copied},
 		{"mplgo_gc_reclaimed_words_total", "Words reclaimed by local collections", "counter", reclaimed},
 		{"mplgo_gc_retained_chunks_total", "Chunks retained for pinned objects by LGC", "counter", rt.RetainedChunks()},
-		{"mplgo_heaps_dropped_total", "Child heaps released whole at their joins", "counter", ts.HeapsDropped.Load()},
-		{"mplgo_dropped_words_total", "Chunk words released by dropped child heaps", "counter", ts.DroppedWords.Load()},
+	}
+	ms = counts(ms, "hierarchy", "")
+	ms = append(ms, []metric{
 		{"mplgo_cgc_cycles_total", "Concurrent collection cycles completed", "counter", cycles},
 		{"mplgo_cgc_freed_words_total", "Words reclaimed in place by CGC sweeps", "counter", freed},
 		{"mplgo_cgc_swept_chunks_total", "Chunks released whole by CGC sweeps", "counter", swept},
 		{"mplgo_cgc_retained_chunks_total", "Chunks retained with live or pinned objects by CGC", "counter", cgcRetained},
 		{"mplgo_cgc_last_live_words", "Live words observed by the last CGC sweep", "gauge", lastLive},
-		{"mplgo_ent_down_pointers_total", "Down-pointers recorded by the write barrier", "counter", es.DownPointers},
-		{"mplgo_ent_candidates_total", "Objects marked as entanglement candidates", "counter", es.Candidates},
-		{"mplgo_ent_entangled_reads_total", "Reads proven entangled", "counter", es.EntangledReads},
-		{"mplgo_ent_entangled_writes_total", "Writes proven entangled", "counter", es.EntangledWrites},
-		{"mplgo_ent_slow_reads_total", "Read-barrier slow paths taken", "counter", es.SlowReads},
-		{"mplgo_ent_pins_total", "Objects pinned", "counter", es.Pins},
+	}...)
+	ms = counts(ms, "entangle", "ent_")
+	return append(ms, []metric{
 		{"mplgo_ent_unpins_total", "Objects unpinned", "counter", es.Unpins},
 		{"mplgo_ent_pinned_now", "Currently pinned objects", "gauge", es.PinnedNow},
 		{"mplgo_ent_pinned_peak", "High-water mark of pinned objects", "gauge", es.PinnedPeak},
 		{"mplgo_ent_pinned_peak_bytes", "High-water mark of pinned bytes", "gauge", es.PinnedPeakBytes},
-	}
+	}...)
 }
 
 // WriteMetrics writes the Prometheus text exposition of the runtime's

@@ -16,6 +16,7 @@ import (
 	"mplgo/internal/core"
 	"mplgo/internal/hierarchy"
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 // runSmall runs a tiny fork–join workload so the counters are non-trivial.
@@ -82,7 +83,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// fib's branches return immediates, so every one of its heaps drops.
-	if n := rt.Tree().Stats.HeapsDropped.Load(); n == 0 || !strings.Contains(body, fmt.Sprintf("mplgo_heaps_dropped_total %d\n", n)) {
+	if n := rt.Tree().Stats.Load(trace.HeapsDropped); n == 0 || !strings.Contains(body, fmt.Sprintf("mplgo_heaps_dropped_total %d\n", n)) {
 		t.Fatalf("metrics do not report the %d dropped heaps:\n%s", n, body)
 	}
 	// Every line must be a comment or "name value".
@@ -125,6 +126,55 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("/metrics drifted from %s; rerun with -update and review the diff\n got:\n%s", golden, got.String())
+	}
+}
+
+// TestEveryCountReachesItsSurfaces sets each tally row to a value of its
+// own, drains, and follows every row to its total, its /metrics line (rows
+// with help text) and its trace track (traced rows), so a row added to
+// trace.Counts is covered with no edit here.
+func TestEveryCountReachesItsSurfaces(t *testing.T) {
+	rt := core.New(core.Config{Procs: 1})
+	value := func(c int) int64 { return 1000 + int64(c) }
+	root := rt.Tree().Root()
+	for c := range root.Tally {
+		root.Tally[c] = value(c)
+	}
+	rt.Tree().Stats.Drain(&root.Tally)
+	if root.Tally != (hierarchy.Tally{}) {
+		t.Fatalf("the drain left %v on the tally", root.Tally)
+	}
+
+	var body bytes.Buffer
+	if err := WriteMetrics(&body, rt); err != nil {
+		t.Fatal(err)
+	}
+	tracer := trace.NewTracer(1, 1<<8)
+	trace.Enable()
+	rt.Tree().Stats.Emit(tracer.Ring(0), 0)
+	trace.Disable()
+	var chrome bytes.Buffer
+	if err := trace.WriteChrome(&chrome, tracer); err != nil {
+		t.Fatal(err)
+	}
+	s, err := trace.Summarize(&chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for c, row := range trace.Counts {
+		want := value(c)
+		if got := rt.Tree().Stats.Load(trace.Count(c)); got != want {
+			t.Errorf("%s: total %d, want %d", row.Name, got, want)
+		}
+		line := fmt.Sprintf("_%s_total %d\n", row.Name, want)
+		if got := strings.Contains(body.String(), line); got != (row.Help != "") {
+			t.Errorf("%s: /metrics has %q: %v, want %v", row.Name, line, got, row.Help != "")
+		}
+		got, ok := s.CounterMax[trace.Count(c).Counter()]
+		if ok != row.Traced || ok && got != uint64(want) {
+			t.Errorf("%s: trace track %d (present %v), want %d (traced %v)", row.Name, got, ok, want, row.Traced)
+		}
 	}
 }
 

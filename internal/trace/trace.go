@@ -102,6 +102,72 @@ func KindFromName(name string) (Kind, bool) {
 	return EvNone, false
 }
 
+// Count is one of the runtime's event counts, a row of Counts: tallied on
+// the running leaf (hierarchy.Tally) and drained into one shared total
+// (hierarchy.Totals), which /metrics, the trace and mplgo -stats read by
+// looping over the table. A new count is a constant, its row and its
+// increment site.
+type Count uint8
+
+const (
+	// Queries that reached the ancestry oracle (Relate misses, a third-party
+	// writer's LCADepth); children joins released whole, and their words.
+	AncestryQueries Count = iota
+	HeapsDropped
+	DroppedWords
+	DownPointers
+	Candidates
+	EntangledReads
+	EntangledWrites
+	SlowReads
+	// PinHeader's outcomes in mem.PinStatus order from PinNew (a fresh pin),
+	// so outcome st counts at Pins+Count(st); then the CASes it lost.
+	Pins
+	PinDepthLowered
+	PinAlready
+	PinBusy
+	PinForwarded
+	PinRetries
+	ElidedLoads // accesses and allocations through core's *Fast accessors
+	ElidedStores
+	ElidedAllocs
+	NumCounts
+)
+
+// CountRow describes a count: its layer (the package whose event it counts,
+// which groups /metrics and mplgo -stats), its name (its trace counter
+// track, and the stem of its /metrics name), its /metrics help text (a row
+// without one is not exported; every count is a monotone total, so a
+// Prometheus counter) and whether collections and joins trace it.
+type CountRow struct {
+	Layer, Name, Help string
+	Traced            bool
+}
+
+// Counts is the table of the runtime's event counts, indexed by Count.
+var Counts = [NumCounts]CountRow{
+	AncestryQueries: {Layer: "hierarchy", Name: "ancestry_queries", Traced: true},
+	HeapsDropped:    {Layer: "hierarchy", Name: "heaps_dropped", Help: "Child heaps released whole at their joins", Traced: true},
+	DroppedWords:    {Layer: "hierarchy", Name: "dropped_words", Help: "Chunk words released by dropped child heaps", Traced: true},
+	DownPointers:    {Layer: "entangle", Name: "down_pointers", Help: "Down-pointer stores seen by the write barrier, recorded or already remembered"},
+	Candidates:      {Layer: "entangle", Name: "candidates", Help: "Objects marked as entanglement candidates"},
+	EntangledReads:  {Layer: "entangle", Name: "entangled_reads", Help: "Reads proven entangled"},
+	EntangledWrites: {Layer: "entangle", Name: "entangled_writes", Help: "Writes proven entangled"},
+	SlowReads:       {Layer: "entangle", Name: "slow_reads", Help: "Read-barrier slow paths taken"},
+	Pins:            {Layer: "entangle", Name: "pins", Help: "Objects pinned"},
+	PinDepthLowered: {Layer: "mem", Name: "pin_cas_depth_lowered"},
+	PinAlready:      {Layer: "mem", Name: "pin_cas_already"},
+	PinBusy:         {Layer: "mem", Name: "pin_cas_busy"},
+	PinForwarded:    {Layer: "mem", Name: "pin_cas_forwarded"},
+	PinRetries:      {Layer: "mem", Name: "pin_cas_retries"},
+	ElidedLoads:     {Layer: "core", Name: "elided_loads", Traced: true},
+	ElidedStores:    {Layer: "core", Name: "elided_stores", Traced: true},
+	ElidedAllocs:    {Layer: "core", Name: "elided_allocs"},
+}
+
+// Counter returns the count's counter-track id.
+func (c Count) Counter() Counter { return CtrCountFirst + Counter(c) }
+
 // Counter identifies one sampled gauge carried by EvCounter events. The
 // exporter renders each as its own Chrome counter track.
 type Counter uint8
@@ -111,21 +177,9 @@ const (
 	CtrPinnedPeakBytes
 	CtrLiveWords
 	CtrRetainedChunks
-	// CtrAncestryQueries samples the tree's cumulative ancestry-oracle
-	// query count (IsAncestor/LCA/LCADepth), for before/after attribution
-	// of the entangled hot path's ancestry traffic.
-	CtrAncestryQueries
-	// The tree's cumulative dropped heaps and the chunk words they handed
-	// back at their joins (hierarchy.TreeStats): where a run's disentangled
-	// garbage went without a collection.
-	CtrHeapsDropped
-	CtrDroppedWords
-	// Barrier-elision telemetry: the number of statically-proven
-	// disentangled regions (constant over a run) and the cumulative
-	// unchecked loads/stores executed through the Fast accessors.
+	// The number of statically-proven disentangled regions (constant over a
+	// run), beside the elided-access counts.
 	CtrStaticRegions
-	CtrElidedLoads
-	CtrElidedStores
 	// Serving telemetry (internal/serve): cumulative admission outcomes
 	// and the concurrency-token gauge, sampled per dispatch batch so a
 	// trace of an overloaded run shows shed storms and deadline clusters
@@ -174,24 +228,24 @@ const (
 	CtrAttrPeriod
 	CtrAttrRunWallNS
 	CtrAttrSeqWallNS
-	ctrCounters // sentinel
+	// The event counts, one track per Count in Count order (Count.Counter),
+	// named by their rows.
+	CtrCountFirst
 )
+
+// ctrCounters is the number of counter ids.
+const ctrCounters = CtrCountFirst + Counter(NumCounts)
 
 // CtrAttrFirst is the base of the attribution counter block (see the
 // comment above CtrAttrPinCASNS).
 const CtrAttrFirst = CtrAttrPinCASNS
 
-var counterNames = [ctrCounters]string{
+var counterNames = [CtrCountFirst]string{
 	CtrPinnedBytes:      "pinned_bytes",
 	CtrPinnedPeakBytes:  "pinned_peak_bytes",
 	CtrLiveWords:        "live_words",
 	CtrRetainedChunks:   "retained_chunks",
-	CtrAncestryQueries:  "ancestry_queries",
-	CtrHeapsDropped:     "heaps_dropped",
-	CtrDroppedWords:     "dropped_words",
 	CtrStaticRegions:    "static_regions",
-	CtrElidedLoads:      "elided_loads",
-	CtrElidedStores:     "elided_stores",
 	CtrRequestsAdmitted: "requests_admitted",
 	CtrRequestsShed:     "requests_shed",
 	CtrDeadlineExceeded: "requests_deadline_exceeded",
@@ -227,8 +281,11 @@ var counterNames = [ctrCounters]string{
 }
 
 func (c Counter) String() string {
-	if c < ctrCounters {
+	switch {
+	case c < CtrCountFirst:
 		return counterNames[c]
+	case c < ctrCounters:
+		return Counts[c-CtrCountFirst].Name
 	}
 	return "invalid"
 }
@@ -236,7 +293,7 @@ func (c Counter) String() string {
 // CounterFromName resolves a counter-track name back to its id.
 func CounterFromName(name string) (Counter, bool) {
 	for c := Counter(0); c < ctrCounters; c++ {
-		if counterNames[c] == name {
+		if c.String() == name {
 			return c, true
 		}
 	}
