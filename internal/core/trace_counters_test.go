@@ -8,6 +8,80 @@ import (
 	"mplgo/internal/trace"
 )
 
+// TestAncestryCountersReachTrace runs an entangled workload with tracing on
+// and checks the ancestry-oracle count flows end to end: join/LGC sites
+// sample the tree's totals into counter events, and the Chrome export +
+// summary surface it by name.
+func TestAncestryCountersReachTrace(t *testing.T) {
+	tracer := trace.NewTracer(4, 1<<14)
+	rt := New(Config{Procs: 4, HeapBudgetWords: 2048, Tracer: tracer})
+	trace.Enable()
+	_, err := rt.Run(randomProgram(11, 6, true))
+	trace.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.tree.Stats.Load(trace.AncestryQueries) == 0 {
+		t.Fatal("entangled run consulted no ancestry oracle")
+	}
+
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, tracer); err != nil {
+		t.Fatal(err)
+	}
+	s, err := trace.Summarize(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max, ok := s.CounterMax[trace.AncestryQueries.Counter()]; !ok || max == 0 {
+		t.Fatalf("ancestry_queries missing from trace summary: %v", s.CounterMax)
+	}
+}
+
+// TestElisionCountersReachTrace drives the unchecked accessors under a
+// small budget with tracing on and checks the elision counts flow end to
+// end: the leaves' tallies drain into the runtime totals, collection sites
+// sample them into counter events, and the summary surfaces them by name,
+// and no unchecked access enters the read barrier's slow path.
+func TestElisionCountersReachTrace(t *testing.T) {
+	tracer := trace.NewTracer(2, 1<<14)
+	rt := New(Config{Procs: 1, HeapBudgetWords: 512, Tracer: tracer})
+	rt.SetStaticRegions(3)
+	trace.Enable()
+	_, err := rt.Run(func(tk *Task) mem.Value {
+		r := tk.AllocRefFast(mem.Int(0))
+		for i := 0; i < 2000; i++ {
+			tk.WriteFast(r, 0, mem.Int(tk.ReadFast(r, 0).AsInt()+1))
+			r = tk.AllocRefFast(tk.ReadFast(r, 0))
+		}
+		return tk.ReadFast(r, 0)
+	})
+	trace.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := rt.ElisionStats()
+	if es.StaticRegions != 3 || es.ElidedLoads == 0 || es.ElidedStores == 0 || es.ElidedAllocs == 0 {
+		t.Fatalf("elision totals not accumulated: %+v", es)
+	}
+	if s := rt.EntStats(); s.SlowReads != 0 {
+		t.Fatalf("unchecked accessors entered the slow path %d times", s.SlowReads)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, tracer); err != nil {
+		t.Fatal(err)
+	}
+	s, err := trace.Summarize(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []trace.Counter{trace.CtrStaticRegions, trace.ElidedLoads.Counter(), trace.ElidedStores.Counter()} {
+		if max, ok := s.CounterMax[c]; !ok || max == 0 {
+			t.Fatalf("%v missing from trace summary: %v", c, s.CounterMax)
+		}
+	}
+}
+
 // TestTracedCountsReachTrace runs, with tracing on, a workload that moves
 // every traced count (trace.Counts) — an entangled random program, unchecked
 // accesses, and branches whose heaps drop — and checks each reaches the
