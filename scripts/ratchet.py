@@ -3,9 +3,9 @@
 
 Usage (from the repo root):
 
-    python3 scripts/ratchet.py [table]     # default: scripts/ratchets.tsv
+    python3 scripts/ratchet.py
 
-Each workload the table names runs once, at seed 1 for 2 seconds, untraced.
+Each workload that scripts/ratchets.tsv names runs once, at seed 1 for 2 seconds, untraced.
 The check fails when a run exits non-zero or reports "correct": false (its
 oracle failed), or when any of the workload's rows reads above its limit.
 """
@@ -44,7 +44,7 @@ def run(workload):
 
 
 def main():
-    path = sys.argv[1] if len(sys.argv) > 1 else "scripts/ratchets.tsv"
+    path = "scripts/ratchets.tsv"
     failed = False
     for workload, checks in read_table(path).items():
         status, out = run(workload)
