@@ -54,7 +54,7 @@ const (
 	AncestryQuery                  // fork-path ancestry / LCA / unpin-depth computation
 	UnpinAtJoin                    // unpin sweep over the child's pinned set at a join
 	ShadeQueue                     // SATB shade push (mutator) / shade-stack drain (collector)
-	BudgetPoll                     // allocation-budget poll deciding whether to GC
+	BudgetPoll                     // allocation poll past the task's limit: scope, CGC, residency, GC
 	StealLoop                      // one full victim scan of the steal loop
 	MergeWait                      // waiting out collectors on both gates before a merge
 	NumComponents

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"mplgo/internal/attr"
 	"mplgo/internal/chaos"
 	"mplgo/internal/mem"
@@ -12,31 +14,41 @@ import (
 // parked in a transient frame around the collection), but any other live
 // references the caller holds must be in Frames.
 
-// guardedGC runs a pending collection while keeping vs updated as roots.
-// It returns the (possibly relocated) values. It is also the backpressure
-// point: residency above Config.MaxHeapWords forces a collection, and if
-// the forced collection cannot get back under the limit the computation is
-// cancelled with ErrHeapLimit. After cancellation it does nothing — the
-// unwind must not relocate objects.
-// Attribution: the whole pre-allocation poll — cancel check, scope
-// poll, CGC safepoint and reuse drain, residency and budget tests — is
-// one BudgetPoll window, closed before a collection it triggers
-// (BudgetPoll prices the per-allocation check; LGC time is traced
-// separately).
+// pollQuantum is how far past sinceGC arm sets the next poll while
+// something besides the collection budget wants a say at allocation time.
+const pollQuantum = 256
+
+// guardedGC is the allocation poll: one compare against the task's limit,
+// and past it the slow poll, which keeps vs updated as roots.
 func (t *Task) guardedGC(vs []mem.Value) {
+	if t.sinceGC >= t.pollAt {
+		t.poll(vs)
+	}
+}
+
+// poll runs a pending collection while keeping vs updated as roots, and
+// re-arms the limit. It is also the backpressure point: residency above
+// Config.MaxHeapWords forces a collection, and if the forced collection
+// cannot get back under the limit the computation is cancelled with
+// ErrHeapLimit. After cancellation it does nothing — the unwind must not
+// relocate objects.
+// Attribution: the whole poll — cancel check, scope poll, CGC safepoint
+// and reuse drain, residency and budget tests — is one BudgetPoll window,
+// closed before a collection it triggers (LGC time is traced separately).
+func (t *Task) poll(vs []mem.Value) {
 	at := t.w.Attr.Begin()
 	if t.rt.cancelled.Load() {
 		t.w.Attr.End(attr.BudgetPoll, at)
 		return
 	}
 	if s := t.scope; s != nil {
-		// The allocation-side scope poll: fold an expired deadline into the
-		// domain's cancel flag (amortized clock read) so the next fork
-		// unwinds promptly even in allocation-heavy stretches. Collection
-		// stays ON for scope-cancelled tasks — sibling domains are still
-		// live and objects still move, so none of the global-cancel
-		// shortcuts below apply to scoped cancellation.
-		t.scopeAllocPoll(s)
+		// Charge the domain's budget and fold an expired deadline into its
+		// cancel flag, so the next fork unwinds promptly even in
+		// allocation-heavy stretches. Collection stays ON for
+		// scope-cancelled tasks — sibling domains are still live and objects
+		// still move, so none of the global-cancel shortcuts apply.
+		t.chargeScope()
+		s.poll(time.Now())
 	}
 	if t.cgcOn {
 		// Allocation is the universal safepoint: publish frame roots to a
@@ -57,15 +69,28 @@ func (t *Task) guardedGC(vs []mem.Value) {
 	over := t.overHeapLimit()
 	need := over || t.needGC()
 	t.w.Attr.End(attr.BudgetPoll, at)
-	if !need {
-		return
+	if need {
+		collected := t.collectRooted(vs)
+		if over && collected && t.overHeapLimit() {
+			// Only a collection that actually ran proves the limit is real: a
+			// collection deferred behind a concurrent cycle retries instead of
+			// condemning the run.
+			t.rt.cancelWith(ErrHeapLimit)
+		}
 	}
-	collected := t.collectRooted(vs)
-	if over && collected && t.overHeapLimit() {
-		// Only a collection that actually ran proves the limit is real: a
-		// collection deferred behind a concurrent cycle retries instead of
-		// condemning the run.
-		t.rt.cancelWith(ErrHeapLimit)
+	t.arm()
+}
+
+// arm sets pollAt, the sinceGC at which the next allocation polls: the
+// collection budget, so every collection fires where it is due; no more than
+// pollQuantum ahead while a scope, the concurrent collector or the residency
+// limit is polled; and 0, so every allocation polls, under chaos injection.
+func (t *Task) arm() {
+	t.pollAt = t.rt.cfg.HeapBudgetWords
+	if t.rt.chaos != nil {
+		t.pollAt = 0
+	} else if t.scope != nil || t.cgcOn || t.rt.cfg.MaxHeapWords > 0 {
+		t.pollAt = min(t.pollAt, t.sinceGC+pollQuantum)
 	}
 }
 
@@ -93,10 +118,8 @@ func (t *Task) overHeapLimit() bool {
 
 func (t *Task) bumpAlloc(words int64) {
 	t.sinceGC += words
+	t.uncharged += words
 	t.Work(allocCost(words))
-	if s := t.scope; s != nil {
-		s.charge(words)
-	}
 }
 
 // allocCost is the abstract cost of an allocation for the simulator's

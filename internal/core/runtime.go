@@ -237,7 +237,7 @@ func New(cfg Config) *Runtime {
 func (r *Runtime) Run(f func(*Task) mem.Value) (mem.Value, error) {
 	var out mem.Value
 	r.pool.Run(func(w *sched.Worker) {
-		t := r.newTask(w, r.tree.Root(), r.trace)
+		t := r.newTask(w, r.tree.Root(), r.trace, nil)
 		defer t.finish()
 		defer r.guard()
 		out = f(t)

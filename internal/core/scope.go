@@ -10,14 +10,18 @@ package core
 //
 // Poll model. Tasks check their scope at the same cooperative points that
 // already check the runtime-wide flag — forks (Par/ParFor), the allocation
-// slow path, and the read-barrier slow path — so the disentangled fast
-// paths gain at most one predictable nil test (t.scope is nil for every
-// unscoped task, which includes all benchmark kernels). Deadlines are
-// evaluated with the monotonic clock (time.Time's monotonic reading): at
-// every fork, at every read-barrier slow path, and amortized into the
-// allocation poll (one clock read per deadlinePollMask+1 allocations), so
-// a compute-only subtree still observes its deadline without putting a
-// clock read on the per-allocation path.
+// poll, and the read-barrier slow path — so the disentangled fast paths
+// gain at most one predictable nil test (t.scope is nil for every unscoped
+// task, which includes all benchmark kernels). An allocation only compares
+// the task's words since its last collection with a limit (Task.arm),
+// armed no more than pollQuantum words ahead while the task has a scope;
+// past it, the poll charges the words allocated since the last charge to
+// the scope chain's budgets and evaluates the deadlines with the monotonic
+// clock (time.Time's monotonic reading), so a compute-only subtree still
+// observes its deadline without a clock read or an atomic add per
+// allocation. The words are charged too at every scope switch, before
+// RunScoped reads the cause, and when a task finishes, so a scope's
+// AllocatedWords is exact once its RunScoped returns.
 //
 // Unwind model. Scoped cancellation is weaker than runtime cancellation on
 // purpose: the rest of the computation keeps collecting, pinning, and
@@ -50,11 +54,6 @@ var ErrDeadlineExceeded = errors.New("core: scope deadline exceeded")
 // beside ErrCancelled/ErrHeapLimit/ErrDeadlineExceeded so the whole
 // request-failure vocabulary is one package.
 var ErrShed = errors.New("core: request shed by admission control")
-
-// deadlinePollMask amortizes the allocation-path deadline check: one
-// monotonic clock read per (mask+1) scoped allocations. Forks and barrier
-// slow paths check on every poll — they are orders of magnitude rarer.
-const deadlinePollMask = 63
 
 // Scope is one request-scoped fault domain. Create one with Task.NewScope
 // (or NewScope for a deadline computed from an arrival time), run a subtree
@@ -166,27 +165,23 @@ func (s *Scope) poll(now time.Time) bool {
 	return false
 }
 
-// flagOnly checks the cancel flags without reading the clock: the cheap
-// variant for per-allocation polls between amortized deadline checks.
-func (s *Scope) flagOnly() bool {
-	for x := s; x != nil; x = x.parent {
-		if x.done.Load() {
-			return true
-		}
-	}
-	return false
-}
-
-// charge accounts words of allocation against every budgeted scope on the
-// chain; blowing a budget cancels that scope with ErrHeapLimit. Atomic adds
-// — tasks of one domain run on many workers — but only scoped tasks reach
-// here at all.
-func (s *Scope) charge(words int64) {
-	for x := s; x != nil; x = x.parent {
-		if x.budget != 0 && x.words.Add(words) > x.budget {
+// chargeScope charges the words the task allocated since its last charge
+// to every budgeted scope on its chain; blowing a budget cancels that scope
+// with ErrHeapLimit. Atomic adds — tasks of one domain run on many workers.
+func (t *Task) chargeScope() {
+	for x := t.scope; x != nil; x = x.parent {
+		if x.budget != 0 && x.words.Add(t.uncharged) > x.budget {
 			x.Cancel(ErrHeapLimit)
 		}
 	}
+	t.uncharged = 0
+}
+
+// setScope charges the current scope and switches the task to sc.
+func (t *Task) setScope(sc *Scope) {
+	t.chargeScope()
+	t.scope = sc
+	t.arm()
 }
 
 // scopeCancelled is the task-side poll used at forks and barrier slow
@@ -197,18 +192,6 @@ func (t *Task) scopeCancelled() bool {
 		return false
 	}
 	return s.poll(time.Now())
-}
-
-// scopeAllocPoll is the allocation-path poll: flag check every time, clock
-// read every deadlinePollMask+1 calls. Runs inside guardedGC, so it is
-// off the unscoped fast path entirely after the caller's nil test.
-func (t *Task) scopeAllocPoll(s *Scope) {
-	t.scopeTick++
-	if t.scopeTick&deadlinePollMask == 0 {
-		s.poll(time.Now())
-	} else {
-		s.flagOnly()
-	}
 }
 
 // Scope returns the task's current fault domain (nil outside any scope).
@@ -232,8 +215,8 @@ func (t *Task) ScopeErr() error {
 // and unscoped tasks alike, and RunScoped reports the runtime's error.
 func (t *Task) RunScoped(sc *Scope, body func(*Task) mem.Value) (mem.Value, error) {
 	saved := t.scope
-	t.scope = sc
-	defer func() { t.scope = saved }()
+	t.setScope(sc)
+	defer t.setScope(saved)
 	if t.rt.cancelled.Load() {
 		return mem.Nil, t.runErr()
 	}
@@ -241,6 +224,7 @@ func (t *Task) RunScoped(sc *Scope, body func(*Task) mem.Value) (mem.Value, erro
 		return mem.Nil, sc.Err()
 	}
 	v := body(t)
+	t.chargeScope()
 	if t.rt.cancelled.Load() {
 		return mem.Nil, t.runErr()
 	}

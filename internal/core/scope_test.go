@@ -164,6 +164,80 @@ func TestScopeBudgetCancelsOnlyTheScope(t *testing.T) {
 	}
 }
 
+// TestScopeChargesExactWords: once RunScoped returns, a scope has been
+// charged exactly the words allocated under it — its Par branches' included
+// — and two scopes run one after the other on one task each pay only their
+// own, not what the task allocated before, between or after them.
+func TestScopeChargesExactWords(t *testing.T) {
+	rt := New(Config{Procs: 2, HeapBudgetWords: 1024})
+	var a, b *Scope
+	_, err := rt.Run(func(tk *Task) mem.Value {
+		alloc := func(t *Task, n int) {
+			for i := 0; i < n; i++ {
+				t.AllocArray(i%40, mem.Int(1)) // i%40+1 words
+			}
+		}
+		alloc(tk, 33)
+		a = tk.NewScope(0, 1<<40)
+		tk.RunScoped(a, func(t *Task) mem.Value {
+			alloc(t, 70)
+			t.Par(
+				func(t *Task) mem.Value { alloc(t, 50); return mem.Nil },
+				func(t *Task) mem.Value { alloc(t, 90); return mem.Nil },
+			)
+			alloc(t, 7)
+			return mem.Nil
+		})
+		alloc(tk, 45)
+		b = tk.NewScope(0, 1<<40)
+		tk.RunScoped(b, func(t *Task) mem.Value { alloc(t, 60); return mem.Nil })
+		alloc(tk, 20)
+		return mem.Nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := func(n int) (w int64) {
+		for i := 0; i < n; i++ {
+			w += int64(i%40 + 1)
+		}
+		return w
+	}
+	if got, want := a.AllocatedWords(), words(70)+words(50)+words(90)+words(7); got != want {
+		t.Errorf("first scope charged %d words, want %d", got, want)
+	}
+	if got, want := b.AllocatedWords(), words(60); got != want {
+		t.Errorf("second scope charged %d words, want %d", got, want)
+	}
+}
+
+// TestScopeBudgetOvershootBound: a request allocates without polling until
+// its task passes the poll limit, so it is charged for at most pollQuantum
+// words past its budget, plus the object that crossed the limit, when it dies.
+func TestScopeBudgetOvershootBound(t *testing.T) {
+	const budget, object = 4000, 17
+	rt := New(Config{Procs: 1})
+	sc := NewScope(nil, time.Time{}, budget)
+	var charged int64
+	_, err := rt.Run(func(tk *Task) mem.Value {
+		_, err := tk.RunScoped(sc, func(t *Task) mem.Value {
+			spinUntilScopeDead(t) // AllocArray(16, ...): object words each
+			charged = sc.AllocatedWords()
+			return mem.Nil
+		})
+		if !errors.Is(err, ErrHeapLimit) {
+			t.Errorf("request error = %v, want ErrHeapLimit", err)
+		}
+		return mem.Nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if charged <= budget || charged > budget+pollQuantum+object {
+		t.Fatalf("died charged %d words, want in (%d, %d]", charged, budget, budget+pollQuantum+object)
+	}
+}
+
 // TestForkScoped: the scoped branch of a ForkScoped join reports its typed
 // cause while the unscoped branch's value is unaffected.
 func TestForkScoped(t *testing.T) {

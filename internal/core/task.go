@@ -50,16 +50,18 @@ type Task struct {
 	// recorded traces carry exactly the per-segment sums they always did.
 	workAcc int64
 
+	// sinceGC counts the words allocated since the last collection; an
+	// allocation polls once it reaches pollAt (see guardedGC and arm).
 	sinceGC  int64
+	pollAt   int64
 	barriers bool
 
 	// scope is the task's request-scoped fault domain (nil for the vast
 	// majority of tasks — benchmarks and plain Par trees never set it).
-	// Every poll site tests the pointer before anything else, so unscoped
-	// fast paths pay one predictable load. scopeTick amortizes the
-	// allocation-path deadline clock read (see scope.go).
+	// uncharged counts the words allocated since the scope chain was last
+	// charged for them (see chargeScope).
 	scope     *Scope
-	scopeTick int64
+	uncharged int64
 
 	// Concurrent-collector handshake state (see cgc.go). cgcOn caches
 	// rt.cgc != nil so every hook below is one branch when CGC is off;
@@ -71,7 +73,7 @@ type Task struct {
 	cgcEpoch atomic.Uint64
 }
 
-func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node) *Task {
+func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node, sc *Scope) *Task {
 	t := &Task{
 		rt:       r,
 		w:        w,
@@ -79,11 +81,13 @@ func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node) *T
 		alloc:    mem.NewAllocator(r.space, h.ID),
 		node:     node,
 		barriers: r.cfg.Mode != entangle.Unsafe,
+		scope:    sc,
 	}
 	if r.cgc != nil {
 		t.cgcOn = true
 		r.cgcRegister(t)
 	}
+	t.arm()
 	// The heap is executed by this worker's strand from here until its
 	// join, so the worker's ring is the heap's single-writer event ring
 	// (nil when untraced). Heap-side instrumentation (merge, unpin,
@@ -98,6 +102,7 @@ func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node) *T
 // finish detaches the task from its heap at the end of its strand.
 func (t *Task) finish() {
 	t.flushWork()
+	t.chargeScope()
 	t.rt.ent.Drain(t.heap)
 	t.syncChunks()
 	t.heap.RemoveRootSet(t)
@@ -288,15 +293,13 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 	t.cgcParkSelf()
 	t.w.ForkJoin(
 		func(w *sched.Worker) {
-			lt := t.rt.newTask(w, lheap, lnode)
-			lt.scope = t.scope
+			lt := t.rt.newTask(w, lheap, lnode, t.scope)
 			defer lt.finish()
 			defer t.rt.guard()
 			lv = lt.settle(f(lt))
 		},
 		func(w *sched.Worker, _ bool) {
-			gt := t.rt.newTask(w, rheap, rnode)
-			gt.scope = t.scope
+			gt := t.rt.newTask(w, rheap, rnode, t.scope)
 			defer gt.finish()
 			defer t.rt.guard()
 			rv = gt.settle(g(gt))

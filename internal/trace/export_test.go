@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -171,6 +172,36 @@ func TestExportSummarizeRoundTrip(t *testing.T) {
 		if !bytes.Contains(report.Bytes(), []byte(want)) {
 			t.Fatalf("report missing %q:\n%s", want, report.String())
 		}
+	}
+}
+
+// TestCounterMaximaByName: the report lists counter maxima in name order,
+// whatever order the counter ids are declared in.
+func TestCounterMaximaByName(t *testing.T) {
+	s := &Summary{CounterMax: map[Counter]uint64{
+		CtrRequestsShed:           1,
+		CtrRequestsAdmitted:       2,
+		AncestryQueries.Counter(): 3,
+		ElidedStores.Counter():    4,
+		CtrLiveWords:              5,
+		CtrAttrBudgetPollN:        6, // attr_* counters are reported apart
+		HeapsDropped.Counter():    7,
+		CtrRetainedChunks:         8,
+	}}
+	var report bytes.Buffer
+	s.Format(&report)
+	_, list, ok := strings.Cut(report.String(), "counter maxima:\n")
+	if !ok {
+		t.Fatalf("report has no counter maxima:\n%s", report.String())
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(list), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := []string{"ancestry_queries", "elided_stores", "heaps_dropped", "live_words",
+		"requests_admitted", "requests_shed", "retained_chunks"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("counter maxima order %v, want %v", names, want)
 	}
 }
 

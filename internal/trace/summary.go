@@ -471,7 +471,7 @@ func (s *Summary) Format(w io.Writer) {
 		ctrs = append(ctrs, c)
 	}
 	if len(ctrs) > 0 {
-		sort.Slice(ctrs, func(i, j int) bool { return ctrs[i] < ctrs[j] })
+		sort.Slice(ctrs, func(i, j int) bool { return ctrs[i].String() < ctrs[j].String() })
 		fmt.Fprintf(w, "counter maxima:\n")
 		for _, c := range ctrs {
 			fmt.Fprintf(w, "  %-20s %d\n", c.String(), s.CounterMax[c])
