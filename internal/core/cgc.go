@@ -128,6 +128,26 @@ func (t *Task) cgcSafepoint() {
 	t.cgcEpoch.Store(e)
 }
 
+// Idle is for a task about to wait outside the runtime — serve's dispatcher
+// between bursts — with every reference it holds in its frames. It passes
+// the concurrent collector's safepoint, which a cycle would otherwise wait
+// on until the task next allocates, and runs the collection a cycle
+// deferred, if no cycle holds it off now: a deferred collection is
+// otherwise retried only by the task's next allocation, so an idle task
+// would hold the garbage of a whole burst. It reports whether the task owes
+// no deferred collection. Without the concurrent collector nothing is ever
+// deferred; after cancellation nothing is collected.
+func (t *Task) Idle() bool {
+	if t.cgcOn && !t.rt.cancelled.Load() {
+		t.cgcSafepoint()
+		if t.cgcDeferred {
+			t.collectNow()
+			t.arm()
+		}
+	}
+	return !t.cgcDeferred
+}
+
 // cgcParkSelf marks the task claim-scannable and its heap claimable for
 // the duration of a Par's ForkJoin. The caller must not touch its
 // frames, allocator, or heap until cgcUnpark (and the heap's CGCResume)
@@ -178,6 +198,14 @@ func (r *Runtime) cgcLoop(stop func() bool) {
 			// Below the floor there is nothing worth a cycle; idle gently
 			// rather than spinning the gates of a small computation.
 			time.Sleep(50 * time.Microsecond)
+			continue
+		}
+		if !r.cgc.Claimable() {
+			// No parked heap: a cycle would claim nothing. Asked before
+			// taking cgcExcl, whose write side defers every local collection
+			// that falls inside it — across a walk over every heap id ever
+			// forked, when the cycle found nothing.
+			time.Sleep(100 * time.Microsecond)
 			continue
 		}
 		r.cgcExcl.Lock()

@@ -67,10 +67,12 @@ type Task struct {
 	// rt.cgc != nil so every hook below is one branch when CGC is off;
 	// cgcPark is the run/parked/claimed word the collector claims parked
 	// tasks through; cgcEpoch is the last cycle epoch this task's frame
-	// roots were published for.
-	cgcOn    bool
-	cgcPark  atomic.Uint32
-	cgcEpoch atomic.Uint64
+	// roots were published for; cgcDeferred records that a collection came
+	// due while a cycle held local collections off (see Idle).
+	cgcOn       bool
+	cgcDeferred bool
+	cgcPark     atomic.Uint32
+	cgcEpoch    atomic.Uint64
 }
 
 func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node, sc *Scope) *Task {
@@ -202,8 +204,10 @@ func (t *Task) collectNow() bool {
 		// would never reach one.
 		if !t.rt.cgcExcl.TryRLock() {
 			t.sinceGC = t.rt.cfg.HeapBudgetWords / 2
+			t.cgcDeferred = true
 			return false
 		}
+		t.cgcDeferred = false
 		defer t.rt.cgcExcl.RUnlock()
 	}
 	ring := t.w.Ring

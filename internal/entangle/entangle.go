@@ -469,6 +469,7 @@ func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int
 	// window includes the adjacent stats/trace bookkeeping it brackets;
 	// that bias is documented in DESIGN.md §10.
 	at := leaf.AttrSink.Begin()
+	chased := false // v came from a forwarding pointer, not from the field
 	for {
 		x := v.Ref()
 		c := m.Space.ChunkOf(x)
@@ -493,6 +494,19 @@ func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int
 		// the same heap skip the oracle): how deep is the LCA with the
 		// owner, and is that the owner itself?
 		unpin, onPath := m.Tree.Relate(leaf, xh)
+		if onPath && chased {
+			// A copy lies in its original's heap, or in an ancestor it
+			// merged into, never on our path when the original was not: the
+			// forwarding word was stale or torn (DESIGN.md §6 decision 7).
+			// This is the one exit that does not compare v with the field,
+			// so the field decides.
+			chased = false
+			if v = oc.Load(o, i); !v.IsRef() {
+				leaf.AttrSink.End(attr.AncestryQuery, at)
+				return v, nil
+			}
+			continue
+		}
 		if onPath {
 			// Disentangled: the target is on our root-to-leaf path.
 			leaf.AttrSink.End(attr.AncestryQuery, at)
@@ -565,7 +579,7 @@ func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int
 			// already installed, otherwise back off and re-resolve.
 			xh.Gate.ExitReader()
 			if nx, fwd := m.Space.Forwarded(x); fwd {
-				v = nx.Value()
+				v, chased = nx.Value(), true
 			} else {
 				runtime.Gosched()
 			}

@@ -189,6 +189,20 @@ func NewCGC(space *mem.Space, tree *hierarchy.Tree, in *chaos.Injector) *CGC {
 // Marking reports whether the SATB deletion barrier must be honored.
 func (g *CGC) Marking() bool { return g.phase.Load() == cgcMarking }
 
+// Claimable reports whether a live heap's owner is parked, so that a cycle
+// started now could claim it. It takes no lock and may be stale by the time
+// it returns: the runtime's worker asks it before it takes the exclusion it
+// grants local collections, so that a cycle with nothing to claim does not
+// defer them for the length of its walk over the heaps.
+func (g *CGC) Claimable() bool {
+	for _, h := range g.Tree.Live() {
+		if h.CGCClaimable() {
+			return true
+		}
+	}
+	return false
+}
+
 // Epoch returns the current cycle epoch. Tasks compare their last-scanned
 // epoch against it at safepoints; tasks created at the current epoch are
 // born scanned (their initial roots came from an already-scanned parent).

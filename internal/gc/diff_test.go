@@ -168,7 +168,28 @@ func buildDiffWorld(data []byte) *diffWorld {
 		ha.adopt()
 	}
 	w.scope[0].AddRootSet(w.rs)
+	dirtySpace(w.sp, w.heaps[0].ID)
 	return w
+}
+
+// dirtySpace leaves one recycled chunk of every class on the space's free
+// lists, where the first to-space refill of that class finds it, with every
+// word written as a tenant that filled it would leave it: alternately a
+// header and a reference, so that a word the copy kernel failed to write
+// parses or traces as something.
+func dirtySpace(sp *mem.Space, heap uint32) {
+	for words := mem.MinChunkWords; words <= mem.ChunkWords; words *= 2 {
+		c := sp.NewChunk(heap, words)
+		for i := range c.Data {
+			if i%2 == 0 {
+				c.Data[i] = mem.MakeHeader(mem.KTuple, 1)
+			} else {
+				c.Data[i] = uint64(mem.MakeRef(c.ID, i-1).Value())
+			}
+		}
+		c.Alloc = words
+		sp.Release(c)
+	}
 }
 
 // diffCollect builds the scripted world twice, collects one with Collect
@@ -295,7 +316,8 @@ func compareWorlds(t testing.TB, round int, a, b *diffWorld) {
 
 // checkToSpace parses every chunk the collection filled — the scope's
 // chunks without pins; from-space chunks without pins were released —
-// densely from 0 to Alloc, and requires exactly the copied objects there.
+// densely from 0 to Alloc, and requires exactly the copied objects there,
+// each zero-length one with a zero pad word.
 func (w *diffWorld) checkToSpace(t testing.TB, round int, res Result) {
 	var objects, words int64
 	retained := 0
@@ -309,6 +331,9 @@ func (w *diffWorld) checkToSpace(t testing.TB, round int, res Result) {
 				hd := mem.Header(c.Data[off])
 				if !hd.Valid() || hd.Kind() < mem.KTuple || hd.Kind() > mem.KRaw || hd.Pinned() || hd.Busy() || hd.Marked() {
 					t.Fatalf("round %d: to-space chunk %d does not parse at +%d: header %#x", round, c.ID, off, uint64(hd))
+				}
+				if hd.Len() == 0 && c.Data[off+1] != 0 {
+					t.Fatalf("round %d: to-space chunk %d: pad word at +%d = %#x", round, c.ID, off+1, c.Data[off+1])
 				}
 				objects++
 				words += int64(hd.Len() + 1)

@@ -34,11 +34,13 @@
 // the collection gate. There is no mutex: each scope heap's Gate is closed
 // for the duration (BeginCollect waits out in-flight entanglement slow
 // paths), and the publication buffers are drained into the owner-only views
-// at the start. A move is two atomic writes on the old header — the claim
-// (mem.Chunk.BeginCopy, a CAS that a racing pin loses to or wins against)
-// and the forwarding header that publishes it — and everything between them
-// is plain (mem.Allocator.CopyIn): the claim keeps pinners off the old
-// object, and to-space is out of every task's reach until the gates reopen.
+// at the start. A move is one atomic write on the old header — the claim
+// (mem.Chunk.BeginCopy, a CAS that a racing pin loses to or wins against) —
+// and everything after it is plain (mem.Allocator.CopyIn), the forwarding
+// header too: the claim keeps pinners off the old object, to-space is out of
+// every task's reach until the gates reopen, and reopening them (EndCollect)
+// is what publishes the moves; a reader that loads a from-space header
+// sooner re-validates what it finds (DESIGN.md §6 decision 7).
 // Fields of pinned objects and of holders outside the scope, which other
 // tasks read meanwhile, are still loaded and stored atomically.
 package gc
@@ -325,10 +327,10 @@ func (r *run) forward(v mem.Value) mem.Value {
 // evacuate returns the current location of the from-space object ref, which
 // lies in chunk ch of scope heap i: it copies an unpinned object to the end
 // of the heap's to-space — that is what greys it, the cursor being behind —
-// follows a forwarding, and leaves a pinned object in place. The claim and
-// the forwarding header are the only atomic writes; the header with its
-// candidate bit, the payload (one copy, raw or tagged) and the forwarding
-// pointer between them are plain, in mem.Allocator.CopyIn.
+// follows a forwarding, and leaves a pinned object in place. The claim is
+// the only atomic write; the header with its candidate bit, the payload (one
+// copy, raw or tagged), the forwarding pointer and the forwarding header
+// after it are plain, in mem.Allocator.CopyIn.
 func (r *run) evacuate(ch *mem.Chunk, ref mem.Ref, i int) mem.Value {
 	// Claim the object through the header state machine. With the scope
 	// gates closed no pin can race us here, but the discipline is what

@@ -84,19 +84,23 @@ func (a *Allocator) Alloc(k Kind, payloadWords int) Ref {
 // off of src — claimed by the caller with Chunk.BeginCopy, which returned hd
 // — to the end of the allocator's space, installs the forwarding header and
 // returns the new location. src is resolved once and the payload moves with
-// one copy. Between the claim and the forwarding header, the one atomic
-// store that publishes the move, every store is relaxed: the claim keeps
-// pinners off the old object, and the new one lies in to-space, which no
-// task can reach before the collection reopens the heap's gate. The copy
-// keeps the candidate bit and drops every other state bit. An allocator
-// used for CopyIn is a to-space allocator: it never carves reusable spans,
-// and its words reach the allocation totals through FlushCopied.
+// one copy. After the claim every store is relaxed, the forwarding header
+// too: the claim keeps pinners off the old object, no reader acts on a
+// from-space header before the collection reopens the heap's gate, and the
+// new object lies in to-space, which no task can reach before then (DESIGN.md
+// §6 decision 7). The copy keeps the candidate bit and drops every other
+// state bit. It writes every word it carves — header, payload, and a
+// zero-length object's pad word — so its refill takes a recycled chunk
+// unscrubbed, and the chunk's dirty extent remembers how far the previous
+// tenant wrote for the next mutator refill to clear. An allocator used for
+// CopyIn is a to-space allocator: it never carves reusable spans, and its
+// words reach the allocation totals through FlushCopied.
 func (a *Allocator) CopyIn(src *Chunk, off int, hd Header) Ref {
 	n := hd.Len()
 	total := max(n, 1) + 1 // as Alloc: a zero-length object keeps a pad word
 	c := a.cur
 	if c == nil || c.Alloc+total > len(c.Data) {
-		c = a.space.NewChunk(a.heap, max(total, a.grow))
+		c = a.space.newChunk(a.heap, max(total, a.grow), false)
 		a.grow = min(2*len(c.Data), ChunkWords)
 		a.cur = c
 		a.Chunks = append(a.Chunks, c)
@@ -105,6 +109,9 @@ func (a *Allocator) CopyIn(src *Chunk, off int, hd Header) Ref {
 	c.Alloc += total
 	a.copied += int64(total)
 	storeRelaxed(&c.Data[to], MakeHeader(hd.Kind(), n)|uint64(hd)&hdrCandidate)
+	if n == 0 {
+		storeRelaxed(&c.Data[to+1], 0)
+	}
 	copyRelaxed(c.Data[to+1:to+1+n], src.Data[off+1:off+1+n])
 	nr := MakeRef(c.ID, to)
 	src.forward(off, n, nr)

@@ -14,12 +14,17 @@ import (
 //   - objects are bump-allocated densely — no two overlap, and every chunk
 //     parses header by header up to Alloc;
 //   - every payload is zero on arrival, also in a recycled chunk the
-//     previous round filled with a pattern;
+//     previous round filled with a pattern, or that a to-space tenant
+//     (Allocator.CopyIn) took unscrubbed and left dirty past its Alloc;
+//   - a to-space tenant's first refill takes the recycled chunk it was
+//     handed, and every copy it makes matches its original (toSpaceTenancy);
 //   - a Ref round-trips chunk id and offset;
 //   - LiveWords is the sum of the sizes of the chunks not yet released.
 //
 // The input is an op stream, three bytes per op: an opcode and a 16-bit
-// size. The checked-in corpus is under testdata/fuzz/FuzzAllocator.
+// size. Opcode 7 releases every chunk, or, with any of its bits 3–7 set,
+// runs a to-space tenancy. The checked-in corpus is under
+// testdata/fuzz/FuzzAllocator.
 func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00}) // one empty tuple
@@ -43,6 +48,10 @@ func FuzzAllocator(f *testing.F) {
 				a.Retarget(uint32(1 + size%7))
 				continue
 			case 7:
+				if op>>3 != 0 {
+					budget += toSpaceTenancy(t, s, size)
+					continue
+				}
 				for c := range objs {
 					s.Release(c)
 				}
@@ -146,4 +155,80 @@ func FuzzAllocator(f *testing.F) {
 			t.Fatalf("LiveWords %d, live chunks hold %d", live, owned)
 		}
 	})
+}
+
+// toSpaceTenancy runs one to-space tenancy on a recycled, dirty chunk. It
+// allocates count source objects of n payload words, fills a chunk of the
+// class the first copy asks for with a pattern, as a tenant that wrote all
+// of it would leave it, and releases it; then it copies every source object
+// into a new to-space allocator, whose first refill must take that chunk
+// unscrubbed, and checks each copy and forwarding. It releases every chunk
+// it used, and a mutator tenant then takes each to-space chunk back and
+// must find every word zero. It returns the words it copied.
+func toSpaceTenancy(t *testing.T, s *Space, size int) int {
+	const pattern = 0xA5A5A5A5A5A5A5A5
+	n, count := size%200, 1+size>>8%16
+	total := max(n, 1) + 1
+	src := NewAllocator(s, 8)
+	refs := make([]Ref, count)
+	for i := range refs {
+		refs[i] = src.Alloc(KArray, n)
+		c := s.ChunkByID(refs[i].Chunk())
+		for j := 0; j < n; j++ {
+			c.Data[refs[i].Off()+1+j] = uint64(Int(int64(i<<16 | j)))
+		}
+	}
+	dirty := s.NewChunk(8, total)
+	for i := range dirty.Data {
+		dirty.Data[i] = pattern
+	}
+	dirty.Alloc = dirty.Words()
+	s.Release(dirty)
+
+	to := NewAllocator(s, 9)
+	for i, r := range refs {
+		c := s.ChunkByID(r.Chunk())
+		hd, ok := c.BeginCopy(r.Off())
+		if !ok {
+			t.Fatalf("BeginCopy refused a plain object: %#x", uint64(hd))
+		}
+		nr := to.CopyIn(c, r.Off(), hd)
+		if fwd, moved := s.Forwarded(r); !moved || fwd != nr {
+			t.Fatalf("copy %d: original forwards to %v (%v), copy at %v", i, fwd, moved, nr)
+		}
+		nc := s.ChunkByID(nr.Chunk())
+		if got := nc.Data[nr.Off()]; got != MakeHeader(KArray, n) {
+			t.Fatalf("copy %d: header %#x, want %#x", i, got, MakeHeader(KArray, n))
+		}
+		for j := 0; j < max(n, 1); j++ {
+			want := uint64(Int(int64(i<<16 | j)))
+			if n == 0 {
+				want = 0 // the pad word
+			}
+			if got := nc.Data[nr.Off()+1+j]; got != want {
+				t.Fatalf("copy %d word %d = %#x, want %#x", i, j, got, want)
+			}
+		}
+	}
+	if to.Chunks[0] != dirty {
+		t.Fatalf("the first to-space refill took chunk %d, not the recycled chunk %d", to.Chunks[0].ID, dirty.ID)
+	}
+	to.FlushCopied()
+	for _, c := range src.Chunks {
+		s.Release(c)
+	}
+	for _, c := range to.Chunks {
+		s.Release(c)
+		m := s.NewChunk(10, c.Words())
+		if m != c {
+			t.Fatalf("chunk %d released, chunk %d recycled", c.ID, m.ID)
+		}
+		for i, w := range m.Data {
+			if w != 0 {
+				t.Fatalf("chunk %d after a to-space tenancy: word %d = %#x for the next mutator", m.ID, i, w)
+			}
+		}
+		s.Release(m)
+	}
+	return count * total
 }

@@ -466,12 +466,13 @@ func (s *Space) Forward(old, new Ref) {
 
 // forward is the BUSY → FORWARDED transition for a caller that holds the
 // chunk and the payload length n of the object at off (Allocator.CopyIn).
-// The pointer needs no ordering of its own: whoever reads it has first seen
-// the forwarding header, and that store, the linearization point, comes
-// after it.
+// Both stores are relaxed: the claim keeps every pinner off the object, and
+// the collection's EndCollect, not this store, publishes the move — a reader
+// that loads the header before then acts on it only after re-validating
+// (DESIGN.md §6 decision 7 lists who can and how).
 func (c *Chunk) forward(off, n int, to Ref) {
 	storeRelaxed(&c.Data[off+1], uint64(to))
-	atomic.StoreUint64(&c.Data[off], MakeHeader(KForward, n))
+	storeRelaxed(&c.Data[off], MakeHeader(KForward, n))
 }
 
 // StoreRelaxed writes word i of the chunk with no ordering: for the local

@@ -312,6 +312,54 @@ func TestChunkClassRoundTrip(t *testing.T) {
 	}
 }
 
+// The dirty-extent clause (DESIGN.md §6 decision 1): a to-space tenant
+// (Allocator.CopyIn) takes a recycled chunk unscrubbed and may leave words
+// past its Alloc dirty — here, two tenants in turn, each writing less than
+// the one before — and the next mutator refill must clear all of them, so a
+// mutator allocation sees a zero payload and a zero tail. It fails if scrub
+// clears only to the last tenant's Alloc, if the extent forgets an earlier
+// tenant, or if the mutator refill skips the scrub.
+func TestMutatorRefillClearsDirtyExtent(t *testing.T) {
+	const pattern = 0x5A5A5A5A5A5A5A5A
+	for words := MinChunkWords; words <= ChunkWords; words *= 2 {
+		s := NewSpace()
+		src := NewAllocator(s, 1)
+		ns := []int{words/2 + 1, words / 2}
+		refs := []Ref{src.Alloc(KTuple, ns[0]), src.Alloc(KTuple, ns[1])}
+		c := s.NewChunk(1, words)
+		for i := range c.Data {
+			c.Data[i] = pattern
+		}
+		c.Alloc = words
+		s.Release(c)
+		for k, n := range ns {
+			r := refs[k]
+			sc := s.ChunkByID(r.Chunk())
+			hd, _ := sc.BeginCopy(r.Off())
+			to := NewAllocator(s, 2)
+			nr := to.CopyIn(sc, r.Off(), hd)
+			if nr.Chunk() != c.ID || c.Alloc != n+1 {
+				t.Fatalf("class %d: the copy went to chunk %d, Alloc %d; want the recycled chunk %d, Alloc %d",
+					words, nr.Chunk(), c.Alloc, c.ID, n+1)
+			}
+			if c.Data[words-1] != pattern {
+				t.Fatalf("class %d: the to-space refill cleared the chunk", words)
+			}
+			s.Release(c)
+		}
+		a := NewAllocator(s, 3)
+		r := a.Alloc(KArray, words/2)
+		if r.Chunk() != c.ID {
+			t.Fatalf("class %d: the mutator refill took chunk %d, not the recycled chunk %d", words, r.Chunk(), c.ID)
+		}
+		for i := 1; i < words; i++ {
+			if c.Data[i] != 0 {
+				t.Fatalf("class %d: word %d = %#x after the mutator refill", words, i, c.Data[i])
+			}
+		}
+	}
+}
+
 // An allocator's chunks start at the smallest class that fits the first
 // object and double per refill up to ChunkWords, so what it holds stays
 // within twice what it allocated plus one minimum chunk; Retarget keeps

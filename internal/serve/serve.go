@@ -182,6 +182,11 @@ type Server struct {
 	closed   atomic.Bool
 	subMu    sync.RWMutex
 	quiesced atomic.Bool
+
+	// settled counts the dispatcher's idle quanta at which it owed no
+	// deferred collection (see nextBatch): one that follows a drained burst
+	// is a point where the burst's garbage is gone.
+	settled atomic.Int64
 }
 
 // New creates a Server over rt.
@@ -270,15 +275,21 @@ func (s *Server) Close() {
 const quantum = 200 * time.Microsecond
 
 // nextBatch blocks for the next batch of up to MaxConcurrent requests, or
-// returns nil when the service has quiesced. Burst chaos pads the batch
-// with synthetic churn requests beyond the token limit — exactly the
+// returns nil when the service has quiesced. Each quantum it waits, the
+// dispatcher t is idle (core.Task.Idle): it runs the collection a
+// concurrent cycle deferred, so a drained burst leaves no garbage behind,
+// and counts the quantum in settled once it owes none. Burst chaos pads the
+// batch with synthetic churn requests beyond the token limit — exactly the
 // admission-window overshoot a real arrival spike would cause.
-func (s *Server) nextBatch() []*request {
+func (s *Server) nextBatch(t *core.Task) []*request {
 	var first *request
 	for first == nil {
 		select {
 		case first = <-s.queue:
 		case <-time.After(quantum):
+			if t.Idle() {
+				s.settled.Add(1)
+			}
 			if s.quiesced.Load() {
 				select {
 				case first = <-s.queue:
@@ -347,7 +358,7 @@ func (s *Server) Run(t *core.Task) mem.Value {
 		}
 	}()
 	for {
-		batch := s.nextBatch()
+		batch := s.nextBatch(t)
 		if batch == nil {
 			s.emitCounters(t)
 			return mem.Nil

@@ -291,11 +291,17 @@ func TestServePanicNeverStrandsWaiters(t *testing.T) {
 // dispatcher's heap: a to-space chunk and at most two bump chunks.
 //
 // Residency is sampled once the last batch has joined (TokensInUse back to
-// zero). Submit returns as soon as its request resolves, inside the batch,
-// so sampling when the wave's Submits return raced the in-flight request
-// heaps of the last batch — and, while joins still merged those heaps, the
+// zero) and the dispatcher has then idled a quantum owing no collection.
+// Submit returns as soon as its request resolves, inside the batch, so
+// sampling when the wave's Submits return raced the in-flight request heaps
+// of the last batch — and, while joins still merged those heaps, the
 // garbage merged into the dispatcher's heap that no concurrent cycle had
-// swept yet: the last wave's spikes.
+// swept yet: the last wave's spikes. Sampling at TokensInUse alone raced the
+// dispatcher's deferred collections: a local collection that falls inside a
+// concurrent cycle is deferred, and a dispatcher that ran a burst's
+// single-request batches inline under a long cycle held up to nine 8 K-word
+// chunks of their garbage until it next allocated; it now runs a deferred
+// collection when idle (core.Task.Idle).
 func TestServeFootprintFlatAcrossBursts(t *testing.T) {
 	srv, stop := startServer(
 		core.Config{Procs: 4, HeapBudgetWords: 512, CGC: true, CGCThresholdWords: 1 << 12},
@@ -327,6 +333,9 @@ func TestServeFootprintFlatAcrossBursts(t *testing.T) {
 	for w := 0; w < waves; w++ {
 		wave()
 		for srv.Stats.TokensInUse.Load() != 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		for n := srv.settled.Load(); srv.settled.Load() == n; {
 			time.Sleep(100 * time.Microsecond)
 		}
 		live[w] = srv.rt.Space().LiveWords()
