@@ -94,9 +94,9 @@ func TestImplementationsAgree(t *testing.T) {
 			want := b.Native(n)
 
 			// The small budgets collect often enough that released chunks
-			// are recycled and scrubbed under the program: a reference held
-			// unrooted across an allocation then reads zeros, not a stale
-			// copy that happens to be intact.
+			// are recycled under the program: a reference held unrooted
+			// across an allocation then reads what the chunk's next tenant
+			// wrote over it, not a stale copy that happens to be intact.
 			for _, budget := range []int64{1 << 14, 1 << 10} {
 				if got := b.Global(globalrt.New(budget), n); got != want {
 					t.Fatalf("global budget %d = %d, native = %d", budget, got, want)

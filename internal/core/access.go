@@ -125,7 +125,7 @@ func (t *Task) bumpAlloc(words int64) {
 // allocCost is the abstract cost of an allocation for the simulator's
 // work accounting. Small objects cost their size (header writes and
 // initialization); large arrays cost far less than their size because
-// chunk acquisition is O(1) and zeroing is amortized across chunk reuse —
+// chunk acquisition is O(1) and their fill is one plain store per word —
 // charging the full size would put a spurious serial segment on the
 // recorded critical path.
 func allocCost(words int64) int64 {

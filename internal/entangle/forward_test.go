@@ -29,7 +29,7 @@ func copyOut(t *testing.T, sp *mem.Space, heap uint32, x mem.Ref) (mem.Ref, *mem
 // The already-pinned fast path, on a stale reader of a recycled chunk: the
 // reader loaded x before a collection of x's heap moved it, redirected the
 // field and released x's chunk, and a later to-space tenant took that chunk
-// unscrubbed and put a pinned object at x's address. The header passes the
+// and put a pinned object at x's address. The header passes the
 // fast path's test; only its re-read of the field sends the reader to the
 // copy. Without the re-read OnRead returns the stale x.
 func TestFastPathRereadsFieldOfRecycledChunk(t *testing.T) {
@@ -53,6 +53,54 @@ func TestFastPathRereadsFieldOfRecycledChunk(t *testing.T) {
 	r.adopt(r.left, to)
 	r.sp.Pin(again, 0)
 	r.sp.SetCandidate(again)
+
+	v, err := r.m.OnRead(r.right, holder, 0, x.Value())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Ref() != moved {
+		t.Fatalf("OnRead returned %v, want the field's %v", v, moved)
+	}
+}
+
+// The already-pinned fast path across a whole mutator tenancy: nothing
+// clears a recycled chunk, so a word an earlier tenant wrote survives a
+// later tenant for as long as that tenant's Alloc stays below it. The
+// reader loaded x before a collection of x's heap moved it, redirected the
+// field and released x's chunk; a tenant took the chunk and left at x's
+// address a raw word that reads as a header pinned within the reader's LCA,
+// and gave the chunk back; then a mutator tenant of x's heap took it and
+// allocated one object, below x. The stale word passes the fast path's
+// header test; only its re-read of the field sends the reader to the copy.
+// Without the re-read OnRead returns the stale x.
+func TestFastPathRereadsFieldAcrossMutatorTenancy(t *testing.T) {
+	r := newRig(Manage)
+	holder := r.rootAl.AllocArray(1, mem.Nil)
+	r.leftAl.AllocArray(8, mem.Nil)
+	x := r.leftAl.AllocTuple(mem.Int(7))
+	if err := r.m.OnWrite(r.left, holder, 0, x); err != nil {
+		t.Fatal(err)
+	}
+	r.sp.Store(holder, 0, x.Value())
+	moved, _ := copyOut(t, r.sp, r.left.ID, x)
+	r.sp.Store(holder, 0, moved.Value())
+	r.sp.Release(r.sp.ChunkOf(x))
+
+	p := r.rootAl.AllocTuple(mem.Int(1))
+	r.sp.Pin(p, 0)
+	raw := r.alloc(r.root).Alloc(mem.KRaw, x.Off()+1)
+	if raw.Chunk() != x.Chunk() {
+		t.Fatalf("the raw tenant took chunk %d, not the recycled chunk %d", raw.Chunk(), x.Chunk())
+	}
+	r.sp.StoreRaw(raw, x.Off()-1, uint64(r.sp.Header(p)))
+	r.sp.Release(r.sp.ChunkOf(raw))
+
+	al := r.alloc(r.left)
+	y := al.AllocTuple(mem.Int(8))
+	r.adopt(r.left, al)
+	if c := r.sp.ChunkOf(y); c.ID != x.Chunk() || c.Alloc > x.Off() {
+		t.Fatalf("the mutator tenant has chunk %d up to %d, want chunk %d below %d", c.ID, c.Alloc, x.Chunk(), x.Off())
+	}
 
 	v, err := r.m.OnRead(r.right, holder, 0, x.Value())
 	if err != nil {

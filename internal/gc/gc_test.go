@@ -285,6 +285,46 @@ func TestDeadRemsetEntryDropped(t *testing.T) {
 	}
 }
 
+// A remembered entry whose holder the concurrent sweep freed inside a run —
+// not at the run's head, where the free span's header lies — is dropped as
+// well: nothing clears a swept span, but the sweep stamps each freed
+// object's header KFree, so the collection does not read the dead holder's
+// field and keep its target alive (DESIGN.md §6 decision 1).
+func TestSweptHolderEntryDropped(t *testing.T) {
+	w := newWorld()
+	root := w.tr.Root()
+	leaf := w.tr.Fork(root)
+	rootHA := w.onHeap(root)
+	leafHA := w.onHeap(leaf)
+
+	live := rootHA.al.AllocTuple(mem.Int(1))
+	rootHA.al.AllocTuple(mem.Int(2)) // dead: the head of the run
+	holder := rootHA.al.AllocArray(1, mem.Nil)
+	kept := rootHA.al.AllocTuple(mem.Int(3))
+	target := leafHA.al.AllocTuple(mem.Int(4))
+	w.sp.Store(holder, 0, target.Value())
+	leaf.AddRemembered(holder, 0)
+	rootHA.adopt()
+	leafHA.adopt()
+
+	c := w.sp.ChunkOf(holder)
+	c.InstallMarks()
+	c.Mark(live.Off())
+	c.Mark(kept.Off())
+	if st, dead := w.sp.SweepMarked(c); dead || st.FreedWords != 4 {
+		t.Fatalf("sweep freed %d words (dead %v), want the 4 of the run", st.FreedWords, dead)
+	}
+	c.DropMarks()
+
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
+	if res.CopiedObjects != 0 {
+		t.Fatalf("the entry of a swept holder kept its target alive: %d objects copied", res.CopiedObjects)
+	}
+	if leaf.Remset.Len() != 0 {
+		t.Fatal("the entry of a swept holder survived the collection")
+	}
+}
+
 func TestPinnedNotMoved(t *testing.T) {
 	w := newWorld()
 	leaf := w.tr.Fork(w.tr.Root())

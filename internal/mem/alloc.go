@@ -57,27 +57,51 @@ func (a *Allocator) Retarget(heap uint32) {
 // Objects always occupy at least one payload word so forwarding headers
 // have room for the forwarding pointer.
 func (a *Allocator) Alloc(k Kind, payloadWords int) Ref {
-	n := payloadWords
-	if n < 1 {
-		n = 1
+	c, off := a.alloc(k, payloadWords)
+	p := c.Data[off+1 : off+1+payloadWords]
+	for i := range p {
+		storeRelaxed(&p[i], 0)
 	}
-	total := n + 1
+	return MakeRef(c.ID, off)
+}
+
+// alloc carves a mutator object and counts its words at once; the caller
+// writes its payload.
+func (a *Allocator) alloc(k Kind, n int) (*Chunk, int) {
+	total := int64(max(n, 1) + 1)
+	a.AllocWords += total
+	a.space.totalAlloc.Add(total)
+	return a.carve(MakeHeader(k, n), n)
+}
+
+// carve is the one allocation step of Alloc, the Alloc* helpers and CopyIn.
+// It takes the max(n,1)+1 words of an object with n payload words — from
+// the bump chunk, else from a swept free span, else from a refill — writes
+// header hd and, for a zero-length object, the pad word that gives a
+// forwarding pointer room. The caller writes the n payload words and counts
+// the object. Nothing clears memory ahead of an allocation, so a carved
+// word holds what an earlier tenant left until its caller writes it
+// (DESIGN.md §6 decision 1). The stores are relaxed: a stale reader of a
+// recycled chunk may still load these words.
+func (a *Allocator) carve(hd uint64, n int) (*Chunk, int) {
+	total := max(n, 1) + 1
 	c := a.cur
-	if c == nil || c.Alloc+total > len(c.Data) {
-		if r, ok := a.allocFromFree(k, payloadWords, total); ok {
-			return r
-		}
+	var off int
+	if c != nil && c.Alloc+total <= len(c.Data) {
+		off = c.Alloc
+		c.Alloc += total
+	} else if c, off = a.allocFromFree(total); c == nil {
 		c = a.space.NewChunk(a.heap, max(total, a.grow))
 		a.grow = min(2*len(c.Data), ChunkWords)
 		a.cur = c
 		a.Chunks = append(a.Chunks, c)
+		off, c.Alloc = 0, total
 	}
-	off := c.Alloc
-	c.Alloc += total
-	storeRelaxed(&c.Data[off], MakeHeader(k, payloadWords))
-	a.AllocWords += int64(total)
-	a.space.totalAlloc.Add(int64(total))
-	return MakeRef(c.ID, off)
+	storeRelaxed(&c.Data[off], hd)
+	if n == 0 {
+		storeRelaxed(&c.Data[off+1], 0)
+	}
+	return c, off
 }
 
 // CopyIn is the local collector's copy kernel. It moves the object at word
@@ -89,29 +113,13 @@ func (a *Allocator) Alloc(k Kind, payloadWords int) Ref {
 // from-space header before the collection reopens the heap's gate, and the
 // new object lies in to-space, which no task can reach before then (DESIGN.md
 // §6 decision 7). The copy keeps the candidate bit and drops every other
-// state bit. It writes every word it carves — header, payload, and a
-// zero-length object's pad word — so its refill takes a recycled chunk
-// unscrubbed, and the chunk's dirty extent remembers how far the previous
-// tenant wrote for the next mutator refill to clear. An allocator used for
-// CopyIn is a to-space allocator: it never carves reusable spans, and its
-// words reach the allocation totals through FlushCopied.
+// state bit. An allocator used for CopyIn is a to-space allocator: it is
+// handed no reusable spans, and its words reach the allocation totals
+// through FlushCopied.
 func (a *Allocator) CopyIn(src *Chunk, off int, hd Header) Ref {
 	n := hd.Len()
-	total := max(n, 1) + 1 // as Alloc: a zero-length object keeps a pad word
-	c := a.cur
-	if c == nil || c.Alloc+total > len(c.Data) {
-		c = a.space.newChunk(a.heap, max(total, a.grow), false)
-		a.grow = min(2*len(c.Data), ChunkWords)
-		a.cur = c
-		a.Chunks = append(a.Chunks, c)
-	}
-	to := c.Alloc
-	c.Alloc += total
-	a.copied += int64(total)
-	storeRelaxed(&c.Data[to], MakeHeader(hd.Kind(), n)|uint64(hd)&hdrCandidate)
-	if n == 0 {
-		storeRelaxed(&c.Data[to+1], 0)
-	}
+	c, to := a.carve(MakeHeader(hd.Kind(), n)|uint64(hd)&hdrCandidate, n)
+	a.copied += int64(max(n, 1) + 1)
 	copyRelaxed(c.Data[to+1:to+1+n], src.Data[off+1:off+1+n])
 	nr := MakeRef(c.ID, to)
 	src.forward(off, n, nr)
@@ -134,7 +142,7 @@ func (a *Allocator) FlushCopied() {
 // entries would walk the same free list.
 //
 // The ownership test MUST come first: a buffered chunk a later sweep
-// released may already be recycled into another heap, whose scrub writes
+// released may already be recycled into another heap, whose refill writes
 // the plain freeHead field concurrently. The atomic heap-id test
 // short-circuits that case, and a positive result proves no release
 // intervened (releases of this heap's chunks happen only while its owner
@@ -167,7 +175,7 @@ func (a *Allocator) Revalidate() {
 	kept := a.reuse[:0]
 	for _, c := range a.reuse {
 		// Ownership first, for the same reason as AddReusable: a released
-		// entry's freeHead may be getting scrubbed by its next owner.
+		// entry's freeHead may be getting reset by its next owner.
 		if c.HeapID() == a.heap && c.freeHead != 0 {
 			kept = append(kept, c)
 		}
@@ -175,13 +183,15 @@ func (a *Allocator) Revalidate() {
 	a.reuse = kept
 }
 
-// allocFromFree serves an allocation from swept free spans, first fit. A
-// span is used only when it matches exactly or leaves a remainder of at
-// least two words (header + link), so header lengths always describe real
-// payloads — padding would corrupt the dense chunk walk. Object header and
-// payload are written atomically: stale readers retrying an entanglement
-// validation may still load these words.
-func (a *Allocator) allocFromFree(k Kind, payloadWords, total int) (Ref, bool) {
+// allocFromFree takes total words from swept free spans, first fit, and
+// returns their chunk and offset, or a nil chunk when no span fits. A span
+// is used only when it matches exactly or leaves a remainder of at least
+// two words (header + link), so header lengths always describe real
+// payloads — padding would corrupt the dense chunk walk. It writes only the
+// free list: carve writes the object. The tail's header and link are
+// atomic stores: stale readers retrying an entanglement validation may
+// still load these words.
+func (a *Allocator) allocFromFree(total int) (*Chunk, int) {
 	for ci := 0; ci < len(a.reuse); ci++ {
 		c := a.reuse[ci]
 		prev := 0 // 0 = list head, else 1 + offset of predecessor span
@@ -209,61 +219,48 @@ func (a *Allocator) allocFromFree(k Kind, payloadWords, total int) (Ref, bool) {
 				atomic.StoreUint64(&c.Data[prev], uint64(link))
 			}
 			c.freeWords -= total
-			n := total - 1
-			for w := off + 1; w < off+1+n; w++ {
-				atomic.StoreUint64(&c.Data[w], 0)
-			}
-			atomic.StoreUint64(&c.Data[off], MakeHeader(k, payloadWords))
-			a.AllocWords += int64(total)
-			a.space.totalAlloc.Add(int64(total))
 			if c.freeHead == 0 {
 				a.reuse[ci] = a.reuse[len(a.reuse)-1]
 				a.reuse = a.reuse[:len(a.reuse)-1]
 			}
-			return MakeRef(c.ID, off), true
+			return c, off
 		}
 	}
-	return Ref(0), false
+	return nil, 0
 }
 
 // AllocTuple allocates an immutable tuple initialized with vs.
 func (a *Allocator) AllocTuple(vs ...Value) Ref {
-	r := a.Alloc(KTuple, len(vs))
-	c := a.space.chunk(r.Chunk())
-	base := r.Off() + 1
+	c, off := a.alloc(KTuple, len(vs))
 	for i, v := range vs {
-		storeRelaxed(&c.Data[base+i], uint64(v))
+		storeRelaxed(&c.Data[off+1+i], uint64(v))
 	}
-	return r
+	return MakeRef(c.ID, off)
 }
 
 // AllocArray allocates a mutable array of n slots, each initialized to v.
 func (a *Allocator) AllocArray(n int, v Value) Ref {
-	r := a.Alloc(KArray, n)
-	if v != 0 {
-		c := a.space.chunk(r.Chunk())
-		base := r.Off() + 1
-		for i := 0; i < n; i++ {
-			storeRelaxed(&c.Data[base+i], uint64(v))
-		}
+	c, off := a.alloc(KArray, n)
+	p := c.Data[off+1 : off+1+n]
+	for i := range p {
+		storeRelaxed(&p[i], uint64(v))
 	}
-	return r
+	return MakeRef(c.ID, off)
 }
 
 // AllocRef allocates a mutable ref cell holding v.
 func (a *Allocator) AllocRef(v Value) Ref {
-	r := a.Alloc(KRefCell, 1)
-	storeRelaxed(&a.space.chunk(r.Chunk()).Data[r.Off()+1], uint64(v))
-	return r
+	c, off := a.alloc(KRefCell, 1)
+	storeRelaxed(&c.Data[off+1], uint64(v))
+	return MakeRef(c.ID, off)
 }
 
 // AllocString allocates an immutable raw object holding the bytes of str,
 // packed 8 per word, preceded by one word recording the byte length.
 func (a *Allocator) AllocString(str string) Ref {
 	words := 1 + (len(str)+7)/8
-	r := a.Alloc(KRaw, words)
-	c := a.space.chunk(r.Chunk())
-	base := r.Off() + 1
+	c, off := a.alloc(KRaw, words)
+	base := off + 1
 	storeRelaxed(&c.Data[base], uint64(len(str)))
 	for w := 0; w < words-1; w++ {
 		var packed uint64
@@ -272,7 +269,7 @@ func (a *Allocator) AllocString(str string) Ref {
 		}
 		storeRelaxed(&c.Data[base+1+w], packed)
 	}
-	return r
+	return MakeRef(c.ID, off)
 }
 
 // LoadString decodes a raw object written by AllocString.

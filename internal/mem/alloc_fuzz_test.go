@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -13,17 +14,21 @@ import (
 //     the oversize request;
 //   - objects are bump-allocated densely — no two overlap, and every chunk
 //     parses header by header up to Alloc;
-//   - every payload is zero on arrival, also in a recycled chunk the
-//     previous round filled with a pattern, or that a to-space tenant
-//     (Allocator.CopyIn) took unscrubbed and left dirty past its Alloc;
+//   - every payload is as Alloc wrote it — zero — on arrival, also in a
+//     recycled chunk the previous round filled with a pattern, or that a
+//     to-space tenant (Allocator.CopyIn) filled;
 //   - a to-space tenant's first refill takes the recycled chunk it was
 //     handed, and every copy it makes matches its original (toSpaceTenancy);
+//   - the sweep turns each run of dead objects into one free span, and an
+//     allocation carves a span on an exact fit or a split, never leaving
+//     a one-word remainder, with the chunk still parsing (sweptSpans);
 //   - a Ref round-trips chunk id and offset;
 //   - LiveWords is the sum of the sizes of the chunks not yet released.
 //
 // The input is an op stream, three bytes per op: an opcode and a 16-bit
-// size. Opcode 7 releases every chunk, or, with any of its bits 3–7 set,
-// runs a to-space tenancy. The checked-in corpus is under
+// size. Opcode 7 releases every chunk, or, with bits 3–4 of it reading 3,
+// sweeps a chunk and carves from its spans, and with any other of its bits
+// 3–7 set runs a to-space tenancy. The checked-in corpus is under
 // testdata/fuzz/FuzzAllocator.
 func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{})
@@ -48,6 +53,10 @@ func FuzzAllocator(f *testing.F) {
 				a.Retarget(uint32(1 + size%7))
 				continue
 			case 7:
+				if op>>3&3 == 3 {
+					budget += sweptSpans(t, s, size)
+					continue
+				}
 				if op>>3 != 0 {
 					budget += toSpaceTenancy(t, s, size)
 					continue
@@ -145,11 +154,6 @@ func FuzzAllocator(f *testing.F) {
 			if off != c.Alloc {
 				t.Fatalf("chunk %d parses to %d, Alloc is %d", c.ID, off, c.Alloc)
 			}
-			for i := c.Alloc; i < c.Words(); i++ {
-				if c.Data[i] != 0 {
-					t.Fatalf("chunk %d word %d beyond Alloc = %#x", c.ID, i, c.Data[i])
-				}
-			}
 		}
 		if live := s.LiveWords(); live != owned {
 			t.Fatalf("LiveWords %d, live chunks hold %d", live, owned)
@@ -157,14 +161,15 @@ func FuzzAllocator(f *testing.F) {
 	})
 }
 
-// toSpaceTenancy runs one to-space tenancy on a recycled, dirty chunk. It
+// toSpaceTenancy runs one to-space tenancy on a recycled chunk. It
 // allocates count source objects of n payload words, fills a chunk of the
 // class the first copy asks for with a pattern, as a tenant that wrote all
 // of it would leave it, and releases it; then it copies every source object
 // into a new to-space allocator, whose first refill must take that chunk
-// unscrubbed, and checks each copy and forwarding. It releases every chunk
-// it used, and a mutator tenant then takes each to-space chunk back and
-// must find every word zero. It returns the words it copied.
+// as it is, and checks each copy and forwarding. It releases every chunk
+// it used, and a mutator tenant then takes each to-space chunk back with
+// one Alloc spanning it, whose payload must read zero. It returns the
+// words it copied.
 func toSpaceTenancy(t *testing.T, s *Space, size int) int {
 	const pattern = 0xA5A5A5A5A5A5A5A5
 	n, count := size%200, 1+size>>8%16
@@ -178,12 +183,12 @@ func toSpaceTenancy(t *testing.T, s *Space, size int) int {
 			c.Data[refs[i].Off()+1+j] = uint64(Int(int64(i<<16 | j)))
 		}
 	}
-	dirty := s.NewChunk(8, total)
-	for i := range dirty.Data {
-		dirty.Data[i] = pattern
+	filled := s.NewChunk(8, total)
+	for i := range filled.Data {
+		filled.Data[i] = pattern
 	}
-	dirty.Alloc = dirty.Words()
-	s.Release(dirty)
+	filled.Alloc = filled.Words()
+	s.Release(filled)
 
 	to := NewAllocator(s, 9)
 	for i, r := range refs {
@@ -210,8 +215,8 @@ func toSpaceTenancy(t *testing.T, s *Space, size int) int {
 			}
 		}
 	}
-	if to.Chunks[0] != dirty {
-		t.Fatalf("the first to-space refill took chunk %d, not the recycled chunk %d", to.Chunks[0].ID, dirty.ID)
+	if to.Chunks[0] != filled {
+		t.Fatalf("the first to-space refill took chunk %d, not the recycled chunk %d", to.Chunks[0].ID, filled.ID)
 	}
 	to.FlushCopied()
 	for _, c := range src.Chunks {
@@ -219,16 +224,155 @@ func toSpaceTenancy(t *testing.T, s *Space, size int) int {
 	}
 	for _, c := range to.Chunks {
 		s.Release(c)
-		m := s.NewChunk(10, c.Words())
-		if m != c {
-			t.Fatalf("chunk %d released, chunk %d recycled", c.ID, m.ID)
+		m := NewAllocator(s, 10)
+		r := m.Alloc(KArray, c.Words()-1)
+		if r != MakeRef(c.ID, 0) {
+			t.Fatalf("chunk %d released, %v allocated", c.ID, r)
 		}
-		for i, w := range m.Data {
+		for i, w := range c.Data[1:] {
 			if w != 0 {
-				t.Fatalf("chunk %d after a to-space tenancy: word %d = %#x for the next mutator", m.ID, i, w)
+				t.Fatalf("chunk %d after a to-space tenancy: payload word %d = %#x for the next mutator", c.ID, i, w)
 			}
 		}
-		s.Release(m)
+		s.Release(c)
 	}
 	return count * total
+}
+
+// sweptSpans sweeps a chunk filled with a pattern, as a tenant that wrote
+// all of it would leave it, on which the size bits lay out four marked
+// objects around three dead runs of t1, t2 and t3 words (t3 > t2), each
+// run one object or two. It checks that each run became one free span and
+// each dead object's header reads free, hands the chunk to a new allocator
+// with AddReusable and carves three objects out of the spans: t1 words, an
+// exact fit in the first; t2-1 words, which would leave one word of the
+// second and so must split the third; and t2-2 words, which split the
+// second. It checks every word of the carved objects and that the chunk
+// still parses header by header, live objects and the spans left included.
+// It releases the chunk and returns the words it carved.
+func sweptSpans(t *testing.T, s *Space, size int) int {
+	const pattern = 0xC3C3C3C3C3C3C3C3
+	t1, t2 := 2+size&7, 4+size>>3&7
+	t3 := t2 + 1 + size>>6&7
+	live := 1 + size>>9&7 // payload words of each marked object
+
+	c := s.NewChunk(11, MinChunkWords)
+	for i := range c.Data {
+		c.Data[i] = pattern
+	}
+	c.InstallMarks()
+	end := 0
+	put := func(k Kind, n int) int {
+		off := end
+		c.Data[off] = MakeHeader(k, n)
+		end += max(n, 1) + 1
+		return off
+	}
+	var freed []int
+	run := func(words int, two bool) int {
+		start := end
+		if two {
+			freed = append(freed, put(KArray, 0))
+			words -= 2
+		}
+		freed = append(freed, put(KTuple, words-1))
+		return start
+	}
+	var marked [4]int
+	marked[0] = put(KTuple, live)
+	r1 := run(t1, t1 >= 4 && size>>12&1 != 0)
+	marked[1] = put(KTuple, live)
+	r2 := run(t2, size>>13&1 != 0)
+	marked[2] = put(KTuple, live)
+	r3 := run(t3, size>>14&1 != 0)
+	marked[3] = put(KTuple, live)
+	c.Alloc = end
+	for _, off := range marked {
+		c.Mark(off)
+	}
+
+	st, dead := s.SweepMarked(c)
+	c.DropMarks()
+	if dead || st.LiveObjects != 4 || st.FreedWords != t1+t2+t3 || st.FreeWords != t1+t2+t3 {
+		t.Fatalf("sweep of runs %d/%d/%d: %+v, dead %v", t1, t2, t3, st, dead)
+	}
+	for _, off := range freed {
+		if hd := Header(c.Data[off]); hd.Kind() != KFree {
+			t.Fatalf("dead object at %d kept header %#x through the sweep", off, uint64(hd))
+		}
+	}
+	type span struct{ off, words, next int }
+	for _, sp := range []span{{r1, t1, r2 + 1}, {r2, t2, r3 + 1}, {r3, t3, 0}} {
+		if hd, next := c.Data[sp.off], int(c.Data[sp.off+1]); hd != MakeHeader(KFree, sp.words-1) || next != sp.next {
+			t.Fatalf("span at %d: header %#x link %d, want %d words linked to %d", sp.off, hd, next, sp.words, sp.next)
+		}
+	}
+	if c.freeHead != r1+1 {
+		t.Fatalf("free list starts at %d, want %d", c.freeHead, r1+1)
+	}
+
+	a := NewAllocator(s, 11)
+	a.AddReusable(c)
+	type object struct {
+		r       Ref
+		hd      uint64
+		payload []uint64
+	}
+	var x1 object
+	if t1 == 2 {
+		x1 = object{a.AllocTuple(), MakeHeader(KTuple, 0), []uint64{0}}
+	} else {
+		v := Int(int64(size))
+		want := make([]uint64, t1-1)
+		for i := range want {
+			want[i] = uint64(v)
+		}
+		x1 = object{a.AllocArray(t1-1, v), MakeHeader(KArray, t1-1), want}
+	}
+	vs := make([]Value, t2-2)
+	want := make([]uint64, t2-2)
+	for i := range vs {
+		vs[i] = Int(int64(i))
+		want[i] = uint64(vs[i])
+	}
+	x2 := object{a.AllocTuple(vs...), MakeHeader(KTuple, t2-2), want}
+	x3 := object{a.Alloc(KArray, t2-3), MakeHeader(KArray, t2-3), make([]uint64, t2-3)}
+	for _, at := range []struct {
+		x   object
+		off int
+	}{{x1, r1}, {x2, r3}, {x3, r2}} {
+		if at.x.r != MakeRef(c.ID, at.off) {
+			t.Fatalf("runs %d/%d/%d: object %v carved, want it at %d of chunk %d", t1, t2, t3, at.x.r, at.off, c.ID)
+		}
+	}
+	if len(a.Chunks) != 0 || c.freeWords != t3-t2+3 {
+		t.Fatalf("carving the spans refilled %d chunks and left %d free words, want none and %d",
+			len(a.Chunks), c.freeWords, t3-t2+3)
+	}
+
+	tail2, tail3 := r2+t2-2, r3+t2-1
+	if c.freeHead != tail2+1 {
+		t.Fatalf("free list starts at %d, want the second span's tail %d", c.freeHead, tail2+1)
+	}
+	objs := map[int]object{r1: x1, r2: x3, r3: x2}
+	links := map[int]int{tail2: tail3 + 1, tail3: 0}
+	for off := 0; off < c.Alloc; {
+		hd := Header(c.Data[off])
+		n := max(hd.Len(), 1)
+		if x, ok := objs[off]; ok {
+			if uint64(hd) != x.hd || !slices.Equal(c.Data[off+1:off+1+n], x.payload) {
+				t.Fatalf("carved object at %d: %#x %#x, want %#x %#x", off, uint64(hd), c.Data[off+1:off+1+n], x.hd, x.payload)
+			}
+		} else if next, ok := links[off]; ok {
+			if hd.Kind() != KFree || int(c.Data[off+1]) != next {
+				t.Fatalf("span tail at %d: header %#x link %d, want free linked to %d", off, uint64(hd), c.Data[off+1], next)
+			}
+		} else if !slices.Contains(marked[:], off) || uint64(hd) != MakeHeader(KTuple, live) ||
+			slices.ContainsFunc(c.Data[off+1:off+1+n], func(w uint64) bool { return w != pattern }) {
+			t.Fatalf("chunk parses to %#x at %d, which is neither a carved object, a span nor a marked object", uint64(hd), off)
+		}
+		off += 1 + n
+	}
+	s.Release(c)
+	return t1 + 2*t2 - 3
 }

@@ -118,6 +118,11 @@ func (s *Space) SweepMarked(c *Chunk) (SweepStats, bool) {
 			st.LiveObjects++
 			st.LiveWords += size
 		default:
+			// The freed object's header becomes a free header, so a stale
+			// reference to it — a CGC grey, a remembered entry naming it as
+			// holder — reads KFree and is dropped, not the dead object's
+			// intact header and fields, which the span keeps.
+			atomic.StoreUint64(&c.Data[off], MakeHeader(KFree, hd.Len()))
 			if runStart < 0 {
 				runStart = off
 			}
@@ -131,17 +136,15 @@ func (s *Space) SweepMarked(c *Chunk) (SweepStats, bool) {
 		return st, true
 	}
 	// Thread the free list front-to-back. Each span gets a KFree header
-	// spanning the whole run and a next link in payload word 0; remaining
-	// payload words are zeroed so a later allocation can hand them out
-	// directly. Runs are at least 2 words (header + one payload word), so
-	// every span has room for the link.
+	// spanning the whole run and a next link in payload word 0; the rest of
+	// the span keeps what its dead objects left, which no reader parses and
+	// the allocation that carves it overwrites (DESIGN.md §6 decision 1).
+	// Runs are at least 2 words (header + one payload word), so every span
+	// has room for the link.
 	c.freeHead = 0
 	c.freeWords = 0
 	for i := len(runs) - 1; i >= 0; i-- {
 		r := runs[i]
-		for w := r.off + 2; w < r.off+r.size; w++ {
-			atomic.StoreUint64(&c.Data[w], 0)
-		}
 		atomic.StoreUint64(&c.Data[r.off+1], uint64(c.freeHead))
 		atomic.StoreUint64(&c.Data[r.off], MakeHeader(KFree, r.size-1))
 		c.freeHead = r.off + 1

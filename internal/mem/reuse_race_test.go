@@ -9,8 +9,8 @@ import (
 
 // TestChunkReuseRaceStress guards the chunk release/reacquire handoff the
 // concurrent sweep introduced: Space.Release pushes fully-dead chunks onto
-// the shared free lists while other heaps' allocators pop and scrub them in
-// NewChunk, and the releasing heap's own allocator still holds the dead
+// the shared free lists while other heaps' allocators pop them in NewChunk
+// and write the words they carve, and the releasing heap's own allocator still holds the dead
 // chunks in its reuse list until it revalidates. The test drives the full
 // protocol from several heaps at once under -race (the CI race job covers
 // this package), with reader goroutines following the system's actual
@@ -18,8 +18,8 @@ import (
 // after re-validating chunk ownership, exactly like the entanglement slow
 // path (entangle.OnRead); a per-heap RWMutex stands in for hierarchy.Gate,
 // and the sweep/release section runs under the writer side like the real
-// collector. Any plain store sneaking into scrub, Release, or SweepMarked's
-// free-list threading, any free-list bookkeeping outside the space mutex,
+// collector. Any plain store sneaking into an allocation's carve (outside
+// storeRelaxed), Release, or SweepMarked's free-list threading, any free-list bookkeeping outside the space mutex,
 // and any owner-side read of a released chunk's plain fields (the
 // AddReusable/Revalidate ownership-check ordering) shows up as a race
 // report. Values observed by the readers are deliberately not checked —
@@ -151,7 +151,7 @@ func TestChunkReuseRaceStress(t *testing.T) {
 				gates[heap].Unlock()
 				// Owner side on resume: drop the bump chunk and reuse
 				// entries the sweep released (their ids may already be
-				// recycled into other heaps scrubbing them right now).
+				// recycled into other heaps writing them right now).
 				al.Revalidate()
 				// Yield before touching the space mutex again: the next
 				// NewChunk would publish a happens-before edge that hides

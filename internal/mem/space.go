@@ -102,13 +102,6 @@ type Chunk struct {
 	// them.
 	freeHead  int
 	freeWords int
-
-	// dirty is the dirty extent: words [0, dirty) may still hold what an
-	// earlier tenant wrote, beyond this tenant's Alloc. Only a to-space
-	// refill (Allocator.CopyIn) leaves it non-zero, and the next mutator
-	// refill's scrub clears it. Owner-only, like Alloc; last, so that the
-	// fields the barriers load keep their offsets.
-	dirty int
 }
 
 // Owner is the opaque type of a chunk's owner: the descriptor of the heap
@@ -203,21 +196,10 @@ func (s *Space) segSlot(bi int) *atomic.Pointer[chunkSegment] {
 // NewChunk allocates a chunk of at least minWords payload owned by heap:
 // the smallest size class that holds minWords, recycled from that class's
 // free list when possible, or exactly minWords when that exceeds ChunkWords.
-// Every word of the chunk is zero.
-//
-// Zeroing happens outside s.mu, so one worker's refill never waits for
-// another's memclr: a popped chunk has a single owner (stale readers only
-// issue atomic loads and re-validate), and a fresh chunk is unreachable
-// until its table slot is published, which happens under the lock.
+// A recycled chunk keeps whatever its earlier tenants wrote: nothing clears
+// it, because every allocation writes every word it carves (Allocator.carve)
+// and nothing reads past Alloc (DESIGN.md §6 decision 1).
 func (s *Space) NewChunk(heap uint32, minWords int) *Chunk {
-	return s.newChunk(heap, minWords, true)
-}
-
-// newChunk is NewChunk for a caller that says whether the words must be
-// zero. A to-space refill (Allocator.CopyIn) writes every word it carves
-// before anything reads it, so it takes a recycled chunk as the previous
-// tenant left it and records how far that tenant wrote (see dirty).
-func (s *Space) newChunk(heap uint32, minWords int, zero bool) *Chunk {
 	words, class := minWords, classOf(minWords)
 	var c *Chunk
 	if class >= 0 {
@@ -230,10 +212,6 @@ func (s *Space) newChunk(heap uint32, minWords int, zero bool) *Chunk {
 		s.mu.Unlock()
 	}
 	if c != nil {
-		c.dirty = max(c.dirty, c.Alloc)
-		if zero {
-			scrub(c)
-		}
 		c.Alloc = 0
 		atomic.StoreInt32(&c.PinCount, 0)
 		c.marks.Store(nil)
@@ -299,26 +277,6 @@ func (s *Space) publish(c *Chunk) {
 		slot.Store(seg)
 	}
 	seg[c.ID&(segSize-1)] = c
-}
-
-// scrub clears the words of a recycled chunk that an earlier tenant may
-// have written: every word below its dirty extent, which newChunk has
-// raised to the last tenant's Alloc. Words at and beyond the extent are
-// already zero: fresh chunks are zeroed by make, no tenant writes past its
-// Alloc, and only a to-space tenant, which leaves the extent behind, skips
-// this scrub. The words are cleared with atomic stores, not clear(): a
-// stale reader — an entanglement slow path that resolved a reference just
-// before the collector released the chunk, or a concurrent-collection
-// worker holding a stale grey — may still issue atomic loads against
-// c.Data, and a plain memclr racing those loads is a genuine data race (the
-// reader then re-validates and retries, so any value it sees is fine; the
-// ordering is not). The caller owns c exclusively (it was popped from a
-// free list).
-func scrub(c *Chunk) {
-	for i := 0; i < c.dirty; i++ {
-		atomic.StoreUint64(&c.Data[i], 0)
-	}
-	c.dirty = 0
 }
 
 // Release returns a chunk to the space. Class-size chunks go to their

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -239,9 +240,9 @@ func TestCandidateAndMark(t *testing.T) {
 	}
 }
 
-// Release then NewChunk of the same class returns the recycled chunk
-// scrubbed — never a chunk of another class — and an oversize request is
-// exact and never enters a free list.
+// Release then NewChunk of the same class returns the recycled chunk reset
+// — never a chunk of another class — and an oversize request is exact and
+// never enters a free list.
 func TestChunkClassRoundTrip(t *testing.T) {
 	s := NewSpace()
 	if got := s.NewChunk(1, 0).Words(); got != MinChunkWords {
@@ -284,11 +285,6 @@ func TestChunkClassRoundTrip(t *testing.T) {
 			c2.marks.Load() != nil || c2.freeHead != 0 || c2.freeWords != 0 {
 			t.Fatalf("class %d: recycled chunk not reset: %+v", words, c2)
 		}
-		for i, w := range c2.Data {
-			if w != 0 {
-				t.Fatalf("class %d: recycled chunk word %d = %#x, want 0", words, i, w)
-			}
-		}
 	}
 
 	big := s.NewChunk(1, ChunkWords+1)
@@ -312,52 +308,106 @@ func TestChunkClassRoundTrip(t *testing.T) {
 	}
 }
 
-// The dirty-extent clause (DESIGN.md §6 decision 1): a to-space tenant
-// (Allocator.CopyIn) takes a recycled chunk unscrubbed and may leave words
-// past its Alloc dirty — here, two tenants in turn, each writing less than
-// the one before — and the next mutator refill must clear all of them, so a
-// mutator allocation sees a zero payload and a zero tail. It fails if scrub
-// clears only to the last tenant's Alloc, if the extent forgets an earlier
-// tenant, or if the mutator refill skips the scrub.
-func TestMutatorRefillClearsDirtyExtent(t *testing.T) {
+// The one clause of DESIGN.md §6 decision 1: nothing clears a recycled
+// chunk, so every carve path writes every word it hands out. On a chunk an
+// earlier tenant filled with a pattern, each allocation helper — the
+// v == 0 array and zero-length objects among them — must leave exactly its
+// header and its values, a zero payload for Alloc and a zero pad word for
+// an empty object; and a to-space tenant's CopyIn, then a mutator tenant
+// over the same chunk, the same. It fails if AllocArray skips its fill for
+// a zero v, if carve skips the pad word, or if Alloc skips its zeros.
+func TestEveryCarveWritesEveryWord(t *testing.T) {
 	const pattern = 0x5A5A5A5A5A5A5A5A
-	for words := MinChunkWords; words <= ChunkWords; words *= 2 {
-		s := NewSpace()
-		src := NewAllocator(s, 1)
-		ns := []int{words/2 + 1, words / 2}
-		refs := []Ref{src.Alloc(KTuple, ns[0]), src.Alloc(KTuple, ns[1])}
-		c := s.NewChunk(1, words)
+	s := NewSpace()
+	recycled := func() *Chunk {
+		c := s.NewChunk(1, MinChunkWords)
 		for i := range c.Data {
 			c.Data[i] = pattern
 		}
-		c.Alloc = words
+		c.Alloc = c.Words()
 		s.Release(c)
-		for k, n := range ns {
-			r := refs[k]
-			sc := s.ChunkByID(r.Chunk())
-			hd, _ := sc.BeginCopy(r.Off())
-			to := NewAllocator(s, 2)
-			nr := to.CopyIn(sc, r.Off(), hd)
-			if nr.Chunk() != c.ID || c.Alloc != n+1 {
-				t.Fatalf("class %d: the copy went to chunk %d, Alloc %d; want the recycled chunk %d, Alloc %d",
-					words, nr.Chunk(), c.Alloc, c.ID, n+1)
+		return c
+	}
+	type object struct {
+		r       Ref
+		hd      uint64
+		payload []uint64
+	}
+	check := func(what string, c *Chunk, objs []object) {
+		t.Helper()
+		off := 0
+		for _, o := range objs {
+			if o.r != MakeRef(c.ID, off) {
+				t.Fatalf("%s: object %v, want it at %d of chunk %d", what, o.r, off, c.ID)
 			}
-			if c.Data[words-1] != pattern {
-				t.Fatalf("class %d: the to-space refill cleared the chunk", words)
+			if got := c.Data[off]; got != o.hd {
+				t.Fatalf("%s: object at %d: header %#x, want %#x", what, off, got, o.hd)
 			}
-			s.Release(c)
+			for i, want := range o.payload {
+				if got := c.Data[off+1+i]; got != want {
+					t.Fatalf("%s: object at %d: word %d = %#x, want %#x", what, off, i, got, want)
+				}
+			}
+			off += 1 + len(o.payload)
 		}
-		a := NewAllocator(s, 3)
-		r := a.Alloc(KArray, words/2)
-		if r.Chunk() != c.ID {
-			t.Fatalf("class %d: the mutator refill took chunk %d, not the recycled chunk %d", words, r.Chunk(), c.ID)
-		}
-		for i := 1; i < words; i++ {
-			if c.Data[i] != 0 {
-				t.Fatalf("class %d: word %d = %#x after the mutator refill", words, i, c.Data[i])
-			}
+		if off != c.Alloc {
+			t.Fatalf("%s: chunk %d parses to %d, Alloc is %d", what, c.ID, off, c.Alloc)
 		}
 	}
+
+	c := recycled()
+	a := NewAllocator(s, 2)
+	str := "carve writes it"
+	packed := []uint64{uint64(len(str)), 0, 0}
+	for i := range len(str) {
+		packed[1+i/8] |= uint64(str[i]) << (8 * (i % 8))
+	}
+	objs := []object{
+		{a.Alloc(KTuple, 3), MakeHeader(KTuple, 3), []uint64{0, 0, 0}},
+		{a.Alloc(KArray, 0), MakeHeader(KArray, 0), []uint64{0}},
+		{a.AllocTuple(), MakeHeader(KTuple, 0), []uint64{0}},
+		{a.AllocTuple(Int(1), Int(2)), MakeHeader(KTuple, 2), []uint64{uint64(Int(1)), uint64(Int(2))}},
+		{a.AllocArray(4, Nil), MakeHeader(KArray, 4), []uint64{0, 0, 0, 0}},
+		{a.AllocArray(0, Int(5)), MakeHeader(KArray, 0), []uint64{0}},
+		{a.AllocArray(3, Int(9)), MakeHeader(KArray, 3), []uint64{uint64(Int(9)), uint64(Int(9)), uint64(Int(9))}},
+		{a.AllocRef(Int(3)), MakeHeader(KRefCell, 1), []uint64{uint64(Int(3))}},
+		{a.AllocString(str), MakeHeader(KRaw, 3), packed},
+		{a.AllocString(""), MakeHeader(KRaw, 1), []uint64{0}},
+	}
+	if len(a.Chunks) != 1 || a.Chunks[0] != c {
+		t.Fatalf("the mutator refill did not take the recycled chunk %d: %d chunks", c.ID, len(a.Chunks))
+	}
+	check("mutator", c, objs)
+	if got := s.LoadString(objs[8].r); got != str {
+		t.Fatalf("LoadString = %q, want %q", got, str)
+	}
+
+	// A to-space tenant, then a mutator tenant, on one recycled chunk.
+	src := NewAllocator(s, 3)
+	r0, r1 := src.AllocTuple(Int(7), Int(8)), src.AllocTuple()
+	c = recycled()
+	to := NewAllocator(s, 4)
+	var copies []object
+	for _, r := range []Ref{r0, r1} {
+		sc := s.ChunkOf(r)
+		hd, _ := sc.BeginCopy(r.Off())
+		payload := []uint64{0}
+		if hd.Len() > 0 {
+			payload = slices.Clone(sc.Data[r.Off()+1 : r.Off()+1+hd.Len()])
+		}
+		copies = append(copies, object{to.CopyIn(sc, r.Off(), hd), MakeHeader(hd.Kind(), hd.Len()), payload})
+	}
+	check("to-space", c, copies)
+	s.Release(c)
+	m := NewAllocator(s, 5)
+	objs = []object{
+		{m.Alloc(KTuple, 0), MakeHeader(KTuple, 0), []uint64{0}},
+		{m.Alloc(KArray, c.Words()-3), MakeHeader(KArray, c.Words()-3), make([]uint64, c.Words()-3)},
+	}
+	if m.Chunks[0] != c {
+		t.Fatalf("the mutator refill took chunk %d, not the to-space tenant's %d", m.Chunks[0].ID, c.ID)
+	}
+	check("mutator after to-space", c, objs)
 }
 
 // An allocator's chunks start at the smallest class that fits the first
