@@ -232,17 +232,21 @@ func (t *Task) Read(o mem.Ref, i int) mem.Value {
 }
 
 // writeBarrier performs the pre-store bookkeeping shared by Write and CAS
-// for storing the reference x into payload word i of o. Same-heap stores —
-// detected with at most one heap-id resolution per side, and none at all
-// when both objects share a chunk — are free; cross-heap stores record
-// down-pointers or pin published objects (see package entangle). It must
-// run before the raw store so the candidate bit is visible to any reader
-// that can observe the new pointer.
-func (t *Task) writeBarrier(o mem.Ref, i int, x mem.Ref) {
-	if t.rt.space.SameHeap(o, x) {
+// for storing the reference x into payload word i of o, whose chunk oc the
+// caller has resolved for the store itself. The callers skip it for a store
+// into o's own chunk, which is same-heap and free. Here x's chunk is
+// resolved once, and the two chunks' heap ids decide the rest of the
+// same-heap fast path. A cross-heap store hands both chunks to the slow
+// path, which records a down-pointer or pins a published object (see
+// package entangle) without resolving either again. It must run before the
+// raw store so the candidate bit is visible to any reader that can observe
+// the new pointer.
+func (t *Task) writeBarrier(oc *mem.Chunk, o mem.Ref, i int, x mem.Ref) {
+	xc := t.rt.space.ChunkOf(x)
+	if xc.HeapID() == oc.HeapID() {
 		return
 	}
-	if err := t.rt.ent.OnWrite(t.heap, o, i, x); err != nil {
+	if err := t.rt.ent.OnWriteIn(t.heap, oc, o, i, xc, x); err != nil {
 		t.rt.fail(err)
 	}
 }
@@ -250,17 +254,31 @@ func (t *Task) writeBarrier(o mem.Ref, i int, x mem.Ref) {
 // Write stores v into payload word i of o through the write barrier.
 // When the concurrent collector is marking, the store also runs the SATB
 // deletion barrier: the reference about to be overwritten is shaded before
-// it becomes unreachable (entangle.ShadeOverwritten).
+// it becomes unreachable (entangle.ShadeOverwritten). o's chunk is resolved
+// once, past the safepoint, and the shade, the barrier and the store all go
+// through it.
 func (t *Task) Write(o mem.Ref, i int, v mem.Value) {
 	t.workAcc += costAccess
 	if t.cgcOn {
 		t.cgcSafepoint()
-		t.rt.ent.ShadeOverwritten(t.heap, o, i)
 	}
-	if t.barriers && v.IsRef() {
-		t.writeBarrier(o, i, v.Ref())
+	oc := t.rt.space.ChunkOf(o)
+	if t.cgcOn {
+		t.rt.ent.ShadeOverwritten(t.heap, oc, o, i)
 	}
-	t.rt.space.Store(o, i, v)
+	if t.barriers && v.IsRef() && v.Ref().Chunk() != o.Chunk() {
+		t.writeRef(oc, o, i, v)
+		return
+	}
+	oc.Store(o, i, v)
+}
+
+// writeRef is Write's store of a reference through the barrier. It stores
+// too, so that nothing of Write's is live across the call: Write's store of
+// an immediate spills nothing ahead of its atomic exchange.
+func (t *Task) writeRef(oc *mem.Chunk, o mem.Ref, i int, v mem.Value) {
+	t.writeBarrier(oc, o, i, v.Ref())
+	oc.Store(o, i, v)
 }
 
 // Deref reads a ref cell (ML's `!r`).
@@ -309,7 +327,7 @@ func (t *Task) WriteFast(o mem.Ref, i int, v mem.Value) {
 	t.workAcc += costAccess
 	if t.cgcOn {
 		t.cgcSafepoint()
-		t.rt.ent.ShadeOverwritten(t.heap, o, i)
+		t.rt.ent.ShadeOverwritten(t.heap, t.rt.space.ChunkOf(o), o, i)
 	}
 	t.heap.Tally[trace.ElidedStores]++
 	t.rt.space.Store(o, i, v)
@@ -410,16 +428,19 @@ func (t *Task) AllocArrayFast(n int, v mem.Value) mem.Ref {
 func (t *Task) CAS(o mem.Ref, i int, old, new mem.Value) bool {
 	t.workAcc += costAccess
 	if t.cgcOn {
+		t.cgcSafepoint()
+	}
+	oc := t.rt.space.ChunkOf(o)
+	if t.cgcOn {
 		// SATB: shade what the swap may displace. Shading the current
 		// value is conservative even if the CAS then fails.
-		t.cgcSafepoint()
-		t.rt.ent.ShadeOverwritten(t.heap, o, i)
+		t.rt.ent.ShadeOverwritten(t.heap, oc, o, i)
 	}
 	overwritten := t.heap.Overwritten
-	if t.barriers && new.IsRef() {
-		t.writeBarrier(o, i, new.Ref())
+	if t.barriers && new.IsRef() && new.Ref().Chunk() != o.Chunk() {
+		t.writeBarrier(oc, o, i, new.Ref())
 	}
-	if !t.rt.space.CAS(o, i, old, new) {
+	if !oc.CAS(o, i, old, new) {
 		t.heap.Overwritten = overwritten // the barrier counted a store that did not happen
 		return false
 	}

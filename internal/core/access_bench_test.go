@@ -9,8 +9,9 @@ import (
 
 // The access microbenchmarks price the barrier fast paths the T1 overhead
 // table is made of: non-candidate reads (one fused load + bit test),
-// same-heap writes (no heap resolution when holder and value share a
-// chunk), CAS, and the entangled read slow path for contrast.
+// same-heap writes (no second chunk resolution when holder and value share
+// a chunk, one when they do not), CAS, and for contrast the entangled read
+// slow path and counter's down-pointer CAS.
 
 // benchTask runs body inside a fresh single-worker runtime so the
 // benchmark loop executes on a real task with barriers enabled.
@@ -94,6 +95,28 @@ func BenchmarkWriteRefSameHeap(b *testing.B) {
 	})
 }
 
+// BenchmarkWriteRefSameHeapOtherChunk prices the same-heap fast path when
+// the value lies in another chunk of the holder's heap: the value's chunk is
+// resolved and the two heap ids compared.
+func BenchmarkWriteRefSameHeapOtherChunk(b *testing.B) {
+	benchTask(b, Config{Procs: 1}, func(t *Task) {
+		f := t.NewFrame(2)
+		f.Set(0, t.AllocArray(64, mem.Nil).Value())
+		box := t.AllocTuple(mem.Int(42))
+		for box.Chunk() == f.Ref(0).Chunk() {
+			box = t.AllocTuple(mem.Int(42))
+		}
+		f.Set(1, box.Value())
+		arr, v := f.Ref(0), f.Get(1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.Write(arr, i&63, v)
+		}
+		b.StopTimer()
+		f.Pop()
+	})
+}
+
 func BenchmarkCASImmediate(b *testing.B) {
 	benchTask(b, Config{Procs: 1}, func(t *Task) {
 		arr := t.AllocArray(1, mem.Int(0))
@@ -130,6 +153,29 @@ func BenchmarkReadEntangledSlowPath(b *testing.B) {
 				return mem.Nil
 			},
 		)
+	})
+}
+
+// BenchmarkCASDownPointer prices counter's store: a forked leaf CASes a box
+// of its own heap into an ancestor's array, over a box it published there
+// before — a down-pointer into the writer's heap whose field is already
+// remembered, so each CAS sets no bit and adds no entry, and counts the box
+// it displaces.
+func BenchmarkCASDownPointer(b *testing.B) {
+	benchTask(b, Config{Procs: 1}, func(t *Task) {
+		arr := t.AllocArray(1, mem.Nil)
+		t.Par(func(l *Task) mem.Value {
+			boxes := [2]mem.Value{l.AllocTuple(mem.Int(0)).Value(), l.AllocTuple(mem.Int(1)).Value()}
+			l.Write(arr, 0, boxes[0])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !l.CAS(arr, 0, boxes[i&1], boxes[(i+1)&1]) {
+					b.Fatal("CAS must succeed uncontended")
+				}
+			}
+			b.StopTimer()
+			return mem.Nil
+		}, nop)
 	})
 }
 

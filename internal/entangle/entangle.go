@@ -43,7 +43,7 @@
 // What a re-read loads. OnRead resolves the target's chunk once and reads
 // the owning heap off it (hierarchy.OwnerOf: the chunk records its
 // *hierarchy.Heap beside its id, so there is no id → heap table on any
-// barrier path), then asks the leaf's one-entry ancestry cache about that
+// barrier path), then asks the leaf's two-entry ancestry cache about that
 // heap. Only an entangled read goes on to load the target's header — a
 // disentangled one never needs that line — and, if the header is pinned no
 // deeper than the reader's LCA with the owner, re-reads the holder's field
@@ -273,15 +273,16 @@ func New(space *mem.Space, tree *hierarchy.Tree, mode Mode) *Manager {
 // reference lies in a heap the collector is marking. The push happens
 // under the writer's own reader gate, bracketing the phase re-check — the
 // collector's marking-termination gate flush relies on exactly this to
-// observe every in-flight shade. The companion bookkeeping for the stored
-// value itself is OnWrite below; the two are independent barriers.
-func (m *Manager) ShadeOverwritten(leaf *hierarchy.Heap, o mem.Ref, i int) {
+// observe every in-flight shade. oc is o's chunk, which the caller resolved
+// for the store. The companion bookkeeping for the stored value itself is
+// OnWrite below; the two are independent barriers.
+func (m *Manager) ShadeOverwritten(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int) {
 	g := m.SATB
 	if g == nil || !g.Marking() {
 		return
 	}
 	at := leaf.AttrSink.Begin()
-	old := m.Space.Load(o, i)
+	old := oc.Load(o, i)
 	if !old.IsRef() || !g.InScope(old.Ref()) {
 		leaf.AttrSink.End(attr.ShadeQueue, at)
 		return
@@ -303,18 +304,25 @@ func (m *Manager) ShadeOverwritten(leaf *hierarchy.Heap, o mem.Ref, i int) {
 // any reader that can observe the new pointer. The caller has already
 // filtered the same-heap fast path and non-reference values.
 func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) error {
+	return m.OnWriteIn(leaf, m.Space.ChunkOf(o), o, i, m.Space.ChunkOf(x), x)
+}
+
+// OnWriteIn is OnWrite for a caller that has already resolved oc, the
+// holder's chunk, and xc, the value's (core's write barrier, which needs
+// both for its same-heap test): the candidate bit, the re-read of the
+// displaced value, the publication and the pin all go through them, and
+// neither is resolved again unless a pin chases a forward.
+func (m *Manager) OnWriteIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int, xc *mem.Chunk, x mem.Ref) error {
 	// Attribution tiling (internal/attr): the classification prefix —
-	// two heap lookups and one ancestry query — is one
-	// AncestryQuery window; the down-pointer branch closes a
-	// RemsetPublish window over the publication, and the cross-pointer
-	// branch hands its window to pinEntangled, which tiles the gate and
-	// CAS the same way OnRead does.
+	// the two owners off the resolved chunks and one ancestry query — is
+	// one AncestryQuery window, opened after the chunks were resolved; the
+	// down-pointer branch closes a RemsetPublish window over the
+	// publication, and the cross-pointer branch hands its window to
+	// pinEntangled, which tiles the gate and CAS the same way OnRead does.
 	at := leaf.AttrSink.Begin()
 	// Both owners come off the chunks and may be stale; a path that acts
 	// on one re-validates it under that heap's gate.
-	oc := m.Space.ChunkOf(o)
 	oh := hierarchy.OwnerOf(oc)
-	xc := m.Space.ChunkOf(x)
 	xh := hierarchy.OwnerOf(xc)
 	if oh == xh {
 		leaf.AttrSink.End(attr.AncestryQuery, at)
@@ -346,7 +354,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		// candidate bit is set before the caller's store, so a reader
 		// that sees the new pointer also sees the bit (both are
 		// sequentially consistent atomics).
-		if m.Space.SetCandidate(o) {
+		if oc.SetCandidate(o) {
 			leaf.Tally[trace.Candidates]++
 		}
 		if xh == leaf {
@@ -358,10 +366,16 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 			// in leaf's remembered set (gc.CheckDownPointers), and only this
 			// strand's next collection of leaf can take it out: the entry
 			// is not written twice, and what the store displaces is counted
-			// instead (Heap.Overwritten).
+			// instead (Heap.Overwritten). The displaced object is most often
+			// this strand's previous store, allocated beside x: its chunk is
+			// resolved only when it is not x's.
 			var words int64
 			if old := oc.Load(o, i); old.IsRef() {
-				if c := m.Space.ChunkOf(old.Ref()); hierarchy.OwnerOf(c) == leaf {
+				c := xc
+				if old.Ref().Chunk() != x.Chunk() {
+					c = m.Space.ChunkOf(old.Ref())
+				}
+				if hierarchy.OwnerOf(c) == leaf {
 					words = int64(c.Header(old.Ref()).Len()) + 1
 				}
 			}
@@ -384,7 +398,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 		// holder, so reads through it take the slow path (the holder now
 		// contains an entangled pointer, making it a candidate by the
 		// paper's definition).
-		if m.Space.SetCandidate(o) {
+		if oc.SetCandidate(o) {
 			leaf.Tally[trace.Candidates]++
 		}
 		leaf.Tally[trace.EntangledWrites]++
@@ -396,7 +410,7 @@ func (m *Manager) OnWrite(leaf *hierarchy.Heap, o mem.Ref, i int, x mem.Ref) err
 			unpin = min(unpin, m.Tree.UnpinDepth(leaf, xh))
 		}
 		at = leaf.AttrSink.Lap(attr.AncestryQuery, at)
-		m.pinEntangled(leaf, x, unpin, at)
+		m.pinEntangled(leaf, xc, x, unpin, at)
 		if m.Mode == Detect {
 			return fmt.Errorf("write into concurrent object %v: %w", o, ErrEntangled)
 		}
@@ -489,10 +503,11 @@ func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int
 			v = cur
 			continue
 		}
-		// One question, from the leaf's one-entry cache when it was last
-		// asked about xh (ancestry is immutable, so repeated reads against
-		// the same heap skip the oracle): how deep is the LCA with the
-		// owner, and is that the owner itself?
+		// One question, from the leaf's two-entry cache when it was
+		// recently asked about xh (ancestry is immutable, so repeated reads
+		// against the same heap skip the oracle, even with stores into
+		// another heap between them): how deep is the LCA with the owner,
+		// and is that the owner itself?
 		unpin, onPath := m.Tree.Relate(leaf, xh)
 		if onPath && chased {
 			// A copy lies in its original's heap, or in an ancestor it
@@ -602,15 +617,16 @@ func (m *Manager) OnReadIn(leaf *hierarchy.Heap, oc *mem.Chunk, o mem.Ref, i int
 	}
 }
 
-// pinEntangled pins x at the given unpin depth on the entangled-write
-// path, retrying across heap merges. Lock-free: gate entry, ownership
-// check, one CAS. leaf (the writer's own heap) takes the counts and the
-// events — its tally and ring belong to the strand running this barrier.
-// at is OnWrite's open attribution window (0 when not sampling); the
-// gate/CAS/exit segments are tiled the same way as OnRead's.
-func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at int64) {
+// pinEntangled pins x, which lies in chunk c, at the given unpin depth on
+// the entangled-write path, retrying across heap merges. Lock-free: gate
+// entry, ownership check, one CAS. The chunk is resolved again only after
+// chasing a forward; a merge re-points the chunk, so a retry re-reads its
+// owner. leaf (the writer's own heap) takes the counts and the events — its
+// tally and ring belong to the strand running this barrier. at is OnWrite's
+// open attribution window (0 when not sampling); the gate/CAS/exit segments
+// are tiled the same way as OnRead's.
+func (m *Manager) pinEntangled(leaf *hierarchy.Heap, c *mem.Chunk, x mem.Ref, unpin int, at int64) {
 	for {
-		c := m.Space.ChunkOf(x)
 		xh := hierarchy.OwnerOf(c)
 		if xh == nil || xh.Dead() {
 			runtime.Gosched()
@@ -628,7 +644,7 @@ func (m *Manager) pinEntangled(leaf *hierarchy.Heap, x mem.Ref, unpin int, at in
 		if st == mem.PinBusy || st == mem.PinForwarded {
 			xh.Gate.ExitReader()
 			if nx, fwd := m.Space.Forwarded(x); fwd {
-				x = nx
+				x, c = nx, m.Space.ChunkOf(nx)
 			} else {
 				runtime.Gosched()
 			}

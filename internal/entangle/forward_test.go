@@ -148,3 +148,43 @@ func TestOnReadRevalidatesChasedPointer(t *testing.T) {
 		t.Fatal("OnRead did not return once the field named the copy")
 	}
 }
+
+// An entangled write of a value its owner's collection has just moved: the
+// writer holds the old address, so the pin finds the forwarding header in
+// the old chunk, chases it, and must pin the copy through the copy's own
+// chunk. Without the re-resolution the pin CAS lands on the old chunk's
+// word at the copy's offset and the copy stays unpinned.
+func TestEntangledWritePinsChasedCopy(t *testing.T) {
+	r := newRig(Manage)
+	o := r.leftAl.AllocArray(1, mem.Nil)
+	y := r.rightAl.AllocTuple(mem.Int(9))
+	moved, _ := copyOut(t, r.sp, r.right.ID, y)
+
+	done := make(chan error, 1)
+	go func() { done <- r.m.OnWrite(r.right, o, 0, y) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pin did not take: the chase keeps finding a word that is not the copy's header")
+	}
+	if h := r.sp.Header(moved); !h.Pinned() || h.UnpinDepth() != 0 {
+		t.Fatalf("the copy's header %#x: want it pinned at depth 0", uint64(h))
+	}
+	pinned := 0
+	r.right.ForEachPinned(func(p mem.Ref) {
+		if p != moved {
+			t.Errorf("right's pinned set holds %v, want only the copy %v", p, moved)
+		}
+		pinned++
+	})
+	if pinned != 1 {
+		t.Fatalf("right's pinned set holds %d entries, want 1", pinned)
+	}
+	r.stats()
+	if p := r.m.Stats.PinCAS(); p.Forwarded != 1 || p.New != 1 {
+		t.Fatalf("pin outcomes %+v, want one forwarded and one new", p)
+	}
+}

@@ -81,12 +81,19 @@ type RememberedEntry struct {
 // Tally is every runtime event count of the strand running a leaf heap:
 // pure counts that nothing reads while the strand runs. A heap has exactly
 // one running strand, so the barriers and accessors bump its slots with
-// plain adds at constant indices (the single-writer discipline of lcaKey
+// plain adds at constant indices (the single-writer discipline of lca
 // and TraceRing), and the shared totals see them once, when the strand's
 // owner drains the block — at the end of the task, at its collections and
 // at the join that retires the heap (Totals.Drain). It is the runtime's
 // only way to count an event, whatever instruments are installed.
 type Tally [trace.NumCounts]int64
+
+// ancestryEntry is one entry of a leaf's ancestry cache (Heap.lca).
+type ancestryEntry struct {
+	key   *Heap
+	depth int32 // shares a word with anc: a Heap is allocated per fork
+	anc   bool
+}
 
 // Heap is one node of the heap hierarchy.
 type Heap struct {
@@ -102,17 +109,17 @@ type Heap struct {
 	// guarded by Tree.mu.
 	forkSeq uint64
 
-	// lcaKey/lcaVal/lcaAnc are a one-entry ancestry cache for the
-	// entanglement barriers: the depth of LCA(this leaf, lcaKey) and whether
-	// lcaKey is an ancestor of this leaf (see Tree.Relate). Owner-only
-	// plain fields (the barriers run on the strand owning the leaf, the same
-	// single-writer discipline as TraceRing). The key is the heap itself,
-	// never its id — a merge re-points ids, while the ancestry of two heap
-	// objects is immutable — so no invalidation is needed: an entry stays
-	// correct even after the key heap merges away.
-	lcaKey *Heap
-	lcaVal int32 // shares a word with lcaAnc: a Heap is allocated per fork
-	lcaAnc bool
+	// lca is a two-entry ancestry cache for the entanglement barriers,
+	// newest first: each entry holds the depth of LCA(this leaf, key) and
+	// whether key is an ancestor of this leaf (see Tree.Relate). Two entries,
+	// because a loop that reads through one heap and stores into another
+	// asks about both in turn. Owner-only plain fields (the barriers run on
+	// the strand owning the leaf, the same single-writer discipline as
+	// TraceRing). The key is the heap itself, never its id — a merge
+	// re-points ids, while the ancestry of two heap objects is immutable —
+	// so no invalidation is needed: an entry stays correct even after the
+	// key heap merges away.
+	lca [2]ancestryEntry
 
 	// Tally is the running strand's event counts; owner-only.
 	Tally Tally
@@ -456,13 +463,19 @@ func (t *Tree) LCADepth(a, b *Heap) int {
 // a pin taken through leaf) and whether x is an ancestor of leaf (then the
 // access is disentangled) — with one oracle query: x is an ancestor exactly
 // when the LCA is x itself, i.e. its depth equals x's. The answer goes
-// through leaf's one-entry cache, so repeated accesses against the same
+// through leaf's two-entry cache, so repeated accesses against the same
 // heap — the common case in producer/consumer workloads — skip the oracle
-// entirely; a miss is tallied on the leaf. Only the strand owning leaf may
-// call it (the barriers' single-writer discipline).
+// entirely, and so do accesses alternating between two heaps (a read
+// through one, a store into another); a miss is tallied on the leaf. A
+// miss moves the newer entry to the older slot and a hit reorders nothing.
+// Only the strand owning leaf may call it (the barriers' single-writer
+// discipline).
 func (t *Tree) Relate(leaf, x *Heap) (lcaDepth int, isAncestor bool) {
-	if leaf.lcaKey == x {
-		return int(leaf.lcaVal), leaf.lcaAnc
+	if e := &leaf.lca[0]; e.key == x {
+		return int(e.depth), e.anc
+	}
+	if e := &leaf.lca[1]; e.key == x {
+		return int(e.depth), e.anc
 	}
 	d := x.depth
 	if leaf != x {
@@ -470,7 +483,8 @@ func (t *Tree) Relate(leaf, x *Heap) (lcaDepth int, isAncestor bool) {
 		d = forkpath.LCADepth(&leaf.path, &x.path)
 	}
 	anc := d == x.depth
-	leaf.lcaKey, leaf.lcaVal, leaf.lcaAnc = x, int32(d), anc
+	leaf.lca[1] = leaf.lca[0]
+	leaf.lca[0] = ancestryEntry{key: x, depth: int32(d), anc: anc}
 	return d, anc
 }
 

@@ -165,10 +165,10 @@ func (s *Space) Header(r Ref) Header { return s.chunk(r.Chunk()).Header(r) }
 // Header returns the decoded header of the object at r, which lies in c.
 func (c *Chunk) Header(r Ref) Header { return Header(atomic.LoadUint64(&c.Data[r.Off()])) }
 
-// setHeaderBits atomically ORs bits into the header of r and reports whether
-// the bits were previously clear (i.e. this call changed the header).
-func (s *Space) setHeaderBits(r Ref, bits uint64) bool {
-	c := s.chunk(r.Chunk())
+// setHeaderBits atomically ORs bits into the header of r, which lies in c,
+// and reports whether the bits were previously clear (i.e. this call changed
+// the header).
+func (c *Chunk) setHeaderBits(r Ref, bits uint64) bool {
 	p := &c.Data[r.Off()]
 	for {
 		old := atomic.LoadUint64(p)
@@ -198,7 +198,10 @@ func (s *Space) clearHeaderBits(r Ref, bits uint64) {
 
 // SetCandidate marks r as an entanglement candidate.
 // It reports whether the bit was newly set.
-func (s *Space) SetCandidate(r Ref) bool { return s.setHeaderBits(r, hdrCandidate) }
+func (s *Space) SetCandidate(r Ref) bool { return s.chunk(r.Chunk()).SetCandidate(r) }
+
+// SetCandidate marks r, which lies in c, as an entanglement candidate.
+func (c *Chunk) SetCandidate(r Ref) bool { return c.setHeaderBits(r, hdrCandidate) }
 
 // PinStatus reports the outcome of a PinHeader transition attempt.
 type PinStatus uint8
@@ -363,7 +366,7 @@ func (c *Chunk) BeginCopy(off int) (Header, bool) {
 }
 
 // SetMark sets the transient mark bit; reports whether it was newly set.
-func (s *Space) SetMark(r Ref) bool { return s.setHeaderBits(r, hdrMark) }
+func (s *Space) SetMark(r Ref) bool { return s.chunk(r.Chunk()).setHeaderBits(r, hdrMark) }
 
 // ClearMark clears the transient mark bit.
 func (s *Space) ClearMark(r Ref) { s.clearHeaderBits(r, hdrMark) }
@@ -426,15 +429,17 @@ func (s *Space) Payload(r Ref) Words {
 }
 
 // Store writes payload word i of the object at r without any barrier.
-func (s *Space) Store(r Ref, i int, v Value) {
-	c := s.chunk(r.Chunk())
-	atomic.StoreUint64(&c.Data[r.Off()+1+i], uint64(v))
-}
+func (s *Space) Store(r Ref, i int, v Value) { s.chunk(r.Chunk()).Store(r, i, v) }
+
+// Store writes payload word i of the object at r, which lies in c.
+func (c *Chunk) Store(r Ref, i int, v Value) { atomic.StoreUint64(&c.Data[r.Off()+1+i], uint64(v)) }
 
 // CAS atomically compares-and-swaps payload word i of the object at r,
 // without any barrier. It reports whether the swap happened.
-func (s *Space) CAS(r Ref, i int, old, new Value) bool {
-	c := s.chunk(r.Chunk())
+func (s *Space) CAS(r Ref, i int, old, new Value) bool { return s.chunk(r.Chunk()).CAS(r, i, old, new) }
+
+// CAS is Space.CAS of payload word i of the object at r, which lies in c.
+func (c *Chunk) CAS(r Ref, i int, old, new Value) bool {
 	return atomic.CompareAndSwapUint64(&c.Data[r.Off()+1+i], uint64(old), uint64(new))
 }
 
@@ -493,17 +498,4 @@ func (s *Space) Forwarded(r Ref) (Ref, bool) {
 // HeapOf returns the heap id owning the chunk that contains r.
 func (s *Space) HeapOf(r Ref) uint32 {
 	return s.chunk(r.Chunk()).HeapID()
-}
-
-// SameHeap reports whether a and b currently live in the same heap. Chunks
-// are owned by exactly one heap, so two references into the same chunk are
-// trivially same-heap with no table walk at all; otherwise each chunk's
-// cached heap id is resolved exactly once. This is the write-barrier fast
-// path: same-heap stores are free.
-func (s *Space) SameHeap(a, b Ref) bool {
-	ca, cb := a.Chunk(), b.Chunk()
-	if ca == cb {
-		return true
-	}
-	return s.chunk(ca).HeapID() == s.chunk(cb).HeapID()
 }

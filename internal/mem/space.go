@@ -60,9 +60,11 @@ var ErrChunkTableExhausted = errors.New("mem: chunk table exhausted (2^32 chunk 
 // hierarchy at a time. Heap identity lives on the chunk — not on objects —
 // so merging a child heap into its parent at a join touches only the chunk
 // list, never individual objects (DESIGN.md decision 1). The chunk carries
-// both the owner's id, which the allocator, SameHeap and the collectors
-// compare, and the owner itself, which the entanglement barriers need: one
-// load after the chunk is resolved.
+// both the owner's id, which the allocator, the write barrier's same-heap
+// test and the collectors compare, and the owner itself, which the
+// entanglement barriers need: one load after the chunk is resolved. A
+// barrier resolves each object's chunk once and does everything else —
+// header bits, field loads, the store — through it.
 type Chunk struct {
 	ID   uint32
 	Data []uint64
