@@ -33,9 +33,10 @@
 // to plain slots of the reader's own leaf (hierarchy.Tally), which only
 // the strand running that leaf touches and which Drain adds to the totals
 // at the end of the task, at its collections and at the join. A fresh pin
-// performs five — gate enter, header CAS (which also sets the candidate
-// bit), the chunk's pin count, the slot claim in the owner's pinned buffer,
-// gate exit — plus one add to the gauge of what is pinned now. The gate pair
+// performs four — gate enter, header CAS (which also sets the candidate
+// bit), the slot claim in the owner's pinned buffer, gate exit — plus one
+// add to the gauge of what is pinned now, and its unpin at the join one,
+// the header CAS. The gate pair
 // stays an RMW pair: announce-then-validate needs a store–load fence, which
 // on amd64 costs what the RMW costs; and the publication stays, because the
 // owner's next collection must see the pin.

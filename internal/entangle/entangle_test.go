@@ -271,7 +271,7 @@ func TestOnJoinUnpins(t *testing.T) {
 	if r.stats().PinnedNow != 0 {
 		t.Fatal("pinned gauge not decremented")
 	}
-	if r.sp.HeapOf(x) != r.root.ID {
+	if r.sp.ChunkOf(x).HeapID() != r.root.ID {
 		t.Fatal("merge did not move x's chunk to root")
 	}
 }

@@ -12,41 +12,56 @@ func (s *rootSlot) Roots(visit func(*mem.Value)) { visit(&s.v) }
 
 // TestCollectAllocatesNothing holds the fixed cost of a collection: for the
 // runtime's one-heap scope Collect takes from Go's heap nothing but what
-// to-space needs — no run, no slices, no closures, no allocator. serve's
+// to-space needs — no run, no slices, no closures, no allocator, and no
+// segment for the remembered set, which it rebuilds in place. serve's
 // dispatcher heap collects a near-empty heap 900 times a run, with Go's own
 // collector off. Under the race detector the pool drops Puts at random, so
 // there only the copies and the heap audit are checked, not the bound.
 func TestCollectAllocatesNothing(t *testing.T) {
-	for _, objects := range []int{0, 1000} {
+	for _, tc := range []struct{ objects, remembered int }{{0, 0}, {1000, 0}, {0, 1000}} {
 		w := newWorld()
 		leaf := w.tr.Fork(w.tr.Root())
 		ha := w.onHeap(leaf)
 		rs := &rootSlot{} // roots, the other tests' root set, allocates per root
 		list := mem.Nil
-		for i := 0; i < objects; i++ {
+		for i := 0; i < tc.objects; i++ {
 			list = ha.al.AllocTuple(mem.Int(int64(i)), list).Value()
 			ha.al.AllocTuple(mem.Int(0)) // garbage
 		}
 		rs.v = list
+		// A holder array in the root heap whose every field points into
+		// the leaf: down-pointers, each remembered once.
+		if tc.remembered > 0 {
+			root := w.onHeap(w.tr.Root())
+			holder := root.al.AllocArray(tc.remembered, mem.Nil)
+			root.adopt()
+			for i := 0; i < tc.remembered; i++ {
+				w.sp.Store(holder, i, ha.al.AllocTuple(mem.Int(int64(i))).Value())
+				leaf.AddRemembered(holder, i)
+			}
+		}
 		ha.adopt()
 		leaf.AddRootSet(rs)
 		scope := w.tr.ExclusiveSuffix(leaf)[:1]
+		copied := int64(tc.objects + tc.remembered)
+		collect := func(what string) {
+			if res := w.c.Collect(scope); res.CopiedObjects != copied {
+				t.Fatalf("%+v: %s copied %d objects, want %d", tc, what, res.CopiedObjects, copied)
+			}
+			if n := leaf.Remset.Len(); n != tc.remembered {
+				t.Fatalf("%+v: %s left %d remembered entries, want %d", tc, what, n, tc.remembered)
+			}
+		}
 		// Two collections fill the space's free lists with both semispaces
 		// and the collector's pool with a run.
 		for i := 0; i < 2; i++ {
-			if res := w.c.Collect(scope); res.CopiedObjects != int64(objects) {
-				t.Fatalf("%d objects: warm-up copied %d", objects, res.CopiedObjects)
-			}
+			collect("warm-up")
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if res := w.c.Collect(scope); res.CopiedObjects != int64(objects) {
-				t.Fatalf("%d objects: collection copied %d", objects, res.CopiedObjects)
-			}
-		})
+		allocs := testing.AllocsPerRun(20, func() { collect("collection") })
 		// What remains is the to-space chunk list, grown by append.
 		if limit := float64(max(len(leaf.Chunks)-1, 0)); !raceEnabled && allocs > limit {
-			t.Errorf("%d objects: %.0f allocations per collection, want at most %.0f (a list of %d chunks)",
-				objects, allocs, limit, len(leaf.Chunks))
+			t.Errorf("%+v: %.0f allocations per collection, want at most %.0f (a list of %d chunks)",
+				tc, allocs, limit, len(leaf.Chunks))
 		}
 		if err := CheckHeap(w.sp, leaf, true); err != nil {
 			t.Fatal(err)

@@ -277,7 +277,7 @@ func compareWorlds(t testing.TB, round int, a, b *diffWorld) {
 		if ha != hb || ha.Kind() == mem.KForward || ha.Busy() || ha.Marked() {
 			t.Fatalf("round %d: %v has header %#x, reference's %v %#x", round, p.a, uint64(ha), p.b, uint64(hb))
 		}
-		if ia, ib := a.sp.HeapOf(p.a), b.sp.HeapOf(p.b); ia != ib {
+		if ia, ib := a.sp.ChunkOf(p.a).HeapID(), b.sp.ChunkOf(p.b).HeapID(); ia != ib {
 			t.Fatalf("round %d: %v in heap %d, reference's %v in heap %d", round, p.a, ia, p.b, ib)
 		}
 		for j := 0; j < ha.Len(); j++ {
@@ -323,7 +323,7 @@ func (w *diffWorld) checkToSpace(t testing.TB, round int, res Result) {
 	retained := 0
 	for _, h := range w.scope {
 		for _, c := range h.Chunks {
-			if c.PinnedCount() > 0 {
+			if holdsPinned(c) {
 				retained++
 				continue
 			}

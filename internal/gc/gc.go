@@ -5,18 +5,19 @@
 // extended, per the paper, to tolerate entanglement:
 //
 //   - Pinned objects (entangled, per package entangle) are traced in place:
-//     they are never moved nor reclaimed; chunks holding pinned objects are
-//     retained whole. This is the space cost of entanglement, and it is
-//     bounded: joins unpin (package hierarchy), after which the memory is
-//     reclaimed by ordinary collections.
+//     they are never moved nor reclaimed; a chunk a pinned mark lands in
+//     is retained whole (every pinned object is in its heap's pinned set,
+//     so the marks find them all). This is the space cost of entanglement,
+//     and it is bounded: joins unpin (package hierarchy), after which the
+//     memory is reclaimed by ordinary collections.
 //   - Down-pointers into the collected heaps, recorded by the write
 //     barrier in per-heap remembered sets, act as roots; the fields they
 //     describe are updated to the targets' new locations *before* the heap
 //     gates reopen (hierarchy.Gate.EndCollect), which is what makes the
 //     read barrier's pin-then-validate protocol sound.
-//   - Remembered sets are rebuilt during the scan so entries never go
-//     stale: internal entries are re-derived from surviving objects,
-//     external ones are revalidated against the holder's current field.
+//   - Remembered sets are rebuilt so entries never go stale: external
+//     entries are revalidated against the holder's current field, in place,
+//     internal ones are re-derived by the scan from surviving objects.
 //   - The pass over the entries is linear and hashes nothing. The scope's
 //     old chunks carry a from-space mark (mem.Chunk.FromSpace) for the
 //     duration, forward moves only what lies in a marked chunk, and so a
@@ -92,7 +93,8 @@ func New(space *mem.Space, tree *hierarchy.Tree) *Collector {
 
 // scopeHeap is one heap of the scope with its to-space, the Cheney scan
 // cursor over it (an index into to.Chunks and a word offset: black before,
-// grey from there to the bump pointer) and its rebuilt remembered set.
+// grey from there to the bump pointer) and the remembered entries other
+// scope heaps hand it, which only a multi-heap scope has.
 type scopeHeap struct {
 	h       *hierarchy.Heap
 	to      mem.Allocator
@@ -196,33 +198,38 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	// Phase 2: transitive copy/trace.
 	r.drain()
 
-	// Phase 3: install rebuilt remsets, rebuild the chunk lists in place,
-	// release from-space (unmarked first: a released chunk may be another
-	// heap's at once), settle to-space into the allocation totals.
+	// Phase 3: clear the pinned marks, keeping each scope chunk one lands in
+	// by unmarking it from-space (a stale pinned entry may name a chunk of
+	// another heap, mid-collection elsewhere); splice the side lists onto
+	// the filtered remsets, release the chunks still marked (unmarked first:
+	// a released chunk may be another heap's at once), settle to-space.
+	for _, p := range r.marked {
+		ch := c.Space.ChunkByID(p.Chunk())
+		ch.ClearMark(p)
+		if r.scopeOf(ch.HeapID()) >= 0 {
+			ch.FromSpace = false
+		}
+	}
 	var retainedOldWords int64
 	for i := range r.heaps {
 		sh := &r.heaps[i]
 		h := sh.h
-		h.Remset = sh.remset
+		h.Remset.Splice(&sh.remset)
 		h.Overwritten = 0
 		kept := h.Chunks[:0]
 		for _, ch := range h.Chunks {
-			ch.FromSpace = false
-			if ch.PinCount > 0 {
+			if ch.FromSpace {
+				ch.FromSpace = false
+				c.Space.Release(ch)
+			} else {
 				kept = append(kept, ch)
 				retainedOldWords += int64(ch.Words())
 				r.res.RetainedChunks++
-			} else {
-				c.Space.Release(ch)
 			}
 		}
 		h.Chunks = append(kept, sh.to.Chunks...)
 		sh.to.FlushCopied()
 		h.Collections++
-	}
-	// Clear transient marks on pinned objects.
-	for _, p := range r.marked {
-		c.Space.ClearMark(p)
 	}
 	r.res.ReclaimedWords = oldWords - retainedOldWords
 	scope[0].CopiedWords += r.res.CopiedWords
@@ -244,46 +251,50 @@ func (r *run) finish() {
 	r.c.runs.Put(r)
 }
 
-// processRemsets uses down-pointer entries as roots and begins the rebuilt
-// remembered sets with the still-valid external entries: one pass, at most
-// one entry out per entry in. A field stored to k times may have up to k
-// entries; the first forwards the target and redirects the field into
-// to-space, which drops the rest. Duplicates whose target is pinned in
-// place all survive: harmless (an entry is a hint to look at the field) and
-// never more than came in.
+// processRemsets uses down-pointer entries as roots and filters each scope
+// heap's remembered set in place down to the still-valid external entries:
+// one pass, at most one entry out per entry in. A field stored to k times
+// may have up to k entries; the first forwards the target and redirects the
+// field into to-space, which drops the rest. Duplicates whose target is
+// pinned in place all survive: harmless (an entry is a hint to look at the
+// field) and never more than came in.
 func (r *run) processRemsets() {
 	sp := r.c.Space
 	for i := range r.heaps {
-		r.heaps[i].h.Remset.Each(func(e hierarchy.RememberedEntry) {
-			if r.scopeOf(sp.HeapOf(e.Holder)) >= 0 {
+		r.heaps[i].h.Remset.Filter(func(e hierarchy.RememberedEntry) bool {
+			hc := sp.ChunkOf(e.Holder)
+			if r.scopeOf(hc.HeapID()) >= 0 {
 				// The holder is being collected too; if it survives, the
 				// scan re-derives this entry with the holder's new address.
-				return
+				return false
 			}
 			// The concurrent sweep reclaims internal-heap holders in place
 			// (KFree) and may later re-carve the span; an entry whose holder
 			// no longer parses, was freed, or no longer covers the recorded
 			// index is stale and must not be dereferenced.
-			hd := sp.Header(e.Holder)
+			hd := hc.Header(e.Holder)
 			if !hd.Valid() || hd.Kind() == mem.KFree {
-				return
+				return false
 			}
 			if hn := max(hd.Len(), 1); e.Index < 0 || e.Index >= hn {
-				return
+				return false
 			}
-			v := sp.Load(e.Holder, e.Index)
+			v := hc.Load(e.Holder, e.Index)
 			if !v.IsRef() {
-				return // field was overwritten; entry is dead
+				return false // field was overwritten; entry is dead
 			}
 			ch, tgt := r.fromSpace(v.Ref())
 			if tgt < 0 {
-				return // points outside the suffix, or was already redirected
+				return false // points outside the suffix, or was already redirected
 			}
 			if nv := r.evacuate(ch, v.Ref(), tgt); nv != v {
-				sp.Store(e.Holder, e.Index, nv)
+				hc.Store(e.Holder, e.Index, nv)
 			}
 			// The entry survives, indexed by the target's (unchanged) heap.
-			r.heaps[tgt].remset.Append(e)
+			if tgt != i {
+				r.heaps[tgt].remset.Append(e)
+			}
+			return tgt == i
 		})
 	}
 }

@@ -3,6 +3,7 @@ package gc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestCollectReclaimsGarbage(t *testing.T) {
 	if w.sp.Load(moved, 0).AsInt() != 1 || w.sp.Load(moved, 1).AsInt() != 2 {
 		t.Fatal("live object corrupted by copy")
 	}
-	if w.sp.HeapOf(moved) != leaf.ID {
+	if w.sp.ChunkOf(moved).HeapID() != leaf.ID {
 		t.Fatal("copy left its heap")
 	}
 	if res.ReclaimedWords <= 0 {
@@ -392,6 +393,78 @@ func TestPinnedChunkRetainedThenReclaimedAfterUnpin(t *testing.T) {
 	}
 }
 
+// TestCollectRetainsExactlyPinnedChunks: a collection keeps exactly the
+// from-space chunks in which a listed pinned object lies and releases every
+// other one — a chunk of garbage, a chunk whose live object it copied out,
+// and a chunk whose object a join unpinned. A stale pinned entry naming an
+// object of a heap outside the scope leaves that heap's chunk alone, though
+// the chunk carries another collection's from-space mark.
+func TestCollectRetainsExactlyPinnedChunks(t *testing.T) {
+	w := newWorld()
+	parent := w.tr.Fork(w.tr.Root())
+	child := w.tr.Fork(parent)
+	other := w.tr.Fork(w.tr.Root())
+	// chunk allocates the given number of pairs in a chunk of its own.
+	chunk := func(h *hierarchy.Heap, objects int) (*mem.Chunk, []mem.Ref) {
+		ha := w.onHeap(h)
+		var refs []mem.Ref
+		for i := 0; i < objects; i++ {
+			refs = append(refs, ha.al.AllocTuple(mem.Int(int64(i)), mem.Nil))
+		}
+		ha.adopt()
+		return w.sp.ChunkOf(refs[0]), refs
+	}
+	pin := func(h *hierarchy.Heap, r mem.Ref, depth int) {
+		w.sp.Pin(r, depth)
+		h.AddPinned(r)
+	}
+	pinned, pr := chunk(parent, 3) // a listed pin among garbage: kept
+	pin(parent, pr[1], 0)
+	reached, rr := chunk(parent, 2) // a listed pin the roots reach too: kept
+	pin(parent, rr[0], 0)
+	garbage, _ := chunk(parent, 4)  // released
+	copied, cr := chunk(parent, 2)  // its live object moves out: released
+	unpinned, ur := chunk(child, 2) // unpinned at the join: released
+	pin(child, ur[0], parent.Depth())
+	above, ar := chunk(child, 2) // pinned above the join: kept
+	pin(child, ar[1], 0)
+	foreign, fr := chunk(other, 1) // another collection's from-space
+	w.sp.Pin(fr[0], 0)
+	parent.AddPinned(fr[0]) // a stale entry in the scope's pinned set
+	foreign.FromSpace = true
+
+	if n, _ := w.tr.Merge(child, parent, w.sp); n != 1 {
+		t.Fatalf("the join unpinned %d objects, want 1", n)
+	}
+	holder := w.onHeap(parent)
+	rs := &rootSlot{v: holder.al.AllocTuple(rr[0].Value(), cr[1].Value()).Value()}
+	holder.adopt()
+	parent.AddRootSet(rs)
+
+	res := w.c.Collect(w.tr.ExclusiveSuffix(parent)[:1])
+	for _, c := range []*mem.Chunk{pinned, reached, above} {
+		if c.HeapID() != parent.ID || c.FromSpace || !slices.Contains(parent.Chunks, c) {
+			t.Fatalf("chunk %d holds a listed pin but was not kept (heap %d, from-space %v)", c.ID, c.HeapID(), c.FromSpace)
+		}
+	}
+	for _, c := range []*mem.Chunk{garbage, copied, unpinned} {
+		if c.HeapID() != 0 || slices.Contains(parent.Chunks, c) {
+			t.Fatalf("chunk %d holds no pin but was kept (heap %d)", c.ID, c.HeapID())
+		}
+	}
+	if res.RetainedChunks != 3 {
+		t.Fatalf("RetainedChunks = %d, want 3", res.RetainedChunks)
+	}
+	if !foreign.FromSpace || foreign.HeapID() != other.ID || w.sp.Header(fr[0]).Marked() {
+		t.Fatalf("the chunk outside the scope was touched: from-space %v, heap %d, marked %v",
+			foreign.FromSpace, foreign.HeapID(), w.sp.Header(fr[0]).Marked())
+	}
+	foreign.FromSpace = false
+	if err := CheckHeap(w.sp, parent, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMultiHeapSuffix(t *testing.T) {
 	w := newWorld()
 	root := w.tr.Root()
@@ -421,11 +494,11 @@ func TestMultiHeapSuffix(t *testing.T) {
 		t.Fatalf("CopiedObjects = %d, want 3", res.CopiedObjects)
 	}
 	// Heap membership is preserved across the copy.
-	if w.sp.HeapOf(rs.refs[0]) != mid.ID {
+	if w.sp.ChunkOf(rs.refs[0]).HeapID() != mid.ID {
 		t.Fatal("mid object changed heap")
 	}
 	nDown := w.sp.Load(rs.refs[1], 0).Ref()
-	if w.sp.HeapOf(nDown) != leaf.ID {
+	if w.sp.ChunkOf(nDown).HeapID() != leaf.ID {
 		t.Fatal("leaf object changed heap")
 	}
 	// The internal down-pointer was re-derived into leaf's remset with the

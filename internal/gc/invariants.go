@@ -24,10 +24,11 @@ import (
 //   - CheckInvariants(strict=true) is the quiescent audit run at the end
 //     of a computation (and callable from tests): everything above, plus
 //     gate quiescence (reader count zero, collecting bit clear), pin
-//     accounting (each chunk's PinCount equals the pinned headers it
-//     holds), no transient BUSY or mark bits and no from-space chunk mark
-//     outside a collection, and — via Validate — that no live path reaches
-//     a stale forwarding header.
+//     listing (every pinned header in the heap's chunks is in its pinned
+//     set, where a local collection finds the chunks it must keep), no
+//     transient BUSY or mark bits and no from-space chunk mark outside a
+//     collection, and — via Validate — that no live path reaches a stale
+//     forwarding header.
 //
 // Sweeps are possible because chunks are bump-allocated densely: objects
 // occupy [off, off+1+max(1,len)) back to back from offset 0 to c.Alloc,
@@ -35,7 +36,7 @@ import (
 // framing.
 
 // CheckHeap audits one heap. strict additionally enforces the quiescent
-// invariants (gate drained, pin counts balanced, no transient bits).
+// invariants (gate drained, every pin listed, no transient bits).
 func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 	if strict {
 		if n := h.Gate.Readers(); n != 0 {
@@ -45,11 +46,11 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 			return fmt.Errorf("gc: heap %d gate marked collecting at a quiescent point", h.ID)
 		}
 	}
+	var listed map[mem.Ref]bool // h.ForEachPinned, read at the first pinned header
 	for _, c := range h.Chunks {
 		if c.HeapID() != h.ID || hierarchy.OwnerOf(c) != h {
 			return fmt.Errorf("gc: heap %d chunk %d: owned by heap id %d, owner %s", h.ID, c.ID, c.HeapID(), describe(hierarchy.OwnerOf(c)))
 		}
-		pinned := int32(0)
 		off := 0
 		for off < c.Alloc {
 			hd := mem.Header(atomic.LoadUint64(&c.Data[off]))
@@ -69,10 +70,16 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 			if off+1+n > c.Alloc {
 				return fmt.Errorf("gc: heap %d chunk %d: object at +%d (len %d) overruns bump offset %d", h.ID, c.ID, off, hd.Len(), c.Alloc)
 			}
-			if hd.Pinned() {
-				pinned++
-			}
 			if strict {
+				if hd.Pinned() {
+					if listed == nil {
+						listed = map[mem.Ref]bool{}
+						h.ForEachPinned(func(r mem.Ref) { listed[r] = true })
+					}
+					if r := mem.MakeRef(c.ID, off); !listed[r] {
+						return fmt.Errorf("gc: heap %d chunk %d: pinned object at +%d is not in the heap's pinned set", h.ID, c.ID, off)
+					}
+				}
 				if hd.Busy() {
 					return fmt.Errorf("gc: heap %d chunk %d: BUSY header at +%d outside a collection", h.ID, c.ID, off)
 				}
@@ -83,9 +90,6 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 			off += 1 + n
 		}
 		if strict {
-			if pc := atomic.LoadInt32(&c.PinCount); pc != pinned {
-				return fmt.Errorf("gc: heap %d chunk %d: PinCount %d but %d pinned headers swept", h.ID, c.ID, pc, pinned)
-			}
 			if c.CGCScoped() {
 				return fmt.Errorf("gc: heap %d chunk %d: mark bitmap left installed at a quiescent point", h.ID, c.ID)
 			}
@@ -173,7 +177,7 @@ func CheckDownPointers(sp *mem.Space, tree *hierarchy.Tree) error {
 }
 
 // CheckInvariants audits every live heap of the tree. strict (quiescent
-// points only) adds gate, pin-accounting and transient-bit checks per heap
+// points only) adds gate, pin-listing and transient-bit checks per heap
 // plus the reachability audit of Validate, which rejects any live path to
 // a forwarding header.
 func CheckInvariants(sp *mem.Space, tree *hierarchy.Tree, strict bool) error {

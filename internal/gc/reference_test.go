@@ -50,6 +50,21 @@ func (r *refRun) fromSpaceOf(ref mem.Ref) int {
 	return i
 }
 
+// holdsPinned reports whether a pinned header lies in c: a dense parse
+// from 0 to Alloc, which a from-space chunk supports because a forwarding
+// header keeps its object's length. It asks the headers themselves, not the
+// pinned sets or the marks the collector retains by.
+func holdsPinned(c *mem.Chunk) bool {
+	for off := 0; off < c.Alloc; {
+		hd := c.Header(mem.MakeRef(c.ID, off))
+		if hd.Pinned() {
+			return true
+		}
+		off += max(hd.Len(), 1) + 1
+	}
+	return false
+}
+
 // refCollect is Collect as it was: same contract, same phases.
 func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 	if len(scope) == 0 {
@@ -115,7 +130,7 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 		var kept []*mem.Chunk
 		for _, ch := range h.Chunks {
 			ch.FromSpace = false
-			if ch.PinCount > 0 {
+			if holdsPinned(ch) {
 				kept = append(kept, ch)
 				retainedOldWords += int64(ch.Words())
 				r.res.RetainedChunks++
@@ -129,7 +144,7 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 	}
 	// Clear transient marks on pinned objects.
 	for _, p := range r.marked {
-		c.Space.ClearMark(p)
+		c.Space.ChunkOf(p).ClearMark(p)
 	}
 	r.res.ReclaimedWords = oldWords - retainedOldWords
 	scope[0].CopiedWords += r.res.CopiedWords
@@ -162,7 +177,7 @@ func (r *refRun) processRemsets() {
 	sp := r.c.Space
 	for _, h := range r.order {
 		h.Remset.Each(func(e hierarchy.RememberedEntry) {
-			if r.scopeOf(sp.HeapOf(e.Holder)) >= 0 {
+			if r.scopeOf(sp.ChunkOf(e.Holder).HeapID()) >= 0 {
 				// The holder is being collected too; if it survives, the
 				// scan re-derives this entry with the holder's new address.
 				return
@@ -296,7 +311,7 @@ func (r *refRun) drain() {
 		if !hd.Kind().Scanned() {
 			continue
 		}
-		qi := r.scopeOf(sp.HeapOf(q))
+		qi := r.scopeOf(sp.ChunkOf(q).HeapID())
 		for i := 0; i < hd.Len(); i++ {
 			v := sp.Load(q, i)
 			nv := r.forward(v)
@@ -306,7 +321,7 @@ func (r *refRun) drain() {
 			// Re-derive internal down-pointer entries: q points at a
 			// strictly deeper scope heap, which r.order lists later.
 			if nv.IsRef() && qi >= 0 {
-				if ti := r.scopeOf(sp.HeapOf(nv.Ref())); ti > qi {
+				if ti := r.scopeOf(sp.ChunkOf(nv.Ref()).HeapID()); ti > qi {
 					r.newRemsets[ti].Append(hierarchy.RememberedEntry{Holder: q, Index: i})
 				}
 			}

@@ -12,12 +12,13 @@ import (
 // Heap-tree introspection: a race-safe snapshot of the live hierarchy for
 // the /debug/heaptree endpoint and offline dumps. The snapshot reads only
 // immutable fields (ID, parent, depth, chunk capacity) and atomics (dead,
-// liveChildren, cgcStatus, chunk heap ids and pin counts), so it can run
-// from any goroutine while the computation is in full flight — it never
-// touches the owner-only views (Chunks, Pinned, Remset) that the running
-// task mutates without synchronization. Per-heap sizes are therefore
-// reconstructed from the chunk table (grouped by each chunk's atomic heap
-// id) rather than read off the heaps.
+// liveChildren, cgcStatus, chunk heap ids), so it can run from any
+// goroutine while the computation is in full flight — it never touches the
+// owner-only views (Chunks, Pinned, Remset) that the running task mutates
+// without synchronization. Per-heap sizes are therefore reconstructed from
+// the chunk table (grouped by each chunk's atomic heap id) rather than read
+// off the heaps. Nothing race-safe counts one heap's pins (a pin lives in
+// its header and the owner-only Pinned), so only the tree's total is shown.
 
 // cgcStateNames maps the status word to its display name.
 var cgcStateNames = [...]string{
@@ -47,27 +48,27 @@ type HeapDump struct {
 	CGCState     string `json:"cgc_state"`
 	Chunks       int    `json:"chunks"`
 	Words        int64  `json:"words"`
-	Pinned       int    `json:"pinned"`
 }
 
-// TreeDump is a point-in-time snapshot of the live heap hierarchy.
+// TreeDump is a point-in-time snapshot of the live heap hierarchy. Pinned
+// is the tree's count of pinned objects, which DumpTree leaves zero for
+// the caller to fill from the pin gauge (entangle.StatsSnapshot.PinnedNow).
 type TreeDump struct {
 	Heaps      []HeapDump `json:"heaps"`
 	LiveHeaps  int        `json:"live_heaps"`
 	TotalWords int64      `json:"total_words"`
-	Pinned     int        `json:"pinned"`
+	Pinned     int64      `json:"pinned"`
 }
 
-// DumpTree snapshots the live heap hierarchy. Chunk counts, sizes, and
-// pinned-object counts come from one pass over the chunk table; a chunk
-// whose owner died between the heap walk and the chunk walk is dropped
-// (its words reappear under the parent on the next snapshot). The result
-// is ordered by heap id, parents before children.
+// DumpTree snapshots the live heap hierarchy. Chunk counts and sizes come
+// from one pass over the chunk table; a chunk whose owner died between the
+// heap walk and the chunk walk is dropped (its words reappear under the
+// parent on the next snapshot). The result is ordered by heap id, parents
+// before children.
 func (t *Tree) DumpTree(space *mem.Space) *TreeDump {
 	type agg struct {
 		chunks int
 		words  int64
-		pinned int
 	}
 	live := t.Live()
 	byID := make(map[uint32]*agg, len(live))
@@ -81,7 +82,6 @@ func (t *Tree) DumpTree(space *mem.Space) *TreeDump {
 		}
 		a.chunks++
 		a.words += int64(c.Words())
-		a.pinned += c.PinnedCount()
 	})
 	d := &TreeDump{LiveHeaps: len(live)}
 	for _, h := range live {
@@ -98,10 +98,8 @@ func (t *Tree) DumpTree(space *mem.Space) *TreeDump {
 			CGCState:     h.CGCStateName(),
 			Chunks:       a.chunks,
 			Words:        a.words,
-			Pinned:       a.pinned,
 		})
 		d.TotalWords += a.words
-		d.Pinned += a.pinned
 	}
 	sort.Slice(d.Heaps, func(i, j int) bool { return d.Heaps[i].ID < d.Heaps[j].ID })
 	return d
@@ -124,8 +122,8 @@ var dotColors = map[string]string{
 }
 
 // WriteDOT writes the snapshot as a Graphviz digraph: one node per live
-// heap (labelled with depth, size, and pin count, coloured by CGC state),
-// one edge per parent link.
+// heap (labelled with depth and size, coloured by CGC state), one edge per
+// parent link.
 func (d *TreeDump) WriteDOT(w io.Writer) error {
 	var err error
 	pr := func(format string, args ...any) {
@@ -140,8 +138,8 @@ func (d *TreeDump) WriteDOT(w io.Writer) error {
 		if color == "" {
 			color = "white"
 		}
-		pr("  h%d [label=\"heap %d\\ndepth %d · %s\\n%d chunks / %d words\\npinned %d\", fillcolor=%q];\n",
-			h.ID, h.ID, h.Depth, h.CGCState, h.Chunks, h.Words, h.Pinned, color)
+		pr("  h%d [label=\"heap %d\\ndepth %d · %s\\n%d chunks / %d words\", fillcolor=%q];\n",
+			h.ID, h.ID, h.Depth, h.CGCState, h.Chunks, h.Words, color)
 	}
 	for _, h := range d.Heaps {
 		if h.Parent != 0 {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mplgo/internal/mem"
@@ -19,14 +18,13 @@ func TestDumpTree(t *testing.T) {
 	b := tr.Fork(root)
 	aa := tr.Fork(a)
 
-	// One chunk per heap, an extra one for a, and a pinned object in aa;
-	// each of another size class, so Words must sum sizes, not count chunks.
+	// One chunk per heap and an extra one for a; each of another size
+	// class, so Words must sum sizes, not count chunks.
 	sp.NewChunk(root.ID, mem.ChunkWords)
 	sp.NewChunk(a.ID, 0)
 	sp.NewChunk(a.ID, 4*mem.MinChunkWords)
 	sp.NewChunk(b.ID, 3*mem.ChunkWords) // oversize: exact
-	caa := sp.NewChunk(aa.ID, 2*mem.MinChunkWords)
-	atomic.AddInt32(&caa.PinCount, 1)
+	sp.NewChunk(aa.ID, 2*mem.MinChunkWords)
 	a.CGCPark()
 
 	d := tr.DumpTree(sp)
@@ -43,12 +41,14 @@ func TestDumpTree(t *testing.T) {
 	if h := byID[a.ID]; h.Chunks != 2 || h.Words != 5*mem.MinChunkWords || h.Parent != root.ID || h.CGCState != "parked" {
 		t.Fatalf("a dump %+v", h)
 	}
-	if h := byID[aa.ID]; h.Pinned != 1 || h.Words != 2*mem.MinChunkWords || h.Depth != 2 {
+	if h := byID[aa.ID]; h.Words != 2*mem.MinChunkWords || h.Depth != 2 {
 		t.Fatalf("aa dump %+v", h)
 	}
-	if d.Pinned != 1 || d.TotalWords != 4*mem.ChunkWords+7*mem.MinChunkWords {
+	// The pinned total is the caller's to fill (from the pin gauge).
+	if d.Pinned != 0 || d.TotalWords != 4*mem.ChunkWords+7*mem.MinChunkWords {
 		t.Fatalf("totals: pinned %d words %d", d.Pinned, d.TotalWords)
 	}
+	d.Pinned = 1
 
 	var jb bytes.Buffer
 	if err := d.WriteJSON(&jb); err != nil {
@@ -58,8 +58,11 @@ func TestDumpTree(t *testing.T) {
 	if err := json.Unmarshal(jb.Bytes(), &round); err != nil {
 		t.Fatalf("JSON round-trip: %v", err)
 	}
-	if len(round.Heaps) != 4 || round.TotalWords != d.TotalWords {
+	if len(round.Heaps) != 4 || round.TotalWords != d.TotalWords || round.Pinned != 1 {
 		t.Fatalf("round-trip mismatch: %+v", round)
+	}
+	if strings.Count(jb.String(), `"pinned"`) != 1 {
+		t.Fatalf("JSON carries a per-heap pinned field:\n%s", jb.String())
 	}
 
 	var db bytes.Buffer
@@ -70,11 +73,13 @@ func TestDumpTree(t *testing.T) {
 	for _, want := range []string{
 		"digraph heaps {",
 		"parked",
-		"pinned 1",
 	} {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT output missing %q:\n%s", want, dot)
 		}
+	}
+	if strings.Contains(dot, "pinned") {
+		t.Fatalf("DOT output shows pins per heap:\n%s", dot)
 	}
 }
 

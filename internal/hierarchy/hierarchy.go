@@ -609,8 +609,9 @@ func (t *Tree) Join(child, parent *Heap, space *mem.Space, keep bool) (unpinned 
 	// of its cost.
 	at = parent.AttrSink.Begin()
 	child.Pinned.Filter(func(r mem.Ref) bool {
+		c := space.ChunkOf(r)
 		for {
-			h := space.Header(r)
+			h := c.Header(r)
 			if h.Kind() == mem.KForward || !h.Pinned() {
 				return false // stale entry; copied or already unpinned
 			}
@@ -619,7 +620,7 @@ func (t *Tree) Join(child, parent *Heap, space *mem.Space, keep bool) (unpinned 
 				// shallower by a racing reader): the entry moves up.
 				return true
 			}
-			if space.TryUnpin(r, h) {
+			if c.TryUnpin(r, h) {
 				unpinned++
 				unpinnedWords += int64(h.Len()) + 1
 				ring.Emit(trace.EvUnpin, int32(parent.depth), uint64(r), 0)

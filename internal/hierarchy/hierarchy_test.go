@@ -111,11 +111,11 @@ func TestMergeMovesChunksAndRemset(t *testing.T) {
 	child.Chunks = append(child.Chunks, al.Chunks...)
 	child.AddRemembered(r, 0)
 
-	if sp.HeapOf(r) != child.ID || OwnerOf(sp.ChunkOf(r)) != child {
+	if sp.ChunkOf(r).HeapID() != child.ID || OwnerOf(sp.ChunkOf(r)) != child {
 		t.Fatal("setup: wrong owner")
 	}
 	tr.Merge(child, root, sp)
-	if sp.HeapOf(r) != root.ID || OwnerOf(sp.ChunkOf(r)) != root {
+	if sp.ChunkOf(r).HeapID() != root.ID || OwnerOf(sp.ChunkOf(r)) != root {
 		t.Fatal("merge did not reassign chunk ownership")
 	}
 	if got := items(&root.Remset); len(root.Chunks) != 1 || len(got) != 1 || got[0] != (RememberedEntry{r, 0}) {

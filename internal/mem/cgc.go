@@ -76,12 +76,12 @@ type SweepStats struct {
 // bitmap: every maximal run of unmarked, unpinned objects (coalescing
 // previously-freed KFree spans) becomes a single KFree span threaded onto
 // the chunk's free list. It reports the stats and whether the chunk came
-// out fully dead (no live objects and no pinned residents) — in which case
+// out fully dead (no live objects, pinned ones included) — in which case
 // the caller should Release it instead of keeping the (unbuilt) free list.
 //
 // Must run with the owning heap's collection gate held and the owner
-// parked: the gate excludes in-flight pins, so the pinned-bit and PinCount
-// checks are stable, and the bump offset c.Alloc cannot advance. Headers
+// parked: the gate excludes in-flight pins, so the pinned-bit checks are
+// stable, and the bump offset c.Alloc cannot advance. Headers
 // and free-list links are written atomically because stale readers (failed
 // entanglement validations about to retry) may still load these words.
 func (s *Space) SweepMarked(c *Chunk) (SweepStats, bool) {
@@ -132,7 +132,7 @@ func (s *Space) SweepMarked(c *Chunk) (SweepStats, bool) {
 		off += size
 	}
 	flush()
-	if st.LiveObjects == 0 && atomic.LoadInt32(&c.PinCount) == 0 {
+	if st.LiveObjects == 0 {
 		return st, true
 	}
 	// Thread the free list front-to-back. Each span gets a KFree header

@@ -181,9 +181,8 @@ func (c *Chunk) setHeaderBits(r Ref, bits uint64) bool {
 	}
 }
 
-// clearHeaderBits atomically clears bits in the header of r.
-func (s *Space) clearHeaderBits(r Ref, bits uint64) {
-	c := s.chunk(r.Chunk())
+// clearHeaderBits atomically clears bits in the header of r, which lies in c.
+func (c *Chunk) clearHeaderBits(r Ref, bits uint64) {
 	p := &c.Data[r.Off()]
 	for {
 		old := atomic.LoadUint64(p)
@@ -290,7 +289,6 @@ func (s *Space) PinAt(c *Chunk, r Ref, unpinDepth int) (st PinStatus, was Header
 		}
 		if atomic.CompareAndSwapUint64(p, old, nw) {
 			if !wasPinned {
-				atomic.AddInt32(&c.PinCount, 1)
 				return PinNew, h, retries
 			}
 			return PinDepthLowered, h, retries
@@ -309,35 +307,26 @@ func (s *Space) Pin(r Ref, unpinDepth int) bool {
 
 // Unpin clears the pinned bit of r. It reports whether r was pinned.
 func (s *Space) Unpin(r Ref) bool {
-	c := s.chunk(r.Chunk())
-	p := &c.Data[r.Off()]
+	p := &s.chunk(r.Chunk()).Data[r.Off()]
 	for {
 		old := atomic.LoadUint64(p)
-		if Header(old).Pinned() == false {
+		if !Header(old).Pinned() {
 			return false
 		}
 		if atomic.CompareAndSwapUint64(p, old, old&^uint64(hdrPinned)) {
-			atomic.AddInt32(&c.PinCount, -1)
 			return true
 		}
 	}
 }
 
-// TryUnpin performs the PINNED → PLAIN transition only if r's header still
-// equals the snapshot the caller examined: a concurrent PinHeader that
-// lowered the unpin depth in between makes the CAS fail, so a join can
-// never revoke a pin it has not seen. It reports whether the unpin took.
-func (s *Space) TryUnpin(r Ref, observed Header) bool {
-	if !observed.Pinned() {
-		return false
-	}
-	c := s.chunk(r.Chunk())
-	p := &c.Data[r.Off()]
-	if atomic.CompareAndSwapUint64(p, uint64(observed), uint64(observed)&^uint64(hdrPinned)) {
-		atomic.AddInt32(&c.PinCount, -1)
-		return true
-	}
-	return false
+// TryUnpin performs the PINNED → PLAIN transition of r, which lies in c,
+// only if r's header still equals the snapshot the caller examined: a
+// concurrent PinHeader that lowered the unpin depth in between makes the CAS
+// fail, so a join can never revoke a pin it has not seen. It reports whether
+// the unpin took. The header is the only word an unpin writes.
+func (c *Chunk) TryUnpin(r Ref, observed Header) bool {
+	return observed.Pinned() &&
+		atomic.CompareAndSwapUint64(&c.Data[r.Off()], uint64(observed), uint64(observed)&^uint64(hdrPinned))
 }
 
 // BeginCopy attempts the PLAIN → BUSY transition, claiming r for
@@ -368,8 +357,8 @@ func (c *Chunk) BeginCopy(off int) (Header, bool) {
 // SetMark sets the transient mark bit; reports whether it was newly set.
 func (s *Space) SetMark(r Ref) bool { return s.chunk(r.Chunk()).setHeaderBits(r, hdrMark) }
 
-// ClearMark clears the transient mark bit.
-func (s *Space) ClearMark(r Ref) { s.clearHeaderBits(r, hdrMark) }
+// ClearMark clears the transient mark bit of r, which lies in c.
+func (c *Chunk) ClearMark(r Ref) { c.clearHeaderBits(r, hdrMark) }
 
 // Load reads payload word i of the object at r without any barrier.
 func (s *Space) Load(r Ref, i int) Value { return s.chunk(r.Chunk()).Load(r, i) }
@@ -493,9 +482,4 @@ func (s *Space) Forwarded(r Ref) (Ref, bool) {
 		return r, false
 	}
 	return s.Load(r, 0).Ref(), true
-}
-
-// HeapOf returns the heap id owning the chunk that contains r.
-func (s *Space) HeapOf(r Ref) uint32 {
-	return s.chunk(r.Chunk()).HeapID()
 }

@@ -31,12 +31,18 @@ func TestPinHeaderTransitions(t *testing.T) {
 	if st, _, _ := sp.PinHeader(r, 1); st != PinDepthLowered {
 		t.Fatalf("shallower re-pin: %v, want PinDepthLowered", st)
 	}
-	if h := sp.Header(r); h.UnpinDepth() != 1 || !h.Candidate() {
-		t.Fatalf("after lowering: depth=%d candidate=%v, want 1 and the bit kept", h.UnpinDepth(), h.Candidate())
+	if h := sp.Header(r); !h.Pinned() || h.UnpinDepth() != 1 || !h.Candidate() {
+		t.Fatalf("after lowering: pinned=%v depth=%d candidate=%v, want pinned at 1 and the bit kept", h.Pinned(), h.UnpinDepth(), h.Candidate())
 	}
-	// PinCount tracked exactly once.
-	if pc := sp.ChunkByID(r.Chunk()).PinCount; pc != 1 {
-		t.Fatalf("PinCount = %d, want 1", pc)
+	// The pin is the header alone: one unpin clears it, a second finds nothing.
+	if !sp.ChunkOf(r).TryUnpin(r, sp.Header(r)) || sp.Header(r).Pinned() {
+		t.Fatal("TryUnpin of the pinned header did not clear the bit")
+	}
+	if h := sp.Header(r); h.Kind() != KTuple || h.Len() != 2 || !h.Candidate() || h.Busy() || h.Marked() {
+		t.Fatalf("unpin disturbed other header fields: %#x", uint64(h))
+	}
+	if sp.Unpin(r) {
+		t.Fatal("Unpin of an unpinned header reported a pin")
 	}
 }
 
@@ -53,7 +59,7 @@ func TestPinHeaderSetsCandidate(t *testing.T) {
 		bits   uint64 // ORed into a fresh tuple header
 		depth  int    // unpin depth field
 		want   PinStatus
-		pinned bool // pin count contribution before the call
+		pinned bool // the header is pinned before the call
 	}
 	states := []state{
 		{name: "plain", want: PinNew},
@@ -75,9 +81,6 @@ func TestPinHeaderSetsCandidate(t *testing.T) {
 				old |= hdrCandidate
 			}
 			c.Data[r.Off()] = old
-			if st.pinned {
-				c.PinCount = 1
-			}
 
 			got, seen, _ := sp.PinHeader(r, req)
 			want := st.want
@@ -114,8 +117,10 @@ func TestPinHeaderSetsCandidate(t *testing.T) {
 				if h.Kind() != KTuple || h.Len() != 2 || h.Busy() || h.Marked() {
 					t.Fatalf("%s: pin disturbed other header fields: %#x", name, uint64(h))
 				}
-				if c.PinCount != 1 {
-					t.Fatalf("%s: PinCount = %d, want 1", name, c.PinCount)
+				// Only a pin of an unpinned header is new; the rest change
+				// the header they found pinned.
+				if (got == PinNew) == st.pinned {
+					t.Fatalf("%s: status %v for a header pinned=%v", name, got, st.pinned)
 				}
 			}
 		}
@@ -170,7 +175,7 @@ func TestTryUnpinRespectsConcurrentRepin(t *testing.T) {
 	if st, _, _ := sp.PinHeader(r, 1); st != PinDepthLowered {
 		t.Fatalf("repin: %v", st)
 	}
-	if sp.TryUnpin(r, observed) {
+	if sp.ChunkOf(r).TryUnpin(r, observed) {
 		t.Fatal("TryUnpin revoked a pin it had not seen")
 	}
 	if !sp.Header(r).Pinned() {
@@ -178,20 +183,17 @@ func TestTryUnpinRespectsConcurrentRepin(t *testing.T) {
 	}
 
 	// With a current snapshot the unpin takes.
-	if !sp.TryUnpin(r, sp.Header(r)) {
+	if !sp.ChunkOf(r).TryUnpin(r, sp.Header(r)) {
 		t.Fatal("TryUnpin with fresh snapshot failed")
 	}
 	if sp.Header(r).Pinned() {
 		t.Fatal("still pinned after TryUnpin")
 	}
-	if pc := sp.ChunkByID(r.Chunk()).PinCount; pc != 0 {
-		t.Fatalf("PinCount = %d, want 0", pc)
-	}
 }
 
 func TestTryUnpinIgnoresUnpinned(t *testing.T) {
 	sp, r := newTestObj(t, 1)
-	if sp.TryUnpin(r, sp.Header(r)) {
+	if sp.ChunkOf(r).TryUnpin(r, sp.Header(r)) {
 		t.Fatal("TryUnpin of an unpinned object reported success")
 	}
 }

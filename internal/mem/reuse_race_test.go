@@ -79,7 +79,7 @@ func TestChunkReuseRaceStress(t *testing.T) {
 					for _, p := range held {
 						g := &gates[p.heap]
 						g.RLock()
-						if !p.dead.Load() && sp.HeapOf(p.r) == p.heap {
+						if !p.dead.Load() && sp.ChunkOf(p.r).HeapID() == p.heap {
 							h := sp.Header(p.r)
 							_ = sp.Load(p.r, 0)
 							_ = h
@@ -130,7 +130,7 @@ func TestChunkReuseRaceStress(t *testing.T) {
 						// Keep a sparse subset of the first chunk live so
 						// the sweep threads a free list through it.
 						for j, r := range batchRefs {
-							if j%16 == 0 && sp.HeapOf(r) == heap && sp.chunk(r.Chunk()) == c {
+							if j%16 == 0 && sp.ChunkOf(r).HeapID() == heap && sp.chunk(r.Chunk()) == c {
 								c.Mark(r.Off())
 							}
 						}

@@ -64,16 +64,14 @@ var ErrChunkTableExhausted = errors.New("mem: chunk table exhausted (2^32 chunk 
 // test and the collectors compare, and the owner itself, which the
 // entanglement barriers need: one load after the chunk is resolved. A
 // barrier resolves each object's chunk once and does everything else —
-// header bits, field loads, the store — through it.
+// header bits, field loads, the store — through it. A pin is recorded in
+// its object's header and the owning heap's pinned set, not on the chunk.
 type Chunk struct {
 	ID   uint32
 	Data []uint64
 	// Alloc is the bump offset of the next free word. Only the owning
 	// task mutates it.
 	Alloc int
-	// PinCount counts currently pinned objects residing in this chunk.
-	// A chunk can only be released while it holds no pinned objects.
-	PinCount int32
 	// FromSpace marks the chunk as from-space of the local collection now
 	// running on its heap. That collection sets it on its scope's old
 	// chunks once the gates are closed and clears it before they reopen;
@@ -215,7 +213,6 @@ func (s *Space) NewChunk(heap uint32, minWords int) *Chunk {
 	}
 	if c != nil {
 		c.Alloc = 0
-		atomic.StoreInt32(&c.PinCount, 0)
 		c.marks.Store(nil)
 		c.freeHead = 0
 		c.freeWords = 0
@@ -284,12 +281,9 @@ func (s *Space) publish(c *Chunk) {
 // Release returns a chunk to the space. Class-size chunks go to their
 // class's free list; oversize chunks are never reused, but the chunk table
 // keeps the Chunk — and with it the backing array — reachable for stale
-// readers, so their memory is not returned to Go either. Releasing a chunk
-// holding pinned objects is a bug in the collector.
+// readers, so their memory is not returned to Go either. The caller knows
+// from the owning heap's pinned set that the chunk holds no pinned object.
 func (s *Space) Release(c *Chunk) {
-	if atomic.LoadInt32(&c.PinCount) != 0 {
-		panic(fmt.Sprintf("mem: releasing chunk %d with %d pinned objects", c.ID, c.PinCount))
-	}
 	s.liveWords.Add(int64(-len(c.Data)))
 	c.SetOwner(0, nil)
 	c.marks.Store(nil)
@@ -336,17 +330,13 @@ func (s *Space) ChunkByID(idx uint32) *Chunk {
 	return seg[idx&(segSize-1)]
 }
 
-// PinnedCount returns the number of currently pinned objects residing in
-// the chunk. Safe from any goroutine (the pin/unpin CASes publish it).
-func (c *Chunk) PinnedCount() int { return int(atomic.LoadInt32(&c.PinCount)) }
-
 // ForEachChunk visits every chunk ever published, live or released, in id
 // order. Safe to call concurrently with the mutator: the id bound is
 // snapshotted under the table mutex (which also orders the segment-slot
 // writes that published those chunks), and the visit reads only through
 // the lock-free directory. Introspection (and SetOwners) only — the visit
 // callback must restrict itself to atomic chunk fields (HeapID, Owner,
-// SetOwner, PinnedCount, Words):
+// SetOwner, Words):
 // Alloc and the free-list words are owner-mutated without synchronization.
 func (s *Space) ForEachChunk(visit func(*Chunk)) {
 	s.mu.Lock()

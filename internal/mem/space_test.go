@@ -44,13 +44,13 @@ func TestAllocOwnership(t *testing.T) {
 	s := NewSpace()
 	a := NewAllocator(s, 42)
 	r := a.AllocTuple(Int(1))
-	if s.HeapOf(r) != 42 {
-		t.Fatalf("HeapOf = %d, want 42", s.HeapOf(r))
+	if s.ChunkOf(r).HeapID() != 42 {
+		t.Fatalf("heap id = %d, want 42", s.ChunkOf(r).HeapID())
 	}
 	// Reassigning the chunk's heap changes every resident object's heap.
 	s.ChunkOf(r).SetOwner(7, nil)
-	if s.HeapOf(r) != 7 {
-		t.Fatal("chunk-level heap reassignment not visible through HeapOf")
+	if s.ChunkOf(r).HeapID() != 7 {
+		t.Fatal("chunk-level heap reassignment not visible through ChunkOf")
 	}
 }
 
@@ -168,9 +168,6 @@ func TestPinUnpin(t *testing.T) {
 	if !s.Header(r).Pinned() || s.Header(r).UnpinDepth() != 3 {
 		t.Fatalf("pin state wrong: %v depth %d", s.Header(r).Pinned(), s.Header(r).UnpinDepth())
 	}
-	if c.PinCount != 1 {
-		t.Fatalf("PinCount = %d", c.PinCount)
-	}
 
 	// Re-pinning at a deeper depth must not raise the unpin depth.
 	if s.Pin(r, 5) {
@@ -181,21 +178,22 @@ func TestPinUnpin(t *testing.T) {
 	}
 	// Re-pinning at a shallower depth must lower it.
 	s.Pin(r, 1)
-	if s.Header(r).UnpinDepth() != 1 {
+	if s.Header(r).UnpinDepth() != 1 || !s.Header(r).Pinned() {
 		t.Fatal("re-pin did not lower unpin depth")
-	}
-	if c.PinCount != 1 {
-		t.Fatalf("PinCount after re-pins = %d", c.PinCount)
 	}
 
 	if !s.Unpin(r) {
 		t.Fatal("Unpin must report previously pinned")
 	}
-	if s.Header(r).Pinned() || c.PinCount != 0 {
-		t.Fatal("unpin state wrong")
+	if h := s.Header(r); h.Pinned() || h.Kind() != KRefCell || h.Len() != 1 {
+		t.Fatalf("unpin state wrong: %#x", uint64(h))
 	}
 	if s.Unpin(r) {
 		t.Fatal("double Unpin must report false")
+	}
+	// Both unpins wrote the header word and nothing else of the chunk.
+	if c.Alloc != 2 || c.Load(r, 0) != Int(0) {
+		t.Fatalf("unpin disturbed the chunk: Alloc %d, payload %v", c.Alloc, c.Load(r, 0))
 	}
 }
 
@@ -230,7 +228,7 @@ func TestCandidateAndMark(t *testing.T) {
 	if !s.SetMark(r) || s.SetMark(r) {
 		t.Fatal("mark bit protocol broken")
 	}
-	s.ClearMark(r)
+	s.ChunkOf(r).ClearMark(r)
 	if s.Header(r).Marked() {
 		t.Fatal("ClearMark failed")
 	}
@@ -281,7 +279,7 @@ func TestChunkClassRoundTrip(t *testing.T) {
 		if c2 != c1 {
 			t.Fatalf("class %d: expected chunk %d recycled, got %d", words, c1.ID, c2.ID)
 		}
-		if c2.HeapID() != 2 || c2.Alloc != 0 || c2.PinnedCount() != 0 ||
+		if c2.HeapID() != 2 || c2.Alloc != 0 ||
 			c2.marks.Load() != nil || c2.freeHead != 0 || c2.freeWords != 0 {
 			t.Fatalf("class %d: recycled chunk not reset: %+v", words, c2)
 		}
@@ -460,19 +458,6 @@ func TestAllocatorGrowth(t *testing.T) {
 	}
 }
 
-func TestReleasePinnedPanics(t *testing.T) {
-	s := NewSpace()
-	a := NewAllocator(s, 1)
-	r := a.AllocRef(Int(1))
-	s.Pin(r, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release of pinned chunk must panic")
-		}
-	}()
-	s.Release(s.ChunkByID(r.Chunk()))
-}
-
 func TestResidencyAccounting(t *testing.T) {
 	s := NewSpace()
 	c1 := s.NewChunk(1, 0)
@@ -544,8 +529,8 @@ func TestRetarget(t *testing.T) {
 	r1 := a.AllocTuple(Int(1))
 	a.Retarget(9)
 	r2 := a.AllocTuple(Int(2))
-	if s.HeapOf(r1) != 1 || s.HeapOf(r2) != 9 {
-		t.Fatalf("heap ids after retarget: %d, %d", s.HeapOf(r1), s.HeapOf(r2))
+	if s.ChunkOf(r1).HeapID() != 1 || s.ChunkOf(r2).HeapID() != 9 {
+		t.Fatalf("heap ids after retarget: %d, %d", s.ChunkOf(r1).HeapID(), s.ChunkOf(r2).HeapID())
 	}
 	if a.Heap() != 9 {
 		t.Fatal("Heap() after retarget")
@@ -608,8 +593,9 @@ func TestAllocatorRandomObjectsQuick(t *testing.T) {
 }
 
 func TestPinUnpinSequenceQuick(t *testing.T) {
-	// Property: arbitrary pin/unpin sequences keep the chunk's PinCount
-	// equal to the number of currently pinned objects.
+	// Property: after arbitrary pin/unpin sequences each object's pinned
+	// bit reflects the last operation on it, and each operation reports
+	// the transition it made.
 	s := NewSpace()
 	a := NewAllocator(s, 1)
 	refs := make([]Ref, 32)
@@ -621,21 +607,23 @@ func TestPinUnpinSequenceQuick(t *testing.T) {
 		for _, op := range ops {
 			i := int(op) % len(refs)
 			if op%2 == 0 {
-				s.Pin(refs[i], int(op)%7)
+				if s.Pin(refs[i], int(op)%7) == pinned[i] {
+					return false // a new pin must be reported exactly when unpinned
+				}
 				pinned[i] = true
 			} else {
-				s.Unpin(refs[i])
+				if s.Unpin(refs[i]) != pinned[i] {
+					return false
+				}
 				pinned[i] = false
 			}
 		}
-		want := int32(0)
-		for _, p := range pinned {
-			if p {
-				want++
+		for i, r := range refs {
+			if s.Header(r).Pinned() != pinned[i] {
+				return false
 			}
 		}
-		c := s.ChunkByID(refs[0].Chunk())
-		return c.PinCount == want
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -137,10 +137,12 @@ func Attr(rt *core.Runtime) http.Handler {
 }
 
 // HeapTree returns the /debug/heaptree handler: a point-in-time dump of
-// the live heap hierarchy, JSON by default, Graphviz with ?format=dot.
+// the live heap hierarchy, JSON by default, Graphviz with ?format=dot. The
+// tree's pinned total is the pin gauge, which is exact and only loads.
 func HeapTree(rt *core.Runtime) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		d := rt.Tree().DumpTree(rt.Space())
+		d.Pinned = rt.EntStats().PinnedNow
 		if r.URL.Query().Get("format") == "dot" {
 			w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 			_ = d.WriteDOT(w)

@@ -196,8 +196,8 @@ func TestHeapTreeEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &d); err != nil {
 		t.Fatalf("heaptree JSON: %v\n%s", err, body)
 	}
-	if d.LiveHeaps < 1 || len(d.Heaps) != d.LiveHeaps {
-		t.Fatalf("heaptree dump %+v", d)
+	if d.LiveHeaps < 1 || len(d.Heaps) != d.LiveHeaps || d.Pinned != rt.EntStats().PinnedNow {
+		t.Fatalf("heaptree dump %+v, pin gauge %d", d, rt.EntStats().PinnedNow)
 	}
 
 	_, dot, dotCT := get(t, srv, "/debug/heaptree?format=dot")
