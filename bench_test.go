@@ -1,150 +1,20 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper that the repo benchmark (benchmark/) does not measure (experiment
-// index in DESIGN.md §5), plus the ablation benchmarks for the design
-// decisions DESIGN.md §6 calls out.
+// Ablation benchmarks for the design decisions DESIGN.md §6 calls out:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkAblate -benchmem
 //
-// The per-table drivers that print the paper-shaped rows live in
-// internal/tables and are exercised by `go run ./cmd/mplgo-bench`.
+// The paper's tables and figures are not here: the repo benchmark
+// (benchmark/) measures time, space, elision and attribution, and
+// `go run ./cmd/mplgo-paper` writes the rest (experiment index in
+// DESIGN.md §5).
 package mplgo
 
 import (
 	"testing"
 
-	"mplgo/internal/bench"
 	"mplgo/internal/hierarchy"
 	"mplgo/internal/mem"
-	"mplgo/internal/sim"
 	"mplgo/mpl"
 )
-
-// benchSizes trims default problem sizes so the full harness completes in
-// minutes on one core.
-var benchSizes = map[string]int{
-	"fib": 22, "mcss": 50_000, "primes": 20_000, "integrate": 100_000,
-	"nqueens": 8, "msort": 10_000, "quickhull": 10_000, "tokens": 100_000,
-	"wc": 100_000, "spmv": 1_000, "dedup": 10_000, "bfs": 10_000,
-	"counter": 10_000, "memoize": 20_000, "pipeline": 10_000,
-	"grep": 50_000, "histogram": 30_000, "filter": 50_000,
-	"treesum": 12, "matmul": 32,
-}
-
-func sizeOf(b bench.Benchmark) int {
-	if n, ok := benchSizes[b.Name]; ok {
-		return n
-	}
-	return b.DefaultN
-}
-
-func runMPL(b *testing.B, bm bench.Benchmark, n int, cfg mpl.Config) *mpl.Runtime {
-	var rt *mpl.Runtime
-	for i := 0; i < b.N; i++ {
-		rt = mpl.New(cfg)
-		if _, err := rt.Run(func(t *mpl.Task) mpl.Value {
-			return mpl.Int(bm.MPL(t, n))
-		}); err != nil && cfg.Mode != mpl.Detect {
-			b.Fatal(err)
-		}
-	}
-	return rt
-}
-
-// BenchmarkFigureSpeedup regenerates figure F1: each sub-benchmark records
-// a trace once and reports replayed speedups at 8 and 64 processors.
-func BenchmarkFigureSpeedup(b *testing.B) {
-	for _, name := range []string{"fib", "msort", "primes", "mcss", "dedup", "bfs"} {
-		bm, ok := bench.ByName(name)
-		if !ok {
-			b.Fatalf("unknown benchmark %s", name)
-		}
-		n := sizeOf(bm)
-		b.Run(name, func(b *testing.B) {
-			rt := runMPL(b, bm, n, mpl.Config{Procs: 1, Record: true})
-			curve := mpl.Speedup(rt, []int{8, 64}, 200)
-			b.ReportMetric(curve[0], "speedup8")
-			b.ReportMetric(curve[1], "speedup64")
-		})
-	}
-}
-
-// BenchmarkTableLang regenerates experiment T3: native Go vs the
-// hierarchical runtime on the comparison benchmarks.
-func BenchmarkTableLang(b *testing.B) {
-	for _, name := range []string{"fib", "primes", "msort", "mcss", "dedup", "bfs"} {
-		bm, _ := bench.ByName(name)
-		n := sizeOf(bm)
-		b.Run(name+"/native", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bm.Native(n)
-			}
-		})
-		b.Run(name+"/mpl1", func(b *testing.B) {
-			runMPL(b, bm, n, mpl.Config{Procs: 1})
-		})
-	}
-}
-
-// BenchmarkTableEntangle regenerates experiment T4: the entanglement cost
-// metrics of the entangled suite under parallel execution, as metrics.
-func BenchmarkTableEntangle(b *testing.B) {
-	for _, bm := range bench.All {
-		if !bm.Entangled {
-			continue
-		}
-		bm := bm
-		n := sizeOf(bm)
-		b.Run(bm.Name, func(b *testing.B) {
-			rt := runMPL(b, bm, n, mpl.Config{Procs: 2})
-			s := rt.EntStats()
-			b.ReportMetric(float64(s.EntangledReads), "eReads")
-			b.ReportMetric(float64(s.Pins), "pins")
-			b.ReportMetric(float64(s.PinnedPeak), "pinPeak")
-		})
-	}
-}
-
-// BenchmarkFigureAblate regenerates figure F2: the barrier-mode ablation
-// (manage vs detect vs no barriers) on a disentangled and an entangled
-// representative.
-func BenchmarkFigureAblate(b *testing.B) {
-	modes := []struct {
-		name string
-		mode mpl.Mode
-	}{{"manage", mpl.Manage}, {"detect", mpl.Detect}, {"unsafe", mpl.Unsafe}}
-	for _, name := range []string{"msort", "tokens", "mcss"} {
-		bm, _ := bench.ByName(name)
-		n := sizeOf(bm)
-		for _, m := range modes {
-			b.Run(name+"/"+m.name, func(b *testing.B) {
-				runMPL(b, bm, n, mpl.Config{Procs: 1, Mode: m.mode})
-			})
-		}
-	}
-	// Entangled representative: only manage is sound and accepted.
-	bm, _ := bench.ByName("dedup")
-	b.Run("dedup/manage", func(b *testing.B) {
-		runMPL(b, bm, sizeOf(bm), mpl.Config{Procs: 1})
-	})
-}
-
-// BenchmarkFigureSpaceCurve regenerates figure F3's inputs: residency at
-// P=1 plus the replayed busy-processor peaks that drive the space model.
-func BenchmarkFigureSpaceCurve(b *testing.B) {
-	for _, name := range []string{"msort", "mcss", "dedup", "pipeline"} {
-		bm, _ := bench.ByName(name)
-		n := sizeOf(bm)
-		b.Run(name, func(b *testing.B) {
-			rt := runMPL(b, bm, n, mpl.Config{Procs: 1, Record: true})
-			b.ReportMetric(float64(rt.MaxLiveWords()), "R1-words")
-			res := sim.Replay(rt.Trace(), sim.ReplayConfig{P: 64, StealCost: 200})
-			b.ReportMetric(float64(res.BusyPeak), "busy64")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// Ablation benchmarks for DESIGN.md §6's design decisions.
 
 // BenchmarkAblateMergeCost shows join-time heap merging is O(chunks), not
 // O(objects): merge cost scales with the chunk count, independent of how

@@ -1,16 +1,12 @@
-// Command mplgo-paper is the reproducible experiment-grid runner: it
-// reads a checked-in grid spec (scripts/paper/experiments.json), executes
-// every cell — benchmark × worker sweep × heap mode × ancestry mode ×
-// barrier ablation, with warmups and repeats — in a fresh subprocess, and
-// writes the paper-ready artifacts into the output directory:
-//
-//	samples.csv          every repeat of every cell, raw
-//	summary_grouped.csv  per-cell mean/min/max/stddev/95% CI
-//	speedup_curves.csv   measured and simulated speedup per sweep group
-//	overhead.csv         per-group T1/Tseq overhead with CIs
-//	crossval.csv/.txt    measured T_P vs Brent's bound and the simulator
-//	results.json         raw cell results (samples, W/S, fingerprints)
-//	host.json            the host fingerprint of the run
+// Command mplgo-paper is the paper runner: it reads a checked-in grid
+// spec (scripts/paper/experiments.json), executes every cell — benchmark
+// × worker sweep × barrier mode (manage, detect, unsafe), with warmups and
+// repeats — in a fresh subprocess of itself, and writes into the output
+// directory one validated CSV per paper artifact (DESIGN.md §5 names
+// them: speedup_curves, lang, entangle, ablate, space_curves, stw), the
+// raw samples.csv, summary_grouped.csv and overhead.csv, the
+// cross-validation report crossval.csv/.txt, the raw results.json and
+// the host.json fingerprint.
 //
 // Every table passes a validator before it is written, and the run exits
 // nonzero on any Brent-bound violation: W/effP ≤ T_P ≤ W/effP + c·S must
@@ -20,17 +16,20 @@
 // Usage:
 //
 //	mplgo-paper -grid scripts/paper/experiments.json [-out scripts/paper/out]
-//	            [-bench "go run ./cmd/mplgo-bench"] [-inprocess] [-trace-cells] [-attr-cells]
-//	            [-list]
+//	            [-inprocess] [-trace-cells] [-attr-cells] [-list]
+//	mplgo-paper -cell <file>   # one cell: Cell JSON in, CellResult JSON on stdout
+//
+// With -trace-cells -attr-cells each cell's Chrome export under
+// <out>/traces/ carries its attributed decomposition for mplgo-trace -attr.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 
 	"mplgo/internal/expgrid"
 )
@@ -38,17 +37,23 @@ import (
 func main() {
 	grid := flag.String("grid", "scripts/paper/experiments.json", "experiment grid spec")
 	out := flag.String("out", "scripts/paper/out", "output directory")
-	benchCmd := flag.String("bench", "go run ./cmd/mplgo-bench",
-		"cell subprocess command (appended: -exp grid-cell -cell <file>)")
 	inprocess := flag.Bool("inprocess", false,
 		"run cells in this process instead of subprocesses (loses isolation; for quick looks)")
 	traceCells := flag.Bool("trace-cells", false,
 		"write one Chrome trace per cell into <out>/traces/, stamped with the cell identity")
 	attrCells := flag.Bool("attr-cells", false,
-		"add one attributed run per cell; the slow-path cost decomposition rides in results.json")
+		"add attributed runs per cell; the slow-path cost decomposition rides in results.json and the cell's trace")
 	list := flag.Bool("list", false, "print the expanded cells and exit without running")
 	cores := flag.Int("cores", 0, "override the host core count for sweep expansion (0 = detect)")
+	cell := flag.String("cell", "", "run the Cell JSON in this file and print its CellResult JSON (a grid run's subprocess)")
 	flag.Parse()
+
+	if *cell != "" {
+		if err := runCell(*cell); err != nil {
+			fatal("cell: %v", err)
+		}
+		return
+	}
 
 	spec, err := expgrid.LoadSpec(*grid)
 	if err != nil {
@@ -57,7 +62,11 @@ func main() {
 
 	r := &expgrid.Runner{Spec: spec, Progress: os.Stderr, Cores: *cores}
 	if !*inprocess {
-		r.BenchCmd = strings.Fields(*benchCmd)
+		exe, err := os.Executable()
+		if err != nil {
+			fatal("%v", err)
+		}
+		r.CellCmd = []string{exe}
 	}
 	if *traceCells {
 		r.TraceDir = filepath.Join(*out, "traces")
@@ -86,13 +95,8 @@ func main() {
 	if err := rep.WriteOutputs(*out); err != nil {
 		fatal("writing outputs: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "# wrote %s/{%s,%s,%s,%s,%s,%s}\n", *out,
-		expgrid.SamplesCSV, expgrid.SummaryCSV, expgrid.SpeedupCSV,
-		expgrid.OverheadCSV, expgrid.CrossvalCSV, expgrid.ResultsJSON)
-	for _, w := range rep.SimFlags {
-		fmt.Fprintf(os.Stderr, "# warn: %s\n", w)
-	}
-	for _, w := range rep.ChecksumWarnings {
+	fmt.Fprintf(os.Stderr, "# wrote %s\n", *out)
+	for _, w := range append(rep.SimFlags, rep.ChecksumWarnings...) {
 		fmt.Fprintf(os.Stderr, "# warn: %s\n", w)
 	}
 	if err := rep.Err(); err != nil {
@@ -108,4 +112,22 @@ func main() {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "mplgo-paper: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// runCell executes one grid cell: Cell JSON in, CellResult JSON out on
+// stdout, and nothing else on stdout.
+func runCell(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var c expgrid.Cell
+	if err := json.Unmarshal(data, &c); err != nil {
+		return fmt.Errorf("bad cell JSON: %w", err)
+	}
+	res, err := expgrid.ExecuteCell(c)
+	if err != nil {
+		return err
+	}
+	return json.NewEncoder(os.Stdout).Encode(res)
 }

@@ -1,5 +1,5 @@
 // Command mplgo-trace summarizes a Chrome trace_event JSON file produced
-// by the runtime's tracer (mplgo-bench -exp trace, or mpl.WriteChrome):
+// by the runtime's tracer (mplgo-paper -trace-cells, or mpl.WriteChrome):
 // event totals per kind, steal and entangled-read rates, a pin-lifetime
 // histogram, and per-phase LGC/CGC latency statistics.
 //
@@ -7,7 +7,8 @@
 //
 //	mplgo-trace trace.json
 //	mplgo-trace -attr trace.json
-//	mplgo-bench -exp trace -trace - | mplgo-trace -
+//	mplgo-paper -grid scripts/paper/trace.json -out out -trace-cells -attr-cells
+//	mplgo-trace -attr "out/traces/counter_p=1_mode=manage.trace.json"
 //
 // With -attr the tool instead prints the sampled cost-attribution
 // decomposition (component × samples / estimated total ns / share of

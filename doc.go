@@ -11,6 +11,7 @@
 //
 // Start with package mpl (the public API), DESIGN.md (system inventory and
 // experiment index), and EXPERIMENTS.md (paper-vs-measured results).
-// The benchmark harness in bench_test.go regenerates every table and
-// figure; `go run ./cmd/mplgo-bench -exp all` prints them.
+// The repo benchmark (benchmark/) measures time, space, elision and
+// attribution; `go run ./cmd/mplgo-paper` writes every other table and
+// figure as a validated CSV under scripts/paper/out.
 package mplgo

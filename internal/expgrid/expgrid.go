@@ -1,15 +1,16 @@
-// Package expgrid is the paper-runner's experiment-grid subsystem: a
-// checked-in JSON spec declares a grid of benchmark measurements
-// (benchmark × worker-count sweep × barrier ablation, with
-// per-experiment repeats and warmups), the runner executes each cell in a
-// fresh subprocess, and the results become the validated CSV tables and
-// the simulator cross-validation report under scripts/paper/out/.
+// Package expgrid is the paper runner: a checked-in JSON spec declares a
+// grid of benchmark measurements (benchmark × worker-count sweep ×
+// barrier mode, with per-experiment repeats and warmups), the runner
+// executes each cell in a fresh subprocess, and the results become one
+// validated CSV per paper artifact (DESIGN.md §5) plus the simulator
+// cross-validation report under scripts/paper/out/.
 //
-// The point of the subsystem is to replace ad-hoc measurement with
-// reproducible, statistically summarized curves on *real* cores: every
-// cell records all repeat samples plus a host fingerprint, every derived
-// table passes a validator before it is written, and every measured T_P
-// is checked against Brent's bound
+// Every cell records all repeat samples plus a host fingerprint. Each
+// group's P=1 cell also measures the baselines (global-heap Tseq, native
+// Go), replays its recorded DAG at every P of Ps (the simulated speedup
+// curve, the residency model, T64) and runs the stop-the-world model.
+// Every derived table passes a validator before it is written, and every
+// measured T_P is checked against Brent's bound
 //
 //	W/effP  ≤  T_P  ≤  W/effP + c·S
 //
@@ -28,14 +29,35 @@ import (
 	"sort"
 
 	"mplgo/internal/bench"
+	"mplgo/mpl"
 )
+
+// StealCost is the simulator's strand-migration latency in abstract work
+// units (roughly: words of allocation).
+const StealCost = 200
+
+// Ps is the processor-count sweep of the replayed curves (F1's simulated
+// speedup, F3's residency model, A6), up to the order of magnitude of the
+// paper's 72-core testbed; its last entry is T3's T64.
+var Ps = []int{1, 2, 4, 8, 16, 32, 64}
+
+// nurseryWords is the per-processor uncollected allocation window the
+// space model assumes (the runtime's default collection budget): each
+// additional busy processor holds one such window.
+const nurseryWords = 1 << 17
+
+// stwBudget is the collection budget of both sides of the stop-the-world
+// model: small, so that both runtimes actually collect.
+const stwBudget = 1 << 14
+
+// modes are the barrier modes of F2, by spec name.
+var modes = map[string]mpl.Mode{"manage": mpl.Manage, "detect": mpl.Detect, "unsafe": mpl.Unsafe}
 
 // Spec is the experiment grid, loaded from scripts/paper/experiments.json.
 type Spec struct {
 	Name string `json:"name"`
-	// StealCost is the simulator's strand-migration latency in abstract
-	// work units, used for the replay predictions (default 200, matching
-	// the table harness).
+	// StealCost documents the simulator's strand-migration latency; the
+	// replays use the constant StealCost, its default.
 	StealCost int64 `json:"steal_cost,omitempty"`
 	// BrentC is the constant c of the cross-validation bound
 	// T_P ≤ W/effP + c·S. It absorbs per-span-node scheduling costs of
@@ -69,10 +91,11 @@ type Experiment struct {
 	// for 1..cores. Every experiment's expansion must include P=1 — it is
 	// the calibration point for the bound and the speedup curves.
 	Procs ProcSpec `json:"procs,omitempty"`
-	// Elide runs with the entanglement barriers off (mpl.Unsafe) — the
-	// whole-program analogue of the static-elision ablation, valid only
-	// for disentangled benchmarks (the spec loader rejects it elsewhere).
-	Elide *bool `json:"elide,omitempty"`
+	// Mode is the barrier mode (F2): "manage" (the default), "detect"
+	// (old MPL: an entangled program completes and is reported aborted,
+	// DESIGN.md D4) or "unsafe" (no barriers — unsound on an entangled
+	// benchmark, which the spec loader rejects).
+	Mode string `json:"mode,omitempty"`
 	// Repeats is the number of timed samples per cell (default 5);
 	// Warmups run first, untimed (default 1; -1 means none).
 	Repeats int `json:"repeats,omitempty"`
@@ -167,37 +190,35 @@ func (p ProcSpec) expand(cores int) []int {
 
 // Cell is one fully-resolved grid cell: an (experiment, P) pair with
 // every knob concrete. A cell is the unit of subprocess execution — its
-// JSON form is the wire format of mplgo-bench's grid-cell mode.
+// JSON form is the wire format of mplgo-paper's -cell mode.
 type Cell struct {
-	ID      string `json:"id"` // e.g. "msort/p=2/elide=off"
+	ID      string `json:"id"` // e.g. "msort/p=2/mode=manage"
 	Label   string `json:"label"`
 	Bench   string `json:"bench"`
 	N       int    `json:"n"`
 	Procs   int    `json:"procs"`
-	Elide   bool   `json:"elide"`
+	Mode    string `json:"mode"`
 	Repeats int    `json:"repeats"`
 	Warmups int    `json:"warmups"`
 	Seed    int64  `json:"seed"`
-	// MeasureSeq adds the global-heap sequential baseline to the cell's
-	// measurements (set on each group's P=1 cell — overhead needs it).
-	MeasureSeq bool `json:"measure_seq,omitempty"`
 	// TracePath, when set, adds one extra untimed traced run and writes
 	// its Chrome export there, stamped with the cell-identity counters.
 	TracePath string `json:"trace_path,omitempty"`
-	// Attr, when set, adds one extra untimed run with the cost-attribution
-	// profiler installed; the per-component decomposition rides in the
-	// CellResult. The timed repeats never see the profiler.
+	// Attr, when set, adds attributed runs (warmed and repeated like the
+	// timed ones) with the cost-attribution profiler installed; the
+	// fastest one's decomposition rides in the CellResult and is stamped
+	// into the trace export. The timed repeats never see the profiler.
 	Attr bool `json:"attr,omitempty"`
 }
 
 // GroupKey identifies the cell's sweep group: all cells differing only in
 // P. Speedup curves and bound calibration are per group.
 func (c *Cell) GroupKey() string {
-	return groupKey(c.Label, c.Elide)
+	return groupKey(c.Label, c.Mode)
 }
 
-func groupKey(label string, elide bool) string {
-	return fmt.Sprintf("%s/elide=%s", label, onOff(elide))
+func groupKey(label, mode string) string {
+	return label + "/mode=" + mode
 }
 
 // IDHash is the cell identity surfaced through trace rings (the value of
@@ -206,13 +227,6 @@ func (c *Cell) IDHash() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(c.ID))
 	return h.Sum64()
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }
 
 // LoadSpec reads and validates a grid spec from path. Unknown keys are
@@ -236,7 +250,7 @@ func LoadSpec(path string) (*Spec, error) {
 
 func (s *Spec) fill() {
 	if s.StealCost <= 0 {
-		s.StealCost = 200
+		s.StealCost = StealCost
 	}
 	if s.BrentC <= 0 {
 		s.BrentC = 8
@@ -266,12 +280,11 @@ func (s *Spec) resolve(e Experiment) Experiment {
 	if e.Label == "" {
 		e.Label = e.Bench
 	}
-	if e.Elide == nil {
-		e.Elide = d.Elide
+	if e.Mode == "" {
+		e.Mode = d.Mode
 	}
-	if e.Elide == nil {
-		f := false
-		e.Elide = &f
+	if e.Mode == "" {
+		e.Mode = "manage"
 	}
 	if e.Repeats <= 0 {
 		e.Repeats = d.Repeats
@@ -292,9 +305,9 @@ func (s *Spec) resolve(e Experiment) Experiment {
 }
 
 // Validate checks the spec is executable: every experiment names a known
-// benchmark, elision is only requested for
-// disentangled benchmarks, and every sweep includes P=1 (the calibration
-// point), with labels unique per (label, elide) group.
+// benchmark and a known mode, unsafe only for disentangled benchmarks, and
+// every sweep includes P=1 (the calibration point), with labels unique
+// per (label, mode) group.
 func (s *Spec) Validate() error {
 	s.fill()
 	if len(s.Experiments) == 0 {
@@ -307,9 +320,8 @@ func (s *Spec) Validate() error {
 		if !ok {
 			return fmt.Errorf("experiment %d: unknown benchmark %q", i, e.Bench)
 		}
-		if *e.Elide && b.Entangled {
-			return fmt.Errorf("experiment %d (%s): elide=true is unsound for entangled benchmark %q",
-				i, e.Label, e.Bench)
+		if err := checkMode(e.Mode, b); err != nil {
+			return fmt.Errorf("experiment %d (%s): %w", i, e.Label, err)
 		}
 		ps := e.Procs.expand(1) // cores=1: the weakest expansion still needs P=1
 		if len(ps) == 0 {
@@ -323,7 +335,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("experiment %d (%s): bad procs %d", i, e.Label, p)
 			}
 		}
-		key := groupKey(e.Label, *e.Elide)
+		key := groupKey(e.Label, e.Mode)
 		if seen[key] {
 			return fmt.Errorf("experiment %d: duplicate group %s (use label to distinguish)", i, key)
 		}
@@ -347,19 +359,30 @@ func (s *Spec) Expand(cores int) []Cell {
 		}
 		for _, p := range e.Procs.expand(cores) {
 			c := Cell{
-				Label:      e.Label,
-				Bench:      e.Bench,
-				N:          n,
-				Procs:      p,
-				Elide:      *e.Elide,
-				Repeats:    e.Repeats,
-				Warmups:    e.Warmups,
-				Seed:       e.Seed,
-				MeasureSeq: p == 1,
+				Label:   e.Label,
+				Bench:   e.Bench,
+				N:       n,
+				Procs:   p,
+				Mode:    e.Mode,
+				Repeats: e.Repeats,
+				Warmups: e.Warmups,
+				Seed:    e.Seed,
 			}
-			c.ID = fmt.Sprintf("%s/p=%d/elide=%s", e.Label, p, onOff(c.Elide))
+			c.ID = fmt.Sprintf("%s/p=%d/mode=%s", e.Label, p, c.Mode)
 			cells = append(cells, c)
 		}
 	}
 	return cells
+}
+
+// checkMode rejects an unknown mode, and barriers off on a benchmark that
+// entangles.
+func checkMode(mode string, b bench.Benchmark) error {
+	if _, ok := modes[mode]; !ok {
+		return fmt.Errorf("unknown mode %q (want manage, detect or unsafe)", mode)
+	}
+	if mode == "unsafe" && b.Entangled {
+		return fmt.Errorf("mode unsafe is unsound for entangled benchmark %q", b.Name)
+	}
+	return nil
 }

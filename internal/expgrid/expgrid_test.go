@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -84,7 +85,8 @@ func TestSpecValidate(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{`{"experiments":[]}`, "no experiments"},
 		{`{"experiments":[{"bench":"nosuch","procs":[1]}]}`, "unknown benchmark"},
-		{`{"experiments":[{"bench":"dedup","procs":[1],"elide":true}]}`, "unsound for entangled"},
+		{`{"experiments":[{"bench":"dedup","procs":[1],"mode":"unsafe"}]}`, "unsound for entangled"},
+		{`{"experiments":[{"bench":"msort","procs":[1],"mode":"off"}]}`, "unknown mode"},
 		{`{"experiments":[{"bench":"msort","procs":[2,4]}]}`, "must include 1"},
 		{`{"experiments":[{"bench":"msort","procs":[1]},{"bench":"msort","procs":[1,2]}]}`, "duplicate group"},
 	}
@@ -114,7 +116,7 @@ func TestSpecDefaultsFill(t *testing.T) {
 		t.Fatalf("cells: %v", cells)
 	}
 	c := cells[0]
-	if c.Repeats != 7 || c.Warmups != 1 || c.Seed != 1 || c.Elide {
+	if c.Repeats != 7 || c.Warmups != 1 || c.Seed != 1 || c.Mode != "manage" {
 		t.Errorf("resolved cell: %+v", c)
 	}
 	if c.N == 0 {
@@ -133,11 +135,8 @@ func TestSpecExpandCells(t *testing.T) {
 	if len(cells) != 4 { // msort {1,2,4} + dedup {1}
 		t.Fatalf("got %d cells: %+v", len(cells), cells)
 	}
-	if cells[0].ID != "msort/p=1/elide=off" {
+	if cells[0].ID != "msort/p=1/mode=manage" {
 		t.Errorf("ID: %q", cells[0].ID)
-	}
-	if !cells[0].MeasureSeq || cells[1].MeasureSeq || cells[2].MeasureSeq || !cells[3].MeasureSeq {
-		t.Error("MeasureSeq must be set exactly on each group's P=1 cell")
 	}
 	if cells[2].Procs != 4 {
 		t.Errorf(`"cores" not resolved: %+v`, cells[2])
@@ -154,12 +153,14 @@ func TestSpecExpandCells(t *testing.T) {
 }
 
 // A spec naming a knob the grid does not have — including the ones it has
-// dropped — is rejected, not run with the knob silently ignored.
+// dropped, such as elide, which mode replaced — is rejected, not run with
+// the knob silently ignored.
 func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.json")
 	for key, src := range map[string]string{
 		"ancestry": `{"experiments":[{"bench":"msort","procs":[1],"ancestry":"orderlist"}]}`,
 		"heap":     `{"defaults":{"heap":"lazy"},"experiments":[{"bench":"msort","procs":[1]}]}`,
+		"elide":    `{"experiments":[{"bench":"msort","procs":[1],"elide":true}]}`,
 	} {
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
@@ -168,10 +169,19 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 			t.Errorf("unknown key %q accepted: %v", key, err)
 		}
 	}
+	// Barriers off on an entangled benchmark is a load error too.
+	src := `{"experiments":[{"bench":"pipeline","procs":[1],"mode":"unsafe"}]}`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSpec(path); err == nil || !strings.Contains(err.Error(), "unsound") {
+		t.Errorf("unsafe on an entangled benchmark loaded: %v", err)
+	}
 }
 
 // The checked-in grids must stay loadable: they are the reproducibility
-// contract of scripts/paper/out and of the CI paper job.
+// contract of scripts/paper/out, of the CI paper job and of its trace and
+// attribution exports.
 func TestCheckedInSpecs(t *testing.T) {
 	for _, name := range []string{"experiments.json", "experiments-ci.json"} {
 		spec, err := LoadSpec(filepath.Join("../../scripts/paper", name))
@@ -180,17 +190,41 @@ func TestCheckedInSpecs(t *testing.T) {
 			continue
 		}
 		// The acceptance bar: at least one disentangled and one entangled
-		// sweep with more than one P point, so both speedup curves exist.
+		// sweep with more than one P point, so both speedup curves exist,
+		// and every shape an artifact needs: an entangled benchmark under
+		// manage and under detect, a disentangled one under unsafe, and
+		// treesum for A6.
 		kinds := map[bool]bool{}
+		shapes := map[string]bool{}
 		for _, e := range spec.Experiments {
 			e = spec.resolve(e)
 			if ps := e.Procs.expand(1); len(ps) > 1 {
 				kinds[entangledOf(e.Bench)] = true
 			}
+			shapes[e.Mode+"/"+strconv.FormatBool(entangledOf(e.Bench))] = true
+			shapes[e.Bench] = true
 		}
 		if !kinds[false] || !kinds[true] {
 			t.Errorf("%s: want a multi-P sweep for a disentangled and an entangled benchmark, got %v",
 				name, kinds)
+		}
+		for _, want := range []string{"manage/true", "detect/true", "unsafe/false", "treesum"} {
+			if !shapes[want] {
+				t.Errorf("%s: no %s experiment", name, want)
+			}
+		}
+	}
+	spec, err := LoadSpec("../../scripts/paper/trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{}
+	for _, c := range spec.Expand(1) {
+		ids[c.ID] = true
+	}
+	for _, want := range []string{"pipeline/p=4/mode=manage", "counter/p=1/mode=manage"} {
+		if !ids[want] {
+			t.Errorf("trace.json: no cell %s (CI traces it)", want)
 		}
 	}
 }

@@ -8,59 +8,92 @@ import (
 	"strings"
 	"testing"
 
+	"mplgo/internal/entangle"
 	"mplgo/internal/tables"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from the canned report")
 
-// cannedReport is a fixed two-group report (a disentangled msort sweep and
-// an entangled dedup sweep) with hand-picked numbers, the fixture behind
-// the golden tables and the cross-validation tests.
+// cannedCurve is a P=1 cell's replays for a DAG of work w and span sp:
+// greedy makespans, busy processors capped by the parallelism, and a
+// stop-the-world side whose serial collection work is gc.
+func cannedCurve(w, sp, gc int64) []CurvePoint {
+	var out []CurvePoint
+	for _, p := range Ps {
+		m := w/int64(p) + sp
+		if p == 1 {
+			m = w
+		}
+		out = append(out, CurvePoint{Procs: p, Makespan: m, BusyPeak: min(p, int(w/sp)),
+			STWMPL: m + m/10, STW: m*7/10 + gc})
+	}
+	return out
+}
+
+// cannedReport is a fixed three-group report (a disentangled msort sweep,
+// an entangled dedup sweep, and dedup under detect) with hand-picked
+// numbers, the fixture behind the golden tables and the cross-validation
+// tests.
 func cannedReport() *Report {
 	host := &tables.Fingerprint{Cores: 4, GOMAXPROCS: 4, GoVersion: "go1.24.0", OS: "linux", Arch: "amd64"}
-	cell := func(benchName string, p int, measureSeq bool) Cell {
+	cell := func(benchName, mode string, p int) Cell {
 		c := Cell{
-			Label: benchName, Bench: benchName, N: 1000, Procs: p,
-			Repeats: 3, Warmups: 1, Seed: 1, MeasureSeq: measureSeq,
+			Label: benchName, Bench: benchName, N: 1000, Procs: p, Mode: mode,
+			Repeats: 3, Warmups: 1, Seed: 1,
 		}
 		c.ID = c.GroupKey() + "/p=" + itoa(int64(p))
 		return c
 	}
+	dedupEnt := entangle.StatsSnapshot{EntangledReads: 900, SlowReads: 950, Candidates: 40,
+		Pins: 45, Unpins: 45, PinnedPeak: 30, DownPointers: 20}
 	return &Report{
 		Started: "2026-08-07T00:00:00Z",
 		Host:    host,
 		Results: []*CellResult{
 			{
-				Cell:     cell("msort", 1, true),
+				Cell:     cell("msort", "manage", 1),
 				WallNS:   []int64{10_000_000, 10_400_000, 10_200_000},
 				TseqNS:   []int64{8_000_000, 8_200_000, 8_100_000},
+				NativeNS: []int64{2_000_000, 2_100_000, 2_050_000},
 				Checksum: 42, ChecksumStable: true,
 				Work: 10_000, Span: 500, SimT1: 10_000, SimTP: 10_000, SimTPEff: 10_000, Host: host,
+				R1Words: 50_000, GCWork: 1_000, Curve: cannedCurve(10_000, 500, 1_000),
 			},
 			{
-				Cell:     cell("msort", 2, false),
+				Cell:     cell("msort", "manage", 2),
 				WallNS:   []int64{6_000_000, 6_300_000, 6_100_000},
 				Checksum: 42, ChecksumStable: true,
 				Work: 10_000, Span: 500, SimT1: 10_000, SimTP: 5_100, SimTPEff: 5_100, Host: host,
 			},
 			{
-				Cell:     cell("msort", 4, false),
+				Cell:     cell("msort", "manage", 4),
 				WallNS:   []int64{4_000_000, 4_500_000, 4_200_000},
 				Checksum: 42, ChecksumStable: true,
 				Work: 10_000, Span: 500, SimT1: 10_000, SimTP: 2_700, SimTPEff: 2_700, Host: host,
 			},
 			{
-				Cell:     cell("dedup", 1, true),
+				Cell:     cell("dedup", "manage", 1),
 				WallNS:   []int64{1_000_000, 1_100_000, 1_050_000},
 				TseqNS:   []int64{600_000, 620_000, 610_000},
-				Checksum: 7, ChecksumStable: true,
+				NativeNS: []int64{200_000, 210_000, 205_000},
+				Checksum: 7, ChecksumStable: true, Ent: dedupEnt,
 				Work: 2_000, Span: 300, SimT1: 2_000, SimTP: 2_000, SimTPEff: 2_000, Host: host,
+				R1Words: 9_000, GCWork: 300, Curve: cannedCurve(2_000, 300, 300),
 			},
 			{
-				Cell:     cell("dedup", 2, false),
+				Cell:     cell("dedup", "manage", 2),
 				WallNS:   []int64{800_000, 850_000, 820_000},
-				Checksum: 7, ChecksumStable: true,
+				Checksum: 7, ChecksumStable: true, Ent: dedupEnt,
 				Work: 2_000, Span: 300, SimT1: 2_000, SimTP: 1_200, SimTPEff: 1_200, Host: host,
+			},
+			{
+				Cell:     cell("dedup", "detect", 1),
+				WallNS:   []int64{3_000_000, 3_200_000, 3_100_000},
+				TseqNS:   []int64{600_000, 630_000, 615_000},
+				NativeNS: []int64{200_000, 220_000, 210_000},
+				Checksum: 7, ChecksumStable: true, Aborted: true, Ent: dedupEnt,
+				Work: 2_100, Span: 300, SimT1: 2_100, SimTP: 2_100, SimTPEff: 2_100, Host: host,
+				R1Words: 9_500, GCWork: 300, Curve: cannedCurve(2_100, 300, 300),
 			},
 		},
 	}
@@ -100,27 +133,21 @@ func TestGoldenTables(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatalf("canned report must be violation-free: %v (%v)", err, rep.BrentViolations)
 	}
-	if err := ValidateSummaryTable(SummaryTable(rep)); err != nil {
-		t.Fatal(err)
+	for _, a := range Artifacts {
+		tab := a.Build(rep)
+		if err := a.Validate(tab); err != nil {
+			t.Fatal(err)
+		}
+		if tab.Name != "samples" && tab.Name != "crossval" {
+			checkGolden(t, tab.Name+".golden.csv", tab)
+		}
 	}
-	if err := ValidateSpeedupTable(SpeedupTable(rep)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateOverheadTable(OverheadTable(rep)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateCrossvalTable(CrossvalTable(rep)); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "summary_grouped.golden.csv", SummaryTable(rep))
-	checkGolden(t, "speedup_curves.golden.csv", SpeedupTable(rep))
-	checkGolden(t, "overhead.golden.csv", OverheadTable(rep))
 }
 
 func TestCrossValidateNumbers(t *testing.T) {
 	rep := cannedReport()
 	rep.crossValidate(cannedSpec())
-	if len(rep.CrossVal) != 5 {
+	if len(rep.CrossVal) != 6 {
 		t.Fatalf("crossval rows: %d", len(rep.CrossVal))
 	}
 	// msort group: unit = minT1/SimT1 = 10_000_000/10_000 = 1000 ns/unit.
@@ -207,57 +234,104 @@ func TestValidatorsRejectBadTables(t *testing.T) {
 }
 
 // The checked-in paper artifacts must re-validate from disk: the repo's
-// golden-validated speedup curves are the acceptance bar of the paper run.
+// golden-validated tables are the acceptance bar of the paper run.
 func TestCheckedInPaperOutputs(t *testing.T) {
 	dir := "../../scripts/paper/out"
 	read := func(name string) *tables.Table {
 		t.Helper()
-		tab, err := tables.ReadCSVFile(filepath.Join(dir, name))
+		tab, err := tables.ReadCSVFile(filepath.Join(dir, name+".csv"))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		tab.Name = name
 		return tab
 	}
-	if err := ValidateSummaryTable(read(SummaryCSV)); err != nil {
-		t.Error(err)
+	rep := cannedReport()
+	for _, a := range Artifacts {
+		name := a.Build(rep).Name
+		if err := a.Validate(read(name)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
-	if err := ValidateOverheadTable(read(OverheadCSV)); err != nil {
-		t.Error(err)
-	}
-	sp := read(SpeedupCSV)
-	if err := ValidateSpeedupTable(sp); err != nil {
-		t.Fatal(err)
-	}
-	// At least one multi-point curve each for a disentangled and an
-	// entangled benchmark.
+	// At least one multi-point measured curve each for a disentangled and
+	// an entangled benchmark.
+	sp := read("speedup_curves")
 	points := map[string]int{}
 	entangled := map[string]bool{}
-	for i, row := range sp.Rows {
-		curve := row[sp.Col("curve")]
-		points[curve]++
-		entangled[curve] = row[sp.Col("entangled")] == "true"
-		if _, err := sp.Float(i, "speedup"); err != nil {
-			t.Fatalf("row %d: %v", i, err)
+	for _, row := range sp.Rows {
+		if row[sp.Col("measured")] == "true" {
+			points[row[sp.Col("group")]]++
+			entangled[row[sp.Col("group")]] = row[sp.Col("entangled")] == "true"
 		}
 	}
 	kinds := map[bool]bool{}
-	for curve, n := range points {
+	for group, n := range points {
 		if n > 1 {
-			kinds[entangled[curve]] = true
+			kinds[entangled[group]] = true
 		}
 	}
 	if !kinds[false] || !kinds[true] {
 		t.Errorf("checked-in curves must include multi-P sweeps for both kinds, got %v", kinds)
 	}
 	// Every checked-in cross-validation row passed Brent's bound.
-	cvt := read(CrossvalCSV)
-	if err := ValidateCrossvalTable(cvt); err != nil {
-		t.Fatal(err)
-	}
+	cvt := read("crossval")
 	for i, row := range cvt.Rows {
 		if row[cvt.Col("brent_ok")] != "true" {
 			t.Errorf("checked-in crossval row %d (%s): brent_ok=false", i, row[0])
+		}
+	}
+}
+
+// Every validator rejects a table missing a column it reads, one with a
+// NaN or a negative value, and one whose group lost its P=1 row.
+func TestArtifactValidatorsRejectMalformed(t *testing.T) {
+	rep := cannedReport()
+	rep.crossValidate(cannedSpec())
+	for _, a := range Artifacts[5:] { // lang, entangle, ablate, space_curves, stw
+		good := a.Build(rep)
+		mutate := func(what string, f func(tab *tables.Table)) {
+			tab := a.Build(rep)
+			f(tab)
+			if err := a.Validate(tab); err == nil {
+				t.Errorf("%s: accepted %s", good.Name, what)
+			}
+		}
+		last := len(good.Header) - 1
+		mutate("a missing column", func(tab *tables.Table) {
+			tab.Header = tab.Header[:last]
+			for i := range tab.Rows {
+				tab.Rows[i] = tab.Rows[i][:last]
+			}
+		})
+		mutate("a NaN", func(tab *tables.Table) { tab.Rows[0][last] = "NaN" })
+		mutate("a negative value", func(tab *tables.Table) { tab.Rows[0][last] = "-1" })
+		mutate("a group without a P=1 row", func(tab *tables.Table) {
+			var rows [][]string
+			for _, row := range tab.Rows {
+				if row[tab.Col("procs")] != "1" {
+					rows = append(rows, row)
+				}
+			}
+			tab.Rows = rows
+		})
+	}
+	// The semantic checks: pins unpinned, shielding, who may abort.
+	for _, c := range []struct {
+		name, col, val string
+		row            int
+		validate       func(*tables.Table) error
+		table          func(*Report) *tables.Table
+	}{
+		{"pins != unpins", "unpins", "44", 3, ValidateEntangleTable, EntangleTable},
+		{"a disentangled benchmark entangling", "entangled_reads", "1", 0, ValidateEntangleTable, EntangleTable},
+		{"manage aborting", "aborted", "true", 3, ValidateAblateTable, AblateTable},
+		{"a disentangled benchmark aborting", "aborted", "true", 0, ValidateAblateTable, AblateTable},
+		{"P=1 residency != R1", "residency_words", "1", 0, ValidateSpaceTable, SpaceTable},
+	} {
+		tab := c.table(rep)
+		tab.Rows[c.row][tab.Col(c.col)] = c.val
+		if err := c.validate(tab); err == nil {
+			t.Errorf("accepted %s", c.name)
 		}
 	}
 }

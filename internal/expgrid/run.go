@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"mplgo/internal/sim"
@@ -16,20 +17,21 @@ import (
 // Runner executes a grid spec cell by cell and assembles the Report.
 type Runner struct {
 	Spec *Spec
-	// BenchCmd is the argv prefix of the cell subprocess, e.g.
-	// {"./mplgo-bench"} or {"go", "run", "./cmd/mplgo-bench"}; the runner
-	// appends "-exp grid-cell -cell <file>". Empty runs cells in-process
-	// (tests and -inprocess only — a fresh process per cell is the
-	// reproducibility contract: no shared allocator, GC, or scheduler
+	// CellCmd is the argv prefix of the cell subprocess (mplgo-paper
+	// itself); the runner appends "-cell <file>". Empty runs cells
+	// in-process (tests and -inprocess only — a fresh process per cell is
+	// the reproducibility contract: no shared allocator, GC, or scheduler
 	// state between cells).
-	BenchCmd []string
+	CellCmd []string
 	// Progress receives one line per cell (nil for silence).
 	Progress io.Writer
-	// TraceDir, when set, gives every cell a TracePath under it (one
-	// Chrome export per cell, stamped with the cell-identity counters).
+	// TraceDir, when set, gives every cell a TracePath under it: one
+	// Chrome export per cell, named after the cell ID with "/" as "_"
+	// (e.g. pipeline_p=4_mode=manage.trace.json) and stamped with the
+	// cell-identity counters.
 	TraceDir string
-	// Attr, when set, gives every cell one extra attributed run whose
-	// slow-path cost decomposition rides in the CellResult.
+	// Attr, when set, gives every cell attributed runs whose slow-path
+	// cost decomposition rides in the CellResult (and its trace).
 	Attr bool
 	// Cores overrides the host core count for sweep expansion (0 = the
 	// current fingerprint's).
@@ -38,7 +40,6 @@ type Runner struct {
 
 // Report is the outcome of one full grid run.
 type Report struct {
-	Spec    *Spec               `json:"-"`
 	Started string              `json:"started"` // RFC 3339, UTC
 	Host    *tables.Fingerprint `json:"host"`
 	Results []*CellResult       `json:"results"`
@@ -90,14 +91,13 @@ func (r *Runner) Run() (*Report, error) {
 	}
 	cells := r.Spec.Expand(cores)
 	rep := &Report{
-		Spec:    r.Spec,
 		Started: time.Now().UTC().Format(time.RFC3339),
 		Host:    host,
 	}
 	r.progressf("# grid %q: %d cells on %s\n", r.Spec.Name, len(cells), host)
 	for i, c := range cells {
 		if r.TraceDir != "" {
-			c.TracePath = filepath.Join(r.TraceDir, fmt.Sprintf("cell-%03d.trace.json", i))
+			c.TracePath = filepath.Join(r.TraceDir, strings.ReplaceAll(c.ID, "/", "_")+".trace.json")
 		}
 		c.Attr = c.Attr || r.Attr
 		start := time.Now()
@@ -119,9 +119,9 @@ func (r *Runner) Run() (*Report, error) {
 }
 
 // runCell dispatches one cell to a fresh subprocess (or in-process when
-// BenchCmd is empty).
+// CellCmd is empty).
 func (r *Runner) runCell(c Cell) (*CellResult, error) {
-	if len(r.BenchCmd) == 0 {
+	if len(r.CellCmd) == 0 {
 		return ExecuteCell(c)
 	}
 	dir, err := os.MkdirTemp("", "expgrid-cell-")
@@ -137,16 +137,16 @@ func (r *Runner) runCell(c Cell) (*CellResult, error) {
 	if err := os.WriteFile(cellPath, data, 0o644); err != nil {
 		return nil, err
 	}
-	args := append(append([]string{}, r.BenchCmd[1:]...), "-exp", "grid-cell", "-cell", cellPath)
-	cmd := exec.Command(r.BenchCmd[0], args...)
+	args := append(append([]string{}, r.CellCmd[1:]...), "-cell", cellPath)
+	cmd := exec.Command(r.CellCmd[0], args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("subprocess %v: %w", r.BenchCmd, err)
+		return nil, fmt.Errorf("subprocess %v: %w", r.CellCmd, err)
 	}
 	var res CellResult
 	if err := json.Unmarshal(out, &res); err != nil {
-		return nil, fmt.Errorf("bad grid-cell output (%d bytes): %w", len(out), err)
+		return nil, fmt.Errorf("bad cell output (%d bytes): %w", len(out), err)
 	}
 	return &res, nil
 }

@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// Fingerprint identifies the host a measurement ran on. Every BENCH_*.json
-// and every experiment-grid cell is stamped with one, so a reviewer — or
+// Fingerprint identifies the host a measurement ran on. Every
+// experiment-grid cell and every mplgo-load report is stamped with one, so a reviewer — or
 // the CI gate — can tell whether two reports are comparable at all before
 // arguing about a 10–30% drift between them. Matches deliberately compares
 // only the stable hardware/toolchain fields; load average and commit are

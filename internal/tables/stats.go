@@ -1,3 +1,8 @@
+// Package tables is the measuring kit of the paper runner
+// (internal/expgrid): Measure, the one warm-up → timed-repeats loop
+// outside benchmark/; the grouped statistics of its samples; the
+// validated CSV Table every artifact is written as; and the host
+// Fingerprint that stamps each measurement.
 package tables
 
 import (
@@ -119,7 +124,7 @@ func (s Samples) Fastest() int {
 	return best
 }
 
-// Measure is the one warm-up → timed-repeats loop of the paper drivers:
+// Measure is the one warm-up → timed-repeats loop of the paper runner:
 // it calls run warmups times, discarding the wall clock, then repeats
 // times, keeping it. run sets up whatever the repeat needs (a fresh
 // runtime, a profiler), passes the code to be timed to timed exactly once,
