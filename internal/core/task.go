@@ -180,14 +180,14 @@ func (t *Task) needGC() bool {
 }
 
 // collectNow unconditionally attempts a local collection of the task's own
-// leaf heap.
+// leaf heap, the one heap gc.Collect takes.
 //
-// MPL's LGC may collect the whole exclusively-owned heap suffix (see
-// hierarchy.ExclusiveSuffix) because it can scan the ML stacks of suspended
-// ancestor tasks. In this embedding a suspended ancestor's Go locals are
-// invisible to the collector, so only the current task's heap — whose owner
-// is provably at an allocation safepoint with its live references framed —
-// is safe to move. Joined children have already merged their chunks into
+// MPL's LGC may collect the whole exclusively-owned heap suffix because it
+// can scan the ML stacks of suspended ancestor tasks. In this embedding a
+// suspended ancestor's Go locals are invisible to the collector, so only
+// the current task's heap — whose owner is provably at an allocation
+// safepoint with its live references framed — is safe to move (DESIGN.md
+// deviation D2). Joined children have already merged their chunks into
 // this heap, so their garbage is still reclaimed here.
 func (t *Task) collectNow() bool {
 	t.syncChunks()

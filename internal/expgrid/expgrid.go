@@ -56,9 +56,6 @@ var modes = map[string]mpl.Mode{"manage": mpl.Manage, "detect": mpl.Detect, "uns
 // Spec is the experiment grid, loaded from scripts/paper/experiments.json.
 type Spec struct {
 	Name string `json:"name"`
-	// StealCost documents the simulator's strand-migration latency; the
-	// replays use the constant StealCost, its default.
-	StealCost int64 `json:"steal_cost,omitempty"`
 	// BrentC is the constant c of the cross-validation bound
 	// T_P ≤ W/effP + c·S. It absorbs per-span-node scheduling costs of
 	// the real executor (fork/join bookkeeping, steal latency, queue
@@ -249,9 +246,6 @@ func LoadSpec(path string) (*Spec, error) {
 }
 
 func (s *Spec) fill() {
-	if s.StealCost <= 0 {
-		s.StealCost = StealCost
-	}
 	if s.BrentC <= 0 {
 		s.BrentC = 8
 	}

@@ -108,7 +108,7 @@ func TestSpecDefaultsFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.StealCost != 200 || s.BrentC != 8 || s.BrentTolerance != 0.25 || s.SimTolerance != 0.5 {
+	if s.BrentC != 8 || s.BrentTolerance != 0.25 || s.SimTolerance != 0.5 {
 		t.Errorf("spec-level defaults: %+v", s)
 	}
 	cells := s.Expand(1)
@@ -153,14 +153,15 @@ func TestSpecExpandCells(t *testing.T) {
 }
 
 // A spec naming a knob the grid does not have — including the ones it has
-// dropped, such as elide, which mode replaced — is rejected, not run with
-// the knob silently ignored.
+// dropped, such as elide, which mode replaced, and steal_cost, which no
+// replay read — is rejected, not run with the knob silently ignored.
 func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.json")
 	for key, src := range map[string]string{
-		"ancestry": `{"experiments":[{"bench":"msort","procs":[1],"ancestry":"orderlist"}]}`,
-		"heap":     `{"defaults":{"heap":"lazy"},"experiments":[{"bench":"msort","procs":[1]}]}`,
-		"elide":    `{"experiments":[{"bench":"msort","procs":[1],"elide":true}]}`,
+		"ancestry":   `{"experiments":[{"bench":"msort","procs":[1],"ancestry":"orderlist"}]}`,
+		"heap":       `{"defaults":{"heap":"lazy"},"experiments":[{"bench":"msort","procs":[1]}]}`,
+		"elide":      `{"experiments":[{"bench":"msort","procs":[1],"elide":true}]}`,
+		"steal_cost": `{"steal_cost":200,"experiments":[{"bench":"msort","procs":[1]}]}`,
 	} {
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package gc
 import (
 	"testing"
 
+	"mplgo/internal/hierarchy"
 	"mplgo/internal/mem"
 )
 
@@ -10,10 +11,10 @@ type rootSlot struct{ v mem.Value }
 
 func (s *rootSlot) Roots(visit func(*mem.Value)) { visit(&s.v) }
 
-// TestCollectAllocatesNothing holds the fixed cost of a collection: for the
-// runtime's one-heap scope Collect takes from Go's heap nothing but what
-// to-space needs — no run, no slices, no closures, no allocator, and no
-// segment for the remembered set, which it rebuilds in place. serve's
+// TestCollectAllocatesNothing holds the fixed cost of a collection: Collect
+// takes from Go's heap nothing but what to-space needs — no run, no slices,
+// no closures, no allocator, and no segment for the remembered set, which
+// it rebuilds in place. serve's
 // dispatcher heap collects a near-empty heap 900 times a run, with Go's own
 // collector off. Under the race detector the pool drops Puts at random, so
 // there only the copies and the heap audit are checked, not the bound.
@@ -42,7 +43,7 @@ func TestCollectAllocatesNothing(t *testing.T) {
 		}
 		ha.adopt()
 		leaf.AddRootSet(rs)
-		scope := w.tr.ExclusiveSuffix(leaf)[:1]
+		scope := []*hierarchy.Heap{leaf}
 		copied := int64(tc.objects + tc.remembered)
 		collect := func(what string) {
 			if res := w.c.Collect(scope); res.CopiedObjects != copied {

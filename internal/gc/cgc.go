@@ -3,7 +3,7 @@ package gc
 // The concurrent collector (CGC): snapshot-at-the-beginning, non-moving
 // mark–sweep over *internal* heaps — heaps with live children, whose owner
 // task is suspended in a join. The local collector (Collect) can only reach
-// the current task's exclusive suffix, so memory that dies while a heap is
+// the current task's leaf, so memory that dies while a heap is
 // internal used to wait for the owner to resume (deviation D2); CGC
 // reclaims it while the subtree is still running.
 //

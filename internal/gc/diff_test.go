@@ -30,14 +30,15 @@ type diffObj struct {
 	pinned bool
 }
 
-// diffWorld is a chain of heaps — heaps[0], the root, stays outside the
-// scope and holds the external holders — with objects, pins, remembered
-// entries and roots laid out by a script. Building from the same script
-// twice gives two worlds equal reference for reference.
+// diffWorld is a chain of heaps from the root down to the leaf, the heap
+// collected — the heaps above it hold its external holders, at every depth —
+// with objects, pins, remembered entries and roots laid out by a script.
+// Building from the same script twice gives two worlds equal reference for
+// reference.
 type diffWorld struct {
 	*world
 	heaps []*hierarchy.Heap
-	scope []*hierarchy.Heap // heaps[1:], leaf first
+	leaf  *hierarchy.Heap // heaps[len(heaps)-1]
 	rs    *roots
 	objs  []diffObj
 }
@@ -48,10 +49,9 @@ func buildDiffWorld(data []byte) *diffWorld {
 	k := 1 + s.next(3)
 	w.heaps = []*hierarchy.Heap{w.tr.Root()}
 	for i := 0; i < k; i++ {
-		h := w.tr.Fork(w.heaps[i])
-		w.heaps = append(w.heaps, h)
-		w.scope = append([]*hierarchy.Heap{h}, w.scope...)
+		w.heaps = append(w.heaps, w.tr.Fork(w.heaps[i]))
 	}
+	w.leaf = w.heaps[k]
 	allocs := make([]*heapAlloc, len(w.heaps))
 	for i, h := range w.heaps {
 		allocs[i] = w.onHeap(h)
@@ -125,7 +125,12 @@ func buildDiffWorld(data []byte) *diffWorld {
 		if !w.sp.Header(o.ref).Kind().Scanned() {
 			continue // the write barrier never names a raw holder
 		}
-		h := w.heaps[1+s.next(k)]
+		// The byte that named a heap is still read, which keeps the worlds
+		// of the checked-in corpus, but every stale entry goes to the leaf:
+		// an entry a heap outside the collection keeps is never revalidated,
+		// and CheckHeap rejects a malformed one.
+		s.next(k)
+		h := w.leaf
 		switch c := s.next(4); {
 		case c == 0:
 			h.AddRemembered(o.ref, -1)
@@ -167,7 +172,7 @@ func buildDiffWorld(data []byte) *diffWorld {
 	for _, ha := range allocs {
 		ha.adopt()
 	}
-	w.scope[0].AddRootSet(w.rs)
+	w.leaf.AddRootSet(w.rs)
 	dirtySpace(w.sp, w.heaps[0].ID)
 	return w
 }
@@ -197,7 +202,7 @@ func dirtySpace(sp *mem.Space, heap uint32) {
 func diffCollect(t testing.TB, data []byte) {
 	a, b := buildDiffWorld(data), buildDiffWorld(data)
 	for round := 0; round < 2; round++ {
-		ra, rb := a.c.Collect(a.scope), b.c.refCollect(b.scope)
+		ra, rb := a.c.Collect([]*hierarchy.Heap{a.leaf}), b.c.refCollect([]*hierarchy.Heap{b.leaf})
 		// ReclaimedWords counts whole chunks, and which chunk an oversize
 		// object's neighbours share depends on the order of the copies:
 		// depth-first there, breadth-first here.
@@ -236,8 +241,8 @@ func diffCollect(t testing.TB, data []byte) {
 	}
 }
 
-// compareWorlds walks both worlds in step from the roots, the external
-// objects and the pinned objects — everything a survivor can be reached
+// compareWorlds walks both worlds in step from the roots, the objects above
+// the leaf and the pinned objects — everything a survivor can be reached
 // from — and requires the same graph: kinds, lengths, candidate and pin
 // bits, heaps, immediates and raw words equal, references paired one to
 // one, pinned and external objects where they were. It then requires the
@@ -263,7 +268,7 @@ func compareWorlds(t testing.TB, round int, a, b *diffWorld) {
 		visit(a.rs.refs[i], b.rs.refs[i], fmt.Sprint("root ", i))
 	}
 	for i, o := range a.objs {
-		if o.heap == 0 || o.pinned {
+		if o.heap < len(a.heaps)-1 || o.pinned {
 			visit(o.ref, b.objs[i].ref, fmt.Sprint("unmoved object ", i))
 			if o.pinned && (!a.sp.Header(o.ref).Pinned() || !b.sp.Header(o.ref).Pinned()) {
 				t.Fatalf("round %d: object %d lost its pin", round, i)
@@ -314,33 +319,31 @@ func compareWorlds(t testing.TB, round int, a, b *diffWorld) {
 	}
 }
 
-// checkToSpace parses every chunk the collection filled — the scope's
-// chunks without pins; from-space chunks without pins were released —
+// checkToSpace parses every chunk the collection filled — the leaf's chunks
+// without pins; from-space chunks without pins were released —
 // densely from 0 to Alloc, and requires exactly the copied objects there,
 // each zero-length one with a zero pad word.
 func (w *diffWorld) checkToSpace(t testing.TB, round int, res Result) {
 	var objects, words int64
 	retained := 0
-	for _, h := range w.scope {
-		for _, c := range h.Chunks {
-			if holdsPinned(c) {
-				retained++
-				continue
+	for _, c := range w.leaf.Chunks {
+		if holdsPinned(c) {
+			retained++
+			continue
+		}
+		for off := 0; off < c.Alloc; {
+			hd := mem.Header(c.Data[off])
+			if !hd.Valid() || hd.Kind() < mem.KTuple || hd.Kind() > mem.KRaw || hd.Pinned() || hd.Busy() || hd.Marked() {
+				t.Fatalf("round %d: to-space chunk %d does not parse at +%d: header %#x", round, c.ID, off, uint64(hd))
 			}
-			for off := 0; off < c.Alloc; {
-				hd := mem.Header(c.Data[off])
-				if !hd.Valid() || hd.Kind() < mem.KTuple || hd.Kind() > mem.KRaw || hd.Pinned() || hd.Busy() || hd.Marked() {
-					t.Fatalf("round %d: to-space chunk %d does not parse at +%d: header %#x", round, c.ID, off, uint64(hd))
-				}
-				if hd.Len() == 0 && c.Data[off+1] != 0 {
-					t.Fatalf("round %d: to-space chunk %d: pad word at +%d = %#x", round, c.ID, off+1, c.Data[off+1])
-				}
-				objects++
-				words += int64(hd.Len() + 1)
-				off += max(hd.Len(), 1) + 1
-				if off > c.Alloc {
-					t.Fatalf("round %d: to-space chunk %d: object overruns Alloc %d", round, c.ID, c.Alloc)
-				}
+			if hd.Len() == 0 && c.Data[off+1] != 0 {
+				t.Fatalf("round %d: to-space chunk %d: pad word at +%d = %#x", round, c.ID, off+1, c.Data[off+1])
+			}
+			objects++
+			words += int64(hd.Len() + 1)
+			off += max(hd.Len(), 1) + 1
+			if off > c.Alloc {
+				t.Fatalf("round %d: to-space chunk %d: object overruns Alloc %d", round, c.ID, c.Alloc)
 			}
 		}
 	}

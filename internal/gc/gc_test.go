@@ -65,7 +65,7 @@ func TestCollectReclaimsGarbage(t *testing.T) {
 	leaf.AddRootSet(rs)
 
 	before := w.sp.LiveWords()
-	res := w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.CopiedObjects != 1 {
 		t.Fatalf("CopiedObjects = %d, want 1", res.CopiedObjects)
 	}
@@ -109,7 +109,7 @@ func TestCollectPreservesLinkedStructure(t *testing.T) {
 	rs := &roots{refs: []mem.Ref{head.Ref()}}
 	leaf.AddRootSet(rs)
 
-	res := w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.CopiedObjects != 10 {
 		t.Fatalf("CopiedObjects = %d, want 10", res.CopiedObjects)
 	}
@@ -143,7 +143,7 @@ func TestCollectHandlesCycles(t *testing.T) {
 	rs := &roots{refs: []mem.Ref{a}}
 	leaf.AddRootSet(rs)
 
-	res := w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.CopiedObjects != 2 {
 		t.Fatalf("CopiedObjects = %d, want 2", res.CopiedObjects)
 	}
@@ -167,7 +167,7 @@ func TestSharedObjectCopiedOnce(t *testing.T) {
 	rs := &roots{refs: []mem.Ref{p}}
 	leaf.AddRootSet(rs)
 
-	res := w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.CopiedObjects != 2 {
 		t.Fatalf("CopiedObjects = %d, want 2 (sharing must be preserved)", res.CopiedObjects)
 	}
@@ -338,7 +338,7 @@ func TestPinnedNotMoved(t *testing.T) {
 	w.sp.Pin(pinned, 0)
 	leaf.AddPinned(pinned)
 
-	res := w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.PinnedTraced != 1 {
 		t.Fatalf("PinnedTraced = %d", res.PinnedTraced)
 	}
@@ -374,7 +374,7 @@ func TestPinnedChunkRetainedThenReclaimedAfterUnpin(t *testing.T) {
 	w.sp.Pin(pinned, 0)
 	leaf.AddPinned(pinned)
 
-	res := w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.RetainedChunks != 1 {
 		t.Fatalf("RetainedChunks = %d, want 1", res.RetainedChunks)
 	}
@@ -384,7 +384,7 @@ func TestPinnedChunkRetainedThenReclaimedAfterUnpin(t *testing.T) {
 	w.sp.Unpin(pinned)
 	leaf.Pinned.Reset()
 	before := w.sp.LiveWords()
-	res = w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	res = w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.RetainedChunks != 0 {
 		t.Fatal("chunk still retained after unpin")
 	}
@@ -441,7 +441,7 @@ func TestCollectRetainsExactlyPinnedChunks(t *testing.T) {
 	holder.adopt()
 	parent.AddRootSet(rs)
 
-	res := w.c.Collect(w.tr.ExclusiveSuffix(parent)[:1])
+	res := w.c.Collect([]*hierarchy.Heap{parent})
 	for _, c := range []*mem.Chunk{pinned, reached, above} {
 		if c.HeapID() != parent.ID || c.FromSpace || !slices.Contains(parent.Chunks, c) {
 			t.Fatalf("chunk %d holds a listed pin but was not kept (heap %d, from-space %v)", c.ID, c.HeapID(), c.FromSpace)
@@ -465,49 +465,6 @@ func TestCollectRetainsExactlyPinnedChunks(t *testing.T) {
 	}
 }
 
-func TestMultiHeapSuffix(t *testing.T) {
-	w := newWorld()
-	root := w.tr.Root()
-	mid := w.tr.Fork(root)
-	leaf := w.tr.Fork(mid)
-	midHA := w.onHeap(mid)
-	leafHA := w.onHeap(leaf)
-
-	up := midHA.al.AllocTuple(mem.Int(1)) // in mid
-	holder := midHA.al.AllocArray(1, mem.Nil)
-	down := leafHA.al.AllocTuple(mem.Int(2)) // in leaf
-	w.sp.SetCandidate(holder)
-	w.sp.Store(holder, 0, down.Value())
-	leaf.AddRemembered(holder, 0)
-	midHA.adopt()
-	leafHA.adopt()
-
-	rs := &roots{refs: []mem.Ref{up, holder}}
-	leaf.AddRootSet(rs)
-
-	suffix := w.tr.ExclusiveSuffix(leaf)
-	if len(suffix) != 3 {
-		t.Fatalf("suffix length = %d", len(suffix))
-	}
-	res := w.c.Collect(suffix)
-	if res.CopiedObjects != 3 {
-		t.Fatalf("CopiedObjects = %d, want 3", res.CopiedObjects)
-	}
-	// Heap membership is preserved across the copy.
-	if w.sp.ChunkOf(rs.refs[0]).HeapID() != mid.ID {
-		t.Fatal("mid object changed heap")
-	}
-	nDown := w.sp.Load(rs.refs[1], 0).Ref()
-	if w.sp.ChunkOf(nDown).HeapID() != leaf.ID {
-		t.Fatal("leaf object changed heap")
-	}
-	// The internal down-pointer was re-derived into leaf's remset with the
-	// holder's NEW address.
-	if got := items(&leaf.Remset); len(got) != 1 || got[0].Holder != rs.refs[1] {
-		t.Fatalf("re-derived remset = %v (holder now %v)", got, rs.refs[1])
-	}
-}
-
 func TestRawObjectSurvives(t *testing.T) {
 	w := newWorld()
 	leaf := w.tr.Fork(w.tr.Root())
@@ -516,7 +473,7 @@ func TestRawObjectSurvives(t *testing.T) {
 	ha.adopt()
 	rs := &roots{refs: []mem.Ref{s}}
 	leaf.AddRootSet(rs)
-	w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	w.c.Collect([]*hierarchy.Heap{leaf})
 	if got := w.sp.LoadString(rs.refs[0]); got != "the quick brown fox" {
 		t.Fatalf("string corrupted: %q", got)
 	}
@@ -531,16 +488,44 @@ func TestCandidateBitSurvivesCopy(t *testing.T) {
 	ha.adopt()
 	rs := &roots{refs: []mem.Ref{o}}
 	leaf.AddRootSet(rs)
-	w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+	w.c.Collect([]*hierarchy.Heap{leaf})
 	if !w.sp.Header(rs.refs[0]).Candidate() {
 		t.Fatal("candidate bit lost in copy")
 	}
 }
 
-func TestEmptyScope(t *testing.T) {
+// TestScopeIsOneLeaf: Collect takes the caller's leaf, a one-element
+// scope. A scope of zero or two heaps panics before it closes a gate, so
+// both heaps' gates stay open and a later collection of the leaf runs.
+func TestScopeIsOneLeaf(t *testing.T) {
 	w := newWorld()
-	if res := w.c.Collect(nil); res.ScopeHeaps != 0 {
-		t.Fatal("empty scope must be a no-op")
+	root := w.tr.Root()
+	leaf := w.tr.Fork(root)
+	ha := w.onHeap(leaf)
+	rs := &roots{refs: []mem.Ref{ha.al.AllocTuple(mem.Int(1))}}
+	ha.adopt()
+	leaf.AddRootSet(rs)
+	for _, scope := range [][]*hierarchy.Heap{nil, {leaf, root}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a scope of %d heaps did not panic", len(scope))
+				}
+			}()
+			w.c.Collect(scope)
+		}()
+		for _, h := range []*hierarchy.Heap{root, leaf} {
+			if h.Gate.Collecting() || h.Gate.Epoch() != 0 {
+				t.Fatalf("a scope of %d heaps touched heap %d's gate: collecting %v, epoch %d",
+					len(scope), h.ID, h.Gate.Collecting(), h.Gate.Epoch())
+			}
+		}
+	}
+	if res := w.c.Collect([]*hierarchy.Heap{leaf}); res.CopiedObjects != 1 {
+		t.Fatalf("the leaf's collection copied %d objects, want 1", res.CopiedObjects)
+	}
+	if err := CheckHeap(w.sp, leaf, true); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -601,7 +586,7 @@ func TestRandomGraphsPreserved(t *testing.T) {
 			snapshot(r, seen, &before)
 		}
 
-		w.c.Collect(w.tr.ExclusiveSuffix(leaf))
+		w.c.Collect([]*hierarchy.Heap{leaf})
 
 		var after []int64
 		seen = map[mem.Ref]int{}

@@ -82,9 +82,9 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 	// lock-free publication buffers into the owner-only views: with the
 	// gate closed, no reader can be mid-publication, so the drained Pinned
 	// and Remset lists are complete.
-	// WaitBeginCollect rather than BeginCollect since CGC: the concurrent
-	// collector's gate flushes briefly close every live heap's gate, and
-	// an LGC racing one must wait the flush out, not panic.
+	// WaitBeginCollect: the concurrent collector's gate flushes briefly
+	// close every live heap's gate, and an LGC racing one waits the flush
+	// out.
 	for i := len(scope) - 1; i >= 0; i-- {
 		h := scope[i]
 		h.Gate.WaitBeginCollect()
@@ -112,7 +112,6 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 			oldWords += int64(ch.Words())
 		}
 	}
-	r.res.ScopeHeaps = len(scope)
 
 	// Phase 1: roots.
 	r.scanShadowStacks()
@@ -140,14 +139,12 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 		}
 		kept = append(kept, r.toAlloc[i].Chunks...)
 		h.Chunks = kept
-		h.Collections++
 	}
 	// Clear transient marks on pinned objects.
 	for _, p := range r.marked {
 		c.Space.ChunkOf(p).ClearMark(p)
 	}
 	r.res.ReclaimedWords = oldWords - retainedOldWords
-	scope[0].CopiedWords += r.res.CopiedWords
 	c.Collections.Add(1)
 	c.CopiedWords.Add(r.res.CopiedWords)
 	c.ReclaimedWords.Add(r.res.ReclaimedWords)

@@ -75,35 +75,13 @@ func (g *Gate) ExitReader() {
 	g.state.Add(^(gateReader - 1))
 }
 
-// BeginCollect publishes the odd epoch (collection in progress) and waits
-// for announced readers to drain. Only the heap's owning task collects or
-// merges it, so collector-side calls never contend; the nested-collect
-// panic guards against misuse. After BeginCollect returns, no entanglement
-// slow path can pin, publish, or validate against this heap until
-// EndCollect.
-func (g *Gate) BeginCollect() {
-	for {
-		s := g.state.Load()
-		if s&gateCollecting != 0 {
-			panic("hierarchy: nested BeginCollect on one heap")
-		}
-		if g.state.CompareAndSwap(s, s|gateCollecting) {
-			break
-		}
-	}
-	// Drain announced readers. New arrivals see the collecting bit and
-	// back off, so the count is monotonically draining.
-	for g.state.Load()&gateReaderMask != 0 {
-		runtime.Gosched()
-	}
-}
-
-// TryBeginCollect attempts the BeginCollect transition without panicking
-// on contention: it returns false immediately if another collector holds
-// the gate. Used by the concurrent collector (gc.CGC), whose cycles are
-// opportunistic — a heap whose gate is busy (a merge retiring it, say) is
-// simply skipped this cycle. On success it drains announced readers
-// exactly like BeginCollect.
+// TryBeginCollect publishes the odd epoch (collection in progress) and
+// waits for announced readers to drain, or returns false at once if another
+// collector holds the gate. The concurrent collector (gc.CGC) uses it: its
+// cycles are opportunistic, and a heap whose gate is busy (a merge retiring
+// it, say) is simply skipped this cycle. After it returns true, no
+// entanglement slow path can pin, publish, or validate against this heap
+// until EndCollect.
 func (g *Gate) TryBeginCollect() bool {
 	for {
 		s := g.state.Load()
@@ -114,18 +92,19 @@ func (g *Gate) TryBeginCollect() bool {
 			break
 		}
 	}
+	// Drain announced readers. New arrivals see the collecting bit and
+	// back off, so the count is monotonically draining.
 	for g.state.Load()&gateReaderMask != 0 {
 		runtime.Gosched()
 	}
 	return true
 }
 
-// WaitBeginCollect acquires the gate like BeginCollect but waits out a
-// concurrent holder instead of panicking. Since CGC, the owner-exclusivity
-// assumption behind BeginCollect's nested-collect panic no longer holds
-// for merges: a join can find the concurrent collector briefly holding the
-// child's or parent's gate (root harvest, sweep), and must wait its
-// bounded critical section out rather than abort.
+// WaitBeginCollect acquires the gate like TryBeginCollect but waits out a
+// concurrent holder. Local collections and merges use it: only the heap's
+// owning task collects or merges it, but the concurrent collector may
+// briefly hold the gate (root harvest, sweep), and the owner waits that
+// bounded critical section out.
 func (g *Gate) WaitBeginCollect() {
 	for !g.TryBeginCollect() {
 		runtime.Gosched()
@@ -133,12 +112,12 @@ func (g *Gate) WaitBeginCollect() {
 }
 
 // EndCollect publishes the next even epoch, re-admitting readers. The
-// single add clears the collecting bit (set by BeginCollect, so the -1
+// single add clears the collecting bit (set by the Begin call, so the -1
 // cannot borrow) and the carry increments the epoch field; transient
 // reader announcements that are about to back off are preserved exactly.
 func (g *Gate) EndCollect() {
 	if g.state.Load()&gateCollecting == 0 {
-		panic("hierarchy: EndCollect without BeginCollect")
+		panic("hierarchy: EndCollect on a gate no collector holds")
 	}
 	g.state.Add(gateEpoch - 1)
 }

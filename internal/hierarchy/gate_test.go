@@ -11,16 +11,21 @@ func TestGateEpochAdvances(t *testing.T) {
 	if g.Epoch() != 0 || g.Collecting() {
 		t.Fatal("fresh gate not idle")
 	}
-	g.BeginCollect()
+	g.WaitBeginCollect()
 	if !g.Collecting() {
 		t.Fatal("collecting bit not visible")
+	}
+	if g.TryBeginCollect() {
+		t.Fatal("TryBeginCollect closed a gate another collector holds")
 	}
 	g.EndCollect()
 	if g.Epoch() != 1 || g.Collecting() {
 		t.Fatalf("after one collection: epoch=%d collecting=%v", g.Epoch(), g.Collecting())
 	}
 	for i := 0; i < 5; i++ {
-		g.BeginCollect()
+		if !g.TryBeginCollect() {
+			t.Fatal("TryBeginCollect refused an open gate")
+		}
 		g.EndCollect()
 	}
 	if g.Epoch() != 6 {
@@ -37,21 +42,21 @@ func TestGateReadersExcludeCollection(t *testing.T) {
 	finished := atomic.Bool{}
 	go func() {
 		close(started)
-		g.BeginCollect() // must wait for both readers
+		g.WaitBeginCollect() // must wait for both readers
 		finished.Store(true)
 		g.EndCollect()
 	}()
 	<-started
-	// The collector cannot finish BeginCollect while readers are inside.
+	// The collector cannot finish WaitBeginCollect while readers are inside.
 	// (No sleep-based assertion: just verify order via the collecting bit.)
 	for !g.Collecting() {
 	}
 	if finished.Load() {
-		t.Fatal("BeginCollect returned with readers inside")
+		t.Fatal("WaitBeginCollect returned with readers inside")
 	}
 	g.ExitReader()
 	if finished.Load() {
-		t.Fatal("BeginCollect returned with a reader still inside")
+		t.Fatal("WaitBeginCollect returned with a reader still inside")
 	}
 	g.ExitReader()
 	for !finished.Load() {
@@ -68,7 +73,7 @@ func TestGateEndCollectWithoutBeginPanics(t *testing.T) {
 	var g Gate
 	defer func() {
 		if recover() == nil {
-			t.Fatal("EndCollect without BeginCollect must panic")
+			t.Fatal("EndCollect on an open gate must panic")
 		}
 	}()
 	g.EndCollect()
@@ -97,7 +102,7 @@ func TestGateStress(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 2000; i++ {
-		g.BeginCollect()
+		g.WaitBeginCollect()
 		if inside.Load() != 0 {
 			violations.Add(1)
 		}

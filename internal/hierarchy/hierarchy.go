@@ -160,7 +160,7 @@ type Heap struct {
 	// pinBuf and remBuf are the lock-free publication buffers. Both are
 	// pushed only while holding the reader gate (the entanglement barriers
 	// enter the gate, re-validate ownership, push, exit), so after
-	// BeginCollect + DrainBuffers the owner sees every published entry —
+	// WaitBeginCollect + DrainBuffers the owner sees every published entry —
 	// nothing can be lost to a racing merge or collection.
 	pinBuf stack[mem.Ref]
 	remBuf stack[RememberedEntry]
@@ -170,8 +170,8 @@ type Heap struct {
 	RootSets []RootSet
 
 	// liveChildren counts forked child heaps that have not merged back.
-	// A chain of heaps with liveChildren <= 1 ending at the current leaf
-	// is exclusively owned and thus locally collectible.
+	// A leaf with none is exclusively owned by its task and thus locally
+	// collectible.
 	liveChildren atomic.Int32
 
 	// dead marks heaps that joined their parent. A merge sets it only after
@@ -210,10 +210,6 @@ type Heap struct {
 	// contract: the strand executing a heap owns its sink, and a merge
 	// runs on the strand owning the parent.
 	AttrSink *attr.Sink
-
-	// Stats
-	Collections int   // local collections rooted at this heap
-	CopiedWords int64 // words copied by those collections
 }
 
 // Depth returns the heap's depth (root = 0).
@@ -277,7 +273,7 @@ func OwnerOf(c *mem.Chunk) *Heap { return (*Heap)(unsafe.Pointer(c.Owner())) }
 
 // DrainBuffers folds the lock-free publication buffers into the owner-only
 // Pinned and Remset views by adopting their segments. Called by the owning
-// task right after Gate.BeginCollect (collection or merge start), when no
+// task right after Gate.WaitBeginCollect (collection or merge start), when no
 // reader can be mid-publication.
 func (h *Heap) DrainBuffers() {
 	h.Pinned.adopt(&h.pinBuf)
@@ -558,9 +554,8 @@ func (t *Tree) Join(child, parent *Heap, space *mem.Space, keep bool) (unpinned 
 	// therefore never races a sweep's chunk-list rebuild.
 	// Quiesce slow paths targeting the child: after the gate closes no
 	// reader can be between validating the child's ownership and
-	// publishing a pin. WaitBeginCollect rather than BeginCollect since
-	// CGC: the concurrent collector may briefly hold either gate (root
-	// harvest) and must be waited out, not panicked over. A merge takes
+	// publishing a pin. The concurrent collector may briefly hold either
+	// gate (root harvest) and is waited out. A merge takes
 	// the parent's gate too: the chunk-ownership flips and owner-side
 	// appends below must not interleave with a concurrent harvest or
 	// sweep of the parent; a drop touches nothing of the parent's but its
@@ -667,30 +662,5 @@ func drop(child, parent *Heap, space *mem.Space) {
 // retire marks child joined: the common tail of a merge and a drop.
 func retire(child, parent *Heap) {
 	child.dead.Store(true)
-	parent.Collections += child.Collections
-	parent.CopiedWords += child.CopiedWords
 	parent.liveChildren.Add(-1)
-}
-
-// ExclusiveSuffix returns the chain of heaps from leaf upward that are
-// exclusively owned by the task holding leaf: the walk stops at the first
-// heap that has other live children (a concurrent subtree) or at the root's
-// parent. The returned slice is ordered leaf-first. Collections may safely
-// move unpinned objects within this suffix.
-func (t *Tree) ExclusiveSuffix(leaf *Heap) []*Heap {
-	if leaf.liveChildren.Load() != 0 {
-		return nil
-	}
-	out := []*Heap{leaf}
-	h := leaf
-	for {
-		p := h.parent
-		// The parent is exclusive only if our chain is its sole live child.
-		if p == nil || p.liveChildren.Load() != 1 {
-			break
-		}
-		out = append(out, p)
-		h = p
-	}
-	return out
 }

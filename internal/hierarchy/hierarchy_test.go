@@ -293,47 +293,6 @@ func TestMergeNonChildPanics(t *testing.T) {
 	tr.Merge(a, b, sp)
 }
 
-func TestExclusiveSuffix(t *testing.T) {
-	tr := New()
-	sp := mem.NewSpace()
-	root := tr.Root()
-	a := tr.Fork(root)
-	b := tr.Fork(root) // concurrent sibling keeps root shared
-	aa := tr.Fork(a)
-
-	// aa's suffix: {aa, a} — a has exactly one live child (aa); root has two.
-	suf := tr.ExclusiveSuffix(aa)
-	if len(suf) != 2 || suf[0] != aa || suf[1] != a {
-		t.Fatalf("suffix = %v", ids(suf))
-	}
-
-	// b's suffix is just {b}.
-	suf = tr.ExclusiveSuffix(b)
-	if len(suf) != 1 || suf[0] != b {
-		t.Fatalf("suffix(b) = %v", ids(suf))
-	}
-
-	// A heap with live children is not collectible at all.
-	if got := tr.ExclusiveSuffix(a); got != nil {
-		t.Fatalf("suffix of shared heap = %v", ids(got))
-	}
-
-	// After b joins, root becomes part of aa's suffix.
-	tr.Merge(b, root, sp)
-	suf = tr.ExclusiveSuffix(aa)
-	if len(suf) != 3 || suf[2] != root {
-		t.Fatalf("suffix after join = %v", ids(suf))
-	}
-}
-
-func ids(hs []*Heap) []uint32 {
-	var out []uint32
-	for _, h := range hs {
-		out = append(out, h.ID)
-	}
-	return out
-}
-
 type fakeRoots struct{ refs []mem.Value }
 
 func (f *fakeRoots) Roots(visit func(*mem.Value)) {

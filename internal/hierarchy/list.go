@@ -33,7 +33,7 @@ func (sg *seg[T]) each(visit func(T)) {
 //
 // The slot stores themselves are plain: every push happens while holding
 // the owning heap's reader gate, and the owner takes the chain only after
-// BeginCollect has quiesced the gate (or, for the reuse buffer, while the
+// WaitBeginCollect has quiesced the gate (or, for the reuse buffer, while the
 // pusher is known idle), so those atomics order claimed-and-written slots
 // before any read of them.
 type stack[T any] struct {
@@ -78,7 +78,7 @@ func (s *stack[T]) drain(visit func(T)) {
 }
 
 // peek visits the entries of a publication stack without detaching it.
-// Caller must hold the gate closed (BeginCollect/TryBeginCollect): pushes
+// Caller must hold the gate closed (WaitBeginCollect/TryBeginCollect): pushes
 // happen under the reader gate, so a closed gate means no slot is
 // mid-write and every claimed slot is visible.
 func (s *stack[T]) peek(visit func(T)) {
