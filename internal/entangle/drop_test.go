@@ -8,18 +8,20 @@ import (
 	"mplgo/internal/trace"
 )
 
-// The join's drop decision, one test per record that keeps a child heap
-// reachable (hierarchy.Tree.Join). Each builds the record on the rig by
-// hand, as the barriers would, and checks the child merged — its object now
-// in a chunk root owns — instead of dropping. The branch's result, the third
-// way in, is core's to test (core.Task.join).
+// The release decision, one test per record that keeps a branch heap
+// reachable (hierarchy.Heap.Release). Each builds the record on the rig by
+// hand, as the barriers would, and checks the child was kept — and at its
+// join merged, its object now in a chunk root owns — instead of released.
+// The branch's result, the third way in, is core's to test
+// (core.Task.settle).
 
-// join runs the runtime's join of child into parent and reports whether it
-// dropped child.
+// join runs what the runtime runs at a branch's return and at its join: the
+// release of child, then its join into parent. It reports whether the
+// release dropped child.
 func (r *rig) join(child, parent *hierarchy.Heap) bool {
-	before := parent.Tally[trace.HeapsDropped]
-	r.m.Join(child, parent, false)
-	return parent.Tally[trace.HeapsDropped] != before
+	dropped := child.Release(r.sp)
+	r.m.OnJoin(child, parent)
+	return dropped
 }
 
 // mergedInto fails the test unless x now lives in a chunk h owns and still
@@ -46,26 +48,33 @@ func TestJoinDropsDeadChild(t *testing.T) {
 		words += int64(c.Words())
 	}
 	live := r.sp.LiveWords()
-	if !r.join(r.left, r.root) {
-		t.Fatal("a child nothing reaches was merged")
+	if !r.left.Release(r.sp) {
+		t.Fatal("a child nothing reaches was kept")
 	}
 	if got := live - r.sp.LiveWords(); got != words || len(chunks) < 2 {
-		t.Fatalf("the drop lowered live words by %d, want the %d words of its %d chunks", got, words, len(chunks))
+		t.Fatalf("the release lowered live words by %d, want the %d words of its %d chunks", got, words, len(chunks))
 	}
 	for _, c := range chunks {
 		if c.HeapID() != 0 || c.Owner() != nil {
-			t.Fatalf("chunk %d still owned by heap %d after the drop", c.ID, c.HeapID())
+			t.Fatalf("chunk %d still owned by heap %d after the release", c.ID, c.HeapID())
 		}
 	}
-	if !r.left.Dead() || r.root.LiveChildren() != 1 || len(r.left.Chunks) != 0 {
-		t.Fatal("the dropped child is not retired")
+	if !r.left.Dead() || r.root.LiveChildren() != 2 || len(r.left.Chunks) != 0 {
+		t.Fatal("the released child is not dead, or was retired before its join")
 	}
-	if got := r.root.Tally; got[trace.HeapsDropped] != 1 || got[trace.DroppedWords] != words {
-		t.Fatalf("parent's tally = %+v, want 1 heap and %d words", got, words)
+	if got := r.left.Tally; got[trace.HeapsDropped] != 1 || got[trace.DroppedWords] != words {
+		t.Fatalf("the child's tally = %+v, want 1 heap and %d words", got, words)
 	}
-	r.m.Drain(r.root)
+	gates := r.left.Gate.Epoch() + r.root.Gate.Epoch()
+	r.m.OnJoin(r.left, r.root)
+	if r.root.LiveChildren() != 1 || r.root.Tally[trace.HeapsDropped] != 0 {
+		t.Fatal("the join did not only retire the released child")
+	}
+	if n := r.left.Gate.Epoch() + r.root.Gate.Epoch() - gates; n != 0 {
+		t.Fatalf("the join of a released child took %d gates, want none", n)
+	}
 	if h, w := r.tr.Stats.Load(trace.HeapsDropped), r.tr.Stats.Load(trace.DroppedWords); h != 1 || w != words {
-		t.Fatalf("tree totals %d heaps, %d words after the drain", h, w)
+		t.Fatalf("tree totals %d heaps, %d words after the join", h, w)
 	}
 }
 
@@ -86,7 +95,7 @@ func TestJoinKeepsChildWithDownPointer(t *testing.T) {
 
 // TestJoinKeepsChildWithSplicedDownPointer: a grandchild's down-pointer
 // reaches the child's remembered set through the splice at the grandchild's
-// join, and keeps the child at its own.
+// join, and keeps the child at its return.
 func TestJoinKeepsChildWithSplicedDownPointer(t *testing.T) {
 	r := newRig(Manage)
 	ll := r.tr.Fork(r.left)
@@ -134,8 +143,8 @@ func TestJoinKeepsChildPublishedFromBelow(t *testing.T) {
 }
 
 // TestJoinKeepsChildPinnedBySibling: the sibling's read is the only record
-// (the holder's store bypasses the barrier), and its pin is released at this
-// very join — so the pinned list must be tested before the unpin pass.
+// (the holder's store bypasses the barrier), and its pin is released at the
+// child's own join — so the release, which comes before it, must see it.
 func TestJoinKeepsChildPinnedBySibling(t *testing.T) {
 	r := newRig(Manage)
 	holder := r.rootAl.AllocArray(1, mem.Nil)

@@ -691,18 +691,13 @@ func (m *Manager) notePin(leaf, xh *hierarchy.Heap, x mem.Ref, unpin int, st mem
 // the strand that owns the tally: the one running h, or the one joining it.
 func (m *Manager) Drain(h *hierarchy.Heap) { m.Tree.Stats.Drain(&h.Tally) }
 
-// OnJoin merges child into parent whatever child's records say: Join for a
-// caller holding references into child that the tree cannot see.
-func (m *Manager) OnJoin(child, parent *hierarchy.Heap) { m.Join(child, parent, true) }
-
-// Join retires child at its join with parent — dropping it when nothing
-// outside can reach it and keep is false, merging it otherwise (see
-// hierarchy.Tree.Join) — takes what a merge unpinned off the gauge (which is
-// where the high-water marks are captured — see Stats.unpinned) and drains
-// the child's tally: its strand has finished, so the joining strand owns it
-// now.
-func (m *Manager) Join(child, parent *hierarchy.Heap, keep bool) {
-	n, words := m.Tree.Join(child, parent, m.Space, keep)
+// OnJoin retires child at its join with parent — only retiring it when its
+// branch released it, merging it otherwise (see hierarchy.Tree.Merge) —
+// takes what a merge unpinned off the gauge (which is where the high-water
+// marks are captured — see Stats.unpinned) and drains the child's tally:
+// its strand has finished, so the joining strand owns it now.
+func (m *Manager) OnJoin(child, parent *hierarchy.Heap) {
+	n, words := m.Tree.Merge(child, parent, m.Space)
 	if n > 0 {
 		m.Stats.unpinned(n, words)
 	}

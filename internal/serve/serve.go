@@ -109,8 +109,8 @@ func (o *Overload) Unwrap() error { return core.ErrShed }
 
 // Outcome resolves one submitted request. V is the request body's reply,
 // which must be an immediate: the request runs in a heap of its own, and a
-// reference into it is dead once the batch joins (core.Task.Par's
-// contract), which may be before the waiter reads it.
+// reference into it is dead once the request's branch returns
+// (core.Task.Par's contract), which may be before the waiter reads it.
 type Outcome struct {
 	V   mem.Value
 	Err error

@@ -111,7 +111,8 @@ type Count uint8
 
 const (
 	// Queries that reached the ancestry oracle (Relate misses, a third-party
-	// writer's LCADepth); children joins released whole, and their words.
+	// writer's LCADepth); child heaps released whole when their branches
+	// returned, and their words.
 	AncestryQueries Count = iota
 	HeapsDropped
 	DroppedWords
@@ -147,7 +148,7 @@ type CountRow struct {
 // Counts is the table of the runtime's event counts, indexed by Count.
 var Counts = [NumCounts]CountRow{
 	AncestryQueries: {Layer: "hierarchy", Name: "ancestry_queries", Traced: true},
-	HeapsDropped:    {Layer: "hierarchy", Name: "heaps_dropped", Help: "Child heaps released whole at their joins", Traced: true},
+	HeapsDropped:    {Layer: "hierarchy", Name: "heaps_dropped", Help: "Child heaps released whole when their branches returned", Traced: true},
 	DroppedWords:    {Layer: "hierarchy", Name: "dropped_words", Help: "Chunk words released by dropped child heaps", Traced: true},
 	DownPointers:    {Layer: "entangle", Name: "down_pointers", Help: "Down-pointer stores seen by the write barrier, recorded or already remembered"},
 	Candidates:      {Layer: "entangle", Name: "candidates", Help: "Objects marked as entanglement candidates"},
