@@ -108,19 +108,20 @@ func main() {
 
 	if *stats {
 		rt := res.Runtime
-		s := rt.EntStats()
-		c, copied, reclaimed := rt.GCStats()
 		fmt.Fprintf(os.Stderr, "heaps: %d  steals: %d\n", rt.Tree().Count(), rt.Steals())
-		fmt.Fprintf(os.Stderr, "gc: %d collections, %d words copied, %d reclaimed\n", c, copied, reclaimed)
-		fmt.Fprintf(os.Stderr, "pinned: %d unpinned at joins, peak %d  static regions: %d",
-			s.Unpins, s.PinnedPeak, rt.ElisionStats().StaticRegions)
-		// Every event count, one line per layer.
-		for i, row := range trace.Counts {
-			if i == 0 || trace.Counts[i-1].Layer != row.Layer {
-				fmt.Fprintf(os.Stderr, "\n%s:", row.Layer)
+		fmt.Fprintf(os.Stderr, "pinned: peak %d  static regions: %d\n",
+			rt.EntStats().PinnedPeak, rt.ElisionStats().StaticRegions)
+		// Every event count, one line per layer, in first-row order.
+		var layers []string
+		lines := map[string]string{}
+		for c, row := range trace.Counts {
+			if _, ok := lines[row.Layer]; !ok {
+				layers = append(layers, row.Layer)
 			}
-			fmt.Fprintf(os.Stderr, " %s %d", row.Name, rt.Tree().Stats.Load(trace.Count(i)))
+			lines[row.Layer] += fmt.Sprintf(" %s %d", row.Name, rt.Tree().Stats.Load(trace.Count(c)))
 		}
-		fmt.Fprintln(os.Stderr)
+		for _, layer := range layers {
+			fmt.Fprintf(os.Stderr, "%s:%s\n", layer, lines[layer])
+		}
 	}
 }

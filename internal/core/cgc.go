@@ -29,10 +29,12 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"mplgo/internal/gc"
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 // Task park states (Task.cgcPark).
@@ -78,10 +80,10 @@ func (r *Runtime) ScanTasks(epoch uint64, grey func(mem.Value)) bool {
 			continue
 		}
 		if t.cgcPark.CompareAndSwap(taskParked, taskClaimed) {
-			// The owner is suspended in its join and cannot resume past
-			// claimed (cgcUnpark spins), so its frame slabs are stable.
+			// The owner cannot resume past claimed (cgcUnpark spins): its
+			// roots are stable but for the result slots its branches fill.
 			if t.cgcEpoch.Load() < epoch {
-				t.Roots(func(p *mem.Value) { grey(*p) })
+				t.Roots(func(p *mem.Value) { grey(mem.Value(atomic.LoadUint64((*uint64)(p)))) })
 				t.cgcEpoch.Store(epoch)
 			}
 			t.cgcPark.Store(taskParked)
@@ -116,13 +118,11 @@ func (t *Task) cgcSafepoint() {
 	}
 	t.heap.Gate.EnterReader()
 	if g.Marking() {
-		for _, slab := range t.frames {
-			for i := range slab {
-				if v := slab[i]; v.IsRef() {
-					g.Shade(v.Ref())
-				}
+		t.Roots(func(p *mem.Value) {
+			if v := *p; v.IsRef() {
+				g.Shade(v.Ref())
 			}
-		}
+		})
 	}
 	t.heap.Gate.ExitReader()
 	t.cgcEpoch.Store(e)
@@ -234,13 +234,14 @@ func (r *Runtime) cgcLoop(stop func() bool) {
 // live or pinned objects, and the live words observed by the last sweep.
 // All zero when the concurrent collector is off.
 func (r *Runtime) CGCStats() (cycles, freedWords, sweptChunks, retainedChunks, lastLiveWords int64) {
-	if r.cgc == nil {
-		return
+	t := r.tree.Stats
+	if r.cgc != nil {
+		lastLiveWords = r.cgc.LastLiveWords.Load()
 	}
-	return r.cgc.Cycles.Load(), r.cgc.FreedWords.Load(), r.cgc.SweptChunks.Load(),
-		r.cgc.RetainedTotal.Load(), r.cgc.LastLiveWords.Load()
+	return t.Load(trace.CGCCycles), t.Load(trace.CGCFreedWords), t.Load(trace.CGCSweptChunks),
+		t.Load(trace.CGCRetainedChunks), lastLiveWords
 }
 
 // RetainedChunks totals chunks the local collector kept alive only for
 // their pinned objects — the transient space cost of entanglement.
-func (r *Runtime) RetainedChunks() int64 { return r.col.RetainedChunks.Load() }
+func (r *Runtime) RetainedChunks() int64 { return r.tree.Stats.Load(trace.GCRetainedChunks) }

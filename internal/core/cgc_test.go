@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
 	"mplgo/internal/chaos"
+	"mplgo/internal/gc"
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 // Tests for the concurrent collector (gc.CGC) wired through the runtime:
@@ -321,5 +324,97 @@ func TestChaosCGCChurn(t *testing.T) {
 			dumpChaosFailure(t, rt, seed, cfg, fmt.Errorf("checksum %d, want %d", got, want))
 			t.Fatalf("seed %d: checksum %d, want %d\n%s", seed, got, want, rt.ChaosReport())
 		}
+	}
+}
+
+// TestCollectorTotalsSumTheirResults: GCStats and CGCStats, which read the
+// tree's table, are the sums of what each local collection and each
+// concurrent cycle reported over a run. The local collections' results are
+// read off their trace events (lgc_end carries the copied and reclaimed
+// words); the cycles are run by hand, with the root parked in a Par, while
+// the left branch passes safepoints, and the right branch collects with a
+// live list framed. Each round leaves a dropped list in the root heap for
+// the next cycle to sweep, beside a live tuple that keeps its chunk.
+func TestCollectorTotalsSumTheirResults(t *testing.T) {
+	const slots = 1 << 16
+	tracer := trace.NewTracer(1, slots)
+	rt := New(Config{Procs: 1, HeapBudgetWords: 1 << 14, CGC: true, CGCThresholdWords: 1 << 40, Tracer: tracer})
+	var want gc.CGCResult
+	var cycles int64
+	trace.Enable()
+	_, err := rt.Run(func(tk *Task) mem.Value {
+		f := tk.NewFrame(2)
+		defer f.Pop()
+		for round := 0; round < 4; round++ {
+			for i := 0; i < 1000; i++ {
+				f.Set(0, tk.AllocTuple(mem.Int(int64(i)), f.Get(0)).Value())
+			}
+			f.Set(0, mem.Nil)
+			f.Set(1, tk.AllocTuple(mem.Int(int64(round)), f.Get(1)).Value())
+			tk.Par(
+				func(t *Task) mem.Value {
+					done := make(chan gc.CGCResult, 1)
+					go func() {
+						rt.cgcExcl.Lock()
+						defer rt.cgcExcl.Unlock()
+						done <- rt.cgc.RunCycle(rt, func() bool { return false })
+					}()
+					for {
+						select {
+						case res := <-done:
+							if res.ScopeHeaps > 0 && !res.Aborted {
+								cycles++
+								want.FreedWords += res.FreedWords
+								want.SweptChunks += res.SweptChunks
+								want.RetainedChunks += res.RetainedChunks
+							}
+							return mem.Nil
+						default:
+							t.cgcSafepoint()
+							runtime.Gosched()
+						}
+					}
+				},
+				func(t *Task) mem.Value {
+					rf := t.NewFrame(1)
+					defer rf.Pop()
+					for i := 0; i < 100; i++ {
+						rf.Set(0, t.AllocTuple(mem.Int(int64(i)), rf.Get(0)).Value())
+					}
+					churn(t, 1<<13)
+					return mem.Nil
+				},
+			)
+		}
+		return mem.Nil
+	})
+	trace.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tracer.Ring(0).Len(); n >= slots {
+		t.Fatalf("the worker's ring lapped: %d events in %d slots", n, slots)
+	}
+	var collections, copied, reclaimed int64
+	for _, ev := range tracer.Ring(0).Snapshot() {
+		if ev.Kind == trace.EvLGCEnd {
+			collections++
+			copied += int64(ev.Arg1)
+			reclaimed += int64(ev.Arg2)
+		}
+	}
+	if c, cw, rw := rt.GCStats(); c != collections || cw != copied || rw != reclaimed {
+		t.Errorf("GCStats = %d collections, %d copied, %d reclaimed; the collections reported %d, %d, %d",
+			c, cw, rw, collections, copied, reclaimed)
+	}
+	c, freed, swept, retained, _ := rt.CGCStats()
+	if c != cycles || freed != want.FreedWords || swept != int64(want.SweptChunks) || retained != int64(want.RetainedChunks) {
+		t.Errorf("CGCStats = %d cycles, %d freed, %d swept, %d retained; the cycles reported %d, %d, %d, %d",
+			c, freed, swept, retained, cycles, want.FreedWords, want.SweptChunks, want.RetainedChunks)
+	}
+	if collections == 0 || copied == 0 || reclaimed == 0 || cycles == 0 || want.FreedWords == 0 ||
+		want.SweptChunks == 0 || want.RetainedChunks == 0 {
+		t.Errorf("the run moved too little to compare: %d collections, %d copied, %d reclaimed, %d cycles, %+v",
+			collections, copied, reclaimed, cycles, want)
 	}
 }

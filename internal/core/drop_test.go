@@ -469,3 +469,69 @@ func cycleMarksAtReturn(t *testing.T) (built bool) {
 	})
 	return built
 }
+
+// TestParResultReachesCycle: a branch's result reaches a concurrent mark
+// that started before the branch returned, though the branch passed no
+// safepoint. Before the cycle the left branch copies X, held by the root's
+// cell C, into its own Y and clears C. The cycle then starts marking: it
+// claim-scans the parked root, whose frame reaches only C, and waits for the
+// branch's safepoint. The branch reads X back out of Y and returns it with no
+// write or allocation in between, so it unregisters without one, and X
+// reaches the root only as its result. A result the mark cannot see is swept,
+// and the root's frame receives a freed object. The cycle is run by hand, so
+// that it starts after the clear; the right branch waits for it to end.
+func TestParResultReachesCycle(t *testing.T) {
+	cfg := Config{Procs: 1, HeapBudgetWords: 1 << 22, CGC: true, CGCThresholdWords: 1 << 40}
+	runDrops(t, cfg, func(tk *Task) error {
+		rt := tk.rt
+		f := tk.NewFrame(2)
+		defer f.Pop()
+		f.Set(0, tk.AllocTuple(tk.AllocTuple(mem.Int(42)).Value()).Value()) // C = (X)
+		cycle := make(chan gc.CGCResult, 1)
+		var res gc.CGCResult
+		var lerr error
+		lv, _ := tk.Par(
+			func(t *Task) mem.Value {
+				lf := t.NewFrame(1)
+				defer lf.Pop()
+				c := f.Ref(0)
+				lf.Set(0, t.AllocTuple(t.Read(c, 0)).Value()) // Y = (X)
+				t.Write(c, 0, mem.Nil)
+				epoch := rt.cgc.Epoch()
+				go func() {
+					rt.cgcExcl.Lock()
+					defer rt.cgcExcl.Unlock()
+					cycle <- rt.cgc.RunCycle(rt, func() bool { return false })
+				}()
+				for deadline := time.Now().Add(10 * time.Second); rt.cgc.Epoch() == epoch; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						lerr = errors.New("timed out waiting for the cycle to mark")
+						return mem.Nil
+					}
+				}
+				return t.Read(lf.Ref(0), 0)
+			},
+			func(t *Task) mem.Value {
+				select {
+				case res = <-cycle:
+				case <-time.After(10 * time.Second):
+				}
+				return mem.Nil
+			},
+		)
+		if lerr != nil {
+			return lerr
+		}
+		if res.ScopeHeaps == 0 || res.Aborted {
+			return fmt.Errorf("the cycle claimed %d heaps, aborted %v", res.ScopeHeaps, res.Aborted)
+		}
+		if !lv.IsRef() || rt.space.Header(lv.Ref()).Kind() == mem.KFree {
+			return fmt.Errorf("the branch returned %v, freed by the cycle's sweep", lv)
+		}
+		f.Set(1, lv)
+		if got := tk.Read(lv.Ref(), 0).AsInt(); got != 42 {
+			return fmt.Errorf("the result reads %d, want 42", got)
+		}
+		return tk.ValidateHeaps()
+	})
+}

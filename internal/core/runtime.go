@@ -365,9 +365,10 @@ func (r *Runtime) ElisionStats() ElisionStats {
 	}
 }
 
-// GCStats reports collection totals.
+// GCStats reports the local collections' totals, read from the tree's table.
 func (r *Runtime) GCStats() (collections, copiedWords, reclaimedWords int64) {
-	return r.col.Collections.Load(), r.col.CopiedWords.Load(), r.col.ReclaimedWords.Load()
+	t := r.tree.Stats
+	return t.Load(trace.GCCollections), t.Load(trace.GCCopiedWords), t.Load(trace.GCReclaimedWords)
 }
 
 // Trace returns the recorded DAG, or nil if recording was off.

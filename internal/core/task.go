@@ -52,9 +52,8 @@ type Task struct {
 
 	// sinceGC counts the words allocated since the last collection; an
 	// allocation polls once it reaches pollAt (see guardedGC and arm).
-	sinceGC  int64
-	pollAt   int64
-	barriers bool
+	sinceGC int64
+	pollAt  int64
 
 	// scope is the task's request-scoped fault domain (nil for the vast
 	// majority of tasks — benchmarks and plain Par trees never set it).
@@ -62,6 +61,8 @@ type Task struct {
 	// charged for them (see chargeScope).
 	scope     *Scope
 	uncharged int64
+
+	barriers bool // next to the flags below, keeping Task in its size class
 
 	// Concurrent-collector handshake state (see cgc.go). cgcOn caches
 	// rt.cgc != nil so every hook below is one branch when CGC is off;
@@ -73,6 +74,8 @@ type Task struct {
 	cgcDeferred bool
 	cgcPark     atomic.Uint32
 	cgcEpoch    atomic.Uint64
+
+	results [2]mem.Value // what the branches of the task's Par deliver (settle)
 }
 
 func (r *Runtime) newTask(w *sched.Worker, h *hierarchy.Heap, node *sim.Node, sc *Scope) *Task {
@@ -122,12 +125,15 @@ func (t *Task) syncChunks() {
 	}
 }
 
-// Roots implements hierarchy.RootSet over the shadow stack.
+// Roots implements hierarchy.RootSet over the shadow stack and Par's results.
 func (t *Task) Roots(visit func(*mem.Value)) {
 	for _, slab := range t.frames {
 		for i := range slab {
 			visit(&slab[i])
 		}
+	}
+	for i := range t.results {
+		visit(&t.results[i])
 	}
 }
 
@@ -220,7 +226,6 @@ func (t *Task) collectNow() bool {
 	t.rt.ent.Drain(t.heap)
 	if ring != nil && trace.Enabled() {
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrLiveWords), uint64(t.rt.space.LiveWords()))
-		ring.Emit(trace.EvCounter, d, uint64(trace.CtrRetainedChunks), uint64(t.rt.col.RetainedChunks.Load()))
 		ring.Emit(trace.EvCounter, d, uint64(trace.CtrStaticRegions), uint64(t.rt.elRegions.Load()))
 		t.rt.tree.Stats.Emit(ring, d)
 		// Periodic attribution flush: this worker owns both the sink and
@@ -285,7 +290,6 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 		t.node.Work += costFork
 		lnode, rnode, anode = t.node.Fork()
 	}
-	var lv, rv mem.Value
 	lheap := t.rt.tree.Fork(t.heap)
 	rheap := t.rt.tree.Fork(t.heap)
 	t.w.Ring.Emit(trace.EvFork, int32(t.heap.Depth()), uint64(lheap.ID), uint64(rheap.ID))
@@ -301,13 +305,13 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 			lt := t.rt.newTask(w, lheap, lnode, t.scope)
 			defer lt.finish()
 			defer t.rt.guard()
-			lv = lt.settle(f(lt))
+			lt.settle(f(lt), &t.results[0])
 		},
 		func(w *sched.Worker, _ bool) {
 			gt := t.rt.newTask(w, rheap, rnode, t.scope)
 			defer gt.finish()
 			defer t.rt.guard()
-			rv = gt.settle(g(gt))
+			gt.settle(g(gt), &t.results[1])
 		},
 	)
 	t.cgcUnpark()
@@ -325,6 +329,8 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 		t.cgcResumeHeap()
 		t.alloc.Revalidate()
 	}
+	lv, rv := t.results[0], t.results[1]
+	t.results = [2]mem.Value{}
 	t.rt.ent.OnJoin(lheap, t.heap)
 	t.rt.ent.OnJoin(rheap, t.heap)
 	t.w.Ring.Emit(trace.EvJoin, int32(t.heap.Depth()), uint64(t.heap.ID), 0)
@@ -349,32 +355,43 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 // collection follows half a budget of overwritten words, as one the budget
 // triggers follows a budget of allocated words.
 //
-// Then it releases the heap (hierarchy.Heap.Release) if nothing outside can
-// reach it. The barriers record every way in but the result, tested here by
-// one load, the owner of its chunk: a result pointing elsewhere (an
-// ancestor, the sibling, which pinned it) keeps nothing alive. A non-empty
-// owner-side remembered set keeps the heap without taking its gate. Neither
-// step runs where the records may be incomplete: with the barriers off
-// (Unsafe), after a runtime-wide cancel (the unwind skips its pins), or with
-// collections off (DisableGC: tests pass raw references out of branches).
-// Nor does the release run while a concurrent cycle marks, which may pass
-// through objects the strand shaded to what they hold (DESIGN.md §6,
-// decision 9): the heap merges at its join, which waits the cycle out.
-func (t *Task) settle(result mem.Value) mem.Value {
-	if t.rt.cfg.DisableGC || t.rt.cancelled.Load() {
-		return result
-	}
-	if t.heap.Overwritten > t.rt.cfg.HeapBudgetWords/2 {
+// Then it stores the result into out, its slot in the parent, atomically (the
+// parent's claim scan may read it), and shades it if a concurrent cycle
+// marks: the branch may pass no safepoint, and the parent's claim scan may
+// come first; the collector flips the phase before it scans, so one of the
+// two sees the result. Last it releases the heap (hierarchy.Heap.Release) if
+// nothing outside can reach it. The barriers record every way in but the
+// result, tested here by one load, the owner of its chunk: a result pointing
+// elsewhere (an ancestor, the sibling, which pinned it) keeps nothing alive.
+// A non-empty owner-side remembered set keeps the heap without taking its
+// gate. Neither the collection nor the release runs where the records may be
+// incomplete: with the barriers off (Unsafe), after a runtime-wide cancel
+// (the unwind skips its pins), or with collections off (DisableGC: tests pass
+// raw references out of branches). Nor does the release run while a
+// concurrent cycle marks, which may pass through objects the strand shaded to
+// what they hold (DESIGN.md §6, decision 9): the heap merges at its join,
+// which waits the cycle out.
+func (t *Task) settle(result mem.Value, out *mem.Value) {
+	vouch := !t.rt.cfg.DisableGC && !t.rt.cancelled.Load()
+	if vouch && t.heap.Overwritten > t.rt.cfg.HeapBudgetWords/2 {
 		vs := [1]mem.Value{result}
 		t.collectRooted(vs[:])
 		result = vs[0]
 	}
-	if t.barriers && t.heap.Remset.Len() == 0 && !(t.cgcOn && t.rt.cgc.Marking()) &&
+	atomic.StoreUint64((*uint64)(out), uint64(result))
+	if t.cgcOn && t.rt.cgc.Marking() {
+		if result.IsRef() {
+			t.heap.Gate.EnterReader()
+			t.rt.cgc.Shade(result.Ref())
+			t.heap.Gate.ExitReader()
+		}
+		return
+	}
+	if vouch && t.barriers && t.heap.Remset.Len() == 0 &&
 		!(result.IsRef() && hierarchy.OwnerOf(t.rt.space.ChunkOf(result.Ref())) == t.heap) {
 		t.syncChunks()
 		t.heap.Release(t.rt.space)
 	}
-	return result
 }
 
 // ParFor runs body over [lo, hi) in parallel, splitting ranges in half

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"mplgo/internal/mem"
 	"mplgo/internal/trace"
@@ -83,11 +85,12 @@ func TestElisionCountersReachTrace(t *testing.T) {
 }
 
 // TestTracedCountsReachTrace runs, with tracing on, a workload that moves
-// every traced count (trace.Counts) — an entangled random program, unchecked
+// every traced count (trace.Counts) — an entangled random program, a
+// collection of a heap holding a live and a pinned object, unchecked
 // accesses, and branches whose heaps drop — and checks each reaches the
-// trace end to end: the collection and join sites sample its drained total
-// into a counter track, and the summary reports it by name, never above the
-// total. A row marked traced later is checked here too.
+// trace end to end: the collection and join sites sample its total into a
+// counter track, and the summary reports it by name, never above the total.
+// A row marked traced later is checked here too.
 func TestTracedCountsReachTrace(t *testing.T) {
 	tracer := trace.NewTracer(4, 1<<14)
 	rt := New(Config{Procs: 4, HeapBudgetWords: 2048, Tracer: tracer})
@@ -95,6 +98,35 @@ func TestTracedCountsReachTrace(t *testing.T) {
 	trace.Enable()
 	_, err := rt.Run(func(tk *Task) mem.Value {
 		randomProgram(11, 6, true)(tk)
+		// The left branch publishes X in the root's cell and collects, with X
+		// and Z framed, once the right branch, stolen, has pinned X: Z is
+		// copied, and X's chunk retained.
+		pinned := make(chan struct{})
+		f := tk.NewFrame(1)
+		f.Set(0, tk.AllocRef(mem.Nil).Value())
+		tk.Par(
+			func(t *Task) mem.Value {
+				lf := t.NewFrame(2)
+				defer lf.Pop()
+				lf.Set(0, t.AllocTuple(mem.Int(1)).Value())
+				lf.Set(1, t.AllocTuple(mem.Int(2)).Value())
+				t.Write(f.Ref(0), 0, lf.Get(0))
+				select {
+				case <-pinned:
+				case <-time.After(10 * time.Second):
+				}
+				churn(t, 1000)
+				return mem.Nil
+			},
+			func(t *Task) mem.Value {
+				for !t.Read(f.Ref(0), 0).IsRef() {
+					runtime.Gosched()
+				}
+				close(pinned)
+				return mem.Nil
+			},
+		)
+		f.Pop()
 		r := tk.AllocRefFast(mem.Int(0))
 		for i := 0; i < 2000; i++ {
 			tk.WriteFast(r, 0, mem.Int(tk.ReadFast(r, 0).AsInt()+1))

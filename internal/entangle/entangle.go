@@ -128,12 +128,11 @@ var ErrEntangled = errors.New("entanglement detected")
 // metrics and the pin CAS's outcomes — which are the tree's
 // (hierarchy.Totals): drained from the leaves' tallies, so mid-run they lag
 // by the counts of the leaves still running and are exact at quiescence.
-// It holds what is live: Unpins, added by the join itself, and one gauge
-// word, added to by every fresh pin and every unpinning join.
+// Unpins is a direct row, added by the unpinning join itself, so it does
+// not lag. Stats holds what is live besides: one gauge word, added to by
+// every fresh pin and every unpinning join.
 type Stats struct {
 	totals *hierarchy.Totals
-
-	Unpins atomic.Int64 // objects unpinned at joins
 
 	// now is the gauge: pinned objects and the words they occupy, packed
 	// into one word (pinLoad) so a pin or a join moves both with one add.
@@ -178,7 +177,7 @@ func (s *Stats) pinned(words int64) { s.now.Add(uint64(packPinned(1, words))) }
 // read after a decrement (the scheme that once lost every pin that lived
 // between two captures) is never used.
 func (s *Stats) unpinned(n int, words int64) {
-	s.Unpins.Add(int64(n))
+	s.totals.Add(trace.Unpins, int64(n))
 	d := packPinned(n, words)
 	before := pinLoad(s.now.Add(-uint64(d))) + d
 	for {
@@ -207,7 +206,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		EntangledWrites: t.Load(trace.EntangledWrites),
 		SlowReads:       t.Load(trace.SlowReads),
 		Pins:            t.Load(trace.Pins),
-		Unpins:          s.Unpins.Load(),
+		Unpins:          t.Load(trace.Unpins),
 		PinnedNow:       now.objects(),
 		PinnedPeak:      peak.objects(),
 		PinnedPeakBytes: peak.words() * 8,

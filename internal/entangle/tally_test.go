@@ -11,10 +11,11 @@ import (
 )
 
 // sharedWords reads every word of the manager that more than one strand can
-// write: the tree's totals, the unpin count, the gauge and its peaks.
-func sharedWords(m *Manager) [trace.NumCounts + 3]uint64 {
+// write: the tree's totals, the unpin row among them, the gauge and its
+// peaks.
+func sharedWords(m *Manager) [trace.NumCounts + 2]uint64 {
 	s := &m.Stats
-	w := [trace.NumCounts + 3]uint64{trace.NumCounts: uint64(s.Unpins.Load()), s.now.Load(), s.peak.Load()}
+	w := [trace.NumCounts + 2]uint64{trace.NumCounts: s.now.Load(), s.peak.Load()}
 	for c := range trace.NumCounts {
 		w[c] = uint64(m.Tree.Stats.Load(c))
 	}

@@ -92,7 +92,7 @@ const reuseMinWords = 16
 // registry and the park/claim protocol, which the gc package cannot see.
 type Handshaker interface {
 	// ScanTasks brings tasks up to the given cycle epoch: parked tasks are
-	// claim-scanned (their frame roots passed to grey), running tasks are
+	// claim-scanned (their roots passed to grey), running tasks are
 	// left to self-scan at their next safepoint. It reports whether every
 	// registered task has been scanned this epoch.
 	ScanTasks(epoch uint64, grey func(mem.Value)) bool
@@ -101,8 +101,6 @@ type Handshaker interface {
 // CGCResult reports what one concurrent cycle did.
 type CGCResult struct {
 	ScopeHeaps     int
-	SkippedHeaps   int // claimed but stolen back before their sweep
-	MarkedObjects  int64
 	LiveWords      int64 // live payload+header words swept over
 	FreedWords     int64 // words turned into free spans
 	SweptChunks    int   // fully-dead chunks released to the space
@@ -169,16 +167,9 @@ type CGC struct {
 	greys   []mem.Ref
 	visited map[mem.Ref]struct{} // pass-through objects seen this cycle
 
-	// Totals across cycles, for Runtime stats and the bench tables.
-	Cycles         atomic.Int64
-	MarkedObjects  atomic.Int64
-	FreedWords     atomic.Int64
-	SweptChunks    atomic.Int64
-	RetainedTotal  atomic.Int64
-	ShadedRefs     atomic.Int64
-	LastLiveWords  atomic.Int64
-	AbortedCycles  atomic.Int64
-	SkippedHeapTot atomic.Int64
+	// LastLiveWords is a gauge: the live words the last sweep passed over.
+	// A completed cycle adds its counts to the tree's trace.CGC* rows.
+	LastLiveWords atomic.Int64
 }
 
 // NewCGC creates a concurrent collector.
@@ -222,7 +213,6 @@ func (g *CGC) Shade(r mem.Ref) {
 		runtime.Gosched()
 	}
 	g.shade.push(r)
-	g.ShadedRefs.Add(1)
 }
 
 // mutatorWait blocks the collector while it waits on mutator progress (a
@@ -231,8 +221,7 @@ func (g *CGC) Shade(r mem.Ref) {
 // quantum — often milliseconds, longer than the fork–join window the cycle
 // is racing — while a timer wakeup is injected back promptly on any P
 // count. The 20µs grain costs a multi-P cycle nothing measurable.
-func mutatorWait(spins int) {
-	_ = spins
+func mutatorWait() {
 	time.Sleep(20 * time.Microsecond)
 }
 
@@ -299,7 +288,6 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 		g.greys = g.greys[:0]
 		g.visited = nil
 		res.Aborted = true
-		g.AbortedCycles.Add(1)
 		if inMark {
 			g.Ring.Emit(trace.EvCGCMarkEnd, 0, 0, 0)
 		}
@@ -317,13 +305,11 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 			g.greys = append(g.greys, v.Ref())
 		}
 	}
-	ackSpins := 0
 	for !hs.ScanTasks(epoch, grey) {
 		if stop() {
 			return abandon()
 		}
-		mutatorWait(ackSpins)
-		ackSpins++
+		mutatorWait()
 	}
 
 	// Phase 3: root harvest. Pinned objects of every live heap feed the
@@ -335,7 +321,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 	// frames (claim-scan for parked tasks, cgcSafepoint self-scan for
 	// running ones), and a snapshot-reachable ref that moves into a frame
 	// afterwards was deleted from some field on the way, which the SATB
-	// barrier shades.
+	// barrier shades, or is a branch's result, which the branch shades.
 	for _, h := range g.Tree.Live() {
 		if h.Dead() {
 			continue
@@ -362,7 +348,6 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 	inMark = true
 	marked := int64(0)
 	budget := 0
-	fixSpins := 0
 	drainGreys := func() {
 		for len(g.greys) > 0 {
 			r := g.greys[len(g.greys)-1]
@@ -386,9 +371,13 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 		if stop() {
 			return abandon()
 		}
-		// Candidate fixpoint: flush every live gate so any shade pushed by
-		// a barrier that saw Marking()==true is now in the queue, and any
-		// task mid-self-scan has finished it.
+		// Candidate fixpoint. Ask the registry first: a task it finds at the
+		// epoch, or gone, pushed its last shades before it said so — its
+		// self-scan, or the result it delivered (core's Task.settle) — and
+		// the drain below finds them. Then flush every live gate so any
+		// shade pushed by a barrier that saw Marking()==true is in the queue
+		// too.
+		all := hs.ScanTasks(epoch, grey)
 		for _, h := range g.Tree.Live() {
 			if h.Dead() {
 				continue
@@ -399,21 +388,16 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 		at = g.Attr.Begin()
 		g.shade.drain(func(r mem.Ref) { g.greys = append(g.greys, r) })
 		g.Attr.End(attr.ShadeQueue, at)
-		if !hs.ScanTasks(epoch, grey) {
+		if !all {
 			// A task appeared (or parked) since the last sweep of the
 			// registry; fold its roots in and keep going.
-			if stop() {
-				return abandon()
-			}
-			mutatorWait(fixSpins)
-			fixSpins++
+			mutatorWait()
 			continue
 		}
 		if len(g.greys) == 0 {
 			break
 		}
 	}
-	res.MarkedObjects = marked
 	g.Ring.Emit(trace.EvCGCMarkEnd, 0, uint64(marked), 0)
 	inMark = false
 
@@ -427,7 +411,6 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 			// Cannot happen under the park protocol (nothing revokes a
 			// claim); kept so a future revocation path degrades to
 			// "conservatively live this cycle" instead of a torn sweep.
-			res.SkippedHeaps++
 			for _, sc := range snap[h.ID] {
 				sc.c.DropMarks()
 			}
@@ -498,17 +481,14 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 	g.phase.Store(cgcIdle)
 	g.greys = g.greys[:0]
 	g.visited = nil
-	g.Cycles.Add(1)
-	g.MarkedObjects.Add(res.MarkedObjects)
-	g.FreedWords.Add(res.FreedWords)
-	g.SweptChunks.Add(int64(res.SweptChunks))
-	g.RetainedTotal.Add(int64(res.RetainedChunks))
-	g.SkippedHeapTot.Add(int64(res.SkippedHeaps))
+	g.Tree.Stats.Add(trace.CGCCycles, 1)
+	g.Tree.Stats.Add(trace.CGCFreedWords, res.FreedWords)
+	g.Tree.Stats.Add(trace.CGCSweptChunks, int64(res.SweptChunks))
+	g.Tree.Stats.Add(trace.CGCRetainedChunks, int64(res.RetainedChunks))
 	g.LastLiveWords.Store(res.LiveWords)
 	g.Ring.Emit(trace.EvCGCSweepEnd, 0, uint64(res.SweptChunks), uint64(res.RetainedChunks))
 	g.Ring.Emit(trace.EvCGCCycleEnd, 0, uint64(res.FreedWords), 0)
 	g.Ring.Emit(trace.EvCounter, 0, uint64(trace.CtrLiveWords), uint64(res.LiveWords))
-	g.Ring.Emit(trace.EvCounter, 0, uint64(trace.CtrRetainedChunks), uint64(g.RetainedTotal.Load()))
 	// Flush the collector's attribution totals onto its own ring: both
 	// are owned by this goroutine, so the single-writer rule holds.
 	g.Attr.EmitCounters(g.Ring, 0)

@@ -54,6 +54,7 @@ import (
 	"mplgo/internal/chaos"
 	"mplgo/internal/hierarchy"
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 // Result reports what one collection did.
@@ -65,20 +66,11 @@ type Result struct {
 	PinnedTraced   int64 // pinned objects traced in place
 }
 
-// Collector performs local collections for one runtime instance.
+// Collector performs local collections for one runtime instance. Each adds
+// its Result to the tree's trace.GC* rows.
 type Collector struct {
 	Space *mem.Space
 	Tree  *hierarchy.Tree
-
-	// Totals across all collections. Atomic: distinct tasks collect their
-	// own heaps concurrently (with chaos-forced triggers, often).
-	Collections    atomic.Int64
-	CopiedWords    atomic.Int64
-	ReclaimedWords atomic.Int64
-	// RetainedChunks totals chunks kept alive across collections only
-	// because they hold pinned (entangled) objects: the paper's transient
-	// space cost of entanglement, surfaced through Runtime stats.
-	RetainedChunks atomic.Int64
 
 	runs sync.Pool // of *run
 }
@@ -188,10 +180,10 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	h.Chunks = append(kept, r.to.Chunks...)
 	r.to.FlushCopied()
 	r.res.ReclaimedWords = oldWords - retainedOldWords
-	c.Collections.Add(1)
-	c.CopiedWords.Add(r.res.CopiedWords)
-	c.ReclaimedWords.Add(r.res.ReclaimedWords)
-	c.RetainedChunks.Add(int64(r.res.RetainedChunks))
+	c.Tree.Stats.Add(trace.GCCollections, 1)
+	c.Tree.Stats.Add(trace.GCCopiedWords, r.res.CopiedWords)
+	c.Tree.Stats.Add(trace.GCReclaimedWords, r.res.ReclaimedWords)
+	c.Tree.Stats.Add(trace.GCRetainedChunks, int64(r.res.RetainedChunks))
 	return r.res
 }
 

@@ -145,10 +145,6 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 		c.Space.ChunkOf(p).ClearMark(p)
 	}
 	r.res.ReclaimedWords = oldWords - retainedOldWords
-	c.Collections.Add(1)
-	c.CopiedWords.Add(r.res.CopiedWords)
-	c.ReclaimedWords.Add(r.res.ReclaimedWords)
-	c.RetainedChunks.Add(int64(r.res.RetainedChunks))
 	return r.res
 }
 

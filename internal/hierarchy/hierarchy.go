@@ -31,10 +31,10 @@ import (
 )
 
 // Totals is the runtime's event totals, one shared word per trace.Count.
-// New allocates it, so every tree counts. Each total is tallied on a leaf
+// New allocates it, so every tree counts. A tallied row is counted on a leaf
 // and drained by its owner (Drain), so mid-run it lags by the running
-// leaves' counts. AncestryQueries points at one total, for the benchmark,
-// which reads it by that name.
+// leaves' counts; a direct row takes one add per event (Add). AncestryQueries
+// points at one total, for the benchmark, which reads it by that name.
 type Totals struct {
 	n               [trace.NumCounts]atomic.Int64
 	AncestryQueries *atomic.Int64
@@ -43,8 +43,12 @@ type Totals struct {
 // Load returns the total of c.
 func (s *Totals) Load(c trace.Count) int64 { return s.n[c].Load() }
 
-// Drain adds a tally to the totals and clears it: the one place a total is
-// written. The caller owns the tally: it runs the tally's heap, or joins it.
+// Add adds n to the direct row c, where its event happens.
+func (s *Totals) Add(c trace.Count, n int64) { s.n[c].Add(n) }
+
+// Drain adds a tally to the tallied rows, the one place they are written (a
+// direct row gets one Add per event), and clears it. The caller owns the
+// tally: it runs the tally's heap, or joins it.
 func (s *Totals) Drain(t *Tally) {
 	for c, n := range t {
 		if n != 0 {
@@ -79,15 +83,15 @@ type RememberedEntry struct {
 	Index  int
 }
 
-// Tally is every runtime event count of the strand running a leaf heap:
+// Tally is the tallied event counts of the strand running a leaf heap:
 // pure counts that nothing reads while the strand runs. A heap has exactly
 // one running strand, so the barriers and accessors bump its slots with
 // plain adds at constant indices (the single-writer discipline of lca
 // and TraceRing), and the shared totals see them once, when the strand's
 // owner drains the block — at the end of the task, at its collections and
-// at the join that retires the heap (Totals.Drain). It is the runtime's
-// only way to count an event, whatever instruments are installed.
-type Tally [trace.NumCounts]int64
+// at the join that retires the heap (Totals.Drain), whatever instruments
+// are installed.
+type Tally [trace.NumTallied]int64
 
 // ancestryEntry is one entry of a leaf's ancestry cache (Heap.lca).
 type ancestryEntry struct {

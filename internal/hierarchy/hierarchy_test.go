@@ -3,8 +3,10 @@ package hierarchy
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"mplgo/internal/mem"
+	"mplgo/internal/trace"
 )
 
 func TestForkStructure(t *testing.T) {
@@ -351,5 +353,28 @@ func TestConcurrentForks(t *testing.T) {
 	}
 	if tr.IsAncestor(chains[0][0], chains[1][0]) {
 		t.Fatal("separate chains must not be ancestral")
+	}
+}
+
+// TestHeapLayout pins where a Heap's hot words sit: a Heap is allocated per
+// fork, and 424 bytes is in Go's 448-byte size class, so a field that grows
+// it past 448 — a tally slot per direct row of trace.Counts, say — costs
+// every fork a bigger object. The tally holds the tallied rows only.
+func TestHeapLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit targets")
+	}
+	var h Heap
+	if got := unsafe.Sizeof(h); got != 424 {
+		t.Errorf("Heap is %d bytes, want 424", got)
+	}
+	if got := unsafe.Offsetof(h.Tally); got != 112 {
+		t.Errorf("Tally at offset %d, want 112", got)
+	}
+	if got := unsafe.Sizeof(h.Tally); got != 8*uintptr(trace.NumTallied) {
+		t.Errorf("Tally is %d bytes for %d tallied rows", got, trace.NumTallied)
+	}
+	if got := unsafe.Offsetof(h.Gate); got != 248 {
+		t.Errorf("Gate at offset %d, want 248", got)
 	}
 }

@@ -14,8 +14,6 @@ type Allocator struct {
 	// owning heap adopts them. The slice is read by the heap's collector
 	// while the task is stopped, never concurrently with allocation.
 	Chunks []*Chunk
-	// AllocWords counts words allocated through this allocator.
-	AllocWords int64
 	// reuse lists chunks the concurrent sweep left with threaded free
 	// spans (gc/cgc.go). They already belong to the heap — they are not
 	// appended to Chunks — and new objects are carved out of their spans
@@ -29,7 +27,7 @@ type Allocator struct {
 	// 2*ChunkWords it refills ChunkWords at a time.
 	grow int
 	// copied counts words CopyIn placed that FlushCopied has yet to add to
-	// AllocWords and the space's total.
+	// the space's total.
 	copied int64
 }
 
@@ -68,9 +66,7 @@ func (a *Allocator) Alloc(k Kind, payloadWords int) Ref {
 // alloc carves a mutator object and counts its words at once; the caller
 // writes its payload.
 func (a *Allocator) alloc(k Kind, n int) (*Chunk, int) {
-	total := int64(max(n, 1) + 1)
-	a.AllocWords += total
-	a.space.totalAlloc.Add(total)
+	a.space.totalAlloc.Add(int64(max(n, 1) + 1))
 	return a.carve(MakeHeader(k, n), n)
 }
 
@@ -126,11 +122,10 @@ func (a *Allocator) CopyIn(src *Chunk, off int, hd Header) Ref {
 	return nr
 }
 
-// FlushCopied adds the words CopyIn placed since the last call to
-// AllocWords and to the space's cumulative total: once per collection, not
-// one locked add per object.
+// FlushCopied adds the words CopyIn placed since the last call to the
+// space's cumulative total: once per collection, not one locked add per
+// object.
 func (a *Allocator) FlushCopied() {
-	a.AllocWords += a.copied
 	a.space.totalAlloc.Add(a.copied)
 	a.copied = 0
 }

@@ -61,9 +61,6 @@ func (c *Chunk) Marked(off int) bool {
 // spans. Owner/sweeper context only (see Chunk.freeWords).
 func (c *Chunk) FreeWordCount() int { return c.freeWords }
 
-// HasFreeList reports whether a sweep left reusable free spans in c.
-func (c *Chunk) HasFreeList() bool { return c.freeHead != 0 }
-
 // SweepStats summarizes one chunk's in-place sweep.
 type SweepStats struct {
 	LiveObjects int // objects kept (marked or pinned)

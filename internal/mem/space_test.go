@@ -416,7 +416,7 @@ func TestAllocatorGrowth(t *testing.T) {
 	s := NewSpace()
 	a := NewAllocator(s, 1)
 	want := MinChunkWords
-	for a.AllocWords < 4*ChunkWords {
+	for s.TotalAllocWords() < 4*ChunkWords {
 		n := len(a.Chunks)
 		a.AllocTuple(Int(1), Int(2))
 		if len(a.Chunks) == n {
@@ -428,8 +428,8 @@ func TestAllocatorGrowth(t *testing.T) {
 		// Checked at its worst, right after a refill. Each abandoned chunk
 		// may end in a tail shorter than one object (3 words here).
 		tails := int64(3 * n)
-		if held := s.LiveWords(); held > 2*(a.AllocWords+tails)+MinChunkWords {
-			t.Fatalf("holding %d words for %d allocated", held, a.AllocWords)
+		if held, allocated := s.LiveWords(), s.TotalAllocWords(); held > 2*(allocated+tails)+MinChunkWords {
+			t.Fatalf("holding %d words for %d allocated", held, allocated)
 		}
 		want = min(2*want, ChunkWords)
 	}
@@ -515,9 +515,6 @@ func TestAllocWordsAccounting(t *testing.T) {
 	a := NewAllocator(s, 1)
 	a.AllocTuple(Int(1), Int(2)) // header + 2
 	a.AllocRef(Nil)              // header + 1
-	if a.AllocWords != 5 {
-		t.Fatalf("AllocWords = %d, want 5", a.AllocWords)
-	}
 	if s.TotalAllocWords() != 5 {
 		t.Fatalf("TotalAllocWords = %d, want 5", s.TotalAllocWords())
 	}

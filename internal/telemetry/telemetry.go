@@ -44,14 +44,12 @@ type metric struct {
 	val  int64
 }
 
-// collect snapshots every exported metric from the runtime's accessors.
-// The event counts come from the table (trace.Counts): each row with help
-// text is the counter mplgo_<prefix><name>_total, the tree's beside the
-// collector's totals and the barriers' beside the pin gauge.
+// collect snapshots every exported metric. Every _total but steals and
+// total_alloc_words comes from the table (trace.Counts): each row with help
+// text is the counter mplgo_<prefix><name>_total, beside its layer's gauges.
 func collect(rt *core.Runtime) []metric {
 	es := rt.EntStats()
-	collections, copied, reclaimed := rt.GCStats()
-	cycles, freed, swept, cgcRetained, lastLive := rt.CGCStats()
+	_, _, _, _, lastLive := rt.CGCStats()
 	sp := rt.Space()
 	counts := func(ms []metric, layer, prefix string) []metric {
 		for c, row := range trace.Counts {
@@ -66,22 +64,13 @@ func collect(rt *core.Runtime) []metric {
 		{"mplgo_live_words", "Words in live chunks", "gauge", sp.LiveWords()},
 		{"mplgo_max_live_words", "High-water mark of live words", "gauge", sp.MaxLiveWords()},
 		{"mplgo_total_alloc_words", "Cumulative words handed to allocators", "counter", sp.TotalAllocWords()},
-		{"mplgo_gc_collections_total", "Local (LGC) collections", "counter", collections},
-		{"mplgo_gc_copied_words_total", "Words copied by local collections", "counter", copied},
-		{"mplgo_gc_reclaimed_words_total", "Words reclaimed by local collections", "counter", reclaimed},
-		{"mplgo_gc_retained_chunks_total", "Chunks retained for pinned objects by LGC", "counter", rt.RetainedChunks()},
 	}
-	ms = counts(ms, "hierarchy", "")
-	ms = append(ms, []metric{
-		{"mplgo_cgc_cycles_total", "Concurrent collection cycles completed", "counter", cycles},
-		{"mplgo_cgc_freed_words_total", "Words reclaimed in place by CGC sweeps", "counter", freed},
-		{"mplgo_cgc_swept_chunks_total", "Chunks released whole by CGC sweeps", "counter", swept},
-		{"mplgo_cgc_retained_chunks_total", "Chunks retained with live or pinned objects by CGC", "counter", cgcRetained},
-		{"mplgo_cgc_last_live_words", "Live words observed by the last CGC sweep", "gauge", lastLive},
-	}...)
+	for _, layer := range []string{"gc", "hierarchy", "cgc"} {
+		ms = counts(ms, layer, "")
+	}
+	ms = append(ms, metric{"mplgo_cgc_last_live_words", "Live words observed by the last CGC sweep", "gauge", lastLive})
 	ms = counts(ms, "entangle", "ent_")
 	return append(ms, []metric{
-		{"mplgo_ent_unpins_total", "Objects unpinned", "counter", es.Unpins},
 		{"mplgo_ent_pinned_now", "Currently pinned objects", "gauge", es.PinnedNow},
 		{"mplgo_ent_pinned_peak", "High-water mark of pinned objects", "gauge", es.PinnedPeak},
 		{"mplgo_ent_pinned_peak_bytes", "High-water mark of pinned bytes", "gauge", es.PinnedPeakBytes},

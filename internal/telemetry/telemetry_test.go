@@ -97,6 +97,45 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsWhileRunning scrapes /metrics from another goroutine while an
+// entangled workload runs with the concurrent collector on, the way a
+// server is watched; under -race it checks that every value the exposition
+// reads is safe to read mid-run.
+func TestMetricsWhileRunning(t *testing.T) {
+	rt := core.New(core.Config{Procs: 2, HeapBudgetWords: 1024, CGC: true, CGCThresholdWords: 1})
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Run(func(tk *core.Task) mem.Value {
+			f := tk.NewFrame(1)
+			defer f.Pop()
+			f.Set(0, tk.AllocArray(64, mem.Nil).Value())
+			for range 50 {
+				tk.ParFor(0, 64, 1, func(t *core.Task, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						t.Write(f.Ref(0), i, t.AllocTuple(mem.Int(int64(i))).Value())
+						t.Read(f.Ref(0), (i+1)%64)
+					}
+				})
+			}
+			return mem.Nil
+		})
+		done <- err
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+			if err := WriteMetrics(io.Discard, rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestMetricsGolden pins the runtime's /metrics exposition — every metric's
@@ -129,10 +168,11 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
-// TestEveryCountReachesItsSurfaces sets each tally row to a value of its
-// own, drains, and follows every row to its total, its /metrics line (rows
-// with help text) and its trace track (traced rows), so a row added to
-// trace.Counts is covered with no edit here.
+// TestEveryCountReachesItsSurfaces writes each row a value of its own, the
+// way the row is written — a tallied row on a leaf's tally, then drained, a
+// direct row by one Totals.Add — and follows every row to its total, its
+// /metrics line (rows with help text) and its trace track (traced rows), so
+// a row added to trace.Counts is covered with no edit here.
 func TestEveryCountReachesItsSurfaces(t *testing.T) {
 	rt := core.New(core.Config{Procs: 1})
 	value := func(c int) int64 { return 1000 + int64(c) }
@@ -143,6 +183,9 @@ func TestEveryCountReachesItsSurfaces(t *testing.T) {
 	rt.Tree().Stats.Drain(&root.Tally)
 	if root.Tally != (hierarchy.Tally{}) {
 		t.Fatalf("the drain left %v on the tally", root.Tally)
+	}
+	for c := trace.NumTallied; c < trace.NumCounts; c++ {
+		rt.Tree().Stats.Add(c, value(int(c)))
 	}
 
 	var body bytes.Buffer

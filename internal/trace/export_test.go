@@ -23,6 +23,7 @@ func goldenRings() [][]Event {
 		{TS: 2000, Kind: EvPin, Worker: 0, Depth: 1, Arg1: 0xbeef, Arg2: 1},
 		{TS: 5000, Kind: EvLGCBegin, Worker: 0, Depth: 1, Arg1: 2},
 		{TS: 9000, Kind: EvLGCEnd, Worker: 0, Depth: 1, Arg1: 128, Arg2: 64},
+		{TS: 9100, Kind: EvCounter, Worker: 0, Depth: 1, Arg1: uint64(GCRetainedChunks.Counter()), Arg2: 2},
 		{TS: 12000, Kind: EvUnpin, Worker: 0, Depth: 0, Arg1: 0xbeef},
 		{TS: 13000, Kind: EvJoin, Worker: 0, Depth: 0, Arg1: 1},
 	}
@@ -40,7 +41,6 @@ func goldenRings() [][]Event {
 		{TS: 6200, Kind: EvCGCSweepBegin, Worker: 2},
 		{TS: 7200, Kind: EvCGCSweepEnd, Worker: 2, Arg1: 5, Arg2: 2},
 		{TS: 7300, Kind: EvCGCCycleEnd, Worker: 2, Arg1: 512},
-		{TS: 7400, Kind: EvCounter, Worker: 2, Arg1: uint64(CtrRetainedChunks), Arg2: 2},
 	}
 	return [][]Event{w0, w1, col}
 }
@@ -160,7 +160,7 @@ func TestExportSummarizeRoundTrip(t *testing.T) {
 	if s.CGCCycle.Count != 1 || s.CGCMark.Count != 1 || s.CGCSweep.Count != 1 {
 		t.Fatalf("CGC stats: cycle=%+v mark=%+v sweep=%+v", s.CGCCycle, s.CGCMark, s.CGCSweep)
 	}
-	if s.CounterMax[CtrPinnedBytes] != 4096 || s.CounterMax[CtrRetainedChunks] != 2 {
+	if s.CounterMax[CtrPinnedBytes] != 4096 || s.CounterMax[GCRetainedChunks.Counter()] != 2 {
 		t.Fatalf("counter maxima: %v", s.CounterMax)
 	}
 	if s.Span != time.Duration(12000) {
@@ -179,14 +179,14 @@ func TestExportSummarizeRoundTrip(t *testing.T) {
 // whatever order the counter ids are declared in.
 func TestCounterMaximaByName(t *testing.T) {
 	s := &Summary{CounterMax: map[Counter]uint64{
-		CtrRequestsShed:           1,
-		CtrRequestsAdmitted:       2,
-		AncestryQueries.Counter(): 3,
-		ElidedStores.Counter():    4,
-		CtrLiveWords:              5,
-		CtrAttrBudgetPollN:        6, // attr_* counters are reported apart
-		HeapsDropped.Counter():    7,
-		CtrRetainedChunks:         8,
+		CtrRequestsShed:            1,
+		CtrRequestsAdmitted:        2,
+		AncestryQueries.Counter():  3,
+		ElidedStores.Counter():     4,
+		CtrLiveWords:               5,
+		CtrAttrBudgetPollN:         6, // attr_* counters are reported apart
+		HeapsDropped.Counter():     7,
+		GCRetainedChunks.Counter(): 8,
 	}}
 	var report bytes.Buffer
 	s.Format(&report)
@@ -198,8 +198,8 @@ func TestCounterMaximaByName(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(list), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := []string{"ancestry_queries", "elided_stores", "heaps_dropped", "live_words",
-		"requests_admitted", "requests_shed", "retained_chunks"}
+	want := []string{"ancestry_queries", "elided_stores", "gc_retained_chunks", "heaps_dropped",
+		"live_words", "requests_admitted", "requests_shed"}
 	if strings.Join(names, " ") != strings.Join(want, " ") {
 		t.Fatalf("counter maxima order %v, want %v", names, want)
 	}

@@ -102,11 +102,12 @@ func KindFromName(name string) (Kind, bool) {
 	return EvNone, false
 }
 
-// Count is one of the runtime's event counts, a row of Counts: tallied on
-// the running leaf (hierarchy.Tally) and drained into one shared total
-// (hierarchy.Totals), which /metrics, the trace and mplgo -stats read by
-// looping over the table. A new count is a constant, its row and its
-// increment site.
+// Count is one of the runtime's event counts, a row of Counts with one shared
+// total (hierarchy.Totals), which /metrics, the trace and mplgo -stats read by
+// looping over the table. A tallied row, one of the first NumTallied, is
+// counted on the running leaf (hierarchy.Tally) and drained into its total; a
+// direct row gets one add per event (hierarchy.Totals.Add). A new count is a
+// constant, its row and its increment site.
 type Count uint8
 
 const (
@@ -132,8 +133,20 @@ const (
 	ElidedLoads // accesses and allocations through core's *Fast accessors
 	ElidedStores
 	ElidedAllocs
+	// The direct rows: local collections, concurrent cycles, unpinning joins.
+	GCCollections
+	GCCopiedWords
+	GCReclaimedWords
+	GCRetainedChunks
+	CGCCycles
+	CGCFreedWords
+	CGCSweptChunks
+	CGCRetainedChunks
+	Unpins
 	NumCounts
 )
+
+const NumTallied = GCCollections // the tallied rows, the first of the table
 
 // CountRow describes a count: its layer (the package whose event it counts,
 // which groups /metrics and mplgo -stats), its name (its trace counter
@@ -147,23 +160,32 @@ type CountRow struct {
 
 // Counts is the table of the runtime's event counts, indexed by Count.
 var Counts = [NumCounts]CountRow{
-	AncestryQueries: {Layer: "hierarchy", Name: "ancestry_queries", Traced: true},
-	HeapsDropped:    {Layer: "hierarchy", Name: "heaps_dropped", Help: "Child heaps released whole when their branches returned", Traced: true},
-	DroppedWords:    {Layer: "hierarchy", Name: "dropped_words", Help: "Chunk words released by dropped child heaps", Traced: true},
-	DownPointers:    {Layer: "entangle", Name: "down_pointers", Help: "Down-pointer stores seen by the write barrier, recorded or already remembered"},
-	Candidates:      {Layer: "entangle", Name: "candidates", Help: "Objects marked as entanglement candidates"},
-	EntangledReads:  {Layer: "entangle", Name: "entangled_reads", Help: "Reads proven entangled"},
-	EntangledWrites: {Layer: "entangle", Name: "entangled_writes", Help: "Writes proven entangled"},
-	SlowReads:       {Layer: "entangle", Name: "slow_reads", Help: "Read-barrier slow paths taken"},
-	Pins:            {Layer: "entangle", Name: "pins", Help: "Objects pinned"},
-	PinDepthLowered: {Layer: "mem", Name: "pin_cas_depth_lowered"},
-	PinAlready:      {Layer: "mem", Name: "pin_cas_already"},
-	PinBusy:         {Layer: "mem", Name: "pin_cas_busy"},
-	PinForwarded:    {Layer: "mem", Name: "pin_cas_forwarded"},
-	PinRetries:      {Layer: "mem", Name: "pin_cas_retries"},
-	ElidedLoads:     {Layer: "core", Name: "elided_loads", Traced: true},
-	ElidedStores:    {Layer: "core", Name: "elided_stores", Traced: true},
-	ElidedAllocs:    {Layer: "core", Name: "elided_allocs"},
+	AncestryQueries:   {Layer: "hierarchy", Name: "ancestry_queries", Traced: true},
+	HeapsDropped:      {Layer: "hierarchy", Name: "heaps_dropped", Help: "Child heaps released whole when their branches returned", Traced: true},
+	DroppedWords:      {Layer: "hierarchy", Name: "dropped_words", Help: "Chunk words released by dropped child heaps", Traced: true},
+	DownPointers:      {Layer: "entangle", Name: "down_pointers", Help: "Down-pointer stores seen by the write barrier, recorded or already remembered"},
+	Candidates:        {Layer: "entangle", Name: "candidates", Help: "Objects marked as entanglement candidates"},
+	EntangledReads:    {Layer: "entangle", Name: "entangled_reads", Help: "Reads proven entangled"},
+	EntangledWrites:   {Layer: "entangle", Name: "entangled_writes", Help: "Writes proven entangled"},
+	SlowReads:         {Layer: "entangle", Name: "slow_reads", Help: "Read-barrier slow paths taken"},
+	Pins:              {Layer: "entangle", Name: "pins", Help: "Objects pinned"},
+	PinDepthLowered:   {Layer: "mem", Name: "pin_cas_depth_lowered"},
+	PinAlready:        {Layer: "mem", Name: "pin_cas_already"},
+	PinBusy:           {Layer: "mem", Name: "pin_cas_busy"},
+	PinForwarded:      {Layer: "mem", Name: "pin_cas_forwarded"},
+	PinRetries:        {Layer: "mem", Name: "pin_cas_retries"},
+	ElidedLoads:       {Layer: "core", Name: "elided_loads", Traced: true},
+	ElidedStores:      {Layer: "core", Name: "elided_stores", Traced: true},
+	ElidedAllocs:      {Layer: "core", Name: "elided_allocs"},
+	GCCollections:     {Layer: "gc", Name: "gc_collections", Help: "Local (LGC) collections", Traced: true},
+	GCCopiedWords:     {Layer: "gc", Name: "gc_copied_words", Help: "Words copied by local collections", Traced: true},
+	GCReclaimedWords:  {Layer: "gc", Name: "gc_reclaimed_words", Help: "Words reclaimed by local collections", Traced: true},
+	GCRetainedChunks:  {Layer: "gc", Name: "gc_retained_chunks", Help: "Chunks retained for pinned objects by LGC", Traced: true},
+	CGCCycles:         {Layer: "cgc", Name: "cgc_cycles", Help: "Concurrent collection cycles completed"},
+	CGCFreedWords:     {Layer: "cgc", Name: "cgc_freed_words", Help: "Words reclaimed in place by CGC sweeps"},
+	CGCSweptChunks:    {Layer: "cgc", Name: "cgc_swept_chunks", Help: "Chunks released whole by CGC sweeps"},
+	CGCRetainedChunks: {Layer: "cgc", Name: "cgc_retained_chunks", Help: "Chunks retained with live or pinned objects by CGC"},
+	Unpins:            {Layer: "entangle", Name: "unpins", Help: "Objects unpinned"},
 }
 
 // Counter returns the count's counter-track id.
@@ -177,7 +199,8 @@ const (
 	CtrPinnedBytes Counter = iota
 	CtrPinnedPeakBytes
 	CtrLiveWords
-	CtrRetainedChunks
+	// Retired for GCRetainedChunks; named so an older trace still resolves.
+	ctrRetainedChunks
 	// The number of statically-proven disentangled regions (constant over a
 	// run), beside the elided-access counts.
 	CtrStaticRegions
@@ -245,7 +268,7 @@ var counterNames = [CtrCountFirst]string{
 	CtrPinnedBytes:      "pinned_bytes",
 	CtrPinnedPeakBytes:  "pinned_peak_bytes",
 	CtrLiveWords:        "live_words",
-	CtrRetainedChunks:   "retained_chunks",
+	ctrRetainedChunks:   "retained_chunks",
 	CtrStaticRegions:    "static_regions",
 	CtrRequestsAdmitted: "requests_admitted",
 	CtrRequestsShed:     "requests_shed",
