@@ -64,21 +64,29 @@ func TestRaceReadVsMerge(t *testing.T) {
 					done.Store(true)
 					return mem.Nil
 				}
+				read := func(t *Task, s int) {
+					v := t.Read(holder, s)
+					if !v.IsRef() {
+						return
+					}
+					b := v.Ref()
+					if l, r, got := t.Length(b), t.Read(b, 0).AsInt(), t.Read(b, 1).AsInt(); l != 2 || r < 0 || r >= rounds || got != int64(s) {
+						panic(fmt.Sprintf("slot %d holds box %v: length %d, round %d, slot %d", s, b, l, r, got))
+					}
+				}
 				reader := func(t *Task) mem.Value {
 					started.Add(1)
 					for i := 0; !done.Load() && i < 1_000_000; i++ {
 						if i%256 == 255 {
 							runtime.Gosched() // let the writer's worker run
 						}
-						s := i % slots
-						v := t.Read(holder, s)
-						if !v.IsRef() {
-							continue
-						}
-						b := v.Ref()
-						if l, r, got := t.Length(b), t.Read(b, 0).AsInt(), t.Read(b, 1).AsInt(); l != 2 || r < 0 || r >= rounds || got != int64(s) {
-							panic(fmt.Sprintf("slot %d holds box %v: length %d, round %d, slot %d", s, b, l, r, got))
-						}
+						read(t, i%slots)
+					}
+					// With few workers a reader may first run once the writer is
+					// done. The writer's heap is its sibling until the top join,
+					// so this pass reads every slot's last box entangled.
+					for s := 0; s < slots; s++ {
+						read(t, s)
 					}
 					return mem.Nil
 				}

@@ -86,11 +86,12 @@ func TestElisionCountersReachTrace(t *testing.T) {
 
 // TestTracedCountsReachTrace runs, with tracing on, a workload that moves
 // every traced count (trace.Counts) — an entangled random program, a
-// collection of a heap holding a live and a pinned object, unchecked
-// accesses, and branches whose heaps drop — and checks each reaches the
-// trace end to end: the collection and join sites sample its total into a
-// counter track, and the summary reports it by name, never above the total.
-// A row marked traced later is checked here too.
+// collection of a heap holding a pinned object and a live one in a chunk
+// without a pin, unchecked accesses, and branches whose heaps drop — and
+// checks each reaches the trace end to end: the collection and join sites
+// sample its total into a counter track, and the summary reports it by
+// name, never above the total. A row marked traced later is checked here
+// too.
 func TestTracedCountsReachTrace(t *testing.T) {
 	tracer := trace.NewTracer(4, 1<<14)
 	rt := New(Config{Procs: 4, HeapBudgetWords: 2048, Tracer: tracer})
@@ -99,8 +100,9 @@ func TestTracedCountsReachTrace(t *testing.T) {
 	_, err := rt.Run(func(tk *Task) mem.Value {
 		randomProgram(11, 6, true)(tk)
 		// The left branch publishes X in the root's cell and collects, with X
-		// and Z framed, once the right branch, stolen, has pinned X: Z is
-		// copied, and X's chunk retained.
+		// and Z framed, once the right branch, stolen, has pinned X: X's
+		// chunk is retained, and Z, too large to share that chunk (the first
+		// chunk of a heap is the smallest class), is copied.
 		pinned := make(chan struct{})
 		f := tk.NewFrame(1)
 		f.Set(0, tk.AllocRef(mem.Nil).Value())
@@ -109,7 +111,7 @@ func TestTracedCountsReachTrace(t *testing.T) {
 				lf := t.NewFrame(2)
 				defer lf.Pop()
 				lf.Set(0, t.AllocTuple(mem.Int(1)).Value())
-				lf.Set(1, t.AllocTuple(mem.Int(2)).Value())
+				lf.Set(1, t.AllocArray(mem.MinChunkWords, mem.Int(2)).Value())
 				t.Write(f.Ref(0), 0, lf.Get(0))
 				select {
 				case <-pinned:

@@ -3,12 +3,15 @@
 // the only heap a task may move objects of (DESIGN.md deviation D2) —
 // extended, per the paper, to tolerate entanglement:
 //
-//   - Pinned objects (entangled, per package entangle) are traced in place:
-//     they are never moved nor reclaimed; a chunk a pinned mark lands in
-//     is retained whole (every pinned object is in its heap's pinned set,
-//     so the marks find them all). This is the space cost of entanglement,
-//     and it is bounded: joins unpin (package hierarchy), after which the
-//     memory is reclaimed by ordinary collections.
+//   - Pinned objects (entangled, per package entangle) are never moved nor
+//     reclaimed, and a chunk holding one is retained whole. It is also
+//     non-moving for the collection (mostly-copying): before anything
+//     moves, the chunks holding a listed pin are marked Keep (every pinned
+//     object is in its heap's pinned set), and every live object in them,
+//     pinned or not, is traced in place rather than copied out of a chunk
+//     that stays anyway. This is the space cost of entanglement, and it is
+//     bounded: joins unpin (package hierarchy), after which the memory is
+//     reclaimed by ordinary collections.
 //   - Down-pointers into the leaf, recorded by the write barrier in its
 //     remembered set, act as roots; the fields they describe are updated to
 //     the targets' new locations *before* the leaf's gate reopens
@@ -20,14 +23,14 @@
 //     pointed into) is no down-pointer any more and is dropped.
 //   - The pass over the entries is linear and hashes nothing. The leaf's
 //     old chunks carry a from-space mark (mem.Chunk.FromSpace) for the
-//     duration, forward moves only what lies in a marked chunk, and so a
+//     duration, forward acts only on what lies in a marked chunk, and so a
 //     duplicate entry — the write barrier records a field again unless the
 //     heap's own strand overwrites a reference into the heap — finds its
 //     field already redirected and is dropped.
 //   - There is no grey set: a copied object is grey by lying in to-space
 //     past the scan cursor, a (chunk index, offset) pair that walks the
-//     to-space chunks up to the bump pointer (drain). Only pinned objects,
-//     grey in place, wait on a list.
+//     to-space chunks up to the bump pointer (drain). Only the objects
+//     traced in place, grey where they lie, wait on a list.
 //
 // Collections happen at allocation points of the owning task, so the
 // mutator of the leaf is stopped; concurrent tasks can touch it only
@@ -43,7 +46,8 @@
 // is what publishes the moves; a reader that loads a from-space header
 // sooner re-validates what it finds (DESIGN.md §6 decision 7).
 // Fields of pinned objects and of holders outside the leaf, which other
-// tasks read meanwhile, are still loaded and stored atomically.
+// tasks read meanwhile, are still loaded and stored atomically; an unpinned
+// object traced in place is as private as a copy until the gate reopens.
 package gc
 
 import (
@@ -91,7 +95,7 @@ type run struct {
 	h         *hierarchy.Heap
 	to        mem.Allocator
 	ci, off   int
-	marked    []mem.Ref // pinned objects marked this cycle (marks cleared at end)
+	marked    []mem.Ref // objects traced in place this cycle (marks cleared at end)
 	traced    int       // marked[:traced] have had their fields forwarded
 	visitRoot func(*mem.Value)
 	res       Result
@@ -103,7 +107,7 @@ type run struct {
 // the chunk is known to be the leaf's.
 func (r *run) fromSpace(ref mem.Ref) (*mem.Chunk, bool) {
 	ch := r.c.Space.ChunkByID(ref.Chunk())
-	return ch, ch.HeapID() == r.h.ID && ch.FromSpace
+	return ch, ch.HeapID() == r.h.ID && ch.FromSpace != mem.NotFromSpace
 }
 
 // Collect collects scope, the caller's leaf, a one-element slice; the
@@ -137,44 +141,40 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	// forward from moving an object twice.
 	var oldWords int64
 	for _, ch := range h.Chunks {
-		ch.FromSpace = true
+		ch.FromSpace = mem.Evacuate
 		oldWords += int64(ch.Words())
 	}
 
-	// Phase 1: roots — the shadow stacks of every task attached to the
-	// leaf, the down-pointers, the pins.
+	// Phase 1: the pins, which mark the chunks that stay Keep before
+	// anything moves; the roots — the shadow stacks of every task attached
+	// to the leaf, the down-pointers.
+	r.tracePinned()
 	for _, rs := range h.RootSets {
 		rs.Roots(r.visitRoot)
 	}
 	r.processRemsets()
-	r.tracePinned()
 
 	// Phase 2: transitive copy/trace.
 	r.drain()
 
-	// Phase 3: clear the pinned marks, keeping each leaf chunk one lands in
-	// by unmarking it from-space (a stale pinned entry may name a chunk of
-	// another heap, mid-collection elsewhere); release the chunks still
-	// marked (unmarked first: a released chunk may be another heap's at
-	// once), settle to-space.
+	// Phase 3: clear the marks of the objects traced in place; keep the
+	// Keep chunks and release the rest (unmarked first: a released chunk
+	// may be another heap's at once), settle to-space.
 	for _, p := range r.marked {
-		ch := c.Space.ChunkByID(p.Chunk())
-		ch.ClearMark(p)
-		if ch.HeapID() == h.ID {
-			ch.FromSpace = false
-		}
+		c.Space.ChunkByID(p.Chunk()).ClearMark(p)
 	}
 	h.Overwritten = 0
 	var retainedOldWords int64
 	kept := h.Chunks[:0]
 	for _, ch := range h.Chunks {
-		if ch.FromSpace {
-			ch.FromSpace = false
-			c.Space.Release(ch)
-		} else {
+		keep := ch.FromSpace == mem.Keep
+		ch.FromSpace = mem.NotFromSpace
+		if keep {
 			kept = append(kept, ch)
 			retainedOldWords += int64(ch.Words())
 			r.res.RetainedChunks++
+		} else {
+			c.Space.Release(ch)
 		}
 	}
 	h.Chunks = append(kept, r.to.Chunks...)
@@ -200,9 +200,9 @@ func (r *run) finish() {
 // remembered set in place down to the still-valid entries: one pass, at
 // most one entry out per entry in. A field stored to k times may have up to
 // k entries; the first forwards the target and redirects the field into
-// to-space, which drops the rest. Duplicates whose target is pinned in
-// place all survive: harmless (an entry is a hint to look at the field)
-// and never more than came in.
+// to-space, which drops the rest. Duplicates whose target stays in place
+// (pinned, or beside a pin) all survive: harmless (an entry is a hint to
+// look at the field) and never more than came in.
 func (r *run) processRemsets() {
 	sp := r.c.Space
 	r.h.Remset.Filter(func(e hierarchy.RememberedEntry) bool {
@@ -238,22 +238,33 @@ func (r *run) processRemsets() {
 
 // tracePinned greys every pinned object of the leaf: pinned objects are
 // unconditionally live (a concurrent task may hold them) and traced in
-// place.
+// place. It runs before anything moves and marks each pin's chunk Keep, so
+// that evacuate leaves the pin's neighbours in place too; a stale entry
+// naming a chunk of another heap marks no chunk.
 func (r *run) tracePinned() {
 	r.h.Pinned.Each(func(p mem.Ref) {
-		if hd := r.c.Space.Header(p); hd.Pinned() && hd.Kind() != mem.KForward {
-			r.mark(p)
+		ch, ok := r.fromSpace(p)
+		if hd := ch.Header(p); !hd.Pinned() || hd.Kind() == mem.KForward {
+			return
+		}
+		if ok {
+			ch.FromSpace = mem.Keep
+		}
+		if r.mark(p) {
+			r.res.PinnedTraced++
 		}
 	})
 }
 
-// mark greys the pinned object p: the first call of a collection, which
-// sets the header's mark bit, queues it in r.marked for drain to trace.
-func (r *run) mark(p mem.Ref) {
+// mark greys the object p in place: the first call of a collection, which
+// sets the header's mark bit, queues it in r.marked for drain to trace and
+// reports true.
+func (r *run) mark(p mem.Ref) bool {
 	if r.c.Space.SetMark(p) {
 		r.marked = append(r.marked, p)
-		r.res.PinnedTraced++
+		return true
 	}
+	return false
 }
 
 // forward returns the value to use in place of v after collection. It is
@@ -271,13 +282,18 @@ func (r *run) forward(v mem.Value) mem.Value {
 }
 
 // evacuate returns the current location of the from-space object ref, which
-// lies in chunk ch: it copies an unpinned object to the end of to-space —
-// that is what greys it, the cursor being behind — follows a forwarding, and
-// leaves a pinned object in place. The claim is the only atomic write; the
-// header with its candidate bit, the payload (one copy, raw or tagged), the
-// forwarding pointer and the forwarding header after it are plain, in
+// lies in chunk ch: it greys an object of a Keep chunk in place, copies an
+// unpinned object to the end of to-space — that is what greys it, the
+// cursor being behind — follows a forwarding, and leaves a pinned object in
+// place. The claim is the only atomic write of a copy; the header with its
+// candidate bit, the payload (one copy, raw or tagged), the forwarding
+// pointer and the forwarding header after it are plain, in
 // mem.Allocator.CopyIn.
 func (r *run) evacuate(ch *mem.Chunk, ref mem.Ref) mem.Value {
+	if ch.FromSpace == mem.Keep {
+		r.mark(ref) // never claimed: nothing leaves a chunk that stays
+		return ref.Value()
+	}
 	// Claim the object through the header state machine. With the gate
 	// closed no pin can race us here, but the discipline is what makes the
 	// protocol auditable: a copy only ever starts from a successful
@@ -288,7 +304,9 @@ func (r *run) evacuate(ch *mem.Chunk, ref mem.Ref) mem.Value {
 		case hd.Kind() == mem.KForward:
 			return mem.Value(ch.Data[ref.Off()+1]) // this collection's own store
 		case hd.Pinned():
-			r.mark(ref)
+			if r.mark(ref) {
+				r.res.PinnedTraced++
+			}
 			return ref.Value()
 		default:
 			// BUSY is unreachable: this collector is the only copier of
@@ -312,7 +330,7 @@ func (r *run) evacuate(ch *mem.Chunk, ref mem.Ref) mem.Value {
 // to-space from the cursor to the bump pointer, parsed densely (a
 // zero-length object occupies two words); scanning one appends more,
 // perhaps in a new chunk, and the chunk left behind ends at its own Alloc.
-// Pinned objects are grey in place and wait in r.marked.
+// The objects traced in place are grey where they lie and wait in r.marked.
 func (r *run) drain() {
 	for again := true; again; {
 		again = false
@@ -334,7 +352,9 @@ func (r *run) drain() {
 		}
 		for ; r.traced < len(r.marked); r.traced++ {
 			p := r.marked[r.traced]
-			r.scan(r.c.Space.ChunkByID(p.Chunk()), p.Off(), r.c.Space.Header(p), true)
+			c := r.c.Space.ChunkByID(p.Chunk())
+			hd := c.Header(p)
+			r.scan(c, p.Off(), hd, hd.Pinned())
 			again = true
 		}
 	}
@@ -342,7 +362,8 @@ func (r *run) drain() {
 
 // scan forwards the fields of the grey object at word off of c. A pinned
 // object is shared with the tasks that pinned it, so its fields are stored
-// atomically; a copied one is private until the gate reopens.
+// atomically; a copied one, or an unpinned one traced in place, is private
+// until the gate reopens.
 func (r *run) scan(c *mem.Chunk, off int, hd mem.Header, shared bool) {
 	if !hd.Kind().Scanned() {
 		return
@@ -357,7 +378,7 @@ func (r *run) scan(c *mem.Chunk, off int, hd mem.Header, shared bool) {
 			continue
 		}
 		switch nv := r.evacuate(tc, v.Ref()); {
-		case nv == v: // pinned in place
+		case nv == v: // traced in place
 		case shared:
 			atomic.StoreUint64(&c.Data[k], uint64(nv))
 		default:

@@ -332,9 +332,13 @@ func TestPinnedNotMoved(t *testing.T) {
 	ha := w.onHeap(leaf)
 
 	pinned := ha.al.AllocArray(2, mem.Nil)
-	child := ha.al.AllocTuple(mem.Int(33)) // reachable only from pinned
-	w.sp.Store(pinned, 0, child.Value())
 	ha.adopt()
+	// Reachable only from pinned, in a chunk of its own: the pin keeps its
+	// own chunk in place, not this one.
+	other := w.onHeap(leaf)
+	child := other.al.AllocTuple(mem.Int(33))
+	other.adopt()
+	w.sp.Store(pinned, 0, child.Value())
 	w.sp.Pin(pinned, 0)
 	leaf.AddPinned(pinned)
 
@@ -431,7 +435,7 @@ func TestCollectRetainsExactlyPinnedChunks(t *testing.T) {
 	foreign, fr := chunk(other, 1) // another collection's from-space
 	w.sp.Pin(fr[0], 0)
 	parent.AddPinned(fr[0]) // a stale entry in the scope's pinned set
-	foreign.FromSpace = true
+	foreign.FromSpace = mem.Evacuate
 
 	if n, _ := w.tr.Merge(child, parent, w.sp); n != 1 {
 		t.Fatalf("the join unpinned %d objects, want 1", n)
@@ -443,8 +447,8 @@ func TestCollectRetainsExactlyPinnedChunks(t *testing.T) {
 
 	res := w.c.Collect([]*hierarchy.Heap{parent})
 	for _, c := range []*mem.Chunk{pinned, reached, above} {
-		if c.HeapID() != parent.ID || c.FromSpace || !slices.Contains(parent.Chunks, c) {
-			t.Fatalf("chunk %d holds a listed pin but was not kept (heap %d, from-space %v)", c.ID, c.HeapID(), c.FromSpace)
+		if c.HeapID() != parent.ID || c.FromSpace != mem.NotFromSpace || !slices.Contains(parent.Chunks, c) {
+			t.Fatalf("chunk %d holds a listed pin but was not kept (heap %d, from-space %d)", c.ID, c.HeapID(), c.FromSpace)
 		}
 	}
 	for _, c := range []*mem.Chunk{garbage, copied, unpinned} {
@@ -455,12 +459,58 @@ func TestCollectRetainsExactlyPinnedChunks(t *testing.T) {
 	if res.RetainedChunks != 3 {
 		t.Fatalf("RetainedChunks = %d, want 3", res.RetainedChunks)
 	}
-	if !foreign.FromSpace || foreign.HeapID() != other.ID || w.sp.Header(fr[0]).Marked() {
-		t.Fatalf("the chunk outside the scope was touched: from-space %v, heap %d, marked %v",
+	if foreign.FromSpace != mem.Evacuate || foreign.HeapID() != other.ID || w.sp.Header(fr[0]).Marked() {
+		t.Fatalf("the chunk outside the scope was touched: from-space %d, heap %d, marked %v",
 			foreign.FromSpace, foreign.HeapID(), w.sp.Header(fr[0]).Marked())
 	}
-	foreign.FromSpace = false
+	foreign.FromSpace = mem.NotFromSpace
 	if err := CheckHeap(w.sp, parent, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCollectKeepsPinnedChunkInPlace: a chunk that holds a pin is
+// non-moving for the collection that keeps it. The pin's unpinned live
+// neighbour keeps its reference and its fields, and only the chunk without
+// a pin is copied from.
+func TestCollectKeepsPinnedChunkInPlace(t *testing.T) {
+	w := newWorld()
+	leaf := w.tr.Fork(w.tr.Root())
+	first := w.onHeap(leaf)
+	pinned := first.al.AllocTuple(mem.Int(1))
+	neighbour := first.al.AllocTuple(mem.Int(2), pinned.Value())
+	first.adopt()
+	second := w.onHeap(leaf)
+	moved := second.al.AllocTuple(mem.Int(3), neighbour.Value())
+	second.adopt()
+	kept, released := w.sp.ChunkOf(neighbour), w.sp.ChunkOf(moved)
+	w.sp.Pin(pinned, 0)
+	leaf.AddPinned(pinned)
+	rs := &roots{refs: []mem.Ref{neighbour, moved}}
+	leaf.AddRootSet(rs)
+
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
+	if rs.refs[0] != neighbour {
+		t.Fatalf("the pin's neighbour moved: %v -> %v", neighbour, rs.refs[0])
+	}
+	if hd := w.sp.Header(neighbour); hd.Kind() != mem.KTuple || hd.Len() != 2 || hd.Marked() || hd.Busy() {
+		t.Fatalf("the pin's neighbour has header %#x", uint64(hd))
+	}
+	if w.sp.Load(neighbour, 0) != mem.Int(2) || w.sp.Load(neighbour, 1) != pinned.Value() {
+		t.Fatalf("the pin's neighbour holds %v, %v", w.sp.Load(neighbour, 0), w.sp.Load(neighbour, 1))
+	}
+	if res.CopiedObjects != 1 || res.CopiedWords != 3 {
+		t.Fatalf("copied %d objects, %d words; want the one 3-word object of the chunk without a pin",
+			res.CopiedObjects, res.CopiedWords)
+	}
+	if nm := rs.refs[1]; nm == moved || w.sp.Load(nm, 0) != mem.Int(3) || w.sp.Load(nm, 1) != neighbour.Value() {
+		t.Fatalf("the object of the chunk without a pin: %v -> %v", moved, nm)
+	}
+	if res.RetainedChunks != 1 || !slices.Contains(leaf.Chunks, kept) || released.HeapID() != 0 {
+		t.Fatalf("retained %d chunks (pinned chunk kept %v, other chunk's heap %d)",
+			res.RetainedChunks, slices.Contains(leaf.Chunks, kept), released.HeapID())
+	}
+	if err := CheckHeap(w.sp, leaf, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,9 +26,10 @@ import (
 //     gate quiescence (reader count zero, collecting bit clear), pin
 //     listing (every pinned header in the heap's chunks is in its pinned
 //     set, where a local collection finds the chunks it must keep), no
-//     transient BUSY or mark bits and no from-space chunk mark outside a
-//     collection, and — via Validate — that no live path reaches a stale
-//     forwarding header.
+//     transient BUSY or mark bits — on a pinned object or on one traced in
+//     place beside it — and no from-space or keep-in-place chunk mark
+//     outside a collection, and — via Validate — that no live path reaches
+//     a stale forwarding header.
 //
 // Sweeps are possible because chunks are bump-allocated densely: objects
 // occupy [off, off+1+max(1,len)) back to back from offset 0 to c.Alloc,
@@ -93,7 +94,11 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 			if c.CGCScoped() {
 				return fmt.Errorf("gc: heap %d chunk %d: mark bitmap left installed at a quiescent point", h.ID, c.ID)
 			}
-			if c.FromSpace {
+			switch c.FromSpace {
+			case mem.NotFromSpace:
+			case mem.Keep:
+				return fmt.Errorf("gc: heap %d chunk %d: keep-in-place mark left set outside a collection", h.ID, c.ID)
+			default:
 				return fmt.Errorf("gc: heap %d chunk %d: from-space mark left set outside a collection", h.ID, c.ID)
 			}
 		}

@@ -14,6 +14,9 @@ import (
 // one Space.Load/Space.Store pair per payload word and Space.Forward, and
 // grey objects wait on an explicit stack. It is slow and obviously right,
 // and it shares nothing with gc.go but the Collector's fields and Result.
+// It keeps the rule gc.go keeps, by its own means: a from-space chunk in
+// which a dense parse finds a pinned header (holdsPinned) is retained, and
+// every live object in it is traced where it lies.
 
 // refRun is the reference's per-collection state. toAlloc and newRemsets
 // are parallel to order.
@@ -44,7 +47,7 @@ func (r *refRun) scopeOf(id uint32) int {
 func (r *refRun) fromSpaceOf(ref mem.Ref) int {
 	ch := r.c.Space.ChunkByID(ref.Chunk())
 	i := r.scopeOf(ch.HeapID())
-	if i >= 0 && !ch.FromSpace {
+	if i >= 0 && ch.FromSpace == mem.NotFromSpace {
 		return -1
 	}
 	return i
@@ -103,12 +106,16 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 
 	// Everything the scope holds now is from-space; what forward allocates
 	// from here on carries the same heap ids but no mark, which is what
-	// keeps forward from moving an object twice.
+	// keeps forward from moving an object twice. A chunk holding a pin stays,
+	// and so do its objects.
 	var oldWords int64
 	for i, h := range r.order {
 		r.toAlloc[i] = mem.NewAllocator(c.Space, h.ID)
 		for _, ch := range h.Chunks {
-			ch.FromSpace = true
+			ch.FromSpace = mem.Evacuate
+			if holdsPinned(ch) {
+				ch.FromSpace = mem.Keep
+			}
 			oldWords += int64(ch.Words())
 		}
 	}
@@ -128,8 +135,9 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 		h.Remset = r.newRemsets[i]
 		var kept []*mem.Chunk
 		for _, ch := range h.Chunks {
-			ch.FromSpace = false
-			if holdsPinned(ch) {
+			keep := ch.FromSpace == mem.Keep
+			ch.FromSpace = mem.NotFromSpace
+			if keep {
 				kept = append(kept, ch)
 				retainedOldWords += int64(ch.Words())
 				r.res.RetainedChunks++
@@ -140,7 +148,7 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 		kept = append(kept, r.toAlloc[i].Chunks...)
 		h.Chunks = kept
 	}
-	// Clear transient marks on pinned objects.
+	// Clear transient marks on the objects traced in place.
 	for _, p := range r.marked {
 		c.Space.ChunkOf(p).ClearMark(p)
 	}
@@ -237,9 +245,20 @@ func (r *refRun) forward(v mem.Value) mem.Value {
 }
 
 // evacuate returns the current location of the from-space object ref of
-// scope heap i: it copies an unpinned object to to-space (installing
-// forwarding), follows a forwarding, and leaves a pinned object in place.
+// scope heap i: it leaves an object of a kept chunk in place, copies an
+// unpinned object to to-space (installing forwarding), follows a
+// forwarding, and leaves a pinned object in place.
 func (r *refRun) evacuate(ref mem.Ref, i int) mem.Value {
+	if r.c.Space.ChunkOf(ref).FromSpace == mem.Keep {
+		if r.c.Space.SetMark(ref) {
+			r.marked = append(r.marked, ref)
+			r.queue = append(r.queue, ref)
+			if r.c.Space.Header(ref).Pinned() {
+				r.res.PinnedTraced++
+			}
+		}
+		return ref.Value()
+	}
 	// Claim the object through the header state machine. With the scope
 	// gates closed no pin can race us here, but the discipline is what
 	// makes the protocol auditable: a copy only ever starts from a

@@ -72,13 +72,13 @@ type Chunk struct {
 	// Alloc is the bump offset of the next free word. Only the owning
 	// task mutates it.
 	Alloc int
-	// FromSpace marks the chunk as from-space of the local collection now
-	// running on its heap. That collection sets it on its scope's old
-	// chunks once the gates are closed and clears it before they reopen;
-	// only it reads the mark, and only on a chunk whose heap id it has
-	// already found in its scope — any other chunk may be mid-collection
-	// elsewhere.
-	FromSpace bool
+	// FromSpace is the chunk's part in the local collection now running on
+	// its heap. That collection marks its scope's old chunks once the gates
+	// are closed — Keep on those holding a pin, Evacuate on the rest — and
+	// resets them to NotFromSpace before they reopen; only it reads the
+	// mark, and only on a chunk whose heap id it has already found in its
+	// scope — any other chunk may be mid-collection elsewhere.
+	FromSpace FromSpace
 
 	heapID atomic.Uint32
 	owner  atomic.Pointer[Owner]
@@ -89,7 +89,7 @@ type Chunk struct {
 	// atomic load in the SATB shade path); the bits themselves are only
 	// ever touched by the single CGC worker, so they need no atomics.
 	// The header mark bit (hdrMark) stays reserved for LGC's transient
-	// pinned-trace marking — the strict invariant audit rejects leftovers,
+	// in-place tracing — the strict invariant audit rejects leftovers,
 	// which a concurrent cycle could not guarantee.
 	marks atomic.Pointer[markBitmap]
 
@@ -103,6 +103,15 @@ type Chunk struct {
 	freeHead  int
 	freeWords int
 }
+
+// FromSpace is a chunk's from-space mark (Chunk.FromSpace), one byte.
+type FromSpace uint8
+
+const (
+	NotFromSpace FromSpace = iota // no collection of its heap runs, or its to-space
+	Evacuate                      // live objects are copied out; the chunk is released
+	Keep                          // holds a pin: retained, live objects traced in place
+)
 
 // Owner is the opaque type of a chunk's owner: the descriptor of the heap
 // owning it, which in a runtime is the *hierarchy.Heap. mem sits below the
