@@ -418,3 +418,89 @@ func TestCollectorTotalsSumTheirResults(t *testing.T) {
 			collections, copied, reclaimed, cycles, want)
 	}
 }
+
+// TestSweptChunkIsNotTenured: a chunk the concurrent sweep threads a free
+// list through is no longer dense, so it is not kept as a survivor. The
+// root heap's collection leaves two interleaved lists in Tenured chunks, one
+// list dies, and a cycle run while the root is parked under a fork sweeps
+// the holes into free lists. Every swept chunk comes out of the cycle
+// without tenure, and the root's next collection copies the live list out
+// of it and releases it.
+func TestSweptChunkIsNotTenured(t *testing.T) {
+	rt := New(Config{Procs: 1, HeapBudgetWords: 1 << 20, CGC: true, CGCThresholdWords: 1 << 40})
+	const cells = 1000
+	_, err := rt.Run(func(tk *Task) mem.Value {
+		f := tk.NewFrame(2)
+		defer f.Pop()
+		for i := 0; i < cells; i++ {
+			f.Set(0, tk.AllocTuple(mem.Int(int64(i)), f.Get(0)).Value())
+			f.Set(1, tk.AllocTuple(mem.Int(-int64(i)), f.Get(1)).Value())
+		}
+		tk.collectNow()
+		var tenured []*mem.Chunk
+		for _, c := range tk.heap.Chunks {
+			if c.Tenured {
+				tenured = append(tenured, c)
+			}
+		}
+		f.Set(1, mem.Nil) // every other cell of the Tenured chunks dies
+		tk.Par(
+			func(t *Task) mem.Value {
+				done := make(chan gc.CGCResult, 1)
+				go func() {
+					rt.cgcExcl.Lock()
+					defer rt.cgcExcl.Unlock()
+					done <- rt.cgc.RunCycle(rt, func() bool { return false })
+				}()
+				for {
+					select {
+					case <-done:
+						return mem.Nil
+					default:
+						t.cgcSafepoint()
+						runtime.Gosched()
+					}
+				}
+			},
+			func(t *Task) mem.Value { return mem.Nil },
+		)
+		var swept []*mem.Chunk
+		for _, c := range tenured {
+			if c.HeapID() == tk.heap.ID && c.FreeWordCount() != 0 {
+				swept = append(swept, c)
+				if c.Tenured {
+					t.Errorf("chunk %d holds %d free words and is still Tenured", c.ID, c.FreeWordCount())
+				}
+			}
+		}
+		if len(swept) == 0 {
+			t.Fatalf("the cycle threaded no free list through the %d Tenured chunks", len(tenured))
+		}
+		tk.collectNow()
+		for _, c := range swept {
+			if slices.Contains(tk.heap.Chunks, c) {
+				t.Errorf("swept chunk %d was kept by the next collection", c.ID)
+			}
+		}
+		if err := gc.CheckHeap(rt.space, tk.heap, false); err != nil {
+			t.Error(err)
+		}
+		n, want := 0, int64(cells-1)
+		for v := f.Get(0); v.IsRef(); v = tk.Read(v.Ref(), 1) {
+			if got := tk.Read(v.Ref(), 0).AsInt(); got != want {
+				t.Fatalf("cell %d holds %d, want %d", n, got, want)
+			}
+			n, want = n+1, want-1
+		}
+		if n != cells {
+			t.Fatalf("the live list has %d cells, want %d", n, cells)
+		}
+		return mem.Nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

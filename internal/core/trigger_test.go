@@ -14,13 +14,17 @@ import (
 // nowhere else. A fixed allocation sequence at a 256-word budget must collect
 // at the same allocations, copying the same words, with no scope, under
 // scopes entered and left mid-budget, with the concurrent collector on, and
-// with a residency limit set.
+// with a residency limit set. The sequence runs twice in each: once taking
+// the tenure off the heap's chunks before every allocation, so that every
+// collection copies out of what the last one filled, as when the sequence
+// was captured, and once as the runtime runs, copying each survivor once.
 
 // triggerAllocs is the length of the fixed sequence.
 const triggerAllocs = 800
 
 // wantTriggers are the allocation indices at which the sequence collects, and
-// wantCopied the words those collections copy, in every setting below.
+// wantCopied the words those collections copy, in every setting below;
+// wantCopiedOnce is what they copy when a survivor is copied once.
 var (
 	wantTriggers = []int{21, 29, 40, 48, 73, 80, 85, 95, 101, 114, 116, 119, 145, 152,
 		156, 162, 169, 170, 172, 175, 178, 183, 189, 192, 198, 206, 212, 214, 222, 227,
@@ -29,14 +33,16 @@ var (
 		488, 489, 494, 500, 502, 508, 513, 538, 547, 556, 567, 579, 585, 591, 599, 611,
 		615, 620, 632, 634, 641, 651, 655, 669, 671, 678, 690, 694, 711, 721, 731, 746,
 		755, 766, 771, 783, 793}
-	wantCopied = int64(50780)
+	wantCopied     = int64(50780)
+	wantCopiedOnce = int64(11284)
 )
 
 // triggerPoints runs the fixed sequence under cfg and returns the indices of
 // the allocations that ran a collection and the words collections copied.
 // scoped runs alternate 97-allocation stretches under a fresh scope (with a
 // budget it never reaches), so most scope switches happen mid-budget.
-func triggerPoints(t *testing.T, cfg Config, scoped bool) ([]int, int64) {
+// untenure takes the tenure off the heap's chunks before every allocation.
+func triggerPoints(t *testing.T, cfg Config, scoped, untenure bool) ([]int, int64) {
 	t.Helper()
 	rt := New(cfg)
 	var at []int
@@ -47,6 +53,11 @@ func triggerPoints(t *testing.T, cfg Config, scoped bool) ([]int, int64) {
 		step := func(i int) {
 			x = x*6364136223846793005 + 1442695040888963407
 			k := int(x >> 33)
+			if untenure {
+				for _, c := range tk.heap.Chunks {
+					c.Tenured = false
+				}
+			}
 			before, _, _ := rt.GCStats()
 			var r mem.Ref
 			switch k % 4 {
@@ -104,9 +115,16 @@ func TestCollectionTriggerPoints(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Procs, tc.cfg.HeapBudgetWords = 1, 256
-			at, copied := triggerPoints(t, tc.cfg, tc.scoped)
-			if fmt.Sprint(at) != fmt.Sprint(wantTriggers) || copied != wantCopied {
-				t.Errorf("collections at %v copying %d words,\nwant %v copying %d", at, copied, wantTriggers, wantCopied)
+			for _, untenure := range []bool{true, false} {
+				want := wantCopied
+				if !untenure {
+					want = wantCopiedOnce
+				}
+				at, copied := triggerPoints(t, tc.cfg, tc.scoped, untenure)
+				if fmt.Sprint(at) != fmt.Sprint(wantTriggers) || copied != want {
+					t.Errorf("untenured %v: collections at %v copying %d words,\nwant %v copying %d",
+						untenure, at, copied, wantTriggers, want)
+				}
 			}
 		})
 	}

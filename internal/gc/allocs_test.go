@@ -16,8 +16,13 @@ func (s *rootSlot) Roots(visit func(*mem.Value)) { visit(&s.v) }
 // no closures, no allocator, and no segment for the remembered set, which
 // it rebuilds in place. serve's
 // dispatcher heap collects a near-empty heap 900 times a run, with Go's own
-// collector off. Under the race detector the pool drops Puts at random, so
-// there only the copies and the heap audit are checked, not the bound.
+// collector off. Each copying collection first takes the tenure off the
+// leaf's chunks, so that it copies what the last one did; a survivor round
+// then keeps them and, once a to-space chunk less than half filled has been
+// copied out of (the second and third collections), copies nothing and
+// allocates nothing at all. Under the race detector the pool drops Puts at
+// random, so there only the copies and the heap audit are checked, not the
+// bounds.
 func TestCollectAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct{ objects, remembered int }{{0, 0}, {1000, 0}, {0, 1000}} {
 		w := newWorld()
@@ -44,9 +49,13 @@ func TestCollectAllocatesNothing(t *testing.T) {
 		ha.adopt()
 		leaf.AddRootSet(rs)
 		scope := []*hierarchy.Heap{leaf}
-		copied := int64(tc.objects + tc.remembered)
-		collect := func(what string) {
-			if res := w.c.Collect(scope); res.CopiedObjects != copied {
+		// collect collects the leaf and checks the objects it copies unless
+		// copied is negative.
+		collect := func(what string, copied int64) {
+			if copied > 0 {
+				untenure(leaf)
+			}
+			if res := w.c.Collect(scope); copied >= 0 && res.CopiedObjects != copied {
 				t.Fatalf("%+v: %s copied %d objects, want %d", tc, what, res.CopiedObjects, copied)
 			}
 			if n := leaf.Remset.Len(); n != tc.remembered {
@@ -55,14 +64,21 @@ func TestCollectAllocatesNothing(t *testing.T) {
 		}
 		// Two collections fill the space's free lists with both semispaces
 		// and the collector's pool with a run.
+		copied := int64(tc.objects + tc.remembered)
 		for i := 0; i < 2; i++ {
-			collect("warm-up")
+			collect("warm-up", copied)
 		}
-		allocs := testing.AllocsPerRun(20, func() { collect("collection") })
+		allocs := testing.AllocsPerRun(20, func() { collect("collection", copied) })
 		// What remains is the to-space chunk list, grown by append.
 		if limit := float64(max(len(leaf.Chunks)-1, 0)); !raceEnabled && allocs > limit {
 			t.Errorf("%+v: %.0f allocations per collection, want at most %.0f (a list of %d chunks)",
 				tc, allocs, limit, len(leaf.Chunks))
+		}
+		for i := 0; i < 2; i++ {
+			collect("survivor warm-up", -1)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { collect("survivor collection", 0) }); !raceEnabled && allocs > 0 {
+			t.Errorf("%+v: %.0f allocations per survivor collection, want 0", tc, allocs)
 		}
 		if err := CheckHeap(w.sp, leaf, true); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package gc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mplgo/internal/hierarchy"
@@ -202,6 +203,7 @@ func dirtySpace(sp *mem.Space, heap uint32) {
 func diffCollect(t testing.TB, data []byte) {
 	a, b := buildDiffWorld(data), buildDiffWorld(data)
 	for round := 0; round < 2; round++ {
+		old := slices.Clone(a.leaf.Chunks)
 		ra, rb := a.c.Collect([]*hierarchy.Heap{a.leaf}), b.c.refCollect([]*hierarchy.Heap{b.leaf})
 		// ReclaimedWords counts whole chunks, and which chunk an oversize
 		// object's neighbours share depends on the order of the copies:
@@ -214,7 +216,7 @@ func diffCollect(t testing.TB, data []byte) {
 			t.Fatalf("round %d: %d words allocated, reference %d", round, ta, tb)
 		}
 		compareWorlds(t, round, a, b)
-		a.checkToSpace(t, round, ra)
+		a.checkToSpace(t, round, old, ra)
 		for _, w := range []*diffWorld{a, b} {
 			for _, h := range w.heaps {
 				if err := CheckHeap(w.sp, h, true); err != nil {
@@ -279,7 +281,7 @@ func compareWorlds(t testing.TB, round int, a, b *diffWorld) {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		ha, hb := a.sp.Header(p.a), b.sp.Header(p.b)
-		if ha != hb || ha.Kind() == mem.KForward || ha.Busy() || ha.Marked() {
+		if ha != hb || ha.Kind() == mem.KForward || ha.Busy() {
 			t.Fatalf("round %d: %v has header %#x, reference's %v %#x", round, p.a, uint64(ha), p.b, uint64(hb))
 		}
 		if ia, ib := a.sp.ChunkOf(p.a).HeapID(), b.sp.ChunkOf(p.b).HeapID(); ia != ib {
@@ -320,20 +322,25 @@ func compareWorlds(t testing.TB, round int, a, b *diffWorld) {
 }
 
 // checkToSpace parses every chunk the collection filled — the leaf's chunks
-// without pins; from-space chunks without pins were released —
-// densely from 0 to Alloc, and requires exactly the copied objects there,
-// each zero-length one with a zero pad word.
-func (w *diffWorld) checkToSpace(t testing.TB, round int, res Result) {
+// that were not among its old ones — densely from 0 to Alloc, and requires
+// exactly the copied objects there, each zero-length one with a zero pad
+// word, and every one of them Tenured.
+func (w *diffWorld) checkToSpace(t testing.TB, round int, old []*mem.Chunk, res Result) {
 	var objects, words int64
 	retained := 0
 	for _, c := range w.leaf.Chunks {
-		if holdsPinned(c) {
-			retained++
+		if slices.Contains(old, c) {
+			if holdsPinned(c) {
+				retained++
+			}
 			continue
+		}
+		if !c.Tenured {
+			t.Fatalf("round %d: to-space chunk %d is not Tenured", round, c.ID)
 		}
 		for off := 0; off < c.Alloc; {
 			hd := mem.Header(c.Data[off])
-			if !hd.Valid() || hd.Kind() < mem.KTuple || hd.Kind() > mem.KRaw || hd.Pinned() || hd.Busy() || hd.Marked() {
+			if !hd.Valid() || hd.Kind() < mem.KTuple || hd.Kind() > mem.KRaw || hd.Pinned() || hd.Busy() {
 				t.Fatalf("round %d: to-space chunk %d does not parse at +%d: header %#x", round, c.ID, off, uint64(hd))
 			}
 			if hd.Len() == 0 && c.Data[off+1] != 0 {

@@ -1,36 +1,50 @@
 // Package gc implements the hierarchical local collector (LGC) of the
-// runtime: a Cheney-style copying collection of a task's own leaf heap —
-// the only heap a task may move objects of (DESIGN.md deviation D2) —
-// extended, per the paper, to tolerate entanglement:
+// runtime: a mostly-copying collection of a task's own leaf heap — the
+// only heap a task may move objects of (DESIGN.md deviation D2) — extended,
+// per the paper, to tolerate entanglement:
 //
+//   - A survivor is copied once. Every to-space chunk is dense when the
+//     collection ends and is marked Tenured (mem.Chunk.Tenured); the heap's
+//     next collection traces the live objects of a Tenured chunk where they
+//     lie rather than copying them out. After marking, a chunk traced in
+//     place with nothing live is released at once, and one found less than
+//     half live loses its tenure, so the collection after copies out of it:
+//     a kept chunk holds garbage for at most one more collection.
 //   - Pinned objects (entangled, per package entangle) are never moved nor
 //     reclaimed, and a chunk holding one is retained whole. It is also
-//     non-moving for the collection (mostly-copying): before anything
-//     moves, the chunks holding a listed pin are marked Keep (every pinned
-//     object is in its heap's pinned set), and every live object in them,
-//     pinned or not, is traced in place rather than copied out of a chunk
-//     that stays anyway. This is the space cost of entanglement, and it is
-//     bounded: joins unpin (package hierarchy), after which the memory is
-//     reclaimed by ordinary collections.
+//     non-moving for the collection: before anything moves, the chunks
+//     holding a listed pin are marked Keep (every pinned object is in its
+//     heap's pinned set), and every live object in them, pinned or not, is
+//     traced in place rather than copied out of a chunk that stays anyway.
+//     This is the space cost of entanglement, and it is bounded: joins
+//     unpin (package hierarchy), after which the memory is reclaimed by
+//     ordinary collections.
+//   - What is traced in place is marked in a bitmap beside its chunk
+//     (mem.InPlace), which the collection installs on the chunk and takes
+//     off again, never in the object's header: an in-place object costs
+//     one bit and one chunk resolution.
 //   - Down-pointers into the leaf, recorded by the write barrier in its
 //     remembered set, act as roots; the fields they describe are updated to
 //     the targets' new locations *before* the leaf's gate reopens
 //     (hierarchy.Gate.EndCollect), which is what makes the read barrier's
 //     pin-then-validate protocol sound.
-//   - The remembered set is rebuilt so entries never go stale: each entry
-//     is revalidated against the holder's current field, in place, and one
-//     whose holder lies in the leaf itself (a join merged the heap it
-//     pointed into) is no down-pointer any more and is dropped.
+//   - The remembered set is rebuilt so entries never go stale and never
+//     repeat: each entry is revalidated against the holder's current field,
+//     in place, and one whose holder lies in the leaf itself (a join merged
+//     the heap it pointed into) is no down-pointer any more and is dropped.
 //   - The pass over the entries is linear and hashes nothing. The leaf's
 //     old chunks carry a from-space mark (mem.Chunk.FromSpace) for the
 //     duration, forward acts only on what lies in a marked chunk, and so a
 //     duplicate entry — the write barrier records a field again unless the
 //     heap's own strand overwrites a reference into the heap — finds its
-//     field already redirected and is dropped.
+//     field already redirected and is dropped. A target that stays in place
+//     leaves its field as it was; the first entry to reach it sets a second
+//     bit in its chunk's bitmap, and only when some entry finds that bit
+//     set are the kept entries sorted by field and the repeats dropped.
 //   - There is no grey set: a copied object is grey by lying in to-space
 //     past the scan cursor, a (chunk index, offset) pair that walks the
 //     to-space chunks up to the bump pointer (drain). Only the objects
-//     traced in place, grey where they lie, wait on a list.
+//     traced in place, grey where they lie, wait on a stack.
 //
 // Collections happen at allocation points of the owning task, so the
 // mutator of the leaf is stopped; concurrent tasks can touch it only
@@ -51,7 +65,9 @@
 package gc
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,7 +82,7 @@ type Result struct {
 	CopiedObjects  int64
 	CopiedWords    int64
 	ReclaimedWords int64
-	RetainedChunks int   // chunks kept alive only because they hold pins
+	RetainedChunks int   // chunks kept for a pin (not the Tenured ones kept for what they hold)
 	PinnedTraced   int64 // pinned objects traced in place
 }
 
@@ -91,14 +107,33 @@ func New(space *mem.Space, tree *hierarchy.Tree) *Collector {
 // before, grey from there to the bump pointer). The Collector recycles its
 // runs, so a collection allocates nothing from Go's heap but to-space.
 type run struct {
-	c         *Collector
-	h         *hierarchy.Heap
-	to        mem.Allocator
-	ci, off   int
-	marked    []mem.Ref // objects traced in place this cycle (marks cleared at end)
-	traced    int       // marked[:traced] have had their fields forwarded
+	c       *Collector
+	h       *hierarchy.Heap
+	to      mem.Allocator
+	ci, off int
+	marked  []grey // objects traced in place whose fields are yet to forward: a stack
+	spare   []*mem.InPlace
+	// repeats is set when two remembered entries reached one target that
+	// stays in place; dedup then lists the entries and their positions in
+	// entries and the positions it drops in drops.
+	repeats   bool
+	entries   []entry
+	drops     []int
 	visitRoot func(*mem.Value)
 	res       Result
+}
+
+// grey is an object traced in place: its chunk, resolved once, and the word
+// offset of its header.
+type grey struct {
+	c   *mem.Chunk
+	off int
+}
+
+// entry is a remembered entry and its position in the remembered set.
+type entry struct {
+	e   hierarchy.RememberedEntry
+	pos int
 }
 
 // fromSpace resolves ref's chunk, once for everything done to the object,
@@ -138,10 +173,15 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	h.DrainReusable(nil)
 	// Everything the leaf holds now is from-space; what forward copies from
 	// here on carries the same heap id but no mark, which is what keeps
-	// forward from moving an object twice.
+	// forward from moving an object twice. A Tenured chunk is traced in
+	// place.
 	var oldWords int64
 	for _, ch := range h.Chunks {
 		ch.FromSpace = mem.Evacuate
+		if ch.Tenured {
+			r.install(ch)
+			ch.FromSpace = mem.Survivor
+		}
 		oldWords += int64(ch.Words())
 	}
 
@@ -157,25 +197,32 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	// Phase 2: transitive copy/trace.
 	r.drain()
 
-	// Phase 3: clear the marks of the objects traced in place; keep the
-	// Keep chunks and release the rest (unmarked first: a released chunk
-	// may be another heap's at once), settle to-space.
-	for _, p := range r.marked {
-		c.Space.ChunkByID(p.Chunk()).ClearMark(p)
-	}
+	// Phase 3: keep the chunks traced in place that hold anything live —
+	// Tenured while at least half of their words are — and release the
+	// rest, the mark state taken off first (a released chunk may be another
+	// heap's at once); settle to-space, which is Tenured whole.
 	h.Overwritten = 0
 	var retainedOldWords int64
 	kept := h.Chunks[:0]
 	for _, ch := range h.Chunks {
-		keep := ch.FromSpace == mem.Keep
-		ch.FromSpace = mem.NotFromSpace
-		if keep {
-			kept = append(kept, ch)
-			retainedOldWords += int64(ch.Words())
-			r.res.RetainedChunks++
-		} else {
-			c.Space.Release(ch)
+		m, from := ch.InPlace, ch.FromSpace
+		ch.FromSpace, ch.InPlace = mem.NotFromSpace, nil
+		if m != nil {
+			r.spare = append(r.spare, m)
 		}
+		if m == nil || m.Live == 0 {
+			c.Space.Release(ch)
+			continue
+		}
+		ch.Tenured = 2*m.Live >= ch.Words()
+		kept = append(kept, ch)
+		retainedOldWords += int64(ch.Words())
+		if from != mem.Survivor {
+			r.res.RetainedChunks++
+		}
+	}
+	for _, ch := range r.to.Chunks {
+		ch.Tenured = true
 	}
 	h.Chunks = append(kept, r.to.Chunks...)
 	r.to.FlushCopied()
@@ -192,17 +239,36 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 // leave the gate closed on the readers waiting at it.
 func (r *run) finish() {
 	r.h.Gate.EndCollect()
-	*r = run{c: r.c, visitRoot: r.visitRoot, marked: r.marked[:0]}
+	*r = run{c: r.c, visitRoot: r.visitRoot, marked: r.marked[:0], spare: r.spare,
+		entries: r.entries[:0], drops: r.drops[:0]}
 	r.c.runs.Put(r)
+}
+
+// install gives ch, an old chunk of the leaf, a cleared mark state from the
+// run's spares, unless it has one, so that its objects can be traced in
+// place.
+func (r *run) install(ch *mem.Chunk) {
+	if ch.InPlace != nil {
+		return
+	}
+	var m *mem.InPlace
+	if n := len(r.spare); n > 0 {
+		m, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		m = new(mem.InPlace)
+	}
+	m.Reset(ch.Words())
+	ch.InPlace = m
 }
 
 // processRemsets uses down-pointer entries as roots and filters the leaf's
 // remembered set in place down to the still-valid entries: one pass, at
 // most one entry out per entry in. A field stored to k times may have up to
 // k entries; the first forwards the target and redirects the field into
-// to-space, which drops the rest. Duplicates whose target stays in place
-// (pinned, or beside a pin) all survive: harmless (an entry is a hint to
-// look at the field) and never more than came in.
+// to-space, which drops the rest. A target that stays in place (Tenured,
+// pinned, or beside a pin) is traced at once, so that a set of many such
+// targets never stands on the grey stack together, and when a second entry
+// reaches one such target, dedup drops the repeats.
 func (r *run) processRemsets() {
 	sp := r.c.Space
 	r.h.Remset.Filter(func(e hierarchy.RememberedEntry) bool {
@@ -231,8 +297,54 @@ func (r *run) processRemsets() {
 		}
 		if nv := r.evacuate(ch, v.Ref()); nv != v {
 			hc.Store(e.Holder, e.Index, nv)
+		} else {
+			if !ch.InPlace.Remember(v.Ref().Off()) {
+				r.repeats = true
+			}
+			r.traceMarked()
 		}
 		return true
+	})
+	if r.repeats {
+		r.dedup()
+	}
+}
+
+// dedup drops the repeated entries among those whose target stayed in
+// place: such a target leaves its field as it was, so no redirect tells a
+// repeat from the first. Sorting the entries by field brings repeats
+// together (an entry whose target moved has none left), and one more pass
+// over the set drops all but the first. It runs only when two entries
+// reached one target, which two distinct fields sharing a target also do.
+func (r *run) dedup() {
+	pos := 0
+	r.h.Remset.Each(func(e hierarchy.RememberedEntry) {
+		r.entries = append(r.entries, entry{e, pos})
+		pos++
+	})
+	slices.SortFunc(r.entries, func(a, b entry) int {
+		if c := cmp.Compare(a.e.Holder, b.e.Holder); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.e.Index, b.e.Index)
+	})
+	for i := 1; i < len(r.entries); i++ {
+		if r.entries[i].e == r.entries[i-1].e {
+			r.drops = append(r.drops, r.entries[i].pos)
+		}
+	}
+	if len(r.drops) == 0 {
+		return
+	}
+	slices.Sort(r.drops)
+	pos, next := 0, 0
+	r.h.Remset.Filter(func(hierarchy.RememberedEntry) bool {
+		drop := next < len(r.drops) && r.drops[next] == pos
+		if drop {
+			next++
+		}
+		pos++
+		return !drop
 	})
 }
 
@@ -240,28 +352,27 @@ func (r *run) processRemsets() {
 // unconditionally live (a concurrent task may hold them) and traced in
 // place. It runs before anything moves and marks each pin's chunk Keep, so
 // that evacuate leaves the pin's neighbours in place too; a stale entry
-// naming a chunk of another heap marks no chunk.
+// naming a chunk of another heap is passed over.
 func (r *run) tracePinned() {
 	r.h.Pinned.Each(func(p mem.Ref) {
 		ch, ok := r.fromSpace(p)
-		if hd := ch.Header(p); !hd.Pinned() || hd.Kind() == mem.KForward {
+		if hd := ch.Header(p); !ok || !hd.Pinned() || hd.Kind() == mem.KForward {
 			return
 		}
-		if ok {
-			ch.FromSpace = mem.Keep
-		}
-		if r.mark(p) {
+		r.install(ch)
+		ch.FromSpace = mem.Keep
+		if r.mark(ch, p.Off()) {
 			r.res.PinnedTraced++
 		}
 	})
 }
 
-// mark greys the object p in place: the first call of a collection, which
-// sets the header's mark bit, queues it in r.marked for drain to trace and
-// reports true.
-func (r *run) mark(p mem.Ref) bool {
-	if r.c.Space.SetMark(p) {
-		r.marked = append(r.marked, p)
+// mark greys the object at word off of ch, a chunk traced in place: the
+// first call of a collection, which sets the object's bit in the chunk's
+// mark state, pushes it on r.marked for traceMarked and reports true.
+func (r *run) mark(ch *mem.Chunk, off int) bool {
+	if ch.InPlace.Mark(off) {
+		r.marked = append(r.marked, grey{ch, off})
 		return true
 	}
 	return false
@@ -282,16 +393,16 @@ func (r *run) forward(v mem.Value) mem.Value {
 }
 
 // evacuate returns the current location of the from-space object ref, which
-// lies in chunk ch: it greys an object of a Keep chunk in place, copies an
-// unpinned object to the end of to-space — that is what greys it, the
-// cursor being behind — follows a forwarding, and leaves a pinned object in
-// place. The claim is the only atomic write of a copy; the header with its
-// candidate bit, the payload (one copy, raw or tagged), the forwarding
-// pointer and the forwarding header after it are plain, in
+// lies in chunk ch: it greys an object of a Survivor or Keep chunk in
+// place, copies an unpinned object to the end of to-space — that is what
+// greys it, the cursor being behind — follows a forwarding, and leaves a
+// pinned object in place. The claim is the only atomic write of a copy; the
+// header with its candidate bit, the payload (one copy, raw or tagged), the
+// forwarding pointer and the forwarding header after it are plain, in
 // mem.Allocator.CopyIn.
 func (r *run) evacuate(ch *mem.Chunk, ref mem.Ref) mem.Value {
-	if ch.FromSpace == mem.Keep {
-		r.mark(ref) // never claimed: nothing leaves a chunk that stays
+	if ch.FromSpace >= mem.Survivor {
+		r.mark(ch, ref.Off()) // never claimed: nothing leaves a chunk traced in place
 		return ref.Value()
 	}
 	// Claim the object through the header state machine. With the gate
@@ -304,7 +415,11 @@ func (r *run) evacuate(ch *mem.Chunk, ref mem.Ref) mem.Value {
 		case hd.Kind() == mem.KForward:
 			return mem.Value(ch.Data[ref.Off()+1]) // this collection's own store
 		case hd.Pinned():
-			if r.mark(ref) {
+			// A pin its heap does not list: it stays, and so does its
+			// chunk, which stays Evacuate — what was copied out of it
+			// already is forwarded.
+			r.install(ch)
+			if r.mark(ch, ref.Off()) {
 				r.res.PinnedTraced++
 			}
 			return ref.Value()
@@ -330,10 +445,9 @@ func (r *run) evacuate(ch *mem.Chunk, ref mem.Ref) mem.Value {
 // to-space from the cursor to the bump pointer, parsed densely (a
 // zero-length object occupies two words); scanning one appends more,
 // perhaps in a new chunk, and the chunk left behind ends at its own Alloc.
-// The objects traced in place are grey where they lie and wait in r.marked.
+// The objects traced in place are grey where they lie and wait on r.marked.
 func (r *run) drain() {
-	for again := true; again; {
-		again = false
+	for {
 		for r.ci < len(r.to.Chunks) {
 			c := r.to.Chunks[r.ci]
 			for r.off < c.Alloc {
@@ -343,20 +457,29 @@ func (r *run) drain() {
 				}
 				r.scan(c, r.off, hd, false)
 				r.off += max(hd.Len(), 1) + 1
-				again = true
 			}
 			if r.ci == len(r.to.Chunks)-1 {
 				break // the bump chunk: it may grow yet
 			}
 			r.ci, r.off = r.ci+1, 0
 		}
-		for ; r.traced < len(r.marked); r.traced++ {
-			p := r.marked[r.traced]
-			c := r.c.Space.ChunkByID(p.Chunk())
-			hd := c.Header(p)
-			r.scan(c, p.Off(), hd, hd.Pinned())
-			again = true
+		if len(r.marked) == 0 {
+			return
 		}
+		r.traceMarked()
+	}
+}
+
+// traceMarked scans the objects on r.marked, last pushed first, until the
+// stack is empty, and adds each one's words to its chunk's live count. A
+// list traced in place never stands on the stack more than a cell at a time.
+func (r *run) traceMarked() {
+	for n := len(r.marked); n > 0; n = len(r.marked) {
+		g := r.marked[n-1]
+		r.marked = r.marked[:n-1]
+		hd := mem.Header(atomic.LoadUint64(&g.c.Data[g.off]))
+		g.c.InPlace.Live += max(hd.Len(), 1) + 1
+		r.scan(g.c, g.off, hd, hd.Pinned())
 	}
 }
 

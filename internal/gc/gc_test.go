@@ -51,6 +51,14 @@ func (ha *heapAlloc) adopt() {
 	ha.al.Chunks = nil
 }
 
+// untenure takes the tenure off every chunk of h, as if the mutator had
+// filled them: the next collection copies what lives in them out again.
+func untenure(h *hierarchy.Heap) {
+	for _, c := range h.Chunks {
+		c.Tenured = false
+	}
+}
+
 func TestCollectReclaimsGarbage(t *testing.T) {
 	w := newWorld()
 	leaf := w.tr.Fork(w.tr.Root())
@@ -251,7 +259,9 @@ func TestRemsetRoot(t *testing.T) {
 	if got := items(&leaf.Remset); len(got) != 1 || got[0] != (hierarchy.RememberedEntry{Holder: holder, Index: 0}) {
 		t.Fatalf("rebuilt remset = %v", got)
 	}
-	// And a second collection must work off the rebuilt entry.
+	// And a second collection must work off the rebuilt entry, copying out
+	// of what the first one filled once that is no longer Tenured.
+	untenure(leaf)
 	res = w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.CopiedObjects != 1 {
 		t.Fatalf("second collection CopiedObjects = %d", res.CopiedObjects)
@@ -353,8 +363,8 @@ func TestPinnedNotMoved(t *testing.T) {
 	if !w.sp.Header(pinned).Pinned() {
 		t.Fatal("pin bit lost")
 	}
-	if w.sp.Header(pinned).Marked() {
-		t.Fatal("transient mark not cleared")
+	if w.sp.ChunkOf(pinned).InPlace != nil {
+		t.Fatal("in-place mark state left on the pin's chunk")
 	}
 	// Its child was copied and the field updated.
 	nv := w.sp.Load(pinned, 0)
@@ -459,9 +469,9 @@ func TestCollectRetainsExactlyPinnedChunks(t *testing.T) {
 	if res.RetainedChunks != 3 {
 		t.Fatalf("RetainedChunks = %d, want 3", res.RetainedChunks)
 	}
-	if foreign.FromSpace != mem.Evacuate || foreign.HeapID() != other.ID || w.sp.Header(fr[0]).Marked() {
-		t.Fatalf("the chunk outside the scope was touched: from-space %d, heap %d, marked %v",
-			foreign.FromSpace, foreign.HeapID(), w.sp.Header(fr[0]).Marked())
+	if foreign.FromSpace != mem.Evacuate || foreign.HeapID() != other.ID || foreign.InPlace != nil {
+		t.Fatalf("the chunk outside the scope was touched: from-space %d, heap %d, in-place marks %v",
+			foreign.FromSpace, foreign.HeapID(), foreign.InPlace != nil)
 	}
 	foreign.FromSpace = mem.NotFromSpace
 	if err := CheckHeap(w.sp, parent, true); err != nil {
@@ -493,7 +503,7 @@ func TestCollectKeepsPinnedChunkInPlace(t *testing.T) {
 	if rs.refs[0] != neighbour {
 		t.Fatalf("the pin's neighbour moved: %v -> %v", neighbour, rs.refs[0])
 	}
-	if hd := w.sp.Header(neighbour); hd.Kind() != mem.KTuple || hd.Len() != 2 || hd.Marked() || hd.Busy() {
+	if hd := w.sp.Header(neighbour); hd.Kind() != mem.KTuple || hd.Len() != 2 || hd.Busy() {
 		t.Fatalf("the pin's neighbour has header %#x", uint64(hd))
 	}
 	if w.sp.Load(neighbour, 0) != mem.Int(2) || w.sp.Load(neighbour, 1) != pinned.Value() {
@@ -652,4 +662,143 @@ func TestRandomGraphsPreserved(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cellsOf walks a list of (value, next) cells and returns the cells.
+func cellsOf(sp *mem.Space, head mem.Ref) []mem.Ref {
+	var out []mem.Ref
+	for v := head.Value(); v.IsRef(); v = sp.Load(v.Ref(), 1) {
+		out = append(out, v.Ref())
+	}
+	return out
+}
+
+// listIn allocates a list of n cells holding n-1 .. 0 in the leaf, with a
+// garbage tuple after every cell, and roots it.
+func listIn(w *world, leaf *hierarchy.Heap, n int) *roots {
+	ha := w.onHeap(leaf)
+	head := mem.Nil
+	for i := 0; i < n; i++ {
+		head = ha.al.AllocTuple(mem.Int(int64(i)), head).Value()
+		ha.al.AllocTuple(mem.Int(0)) // garbage
+	}
+	ha.adopt()
+	rs := &roots{refs: []mem.Ref{head.Ref()}}
+	leaf.AddRootSet(rs)
+	return rs
+}
+
+// TestSurvivorCopiedOnce: a list that survives collection after collection
+// is copied by the first and stays where it is through the rest. The first
+// collection fills three to-space chunks, each at least half, and leaves
+// them Tenured; every later one copies nothing, reclaims nothing, and every
+// reference and field is what it was.
+func TestSurvivorCopiedOnce(t *testing.T) {
+	const n = 500
+	w := newWorld()
+	leaf := w.tr.Fork(w.tr.Root())
+	rs := listIn(w, leaf, n)
+	if res := w.c.Collect([]*hierarchy.Heap{leaf}); res.CopiedWords != 3*n {
+		t.Fatalf("the first collection copied %d words, want %d", res.CopiedWords, 3*n)
+	}
+	cells := cellsOf(w.sp, rs.refs[0])
+	for round := 1; round <= 4; round++ {
+		live := w.sp.LiveWords()
+		res := w.c.Collect([]*hierarchy.Heap{leaf})
+		if res.CopiedWords != 0 || res.ReclaimedWords != 0 || w.sp.LiveWords() != live {
+			t.Fatalf("collection %d copied %d words and reclaimed %d (live %d -> %d), want none",
+				round+1, res.CopiedWords, res.ReclaimedWords, live, w.sp.LiveWords())
+		}
+		if got := cellsOf(w.sp, rs.refs[0]); !slices.Equal(got, cells) {
+			t.Fatalf("collection %d moved the list", round+1)
+		}
+		for i, c := range cells {
+			if w.sp.Load(c, 0) != mem.Int(int64(n-1-i)) {
+				t.Fatalf("collection %d: cell %d holds %v", round+1, i, w.sp.Load(c, 0))
+			}
+		}
+		for _, c := range leaf.Chunks {
+			if !c.Tenured {
+				t.Fatalf("collection %d left chunk %d without tenure", round+1, c.ID)
+			}
+		}
+		if err := CheckHeap(w.sp, leaf, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeadSurvivorChunkGoesBack: a Tenured chunk holds garbage for at most
+// one more collection. A chunk in which nothing lives any more is released
+// by the collection that finds it so; one found less than half live is kept
+// by that collection, without tenure, and copied out of by the next, and
+// the words held fall.
+func TestDeadSurvivorChunkGoesBack(t *testing.T) {
+	t.Run("dead", func(t *testing.T) {
+		w := newWorld()
+		leaf := w.tr.Fork(w.tr.Root())
+		dying := listIn(w, leaf, 500)
+		w.c.Collect([]*hierarchy.Heap{leaf})
+		old := slices.Clone(leaf.Chunks)
+		var oldWords int64
+		for _, c := range old {
+			oldWords += int64(c.Words())
+		}
+		staying := listIn(w, leaf, 100)
+		w.c.Collect([]*hierarchy.Heap{leaf}) // copies the new list, keeps the old
+		dying.refs = nil
+		live := w.sp.LiveWords()
+		res := w.c.Collect([]*hierarchy.Heap{leaf})
+		for _, c := range old {
+			if slices.Contains(leaf.Chunks, c) || c.HeapID() != 0 {
+				t.Fatalf("chunk %d, in which nothing lives, was kept", c.ID)
+			}
+		}
+		if res.CopiedWords != 0 || res.ReclaimedWords != oldWords || w.sp.LiveWords() != live-oldWords {
+			t.Fatalf("copied %d words, reclaimed %d, live %d -> %d; want 0, %d and a fall of %d",
+				res.CopiedWords, res.ReclaimedWords, live, w.sp.LiveWords(), oldWords, oldWords)
+		}
+		if got := len(cellsOf(w.sp, staying.refs[0])); got != 100 {
+			t.Fatalf("the staying list has %d cells", got)
+		}
+	})
+	t.Run("sparse", func(t *testing.T) {
+		const n = 1000
+		w := newWorld()
+		leaf := w.tr.Fork(w.tr.Root())
+		rs := listIn(w, leaf, n)
+		w.c.Collect([]*hierarchy.Heap{leaf})
+		cells := cellsOf(w.sp, rs.refs[0])
+		for i := 0; i+4 < n; i += 4 { // three cells in four die
+			w.sp.Store(cells[i], 1, cells[i+4].Value())
+		}
+		w.sp.Store(cells[n-4], 1, mem.Nil)
+		live := w.sp.LiveWords()
+		if res := w.c.Collect([]*hierarchy.Heap{leaf}); res.CopiedWords != 0 || w.sp.LiveWords() != live {
+			t.Fatalf("the collection that finds the chunks sparse copied %d words (live %d -> %d), want none",
+				res.CopiedWords, live, w.sp.LiveWords())
+		}
+		for _, c := range leaf.Chunks {
+			if c.Tenured {
+				t.Fatalf("chunk %d, a quarter live, kept its tenure", c.ID)
+			}
+		}
+		res := w.c.Collect([]*hierarchy.Heap{leaf})
+		if res.CopiedWords != 3*n/4 || w.sp.LiveWords() >= live {
+			t.Fatalf("the next collection copied %d words (live %d -> %d), want %d and a fall",
+				res.CopiedWords, live, w.sp.LiveWords(), 3*n/4)
+		}
+		got := cellsOf(w.sp, rs.refs[0])
+		for i, c := range got {
+			if w.sp.Load(c, 0) != mem.Int(int64(n-1-4*i)) {
+				t.Fatalf("cell %d holds %v", i, w.sp.Load(c, 0))
+			}
+		}
+		if len(got) != n/4 {
+			t.Fatalf("the list has %d cells, want %d", len(got), n/4)
+		}
+		if err := CheckHeap(w.sp, leaf, true); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

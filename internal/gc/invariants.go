@@ -26,10 +26,10 @@ import (
 //     gate quiescence (reader count zero, collecting bit clear), pin
 //     listing (every pinned header in the heap's chunks is in its pinned
 //     set, where a local collection finds the chunks it must keep), no
-//     transient BUSY or mark bits — on a pinned object or on one traced in
-//     place beside it — and no from-space or keep-in-place chunk mark
-//     outside a collection, and — via Validate — that no live path reaches
-//     a stale forwarding header.
+//     transient BUSY bit, no from-space, Survivor or Keep chunk mark and no
+//     in-place mark state left on a chunk outside a collection, no Tenured
+//     chunk holding a swept free list, and — via Validate — that no live
+//     path reaches a stale forwarding header.
 //
 // Sweeps are possible because chunks are bump-allocated densely: objects
 // occupy [off, off+1+max(1,len)) back to back from offset 0 to c.Alloc,
@@ -61,7 +61,7 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 			if hd.Kind() > mem.KFree {
 				return fmt.Errorf("gc: heap %d chunk %d: unknown kind %d at +%d", h.ID, c.ID, hd.Kind(), off)
 			}
-			if hd.Kind() == mem.KFree && (hd.Pinned() || hd.Busy() || hd.Marked()) {
+			if hd.Kind() == mem.KFree && (hd.Pinned() || hd.Busy()) {
 				return fmt.Errorf("gc: heap %d chunk %d: free span at +%d carries state bits %#x", h.ID, c.ID, off, uint64(hd))
 			}
 			n := hd.Len()
@@ -84,9 +84,6 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 				if hd.Busy() {
 					return fmt.Errorf("gc: heap %d chunk %d: BUSY header at +%d outside a collection", h.ID, c.ID, off)
 				}
-				if hd.Marked() {
-					return fmt.Errorf("gc: heap %d chunk %d: mark bit left set at +%d", h.ID, c.ID, off)
-				}
 			}
 			off += 1 + n
 		}
@@ -94,12 +91,18 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 			if c.CGCScoped() {
 				return fmt.Errorf("gc: heap %d chunk %d: mark bitmap left installed at a quiescent point", h.ID, c.ID)
 			}
+			if c.InPlace != nil {
+				return fmt.Errorf("gc: heap %d chunk %d: in-place mark state left installed outside a collection", h.ID, c.ID)
+			}
 			switch c.FromSpace {
 			case mem.NotFromSpace:
-			case mem.Keep:
-				return fmt.Errorf("gc: heap %d chunk %d: keep-in-place mark left set outside a collection", h.ID, c.ID)
+			case mem.Survivor, mem.Keep:
+				return fmt.Errorf("gc: heap %d chunk %d: in-place mark (%d) left set outside a collection", h.ID, c.ID, c.FromSpace)
 			default:
 				return fmt.Errorf("gc: heap %d chunk %d: from-space mark left set outside a collection", h.ID, c.ID)
+			}
+			if c.Tenured && c.FreeWordCount() != 0 {
+				return fmt.Errorf("gc: heap %d chunk %d: Tenured with a swept free list", h.ID, c.ID)
 			}
 		}
 	}

@@ -14,9 +14,13 @@ import (
 // one Space.Load/Space.Store pair per payload word and Space.Forward, and
 // grey objects wait on an explicit stack. It is slow and obviously right,
 // and it shares nothing with gc.go but the Collector's fields and Result.
-// It keeps the rule gc.go keeps, by its own means: a from-space chunk in
-// which a dense parse finds a pinned header (holdsPinned) is retained, and
-// every live object in it is traced where it lies.
+// It keeps the rules gc.go keeps, by its own means: a from-space chunk in
+// which a dense parse finds a pinned header (holdsPinned) is retained, a
+// Tenured chunk without a free list is retained while anything in it lives,
+// and every live object in either is traced where it lies, marked in a map;
+// a dense parse of each such chunk sums its live words, and it stays Tenured
+// while they are at least half its words. Remembered entries whose target
+// stays in place are de-duplicated through a map.
 
 // refRun is the reference's per-collection state. toAlloc and newRemsets
 // are parallel to order.
@@ -24,8 +28,9 @@ type refRun struct {
 	c          *Collector
 	order      []*hierarchy.Heap // scope heaps, shallowest first (lock order)
 	toAlloc    []*mem.Allocator
-	queue      []mem.Ref // gray objects: copied or pinned, payload unscanned
-	marked     []mem.Ref // pinned objects marked this cycle (marks cleared at end)
+	queue      []mem.Ref        // gray objects: copied or pinned, payload unscanned
+	marked     map[mem.Ref]bool // objects traced in place this cycle
+	stayed     map[hierarchy.RememberedEntry]bool
 	newRemsets []hierarchy.List[hierarchy.RememberedEntry]
 	res        Result
 }
@@ -77,6 +82,8 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 		c:          c,
 		order:      make([]*hierarchy.Heap, 0, len(scope)),
 		toAlloc:    make([]*mem.Allocator, len(scope)),
+		marked:     map[mem.Ref]bool{},
+		stayed:     map[hierarchy.RememberedEntry]bool{},
 		newRemsets: make([]hierarchy.List[hierarchy.RememberedEntry], len(scope)),
 	}
 	// Close the gates shallowest-first (entanglement slow paths never hold
@@ -107,14 +114,18 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 	// Everything the scope holds now is from-space; what forward allocates
 	// from here on carries the same heap ids but no mark, which is what
 	// keeps forward from moving an object twice. A chunk holding a pin stays,
-	// and so do its objects.
+	// and so do its objects; so do those of a dense Tenured chunk.
 	var oldWords int64
 	for i, h := range r.order {
 		r.toAlloc[i] = mem.NewAllocator(c.Space, h.ID)
 		for _, ch := range h.Chunks {
-			ch.FromSpace = mem.Evacuate
-			if holdsPinned(ch) {
+			switch {
+			case holdsPinned(ch):
 				ch.FromSpace = mem.Keep
+			case ch.Tenured && ch.FreeWordCount() == 0:
+				ch.FromSpace = mem.Survivor
+			default:
+				ch.FromSpace = mem.Evacuate
 			}
 			oldWords += int64(ch.Words())
 		}
@@ -135,25 +146,40 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 		h.Remset = r.newRemsets[i]
 		var kept []*mem.Chunk
 		for _, ch := range h.Chunks {
-			keep := ch.FromSpace == mem.Keep
+			from, live := ch.FromSpace, r.liveWords(ch)
 			ch.FromSpace = mem.NotFromSpace
-			if keep {
+			if from == mem.Keep || from == mem.Survivor && live > 0 {
+				ch.Tenured = 2*live >= ch.Words()
 				kept = append(kept, ch)
 				retainedOldWords += int64(ch.Words())
-				r.res.RetainedChunks++
+				if from == mem.Keep {
+					r.res.RetainedChunks++
+				}
 			} else {
 				c.Space.Release(ch)
 			}
 		}
+		for _, ch := range r.toAlloc[i].Chunks {
+			ch.Tenured = true
+		}
 		kept = append(kept, r.toAlloc[i].Chunks...)
 		h.Chunks = kept
 	}
-	// Clear transient marks on the objects traced in place.
-	for _, p := range r.marked {
-		c.Space.ChunkOf(p).ClearMark(p)
-	}
 	r.res.ReclaimedWords = oldWords - retainedOldWords
 	return r.res
+}
+
+// liveWords sums the words of the objects marked in c: a dense parse.
+func (r *refRun) liveWords(c *mem.Chunk) int {
+	live := 0
+	for off := 0; off < c.Alloc; {
+		n := max(c.Header(mem.MakeRef(c.ID, off)).Len(), 1) + 1
+		if r.marked[mem.MakeRef(c.ID, off)] {
+			live += n
+		}
+		off += n
+	}
+	return live
 }
 
 // scanShadowStacks forwards every root of every task attached to the scope.
@@ -171,9 +197,8 @@ func (r *refRun) scanShadowStacks() {
 // remembered sets with the still-valid external entries: one pass, at most
 // one entry out per entry in. A field stored to k times has k entries; the
 // first forwards the target and redirects the field into to-space, which
-// drops the rest. Duplicates whose target is pinned in place all survive:
-// harmless (an entry is a hint to look at the field) and never more than
-// came in.
+// drops the rest. Of the entries whose target stays in place, the first
+// per field survives.
 func (r *refRun) processRemsets() {
 	sp := r.c.Space
 	for _, h := range r.order {
@@ -204,6 +229,10 @@ func (r *refRun) processRemsets() {
 			}
 			if nv := r.evacuate(v.Ref(), tgt); nv != v {
 				sp.Store(e.Holder, e.Index, nv)
+			} else if r.stayed[e] {
+				return
+			} else {
+				r.stayed[e] = true
 			}
 			// The entry survives, indexed by the target's (unchanged) heap.
 			r.newRemsets[tgt].Append(e)
@@ -218,16 +247,24 @@ func (r *refRun) tracePinned() {
 	for _, h := range r.order {
 		h.Pinned.Each(func(p mem.Ref) {
 			hd := r.c.Space.Header(p)
-			if !hd.Pinned() || hd.Kind() == mem.KForward {
+			if r.fromSpaceOf(p) < 0 || !hd.Pinned() || hd.Kind() == mem.KForward {
 				return
 			}
-			if r.c.Space.SetMark(p) {
-				r.marked = append(r.marked, p)
-				r.queue = append(r.queue, p)
+			if r.mark(p) {
 				r.res.PinnedTraced++
 			}
 		})
 	}
+}
+
+// mark greys p in place, the first time only, and reports whether it did.
+func (r *refRun) mark(p mem.Ref) bool {
+	if r.marked[p] {
+		return false
+	}
+	r.marked[p] = true
+	r.queue = append(r.queue, p)
+	return true
 }
 
 // forward returns the value to use in place of v after collection. It is
@@ -245,17 +282,13 @@ func (r *refRun) forward(v mem.Value) mem.Value {
 }
 
 // evacuate returns the current location of the from-space object ref of
-// scope heap i: it leaves an object of a kept chunk in place, copies an
+// scope heap i: it leaves an object of a Keep or Survivor chunk in place, copies an
 // unpinned object to to-space (installing forwarding), follows a
 // forwarding, and leaves a pinned object in place.
 func (r *refRun) evacuate(ref mem.Ref, i int) mem.Value {
-	if r.c.Space.ChunkOf(ref).FromSpace == mem.Keep {
-		if r.c.Space.SetMark(ref) {
-			r.marked = append(r.marked, ref)
-			r.queue = append(r.queue, ref)
-			if r.c.Space.Header(ref).Pinned() {
-				r.res.PinnedTraced++
-			}
+	if r.c.Space.ChunkOf(ref).FromSpace >= mem.Survivor {
+		if r.mark(ref) && r.c.Space.Header(ref).Pinned() {
+			r.res.PinnedTraced++
 		}
 		return ref.Value()
 	}
@@ -269,9 +302,7 @@ func (r *refRun) evacuate(ref mem.Ref, i int) mem.Value {
 		case hd.Kind() == mem.KForward:
 			return r.c.Space.Load(ref, 0)
 		case hd.Pinned():
-			if r.c.Space.SetMark(ref) {
-				r.marked = append(r.marked, ref)
-				r.queue = append(r.queue, ref)
+			if r.mark(ref) {
 				r.res.PinnedTraced++
 			}
 			return ref.Value()

@@ -137,7 +137,9 @@ func (s *Space) SweepMarked(c *Chunk) (SweepStats, bool) {
 	// the span keeps what its dead objects left, which no reader parses and
 	// the allocation that carves it overwrites (DESIGN.md §6 decision 1).
 	// Runs are at least 2 words (header + one payload word), so every span
-	// has room for the link.
+	// has room for the link. A chunk with holes is no longer dense: the
+	// heap's next local collection copies out of it rather than keeping it.
+	c.Tenured = c.Tenured && len(runs) == 0
 	c.freeHead = 0
 	c.freeWords = 0
 	for i := len(runs) - 1; i >= 0; i-- {

@@ -66,7 +66,9 @@ func (k Kind) Scanned() bool { return k == KTuple || k == KArray || k == KRefCel
 //	bit   3      candidate — a down-pointer or entangled read reached this
 //	             object; reads *through* it must take the slow path
 //	bit   4      pinned — the object may not be moved or reclaimed by LGC
-//	bit   5      mark — transient mark used inside a single collection
+//	bit   5      unused — neither collector marks in the header: the local
+//	             one marks what it traces in place in a chunk-side bitmap
+//	             (InPlace), the concurrent one in its own (InstallMarks)
 //	bit   6      valid — always set; guarantees headers are nonzero
 //	bit   7      busy — a copying collector has claimed the object for
 //	             relocation; pin attempts must back off and retry
@@ -103,7 +105,6 @@ const (
 	hdrKindMask  = 0x7
 	hdrCandidate = 1 << 3
 	hdrPinned    = 1 << 4
-	hdrMark      = 1 << 5
 	hdrValid     = 1 << 6
 	hdrBusy      = 1 << 7
 	hdrLenShift  = 16
@@ -133,9 +134,6 @@ func (h Header) Candidate() bool { return h&hdrCandidate != 0 }
 
 // Pinned reports the pinned bit.
 func (h Header) Pinned() bool { return h&hdrPinned != 0 }
-
-// Marked reports the transient mark bit.
-func (h Header) Marked() bool { return h&hdrMark != 0 }
 
 // Busy reports whether a collector has claimed the object for relocation.
 func (h Header) Busy() bool { return h&hdrBusy != 0 }
@@ -177,20 +175,6 @@ func (c *Chunk) setHeaderBits(r Ref, bits uint64) bool {
 		}
 		if atomic.CompareAndSwapUint64(p, old, old|bits) {
 			return true
-		}
-	}
-}
-
-// clearHeaderBits atomically clears bits in the header of r, which lies in c.
-func (c *Chunk) clearHeaderBits(r Ref, bits uint64) {
-	p := &c.Data[r.Off()]
-	for {
-		old := atomic.LoadUint64(p)
-		if old&bits == 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(p, old, old&^bits) {
-			return
 		}
 	}
 }
@@ -353,12 +337,6 @@ func (c *Chunk) BeginCopy(off int) (Header, bool) {
 		}
 	}
 }
-
-// SetMark sets the transient mark bit; reports whether it was newly set.
-func (s *Space) SetMark(r Ref) bool { return s.chunk(r.Chunk()).setHeaderBits(r, hdrMark) }
-
-// ClearMark clears the transient mark bit of r, which lies in c.
-func (c *Chunk) ClearMark(r Ref) { c.clearHeaderBits(r, hdrMark) }
 
 // Load reads payload word i of the object at r without any barrier.
 func (s *Space) Load(r Ref, i int) Value { return s.chunk(r.Chunk()).Load(r, i) }

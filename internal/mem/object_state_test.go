@@ -38,7 +38,7 @@ func TestPinHeaderTransitions(t *testing.T) {
 	if !sp.ChunkOf(r).TryUnpin(r, sp.Header(r)) || sp.Header(r).Pinned() {
 		t.Fatal("TryUnpin of the pinned header did not clear the bit")
 	}
-	if h := sp.Header(r); h.Kind() != KTuple || h.Len() != 2 || !h.Candidate() || h.Busy() || h.Marked() {
+	if h := sp.Header(r); h.Kind() != KTuple || h.Len() != 2 || !h.Candidate() || h.Busy() {
 		t.Fatalf("unpin disturbed other header fields: %#x", uint64(h))
 	}
 	if sp.Unpin(r) {
@@ -114,7 +114,7 @@ func TestPinHeaderSetsCandidate(t *testing.T) {
 					t.Fatalf("%s: header after pin: pinned=%v candidate=%v depth=%d, want a pinned candidate at %d",
 						name, h.Pinned(), h.Candidate(), h.UnpinDepth(), depth)
 				}
-				if h.Kind() != KTuple || h.Len() != 2 || h.Busy() || h.Marked() {
+				if h.Kind() != KTuple || h.Len() != 2 || h.Busy() {
 					t.Fatalf("%s: pin disturbed other header fields: %#x", name, uint64(h))
 				}
 				// Only a pin of an unpinned header is new; the rest change

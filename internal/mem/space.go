@@ -74,11 +74,19 @@ type Chunk struct {
 	Alloc int
 	// FromSpace is the chunk's part in the local collection now running on
 	// its heap. That collection marks its scope's old chunks once the gates
-	// are closed — Keep on those holding a pin, Evacuate on the rest — and
-	// resets them to NotFromSpace before they reopen; only it reads the
-	// mark, and only on a chunk whose heap id it has already found in its
-	// scope — any other chunk may be mid-collection elsewhere.
+	// are closed — Keep on those holding a pin, Survivor on the Tenured
+	// rest, Evacuate on the others — and resets them to NotFromSpace before
+	// they reopen; only it reads the mark, and only on a chunk whose heap id
+	// it has already found in its scope — any other chunk may be
+	// mid-collection elsewhere.
 	FromSpace FromSpace
+	// Tenured says the chunk holds what a local collection of its heap
+	// found live and left dense: its to-space, or a chunk it traced in place
+	// and found at least half live. The heap's next collection traces it in
+	// place rather than copying out of it. Written only by that collection,
+	// by Release (false) and by the concurrent sweep, which clears it on a
+	// chunk it threads a free list through.
+	Tenured bool
 
 	heapID atomic.Uint32
 	owner  atomic.Pointer[Owner]
@@ -88,9 +96,6 @@ type Chunk struct {
 	// pointer doubles as the mutator-visible "in CGC scope" test (one
 	// atomic load in the SATB shade path); the bits themselves are only
 	// ever touched by the single CGC worker, so they need no atomics.
-	// The header mark bit (hdrMark) stays reserved for LGC's transient
-	// in-place tracing — the strict invariant audit rejects leftovers,
-	// which a concurrent cycle could not guarantee.
 	marks atomic.Pointer[markBitmap]
 
 	// freeHead is 1 + the word offset of the first KFree span threaded
@@ -102,6 +107,11 @@ type Chunk struct {
 	// them.
 	freeHead  int
 	freeWords int
+
+	// InPlace is the mark state of the local collection tracing the chunk
+	// in place (FromSpace Survivor or Keep), installed by it and taken off
+	// before its heap's gate reopens; nil outside such a collection.
+	InPlace *InPlace
 }
 
 // FromSpace is a chunk's from-space mark (Chunk.FromSpace), one byte.
@@ -110,8 +120,48 @@ type FromSpace uint8
 const (
 	NotFromSpace FromSpace = iota // no collection of its heap runs, or its to-space
 	Evacuate                      // live objects are copied out; the chunk is released
+	Survivor                      // Tenured: live objects traced in place, released if none
 	Keep                          // holds a pin: retained, live objects traced in place
 )
+
+// InPlace is a local collection's mark state for one chunk it traces in
+// place: one bit per word, set at the header of each object found live, and
+// the words (headers included) of the marked objects, which the collector
+// adds as it scans them. Only the collector touches it, so nothing in it is
+// atomic.
+type InPlace struct {
+	bits markBitmap
+	Live int
+}
+
+// Reset sizes m for a chunk of the given words and clears it.
+func (m *InPlace) Reset(words int) {
+	n := (words + 63) / 64
+	if cap(m.bits) < n {
+		m.bits = make(markBitmap, n)
+	} else {
+		m.bits = m.bits[:n]
+		clear(m.bits)
+	}
+	m.Live = 0
+}
+
+// Mark sets the bit of word off and reports whether it was clear: at an
+// object's header, the first time the collection finds the object live.
+func (m *InPlace) Mark(off int) bool {
+	w, b := off>>6, uint64(1)<<(off&63)
+	if m.bits[w]&b != 0 {
+		return false
+	}
+	m.bits[w] |= b
+	return true
+}
+
+// Remember sets the bit of the word after off and reports whether it was
+// clear. No object's header lies there, every object taking at least two
+// words, so the bit is free for the collector's note that a remembered
+// entry has reached the object headered at off.
+func (m *InPlace) Remember(off int) bool { return m.Mark(off + 1) }
 
 // Owner is the opaque type of a chunk's owner: the descriptor of the heap
 // owning it, which in a runtime is the *hierarchy.Heap. mem sits below the
@@ -295,6 +345,7 @@ func (s *Space) publish(c *Chunk) {
 func (s *Space) Release(c *Chunk) {
 	s.liveWords.Add(int64(-len(c.Data)))
 	c.SetOwner(0, nil)
+	c.Tenured = false
 	c.marks.Store(nil)
 	c.freeHead = 0
 	c.freeWords = 0

@@ -225,16 +225,27 @@ func TestCandidateAndMark(t *testing.T) {
 	if s.SetCandidate(r) {
 		t.Fatal("second SetCandidate must report false")
 	}
-	if !s.SetMark(r) || s.SetMark(r) {
-		t.Fatal("mark bit protocol broken")
-	}
-	s.ChunkOf(r).ClearMark(r)
-	if s.Header(r).Marked() {
-		t.Fatal("ClearMark failed")
-	}
 	// Flag traffic must not corrupt kind or length.
 	if h := s.Header(r); h.Kind() != KArray || h.Len() != 2 || !h.Candidate() {
 		t.Fatal("flags corrupted header fields")
+	}
+	// A local collection's in-place marks live beside the chunk: one bit
+	// at the header, one past it for a remembered entry, none in the header.
+	before := s.Header(r)
+	var m InPlace
+	m.Reset(s.ChunkOf(r).Words())
+	if !m.Mark(r.Off()) || m.Mark(r.Off()) {
+		t.Fatal("in-place mark protocol broken")
+	}
+	if !m.Remember(r.Off()) || m.Remember(r.Off()) || !m.Mark(r.Off()+3) {
+		t.Fatal("the remembered bit is not the word after the header's")
+	}
+	if s.Header(r) != before {
+		t.Fatal("an in-place mark wrote the header")
+	}
+	m.Reset(s.ChunkOf(r).Words())
+	if !m.Mark(r.Off()) || m.Live != 0 {
+		t.Fatal("Reset left a mark or a live count")
 	}
 }
 

@@ -103,7 +103,7 @@ func TestHeaderEncoding(t *testing.T) {
 			if h.Len() != n {
 				t.Fatalf("len %d decoded as %d", n, h.Len())
 			}
-			if !h.Valid() || h.Pinned() || h.Candidate() || h.Marked() {
+			if !h.Valid() || h.Pinned() || h.Candidate() {
 				t.Fatalf("fresh header %v has stray flags", h)
 			}
 		}
