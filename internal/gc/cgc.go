@@ -20,9 +20,10 @@ package gc
 //     heaps are skipped, cycles are opportunistic): claim the heap's status
 //     word (hierarchy.CGCClaim — a CAS that succeeds only while the owner
 //     is parked in its join, so the claim can never race the owner's bump
-//     pointer or free-list carving) and install side mark bitmaps on its
-//     current chunks. Bitmaps must exist before the barrier turns on, since
-//     the barrier uses "has a bitmap" as its in-scope test.
+//     pointer or free-list carving) and install mark states on its current
+//     chunks (mem.Space.BeginMarks, whose pool the local collector shares).
+//     They must exist before the barrier turns on, since the barrier uses
+//     "has a mark state" as its in-scope test.
 //  2. Barrier on + ragged safepoint. Marking() flips true; every mutator
 //     write now shades the overwritten value (entangle.ShadeOverwritten).
 //     Then the cycle waits until every live task has handshaked once:
@@ -61,7 +62,7 @@ package gc
 //     owner revalidates its allocation targets on resume
 //     (mem.Allocator.Revalidate), since one of them may be its bump chunk.
 //
-// Objects allocated during the cycle live in chunks without bitmaps and in
+// Objects allocated during the cycle live in chunks without mark states and in
 // heaps outside the scope, so they are implicitly black; nothing allocated
 // after the snapshot can be freed by this cycle.
 
@@ -202,7 +203,7 @@ func (g *CGC) Epoch() uint64 { return g.epoch.Load() }
 // InScope reports whether r lies in a chunk the current cycle is marking.
 func (g *CGC) InScope(r mem.Ref) bool {
 	c := g.Space.ChunkByID(r.Chunk())
-	return c != nil && c.CGCScoped()
+	return c != nil && c.Marks() != nil
 }
 
 // Shade pushes a reference onto the SATB queue. Callers must hold their
@@ -246,8 +247,8 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 	// Phase 1: snapshot. A heap is a candidate while its owner is parked in
 	// a join (hierarchy.CGCPark); the claim CAS succeeds only in
 	// that state, so a claimed heap's chunks and allocator are untouched by
-	// their owner for the whole cycle. The gate orders bitmap installation
-	// against readers.
+	// their owner for the whole cycle. The gate orders the mark states'
+	// installation against readers.
 	var scope []*hierarchy.Heap
 	snap := make(map[uint32][]snapChunk)
 	for _, h := range g.Tree.Live() {
@@ -260,7 +261,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 		if !h.Dead() && h.CGCClaim() {
 			cs := make([]snapChunk, 0, len(h.Chunks))
 			for _, c := range h.Chunks {
-				c.InstallMarks()
+				g.Space.BeginMarks(c)
 				cs = append(cs, snapChunk{c, c.Alloc})
 			}
 			snap[h.ID] = cs
@@ -280,7 +281,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 		g.phase.Store(cgcIdle)
 		for _, h := range scope {
 			for _, sc := range snap[h.ID] {
-				sc.c.DropMarks()
+				g.Space.EndMarks(sc.c)
 			}
 			h.CGCRelease()
 		}
@@ -412,7 +413,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 			// claim); kept so a future revocation path degrades to
 			// "conservatively live this cycle" instead of a torn sweep.
 			for _, sc := range snap[h.ID] {
-				sc.c.DropMarks()
+				g.Space.EndMarks(sc.c)
 			}
 			continue
 		}
@@ -431,7 +432,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 				// claim. The park protocol should rule both out (no merges,
 				// no owner allocation while scoped); treat any appearance as
 				// allocate-black and keep the chunk wholesale.
-				c.DropMarks()
+				g.Space.EndMarks(c)
 				kept = append(kept, c)
 				continue
 			}
@@ -441,7 +442,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 			st, dead := g.Space.SweepMarked(c)
 			res.LiveWords += int64(st.LiveWords)
 			res.FreedWords += int64(st.FreedWords)
-			c.DropMarks()
+			g.Space.EndMarks(c)
 			if dead {
 				g.Ring.Emit(trace.EvChunkRelease, 0, uint64(c.ID), uint64(len(c.Data)))
 				g.Space.Release(c)
@@ -456,9 +457,9 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 			}
 		}
 		// Snapshot chunks no longer on the list (merged away — cannot
-		// happen while scoped, but stay defensive) still lose their maps.
+		// happen while scoped, but stay defensive) still lose their marks.
 		for c := range inSnap {
-			c.DropMarks()
+			g.Space.EndMarks(c)
 		}
 		h.ReplaceChunks(kept)
 		h.Overwritten = 0
@@ -526,8 +527,8 @@ func (g *CGC) markRef(r mem.Ref) bool {
 		return false
 	}
 	newly := false
-	if c.CGCScoped() {
-		if !c.Mark(off) {
+	if m := c.Marks(); m != nil {
+		if !m.Mark(off) {
 			return false
 		}
 		newly = true

@@ -7,9 +7,12 @@
 //     collection ends and is marked Tenured (mem.Chunk.Tenured); the heap's
 //     next collection traces the live objects of a Tenured chunk where they
 //     lie rather than copying them out. After marking, a chunk traced in
-//     place with nothing live is released at once, and one found less than
-//     half live loses its tenure, so the collection after copies out of it:
-//     a kept chunk holds garbage for at most one more collection.
+//     place with nothing live is released at once, one found at least half
+//     live stays Tenured, and one found less than half live loses its
+//     tenure, so the collection after copies out of it. A Tenured chunk a
+//     collection keeps thus has at most twice as many words as it holds
+//     live, and it may stay kept for as long as that holds: only a chunk
+//     found sparse holds its garbage for at most one more collection.
 //   - Pinned objects (entangled, per package entangle) are never moved nor
 //     reclaimed, and a chunk holding one is retained whole. It is also
 //     non-moving for the collection: before anything moves, the chunks
@@ -20,9 +23,10 @@
 //     unpin (package hierarchy), after which the memory is reclaimed by
 //     ordinary collections.
 //   - What is traced in place is marked in a bitmap beside its chunk
-//     (mem.InPlace), which the collection installs on the chunk and takes
-//     off again, never in the object's header: an in-place object costs
-//     one bit and one chunk resolution.
+//     (mem.Marks, the concurrent collector's mark state too), which the
+//     collection installs on the chunk and takes off again, never in the
+//     object's header: an in-place object costs one bit and one chunk
+//     resolution.
 //   - Down-pointers into the leaf, recorded by the write barrier in its
 //     remembered set, act as roots; the fields they describe are updated to
 //     the targets' new locations *before* the leaf's gate reopens
@@ -112,7 +116,6 @@ type run struct {
 	to      mem.Allocator
 	ci, off int
 	marked  []grey // objects traced in place whose fields are yet to forward: a stack
-	spare   []*mem.InPlace
 	// repeats is set when two remembered entries reached one target that
 	// stays in place; dedup then lists the entries and their positions in
 	// entries and the positions it drops in drops.
@@ -174,13 +177,16 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	// Everything the leaf holds now is from-space; what forward copies from
 	// here on carries the same heap id but no mark, which is what keeps
 	// forward from moving an object twice. A Tenured chunk is traced in
-	// place.
+	// place. No chunk of the leaf may carry a mark state yet: one would be
+	// the concurrent collector's.
 	var oldWords int64
 	for _, ch := range h.Chunks {
 		ch.FromSpace = mem.Evacuate
 		if ch.Tenured {
-			r.install(ch)
+			c.Space.BeginMarks(ch)
 			ch.FromSpace = mem.Survivor
+		} else if ch.Marks() != nil {
+			panic("gc: a chunk of the leaf carries the concurrent collector's mark state")
 		}
 		oldWords += int64(ch.Words())
 	}
@@ -205,16 +211,14 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	var retainedOldWords int64
 	kept := h.Chunks[:0]
 	for _, ch := range h.Chunks {
-		m, from := ch.InPlace, ch.FromSpace
-		ch.FromSpace, ch.InPlace = mem.NotFromSpace, nil
-		if m != nil {
-			r.spare = append(r.spare, m)
-		}
-		if m == nil || m.Live == 0 {
+		from := ch.FromSpace
+		ch.FromSpace = mem.NotFromSpace
+		live := c.Space.EndMarks(ch)
+		if live == 0 {
 			c.Space.Release(ch)
 			continue
 		}
-		ch.Tenured = 2*m.Live >= ch.Words()
+		ch.Tenured = 2*live >= ch.Words()
 		kept = append(kept, ch)
 		retainedOldWords += int64(ch.Words())
 		if from != mem.Survivor {
@@ -239,26 +243,18 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 // leave the gate closed on the readers waiting at it.
 func (r *run) finish() {
 	r.h.Gate.EndCollect()
-	*r = run{c: r.c, visitRoot: r.visitRoot, marked: r.marked[:0], spare: r.spare,
+	*r = run{c: r.c, visitRoot: r.visitRoot, marked: r.marked[:0],
 		entries: r.entries[:0], drops: r.drops[:0]}
 	r.c.runs.Put(r)
 }
 
-// install gives ch, an old chunk of the leaf, a cleared mark state from the
-// run's spares, unless it has one, so that its objects can be traced in
+// install gives ch, an old chunk of the leaf, a cleared mark state unless
+// this collection gave it one already, so that its objects can be traced in
 // place.
 func (r *run) install(ch *mem.Chunk) {
-	if ch.InPlace != nil {
-		return
+	if ch.Marks() == nil {
+		r.c.Space.BeginMarks(ch)
 	}
-	var m *mem.InPlace
-	if n := len(r.spare); n > 0 {
-		m, r.spare = r.spare[n-1], r.spare[:n-1]
-	} else {
-		m = new(mem.InPlace)
-	}
-	m.Reset(ch.Words())
-	ch.InPlace = m
 }
 
 // processRemsets uses down-pointer entries as roots and filters the leaf's
@@ -298,7 +294,7 @@ func (r *run) processRemsets() {
 		if nv := r.evacuate(ch, v.Ref()); nv != v {
 			hc.Store(e.Holder, e.Index, nv)
 		} else {
-			if !ch.InPlace.Remember(v.Ref().Off()) {
+			if !ch.Marks().Remember(v.Ref().Off()) {
 				r.repeats = true
 			}
 			r.traceMarked()
@@ -371,7 +367,7 @@ func (r *run) tracePinned() {
 // first call of a collection, which sets the object's bit in the chunk's
 // mark state, pushes it on r.marked for traceMarked and reports true.
 func (r *run) mark(ch *mem.Chunk, off int) bool {
-	if ch.InPlace.Mark(off) {
+	if ch.Marks().Mark(off) {
 		r.marked = append(r.marked, grey{ch, off})
 		return true
 	}
@@ -478,7 +474,7 @@ func (r *run) traceMarked() {
 		g := r.marked[n-1]
 		r.marked = r.marked[:n-1]
 		hd := mem.Header(atomic.LoadUint64(&g.c.Data[g.off]))
-		g.c.InPlace.Live += max(hd.Len(), 1) + 1
+		g.c.Marks().Live += max(hd.Len(), 1) + 1
 		r.scan(g.c, g.off, hd, hd.Pinned())
 	}
 }

@@ -319,13 +319,13 @@ func TestSweptHolderEntryDropped(t *testing.T) {
 	leafHA.adopt()
 
 	c := w.sp.ChunkOf(holder)
-	c.InstallMarks()
-	c.Mark(live.Off())
-	c.Mark(kept.Off())
+	m := w.sp.BeginMarks(c)
+	m.Mark(live.Off())
+	m.Mark(kept.Off())
 	if st, dead := w.sp.SweepMarked(c); dead || st.FreedWords != 4 {
 		t.Fatalf("sweep freed %d words (dead %v), want the 4 of the run", st.FreedWords, dead)
 	}
-	c.DropMarks()
+	w.sp.EndMarks(c)
 
 	res := w.c.Collect([]*hierarchy.Heap{leaf})
 	if res.CopiedObjects != 0 {
@@ -363,7 +363,7 @@ func TestPinnedNotMoved(t *testing.T) {
 	if !w.sp.Header(pinned).Pinned() {
 		t.Fatal("pin bit lost")
 	}
-	if w.sp.ChunkOf(pinned).InPlace != nil {
+	if w.sp.ChunkOf(pinned).Marks() != nil {
 		t.Fatal("in-place mark state left on the pin's chunk")
 	}
 	// Its child was copied and the field updated.
@@ -469,9 +469,9 @@ func TestCollectRetainsExactlyPinnedChunks(t *testing.T) {
 	if res.RetainedChunks != 3 {
 		t.Fatalf("RetainedChunks = %d, want 3", res.RetainedChunks)
 	}
-	if foreign.FromSpace != mem.Evacuate || foreign.HeapID() != other.ID || foreign.InPlace != nil {
-		t.Fatalf("the chunk outside the scope was touched: from-space %d, heap %d, in-place marks %v",
-			foreign.FromSpace, foreign.HeapID(), foreign.InPlace != nil)
+	if foreign.FromSpace != mem.Evacuate || foreign.HeapID() != other.ID || foreign.Marks() != nil {
+		t.Fatalf("the chunk outside the scope was touched: from-space %d, heap %d, mark state %v",
+			foreign.FromSpace, foreign.HeapID(), foreign.Marks() != nil)
 	}
 	foreign.FromSpace = mem.NotFromSpace
 	if err := CheckHeap(w.sp, parent, true); err != nil {
@@ -728,11 +728,12 @@ func TestSurvivorCopiedOnce(t *testing.T) {
 	}
 }
 
-// TestDeadSurvivorChunkGoesBack: a Tenured chunk holds garbage for at most
-// one more collection. A chunk in which nothing lives any more is released
-// by the collection that finds it so; one found less than half live is kept
-// by that collection, without tenure, and copied out of by the next, and
-// the words held fall.
+// TestDeadSurvivorChunkGoesBack: a Tenured chunk in which nothing lives any
+// more is released by the collection that finds it so; one found less than
+// half live is kept by that collection, without tenure, and copied out of
+// by the next, and the words held fall. Only such a sparse chunk holds its
+// garbage for at most one more collection; TestTenuredChunksAtLeastHalfLive
+// has the bound on one that stays Tenured.
 func TestDeadSurvivorChunkGoesBack(t *testing.T) {
 	t.Run("dead", func(t *testing.T) {
 		w := newWorld()
@@ -801,4 +802,86 @@ func TestDeadSurvivorChunkGoesBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestTenuredChunksAtLeastHalfLive: the space bound on survivors. A list is
+// thinned between collections, 1 000 cells to 600 and then fewer, each
+// kept cell spread evenly through its chunks. After each collection, every
+// Tenured chunk the collection kept has at most twice as many words as the
+// reachable words lying in it, counted by a walk from the roots, and every
+// to-space chunk is dense: its words up to the bump offset are reachable.
+func TestTenuredChunksAtLeastHalfLive(t *testing.T) {
+	const n = 1000
+	w := newWorld()
+	leaf := w.tr.Fork(w.tr.Root())
+	rs := listIn(w, leaf, n)
+	want := make([]mem.Value, n)
+	for i := range want {
+		want[i] = mem.Int(int64(n - 1 - i))
+	}
+	for _, k := range []int{n, 600, 300, 100, 30} {
+		cells := cellsOf(w.sp, rs.refs[0])
+		kept := make([]mem.Ref, k)
+		for j := range kept {
+			kept[j] = cells[j*len(cells)/k]
+			want[j] = want[j*len(cells)/k]
+		}
+		want = want[:k]
+		for j := 0; j+1 < k; j++ {
+			w.sp.Store(kept[j], 1, kept[j+1].Value())
+		}
+		w.sp.Store(kept[k-1], 1, mem.Nil)
+		rs.refs[0] = kept[0]
+		old := slices.Clone(leaf.Chunks)
+		w.c.Collect([]*hierarchy.Heap{leaf})
+
+		reach := map[*mem.Chunk]int{}
+		cells = cellsOf(w.sp, rs.refs[0])
+		for i, c := range cells {
+			if w.sp.Load(c, 0) != want[i] {
+				t.Fatalf("%d cells: cell %d holds %v, want %v", k, i, w.sp.Load(c, 0), want[i])
+			}
+			reach[w.sp.ChunkOf(c)] += max(w.sp.Header(c).Len(), 1) + 1
+		}
+		if len(cells) != k {
+			t.Fatalf("the list has %d cells, want %d", len(cells), k)
+		}
+		for _, c := range leaf.Chunks {
+			switch {
+			case !slices.Contains(old, c):
+				if !c.Tenured || c.Alloc != reach[c] {
+					t.Fatalf("%d cells: to-space chunk %d (Tenured %v) holds %d words to its bump offset, %d reachable",
+						k, c.ID, c.Tenured, c.Alloc, reach[c])
+				}
+			case c.Tenured && c.Words() > 2*reach[c]:
+				t.Fatalf("%d cells: kept Tenured chunk %d has %d words, %d reachable", k, c.ID, c.Words(), reach[c])
+			}
+		}
+		if err := CheckHeap(w.sp, leaf, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCollectRefusesForeignMarks: the local and the concurrent collector
+// share one mark state per chunk, so a local collection that finds a chunk
+// of its leaf carrying one — Tenured or not — panics rather than mark
+// through the other collector's bits.
+func TestCollectRefusesForeignMarks(t *testing.T) {
+	for _, tenured := range []bool{false, true} {
+		w := newWorld()
+		leaf := w.tr.Fork(w.tr.Root())
+		listIn(w, leaf, 10)
+		c := leaf.Chunks[0]
+		c.Tenured = tenured
+		w.sp.BeginMarks(c)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Tenured %v: a collection marked through a foreign mark state", tenured)
+				}
+			}()
+			w.c.Collect([]*hierarchy.Heap{leaf})
+		}()
+	}
 }

@@ -88,11 +88,8 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 			off += 1 + n
 		}
 		if strict {
-			if c.CGCScoped() {
-				return fmt.Errorf("gc: heap %d chunk %d: mark bitmap left installed at a quiescent point", h.ID, c.ID)
-			}
-			if c.InPlace != nil {
-				return fmt.Errorf("gc: heap %d chunk %d: in-place mark state left installed outside a collection", h.ID, c.ID)
+			if c.Marks() != nil {
+				return fmt.Errorf("gc: heap %d chunk %d: mark state left installed outside a collection", h.ID, c.ID)
 			}
 			switch c.FromSpace {
 			case mem.NotFromSpace:

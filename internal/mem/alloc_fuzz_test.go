@@ -260,7 +260,7 @@ func sweptSpans(t *testing.T, s *Space, size int) int {
 	for i := range c.Data {
 		c.Data[i] = pattern
 	}
-	c.InstallMarks()
+	m := s.BeginMarks(c)
 	end := 0
 	put := func(k Kind, n int) int {
 		off := end
@@ -288,11 +288,11 @@ func sweptSpans(t *testing.T, s *Space, size int) int {
 	marked[3] = put(KTuple, live)
 	c.Alloc = end
 	for _, off := range marked {
-		c.Mark(off)
+		m.Mark(off)
 	}
 
 	st, dead := s.SweepMarked(c)
-	c.DropMarks()
+	s.EndMarks(c)
 	if dead || st.LiveObjects != 4 || st.FreedWords != t1+t2+t3 || st.FreeWords != t1+t2+t3 {
 		t.Fatalf("sweep of runs %d/%d/%d: %+v, dead %v", t1, t2, t3, st, dead)
 	}

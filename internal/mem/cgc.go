@@ -1,60 +1,92 @@
 package mem
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
-// Concurrent-collection support: per-chunk mark bitmaps and the in-place
-// sweep that threads free lists through partially-dead chunks. The moving
-// collector (gc.Collect) evacuates leaf heaps; internal heaps are instead
-// collected in place by gc.CGC, which marks into the side bitmaps below and
-// then calls SweepMarked on each snapshot chunk. Objects never move, so the
-// pin-then-validate read barrier is unaffected; the only new header state is
-// the KFree kind stamped over dead runs.
+// Mark states and the in-place sweep. Both collectors trace some chunks in
+// place: the local one (gc.Collect) a leaf's Tenured chunks and those
+// holding a pin, the concurrent one (gc.CGC) every chunk of the internal
+// heaps it claims, which it then sweeps with SweepMarked, threading free
+// lists through partially-dead chunks. Either marks what it finds live in a
+// Marks installed on the chunk (Space.BeginMarks) and takes it off again
+// (Space.EndMarks), never in the object's header. The one pointer is sound
+// because the two collectors never hold mark state at once: a cycle claims
+// only parked internal heaps while a local collection takes the active
+// leaf, and the runtime serializes the two in time (DESIGN.md §9). An
+// object traced in place does not move, so the pin-then-validate read
+// barrier is unaffected; the only header state the sweep adds is the KFree
+// kind stamped over dead runs.
 
-// markBitmap holds one bit per chunk word. Bits are written exclusively by
-// the single CGC worker goroutine; mutators only ever test the installed
-// pointer (CGCScoped) to decide whether a chunk is in the current cycle's
-// snapshot.
-type markBitmap []uint64
-
-// InstallMarks attaches a cleared mark bitmap to the chunk, placing it in
-// the current concurrent cycle's snapshot. Called under the owning heap's
-// collection gate so the publication orders against SATB shade checks.
-func (c *Chunk) InstallMarks() {
-	m := make(markBitmap, (len(c.Data)+63)/64)
-	c.marks.Store(&m)
+// Marks is a collector's mark state for one chunk it traces in place: one
+// bit per word, set at the header of each object found live, and Live, the
+// words (headers included) of the marked objects, which the local
+// collector adds as it scans them. Only the collector holding it touches
+// it, so nothing in it is atomic.
+type Marks struct {
+	bits []uint64
+	Live int
 }
 
-// DropMarks detaches the mark bitmap, taking the chunk out of CGC scope.
-func (c *Chunk) DropMarks() { c.marks.Store(nil) }
-
-// CGCScoped reports whether the chunk is in the current concurrent cycle's
-// snapshot. One atomic load: this is the mutator-side scope test in the
-// SATB shade path and in root harvesting.
-func (c *Chunk) CGCScoped() bool { return c.marks.Load() != nil }
-
-// Mark sets the mark bit for the object headered at off and reports whether
-// it was newly set. CGC worker only.
-func (c *Chunk) Mark(off int) bool {
-	m := c.marks.Load()
-	if m == nil {
-		return false
-	}
+// Mark sets the bit of word off and reports whether it was clear: at an
+// object's header, the first time the collection finds the object live.
+func (m *Marks) Mark(off int) bool {
 	w, b := off>>6, uint64(1)<<(off&63)
-	if (*m)[w]&b != 0 {
+	if m.bits[w]&b != 0 {
 		return false
 	}
-	(*m)[w] |= b
+	m.bits[w] |= b
 	return true
 }
 
-// Marked reports the mark bit for the object headered at off. CGC worker
-// only; false when no bitmap is installed.
-func (c *Chunk) Marked(off int) bool {
-	m := c.marks.Load()
+// Marked reports the bit of word off.
+func (m *Marks) Marked(off int) bool { return m.bits[off>>6]&(uint64(1)<<(off&63)) != 0 }
+
+// Remember sets the bit of the word after off and reports whether it was
+// clear. No object's header lies there, every object taking at least two
+// words, so the bit is free for the local collector's note that a
+// remembered entry has reached the object headered at off.
+func (m *Marks) Remember(off int) bool { return m.Mark(off + 1) }
+
+// Marks returns the mark state installed on the chunk, nil when no
+// collector traces it in place. One atomic load: it is also the concurrent
+// cycle's in-scope test, which mutators make in the SATB shade path.
+func (c *Chunk) Marks() *Marks { return c.marks.Load() }
+
+// BeginMarks installs on c a cleared mark state from the space's pool and
+// returns it. Installing over an installed state panics: it would mean
+// both collectors trace c at once. The concurrent cycle calls it under the
+// owning heap's gate, so the publication orders against SATB shade checks.
+func (s *Space) BeginMarks(c *Chunk) *Marks {
+	m, _ := s.marks.Get().(*Marks)
 	if m == nil {
-		return false
+		m = new(Marks)
 	}
-	return (*m)[off>>6]&(uint64(1)<<(off&63)) != 0
+	n := (len(c.Data) + 63) / 64
+	if cap(m.bits) < n {
+		m.bits = make([]uint64, n)
+	} else {
+		m.bits = m.bits[:n]
+		clear(m.bits)
+	}
+	m.Live = 0
+	if !c.marks.CompareAndSwap(nil, m) {
+		panic(fmt.Sprintf("mem: chunk %d already carries a mark state", c.ID))
+	}
+	return m
+}
+
+// EndMarks takes c's mark state off, returns it to the pool and reports
+// the live words it counted: 0 when c had none.
+func (s *Space) EndMarks(c *Chunk) int {
+	m := c.marks.Swap(nil)
+	if m == nil {
+		return 0
+	}
+	live := m.Live
+	s.marks.Put(m)
+	return live
 }
 
 // FreeWordCount returns the words covered by the chunk's threaded free
@@ -69,8 +101,8 @@ type SweepStats struct {
 	FreeWords   int // total words in free spans after the sweep
 }
 
-// SweepMarked rebuilds the chunk's free list from the installed mark
-// bitmap: every maximal run of unmarked, unpinned objects (coalescing
+// SweepMarked rebuilds the chunk's free list from its installed mark
+// state: every maximal run of unmarked, unpinned objects (coalescing
 // previously-freed KFree spans) becomes a single KFree span threaded onto
 // the chunk's free list. It reports the stats and whether the chunk came
 // out fully dead (no live objects, pinned ones included) — in which case
@@ -82,6 +114,7 @@ type SweepStats struct {
 // and free-list links are written atomically because stale readers (failed
 // entanglement validations about to retry) may still load these words.
 func (s *Space) SweepMarked(c *Chunk) (SweepStats, bool) {
+	m := c.Marks()
 	var st SweepStats
 	type span struct{ off, size int }
 	var runs []span
@@ -110,7 +143,7 @@ func (s *Space) SweepMarked(c *Chunk) (SweepStats, bool) {
 				runStart = off
 			}
 			runWords += size
-		case c.Marked(off) || hd.Pinned():
+		case m.Marked(off) || hd.Pinned():
 			flush()
 			st.LiveObjects++
 			st.LiveWords += size

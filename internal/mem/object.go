@@ -66,9 +66,9 @@ func (k Kind) Scanned() bool { return k == KTuple || k == KArray || k == KRefCel
 //	bit   3      candidate — a down-pointer or entangled read reached this
 //	             object; reads *through* it must take the slow path
 //	bit   4      pinned — the object may not be moved or reclaimed by LGC
-//	bit   5      unused — neither collector marks in the header: the local
-//	             one marks what it traces in place in a chunk-side bitmap
-//	             (InPlace), the concurrent one in its own (InstallMarks)
+//	bit   5      unused — neither collector marks in the header: both
+//	             mark what they trace in place in the chunk's one side
+//	             bitmap (Marks, installed by Space.BeginMarks)
 //	bit   6      valid — always set; guarantees headers are nonzero
 //	bit   7      busy — a copying collector has claimed the object for
 //	             relocation; pin attempts must back off and retry

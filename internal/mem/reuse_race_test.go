@@ -125,18 +125,18 @@ func TestChunkReuseRaceStress(t *testing.T) {
 				al.Chunks = nil
 				gates[heap].Lock()
 				for ci, c := range cs {
-					c.InstallMarks()
+					m := sp.BeginMarks(c)
 					if ci == 0 && it%3 != 0 {
 						// Keep a sparse subset of the first chunk live so
 						// the sweep threads a free list through it.
 						for j, r := range batchRefs {
 							if j%16 == 0 && sp.ChunkOf(r).HeapID() == heap && sp.chunk(r.Chunk()) == c {
-								c.Mark(r.Off())
+								m.Mark(r.Off())
 							}
 						}
 					}
 					_, dead := sp.SweepMarked(c)
-					c.DropMarks()
+					sp.EndMarks(c)
 					if dead {
 						for _, d := range pubsByChunk[c.ID] {
 							d.Store(true)

@@ -91,12 +91,11 @@ type Chunk struct {
 	heapID atomic.Uint32
 	owner  atomic.Pointer[Owner]
 
-	// marks is the side mark bitmap installed by a concurrent collection
-	// cycle for its snapshot chunks and dropped when the cycle ends. The
-	// pointer doubles as the mutator-visible "in CGC scope" test (one
-	// atomic load in the SATB shade path); the bits themselves are only
-	// ever touched by the single CGC worker, so they need no atomics.
-	marks atomic.Pointer[markBitmap]
+	// marks is the mark state of the collector tracing the chunk in place,
+	// nil when none does (see Marks). Whichever collector owns the chunk's
+	// heap installs it and takes it off; mutators only load the pointer,
+	// the concurrent cycle's in-scope test.
+	marks atomic.Pointer[Marks]
 
 	// freeHead is 1 + the word offset of the first KFree span threaded
 	// through this chunk by the CGC sweep (0 = no free list), and
@@ -107,11 +106,6 @@ type Chunk struct {
 	// them.
 	freeHead  int
 	freeWords int
-
-	// InPlace is the mark state of the local collection tracing the chunk
-	// in place (FromSpace Survivor or Keep), installed by it and taken off
-	// before its heap's gate reopens; nil outside such a collection.
-	InPlace *InPlace
 }
 
 // FromSpace is a chunk's from-space mark (Chunk.FromSpace), one byte.
@@ -123,45 +117,6 @@ const (
 	Survivor                      // Tenured: live objects traced in place, released if none
 	Keep                          // holds a pin: retained, live objects traced in place
 )
-
-// InPlace is a local collection's mark state for one chunk it traces in
-// place: one bit per word, set at the header of each object found live, and
-// the words (headers included) of the marked objects, which the collector
-// adds as it scans them. Only the collector touches it, so nothing in it is
-// atomic.
-type InPlace struct {
-	bits markBitmap
-	Live int
-}
-
-// Reset sizes m for a chunk of the given words and clears it.
-func (m *InPlace) Reset(words int) {
-	n := (words + 63) / 64
-	if cap(m.bits) < n {
-		m.bits = make(markBitmap, n)
-	} else {
-		m.bits = m.bits[:n]
-		clear(m.bits)
-	}
-	m.Live = 0
-}
-
-// Mark sets the bit of word off and reports whether it was clear: at an
-// object's header, the first time the collection finds the object live.
-func (m *InPlace) Mark(off int) bool {
-	w, b := off>>6, uint64(1)<<(off&63)
-	if m.bits[w]&b != 0 {
-		return false
-	}
-	m.bits[w] |= b
-	return true
-}
-
-// Remember sets the bit of the word after off and reports whether it was
-// clear. No object's header lies there, every object taking at least two
-// words, so the bit is free for the collector's note that a remembered
-// entry has reached the object headered at off.
-func (m *InPlace) Remember(off int) bool { return m.Mark(off + 1) }
 
 // Owner is the opaque type of a chunk's owner: the descriptor of the heap
 // owning it, which in a runtime is the *hierarchy.Heap. mem sits below the
@@ -213,6 +168,10 @@ type Space struct {
 	// owners resolves a heap id to its owner for NewChunk; nil until
 	// SetOwners, which runs before the space is shared.
 	owners func(heap uint32) *Owner
+
+	// marks is the pool of mark states both collectors draw from
+	// (BeginMarks, EndMarks).
+	marks sync.Pool
 
 	liveWords    atomic.Int64 // words in live (allocated-to-heap) chunks
 	maxLiveWords atomic.Int64 // high-water mark of liveWords

@@ -229,23 +229,51 @@ func TestCandidateAndMark(t *testing.T) {
 	if h := s.Header(r); h.Kind() != KArray || h.Len() != 2 || !h.Candidate() {
 		t.Fatal("flags corrupted header fields")
 	}
-	// A local collection's in-place marks live beside the chunk: one bit
-	// at the header, one past it for a remembered entry, none in the header.
+	// A collector's marks live beside the chunk: one bit at the header,
+	// one past it for a remembered entry, none in the header.
 	before := s.Header(r)
-	var m InPlace
-	m.Reset(s.ChunkOf(r).Words())
-	if !m.Mark(r.Off()) || m.Mark(r.Off()) {
-		t.Fatal("in-place mark protocol broken")
+	c := s.ChunkOf(r)
+	m := s.BeginMarks(c)
+	if c.Marks() != m || !m.Mark(r.Off()) || m.Mark(r.Off()) || !m.Marked(r.Off()) {
+		t.Fatal("mark protocol broken")
 	}
 	if !m.Remember(r.Off()) || m.Remember(r.Off()) || !m.Mark(r.Off()+3) {
 		t.Fatal("the remembered bit is not the word after the header's")
 	}
 	if s.Header(r) != before {
-		t.Fatal("an in-place mark wrote the header")
+		t.Fatal("a mark wrote the header")
 	}
-	m.Reset(s.ChunkOf(r).Words())
-	if !m.Mark(r.Off()) || m.Live != 0 {
-		t.Fatal("Reset left a mark or a live count")
+	m.Live = 5
+	if live := s.EndMarks(c); live != 5 || c.Marks() != nil {
+		t.Fatalf("EndMarks reported %d live words and left %v installed", live, c.Marks())
+	}
+	if m = s.BeginMarks(c); m.Marked(r.Off()) || m.Live != 0 {
+		t.Fatal("a mark state from the pool kept a mark or a live count")
+	}
+	s.EndMarks(c)
+}
+
+// TestMarksInstallOnce: installing a mark state over an installed one
+// panics, whichever collector installed the first — two collectors
+// tracing one chunk at once would share its bits — and leaves the first in
+// place.
+func TestMarksInstallOnce(t *testing.T) {
+	s := NewSpace()
+	c := s.NewChunk(1, 0)
+	m := s.BeginMarks(c)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second BeginMarks did not panic")
+			}
+		}()
+		s.BeginMarks(c)
+	}()
+	if c.Marks() != m {
+		t.Fatal("the refused install replaced the installed mark state")
+	}
+	if s.EndMarks(c) != 0 || s.EndMarks(c) != 0 {
+		t.Fatal("EndMarks of a chunk without marks reported live words")
 	}
 }
 
@@ -271,7 +299,7 @@ func TestChunkClassRoundTrip(t *testing.T) {
 		c1.Alloc = 2
 		s.Pin(r, 0)
 		s.Unpin(r)
-		c1.InstallMarks()
+		s.BeginMarks(c1)
 		c1.freeHead, c1.freeWords = 1, 2
 		s.Release(c1)
 		if c1.HeapID() != 0 {
@@ -635,5 +663,27 @@ func TestPinUnpinSequenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChunkLayout pins where a Chunk's hot words sit. Every barrier
+// resolves an object's chunk and loads ID and Data from it, so they stay
+// first: a field placed ahead of them once cost mlang's programs nine runs
+// in nine. A Chunk is allocated per chunk ever published and never freed,
+// and 80 bytes is Go's 80-byte size class: a field that grows it costs
+// every chunk the 96-byte one.
+func TestChunkLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit targets")
+	}
+	var c Chunk
+	if got := unsafe.Sizeof(c); got != 80 {
+		t.Errorf("Chunk is %d bytes, want 80", got)
+	}
+	if got := unsafe.Offsetof(c.ID); got != 0 {
+		t.Errorf("ID at offset %d, want 0", got)
+	}
+	if got := unsafe.Offsetof(c.Data); got != 8 {
+		t.Errorf("Data at offset %d, want 8", got)
 	}
 }
