@@ -19,7 +19,10 @@ import (
 // the boxes it displaces (Heap.Overwritten); once those pass half the
 // budget, the branch's heap is collected as the branch returns (Task.settle).
 // A branch that only fills empty slots — memoize, bfs, a pipeline's producer
-// — counts nothing and never collects there.
+// — counts nothing overwritten; its heap, kept by what it published, is
+// collected there only once its own allocation since the heap's last
+// collection passes half the budget. A heap its release drops is never
+// collected there.
 
 // counterCAS increments cell i of the array in cells' slot 0 n times, as
 // counter's leaves do: from its second increment on, each overwrites the
@@ -83,15 +86,22 @@ func collectionsDuring(rt *Runtime, body func()) int64 {
 	return after - before
 }
 
+// TestSettleCollectsOnlyOverwritingBranches: a counter-shaped branch
+// collects at its finish on its overwritten words alone, 3 000 words
+// allocated under a 4 096-word budget. Slot-filling branches overwrite
+// nothing: the two that allocate 2 000 words, under half the budget, never
+// collect there; the one that allocates 3 000, over half, collects exactly
+// once, at its return, and its boxes survive in their slots.
 func TestSettleCollectsOnlyOverwritingBranches(t *testing.T) {
-	const n = 1500 // 3 000 words allocated, under the 4 096 budget
+	const n = 1500     // 3 000 words allocated, over half the 4 096 budget
+	const under = 1000 // 2 000 words, under half
 	runDrops(t, Config{Procs: 1, HeapBudgetWords: 4096}, func(tk *Task) error {
 		rt := tk.rt
 		cells := counterCells(tk, 1)
 		defer cells.Pop()
 		slots := tk.NewFrame(1)
 		defer slots.Pop()
-		slots.Set(0, tk.AllocArray(2*n, mem.Nil).Value())
+		slots.Set(0, tk.AllocArray(2*under+n, mem.Nil).Value())
 		nop := func(*Task) mem.Value { return mem.Nil }
 
 		counter := func(t *Task) mem.Value {
@@ -107,13 +117,85 @@ func TestSettleCollectsOnlyOverwritingBranches(t *testing.T) {
 		}
 		for k, readFirst := range []bool{false, true} {
 			if c := collectionsDuring(rt, func() {
-				tk.Par(func(t *Task) mem.Value { fillSlots(t, slots, k*n, (k+1)*n, readFirst); return mem.Nil }, nop)
+				tk.Par(func(t *Task) mem.Value { fillSlots(t, slots, k*under, (k+1)*under, readFirst); return mem.Nil }, nop)
 			}); c != 0 {
-				return fmt.Errorf("slot-filling branch (read first: %v): %d collections, want 0", readFirst, c)
+				return fmt.Errorf("slot-filling branch under half the budget (read first: %v): %d collections, want 0", readFirst, c)
+			}
+		}
+		var during int64
+		if c := collectionsDuring(rt, func() {
+			tk.Par(func(t *Task) mem.Value {
+				during = collectionsDuring(rt, func() { fillSlots(t, slots, 2*under, 2*under+n, false) })
+				return mem.Nil
+			}, nop)
+		}); c != 1 || during != 0 {
+			return fmt.Errorf("slot-filling branch over half the budget: %d collections, %d before its return, want 1 at its return", c, during)
+		}
+		for i := 0; i < 2*under+n; i++ {
+			if got := tk.Read(tk.Read(slots.Ref(0), i).Ref(), 0).AsInt(); got != int64(i) {
+				return fmt.Errorf("slot %d reads %d", i, got)
 			}
 		}
 		if tk.heap.Overwritten != 0 {
-			return fmt.Errorf("parent's estimate %d after joining a collected and two slot-filling branches", tk.heap.Overwritten)
+			return fmt.Errorf("parent's estimate %d after joining a collected and three slot-filling branches", tk.heap.Overwritten)
+		}
+		return tk.ValidateHeaps()
+	})
+}
+
+// TestSettleCollectsKeptHeapPastHalfBudget is churn-pinned's shape: a branch
+// publishes one small box into its parent through a down-pointer, builds a
+// list it drops and churns past half the budget, and returns. The
+// down-pointer keeps its heap, so it collects once, at its return, and its
+// heap merges holding fewer words than the list. A sibling that publishes
+// nothing and allocates as much is dropped uncollected.
+func TestSettleCollectsKeptHeapPastHalfBudget(t *testing.T) {
+	const cells, garbage = 500, 200 // 2 + 1 500 + 600 words, over half the 4 096 budget
+	runDrops(t, Config{Procs: 1, HeapBudgetWords: 4096}, func(tk *Task) error {
+		rt := tk.rt
+		mailbox := tk.NewFrame(1)
+		defer mailbox.Pop()
+		mailbox.Set(0, tk.AllocArray(1, mem.Nil).Value())
+		nop := func(*Task) mem.Value { return mem.Nil }
+		var during int64
+		branch := func(publish bool) func(*Task) mem.Value {
+			return func(t *Task) mem.Value {
+				during = collectionsDuring(rt, func() {
+					b := t.AllocTuple(mem.Int(7))
+					if publish {
+						t.Write(mailbox.Ref(0), 0, b.Value())
+					}
+					list := t.NewFrame(1)
+					for i := 0; i < cells; i++ {
+						list.Set(0, t.AllocTuple(mem.Int(int64(i)), list.Get(0)).Value())
+					}
+					list.Pop()
+					churn(t, garbage)
+				})
+				return mem.Nil
+			}
+		}
+
+		before := rt.space.LiveWords()
+		var dropped int64
+		if c := collectionsDuring(rt, func() { dropped, _, _ = dropsOf(tk, branch(true), nop) }); c != 1 || during != 0 {
+			return fmt.Errorf("publishing branch: %d collections, %d before its return, want 1 at its return", c, during)
+		}
+		if dropped != 1 {
+			return fmt.Errorf("the join dropped %d heaps, want only the empty sibling's", dropped)
+		}
+		if merged := rt.space.LiveWords() - before; merged >= 3*cells {
+			return fmt.Errorf("the publishing branch's heap merged holding %d words, the list it dropped %d", merged, 3*cells)
+		}
+		if got := tk.Read(tk.Read(mailbox.Ref(0), 0).Ref(), 0).AsInt(); got != 7 {
+			return fmt.Errorf("the published box reads %d after the collection, want 7", got)
+		}
+
+		if c := collectionsDuring(rt, func() { dropped, _, _ = dropsOf(tk, branch(false), nop) }); c != 0 {
+			return fmt.Errorf("silent branch: %d collections, want 0", c)
+		}
+		if dropped != 2 {
+			return fmt.Errorf("the join dropped %d heaps, want both", dropped)
 		}
 		return tk.ValidateHeaps()
 	})
@@ -158,7 +240,8 @@ func TestSettleKeepsResultIntoCollectedHeap(t *testing.T) {
 
 // TestSettleNeverWithoutItsPreconditions: no finish collection with
 // collections off, with the barriers off (nothing is counted) or after a
-// runtime-wide cancel.
+// runtime-wide cancel, neither for a branch that overwrote what it published
+// nor for one that published a box and allocated past half the budget.
 func TestSettleNeverWithoutItsPreconditions(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -171,7 +254,7 @@ func TestSettleNeverWithoutItsPreconditions(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rt := New(c.cfg)
-			var overwritten int64
+			var overwritten, allocated int64
 			_, err := rt.Run(func(tk *Task) mem.Value {
 				cells := counterCells(tk, 1)
 				defer cells.Pop()
@@ -182,7 +265,15 @@ func TestSettleNeverWithoutItsPreconditions(t *testing.T) {
 						t.Runtime().Cancel()
 					}
 					return mem.Nil
-				}, func(*Task) mem.Value { return mem.Nil })
+				}, func(t *Task) mem.Value {
+					// Publishes a box over the counter's (the cell is not
+					// its own: nothing is counted overwritten), then churns
+					// 2 100 words, over half the budget.
+					t.Write(cells.Ref(0), 0, t.AllocTuple(mem.Int(0)).Value())
+					churn(t, 700)
+					allocated = t.sinceGC
+					return mem.Nil
+				})
 				return mem.Nil
 			})
 			if c.cancel != errors.Is(err, ErrCancelled) || !c.cancel && err != nil {
@@ -193,6 +284,9 @@ func TestSettleNeverWithoutItsPreconditions(t *testing.T) {
 			}
 			if want := c.cfg.Mode != entangle.Unsafe; (overwritten > 2048) != want {
 				t.Fatalf("the branch counted %d overwritten words", overwritten)
+			}
+			if !c.cancel && allocated <= 2048 {
+				t.Fatalf("the publishing branch allocated %d words", allocated)
 			}
 		})
 	}

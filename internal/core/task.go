@@ -348,12 +348,16 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 	return lv, rv
 }
 
-// settle is a branch's last act. Once the words it overwrote of what it had
-// published (Heap.Overwritten) pass half the allocation budget, it collects
-// its heap with the result rooted, so that garbage is reclaimed here instead
-// of merging into an ancestor that may not collect again. Each such
-// collection follows half a budget of overwritten words, as one the budget
-// triggers follows a budget of allocated words.
+// settle is a branch's last act. It collects its heap with the result
+// rooted, so that garbage is reclaimed here instead of merging into an
+// ancestor that may not collect again, on either of two triggers: the words
+// it overwrote of what it had published (Heap.Overwritten) pass half the
+// allocation budget, or the words its own strand allocated since the heap's
+// last collection (sinceGC) pass half the budget and the heap outlives the
+// branch (kept: a remembered down-pointer, a pin or the result reaches it).
+// A heap the release below drops is handed back whole, with no collection.
+// Each such collection follows half a budget of overwritten or allocated
+// words, as one the budget triggers follows a budget of allocated words.
 //
 // Then it stores the result into out, its slot in the parent, atomically (the
 // parent's claim scan may read it), and shades it if a concurrent cycle
@@ -363,17 +367,18 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 // nothing outside can reach it. The barriers record every way in but the
 // result, tested here by one load, the owner of its chunk: a result pointing
 // elsewhere (an ancestor, the sibling, which pinned it) keeps nothing alive.
-// A non-empty owner-side remembered set keeps the heap without taking its
-// gate. Neither the collection nor the release runs where the records may be
-// incomplete: with the barriers off (Unsafe), after a runtime-wide cancel
-// (the unwind skips its pins), or with collections off (DisableGC: tests pass
-// raw references out of branches). Nor does the release run while a
-// concurrent cycle marks, which may pass through objects the strand shaded to
-// what they hold (DESIGN.md §6, decision 9): the heap merges at its join,
-// which waits the cycle out.
+// A non-empty owner-side remembered or pinned set keeps the heap without
+// taking its gate. Neither the collection nor the release runs where the
+// records may be incomplete: with the barriers off (Unsafe), after a
+// runtime-wide cancel (the unwind skips its pins), or with collections off
+// (DisableGC: tests pass raw references out of branches). Nor does the
+// release run while a concurrent cycle marks, which may pass through objects
+// the strand shaded to what they hold (DESIGN.md §6, decision 9): the heap
+// merges at its join, which waits the cycle out.
 func (t *Task) settle(result mem.Value, out *mem.Value) {
-	vouch := !t.rt.cfg.DisableGC && !t.rt.cancelled.Load()
-	if vouch && t.heap.Overwritten > t.rt.cfg.HeapBudgetWords/2 {
+	vouch := t.barriers && !t.rt.cfg.DisableGC && !t.rt.cancelled.Load()
+	half := t.rt.cfg.HeapBudgetWords / 2
+	if vouch && (t.heap.Overwritten > half || t.sinceGC > half && t.kept(result)) {
 		vs := [1]mem.Value{result}
 		t.collectRooted(vs[:])
 		result = vs[0]
@@ -387,11 +392,18 @@ func (t *Task) settle(result mem.Value, out *mem.Value) {
 		}
 		return
 	}
-	if vouch && t.barriers && t.heap.Remset.Len() == 0 &&
-		!(result.IsRef() && hierarchy.OwnerOf(t.rt.space.ChunkOf(result.Ref())) == t.heap) {
+	if vouch && !t.kept(result) {
 		t.syncChunks()
 		t.heap.Release(t.rt.space)
 	}
+}
+
+// kept reports whether the heap outlives its branch by a record the owner
+// sees without the gate: a remembered down-pointer, a pin, or the result.
+// Entries still in the publication buffers are Release's to find.
+func (t *Task) kept(result mem.Value) bool {
+	return t.heap.Remset.Len() != 0 || t.heap.Pinned.Len() != 0 ||
+		result.IsRef() && hierarchy.OwnerOf(t.rt.space.ChunkOf(result.Ref())) == t.heap
 }
 
 // ParFor runs body over [lo, hi) in parallel, splitting ranges in half

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -219,4 +221,104 @@ func TestSummarizeRejectsGarbage(t *testing.T) {
 			t.Fatalf("Summarize accepted %q", in)
 		}
 	}
+}
+
+// scriptRings decodes ops into the rings of a two-worker tracer and its
+// collector ring, four bytes per event: the ring, the kind, the time since
+// the ring's last event (2^(b%40) ns, so pin lifetimes reach past the
+// histogram's last bucket) and an argument. Pins and unpins name one of
+// four refs, so some match; counter events name a valid counter, which is
+// all the exporter's counter tracks carry by name.
+func scriptRings(ops []byte) [][]Event {
+	rings := make([][]Event, 3)
+	var ts [3]int64
+	for i := 0; i+3 < len(ops); i += 4 {
+		r := int(ops[i]) % len(rings)
+		k := Kind(1 + int(ops[i+1])%(int(evKinds)-1))
+		ts[r] += 1 << (ops[i+2] % 40)
+		e := Event{TS: ts[r], Kind: k, Worker: int32(r), Depth: int32(ops[i+3] % 8), Arg1: uint64(ops[i+3] % 4), Arg2: uint64(ops[i+3])}
+		if k == EvCounter {
+			e.Arg1 = uint64(Counter(ops[i+3]) % ctrCounters)
+			e.Arg2 = uint64(ops[i+2]) << 8
+		}
+		rings[r] = append(rings[r], e)
+	}
+	return rings
+}
+
+// FuzzSummarize: Summarize reads files from outside the process, so any
+// bytes end in an error or a summary that formats, never a panic. The same
+// bytes, read as a script of ring events, export to a file that summarizes
+// to what the events say.
+func FuzzSummarize(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "chrome_golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, in := range []string{``, `not json`, `{}`, `{"traceEvents":[{"name":"x","ph":"i","ts":1,"args":{"kind":"no_such_kind"}}]}`} {
+		f.Add([]byte(in))
+	}
+	f.Add([]byte{ // fork, steal, pin, slow and entangled read, unpin 2^35 ns on, counter, LGC
+		0, 0, 3, 0, 1, 2, 4, 0, 0, 13, 5, 1, 1, 11, 6, 1, 1, 12, 7, 1,
+		0, 14, 35, 5, 2, 18, 8, 40, 0, 3, 9, 0, 0, 4, 10, 0,
+	})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if s, err := Summarize(bytes.NewReader(in)); err == nil {
+			s.Format(io.Discard)
+			s.FormatAttr(io.Discard)
+		}
+
+		rings := scriptRings(in)
+		var buf bytes.Buffer
+		if err := writeChromeEvents(&buf, rings, 2); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Summarize(&buf)
+		if err != nil {
+			t.Fatalf("the export of %v does not summarize: %v", rings, err)
+		}
+		want := Summary{ByKind: map[Kind]int{}, CounterMax: map[Counter]uint64{}}
+		var lo, hi int64
+		for _, evs := range rings {
+			if len(evs) > 0 {
+				want.Workers++
+			}
+			for _, e := range evs {
+				if want.Events == 0 || e.TS < lo {
+					lo = e.TS
+				}
+				if want.Events == 0 || e.TS > hi {
+					hi = e.TS
+				}
+				want.Events++
+				want.ByKind[e.Kind]++
+				switch e.Kind {
+				case EvFork:
+					want.Forks++
+				case EvSteal:
+					want.Steals++
+				case EvSlowRead:
+					want.SlowReads++
+				case EvEntangledRead:
+					want.EntangledReads++
+				case EvPin:
+					want.Pins++
+				case EvUnpin:
+					want.Unpins++
+				case EvCounter:
+					if c := Counter(e.Arg1); e.Arg2 > want.CounterMax[c] {
+						want.CounterMax[c] = e.Arg2
+					}
+				}
+			}
+		}
+		want.Span = time.Duration(hi - lo)
+		if s.Events != want.Events || s.Workers != want.Workers || s.Span != want.Span ||
+			s.Forks != want.Forks || s.Steals != want.Steals || s.SlowReads != want.SlowReads ||
+			s.EntangledReads != want.EntangledReads || s.Pins != want.Pins || s.Unpins != want.Unpins ||
+			!maps.Equal(s.ByKind, want.ByKind) || !maps.Equal(s.CounterMax, want.CounterMax) {
+			t.Fatalf("summary of the export\n got %+v\nwant %+v", *s, want)
+		}
+	})
 }
