@@ -350,13 +350,20 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 
 // settle is a branch's last act. It collects its heap with the result
 // rooted, so that garbage is reclaimed here instead of merging into an
-// ancestor that may not collect again, on either of two triggers: the words
+// ancestor that may not collect again, on any of three triggers: the words
 // it overwrote of what it had published (Heap.Overwritten) pass half the
-// allocation budget, or the words its own strand allocated since the heap's
+// allocation budget; the words its own strand allocated since the heap's
 // last collection (sinceGC) pass half the budget and the heap outlives the
-// branch (kept: a remembered down-pointer, a pin or the result reaches it).
-// A heap the release below drops is handed back whole, with no collection.
-// Each such collection follows half a budget of overwritten or allocated
+// branch (kept: a remembered down-pointer, a pin or the result reaches it);
+// or those words plus what its joined children merged into it (Heap.Growth)
+// pass half the budget and only the result keeps the heap. A merge sort's
+// interior node allocates at most its own merge, yet holds its subtree's
+// merged arrays: the third trigger collects them as the node returns. It
+// leaves out a heap a remembered entry or a pin keeps: such a heap holds
+// what other strands reach (a memo table), which a collection would copy
+// only to find it live. A heap the release below drops is handed back whole,
+// with no collection; what it grew by never reaches its parent. Each such
+// collection follows half a budget of overwritten, allocated or merged
 // words, as one the budget triggers follows a budget of allocated words.
 //
 // Then it stores the result into out, its slot in the parent, atomically (the
@@ -378,7 +385,11 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 func (t *Task) settle(result mem.Value, out *mem.Value) {
 	vouch := t.barriers && !t.rt.cfg.DisableGC && !t.rt.cancelled.Load()
 	half := t.rt.cfg.HeapBudgetWords / 2
-	if vouch && (t.heap.Overwritten > half || t.sinceGC > half && t.kept(result)) {
+	h := t.heap
+	h.Growth += t.sinceGC
+	grown := t.sinceGC > half ||
+		h.Growth > half && h.Remset.Len() == 0 && h.Pinned.Len() == 0
+	if vouch && (h.Overwritten > half || grown && t.kept(result)) {
 		vs := [1]mem.Value{result}
 		t.collectRooted(vs[:])
 		result = vs[0]

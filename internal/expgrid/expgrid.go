@@ -104,7 +104,8 @@ type Experiment struct {
 
 // ProcSpec is the worker-count sweep of one experiment. It unmarshals
 // from either the string "sweep" (expanded to 1..cores at Expand time) or
-// an array whose elements are integers or the string "cores".
+// an array whose elements are integers or the string "cores"; given twice,
+// the last one counts.
 type ProcSpec struct {
 	Sweep bool
 	List  []int // -1 encodes "cores" until expansion
@@ -115,6 +116,7 @@ type ProcSpec struct {
 const coresMarker = -1
 
 func (p *ProcSpec) UnmarshalJSON(data []byte) error {
+	*p = ProcSpec{}
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
 		if s != "sweep" {
@@ -233,14 +235,23 @@ func LoadSpec(path string) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	s, err := parseSpec(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// parseSpec decodes and validates the spec in data.
+func parseSpec(data []byte) (*Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	return &s, nil
 }

@@ -463,6 +463,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 		}
 		h.ReplaceChunks(kept)
 		h.Overwritten = 0
+		h.Growth = 0
 		// Entries whose holders this cycle just freed must not survive as
 		// roots, or a later collection would read a KFree span as a holder
 		// (owner parked, gate held: the owner-only list is ours);

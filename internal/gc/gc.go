@@ -117,8 +117,8 @@ type run struct {
 	ci, off int
 	marked  []grey // objects traced in place whose fields are yet to forward: a stack
 	// repeats is set when two remembered entries reached one target that
-	// stays in place; dedup then lists the entries and their positions in
-	// entries and the positions it drops in drops.
+	// stays in place; dedup then lists those entries whose target stayed,
+	// with their positions, in entries and the positions it drops in drops.
 	repeats   bool
 	entries   []entry
 	drops     []int
@@ -208,6 +208,7 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	// rest, the mark state taken off first (a released chunk may be another
 	// heap's at once); settle to-space, which is Tenured whole.
 	h.Overwritten = 0
+	h.Growth = 0
 	var retainedOldWords int64
 	kept := h.Chunks[:0]
 	for _, ch := range h.Chunks {
@@ -308,14 +309,23 @@ func (r *run) processRemsets() {
 
 // dedup drops the repeated entries among those whose target stayed in
 // place: such a target leaves its field as it was, so no redirect tells a
-// repeat from the first. Sorting the entries by field brings repeats
-// together (an entry whose target moved has none left), and one more pass
-// over the set drops all but the first. It runs only when two entries
-// reached one target, which two distinct fields sharing a target also do.
+// repeat from the first. It lists the kept entries whose field still
+// points into from-space (an entry whose target moved points into to-space
+// and has no repeat left), and sorts only those by field to bring repeats
+// together; one more pass over the set drops all but the first. It runs
+// only when two entries reached one target, which two distinct fields
+// sharing a target also do. Another strand may have stored into a field
+// since processRemsets read it: that lists an entry or leaves one out, and
+// what is dropped is still only a copy of an entry that stays.
 func (r *run) dedup() {
+	sp := r.c.Space
 	pos := 0
 	r.h.Remset.Each(func(e hierarchy.RememberedEntry) {
-		r.entries = append(r.entries, entry{e, pos})
+		if v := sp.ChunkOf(e.Holder).Load(e.Holder, e.Index); v.IsRef() {
+			if _, stayed := r.fromSpace(v.Ref()); stayed {
+				r.entries = append(r.entries, entry{e, pos})
+			}
+		}
 		pos++
 	})
 	slices.SortFunc(r.entries, func(a, b entry) int {

@@ -296,6 +296,79 @@ func TestDeadRemsetEntryDropped(t *testing.T) {
 	}
 }
 
+// TestDedupListsOnlyInPlaceEntries collects a remembered set of many
+// entries whose targets move, among which one field whose pinned target
+// stays in place is remembered three times and a second field shares that
+// target. Exactly the two repeats go; every other entry stays, in order.
+// dedup sorts only the four entries whose target stayed, not the set: the
+// run the collector pools afterwards listed no more than those.
+func TestDedupListsOnlyInPlaceEntries(t *testing.T) {
+	const moved = 1000
+	w := newWorld()
+	root := w.tr.Root()
+	leaf := w.tr.Fork(root)
+	rootHA := w.onHeap(root)
+	holder := rootHA.al.AllocArray(moved+2, mem.Nil)
+	w.sp.SetCandidate(holder)
+	rootHA.adopt()
+	pinHA := w.onHeap(leaf) // a chunk of its own, kept for the pin
+	pinned := pinHA.al.AllocTuple(mem.Int(-1))
+	w.sp.Pin(pinned, 0)
+	leaf.AddPinned(pinned)
+	pinHA.adopt()
+	w.sp.Store(holder, moved, pinned.Value())
+	w.sp.Store(holder, moved+1, pinned.Value())
+
+	leafHA := w.onHeap(leaf)
+	var want []hierarchy.RememberedEntry // the moved entries, in order
+	for i := 0; i < moved; i++ {
+		if i%(moved/2) == 0 {
+			leaf.AddRememberedLocal(holder, moved) // the repeated field
+		}
+		w.sp.Store(holder, i, leafHA.al.AllocTuple(mem.Int(int64(i))).Value())
+		leaf.AddRememberedLocal(holder, i)
+		want = append(want, hierarchy.RememberedEntry{Holder: holder, Index: i})
+	}
+	leaf.AddRememberedLocal(holder, moved)
+	leaf.AddRememberedLocal(holder, moved+1)
+	leafHA.adopt()
+
+	res := w.c.Collect([]*hierarchy.Heap{leaf})
+	if res.CopiedObjects != moved {
+		t.Fatalf("CopiedObjects = %d, want %d", res.CopiedObjects, moved)
+	}
+	var got []hierarchy.RememberedEntry
+	inPlace := map[int]int{}
+	for _, e := range items(&leaf.Remset) {
+		if e.Index >= moved {
+			inPlace[e.Index]++
+			continue
+		}
+		got = append(got, e)
+		if v := w.sp.Load(holder, e.Index); w.sp.Load(v.Ref(), 0).AsInt() != int64(e.Index) {
+			t.Fatalf("field %d lost its target", e.Index)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("moved entries: got %d, want all %d in order", len(got), len(want))
+	}
+	if inPlace[moved] != 1 || inPlace[moved+1] != 1 {
+		t.Fatalf("in-place fields keep %v entries, want one each", inPlace)
+	}
+	if w.sp.Load(holder, moved).Ref() != pinned || w.sp.Load(holder, moved+1).Ref() != pinned {
+		t.Fatal("the pinned target moved")
+	}
+	if err := CheckHeap(w.sp, leaf, true); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := w.c.runs.Get().(*run); r != nil { // the race detector's pool may drop it
+		if cap(r.entries) >= moved {
+			t.Errorf("dedup listed %d entries, want the 4 whose target stayed", cap(r.entries))
+		}
+		w.c.runs.Put(r)
+	}
+}
+
 // A remembered entry whose holder the concurrent sweep freed inside a run —
 // not at the run's head, where the free span's header lies — is dropped as
 // well: nothing clears a swept span, but the sweep stamps each freed

@@ -156,6 +156,13 @@ type Heap struct {
 	// tally slot because Drain clears the tally.
 	Overwritten int64
 
+	// Growth counts the words this heap grew by since its last collection
+	// through its branches: each branch adds what its strand allocated as it
+	// returns (core.Task.settle), and a merging join adds the child's. A
+	// released child adds nothing. Owner-only; every collection of the heap
+	// resets it.
+	Growth int64
+
 	// Pinned lists pinned objects residing in this heap; entries go stale
 	// when the object is unpinned or copied and are dropped at the next
 	// join. Owner-only view; entangled readers publish into pinBuf under
@@ -620,6 +627,7 @@ func (t *Tree) Merge(child, parent *Heap, space *mem.Space) (unpinned int, unpin
 
 	parent.Remset.Splice(&child.Remset)
 	parent.Overwritten += child.Overwritten
+	parent.Growth += child.Growth
 
 	// Unpin objects whose unpin depth has been reached: the entangled
 	// tasks have joined, so these are ordinary objects of the merged heap.

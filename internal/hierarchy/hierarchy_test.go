@@ -357,7 +357,7 @@ func TestConcurrentForks(t *testing.T) {
 }
 
 // TestHeapLayout pins where a Heap's hot words sit: a Heap is allocated per
-// fork, and 424 bytes is in Go's 448-byte size class, so a field that grows
+// fork, and 432 bytes is in Go's 448-byte size class, so a field that grows
 // it past 448 — a tally slot per direct row of trace.Counts, say — costs
 // every fork a bigger object. The tally holds the tallied rows only.
 func TestHeapLayout(t *testing.T) {
@@ -365,8 +365,8 @@ func TestHeapLayout(t *testing.T) {
 		t.Skip("the layout is pinned for 64-bit targets")
 	}
 	var h Heap
-	if got := unsafe.Sizeof(h); got != 424 {
-		t.Errorf("Heap is %d bytes, want 424", got)
+	if got := unsafe.Sizeof(h); got != 432 {
+		t.Errorf("Heap is %d bytes, want 432", got)
 	}
 	if got := unsafe.Offsetof(h.Tally); got != 112 {
 		t.Errorf("Tally at offset %d, want 112", got)
