@@ -371,7 +371,9 @@ func (t *Task) Par(f, g func(*Task) mem.Value) (mem.Value, mem.Value) {
 // marks: the branch may pass no safepoint, and the parent's claim scan may
 // come first; the collector flips the phase before it scans, so one of the
 // two sees the result. Last it releases the heap (hierarchy.Heap.Release) if
-// nothing outside can reach it. The barriers record every way in but the
+// nothing outside can reach it, or else gives back the unused tail of its
+// bump chunk (mem.Allocator.GiveBack): the next branch's first refill takes
+// it rather than a fresh chunk. The barriers record every way in but the
 // result, tested here by one load, the owner of its chunk: a result pointing
 // elsewhere (an ancestor, the sibling, which pinned it) keeps nothing alive.
 // A non-empty owner-side remembered or pinned set keeps the heap without
@@ -405,8 +407,11 @@ func (t *Task) settle(result mem.Value, out *mem.Value) {
 	}
 	if vouch && !t.kept(result) {
 		t.syncChunks()
-		t.heap.Release(t.rt.space)
+		if t.heap.Release(t.rt.space) {
+			return
+		}
 	}
+	t.alloc.GiveBack()
 }
 
 // kept reports whether the heap outlives its branch by a record the owner

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sort"
 
@@ -242,13 +243,17 @@ func LoadSpec(path string) (*Spec, error) {
 	return s, nil
 }
 
-// parseSpec decodes and validates the spec in data.
+// parseSpec decodes and validates the spec in data, which holds the spec
+// and nothing after it but white space.
 func parseSpec(data []byte) (*Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("data after the spec at offset %d", dec.InputOffset())
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -180,6 +180,28 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// A spec file holds one spec: anything after it but white space — a
+// second value, a half-written one, stray bytes — is a load error, not
+// silently dropped. Trailing white space loads.
+func TestLoadSpecRejectsTrailingData(t *testing.T) {
+	const spec = `{"experiments":[{"bench":"msort","procs":[1]}]}`
+	path := filepath.Join(t.TempDir(), "grid.json")
+	for _, tail := range []string{` {"name": oops`, ` {}`, `]`, ` x`, `{"experiments":[]}`} {
+		if err := os.WriteFile(path, []byte(spec+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSpec(path); err == nil || !strings.Contains(err.Error(), "after the spec") {
+			t.Errorf("spec followed by %q loaded: %v", tail, err)
+		}
+	}
+	if err := os.WriteFile(path, []byte(spec+"\n\t \n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSpec(path); err != nil {
+		t.Errorf("spec followed by white space: %v", err)
+	}
+}
+
 // The checked-in grids must stay loadable: they are the reproducibility
 // contract of scripts/paper/out, of the CI paper job and of its trace and
 // attribution exports.

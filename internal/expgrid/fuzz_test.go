@@ -13,7 +13,7 @@ import (
 // itself — the marshalled spec loads to an equal spec, which marshals to
 // the same bytes — never in a panic. The seeds are the checked-in grids and
 // a few shapes of procs, one with the key given twice (the last one counts,
-// as for every other key).
+// as for every other key), and a spec with a half-written one after it.
 func FuzzLoadSpec(f *testing.F) {
 	for _, name := range []string{"experiments.json", "experiments-ci.json", "trace.json"} {
 		data, err := os.ReadFile(filepath.Join("../../scripts/paper", name))
@@ -27,6 +27,7 @@ func FuzzLoadSpec(f *testing.F) {
 		`{"defaults":{"procs":[1,"cores"],"warmups":-1},"experiments":[{"bench":"fib","n":20}]}`,
 		`{"experiments":[{"bench":"msort","procs":"sweep","procs":[1,2]}]}`,
 		`{"brent_c":2.5,"experiments":[{"bench":"pipeline","procs":[1],"mode":"detect","label":"p"}]}`,
+		`{"experiments":[{"bench":"msort","procs":[1]}]} {"name": oops`,
 	} {
 		f.Add([]byte(src))
 	}

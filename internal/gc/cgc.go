@@ -444,7 +444,7 @@ func (g *CGC) RunCycle(hs Handshaker, stop func() bool) CGCResult {
 			res.FreedWords += int64(st.FreedWords)
 			g.Space.EndMarks(c)
 			if dead {
-				g.Ring.Emit(trace.EvChunkRelease, 0, uint64(c.ID), uint64(len(c.Data)))
+				g.Ring.Emit(trace.EvChunkRelease, 0, uint64(c.ID), uint64(c.Words()))
 				g.Space.Release(c)
 				res.SweptChunks++
 				continue
@@ -509,7 +509,7 @@ func (g *CGC) markRef(r mem.Ref) bool {
 		return false
 	}
 	off := r.Off()
-	if off < 0 || off >= len(c.Data) {
+	if off < 0 || off >= c.Words() {
 		return false
 	}
 	hd := g.Space.Header(r)
@@ -546,7 +546,7 @@ func (g *CGC) markRef(r mem.Ref) bool {
 		return newly
 	}
 	n := hd.Len()
-	if off+1+n > len(c.Data) {
+	if off+1+n > c.Words() {
 		return newly
 	}
 	for i := 0; i < n; i++ {

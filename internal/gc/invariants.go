@@ -52,6 +52,9 @@ func CheckHeap(sp *mem.Space, h *hierarchy.Heap, strict bool) error {
 		if c.HeapID() != h.ID || hierarchy.OwnerOf(c) != h {
 			return fmt.Errorf("gc: heap %d chunk %d: owned by heap id %d, owner %s", h.ID, c.ID, c.HeapID(), describe(hierarchy.OwnerOf(c)))
 		}
+		if c.Alloc > c.Words() {
+			return fmt.Errorf("gc: heap %d chunk %d: bump offset %d past its %d words", h.ID, c.ID, c.Alloc, c.Words())
+		}
 		off := 0
 		for off < c.Alloc {
 			hd := mem.Header(atomic.LoadUint64(&c.Data[off]))

@@ -50,6 +50,16 @@ func (a *Allocator) Retarget(heap uint32) {
 	a.reuse = nil
 }
 
+// GiveBack hands the space the unused tail of the bump chunk
+// (Space.GiveBack) and leaves the allocator with no bump chunk: its task
+// has returned, and its heap outlives it holding what it allocated.
+func (a *Allocator) GiveBack() {
+	if a.cur != nil {
+		a.space.GiveBack(a.cur)
+		a.cur = nil
+	}
+}
+
 // Alloc allocates an object with the given kind and payload length (words)
 // and returns its reference. The payload is zeroed (all fields Nil).
 // Objects always occupy at least one payload word so forwarding headers
@@ -83,12 +93,12 @@ func (a *Allocator) carve(hd uint64, n int) (*Chunk, int) {
 	total := max(n, 1) + 1
 	c := a.cur
 	var off int
-	if c != nil && c.Alloc+total <= len(c.Data) {
+	if c != nil && c.Alloc+total <= c.Words() {
 		off = c.Alloc
 		c.Alloc += total
 	} else if c, off = a.allocFromFree(total); c == nil {
 		c = a.space.NewChunk(a.heap, max(total, a.grow))
-		a.grow = min(2*len(c.Data), ChunkWords)
+		a.grow = min(2*c.Words(), ChunkWords)
 		a.cur = c
 		a.Chunks = append(a.Chunks, c)
 		off, c.Alloc = 0, total

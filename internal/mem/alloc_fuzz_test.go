@@ -1,17 +1,33 @@
 package mem
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
+// object is FuzzAllocator's model of one allocation: where it is, its
+// length and kind, and the pattern the model wrote over its payload.
+type object struct {
+	off, n int
+	kind   Kind
+	fill   uint64
+}
+
 // FuzzAllocator drives one Allocator with a random sequence of allocations
-// (every kind, payloads 0 … 3·ChunkWords), Retargets and release-everything
-// steps, against a model of what the space should have handed out:
+// (every kind, payloads 0 … 3·ChunkWords), Retargets, give-backs of the
+// bump chunk's tail and release-everything steps, against a model of what
+// the space should have handed out:
 //
-//   - every chunk is the class size the growth rule predicts, or exactly
-//     the oversize request;
+//   - every refill takes the largest free chunk from the growth rule's
+//     request up to its class size, else a fresh chunk of the class, or
+//     exactly the oversize request;
+//   - a give-back leaves the bump chunk at least its Alloc, takes a whole
+//     number of granules off it and LiveWords with them; no two chunks,
+//     owned or free, overlap; and once every chunk is released each arena
+//     is one free chunk again;
 //   - objects are bump-allocated densely — no two overlap, and every chunk
 //     parses header by header up to Alloc;
 //   - every payload is as Alloc wrote it — zero — on arrival, also in a
@@ -23,23 +39,23 @@ import (
 //     allocation carves a span on an exact fit or a split, never leaving
 //     a one-word remainder, with the chunk still parsing (sweptSpans);
 //   - a Ref round-trips chunk id and offset;
-//   - LiveWords is the sum of the sizes of the chunks not yet released.
+//   - LiveWords is the sum of the capacities of the chunks not yet released.
 //
 // The input is an op stream, three bytes per op: an opcode and a 16-bit
-// size. Opcode 7 releases every chunk, or, with bits 3–4 of it reading 3,
-// sweeps a chunk and carves from its spans, and with any other of its bits
-// 3–7 set runs a to-space tenancy. The checked-in corpus is under
+// size. Opcode 6 retargets, or, with bit 3 of it set, gives back the bump
+// chunk's tail and starts a new allocator, as a branch returning and the
+// next beginning. Opcode 7 releases every chunk, or, with bits 3–4 of it
+// reading 3, sweeps a chunk and carves from its spans, and with any other
+// of its bits 3–7 set runs a to-space tenancy. The checked-in corpus is under
 // testdata/fuzz/FuzzAllocator.
 func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x00}) // one empty tuple
+	// Two tuples, the tail given back and taken by the next refill, which
+	// gives back its own; a large array; everything released.
+	f.Add([]byte{0x00, 40, 0, 0x00, 7, 0, 0x0e, 0, 0, 0x08, 30, 0, 0x0e, 0, 0, 0x01, 200, 0, 0x07, 0, 0})
 	kinds := [...]Kind{KTuple, KArray, KRefCell, KRaw}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		type object struct {
-			off, n int
-			kind   Kind
-			fill   uint64
-		}
 		s := NewSpace()
 		a := NewAllocator(s, 1)
 		objs := map[*Chunk][]object{} // per live chunk, in allocation order
@@ -50,7 +66,23 @@ func FuzzAllocator(f *testing.F) {
 			op, size := ops[0], int(ops[1])|int(ops[2])<<8
 			switch op & 7 {
 			case 6:
-				a.Retarget(uint32(1 + size%7))
+				if op>>3&1 == 0 {
+					a.Retarget(uint32(1 + size%7))
+					continue
+				}
+				// A branch returns, and the next starts a new allocator on
+				// the same heap.
+				if c := a.cur; c != nil {
+					words, live := c.Words(), s.LiveWords()
+					a.GiveBack()
+					back := words - c.Words()
+					if c.Words() < c.Alloc || back%granuleWords != 0 || s.LiveWords() != live-int64(back) {
+						t.Fatalf("give-back of chunk %d (Alloc %d): %d words left of %d, LiveWords %d → %d",
+							c.ID, c.Alloc, c.Words(), words, live, s.LiveWords())
+					}
+					checkExtents(t, s, objs)
+				}
+				a, grow = NewAllocator(s, a.Heap()), 0
 				continue
 			case 7:
 				if op>>3&3 == 3 {
@@ -69,6 +101,14 @@ func FuzzAllocator(f *testing.F) {
 				if live := s.LiveWords(); live != 0 {
 					t.Fatalf("%d words live after releasing every chunk", live)
 				}
+				for _, free := range s.free {
+					for _, c := range free {
+						if s.ext[c.ID].start != 0 || c.Words() != len(c.Data) {
+							t.Fatalf("free chunk %d of %d words at %d of its arena once every chunk is released",
+								c.ID, c.Words(), s.ext[c.ID].start)
+						}
+					}
+				}
 				continue
 			}
 			kind := kinds[op&3]
@@ -84,6 +124,12 @@ func FuzzAllocator(f *testing.F) {
 			total := max(n, 1) + 1
 			budget += total
 
+			want := max(total, grow)
+			var pick *Chunk
+			if want <= ChunkWords {
+				want = max(MinChunkWords, 1<<bits.Len(uint(want-1)))
+				pick = largestFree(s, max(total, grow), want)
+			}
 			had := len(a.Chunks)
 			r := a.Alloc(kind, n)
 			c := s.ChunkByID(r.Chunk())
@@ -97,15 +143,15 @@ func FuzzAllocator(f *testing.F) {
 				if _, dup := objs[c]; dup {
 					t.Fatalf("chunk %d handed out while still live", c.ID)
 				}
-				want := max(total, grow)
-				if want <= ChunkWords {
-					want = max(MinChunkWords, 1<<bits.Len(uint(want-1)))
+				if pick != nil && c != pick {
+					t.Fatalf("refill for %d words at grow %d got chunk %d of %d words, not the free chunk %d of %d",
+						total, grow, c.ID, c.Words(), pick.ID, pick.Words())
 				}
-				if c.Words() != want {
+				if pick == nil && c.Words() != want {
 					t.Fatalf("refill for %d words at grow %d got a %d-word chunk, want %d",
 						total, grow, c.Words(), want)
 				}
-				grow = min(2*want, ChunkWords)
+				grow = min(2*c.Words(), ChunkWords)
 				if c.HeapID() != a.Heap() || r.Off() != 0 {
 					t.Fatalf("fresh chunk %d: heap %d, first object at %d", c.ID, c.HeapID(), r.Off())
 				}
@@ -134,6 +180,7 @@ func FuzzAllocator(f *testing.F) {
 			objs[c] = append(objs[c], object{r.Off(), n, kind, fill | 1})
 		}
 
+		checkExtents(t, s, objs)
 		var owned int64
 		for c, list := range objs {
 			owned += int64(c.Words())
@@ -161,6 +208,48 @@ func FuzzAllocator(f *testing.F) {
 	})
 }
 
+// largestFree returns the chunk a refill for lo words of a class of hi
+// takes from the free lists: the last freed of the largest capacity from
+// lo to hi, nil when there is none.
+func largestFree(s *Space, lo, hi int) *Chunk {
+	for i := hi >> granuleShift; i > 0 && i<<granuleShift >= lo; i-- {
+		if free := s.free[i]; len(free) > 0 {
+			return free[len(free)-1]
+		}
+	}
+	return nil
+}
+
+// checkExtents fails when two chunks, owned ones (the keys of objs) or
+// free ones, overlap: each covers its capacity from the address of its
+// first word.
+func checkExtents(t *testing.T, s *Space, objs map[*Chunk][]object) {
+	t.Helper()
+	type span struct {
+		at, end uintptr
+		c       *Chunk
+	}
+	var spans []span
+	add := func(c *Chunk) {
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(c.Data)))
+		spans = append(spans, span{at, at + uintptr(c.Words())*8, c})
+	}
+	for c := range objs {
+		add(c)
+	}
+	for _, free := range s.free {
+		for _, c := range free {
+			add(c)
+		}
+	}
+	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.at, y.at) })
+	for i := 1; i < len(spans); i++ {
+		if p, q := spans[i-1], spans[i]; p.end > q.at {
+			t.Fatalf("chunk %d (%d words) overlaps chunk %d (%d words)", p.c.ID, p.c.Words(), q.c.ID, q.c.Words())
+		}
+	}
+}
+
 // toSpaceTenancy runs one to-space tenancy on a recycled chunk. It
 // allocates count source objects of n payload words, fills a chunk of the
 // class the first copy asks for with a pattern, as a tenant that wrote all
@@ -184,7 +273,7 @@ func toSpaceTenancy(t *testing.T, s *Space, size int) int {
 		}
 	}
 	filled := s.NewChunk(8, total)
-	for i := range filled.Data {
+	for i := range filled.Words() {
 		filled.Data[i] = pattern
 	}
 	filled.Alloc = filled.Words()
@@ -223,18 +312,22 @@ func toSpaceTenancy(t *testing.T, s *Space, size int) int {
 		s.Release(c)
 	}
 	for _, c := range to.Chunks {
+		words := c.Words()
 		s.Release(c)
 		m := NewAllocator(s, 10)
-		r := m.Alloc(KArray, c.Words()-1)
-		if r != MakeRef(c.ID, 0) {
+		r := m.Alloc(KArray, words-1)
+		// A released chunk that merged with a free neighbour, or a tail
+		// with a larger one to take first, may not come back itself.
+		mc := s.ChunkOf(r)
+		if r.Off() != 0 || mc != c && c.Words() == words && words == MinChunkWords<<classOf(words) {
 			t.Fatalf("chunk %d released, %v allocated", c.ID, r)
 		}
-		for i, w := range c.Data[1:] {
+		for i, w := range mc.Data[1:words] {
 			if w != 0 {
-				t.Fatalf("chunk %d after a to-space tenancy: payload word %d = %#x for the next mutator", c.ID, i, w)
+				t.Fatalf("chunk %d after a to-space tenancy: payload word %d = %#x for the next mutator", mc.ID, i, w)
 			}
 		}
-		s.Release(c)
+		s.Release(mc)
 	}
 	return count * total
 }
@@ -257,7 +350,7 @@ func sweptSpans(t *testing.T, s *Space, size int) int {
 	live := 1 + size>>9&7 // payload words of each marked object
 
 	c := s.NewChunk(11, MinChunkWords)
-	for i := range c.Data {
+	for i := range c.Words() {
 		c.Data[i] = pattern
 	}
 	m := s.BeginMarks(c)

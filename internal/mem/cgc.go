@@ -63,7 +63,7 @@ func (s *Space) BeginMarks(c *Chunk) *Marks {
 	if m == nil {
 		m = new(Marks)
 	}
-	n := (len(c.Data) + 63) / 64
+	n := (c.Words() + 63) / 64
 	if cap(m.bits) < n {
 		m.bits = make([]uint64, n)
 	} else {

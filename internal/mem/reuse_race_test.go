@@ -171,15 +171,16 @@ func TestChunkReuseRaceStress(t *testing.T) {
 	readers.Wait()
 
 	// A free list must never hold an owned chunk — Release disowns before
-	// pushing, NewChunk owns after popping — nor a chunk of another class.
+	// pushing, NewChunk owns after popping — nor a capacity outside its
+	// bucket.
 	sp.mu.Lock()
-	for class, free := range sp.free {
+	for i, free := range sp.free {
 		for _, c := range free {
 			if c.HeapID() != 0 {
-				t.Errorf("chunk %d on free list %d still owned by heap %d", c.ID, class, c.HeapID())
+				t.Errorf("chunk %d on free list %d still owned by heap %d", c.ID, i, c.HeapID())
 			}
-			if c.Words() != MinChunkWords<<class {
-				t.Errorf("chunk %d of %d words on free list %d", c.ID, c.Words(), class)
+			if c.Words() != i<<granuleShift {
+				t.Errorf("chunk %d of %d words on the free list of %d", c.ID, c.Words(), i<<granuleShift)
 			}
 		}
 	}

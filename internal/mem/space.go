@@ -16,12 +16,25 @@ import (
 // Allocator starts with the smallest class that fits its first object and
 // doubles on every refill (see Allocator.Alloc). A request above ChunkWords
 // gets a chunk of exactly that size.
+//
+// A class chunk is a record over part of a backing array of its class size,
+// an arena. A kept branch hands back the unused tail of its last chunk
+// (Space.GiveBack) as a record of its own, cut on a granule of
+// granuleWords; an arena has at most arenaRecords records, and records
+// freed side by side merge back into one (Space.putFree).
 const (
 	minChunkShift = 8
 	maxChunkShift = 13
 	MinChunkWords = 1 << minChunkShift
 	ChunkWords    = 1 << maxChunkShift
-	numClasses    = maxChunkShift - minChunkShift + 1
+
+	granuleShift = 4
+	granuleWords = 1 << granuleShift
+	// numFree is the number of free lists, one per capacity: every multiple
+	// of granuleWords up to ChunkWords.
+	numFree = ChunkWords>>granuleShift + 1
+	// arenaRecords is the most records one arena ever has.
+	arenaRecords = 4
 )
 
 // classOf returns the index of the smallest size class holding words, or
@@ -67,8 +80,12 @@ var ErrChunkTableExhausted = errors.New("mem: chunk table exhausted (2^32 chunk 
 // header bits, field loads, the store — through it. A pin is recorded in
 // its object's header and the owning heap's pinned set, not on the chunk.
 type Chunk struct {
-	ID   uint32
-	Data []uint64
+	ID uint32
+	// words is the chunk's capacity (Words). Data may run past it, to the
+	// end of the arena, and never shrinks or moves: a stale reader of an
+	// earlier tenant may load anywhere in the extent it knew.
+	words atomic.Uint32
+	Data  []uint64
 	// Alloc is the bump offset of the next free word. Only the owning
 	// task mutates it.
 	Alloc int
@@ -139,13 +156,35 @@ func (c *Chunk) SetOwner(id uint32, owner *Owner) {
 	c.owner.Store(owner)
 }
 
-// Words returns the chunk capacity in words.
-func (c *Chunk) Words() int { return len(c.Data) }
+// Words returns the chunk capacity in words: what its owner may allocate
+// into and what it counts toward LiveWords.
+func (c *Chunk) Words() int { return int(c.words.Load()) }
 
 type chunkSegment [segSize]*Chunk
 
+// arena is the backing array of class chunks and its records, at most
+// arenaRecords of them: the one over the whole array and up to three
+// tails. A record is never freed — the chunk table keeps it for stale
+// readers — so reusing the one at a start, and minting no more than
+// arenaRecords, is what bounds the records an arena ever has.
+type arena struct {
+	data []uint64
+	recs [arenaRecords]*Chunk // in the order minted
+}
+
+// extent places a class chunk in its arena: its start and the record
+// ending where it starts (nil at the arena's start), and its index on its
+// free list, -1 while a heap owns it or it lies inside a neighbour's
+// extent (dormant). Guarded by Space.mu; oversize chunks have a nil arena.
+type extent struct {
+	arena *arena
+	prev  *Chunk
+	start int32
+	slot  int32
+}
+
 // Space is the global store of chunks: a two-level table plus one free
-// list per size class.
+// list per capacity.
 // It tracks the residency statistics the space experiments report.
 //
 // The chunk directory is a copy-install slice of segment pointers: grown
@@ -157,8 +196,11 @@ type chunkSegment [segSize]*Chunk
 // Load/Store/CAS still inline into the barriers (see chunk).
 type Space struct {
 	mu   sync.Mutex
-	next uint32               // next chunk id to assign; id 0 is reserved
-	free [numClasses][]*Chunk // released chunks available for reuse, by class
+	next uint32 // next chunk id to assign; id 0 is reserved
+	// free holds the released class chunks of w words at w>>granuleShift.
+	// No two free chunks are neighbours in an arena.
+	free [numFree][]*Chunk
+	ext  []extent // by chunk id
 	dir  atomic.Pointer[[]atomic.Pointer[chunkSegment]]
 
 	// Chaos is the optional fault injector (nil in release paths). The
@@ -180,7 +222,7 @@ type Space struct {
 
 // NewSpace creates an empty space.
 func NewSpace() *Space {
-	s := &Space{next: 1} // chunk id 0 reserved
+	s := &Space{next: 1, ext: make([]extent, 1)} // chunk id 0 reserved
 	dir := make([]atomic.Pointer[chunkSegment], initDirLen)
 	s.dir.Store(&dir)
 	return s
@@ -211,39 +253,47 @@ func (s *Space) segSlot(bi int) *atomic.Pointer[chunkSegment] {
 	return &(*s.dir.Load())[bi]
 }
 
-// NewChunk allocates a chunk of at least minWords payload owned by heap:
-// the smallest size class that holds minWords, recycled from that class's
-// free list when possible, or exactly minWords when that exceeds ChunkWords.
+// NewChunk allocates a chunk of at least minWords payload owned by heap.
+// Up to ChunkWords it takes the largest free chunk that holds minWords and
+// is no larger than minWords' size class — a whole recycled class chunk
+// when there is one, else a tail GiveBack handed back or what merged from
+// such tails — or a fresh chunk of the class; above ChunkWords a fresh
+// chunk of exactly minWords.
 // A recycled chunk keeps whatever its earlier tenants wrote: nothing clears
 // it, because every allocation writes every word it carves (Allocator.carve)
 // and nothing reads past Alloc (DESIGN.md §6 decision 1).
 func (s *Space) NewChunk(heap uint32, minWords int) *Chunk {
-	words, class := minWords, classOf(minWords)
 	var c *Chunk
-	if class >= 0 {
-		words = MinChunkWords << class
+	if class := classOf(minWords); class < 0 {
+		c = &Chunk{Data: make([]uint64, minWords)}
+		c.words.Store(uint32(minWords))
 		s.mu.Lock()
-		if free := s.free[class]; len(free) > 0 {
-			c = free[len(free)-1]
-			s.free[class] = free[:len(free)-1]
-		}
+		s.publish(c, extent{slot: -1})
 		s.mu.Unlock()
-	}
-	if c != nil {
-		c.Alloc = 0
-		c.marks.Store(nil)
-		c.freeHead = 0
-		c.freeWords = 0
 	} else {
-		c = &Chunk{Data: make([]uint64, words)}
-		s.publish(c)
+		words := MinChunkWords << class
+		s.mu.Lock()
+		c = s.takeFree(max(minWords, 1), words)
+		s.mu.Unlock()
+		if c != nil {
+			c.Alloc = 0
+			c.marks.Store(nil)
+			c.freeHead = 0
+			c.freeWords = 0
+		} else {
+			ar := &arena{data: make([]uint64, words)}
+			s.mu.Lock()
+			c = s.mint(ar, 0)
+			s.mu.Unlock()
+			c.words.Store(uint32(words))
+		}
 	}
 	var owner *Owner
 	if s.owners != nil {
 		owner = s.ownerOf(heap)
 	}
 	c.SetOwner(heap, owner)
-	live := s.liveWords.Add(int64(words))
+	live := s.liveWords.Add(int64(c.Words()))
 	for {
 		max := s.maxLiveWords.Load()
 		if live <= max || s.maxLiveWords.CompareAndSwap(max, live) {
@@ -278,10 +328,9 @@ func (s *Space) ownerOf(heap uint32) *Owner {
 	return o
 }
 
-// publish assigns c the next chunk id and installs it in the table.
-func (s *Space) publish(c *Chunk) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// publish assigns c the next chunk id, installs it in the table and
+// records its extent. Caller holds s.mu.
+func (s *Space) publish(c *Chunk, e extent) {
 	if s.next >= maxChunks {
 		panic(ErrChunkTableExhausted)
 	}
@@ -294,27 +343,163 @@ func (s *Space) publish(c *Chunk) {
 		slot.Store(seg)
 	}
 	seg[c.ID&(segSize-1)] = c
+	s.ext = append(s.ext, e)
 }
 
-// Release returns a chunk to the space. Class-size chunks go to their
-// class's free list; oversize chunks are never reused, but the chunk table
-// keeps the Chunk — and with it the backing array — reachable for stale
-// readers, so their memory is not returned to Go either. The caller knows
-// from the owning heap's pinned set that the chunk holds no pinned object.
+// record returns the record of arena ar starting at word start, nil when
+// it has none. Caller holds s.mu.
+func (s *Space) record(ar *arena, start int) *Chunk {
+	for _, c := range ar.recs {
+		if c != nil && int(s.ext[c.ID].start) == start {
+			return c
+		}
+	}
+	return nil
+}
+
+// mint publishes a record of arena ar starting at word start, which the
+// arena has room for. The caller sets its capacity. Caller holds s.mu.
+func (s *Space) mint(ar *arena, start int) *Chunk {
+	c := &Chunk{Data: ar.data[start:]}
+	s.publish(c, extent{arena: ar, start: int32(start), slot: -1})
+	i := 0
+	for ar.recs[i] != nil {
+		i++
+	}
+	ar.recs[i] = c
+	return c
+}
+
+// Release returns a chunk to the space. Class chunks go to their free
+// list, merged with a free neighbour; oversize chunks are never reused, but
+// the chunk table keeps the Chunk — and with it the backing array —
+// reachable for stale readers, so their memory is not returned to Go
+// either. The caller knows from the owning heap's pinned set that the
+// chunk holds no pinned object.
 func (s *Space) Release(c *Chunk) {
-	s.liveWords.Add(int64(-len(c.Data)))
+	words := c.Words()
+	s.liveWords.Add(int64(-words))
 	c.SetOwner(0, nil)
 	c.Tenured = false
 	c.marks.Store(nil)
 	c.freeHead = 0
 	c.freeWords = 0
-	class := classOf(len(c.Data))
-	if class < 0 {
+	if words > ChunkWords {
 		return
 	}
 	s.mu.Lock()
-	s.free[class] = append(s.free[class], c)
+	s.putFree(c)
 	s.mu.Unlock()
+}
+
+// GiveBack hands the space the unused tail of c, a chunk whose owner
+// allocates into it no more, as a free chunk of its own, which the next
+// refill that fits takes, and which stops counting toward LiveWords. The
+// tail starts at the first granule past Alloc when a record starts there
+// or the arena may mint one, else at the first record start past that;
+// it is given back when it is at least a granule. c keeps its Data, its
+// objects and its id, and only its capacity shrinks, so a stale reader of
+// an earlier tenant still loads in range. An oversize chunk keeps its
+// tail: no refill could take a tail past ChunkWords. The caller owns c,
+// and no collector traces it.
+func (s *Space) GiveBack(c *Chunk) {
+	words := c.Words()
+	if c.Alloc == 0 || words > ChunkWords {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.ext[c.ID]
+	end := int(e.start) + words
+	cut := (int(e.start) + c.Alloc + granuleWords - 1) &^ (granuleWords - 1)
+	if cut >= end {
+		return
+	}
+	var t *Chunk // the first record starting in [cut, end)
+	for _, r := range e.arena.recs {
+		if r != nil {
+			if at := int(s.ext[r.ID].start); at >= cut && at < end {
+				t, end = r, at
+			}
+		}
+	}
+	if end != cut && e.arena.recs[arenaRecords-1] == nil {
+		t = s.mint(e.arena, cut)
+	}
+	if t == nil {
+		return
+	}
+	keep := int(s.ext[t.ID].start) - int(e.start)
+	t.words.Store(uint32(words - keep))
+	c.words.Store(uint32(keep))
+	s.ext[t.ID].prev = c
+	if n := s.after(t); n != nil {
+		s.ext[n.ID].prev = t
+	}
+	s.putFree(t)
+	s.liveWords.Add(int64(keep - words))
+}
+
+// after returns the chunk whose extent follows c's in its arena, nil at
+// the arena's end. Caller holds s.mu.
+func (s *Space) after(c *Chunk) *Chunk {
+	e := s.ext[c.ID]
+	return s.record(e.arena, int(e.start)+c.Words())
+}
+
+// putFree puts c, a class chunk no heap owns, on the free list of its
+// capacity, merged first with the free chunk after it and into the free
+// chunk before it, so free chunks never lie side by side and an arena all
+// of whose chunks are free is one chunk again. A merged-away record goes
+// dormant with no capacity. Caller holds s.mu.
+func (s *Space) putFree(c *Chunk) {
+	if n := s.after(c); n != nil && s.ext[n.ID].slot >= 0 {
+		s.unlinkFree(n)
+		s.absorb(c, n)
+	}
+	if p := s.ext[c.ID].prev; p != nil && s.ext[p.ID].slot >= 0 {
+		s.unlinkFree(p)
+		s.absorb(p, c)
+		c = p
+	}
+	i := c.Words() >> granuleShift
+	s.ext[c.ID].slot = int32(len(s.free[i]))
+	s.free[i] = append(s.free[i], c)
+}
+
+// absorb extends c over n, the free chunk after it, which goes dormant.
+// Caller holds s.mu.
+func (s *Space) absorb(c, n *Chunk) {
+	c.words.Store(c.words.Load() + n.words.Load())
+	n.words.Store(0)
+	if nn := s.after(c); nn != nil {
+		s.ext[nn.ID].prev = c
+	}
+}
+
+// unlinkFree takes c off its free list. Caller holds s.mu.
+func (s *Space) unlinkFree(c *Chunk) {
+	i, at := c.Words()>>granuleShift, s.ext[c.ID].slot
+	list := s.free[i]
+	last := list[len(list)-1]
+	list[at] = last
+	s.ext[last.ID].slot = at
+	s.free[i] = list[:len(list)-1]
+	s.ext[c.ID].slot = -1
+}
+
+// takeFree takes off its free list the most recently freed chunk of the
+// largest capacity from lo to hi words, or returns nil when there is none.
+// Caller holds s.mu.
+func (s *Space) takeFree(lo, hi int) *Chunk {
+	for i := hi >> granuleShift; i > 0 && i<<granuleShift >= lo; i-- {
+		if list := s.free[i]; len(list) > 0 {
+			c := list[len(list)-1]
+			s.unlinkFree(c)
+			return c
+		}
+	}
+	return nil
 }
 
 // chunk returns the chunk with the given index. Lock-free: one atomic

@@ -333,10 +333,10 @@ func TestChunkClassRoundTrip(t *testing.T) {
 	if s.LiveWords() != live-int64(big.Words()) {
 		t.Fatal("oversize release not accounted")
 	}
-	for class, free := range s.free {
+	for i, free := range s.free {
 		for _, c := range free {
-			if c == big || c.Words() != MinChunkWords<<class {
-				t.Fatalf("free list %d holds chunk %d of %d words", class, c.ID, c.Words())
+			if c == big || c.Words() != i<<granuleShift {
+				t.Fatalf("the free list of %d words holds chunk %d of %d words", i<<granuleShift, c.ID, c.Words())
 			}
 		}
 	}
@@ -669,9 +669,11 @@ func TestPinUnpinSequenceQuick(t *testing.T) {
 // TestChunkLayout pins where a Chunk's hot words sit. Every barrier
 // resolves an object's chunk and loads ID and Data from it, so they stay
 // first: a field placed ahead of them once cost mlang's programs nine runs
-// in nine. A Chunk is allocated per chunk ever published and never freed,
-// and 80 bytes is Go's 80-byte size class: a field that grows it costs
-// every chunk the 96-byte one.
+// in nine. The capacity (Words) fills the pad after ID, as Data may run
+// past it. A Chunk is allocated per chunk record ever published — each
+// arena's and up to three given-back tails' — and never freed, and 80
+// bytes is Go's 80-byte size class: a field that grows it costs every
+// record the 96-byte one.
 func TestChunkLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the layout is pinned for 64-bit targets")
@@ -685,5 +687,46 @@ func TestChunkLayout(t *testing.T) {
 	}
 	if got := unsafe.Offsetof(c.Data); got != 8 {
 		t.Errorf("Data at offset %d, want 8", got)
+	}
+}
+
+// A stale reader of a chunk's earlier tenant may load anywhere in the
+// extent that tenant knew: a Ref into the end of a chunk still loads in
+// range once the chunk is recycled and its next tenant gives back the
+// tail below that Ref, and the word it reads is the tail's next tenant's.
+// It fails if GiveBack re-slices Data to the capacity it keeps.
+func TestStaleReaderLoadsPastGivenBackTail(t *testing.T) {
+	s := NewSpace()
+	old := NewAllocator(s, 1)
+	for len(old.Chunks) < 2 {
+		old.AllocTuple(Int(1), Int(2))
+	}
+	c := old.Chunks[0]
+	stale := MakeRef(c.ID, c.Alloc-3) // the last tuple of the first chunk
+	for _, ch := range old.Chunks {
+		s.Release(ch)
+	}
+
+	next := NewAllocator(s, 2)
+	r := next.AllocTuple(Int(3))
+	if s.ChunkOf(r) != c {
+		t.Fatalf("the next tenant's first chunk is %d, not the recycled chunk %d", r.Chunk(), c.ID)
+	}
+	next.GiveBack()
+	if k := stale.Off(); c.Words() > k || len(c.Data) <= k+2 {
+		t.Fatalf("chunk %d keeps %d words of %d; the stale Ref is at %d", c.ID, c.Words(), len(c.Data), k)
+	}
+	if s.Header(stale) != Header(MakeHeader(KTuple, 2)) || s.Load(stale, 1) != Int(2) {
+		t.Fatalf("stale Ref %v reads %#x, %v", stale, uint64(s.Header(stale)), s.Load(stale, 1))
+	}
+
+	// The tail's next tenant spans it with one array.
+	tail := NewAllocator(s, 3)
+	tc := s.ChunkOf(tail.Alloc(KArray, MinChunkWords-c.Words()-1))
+	if unsafe.SliceData(tc.Data) != &c.Data[c.Words()] {
+		t.Fatalf("the tail's next tenant took chunk %d, not the tail of chunk %d", tc.ID, c.ID)
+	}
+	if s.Header(stale).Kind() == KTuple && s.Load(stale, 1) == Int(2) {
+		t.Fatalf("stale Ref %v still reads the earlier tenant's tuple over the tail's new tenant", stale)
 	}
 }

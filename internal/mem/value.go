@@ -1,5 +1,8 @@
 // Package mem implements the simulated heap that underlies the runtime:
 // tagged machine words, chunked arenas, object headers, and bump allocation.
+// A chunk is a record over part of an arena, with a capacity of its own:
+// an allocator whose branch has returned gives back the unused tail of its
+// last chunk as a chunk the next refill takes (Space.GiveBack).
 //
 // The Go garbage collector never sees the object graph built here. Objects
 // live inside large []uint64 chunks; references are tagged word values that
