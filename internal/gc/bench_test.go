@@ -57,35 +57,49 @@ func BenchmarkCollectRecycledToSpace(b *testing.B) {
 
 // BenchmarkCollectRemembered times a leaf collection whose only roots are
 // remembered down-pointers: a holder array in the root heap, each of whose
-// fields points at its own 1-word tuple in the leaf and is remembered once.
-// Every collection walks the entries, copies each target, redirects the
-// field and keeps the entry; the heap is collected over and over, so the
-// space recycles both semispaces, each collection first taking the tenure
-// off the chunks the last one filled (a loop over a few chunks) so that it
-// copies the targets again. The metric is ns per remembered entry.
+// fields points at a 1-word tuple in the leaf and is remembered once. In
+// "copied" each tuple is the target of two fields, which refuses its chunk
+// the in-place rule: every collection walks the entries, copies each
+// target, redirects the fields and keeps the entries. In "in place" each
+// tuple has a field of its own, and the 8 064 tuples fill the allocator's
+// 256- to 8 192-word chunks, which every collection traces in place. The
+// heap is collected over and over, each collection first taking the tenure
+// off the leaf's chunks (a loop over a few chunks). The metric is ns per
+// remembered entry.
 func BenchmarkCollectRemembered(b *testing.B) {
-	const entries = 1 << 13
-	s, tr := mem.NewSpace(), hierarchy.New()
-	col := New(s, tr)
-	leaf := tr.Fork(tr.Root())
-	root := mem.NewAllocator(s, tr.Root().ID)
-	holder := root.AllocArray(entries, mem.Nil)
-	tr.Root().Chunks = root.Chunks
-	al := mem.NewAllocator(s, leaf.ID)
-	for i := 0; i < entries; i++ {
-		s.Store(holder, i, al.AllocTuple(mem.Int(int64(i))).Value())
-		leaf.AddRemembered(holder, i)
+	for _, tc := range []struct {
+		name             string
+		targets, entries int
+		copied           int64
+	}{{"copied", 1 << 12, 1 << 13, 1 << 12}, {"in place", 8064, 8064, 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, tr := mem.NewSpace(), hierarchy.New()
+			col := New(s, tr)
+			leaf := tr.Fork(tr.Root())
+			root := mem.NewAllocator(s, tr.Root().ID)
+			holder := root.AllocArray(tc.entries, mem.Nil)
+			tr.Root().Chunks = root.Chunks
+			al := mem.NewAllocator(s, leaf.ID)
+			per := tc.entries / tc.targets
+			for i := 0; i < tc.targets; i++ {
+				v := al.AllocTuple(mem.Int(int64(i))).Value()
+				for f := i * per; f < (i+1)*per; f++ {
+					s.Store(holder, f, v)
+					leaf.AddRemembered(holder, f)
+				}
+			}
+			leaf.Chunks = al.Chunks
+			scope := []*hierarchy.Heap{leaf}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				untenure(leaf)
+				if res := col.Collect(scope); res.CopiedObjects != tc.copied {
+					b.Fatalf("copied %d objects, want %d", res.CopiedObjects, tc.copied)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.entries), "ns/entry")
+		})
 	}
-	leaf.Chunks = al.Chunks
-	scope := []*hierarchy.Heap{leaf}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		untenure(leaf)
-		if res := col.Collect(scope); res.CopiedObjects != entries {
-			b.Fatalf("copied %d objects, want %d", res.CopiedObjects, entries)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
 }
 
 // BenchmarkCollectSurvivors times the collections of a leaf whose one live

@@ -170,6 +170,34 @@ func buildDiffWorld(data []byte) *diffWorld {
 	for m := s.next(6); m > 0; m-- {
 		w.rs.refs = append(w.rs.refs, w.objs[s.next(len(w.objs))].ref)
 	}
+	// A branch's published results: a run of tuples in the leaf, each the
+	// target of one field of an array above it, remembered once, which may
+	// fill half of a chunk with distinct remembered targets. In one run of
+	// four a field now and then has a second entry, or shares its target
+	// with the field before. An exhausted script skips it, as the worlds of
+	// the checked-in corpus did.
+	if s.next(2) == 1 {
+		hi, n, repeats := s.next(k), 64+s.next(192), s.next(4) == 0
+		holder := allocs[hi].al.AllocArray(n, mem.Nil)
+		w.sp.SetCandidate(holder)
+		add(hi, holder, 0)
+		for j := 0; j < n; j++ {
+			t := allocs[k].al.AllocTuple(w.objs[s.next(len(w.objs))].ref.Value())
+			add(k, t, 0)
+			w.sp.Store(holder, j, t.Value())
+			w.leaf.AddRemembered(holder, j)
+			switch c := s.next(32); {
+			case c == 2:
+				w.rs.refs = append(w.rs.refs, t)
+			case !repeats:
+			case c == 0:
+				w.leaf.AddRememberedLocal(holder, j)
+			case c == 1 && j > 0:
+				w.sp.Store(holder, j-1, t.Value())
+				w.leaf.AddRemembered(holder, j-1)
+			}
+		}
+	}
 	for _, ha := range allocs {
 		ha.adopt()
 	}

@@ -3,16 +3,24 @@
 // only heap a task may move objects of (DESIGN.md deviation D2) — extended,
 // per the paper, to tolerate entanglement:
 //
-//   - A survivor is copied once. Every to-space chunk is dense when the
-//     collection ends and is marked Tenured (mem.Chunk.Tenured); the heap's
-//     next collection traces the live objects of a Tenured chunk where they
-//     lie rather than copying them out. After marking, a chunk traced in
-//     place with nothing live is released at once, one found at least half
-//     live stays Tenured, and one found less than half live loses its
-//     tenure, so the collection after copies out of it. A Tenured chunk a
-//     collection keeps thus has at most twice as many words as it holds
-//     live, and it may stay kept for as long as that holds: only a chunk
-//     found sparse holds its garbage for at most one more collection.
+//   - One rule sets each chunk's part: a chunk known to be at least half
+//     live is traced in place, a chunk holding a pin stays, and every other
+//     chunk is evacuated — copying a chunk at least half live would hold as
+//     many words at the collection's peak as keeping it. Three kinds are
+//     known dense before anything is traced. A survivor is copied once:
+//     every to-space chunk is dense when the collection ends and is marked
+//     Tenured (mem.Chunk.Tenured), and the heap's next collection traces it
+//     in place. An oversize chunk holds one object, so it is kept whole if
+//     that object lives and released whole if not; a large object is never
+//     copied. A chunk whose distinct remembered targets — roots all — fill
+//     at least half of its words is traced in place too (processRemsets).
+//     After marking, a chunk traced in place with nothing live is released
+//     at once, one found at least half live stays Tenured, and one found
+//     less than half live loses its tenure, so the collection after copies
+//     out of it. A chunk a collection keeps thus has at most twice as many
+//     words as it holds live, and it may stay kept for as long as that
+//     holds: only a chunk found sparse holds its garbage for at most one
+//     more collection.
 //   - Pinned objects (entangled, per package entangle) are never moved nor
 //     reclaimed, and a chunk holding one is retained whole. It is also
 //     non-moving for the collection: before anything moves, the chunks
@@ -86,7 +94,7 @@ type Result struct {
 	CopiedObjects  int64
 	CopiedWords    int64
 	ReclaimedWords int64
-	RetainedChunks int   // chunks kept for a pin (not the Tenured ones kept for what they hold)
+	RetainedChunks int   // chunks kept for a pin (not those traced in place for what they hold)
 	PinnedTraced   int64 // pinned objects traced in place
 }
 
@@ -116,6 +124,14 @@ type run struct {
 	to      mem.Allocator
 	ci, off int
 	marked  []grey // objects traced in place whose fields are yet to forward: a stack
+	// deferred holds the remembered entries whose target lies in an
+	// Evacuate chunk until that chunk's remembered words are in; each
+	// links the one deferred before it in its chunk (mem.Marks.Deferred).
+	// While counting, a scan leaves the fields that point into an Evacuate
+	// chunk as they are and lists its object in rescan.
+	deferred []deferral
+	counting bool
+	rescan   []grey
 	// repeats is set when two remembered entries reached one target that
 	// stays in place; dedup then lists those entries whose target stayed,
 	// with their positions, in entries and the positions it drops in drops.
@@ -131,6 +147,13 @@ type run struct {
 type grey struct {
 	c   *mem.Chunk
 	off int
+}
+
+// deferral is a remembered entry held back, in 12 bytes: the chunk and word
+// of its field, and the link to the entry deferred before it in its
+// target's chunk (1 + its index in run.deferred, 0 for none).
+type deferral struct {
+	chunk, word, next uint32
 }
 
 // entry is a remembered entry and its position in the remembered set.
@@ -176,13 +199,17 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 	h.DrainReusable(nil)
 	// Everything the leaf holds now is from-space; what forward copies from
 	// here on carries the same heap id but no mark, which is what keeps
-	// forward from moving an object twice. A Tenured chunk is traced in
-	// place. No chunk of the leaf may carry a mark state yet: one would be
-	// the concurrent collector's.
+	// forward from moving an object twice. One rule: a chunk known to be at
+	// least half live is traced in place (Survivor), a chunk holding a pin
+	// stays (Keep, tracePinned), and every other chunk is evacuated. Known
+	// dense are a Tenured chunk, an oversize chunk, whose one object fills
+	// it, and a chunk whose distinct remembered targets fill half of it
+	// (processRemsets). No chunk of the leaf may carry a mark state yet: one
+	// would be the concurrent collector's.
 	var oldWords int64
 	for _, ch := range h.Chunks {
 		ch.FromSpace = mem.Evacuate
-		if ch.Tenured {
+		if ch.Tenured || ch.Words() > mem.ChunkWords {
 			c.Space.BeginMarks(ch)
 			ch.FromSpace = mem.Survivor
 		} else if ch.Marks() != nil {
@@ -191,14 +218,15 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 		oldWords += int64(ch.Words())
 	}
 
-	// Phase 1: the pins, which mark the chunks that stay Keep before
-	// anything moves; the roots — the shadow stacks of every task attached
-	// to the leaf, the down-pointers.
+	// Phase 1: the pins, which mark the chunks that stay Keep, and the
+	// down-pointers, which mark those their targets fill Survivor, before
+	// anything moves; then the shadow stacks of every task attached to the
+	// leaf.
 	r.tracePinned()
+	r.processRemsets()
 	for _, rs := range h.RootSets {
 		rs.Roots(r.visitRoot)
 	}
-	r.processRemsets()
 
 	// Phase 2: transitive copy/trace.
 	r.drain()
@@ -245,7 +273,7 @@ func (c *Collector) Collect(scope []*hierarchy.Heap) Result {
 func (r *run) finish() {
 	r.h.Gate.EndCollect()
 	*r = run{c: r.c, visitRoot: r.visitRoot, marked: r.marked[:0],
-		entries: r.entries[:0], drops: r.drops[:0]}
+		deferred: r.deferred[:0], rescan: r.rescan[:0], entries: r.entries[:0], drops: r.drops[:0]}
 	r.c.runs.Put(r)
 }
 
@@ -263,11 +291,26 @@ func (r *run) install(ch *mem.Chunk) {
 // most one entry out per entry in. A field stored to k times may have up to
 // k entries; the first forwards the target and redirects the field into
 // to-space, which drops the rest. A target that stays in place (Tenured,
-// pinned, or beside a pin) is traced at once, so that a set of many such
+// oversize, pinned, or beside a pin) is traced at once, so that a set of many such
 // targets never stands on the grey stack together, and when a second entry
 // reaches one such target, dedup drops the repeats.
+//
+// An entry whose target lies in an Evacuate chunk is held back (note) until
+// the pass has summed the words of the chunk's distinct remembered targets:
+// a chunk they fill at least half of is traced in place, as a Survivor,
+// and the others are evacuated, their deferred fields redirected. A chunk
+// in which a second entry reaches one target is refused at once: it keeps
+// the copy, whose redirect drops the repeats for free, where in place they
+// would all go through dedup's sort. Nothing is copied out of an Evacuate
+// chunk before the pass ends, since it may yet stay: what the pass traces
+// in place skips its fields into one, and is scanned again after.
 func (r *run) processRemsets() {
 	sp := r.c.Space
+	if cap(r.deferred) == 0 {
+		r.deferred = make([]deferral, 0, r.h.Remset.Len())
+	}
+	r.counting = true
+	r.traceMarked() // the pins
 	r.h.Remset.Filter(func(e hierarchy.RememberedEntry) bool {
 		hc := sp.ChunkOf(e.Holder)
 		if hc.HeapID() == r.h.ID {
@@ -292,6 +335,14 @@ func (r *run) processRemsets() {
 		if !ok {
 			return false // points outside the leaf, or was already redirected
 		}
+		if ch.FromSpace == mem.Evacuate {
+			if r.note(ch, e, v) {
+				return true
+			}
+			if hc.Load(e.Holder, e.Index) != v {
+				return false // a repeat of a field the refusal just redirected
+			}
+		}
 		if nv := r.evacuate(ch, v.Ref()); nv != v {
 			hc.Store(e.Holder, e.Index, nv)
 		} else {
@@ -302,8 +353,63 @@ func (r *run) processRemsets() {
 		}
 		return true
 	})
+	r.counting = false
+	for _, ch := range r.h.Chunks {
+		if m := ch.Marks(); ch.FromSpace == mem.Evacuate && m != nil && m.Remembered > 0 && 2*m.Remembered >= ch.Words() {
+			ch.FromSpace = mem.Survivor
+		}
+	}
+	for _, d := range r.deferred {
+		r.redirect(d) // a refused chunk's find their field redirected already
+		r.traceMarked()
+	}
+	for _, g := range r.rescan {
+		hd := mem.Header(atomic.LoadUint64(&g.c.Data[g.off]))
+		r.scan(g.c, g.off, hd, hd.Pinned())
+		r.traceMarked()
+	}
 	if r.repeats {
 		r.dedup()
+	}
+}
+
+// note counts the target of entry e, v, toward the remembered words of its
+// chunk ch, an Evacuate chunk, and defers e, reporting true; it reports
+// false for a chunk refused, and refuses ch when e is the second entry to
+// reach its target, redirecting the entries deferred in ch at once.
+func (r *run) note(ch *mem.Chunk, e hierarchy.RememberedEntry, v mem.Value) bool {
+	r.install(ch)
+	m := ch.Marks()
+	if m.Remembered < 0 {
+		return false
+	}
+	if !m.Remember(v.Ref().Off()) {
+		m.Remembered = -1
+		for i := m.Deferred; i > 0; i = int(r.deferred[i-1].next) {
+			r.redirect(r.deferred[i-1])
+		}
+		return false
+	}
+	m.Remembered += max(ch.Header(v.Ref()).Len(), 1) + 1
+	r.deferred = append(r.deferred, deferral{e.Holder.Chunk(), uint32(e.Holder.Off() + 1 + e.Index), uint32(m.Deferred)})
+	m.Deferred = len(r.deferred)
+	return true
+}
+
+// redirect forwards the target the field of deferred entry d holds, if it
+// still lies in from-space, and points the field at its new location unless
+// another strand stored into it meanwhile.
+func (r *run) redirect(d deferral) {
+	hc := r.c.Space.ChunkByID(d.chunk)
+	field := mem.MakeRef(d.chunk, int(d.word)-1) // as if a header lay before the field
+	v := hc.Load(field, 0)
+	if !v.IsRef() {
+		return
+	}
+	if ch, ok := r.fromSpace(v.Ref()); ok {
+		if nv := r.evacuate(ch, v.Ref()); nv != v {
+			hc.CAS(field, 0, v, nv)
+		}
 	}
 }
 
@@ -485,17 +591,20 @@ func (r *run) traceMarked() {
 		r.marked = r.marked[:n-1]
 		hd := mem.Header(atomic.LoadUint64(&g.c.Data[g.off]))
 		g.c.Marks().Live += max(hd.Len(), 1) + 1
-		r.scan(g.c, g.off, hd, hd.Pinned())
+		if r.scan(g.c, g.off, hd, hd.Pinned()) {
+			r.rescan = append(r.rescan, g)
+		}
 	}
 }
 
 // scan forwards the fields of the grey object at word off of c. A pinned
 // object is shared with the tasks that pinned it, so its fields are stored
 // atomically; a copied one, or an unpinned one traced in place, is private
-// until the gate reopens.
-func (r *run) scan(c *mem.Chunk, off int, hd mem.Header, shared bool) {
+// until the gate reopens. While processRemsets counts, a field pointing
+// into an Evacuate chunk is left as it is, and scan reports true.
+func (r *run) scan(c *mem.Chunk, off int, hd mem.Header, shared bool) (skipped bool) {
 	if !hd.Kind().Scanned() {
-		return
+		return false
 	}
 	for k, end := off+1, off+1+hd.Len(); k < end; k++ {
 		v := mem.Value(atomic.LoadUint64(&c.Data[k]))
@@ -506,6 +615,10 @@ func (r *run) scan(c *mem.Chunk, off int, hd mem.Header, shared bool) {
 		if !ok {
 			continue
 		}
+		if r.counting && tc.FromSpace == mem.Evacuate {
+			skipped = true
+			continue
+		}
 		switch nv := r.evacuate(tc, v.Ref()); {
 		case nv == v: // traced in place
 		case shared:
@@ -514,4 +627,5 @@ func (r *run) scan(c *mem.Chunk, off int, hd mem.Header, shared bool) {
 			c.StoreRelaxed(k, uint64(nv))
 		}
 	}
+	return skipped
 }

@@ -301,71 +301,94 @@ func TestDeadRemsetEntryDropped(t *testing.T) {
 // stays in place is remembered three times and a second field shares that
 // target. Exactly the two repeats go; every other entry stays, in order.
 // dedup sorts only the four entries whose target stayed, not the set: the
-// run the collector pools afterwards listed no more than those.
+// run the collector pools afterwards listed no more than those. A garbage
+// tuple after each target keeps the targets' chunks sparse, so they move.
+// Without the garbage the targets fill their chunks and stay where they lie,
+// traced in place, their entries in order and no repeat among them.
 func TestDedupListsOnlyInPlaceEntries(t *testing.T) {
-	const moved = 1000
-	w := newWorld()
-	root := w.tr.Root()
-	leaf := w.tr.Fork(root)
-	rootHA := w.onHeap(root)
-	holder := rootHA.al.AllocArray(moved+2, mem.Nil)
-	w.sp.SetCandidate(holder)
-	rootHA.adopt()
-	pinHA := w.onHeap(leaf) // a chunk of its own, kept for the pin
-	pinned := pinHA.al.AllocTuple(mem.Int(-1))
-	w.sp.Pin(pinned, 0)
-	leaf.AddPinned(pinned)
-	pinHA.adopt()
-	w.sp.Store(holder, moved, pinned.Value())
-	w.sp.Store(holder, moved+1, pinned.Value())
+	for _, dense := range []bool{false, true} {
+		// 896 two-word tuples fill the 256-, 512- and 1 024-word chunks the
+		// allocator takes in turn.
+		moved := 1000
+		if dense {
+			moved = 896
+		}
+		w := newWorld()
+		root := w.tr.Root()
+		leaf := w.tr.Fork(root)
+		rootHA := w.onHeap(root)
+		holder := rootHA.al.AllocArray(moved+2, mem.Nil)
+		w.sp.SetCandidate(holder)
+		rootHA.adopt()
+		pinHA := w.onHeap(leaf) // a chunk of its own, kept for the pin
+		pinned := pinHA.al.AllocTuple(mem.Int(-1))
+		w.sp.Pin(pinned, 0)
+		leaf.AddPinned(pinned)
+		pinHA.adopt()
+		w.sp.Store(holder, moved, pinned.Value())
+		w.sp.Store(holder, moved+1, pinned.Value())
 
-	leafHA := w.onHeap(leaf)
-	var want []hierarchy.RememberedEntry // the moved entries, in order
-	for i := 0; i < moved; i++ {
-		if i%(moved/2) == 0 {
-			leaf.AddRememberedLocal(holder, moved) // the repeated field
+		leafHA := w.onHeap(leaf)
+		var want []hierarchy.RememberedEntry // the moved entries, in order
+		targets := make([]mem.Ref, moved)
+		for i := 0; i < moved; i++ {
+			if i%(moved/2) == 0 {
+				leaf.AddRememberedLocal(holder, moved) // the repeated field
+			}
+			targets[i] = leafHA.al.AllocTuple(mem.Int(int64(i)))
+			if !dense {
+				leafHA.al.AllocTuple(mem.Int(0), mem.Int(0)) // garbage
+			}
+			w.sp.Store(holder, i, targets[i].Value())
+			leaf.AddRememberedLocal(holder, i)
+			want = append(want, hierarchy.RememberedEntry{Holder: holder, Index: i})
 		}
-		w.sp.Store(holder, i, leafHA.al.AllocTuple(mem.Int(int64(i))).Value())
-		leaf.AddRememberedLocal(holder, i)
-		want = append(want, hierarchy.RememberedEntry{Holder: holder, Index: i})
-	}
-	leaf.AddRememberedLocal(holder, moved)
-	leaf.AddRememberedLocal(holder, moved+1)
-	leafHA.adopt()
+		leaf.AddRememberedLocal(holder, moved)
+		leaf.AddRememberedLocal(holder, moved+1)
+		leafHA.adopt()
 
-	res := w.c.Collect([]*hierarchy.Heap{leaf})
-	if res.CopiedObjects != moved {
-		t.Fatalf("CopiedObjects = %d, want %d", res.CopiedObjects, moved)
-	}
-	var got []hierarchy.RememberedEntry
-	inPlace := map[int]int{}
-	for _, e := range items(&leaf.Remset) {
-		if e.Index >= moved {
-			inPlace[e.Index]++
-			continue
+		res := w.c.Collect([]*hierarchy.Heap{leaf})
+		wantCopied := int64(moved)
+		if dense {
+			wantCopied = 0
 		}
-		got = append(got, e)
-		if v := w.sp.Load(holder, e.Index); w.sp.Load(v.Ref(), 0).AsInt() != int64(e.Index) {
-			t.Fatalf("field %d lost its target", e.Index)
+		if res.CopiedObjects != wantCopied {
+			t.Fatalf("dense %v: CopiedObjects = %d, want %d", dense, res.CopiedObjects, wantCopied)
 		}
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("moved entries: got %d, want all %d in order", len(got), len(want))
-	}
-	if inPlace[moved] != 1 || inPlace[moved+1] != 1 {
-		t.Fatalf("in-place fields keep %v entries, want one each", inPlace)
-	}
-	if w.sp.Load(holder, moved).Ref() != pinned || w.sp.Load(holder, moved+1).Ref() != pinned {
-		t.Fatal("the pinned target moved")
-	}
-	if err := CheckHeap(w.sp, leaf, true); err != nil {
-		t.Fatal(err)
-	}
-	if r, _ := w.c.runs.Get().(*run); r != nil { // the race detector's pool may drop it
-		if cap(r.entries) >= moved {
-			t.Errorf("dedup listed %d entries, want the 4 whose target stayed", cap(r.entries))
+		var got []hierarchy.RememberedEntry
+		inPlace := map[int]int{}
+		for _, e := range items(&leaf.Remset) {
+			if e.Index >= moved {
+				inPlace[e.Index]++
+				continue
+			}
+			got = append(got, e)
+			v := w.sp.Load(holder, e.Index)
+			if w.sp.Load(v.Ref(), 0).AsInt() != int64(e.Index) {
+				t.Fatalf("dense %v: field %d lost its target", dense, e.Index)
+			}
+			if dense && v.Ref() != targets[e.Index] {
+				t.Fatalf("field %d: a target of a chunk it fills moved", e.Index)
+			}
 		}
-		w.c.runs.Put(r)
+		if !slices.Equal(got, want) {
+			t.Fatalf("dense %v: moved entries: got %d, want all %d in order", dense, len(got), len(want))
+		}
+		if inPlace[moved] != 1 || inPlace[moved+1] != 1 {
+			t.Fatalf("dense %v: in-place fields keep %v entries, want one each", dense, inPlace)
+		}
+		if w.sp.Load(holder, moved).Ref() != pinned || w.sp.Load(holder, moved+1).Ref() != pinned {
+			t.Fatal("the pinned target moved")
+		}
+		if err := CheckHeap(w.sp, leaf, true); err != nil {
+			t.Fatal(err)
+		}
+		if r, _ := w.c.runs.Get().(*run); r != nil && !dense { // the race detector's pool may drop it
+			if cap(r.entries) >= moved {
+				t.Errorf("dedup listed %d entries, want the 4 whose target stayed", cap(r.entries))
+			}
+			w.c.runs.Put(r)
+		}
 	}
 }
 
@@ -956,5 +979,49 @@ func TestCollectRefusesForeignMarks(t *testing.T) {
 			}()
 			w.c.Collect([]*hierarchy.Heap{leaf})
 		}()
+	}
+}
+
+// TestOversizeChunkTracedInPlace collects a leaf holding a live array
+// larger than any chunk class beside a dead one. The live array stays
+// where it lies, in the chunk it fills: nothing is copied and no chunk is
+// minted — a copy minted an oversize chunk of its size, and the chunk
+// table keeps the released one's array for good. The dead array's chunk
+// goes back whole.
+func TestOversizeChunkTracedInPlace(t *testing.T) {
+	w := newWorld()
+	leaf := w.tr.Fork(w.tr.Root())
+	ha := w.onHeap(leaf)
+	n := mem.ChunkWords + 100
+	live := ha.al.AllocArray(n, mem.Int(7))
+	ha.al.AllocArray(n, mem.Nil) // garbage
+	ha.adopt()
+	rs := &roots{refs: []mem.Ref{live}}
+	leaf.AddRootSet(rs)
+	chunks := func() (all int) {
+		w.sp.ForEachChunk(func(*mem.Chunk) { all++ })
+		return all
+	}
+	minted, before := chunks(), w.sp.LiveWords()
+	for round := 0; round < 2; round++ {
+		res := w.c.Collect([]*hierarchy.Heap{leaf})
+		if res.CopiedWords != 0 || rs.refs[0] != live {
+			t.Fatalf("round %d: copied %d words, the array now at %v (was %v)", round, res.CopiedWords, rs.refs[0], live)
+		}
+		if got := chunks(); got != minted {
+			t.Fatalf("round %d: the chunk table holds %d chunks, %d before the collection", round, got, minted)
+		}
+		if got, want := w.sp.LiveWords(), before-int64(n+1); got != want {
+			t.Fatalf("round %d: %d live words, want %d (the dead array's chunk released)", round, got, want)
+		}
+		if len(leaf.Chunks) != 1 || !leaf.Chunks[0].Tenured {
+			t.Fatalf("round %d: the leaf keeps %d chunks, want the live array's, Tenured", round, len(leaf.Chunks))
+		}
+		if w.sp.Load(live, n-1) != mem.Int(7) {
+			t.Fatal("the array's contents changed")
+		}
+		if err := CheckHeap(w.sp, leaf, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

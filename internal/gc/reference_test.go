@@ -15,12 +15,15 @@ import (
 // grey objects wait on an explicit stack. It is slow and obviously right,
 // and it shares nothing with gc.go but the Collector's fields and Result.
 // It keeps the rules gc.go keeps, by its own means: a from-space chunk in
-// which a dense parse finds a pinned header (holdsPinned) is retained, a
-// Tenured chunk without a free list is retained while anything in it lives,
-// and every live object in either is traced where it lies, marked in a map;
-// a dense parse of each such chunk sums its live words, and it stays Tenured
-// while they are at least half its words. Remembered entries whose target
-// stays in place are de-duplicated through a map.
+// which a dense parse finds a pinned header (holdsPinned) is retained; a
+// chunk known dense — Tenured without a free list, oversize, or one whose
+// distinct remembered targets, each reached by one entry alone, fill at
+// least half of it (denseByRemembered, a walk of the remembered sets
+// through maps before anything moves) — is retained while anything in it
+// lives; and every live object in either is traced where it lies, marked in
+// a map. A dense parse of each such chunk sums its live words, and it stays
+// Tenured while they are at least half its words. Remembered entries whose
+// target stays in place are de-duplicated through a map.
 
 // refRun is the reference's per-collection state. toAlloc and newRemsets
 // are parallel to order.
@@ -122,13 +125,16 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 			switch {
 			case holdsPinned(ch):
 				ch.FromSpace = mem.Keep
-			case ch.Tenured && ch.FreeWordCount() == 0:
+			case ch.Tenured && ch.FreeWordCount() == 0 || ch.Words() > mem.ChunkWords:
 				ch.FromSpace = mem.Survivor
 			default:
 				ch.FromSpace = mem.Evacuate
 			}
 			oldWords += int64(ch.Words())
 		}
+	}
+	for ch := range r.denseByRemembered() {
+		ch.FromSpace = mem.Survivor
 	}
 
 	// Phase 1: roots.
@@ -169,6 +175,58 @@ func (c *Collector) refCollect(scope []*hierarchy.Heap) Result {
 	return r.res
 }
 
+// validTarget returns the scope object the field of remembered entry e
+// points at, and whether e is a valid down-pointer into the scope's
+// from-space: its holder lies outside the scope, parses and covers the
+// index, and its field holds a reference.
+func (r *refRun) validTarget(e hierarchy.RememberedEntry) (mem.Ref, bool) {
+	sp := r.c.Space
+	if r.scopeOf(sp.ChunkOf(e.Holder).HeapID()) >= 0 {
+		return 0, false
+	}
+	hd := sp.Header(e.Holder)
+	if !hd.Valid() || hd.Kind() == mem.KFree {
+		return 0, false
+	}
+	if hn := max(hd.Len(), 1); e.Index < 0 || e.Index >= hn {
+		return 0, false
+	}
+	v := sp.Load(e.Holder, e.Index)
+	if !v.IsRef() || r.fromSpaceOf(v.Ref()) < 0 {
+		return 0, false
+	}
+	return v.Ref(), true
+}
+
+// denseByRemembered returns the Evacuate chunks whose distinct remembered
+// targets fill at least half of their words, none of those targets reached
+// by two entries: counted over every entry of the scope's remembered sets
+// before anything moves.
+func (r *refRun) denseByRemembered() map[*mem.Chunk]bool {
+	sp := r.c.Space
+	reached := map[mem.Ref]int{}
+	for _, h := range r.order {
+		h.Remset.Each(func(e hierarchy.RememberedEntry) {
+			if t, ok := r.validTarget(e); ok && sp.ChunkOf(t).FromSpace == mem.Evacuate {
+				reached[t]++
+			}
+		})
+	}
+	words, refused := map[*mem.Chunk]int{}, map[*mem.Chunk]bool{}
+	for t, n := range reached {
+		ch := sp.ChunkOf(t)
+		words[ch] += max(sp.Header(t).Len(), 1) + 1
+		refused[ch] = refused[ch] || n > 1
+	}
+	dense := map[*mem.Chunk]bool{}
+	for ch, w := range words {
+		if !refused[ch] && 2*w >= ch.Words() {
+			dense[ch] = true
+		}
+	}
+	return dense
+}
+
 // liveWords sums the words of the objects marked in c: a dense parse.
 func (r *refRun) liveWords(c *mem.Chunk) int {
 	live := 0
@@ -203,30 +261,18 @@ func (r *refRun) processRemsets() {
 	sp := r.c.Space
 	for _, h := range r.order {
 		h.Remset.Each(func(e hierarchy.RememberedEntry) {
-			if r.scopeOf(sp.ChunkOf(e.Holder).HeapID()) >= 0 {
-				// The holder is being collected too; if it survives, the
-				// scan re-derives this entry with the holder's new address.
+			// A holder being collected too is re-derived by the scan if it
+			// survives. The concurrent sweep reclaims internal-heap holders
+			// in place (KFree) and may later re-carve the span; an entry
+			// whose holder no longer parses, was freed, or no longer covers
+			// the recorded index is stale and must not be dereferenced. An
+			// entry whose field was overwritten, points outside the scope
+			// or was already redirected is dead.
+			ref, ok := r.validTarget(e)
+			if !ok {
 				return
 			}
-			// The concurrent sweep reclaims internal-heap holders in place
-			// (KFree) and may later re-carve the span; an entry whose holder
-			// no longer parses, was freed, or no longer covers the recorded
-			// index is stale and must not be dereferenced.
-			hd := sp.Header(e.Holder)
-			if !hd.Valid() || hd.Kind() == mem.KFree {
-				return
-			}
-			if hn := max(hd.Len(), 1); e.Index < 0 || e.Index >= hn {
-				return
-			}
-			v := sp.Load(e.Holder, e.Index)
-			if !v.IsRef() {
-				return // field was overwritten; entry is dead
-			}
-			tgt := r.fromSpaceOf(v.Ref())
-			if tgt < 0 {
-				return // points outside the suffix, or was already redirected
-			}
+			v, tgt := ref.Value(), r.fromSpaceOf(ref)
 			if nv := r.evacuate(v.Ref(), tgt); nv != v {
 				sp.Store(e.Holder, e.Index, nv)
 			} else if r.stayed[e] {

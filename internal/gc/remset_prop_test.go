@@ -23,8 +23,10 @@ import (
 //   - every live field points at its target's current location, and two
 //     fields that shared a target still do;
 //   - a target stays where it is if it is pinned or shares a chunk with a
-//     pinned object (the chunk is kept, so nothing in it moves) or lies in
-//     a Tenured chunk, and every other live target moves;
+//     pinned object (the chunk is kept, so nothing in it moves), lies in
+//     a Tenured chunk, or lies in a chunk that the distinct targets of the
+//     entries fill at least half of, none reached by two entries; every
+//     other live target moves;
 //   - the rebuilt remset holds exactly one entry per live field, whether
 //     its target moved or stayed, and none for any other field;
 //   - CopiedWords is the reference's: no duplicate copies a target twice;
@@ -32,21 +34,42 @@ import (
 //     CheckHeap).
 //
 // Over the seeds, some field must come to a collection with more than one
-// entry while its target stays, or the property has not been exercised.
+// entry while its target stays, or the property has not been exercised. The
+// dense seeds make every other step a fresh target, and most steps that
+// would repeat an entry too, over more fields and steps, so that a round's
+// targets fill about half of its chunk; some target must stay for that
+// reason alone.
 func TestRemsetDuplicatesProperty(t *testing.T) {
-	repeats := 0
+	repeats, dense := 0, 0
 	for seed := int64(1); seed <= 30; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { repeats += remsetProperty(t, seed) })
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			r, _ := remsetProperty(t, seed, false)
+			repeats += r
+		})
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprint("dense/seed", seed), func(t *testing.T) {
+			_, d := remsetProperty(t, seed, true)
+			dense += d
+		})
 	}
 	if repeats == 0 {
 		t.Fatal("no field came to a collection with repeated entries for a target that stays")
 	}
+	if dense == 0 {
+		t.Fatal("no target stayed in a chunk its remembered targets fill")
+	}
 }
 
 // remsetProperty runs one seed and returns how many times a field came to a
-// collection with more than one entry while its target stayed in place.
-func remsetProperty(t *testing.T, seed int64) (repeats int) {
-	const fields = 12
+// collection with more than one entry while its target stayed in place, and
+// how many targets stayed only because the remembered targets fill their
+// chunk.
+func remsetProperty(t *testing.T, seed int64, fresh bool) (repeats, dense int) {
+	fields, steps := 12, 40
+	if fresh {
+		fields, steps = 96, 80
+	}
 	type object struct {
 		id     mem.Value // payload word 0
 		ref    mem.Ref
@@ -63,11 +86,15 @@ func remsetProperty(t *testing.T, seed int64) (repeats int) {
 	rootHA.adopt()
 
 	var objs []*object
-	var field [fields]*object // nil: the field holds no reference
+	field := make([]*object, fields) // nil: the field holds no reference
 
 	point := func(f int, o *object) {
 		w.sp.Store(holder, f, o.ref.Value())
+		recorded := field[f] != nil
 		field[f] = o
+		if fresh && recorded {
+			return // a dense seed's barrier records a field once
+		}
 		if rng.Intn(2) == 0 {
 			leaf.AddRemembered(holder, f) // as a foreign writer publishes
 		} else {
@@ -77,9 +104,13 @@ func remsetProperty(t *testing.T, seed int64) (repeats int) {
 
 	for round := 0; round < 8; round++ {
 		ha := w.onHeap(leaf)
-		for step := 0; step < 40; step++ {
+		for step := 0; step < steps; step++ {
 			f := rng.Intn(fields)
-			switch op := rng.Intn(8); {
+			op := rng.Intn(8)
+			if fresh && (rng.Intn(2) == 0 || op >= 2 && op <= 4 && rng.Intn(16) != 0) {
+				op = 0
+			}
+			switch {
 			case op < 2 || len(objs) == 0: // a fresh target
 				n := 1 + rng.Intn(5)
 				payload := make([]mem.Value, n)
@@ -141,6 +172,25 @@ func remsetProperty(t *testing.T, seed int64) (repeats int) {
 		for _, o := range field {
 			if o != nil && (o.pinned || keptChunks[w.sp.ChunkOf(o.ref)] || w.sp.ChunkOf(o.ref).Tenured) {
 				stays[o] = true
+			}
+		}
+		reached := map[*object]int{} // entries per live target
+		for f, n := range before {
+			if o := field[f]; o != nil {
+				reached[o] += n
+			}
+		}
+		filled, refused := map[*mem.Chunk]int64{}, map[*mem.Chunk]bool{}
+		for o, n := range reached {
+			if c := w.sp.ChunkOf(o.ref); !stays[o] {
+				filled[c] += o.words
+				refused[c] = refused[c] || n > 1
+			}
+		}
+		for o := range reached {
+			if c := w.sp.ChunkOf(o.ref); !stays[o] && !refused[c] && 2*filled[c] >= int64(c.Words()) {
+				stays[o] = true
+				dense++
 			}
 		}
 		var wantCopied int64
@@ -206,5 +256,5 @@ func remsetProperty(t *testing.T, seed int64) (repeats int) {
 			}
 		}
 	}
-	return repeats
+	return repeats, dense
 }

@@ -24,9 +24,19 @@ import (
 // words (headers included) of the marked objects, which the local
 // collector adds as it scans them. Only the collector holding it touches
 // it, so nothing in it is atomic.
+//
+// The local collector also installs one on a chunk it would evacuate, to
+// decide from the leaf's remembered set whether to trace it in place
+// instead: Remembered sums the words of the distinct objects remembered
+// entries reach there (a Remember bit tells a repeat), -1 once a second
+// entry reached one of them, and Deferred heads the chain of the entries it
+// holds back until that sum is in (1 + an index of the collector's, 0 for
+// none).
 type Marks struct {
-	bits []uint64
-	Live int
+	bits       []uint64
+	Live       int
+	Remembered int
+	Deferred   int
 }
 
 // Mark sets the bit of word off and reports whether it was clear: at an
@@ -70,7 +80,7 @@ func (s *Space) BeginMarks(c *Chunk) *Marks {
 		m.bits = m.bits[:n]
 		clear(m.bits)
 	}
-	m.Live = 0
+	m.Live, m.Remembered, m.Deferred = 0, 0, 0
 	if !c.marks.CompareAndSwap(nil, m) {
 		panic(fmt.Sprintf("mem: chunk %d already carries a mark state", c.ID))
 	}

@@ -73,3 +73,56 @@ func TestRecordsFlattenOverLongRun(t *testing.T) {
 		}
 	})
 }
+
+// TestArenasFlattenOverLongRun runs 1 000 rounds of bfs(3000) in one Run at
+// one worker, where the run is the same every time, and checks the space's
+// whole footprint: the arenas (backing arrays of class chunks, free or
+// owned) and the records go flat after 500 rounds of warm-up, growing by at
+// most 5 % over the last 500, and the arenas hold at most 1.16 times the
+// peak LiveWords of those rounds. It reads 1.152 (473 arenas): merged pieces
+// of arenas that no refill up to its class can take sit free while small
+// refills make arenas of their own. At two workers it reads 1.12-1.15 and,
+// under a concurrent load, spreads too wide to gate.
+func TestArenasFlattenOverLongRun(t *testing.T) {
+	var bfs func(*mpl.Task, int) int64
+	for _, b := range bench.All {
+		if b.Name == "bfs" {
+			bfs = b.MPL
+		}
+	}
+	rt := mpl.New(mpl.Config{Procs: 1})
+	sp := rt.Space()
+	type sample struct {
+		arenas, records int
+		words           int64
+	}
+	take := func() (s sample) {
+		s.arenas, s.words = sp.ArenaStats()
+		sp.ForEachChunk(func(*mem.Chunk) { s.records++ })
+		return s
+	}
+	var warm, end sample
+	_, err := rt.Run(func(tk *mpl.Task) mpl.Value {
+		for r := 1; r <= 1000; r++ {
+			bfs(tk, 3000)
+			if r == 500 {
+				warm = take()
+				sp.ResetMaxLive()
+			}
+		}
+		end = take()
+		return mpl.Int(0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := sp.MaxLiveWords()
+	t.Logf("after warm-up %+v, at the end %+v, peak LiveWords %d (arena words %.3f of it)",
+		warm, end, peak, float64(end.words)/float64(peak))
+	if 100*end.arenas > 105*warm.arenas || 100*end.records > 105*warm.records {
+		t.Errorf("arenas grew %d -> %d and records %d -> %d after warm-up", warm.arenas, end.arenas, warm.records, end.records)
+	}
+	if 100*end.words > 116*peak {
+		t.Errorf("the arenas hold %d words, over 1.16 times the peak LiveWords %d", end.words, peak)
+	}
+}

@@ -91,11 +91,12 @@ type Chunk struct {
 	Alloc int
 	// FromSpace is the chunk's part in the local collection now running on
 	// its heap. That collection marks its scope's old chunks once the gates
-	// are closed — Keep on those holding a pin, Survivor on the Tenured
-	// rest, Evacuate on the others — and resets them to NotFromSpace before
-	// they reopen; only it reads the mark, and only on a chunk whose heap id
-	// it has already found in its scope — any other chunk may be
-	// mid-collection elsewhere.
+	// are closed — Keep on those holding a pin, Survivor on those it knows
+	// to be at least half live (Tenured, oversize, or filled by the targets
+	// of its remembered set), Evacuate on the others — and resets them to
+	// NotFromSpace before they reopen; only it reads the mark, and only on a
+	// chunk whose heap id it has already found in its scope — any other
+	// chunk may be mid-collection elsewhere.
 	FromSpace FromSpace
 	// Tenured says the chunk holds what a local collection of its heap
 	// found live and left dense: its to-space, or a chunk it traced in place
@@ -131,7 +132,7 @@ type FromSpace uint8
 const (
 	NotFromSpace FromSpace = iota // no collection of its heap runs, or its to-space
 	Evacuate                      // live objects are copied out; the chunk is released
-	Survivor                      // Tenured: live objects traced in place, released if none
+	Survivor                      // known dense: live objects traced in place, released if none
 	Keep                          // holds a pin: retained, live objects traced in place
 )
 
